@@ -29,10 +29,14 @@ fn main() {
     ] {
         let placement = synthetic_placement(shape, devices).expect("placement");
         let started = Instant::now();
-        let _ = run_tessel(&placement, 8).expect("tessel search");
+        let stats = run_tessel(&placement, 8).expect("tessel search").stats;
         let tessel_seconds = started.elapsed().as_secs_f64().max(1e-4);
 
-        let mut row = vec![label.to_string(), format!("{tessel_seconds:.3}")];
+        let mut row = vec![
+            label.to_string(),
+            format!("{tessel_seconds:.3}"),
+            format!("{} / {}", stats.candidates_screened, stats.repetend_solves),
+        ];
         let mut series = vec![];
         for nmb in [2usize, 4, 6] {
             let (to_seconds, optimal) = to_search_seconds(&placement, nmb);
@@ -52,6 +56,7 @@ fn main() {
         &[
             "placement",
             "Tessel (s)",
+            "screened / solved",
             "TO nmb=2",
             "TO nmb=4",
             "TO nmb=6",

@@ -28,6 +28,10 @@ fn main() {
             format!("{:.0}%", times.warmup.as_secs_f64() / total * 100.0),
             format!("{:.0}%", times.repetend.as_secs_f64() / total * 100.0),
             format!("{:.0}%", times.cooldown.as_secs_f64() / total * 100.0),
+            format!(
+                "{} / {}",
+                lazy_outcome.stats.candidates_screened, lazy_outcome.stats.repetend_solves
+            ),
         ]);
 
         let started = Instant::now();
@@ -53,7 +57,13 @@ fn main() {
     }
     print_table(
         "Fig. 10(a) — search time distribution across phases (lazy search enabled)",
-        &["placement", "warmup", "repetend", "cooldown"],
+        &[
+            "placement",
+            "warmup",
+            "repetend",
+            "cooldown",
+            "screened / solved",
+        ],
         &breakdown_rows,
     );
     print_table(

@@ -10,7 +10,9 @@
 use crate::error::CoreError;
 use crate::ir::PlacementSpec;
 use serde::{Deserialize, Serialize};
-use tessel_solver::{Instance, InstanceBuilder, Solution, Solver, TaskId};
+use tessel_solver::{
+    jackson_preemptive_bound, Instance, InstanceBuilder, Solution, Solver, TaskId,
+};
 
 /// An assignment of micro-batch indices to stages (Eq. 3): stage `i` of the
 /// repetend executes micro-batch `indices[i]`.
@@ -152,6 +154,117 @@ impl Iterator for CandidateIter<'_> {
     }
 }
 
+/// Exact screen in front of the repetend solves: a makespan lower bound for a
+/// candidate's instance, computed from the placement without building the
+/// instance.
+///
+/// The bound is the maximum of the busiest device's load (the same for every
+/// candidate), the critical path over the dependency edges the candidate
+/// keeps (both ends carry the same micro-batch index) and, per device,
+/// [`jackson_preemptive_bound`] over the device's blocks with their heads and
+/// tails along those edges. Every term relaxes the solver's constraint system
+/// (memory is ignored, devices are decoupled), so no schedule of the
+/// candidate's instance finishes earlier: a candidate whose bound reaches the
+/// search's current upper bound has no schedule below it, which is all
+/// [`solve_repetend`] could have reported.
+///
+/// Built once per placement; the scratch buffers inside make
+/// [`CandidateScreen::bound`] allocation-free, so each search worker owns a
+/// clone.
+#[derive(Debug, Clone)]
+pub struct CandidateScreen {
+    /// Stages in topological order.
+    order: Vec<usize>,
+    times: Vec<u64>,
+    /// `deps_flat[deps_off[i]..deps_off[i + 1]]`: the dependencies of stage `i`.
+    deps_off: Vec<usize>,
+    deps_flat: Vec<usize>,
+    /// Stages occupying each device.
+    device_blocks: Vec<Vec<usize>>,
+    load_bound: u64,
+    heads: Vec<u64>,
+    tails: Vec<u64>,
+    jobs: Vec<(u64, u64, u64)>,
+}
+
+impl CandidateScreen {
+    /// Prepares the screen for `placement`.
+    #[must_use]
+    pub fn new(placement: &PlacementSpec) -> Self {
+        let k = placement.num_blocks();
+        let mut deps_off = Vec::with_capacity(k + 1);
+        let mut deps_flat = Vec::new();
+        let mut device_blocks = vec![Vec::new(); placement.num_devices()];
+        for (stage, block) in placement.blocks().iter().enumerate() {
+            deps_off.push(deps_flat.len());
+            deps_flat.extend_from_slice(&block.deps);
+            for &d in &block.devices {
+                device_blocks[d].push(stage);
+            }
+        }
+        deps_off.push(deps_flat.len());
+        CandidateScreen {
+            order: placement.topological_stages(),
+            times: placement.blocks().iter().map(|b| b.time).collect(),
+            deps_off,
+            deps_flat,
+            device_blocks,
+            load_bound: placement.repetend_lower_bound(),
+            heads: vec![0; k],
+            tails: vec![0; k],
+            jobs: Vec::with_capacity(k),
+        }
+    }
+
+    /// A lower bound on the makespan of every schedule of `candidate`'s
+    /// repetend instance. The stages are evaluated cheapest first and the
+    /// evaluation stops as soon as one reaches `enough`, so the result is the
+    /// full bound whenever it is below `enough` (pass `u64::MAX` for the full
+    /// bound unconditionally).
+    pub fn bound(&mut self, candidate: &RepetendCandidate, enough: u64) -> u64 {
+        let indices = &candidate.indices;
+        let mut bound = self.load_bound;
+        if bound >= enough {
+            return bound;
+        }
+        // Heads forwards and tails backwards along the kept edges; a stage's
+        // kept successors all precede it in the reverse sweep, so its tail is
+        // final when it is pushed on to its dependencies.
+        for &stage in &self.order {
+            let mut head = 0;
+            for &dep in &self.deps_flat[self.deps_off[stage]..self.deps_off[stage + 1]] {
+                if indices[dep] == indices[stage] {
+                    head = head.max(self.heads[dep] + self.times[dep]);
+                }
+            }
+            self.heads[stage] = head;
+        }
+        self.tails.fill(0);
+        for &stage in self.order.iter().rev() {
+            let chain = self.times[stage] + self.tails[stage];
+            bound = bound.max(self.heads[stage] + chain);
+            for &dep in &self.deps_flat[self.deps_off[stage]..self.deps_off[stage + 1]] {
+                if indices[dep] == indices[stage] {
+                    self.tails[dep] = self.tails[dep].max(chain);
+                }
+            }
+        }
+        for blocks in &self.device_blocks {
+            if bound >= enough {
+                break;
+            }
+            self.jobs.clear();
+            self.jobs.extend(
+                blocks
+                    .iter()
+                    .map(|&i| (self.heads[i], self.times[i], self.tails[i])),
+            );
+            bound = bound.max(jackson_preemptive_bound(&mut self.jobs));
+        }
+        bound
+    }
+}
+
 /// Memory already resident on each device when the repetend starts: the sum
 /// of the memory deltas of all warmup blocks (`B_i^n` with `n <
 /// indices[i]`).
@@ -179,9 +292,19 @@ pub fn build_repetend_instance(
     placement: &PlacementSpec,
     candidate: &RepetendCandidate,
 ) -> Result<Instance, CoreError> {
+    repetend_instance(placement, candidate, entry_memory(placement, candidate))
+}
+
+/// [`build_repetend_instance`] with the candidate's [`entry_memory`] already
+/// computed.
+fn repetend_instance(
+    placement: &PlacementSpec,
+    candidate: &RepetendCandidate,
+    entry: Vec<i64>,
+) -> Result<Instance, CoreError> {
     let mut builder = InstanceBuilder::new(placement.num_devices());
     builder.set_memory_capacity(placement.memory_capacity());
-    builder.set_initial_memory(entry_memory(placement, candidate))?;
+    builder.set_initial_memory(entry)?;
     let mut ids = Vec::with_capacity(placement.num_blocks());
     for (stage, block) in placement.blocks().iter().enumerate() {
         let label = format!("{}^{}", block.name, candidate.indices[stage]);
@@ -272,6 +395,22 @@ pub fn evaluate_repetend(
     candidate: &RepetendCandidate,
     solution: &Solution,
 ) -> Repetend {
+    evaluate_solution(
+        placement,
+        candidate,
+        solution,
+        entry_memory(placement, candidate),
+    )
+}
+
+/// [`evaluate_repetend`] with the candidate's [`entry_memory`] already
+/// computed.
+fn evaluate_solution(
+    placement: &PlacementSpec,
+    candidate: &RepetendCandidate,
+    solution: &Solution,
+    entry: Vec<i64>,
+) -> Repetend {
     let k = placement.num_blocks();
     let min_start = (0..k)
         .map(|i| solution.start(TaskId::from_index(i)))
@@ -281,12 +420,20 @@ pub fn evaluate_repetend(
         .map(|i| solution.start(TaskId::from_index(i)) - min_start)
         .collect();
     let shifted = right_justify(placement, candidate, &starts);
-    let original = evaluate_starts(placement, candidate, starts);
-    let justified = evaluate_starts(placement, candidate, shifted);
-    if justified.period < original.period {
-        justified
+    let original = evaluate_starts(placement, candidate, &starts);
+    let justified = evaluate_starts(placement, candidate, &shifted);
+    let (starts, (period, exec_time)) = if justified.0 < original.0 {
+        (shifted, justified)
     } else {
-        original
+        (starts, original)
+    };
+    Repetend {
+        candidate: candidate.clone(),
+        starts,
+        period,
+        wait_time: exec_time.iter().map(|&e| period - e).collect(),
+        exec_time,
+        entry_memory: entry,
     }
 }
 
@@ -328,12 +475,13 @@ fn right_justify(
     new_starts
 }
 
-/// Computes the repetend metrics for a fixed start-time layout.
+/// Computes the compacted period and the per-device execution spans of a
+/// fixed start-time layout.
 fn evaluate_starts(
     placement: &PlacementSpec,
     candidate: &RepetendCandidate,
-    starts: Vec<u64>,
-) -> Repetend {
+    starts: &[u64],
+) -> (u64, Vec<u64>) {
     let num_devices = placement.num_devices();
     let mut exec_time = vec![0u64; num_devices];
     let mut first_start = vec![u64::MAX; num_devices];
@@ -369,15 +517,7 @@ fn evaluate_starts(
         }
     }
 
-    let wait_time: Vec<u64> = exec_time.iter().map(|&e| period - e).collect();
-    Repetend {
-        candidate: candidate.clone(),
-        starts,
-        period,
-        exec_time,
-        wait_time,
-        entry_memory: entry_memory(placement, candidate),
-    }
+    (period, exec_time)
 }
 
 /// Solves a repetend candidate to optimality (below `upper_bound`) and
@@ -396,17 +536,20 @@ pub fn solve_repetend(
 ) -> Result<Option<Repetend>, CoreError> {
     // Candidates whose warmup already overflows the memory budget can never
     // lead to a feasible schedule.
+    let entry = entry_memory(placement, candidate);
     if let Some(capacity) = placement.memory_capacity() {
-        let entry = entry_memory(placement, candidate);
         if entry.iter().any(|&m| m > capacity) {
             return Ok(None);
         }
     }
-    let instance = build_repetend_instance(placement, candidate)?;
+    let instance = repetend_instance(placement, candidate, entry)?;
     let outcome = solver.minimize_below(&instance, upper_bound)?;
-    Ok(outcome
-        .solution()
-        .map(|solution| evaluate_repetend(placement, candidate, solution)))
+    // The instance holds the entry memory now; only a solved candidate needs
+    // its own copy.
+    Ok(outcome.solution().map(|solution| {
+        let entry = instance.initial_memory().to_vec();
+        evaluate_solution(placement, candidate, solution, entry)
+    }))
 }
 
 #[cfg(test)]
@@ -604,6 +747,84 @@ mod tests {
         let solver = Solver::new(SolverConfig::default());
         let result = solve_repetend(&p, &cand, &solver, u64::MAX).unwrap();
         assert!(result.is_none());
+    }
+
+    /// A seeded random placement: 2-4 devices, 3-7 blocks with times 1-4,
+    /// random backward edges, occasional two-device (tensor-parallel) blocks,
+    /// forward blocks allocating and backward blocks releasing, and on some
+    /// seeds a memory capacity.
+    fn random_placement(seed: u64) -> PlacementSpec {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x7e55e1;
+        let mut below = move |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 11) % n
+        };
+        let devices = 2 + below(3) as usize;
+        let blocks = 3 + below(5) as usize;
+        let mut b = PlacementSpec::builder(format!("random-{seed}"), devices);
+        if below(3) == 0 {
+            b.set_memory_capacity(Some(2 + below(4) as i64));
+        }
+        for i in 0..blocks {
+            let mut devs = vec![below(devices as u64) as usize];
+            if below(4) == 0 {
+                devs.push((devs[0] + 1) % devices);
+            }
+            let deps: Vec<usize> = (0..i).filter(|_| below(3) == 0).collect();
+            let (kind, memory) = if i < blocks / 2 {
+                (BlockKind::Forward, 1)
+            } else {
+                (BlockKind::Backward, -1)
+            };
+            b.add_block(format!("b{i}"), kind, devs, 1 + below(4), memory, deps)
+                .unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn screen_bound_sits_between_the_cheap_bound_and_the_optimum() {
+        use tessel_solver::{makespan_lower_bound, one_machine_lower_bound};
+        let solver = Solver::new(SolverConfig::exhaustive().with_threads(1));
+        let (mut candidates, mut stronger, mut solved) = (0, 0, 0);
+        for seed in 0..60u64 {
+            let p = random_placement(seed);
+            let mut screen = CandidateScreen::new(&p);
+            for nr in 1..=3 {
+                for cand in candidate_iter(&p, nr) {
+                    let at = format!("seed {seed} candidate {:?}", cand.indices);
+                    let Ok(instance) = build_repetend_instance(&p, &cand) else {
+                        continue;
+                    };
+                    candidates += 1;
+                    let cheap = makespan_lower_bound(&instance);
+                    let bound = screen.bound(&cand, u64::MAX);
+                    assert!(cheap <= bound, "{at}: cheap {cheap} > screen {bound}");
+                    stronger += usize::from(cheap < bound);
+                    // The screen and the solver's root cut are one bound,
+                    // computed from the placement and from the instance.
+                    assert_eq!(bound, one_machine_lower_bound(&instance), "{at}");
+                    // Stopping early never changes which side of `enough` the
+                    // bound falls on.
+                    for enough in [cheap, bound, bound + 1] {
+                        let staged = screen.bound(&cand, enough);
+                        assert!(staged <= bound, "{at}: enough {enough}");
+                        assert_eq!(staged >= enough, bound >= enough, "{at}: enough {enough}");
+                    }
+                    let outcome = solver.minimize(&instance).unwrap();
+                    if let Some(solution) = outcome.solution() {
+                        assert!(outcome.is_optimal(), "{at}");
+                        solved += 1;
+                        let optimum = solution.makespan();
+                        assert!(bound <= optimum, "{at}: screen {bound} > optimum {optimum}");
+                    }
+                }
+            }
+        }
+        // The battery has to reach the cases it is about.
+        assert!(candidates > 1000 && solved > 500 && stronger > 50);
     }
 
     #[test]

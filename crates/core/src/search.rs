@@ -4,9 +4,12 @@
 //! repetend candidates over a growing number of micro-batches, solves each to
 //! optimality with the exact scheduling solver, keeps the one with the
 //! smallest period and finally completes warmup and cooldown phases around
-//! it. The *lazy search* optimisation (§V) replaces per-candidate phase
-//! optimisation with a cheap satisfiability probe and only optimises the
-//! phases once, for the winning repetend.
+//! it. A [`CandidateScreen`] in front of the solves rejects every candidate
+//! whose makespan lower bound already reaches the best period found so far —
+//! the solver could only answer "no schedule below the bound" for it —
+//! before an instance is built. The *lazy search* optimisation (§V) replaces
+//! per-candidate phase optimisation with a cheap satisfiability probe and
+//! only optimises the phases once, for the winning repetend.
 
 use crate::completion::{
     cooldown_blocks, cooldown_entry_memory, probe_phase, solve_phase, warmup_blocks, Phase,
@@ -15,7 +18,9 @@ use crate::completion::{
 use crate::compose::compose_schedule;
 use crate::error::CoreError;
 use crate::ir::PlacementSpec;
-use crate::repetend::{candidate_iter, solve_repetend, CandidateIter, Repetend, RepetendCandidate};
+use crate::repetend::{
+    candidate_iter, solve_repetend, CandidateIter, CandidateScreen, Repetend, RepetendCandidate,
+};
 use crate::schedule::Schedule;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -214,7 +219,14 @@ pub struct SearchStats {
     /// Number of repetend candidates pulled from the incremental generator
     /// (enumeration stops early once the lower bound is reached).
     pub candidates_considered: usize,
-    /// Number of repetend candidates handed to the solver.
+    /// Number of candidates the [`CandidateScreen`] rejected — its bound
+    /// already reached the best period found so far — before any instance
+    /// was built.
+    #[serde(default)]
+    pub candidates_screened: usize,
+    /// Number of repetend candidates that passed the screen and were handed
+    /// on to the solver: `candidates_considered == candidates_screened +
+    /// repetend_solves`.
     pub repetend_solves: usize,
     /// Number of lazy feasibility probes issued for completion phases.
     pub feasibility_probes: usize,
@@ -404,7 +416,8 @@ impl TesselSearch {
     /// Lines 7-19 of Algorithm 1: the strictly serial candidate loop.
     ///
     /// Candidates are pulled incrementally from [`candidate_iter`], so even
-    /// an astronomically large candidate space costs `O(K)` memory.
+    /// an astronomically large candidate space costs `O(K)` memory, and pass
+    /// the [`CandidateScreen`] before anything is built for them.
     ///
     /// Returns the winning repetend (if any) and, in eager mode, the phases
     /// solved alongside it.
@@ -427,6 +440,7 @@ impl TesselSearch {
         );
         let phase_solver = solver_for_run(&self.config.phase_solver, abort, sink, None);
         let probe_solver = solver_for_run(&SolverConfig::probe(), abort, sink, None);
+        let mut screen = CandidateScreen::new(placement);
         let mut best: Option<Repetend> = None;
         let mut best_phases: Option<(PhasePlan, PhasePlan)> = None;
 
@@ -438,8 +452,13 @@ impl TesselSearch {
                 }
                 stats.candidates_considered += 1;
                 let repetend_clock = Instant::now();
-                let solved = solve_repetend(placement, &candidate, &repetend_solver, *optimal)?;
-                stats.repetend_solves += 1;
+                let solved = if screen.bound(&candidate, *optimal) >= *optimal {
+                    stats.candidates_screened += 1;
+                    None
+                } else {
+                    stats.repetend_solves += 1;
+                    solve_repetend(placement, &candidate, &repetend_solver, *optimal)?
+                };
                 stats.phase_times.repetend += repetend_clock.elapsed();
                 let Some(repetend) = solved else { continue };
                 if repetend.period >= *optimal {
@@ -522,8 +541,9 @@ impl TesselSearch {
     /// [`PortfolioStream`] — nothing is materialized up front, so very large
     /// `NR` levels cost `O(K)` memory no matter how many candidates they
     /// contain. Workers pull the next candidate under a short-held lock,
-    /// solve it with the current shared best period as the solver's upper
-    /// bound, run the lazy feasibility probes (or the eager phase solves) for
+    /// screen it (each on its own clone of the [`CandidateScreen`]) and solve
+    /// it with the current shared best period as the upper bound of both, run
+    /// the lazy feasibility probes (or the eager phase solves) for
     /// improving candidates, and publish improvements to the shared
     /// `AtomicU64` bound — which immediately tightens the pruning of every
     /// other worker and cancels candidates that can no longer win. A worker
@@ -566,12 +586,14 @@ impl TesselSearch {
 
         #[derive(Default)]
         struct WorkerTally {
+            candidates_screened: usize,
             repetend_solves: usize,
             feasibility_probes: usize,
             improving: usize,
             phase_times: PhaseBreakdown,
         }
 
+        let screen = CandidateScreen::new(placement);
         let shared_optimal = AtomicU64::new(*optimal);
         let stop = AtomicBool::new(false);
         let timed_out = AtomicBool::new(false);
@@ -587,6 +609,7 @@ impl TesselSearch {
                     let stop = &stop;
                     let timed_out = &timed_out;
                     let best_win = &best_win;
+                    let screen = &screen;
                     scope.spawn(move || -> Result<WorkerTally, CoreError> {
                         let repetend_solver = solver_for_run(
                             &self.config.repetend_solver,
@@ -598,6 +621,7 @@ impl TesselSearch {
                             solver_for_run(&self.config.phase_solver, abort, sink, None);
                         let probe_solver =
                             solver_for_run(&SolverConfig::probe(), abort, sink, None);
+                        let mut screen = screen.clone();
                         let mut tally = WorkerTally::default();
                         loop {
                             if stop.load(Ordering::Relaxed) {
@@ -616,9 +640,13 @@ impl TesselSearch {
                             // longer win before any solver work happens.
                             let bound = shared_optimal.load(Ordering::Relaxed);
                             let repetend_clock = Instant::now();
-                            let solved =
-                                solve_repetend(placement, &candidate, &repetend_solver, bound)?;
-                            tally.repetend_solves += 1;
+                            let solved = if screen.bound(&candidate, bound) >= bound {
+                                tally.candidates_screened += 1;
+                                None
+                            } else {
+                                tally.repetend_solves += 1;
+                                solve_repetend(placement, &candidate, &repetend_solver, bound)?
+                            };
                             tally.phase_times.repetend += repetend_clock.elapsed();
                             let Some(repetend) = solved else { continue };
                             if repetend.period >= shared_optimal.load(Ordering::Relaxed) {
@@ -736,6 +764,7 @@ impl TesselSearch {
 
         for tally in tallies {
             let tally = tally?;
+            stats.candidates_screened += tally.candidates_screened;
             stats.repetend_solves += tally.repetend_solves;
             stats.feasibility_probes += tally.feasibility_probes;
             stats.improving_repetends += tally.improving;
@@ -997,6 +1026,10 @@ mod tests {
         let stats = &outcome.stats;
         assert!(stats.candidates_considered > 0);
         assert!(stats.repetend_solves > 0);
+        assert_eq!(
+            stats.candidates_considered,
+            stats.candidates_screened + stats.repetend_solves
+        );
         assert!(stats.improving_repetends >= 1);
         assert!(stats.chosen_nr >= 1);
         assert!(stats.phase_times.total() <= stats.total_time + Duration::from_secs(1));
@@ -1166,6 +1199,10 @@ mod tests {
         let stats = &outcome.stats;
         assert!(stats.candidates_considered > 0);
         assert!(stats.repetend_solves > 0);
+        assert_eq!(
+            stats.candidates_considered,
+            stats.candidates_screened + stats.repetend_solves
+        );
         assert!(stats.improving_repetends >= 1);
         assert!(stats.chosen_nr >= 1);
         assert!(stats.early_exit);

@@ -66,7 +66,10 @@ pub use cancel::{Abort, CancelToken};
 pub use error::SolverError;
 pub use greedy::{greedy_schedule, GreedyPriority};
 pub use instance::{Instance, InstanceBuilder};
-pub use lower_bound::{critical_path_lower_bound, device_load_lower_bound, makespan_lower_bound};
+pub use lower_bound::{
+    critical_path_lower_bound, device_load_lower_bound, jackson_preemptive_bound,
+    makespan_lower_bound, one_machine_lower_bound,
+};
 pub use progress::{ProgressBoard, ProgressSnapshot, MAX_PROGRESS_WORKERS};
 pub use propagate::TimeWindows;
 pub use search::{SolveOutcome, Solver, SolverConfig};

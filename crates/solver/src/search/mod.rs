@@ -49,7 +49,7 @@ mod simd;
 use crate::cancel::Abort;
 use crate::greedy::{greedy_schedule, GreedyPriority};
 use crate::instance::Instance;
-use crate::lower_bound::makespan_lower_bound;
+use crate::lower_bound::{device_load_lower_bound, one_machine_bound};
 use crate::progress::ProgressBoard;
 use crate::propagate::TimeWindows;
 use crate::solution::Solution;
@@ -374,7 +374,11 @@ impl Solver {
     ///
     /// Tessel uses this during repetend enumeration: a candidate repetend is
     /// only worth solving to optimality if it can beat the best repetend found
-    /// so far.
+    /// so far. When the instance's root lower bound (see
+    /// [`one_machine_lower_bound`](crate::one_machine_lower_bound)) already
+    /// reaches `upper_bound`, the call returns [`SolveOutcome::Infeasible`]
+    /// with `complete` statistics and zero nodes, before any search state is
+    /// built.
     ///
     /// # Errors
     ///
@@ -388,7 +392,9 @@ impl Solver {
     ///
     /// This is the satisfiability mode used by the paper's lazy-search
     /// optimisation (§V) to validate that warmup and cooldown phases admit a
-    /// schedule at all before spending time optimising them.
+    /// schedule at all before spending time optimising them. A deadline below
+    /// the root lower bound is refused the same way as in
+    /// [`Solver::minimize_below`].
     ///
     /// # Errors
     ///
@@ -454,8 +460,7 @@ impl Solver {
     ) -> Result<SolveOutcome> {
         let started = Instant::now();
         let windows = TimeWindows::compute(instance, instance.total_work());
-        let flat = FlatInstance::build(instance, &windows);
-        let lower = makespan_lower_bound(instance);
+        let lower = device_load_lower_bound(instance).max(windows.critical_path(instance));
         // `upper` is exclusive: only schedules strictly below it are kept.
         let upper = match (upper_bound, deadline) {
             (_, Some(d)) => d.saturating_add(1),
@@ -463,6 +468,20 @@ impl Solver {
             (None, None) => u64::MAX,
         };
 
+        // Root cut: a bounded solve whose root bound already reaches `upper`
+        // is proved to have no schedule below it before any search state is
+        // built. The one-machine bound is used here and nowhere else — it
+        // must not reach `SearchContext::lower`, which shapes the node count
+        // of every unbounded `minimize`.
+        if upper < u64::MAX && (lower >= upper || one_machine_bound(instance, &windows) >= upper) {
+            return Ok(SolveOutcome::Infeasible(SolveStats {
+                complete: true,
+                elapsed: started.elapsed(),
+                ..SolveStats::default()
+            }));
+        }
+
+        let flat = FlatInstance::build(instance, &windows);
         let mut ctx = SearchContext::new(&flat, &self.config, deadline, upper, lower, started);
 
         // Seed the incumbent with a greedy schedule when minimising; this both
