@@ -13,13 +13,11 @@
 //! * `solver_scaling` — branch-and-bound nodes per second: the seed
 //!   (allocation-heavy) solver vs the current allocation-free one, single-
 //!   and multi-threaded.
-//! * `solver_parallel_scaling` — work-stealing search quality: explored-node
-//!   count, node ratio vs serial and shared-memo dedup per thread count.
-//!   Node counts are meaningful on any host; the wall-clock columns need a
-//!   multi-core box (`host.cpus` records the measuring host).
-//! * `solver_thread_scaling` — the 1→N wall-clock curve of the lock-free
-//!   work-stealing solver plus its contention counters (steals, failed
-//!   steals, CAS retries, memo drops); interpret against `host.cpus`.
+//! * `solver_thread_scaling` — the 1→N curve of the lock-free work-stealing
+//!   solver: explored-node count and its ratio vs serial, shared-memo hits,
+//!   wall-clock and the contention counters (steals, failed steals, CAS
+//!   retries, memo drops). Node counts are meaningful on any host; the
+//!   wall-clock columns need a multi-core box (interpret against `host.cpus`).
 //! * `portfolio_search` — end-to-end `TesselSearch::run` wall-clock on the
 //!   Fig. 8 synthetic shapes with 1 vs 4 portfolio workers.
 //! * `service_throughput` — requests/s and cache hit rate of the in-process
@@ -197,84 +195,17 @@ pub fn solver_scaling_rows() -> Vec<SolverScalingRow> {
     rows
 }
 
-/// One row of the `solver_parallel_scaling` section.
-///
-/// The interesting column is `nodes_vs_serial`: with per-worker *private*
-/// dominance memos the 4-thread search re-explored ~2.7× the serial node
-/// count on the mb6 instance; the shared sharded table must keep the ratio
-/// near 1. `memo_dedup` reports which fraction of dominance prunes were
-/// served by a record another worker inserted — the sharing actually paying
-/// off, not just private-memo hits that would have happened anyway.
-#[derive(Debug, Clone, Serialize)]
-pub struct ParallelScalingRow {
-    /// Instance description.
-    pub instance: String,
-    /// Solver worker threads.
-    pub threads: usize,
-    /// Branch nodes expanded (all workers combined).
-    pub nodes: u64,
-    /// `nodes` of this row divided by the single-threaded row's.
-    pub nodes_vs_serial: f64,
-    /// Nodes pruned by dominance.
-    pub pruned_dominance: u64,
-    /// Dominance prunes served by another worker's record.
-    pub shared_memo_hits: u64,
-    /// `shared_memo_hits / pruned_dominance` (0 when no dominance prunes).
-    pub memo_dedup: f64,
-    /// Subtree tasks stolen between workers.
-    pub steals: u64,
-    /// Wall-clock seconds (only comparable on a multi-core host).
-    pub seconds: f64,
-    /// Proved optimal makespan — must be identical across thread counts.
-    pub makespan: Option<u64>,
-}
-
-/// Measures the work-stealing parallel solver against the serial search on
-/// the whole-schedule (time-optimal) V-shape instances: explored-node counts
-/// and shared-memo dedup per thread count.
-#[must_use]
-pub fn solver_parallel_scaling_rows() -> Vec<ParallelScalingRow> {
-    let placement = synthetic_placement(ShapeKind::V, 4).expect("placement");
-    let mut rows = Vec::new();
-    for micro_batches in [5usize, 6] {
-        let instance = time_optimal_instance(&placement, micro_batches).expect("instance");
-        let label = format!("time_optimal/v4/mb{micro_batches}");
-        let mut serial_nodes = None;
-        for threads in [1usize, 2, 4] {
-            let solver = Solver::new(SolverConfig::exhaustive().with_threads(threads));
-            let started = Instant::now();
-            let outcome = solver.minimize(&instance).expect("solve");
-            let seconds = started.elapsed().as_secs_f64();
-            let stats = outcome.stats();
-            assert!(
-                stats.complete,
-                "parallel scaling rows must prove optimality"
-            );
-            let baseline = *serial_nodes.get_or_insert(stats.nodes);
-            rows.push(ParallelScalingRow {
-                instance: label.clone(),
-                threads,
-                nodes: stats.nodes,
-                nodes_vs_serial: stats.nodes as f64 / baseline.max(1) as f64,
-                pruned_dominance: stats.pruned_dominance,
-                shared_memo_hits: stats.shared_memo_hits,
-                memo_dedup: stats.shared_memo_hits as f64 / (stats.pruned_dominance.max(1)) as f64,
-                steals: stats.steals,
-                seconds,
-                makespan: outcome.solution().map(tessel_solver::Solution::makespan),
-            });
-        }
-    }
-    rows
-}
-
 /// One row of the `solver_thread_scaling` section.
 ///
-/// The 1→N wall-clock curve of the lock-free work-stealing solver, with the
-/// contention counters that explain it: `steals` (successful load balancing),
-/// `steal_failures` (lost deque-`top` races), `cas_retries` (lost claims in
-/// the shared dominance table) and `memo_drops` (bounded-probe memo
-/// drops). Wall-clock speedups need a multi-core host — interpret `seconds`
+/// The 1→N curve of the lock-free work-stealing solver. `nodes_vs_serial` is
+/// the search-quality column: with per-worker *private* dominance memos the
+/// 4-thread search re-explored ~2.7× the serial node count on the mb6
+/// instance; the shared table must keep the ratio near 1, and
+/// `shared_memo_hits` of `pruned_dominance` shows the sharing paying off. The
+/// wall-clock columns come with the contention counters that explain them:
+/// `steals` (successful load balancing), `steal_failures` (lost deque-`top`
+/// races), `cas_retries` (lost claims in the shared dominance table) and
+/// `memo_drops` (bounded-probe memo drops). Wall-clock speedups need a multi-core host — interpret `seconds`
 /// against the recorded `host.cpus`; on a single core the curve only shows
 /// the synchronisation overhead floor, which the lock-free structures keep
 /// flat. The serial warmstart probe is disabled for these rows so every
@@ -287,6 +218,12 @@ pub struct ThreadScalingRow {
     pub threads: usize,
     /// Branch nodes expanded (all workers combined).
     pub nodes: u64,
+    /// `nodes` of this row divided by the single-threaded row's.
+    pub nodes_vs_serial: f64,
+    /// Nodes pruned by dominance.
+    pub pruned_dominance: u64,
+    /// Dominance prunes served by another worker's record.
+    pub shared_memo_hits: u64,
     /// Wall-clock seconds of the solve (best of 2 runs).
     pub seconds: f64,
     /// Nodes per second.
@@ -333,6 +270,9 @@ pub fn solver_thread_scaling_rows() -> Vec<ThreadScalingRow> {
                     instance: label.clone(),
                     threads,
                     nodes: stats.nodes,
+                    nodes_vs_serial: 0.0,
+                    pruned_dominance: stats.pruned_dominance,
+                    shared_memo_hits: stats.shared_memo_hits,
                     seconds,
                     nodes_per_sec: stats.nodes as f64 / seconds.max(1e-9),
                     speedup_vs_serial: 0.0,
@@ -347,13 +287,14 @@ pub fn solver_thread_scaling_rows() -> Vec<ThreadScalingRow> {
                 }
             }
             let mut row = best.expect("at least one run");
-            let (serial_seconds, serial_makespan) =
-                *serial.get_or_insert((row.seconds, row.makespan));
+            let (serial_seconds, serial_nodes, serial_makespan) =
+                *serial.get_or_insert((row.seconds, row.nodes, row.makespan));
             assert_eq!(
                 row.makespan, serial_makespan,
                 "thread count changed the proved makespan on {label}"
             );
             row.speedup_vs_serial = serial_seconds / row.seconds.max(1e-9);
+            row.nodes_vs_serial = row.nodes as f64 / serial_nodes.max(1) as f64;
             rows.push(row);
         }
     }
@@ -367,12 +308,16 @@ pub fn emit_thread_scaling() {
     write_section("solver_thread_scaling", &rows);
     for row in &rows {
         println!(
-            "solver_thread_scaling {:<22} threads={} {:>10} nodes {:>7.3}s \
+            "solver_thread_scaling {:<22} threads={} {:>10} nodes ({:.2}x serial, \
+             {} of {} dominance prunes shared) {:>7.3}s \
              ({:.2}x serial) steals={:>5} steal_fail={:>4} cas_retries={:>4} \
              memo_drops={:>4} makespan={:?}",
             row.instance,
             row.threads,
             row.nodes,
+            row.nodes_vs_serial,
+            row.shared_memo_hits,
+            row.pruned_dominance,
             row.seconds,
             row.speedup_vs_serial,
             row.steals,
@@ -699,18 +644,18 @@ pub fn transport_rows(requests: usize) -> Vec<TransportThroughputRow> {
 }
 
 /// One row of the `admission_overload` section: the daemon under sustained
-/// overload (one worker, a tiny queue, more clients than slots) with one of
-/// the two shed policies.
+/// overload (one worker, a tiny queue, more clients than slots), shedding the
+/// least valuable waiting request.
 ///
-/// `reject-newest` is the blind tail-drop baseline (the pre-admission-
-/// control behaviour: a full queue 503s the newcomer no matter what it is);
-/// `least-valuable` is the deadline/priority-aware policy. The headline
-/// column is `valuable_goodput_per_sec`: completed high-priority requests
-/// per second — the traffic the operator actually cares about under
-/// overload.
+/// The headline column is `valuable_goodput_per_sec`: completed
+/// high-priority requests per second — the traffic the operator actually
+/// cares about under overload. (The blind tail-drop baseline this was once
+/// compared against, `reject-newest`, recorded 30/s here against 1,231/s and
+/// was retired with its code path.)
 #[derive(Debug, Clone, Serialize)]
 pub struct AdmissionOverloadRow {
-    /// Shed policy the daemon ran with.
+    /// Shed policy the daemon ran with (always `least-valuable`; the column
+    /// keeps rows comparable with earlier snapshots).
     pub policy: String,
     /// Client requests issued (all classes).
     pub requests: u64,
@@ -720,7 +665,7 @@ pub struct AdmissionOverloadRow {
     pub valuable_requests: u64,
     /// High-priority requests answered `200`.
     pub valuable_completed: u64,
-    /// Requests shed (`429`) or refused (`503`).
+    /// Requests shed (`429`) or refused while shutting down (`503`).
     pub shed_or_rejected: u64,
     /// Requests that ran past their deadline (`408`).
     pub timeouts: u64,
@@ -794,7 +739,7 @@ fn histogram_quantile_ms(metrics: &str, name: &str, q: f64) -> f64 {
     0.0
 }
 
-/// Measures goodput under sustained overload with each shed policy: one
+/// Measures goodput under sustained overload: one
 /// worker and a 2-deep queue, hammered by background spam (hopeless
 /// 8-device X-shape searches bounded to 150 ms by their deadline, priority
 /// 0) and by high-priority zipf-distributed searches over the 4-device
@@ -806,9 +751,7 @@ pub fn admission_overload_rows(window: std::time::Duration) -> Vec<AdmissionOver
     use std::sync::Arc;
     use tessel_service::http::http_call;
     use tessel_service::wire::SearchRequest;
-    use tessel_service::{
-        HttpClient, HttpServer, ScheduleService, ServerConfig, ServiceConfig, ShedPolicy,
-    };
+    use tessel_service::{HttpClient, HttpServer, ScheduleService, ServerConfig, ServiceConfig};
 
     const SPAM_THREADS: usize = 6;
     const VALUABLE_THREADS: usize = 4;
@@ -857,134 +800,119 @@ pub fn admission_overload_rows(window: std::time::Duration) -> Vec<AdmissionOver
             .collect()
     };
 
-    let mut rows = Vec::new();
-    for policy in [ShedPolicy::RejectNewest, ShedPolicy::LeastValuable] {
-        let service = ScheduleService::new(ServiceConfig {
-            default_micro_batches: 8,
-            default_max_repetend: 3,
-            portfolio_threads: 1,
-            solver_threads: 1,
-            candidate_limit: Some(600),
-            ..ServiceConfig::default()
-        })
-        .expect("service");
-        let server = HttpServer::serve(
-            Arc::new(service),
-            &ServerConfig {
-                addr: "127.0.0.1:0".into(),
-                workers: 1,
-                queue_depth: 2,
-                shed_policy: policy,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("server");
-        let addr = server.local_addr().to_string();
+    let service = ScheduleService::new(ServiceConfig {
+        default_micro_batches: 8,
+        default_max_repetend: 3,
+        portfolio_threads: 1,
+        solver_threads: 1,
+        candidate_limit: Some(600),
+        ..ServiceConfig::default()
+    })
+    .expect("service");
+    let server = HttpServer::serve(
+        Arc::new(service),
+        &ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            queue_depth: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server");
+    let addr = server.local_addr().to_string();
 
-        let stop = Arc::new(AtomicBool::new(false));
-        let issued = Arc::new(AtomicU64::new(0));
-        let completed = Arc::new(AtomicU64::new(0));
-        let valuable_issued = Arc::new(AtomicU64::new(0));
-        let valuable_completed = Arc::new(AtomicU64::new(0));
-        let shed = Arc::new(AtomicU64::new(0));
-        let timeouts = Arc::new(AtomicU64::new(0));
+    let stop = Arc::new(AtomicBool::new(false));
+    let issued = Arc::new(AtomicU64::new(0));
+    let completed = Arc::new(AtomicU64::new(0));
+    let valuable_issued = Arc::new(AtomicU64::new(0));
+    let valuable_completed = Arc::new(AtomicU64::new(0));
+    let shed = Arc::new(AtomicU64::new(0));
+    let timeouts = Arc::new(AtomicU64::new(0));
 
-        let mut handles = Vec::new();
-        for thread in 0..SPAM_THREADS + VALUABLE_THREADS {
-            let spam = thread < SPAM_THREADS;
-            let addr = addr.clone();
-            let stop = stop.clone();
-            let issued = issued.clone();
-            let completed = completed.clone();
-            let valuable_issued = valuable_issued.clone();
-            let valuable_completed = valuable_completed.clone();
-            let shed = shed.clone();
-            let timeouts = timeouts.clone();
-            let catalog = catalog.clone();
-            let spam_bodies = spam_bodies.clone();
-            handles.push(std::thread::spawn(move || {
-                let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ (thread as u64 + 1);
-                let mut spam_cursor = thread;
-                let mut client = HttpClient::new(&addr).expect("client");
-                while !stop.load(Ordering::Relaxed) {
-                    let body = if spam {
-                        spam_cursor += SPAM_THREADS;
-                        &spam_bodies[spam_cursor % spam_bodies.len()]
-                    } else {
-                        &catalog[zipf_rank(&mut rng, catalog.len())]
-                    };
-                    issued.fetch_add(1, Ordering::Relaxed);
-                    if !spam {
-                        valuable_issued.fetch_add(1, Ordering::Relaxed);
+    let mut handles = Vec::new();
+    for thread in 0..SPAM_THREADS + VALUABLE_THREADS {
+        let spam = thread < SPAM_THREADS;
+        let addr = addr.clone();
+        let stop = stop.clone();
+        let issued = issued.clone();
+        let completed = completed.clone();
+        let valuable_issued = valuable_issued.clone();
+        let valuable_completed = valuable_completed.clone();
+        let shed = shed.clone();
+        let timeouts = timeouts.clone();
+        let catalog = catalog.clone();
+        let spam_bodies = spam_bodies.clone();
+        handles.push(std::thread::spawn(move || {
+            let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ (thread as u64 + 1);
+            let mut spam_cursor = thread;
+            let mut client = HttpClient::new(&addr).expect("client");
+            while !stop.load(Ordering::Relaxed) {
+                let body = if spam {
+                    spam_cursor += SPAM_THREADS;
+                    &spam_bodies[spam_cursor % spam_bodies.len()]
+                } else {
+                    &catalog[zipf_rank(&mut rng, catalog.len())]
+                };
+                issued.fetch_add(1, Ordering::Relaxed);
+                if !spam {
+                    valuable_issued.fetch_add(1, Ordering::Relaxed);
+                }
+                match client.call("POST", "/v1/search", Some(body)) {
+                    Ok((200, _)) => {
+                        completed.fetch_add(1, Ordering::Relaxed);
+                        if !spam {
+                            valuable_completed.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
-                    match client.call("POST", "/v1/search", Some(body)) {
-                        Ok((200, _)) => {
-                            completed.fetch_add(1, Ordering::Relaxed);
-                            if !spam {
-                                valuable_completed.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        Ok((429 | 503, _)) => {
-                            shed.fetch_add(1, Ordering::Relaxed);
-                            // Bound the reject-retry spin without draining
-                            // the pressure the bench is about.
-                            std::thread::sleep(std::time::Duration::from_millis(2));
-                        }
-                        Ok((408, _)) => {
-                            timeouts.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Ok(_) => {}
-                        Err(_) => {
-                            client = HttpClient::new(&addr).expect("client");
-                        }
+                    Ok((429 | 503, _)) => {
+                        shed.fetch_add(1, Ordering::Relaxed);
+                        // Bound the reject-retry spin without draining
+                        // the pressure the bench is about.
+                        std::thread::sleep(std::time::Duration::from_millis(2));
+                    }
+                    Ok((408, _)) => {
+                        timeouts.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Ok(_) => {}
+                    Err(_) => {
+                        client = HttpClient::new(&addr).expect("client");
                     }
                 }
-            }));
-        }
-        let started = Instant::now();
-        std::thread::sleep(window);
-        stop.store(true, Ordering::Relaxed);
-        for handle in handles {
-            handle.join().expect("client thread");
-        }
-        let seconds = started.elapsed().as_secs_f64();
-
-        let (status, metrics) = http_call(&addr, "GET", "/metrics", None).expect("metrics");
-        assert_eq!(status, 200, "{metrics}");
-        let requests = issued.load(Ordering::Relaxed);
-        let completed = completed.load(Ordering::Relaxed);
-        let valuable_requests = valuable_issued.load(Ordering::Relaxed);
-        let valuable_completed = valuable_completed.load(Ordering::Relaxed);
-        let shed_or_rejected = shed.load(Ordering::Relaxed);
-        rows.push(AdmissionOverloadRow {
-            policy: match policy {
-                ShedPolicy::LeastValuable => "least-valuable".into(),
-                ShedPolicy::RejectNewest => "reject-newest".into(),
-            },
-            requests,
-            completed,
-            valuable_requests,
-            valuable_completed,
-            shed_or_rejected,
-            timeouts: timeouts.load(Ordering::Relaxed),
-            seconds,
-            goodput_per_sec: completed as f64 / seconds.max(1e-9),
-            valuable_goodput_per_sec: valuable_completed as f64 / seconds.max(1e-9),
-            shed_rate: shed_or_rejected as f64 / (requests.max(1)) as f64,
-            queue_wait_p50_ms: histogram_quantile_ms(
-                &metrics,
-                "tessel_admission_wait_seconds",
-                0.50,
-            ),
-            queue_wait_p99_ms: histogram_quantile_ms(
-                &metrics,
-                "tessel_admission_wait_seconds",
-                0.99,
-            ),
-        });
-        server.shutdown();
+            }
+        }));
     }
-    rows
+    let started = Instant::now();
+    std::thread::sleep(window);
+    stop.store(true, Ordering::Relaxed);
+    for handle in handles {
+        handle.join().expect("client thread");
+    }
+    let seconds = started.elapsed().as_secs_f64();
+
+    let (status, metrics) = http_call(&addr, "GET", "/metrics", None).expect("metrics");
+    assert_eq!(status, 200, "{metrics}");
+    let requests = issued.load(Ordering::Relaxed);
+    let completed = completed.load(Ordering::Relaxed);
+    let valuable_requests = valuable_issued.load(Ordering::Relaxed);
+    let valuable_completed = valuable_completed.load(Ordering::Relaxed);
+    let shed_or_rejected = shed.load(Ordering::Relaxed);
+    let row = AdmissionOverloadRow {
+        policy: "least-valuable".into(),
+        requests,
+        completed,
+        valuable_requests,
+        valuable_completed,
+        shed_or_rejected,
+        timeouts: timeouts.load(Ordering::Relaxed),
+        seconds,
+        goodput_per_sec: completed as f64 / seconds.max(1e-9),
+        valuable_goodput_per_sec: valuable_completed as f64 / seconds.max(1e-9),
+        shed_rate: shed_or_rejected as f64 / (requests.max(1)) as f64,
+        queue_wait_p50_ms: histogram_quantile_ms(&metrics, "tessel_admission_wait_seconds", 0.50),
+        queue_wait_p99_ms: histogram_quantile_ms(&metrics, "tessel_admission_wait_seconds", 0.99),
+    };
+    server.shutdown();
+    vec![row]
 }
 
 /// The `anytime_streaming` section: client-observed latency to the first
@@ -1292,29 +1220,8 @@ pub fn criterion_rows() -> Vec<(String, f64)> {
         .collect()
 }
 
-/// Runs the work-stealing scaling measurement and updates its section.
-pub fn emit_parallel_scaling() {
-    write_section("host", &HostInfo::capture());
-    let rows = solver_parallel_scaling_rows();
-    write_section("solver_parallel_scaling", &rows);
-    for row in &rows {
-        println!(
-            "solver_parallel_scaling {:<22} threads={} {:>10} nodes ({:.2}x serial) \
-             dedup={:.2} steals={:>5} {:>7.3}s makespan={:?}",
-            row.instance,
-            row.threads,
-            row.nodes,
-            row.nodes_vs_serial,
-            row.memo_dedup,
-            row.steals,
-            row.seconds,
-            row.makespan
-        );
-    }
-}
-
 /// Runs all solver measurement suites and updates their sections. The
-/// `host` section is written by the trailing [`emit_parallel_scaling`] call.
+/// `host` section is written by the trailing [`emit_thread_scaling`] call.
 pub fn emit_all() {
     let scaling = solver_scaling_rows();
     write_section("solver_scaling", &scaling);
@@ -1332,7 +1239,6 @@ pub fn emit_all() {
             row.shape, row.threads, row.seconds, row.speedup_vs_serial, row.period
         );
     }
-    emit_parallel_scaling();
     emit_thread_scaling();
 }
 

@@ -87,15 +87,6 @@ pub fn field<'a>(entries: &'a [(String, Value)], name: &str) -> Result<&'a Value
         .ok_or_else(|| Error::custom(format!("missing field `{name}`")))
 }
 
-/// Looks up an optional field in a struct map; absent fields read as `Null`.
-pub fn field_or_null<'a>(entries: &'a [(String, Value)], name: &str) -> &'a Value {
-    entries
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v)
-        .unwrap_or(&Value::Null)
-}
-
 /// Types that can be converted into a [`Value`].
 pub trait Serialize {
     /// Converts `self` into the serde data model.

@@ -9,10 +9,13 @@
 //! * tuple structs (single-field ones serialize transparently, like serde
 //!   newtypes),
 //! * enums with unit and/or struct variants (externally tagged),
-//! * the `#[serde(skip)]`, `#[serde(default)]` and `#[serde(with = "module")]`
-//!   field attributes (`default` fills a missing map key from
-//!   `Default::default()` instead of erroring, so persisted documents written
-//!   before a field existed keep deserializing).
+//! * the `#[serde(skip)]`, `#[serde(default)]`, `#[serde(with = "module")]`
+//!   and `#[serde(skip_serializing_if = "path")]` field attributes (`default`
+//!   fills a missing map key from `Default::default()` instead of erroring,
+//!   so persisted documents written before a field existed keep
+//!   deserializing; `skip_serializing_if` leaves the key out of the map when
+//!   `path(&self.field)` is true — pair it with `default` so the omitted key
+//!   reads back).
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -35,9 +38,19 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
 
 struct Field {
     name: String,
+    attrs: FieldAttrs,
+}
+
+/// What the `#[serde(...)]` attributes in front of a field asked for.
+#[derive(Default)]
+struct FieldAttrs {
     skip: bool,
     default: bool,
     with: Option<String>,
+    /// Predicate path of `skip_serializing_if`; an empty string records the
+    /// attribute written without `= "path"`, reported once the field's name
+    /// is known.
+    skip_serializing_if: Option<String>,
 }
 
 enum VariantFields {
@@ -124,12 +137,10 @@ impl Cursor {
         }
     }
 
-    /// Skips `#[...]` attributes, recording `skip` / `default` /
-    /// `with = "..."` from any `#[serde(...)]` attribute encountered.
-    fn skip_attrs(&mut self) -> (bool, bool, Option<String>) {
-        let mut skip = false;
-        let mut default = false;
-        let mut with = None;
+    /// Skips `#[...]` attributes, recording what any `#[serde(...)]`
+    /// attribute among them asks for.
+    fn skip_attrs(&mut self) -> FieldAttrs {
+        let mut attrs = FieldAttrs::default();
         while self.is_punct('#') {
             self.next();
             let group = match self.next() {
@@ -142,15 +153,28 @@ impl Cursor {
                     let args: Vec<TokenTree> = args.stream().into_iter().collect();
                     let mut i = 0;
                     while i < args.len() {
+                        // The string literal of a `key = "value"` argument.
+                        let value = || match args.get(i + 2) {
+                            Some(TokenTree::Literal(lit)) => {
+                                Some(lit.to_string().trim_matches('"').to_string())
+                            }
+                            _ => None,
+                        };
                         match &args[i] {
-                            TokenTree::Ident(id) if id.to_string() == "skip" => skip = true,
-                            TokenTree::Ident(id) if id.to_string() == "default" => default = true,
+                            TokenTree::Ident(id) if id.to_string() == "skip" => attrs.skip = true,
+                            TokenTree::Ident(id) if id.to_string() == "default" => {
+                                attrs.default = true
+                            }
                             TokenTree::Ident(id) if id.to_string() == "with" => {
-                                if let Some(TokenTree::Literal(lit)) = args.get(i + 2) {
-                                    let raw = lit.to_string();
-                                    with = Some(raw.trim_matches('"').to_string());
+                                if let Some(path) = value() {
+                                    attrs.with = Some(path);
                                     i += 2;
                                 }
+                            }
+                            TokenTree::Ident(id) if id.to_string() == "skip_serializing_if" => {
+                                let path = value();
+                                i += if path.is_some() { 2 } else { 0 };
+                                attrs.skip_serializing_if = Some(path.unwrap_or_default());
                             }
                             _ => {}
                         }
@@ -159,7 +183,7 @@ impl Cursor {
                 }
             }
         }
-        (skip, default, with)
+        attrs
     }
 
     /// Skips `pub` / `pub(...)` visibility modifiers.
@@ -275,24 +299,23 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
     let mut c = Cursor::new(stream);
     let mut fields = Vec::new();
     while !c.at_end() {
-        let (skip, default, with) = c.skip_attrs();
+        let attrs = c.skip_attrs();
         c.skip_vis();
         let name = c.expect_ident();
         assert!(
             c.is_punct(':'),
             "serde_derive: expected `:` after field `{name}`"
         );
+        assert!(
+            attrs.skip_serializing_if.as_deref() != Some(""),
+            "serde_derive: `skip_serializing_if` on field `{name}` needs `= \"path\"`"
+        );
         c.next();
         c.skip_type();
         if c.is_punct(',') {
             c.next();
         }
-        fields.push(Field {
-            name,
-            skip,
-            default,
-            with,
-        });
+        fields.push(Field { name, attrs });
     }
     fields
 }
@@ -357,25 +380,35 @@ fn impl_header(input: &Input, trait_name: &str) -> String {
     }
 }
 
+/// The `__fields.push((name, value));` statements serializing `fields`, in
+/// declaration order. `access` turns a field name into a reference to its
+/// value: `"&self."` in a struct, `""` for the by-reference bindings of an
+/// enum variant pattern.
+fn named_field_pushes(fields: &[Field], access: &str) -> String {
+    let mut pushes = String::new();
+    for f in fields.iter().filter(|f| !f.attrs.skip) {
+        let fname = &f.name;
+        let value = match &f.attrs.with {
+            Some(path) => format!("{path}::serialize({access}{fname})"),
+            None => format!("::serde::Serialize::to_value({access}{fname})"),
+        };
+        let push = format!("__fields.push((::std::string::String::from(\"{fname}\"), {value}));");
+        match &f.attrs.skip_serializing_if {
+            Some(predicate) => {
+                pushes.push_str(&format!("if !{predicate}({access}{fname}) {{ {push} }}\n"));
+            }
+            None => pushes.push_str(&format!("{push}\n")),
+        }
+    }
+    pushes
+}
+
 fn gen_serialize(input: &Input) -> String {
     let name = &input.name;
     let header = impl_header(input, "Serialize");
     let body = match &input.data {
         Data::NamedStruct(fields) => {
-            let mut pushes = String::new();
-            for f in fields {
-                if f.skip {
-                    continue;
-                }
-                let fname = &f.name;
-                let value = match &f.with {
-                    Some(path) => format!("{path}::serialize(&self.{fname})"),
-                    None => format!("::serde::Serialize::to_value(&self.{fname})"),
-                };
-                pushes.push_str(&format!(
-                    "__fields.push((::std::string::String::from(\"{fname}\"), {value}));\n"
-                ));
-            }
+            let pushes = named_field_pushes(fields, "&self.");
             format!(
                 "let mut __fields: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = \
                  ::std::vec::Vec::new();\n{pushes}::serde::Value::Map(__fields)"
@@ -400,27 +433,14 @@ fn gen_serialize(input: &Input) -> String {
                         let pattern: Vec<String> = fields
                             .iter()
                             .map(|f| {
-                                if f.skip {
+                                if f.attrs.skip {
                                     format!("{}: _", f.name)
                                 } else {
                                     f.name.clone()
                                 }
                             })
                             .collect();
-                        let mut pushes = String::new();
-                        for f in fields {
-                            if f.skip {
-                                continue;
-                            }
-                            let fname = &f.name;
-                            let value = match &f.with {
-                                Some(path) => format!("{path}::serialize({fname})"),
-                                None => format!("::serde::Serialize::to_value({fname})"),
-                            };
-                            pushes.push_str(&format!(
-                                "__fields.push((::std::string::String::from(\"{fname}\"), {value}));\n"
-                            ));
-                        }
+                        let pushes = named_field_pushes(fields, "");
                         arms.push_str(&format!(
                             "{name}::{vname} {{ {} }} => {{\n\
                              let mut __fields: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = \
@@ -462,17 +482,19 @@ fn named_field_builders(fields: &[Field], map_var: &str) -> String {
     let mut out = String::new();
     for f in fields {
         let fname = &f.name;
-        let from_value = |value: &str| match &f.with {
+        let from_value = |value: &str| match &f.attrs.with {
             Some(path) => format!("{path}::deserialize({value})?"),
             None => format!("::serde::Deserialize::from_value({value})?"),
         };
-        let expr = if f.skip {
+        let expr = if f.attrs.skip {
             "::std::default::Default::default()".to_string()
-        } else if f.default {
+        } else if f.attrs.default {
+            // A plain lookup, not `::serde::field`: an absent key is the
+            // expected case here and must not pay for an error message.
             format!(
-                "match ::serde::field({map_var}, \"{fname}\") {{\n\
-                 ::std::result::Result::Ok(__v) => {},\n\
-                 ::std::result::Result::Err(_) => ::std::default::Default::default(),\n}}",
+                "match {map_var}.iter().find(|(__k, _)| __k == \"{fname}\") {{\n\
+                 ::std::option::Option::Some((_, __v)) => {},\n\
+                 ::std::option::Option::None => ::std::default::Default::default(),\n}}",
                 from_value("__v")
             )
         } else {

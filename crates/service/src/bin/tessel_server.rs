@@ -25,14 +25,13 @@ use tessel_service::{
 fn usage() -> ! {
     eprintln!(
         "usage: tessel-server [--addr HOST:PORT] [--workers N] [--queue-depth N]\n\
-         \x20                  [--shed-policy least-valuable|reject-newest]\n\
          \x20                  [--idle-timeout-ms MS] [--max-pipelined N]\n\
          \x20                  [--max-conns-per-ip N] [--sample-interval-ms MS]\n\
          \x20                  [--cache-file PATH] [--cache-capacity N] [--cache-shards N]\n\
          \x20                  [--journal-compact-every N]\n\
          \x20                  [--portfolio-threads N] [--micro-batches N] [--max-repetend N]\n\
          \x20                  [--solver-threads N] [--max-solver-threads N]\n\
-         \x20                  [--solver-steal-depth N] [--solver-memo-shards N]\n\
+         \x20                  [--solver-steal-depth N]\n\
          \x20                  [--default-deadline-ms MS]\n\
          \x20                  [--node-id ID] [--peer ID=HOST:PORT]...\n\
          \x20                  [--cluster-vnodes N] [--probe-interval-ms MS]\n\
@@ -48,10 +47,9 @@ fn usage() -> ! {
          sibling; the fleet then shares one logical cache sharded by a\n\
          consistent-hash ring over the canonical placement fingerprint.\n\
          \n\
-         --shed-policy picks what a full request queue does: least-valuable\n\
-         (default) admits the newcomer and sheds the waiting request with\n\
-         the lowest priority / largest queue share / latest deadline (429 +\n\
-         Retry-After); reject-newest refuses the newcomer with 503.\n\
+         a full request queue (--queue-depth) admits the newcomer and sheds\n\
+         the waiting request with the lowest priority / largest queue share /\n\
+         latest deadline (429 + Retry-After).\n\
          \n\
          --sample-interval-ms sets the live-plane sampling cadence behind\n\
          GET /v1/debug/timeseries and `tessel-client top` (default 1000;\n\
@@ -88,7 +86,6 @@ fn main() {
             "--addr" => server_config.addr = parse_value(&flag, args.next()),
             "--workers" => server_config.workers = parse_value(&flag, args.next()),
             "--queue-depth" => server_config.queue_depth = parse_value(&flag, args.next()),
-            "--shed-policy" => server_config.shed_policy = parse_value(&flag, args.next()),
             "--idle-timeout-ms" => {
                 server_config.idle_timeout = Duration::from_millis(parse_value(&flag, args.next()));
             }
@@ -120,9 +117,6 @@ fn main() {
             }
             "--solver-steal-depth" => {
                 service_config.solver_steal_depth = parse_value(&flag, args.next());
-            }
-            "--solver-memo-shards" => {
-                service_config.solver_memo_shards = parse_value(&flag, args.next());
             }
             "--micro-batches" => {
                 service_config.default_micro_batches = parse_value(&flag, args.next());

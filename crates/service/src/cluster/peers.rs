@@ -378,12 +378,7 @@ impl Drop for PeerSet {
 
 /// Extracts the `unix_ms` integer a daemon's `/healthz` body reports.
 fn parse_unix_ms(body: &str) -> Option<u64> {
-    let rest = &body[body.find("\"unix_ms\"")? + "\"unix_ms\"".len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    u64::try_from(crate::http::scan_json_integer(body, "unix_ms")?).ok()
 }
 
 /// Probes every peer's `/healthz` each interval. Sleeps in short slices so

@@ -61,6 +61,34 @@ pub struct FlightRecord {
     pub stages: Vec<StageTiming>,
 }
 
+impl FlightRecord {
+    /// The record of a request whose trace just ended: `finished` supplies
+    /// the trace ID and the stage breakdown, the caller the envelope.
+    #[must_use]
+    pub fn from_finished(
+        finished: &tessel_obs::FinishedRequest,
+        (method, path): (&str, &str),
+        status: u16,
+        start_unix_ms: u64,
+        total_micros: u64,
+    ) -> Self {
+        FlightRecord {
+            trace_id: finished.trace_id.as_str().to_string(),
+            method: method.to_string(),
+            path: path.to_string(),
+            status,
+            start_unix_ms,
+            total_micros,
+            stages: (finished.stages.iter())
+                .map(|&(name, micros)| StageTiming {
+                    name: name.to_string(),
+                    micros,
+                })
+                .collect(),
+        }
+    }
+}
+
 /// Filter predicate for `GET /v1/debug/requests` query parameters. Every
 /// populated field must match; an empty query matches everything.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

@@ -24,11 +24,9 @@
 //!   first, then highest priority, then earliest deadline), and a full queue
 //!   sheds the *least valuable* waiting request — lowest priority, largest
 //!   queue share, latest deadline — with `429` + `Retry-After` instead of
-//!   refusing the newest arrival (set [`ServerConfig::shed_policy`] to
-//!   [`ShedPolicy::RejectNewest`] for the classic `503`-the-newcomer
-//!   behaviour). Finished responses come back through a completion list plus
-//!   a wakeup-pipe byte that rouses the event loop. A slow solve therefore
-//!   never blocks connection handling.
+//!   refusing the newest arrival. Finished responses come back through a
+//!   completion list plus a wakeup-pipe byte that rouses the event loop. A
+//!   slow solve therefore never blocks connection handling.
 //! * **Anytime streaming**: `POST /v1/search?stream=1` answers with a
 //!   chunked `text/event-stream`. Each improving incumbent the solver proves
 //!   becomes a `data: {"event":"incumbent",...}` frame the moment it is
@@ -135,7 +133,8 @@ pub struct ServerConfig {
     pub addr: String,
     /// Worker threads handling requests.
     pub workers: usize,
-    /// Parsed requests waiting for a worker before `503`s kick in.
+    /// Parsed requests waiting for a worker before the admission queue
+    /// starts shedding the least valuable one with `429`.
     pub queue_depth: usize,
     /// Close connections with no request in flight after this long.
     pub idle_timeout: Duration,
@@ -145,8 +144,6 @@ pub struct ServerConfig {
     /// the cap is closed at accept (counted in
     /// `tessel_http_rejected_per_ip_total`). `0` disables the cap.
     pub max_conns_per_ip: usize,
-    /// What happens when the admission queue is full (see [`ShedPolicy`]).
-    pub shed_policy: ShedPolicy,
     /// Milliseconds between live-plane samples (requests/s, shed/s, cache
     /// hit ratio, solver nodes/s, queue depth, open connections) taken by
     /// the background sampler for `GET /v1/debug/timeseries`. `0` disables
@@ -163,7 +160,6 @@ impl Default for ServerConfig {
             idle_timeout: Duration::from_secs(60),
             max_pipelined: 32,
             max_conns_per_ip: 0,
-            shed_policy: ShedPolicy::LeastValuable,
             sample_interval_ms: 1000,
         }
     }
@@ -182,35 +178,6 @@ const SAMPLER_SERIES: [&str; 6] = [
 /// Ticks retained by the sampler ring (10 minutes at the default 1 s
 /// cadence; six series of f64 keep this under 30 KiB).
 const TIMESERIES_CAPACITY: usize = 600;
-
-/// Overload behaviour of the admission queue when a request arrives while
-/// [`ServerConfig::queue_depth`] requests are already waiting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShedPolicy {
-    /// Admit the newcomer and shed the least valuable *waiting* request
-    /// instead: lowest priority first, then the client holding the most
-    /// queue slots, then the latest deadline (no deadline sorts latest),
-    /// then the newest arrival. The victim gets `429 Too Many Requests`
-    /// with `Retry-After: 1`.
-    #[default]
-    LeastValuable,
-    /// Classic tail-drop: refuse the newcomer with `503` and keep the
-    /// queue as-is. The pre-admission-control baseline, kept for the
-    /// overload benchmark comparison.
-    RejectNewest,
-}
-
-impl std::str::FromStr for ShedPolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "least-valuable" | "least_valuable" => Ok(ShedPolicy::LeastValuable),
-            "reject-newest" | "reject_newest" => Ok(ShedPolicy::RejectNewest),
-            other => Err(format!("unknown shed policy `{other}`")),
-        }
-    }
-}
 
 /// A running HTTP server; dropping it without [`HttpServer::shutdown`] leaves
 /// the daemon threads running for the life of the process.
@@ -264,7 +231,6 @@ impl HttpServer {
         let workers = config.workers.max(1);
         let admission = Arc::new(AdmissionQueue::new(
             config.queue_depth.max(1),
-            config.shed_policy,
             transport.clone(),
         ));
         let completions: Arc<Mutex<Vec<Completion>>> = Arc::new(Mutex::new(Vec::new()));
@@ -351,70 +317,34 @@ impl HttpServer {
                         }
                         let response =
                             route(&service, &transport, timeseries.as_deref(), &job.request);
-                        let finished = tessel_obs::end_request();
-                        let total_micros = started.elapsed().as_micros() as u64;
                         let mut extra_headers = vec![(
                             "X-Tessel-Trace-Id".to_string(),
                             trace_id.as_str().to_string(),
                         )];
-                        let flight = finished.map(|done| {
-                            let timing = done
-                                .stages
-                                .iter()
-                                .map(|(name, micros)| {
-                                    format!("{name};dur={:.3}", *micros as f64 / 1000.0)
-                                })
-                                .collect::<Vec<_>>()
-                                .join(", ");
-                            if !timing.is_empty() {
-                                extra_headers.push(("Server-Timing".to_string(), timing));
-                            }
-                            Box::new(PendingFlight {
-                                service: service.clone(),
-                                record: FlightRecord {
-                                    trace_id: done.trace_id.as_str().to_string(),
-                                    method: job.request.method.clone(),
-                                    path: job.request.path.clone(),
-                                    status: response.status,
-                                    start_unix_ms,
-                                    total_micros,
-                                    stages: done
-                                        .stages
-                                        .iter()
-                                        .map(|&(name, micros)| StageTiming {
-                                            name: name.to_string(),
-                                            micros,
-                                        })
-                                        .collect(),
-                                },
-                                created: Instant::now(),
-                            })
-                        });
-                        tessel_obs::info(
-                            "http",
+                        let flight = finish_request(
+                            &service,
+                            &job,
+                            trace_id,
+                            response.status,
+                            started,
+                            start_unix_ms,
                             "request completed",
-                            &[
-                                ("method", job.request.method.as_str()),
-                                ("path", job.request.path.as_str()),
-                                ("status", &response.status.to_string()),
-                                ("micros", &total_micros.to_string()),
-                                ("trace_id", trace_id.as_str()),
-                            ],
                         );
+                        let stages = flight.iter().flat_map(|flight| &flight.record.stages);
+                        let timing = stages
+                            .map(|stage| {
+                                format!("{};dur={:.3}", stage.name, stage.micros as f64 / 1000.0)
+                            })
+                            .collect::<Vec<_>>()
+                            .join(", ");
+                        if !timing.is_empty() {
+                            extra_headers.push(("Server-Timing".to_string(), timing));
+                        }
                         let bytes = encode_response(&response, !job.request.close, &extra_headers);
-                        push_completion(
-                            &completions,
-                            &waker,
-                            Completion {
-                                token: job.token,
-                                seq: job.seq,
-                                bytes,
-                                close: job.request.close,
-                                fin: true,
-                                droppable: false,
-                                flight,
-                            },
-                        );
+                        let mut done =
+                            Completion::full(job.token, job.seq, bytes, job.request.close);
+                        done.flight = flight;
+                        push_completion(&completions, &waker, done);
                     }
                 }))
             })
@@ -607,6 +537,16 @@ impl Completion {
             flight: None,
         }
     }
+
+    /// One fragment of a streaming response: leaves the slot and the
+    /// connection open. `droppable` marks a lossy incumbent event.
+    fn fragment(token: u64, seq: u64, bytes: Vec<u8>, droppable: bool) -> Self {
+        Completion {
+            fin: false,
+            droppable,
+            ..Completion::full(token, seq, bytes, false)
+        }
+    }
 }
 
 /// One request waiting for a worker, with its admission bookkeeping.
@@ -629,13 +569,12 @@ struct AdmissionState {
 
 /// What [`AdmissionQueue::offer`] did with a parsed request.
 enum OfferOutcome {
-    /// The request is waiting for a worker. Under [`ShedPolicy::LeastValuable`]
-    /// admitting into a full queue evicts the least valuable waiting request,
+    /// The request is waiting for a worker. Admitting into a full queue
+    /// evicts the least valuable waiting request — lowest priority first,
+    /// then the client holding the most queue slots, then the latest
+    /// deadline (no deadline sorts latest), then the newest arrival —
     /// returned here so the event loop can answer it with `429`.
     Admitted { shed: Option<Job> },
-    /// [`ShedPolicy::RejectNewest`]: the queue is full and the newcomer is
-    /// handed back for a `503`.
-    Rejected(Job),
     /// The server is shutting down; the job was dropped unserved.
     Closed,
 }
@@ -645,17 +584,17 @@ enum OfferOutcome {
 ///
 /// Pop order: fewest-served client first (round-robin fairness across
 /// source IPs), then highest priority, then earliest deadline (none sorts
-/// last), then oldest arrival. Overload sheds per [`ShedPolicy`].
+/// last), then oldest arrival. Overload sheds the least valuable waiting
+/// request (see [`OfferOutcome::Admitted`]).
 struct AdmissionQueue {
     state: Mutex<AdmissionState>,
     available: Condvar,
     capacity: usize,
-    policy: ShedPolicy,
     transport: Arc<TransportMetrics>,
 }
 
 impl AdmissionQueue {
-    fn new(capacity: usize, policy: ShedPolicy, transport: Arc<TransportMetrics>) -> Self {
+    fn new(capacity: usize, transport: Arc<TransportMetrics>) -> Self {
         AdmissionQueue {
             state: Mutex::new(AdmissionState {
                 waiting: Vec::new(),
@@ -665,7 +604,6 @@ impl AdmissionQueue {
             }),
             available: Condvar::new(),
             capacity: capacity.max(1),
-            policy,
             transport,
         }
     }
@@ -680,9 +618,6 @@ impl AdmissionQueue {
         let mut state = self.state.lock().expect("admission lock");
         if state.closed {
             return OfferOutcome::Closed;
-        }
-        if self.policy == ShedPolicy::RejectNewest && state.waiting.len() >= self.capacity {
-            return OfferOutcome::Rejected(job);
         }
         let arrival = state.arrivals;
         state.arrivals += 1;
@@ -1324,20 +1259,6 @@ impl EventLoop {
                         &[("Retry-After".to_string(), "1".to_string())],
                     );
                     self.deliver(Completion::full(victim.token, victim.seq, bytes, close));
-                }
-                OfferOutcome::Rejected(job) => {
-                    // Tail-drop baseline: shed load instead of queueing
-                    // without limit.
-                    self.transport
-                        .admission_shed
-                        .fetch_add(1, Ordering::Relaxed);
-                    let close = job.request.close;
-                    let bytes = encode_response(
-                        &error_response(503, "unavailable", "request queue is full"),
-                        !close,
-                        &[],
-                    );
-                    self.deliver(Completion::full(job.token, job.seq, bytes, close));
                 }
                 OfferOutcome::Closed => {
                     self.close_conn(token);
@@ -2042,8 +1963,9 @@ fn stream_requested(request: &ParsedRequest) -> bool {
 /// finds `"name"` followed by `:` and an optionally signed integer. Good
 /// enough for admission hints (`priority`, `deadline_ms`) — the worker
 /// re-parses the body properly, and a false positive from a pathological
-/// nested key only perturbs queue order, never correctness.
-fn scan_json_integer(body: &str, name: &str) -> Option<i64> {
+/// nested key only perturbs queue order, never correctness — and for the
+/// `unix_ms` stamp of a peer's `/healthz` body.
+pub(crate) fn scan_json_integer(body: &str, name: &str) -> Option<i64> {
     let needle = format!("\"{name}\"");
     let mut from = 0;
     while let Some(found) = body[from..].find(&needle) {
@@ -2086,6 +2008,48 @@ fn encode_stream_chunk(event: &StreamEvent) -> Vec<u8> {
     out
 }
 
+/// Closes the books on a served request: ends its trace, logs the completion
+/// line and builds the flight-recorder entry (trace ID, request line, status,
+/// stage breakdown) that the event loop finalizes once the response's write
+/// pass has run. `None` when no trace was open on this thread.
+fn finish_request(
+    service: &Arc<ScheduleService>,
+    job: &Job,
+    trace_id: tessel_obs::TraceId,
+    status: u16,
+    started: Instant,
+    start_unix_ms: u64,
+    message: &str,
+) -> Option<Box<PendingFlight>> {
+    let finished = tessel_obs::end_request();
+    let total_micros = started.elapsed().as_micros() as u64;
+    tessel_obs::info(
+        "http",
+        message,
+        &[
+            ("method", job.request.method.as_str()),
+            ("path", job.request.path.as_str()),
+            ("status", &status.to_string()),
+            ("micros", &total_micros.to_string()),
+            ("trace_id", trace_id.as_str()),
+        ],
+    );
+    finished.map(|done| {
+        let request_line = (job.request.method.as_str(), job.request.path.as_str());
+        Box::new(PendingFlight {
+            service: service.clone(),
+            record: FlightRecord::from_finished(
+                &done,
+                request_line,
+                status,
+                start_unix_ms,
+                total_micros,
+            ),
+            created: Instant::now(),
+        })
+    })
+}
+
 /// Serves one `POST /v1/search?stream=1` request: sends a chunked SSE head
 /// immediately, pushes a (droppable) `incumbent` event for every improving
 /// makespan the solver reports, and terminates the stream with a `result`
@@ -2108,59 +2072,25 @@ fn run_streaming(
         "HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\nTransfer-Encoding: chunked\r\nConnection: close\r\nX-Tessel-Trace-Id: {}\r\n\r\n",
         trace_id.as_str()
     );
-    push_completion(
-        completions,
-        waker,
-        Completion {
-            token,
-            seq,
-            bytes: head.into_bytes(),
-            close: false,
-            fin: false,
-            droppable: false,
-            flight: None,
-        },
-    );
+    let head = Completion::fragment(token, seq, head.into_bytes(), false);
+    push_completion(completions, waker, head);
     // Portfolio workers report incumbents concurrently and not globally in
-    // order; a CAS-min filter keeps the stream strictly improving.
+    // order; an atomic-min filter keeps the stream strictly improving.
     let best = Arc::new(AtomicU64::new(u64::MAX));
     let sink = {
         let completions = completions.clone();
         let waker = waker.clone();
         let best = best.clone();
         tessel_solver::IncumbentSink::new(move |value| {
-            let mut current = best.load(Ordering::Relaxed);
-            loop {
-                if value >= current {
-                    return;
-                }
-                match best.compare_exchange_weak(
-                    current,
-                    value,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => break,
-                    Err(seen) => current = seen,
-                }
+            if value >= best.fetch_min(value, Ordering::Relaxed) {
+                return;
             }
             let event = StreamEvent::Incumbent {
                 value,
                 elapsed_ms: started.elapsed().as_millis() as u64,
             };
-            push_completion(
-                &completions,
-                &waker,
-                Completion {
-                    token,
-                    seq,
-                    bytes: encode_stream_chunk(&event),
-                    close: false,
-                    fin: false,
-                    droppable: true,
-                    flight: None,
-                },
-            );
+            let frame = Completion::fragment(token, seq, encode_stream_chunk(&event), true);
+            push_completion(&completions, &waker, frame);
         })
     };
     let result = service.search_streamed(search_request, &sink);
@@ -2180,54 +2110,18 @@ fn run_streaming(
     };
     let mut bytes = encode_stream_chunk(&terminal);
     bytes.extend_from_slice(b"0\r\n\r\n");
-    let finished = tessel_obs::end_request();
-    let total_micros = started.elapsed().as_micros() as u64;
-    let flight = finished.map(|done| {
-        Box::new(PendingFlight {
-            service: service.clone(),
-            record: FlightRecord {
-                trace_id: done.trace_id.as_str().to_string(),
-                method: job.request.method.clone(),
-                path: job.request.path.clone(),
-                status,
-                start_unix_ms,
-                total_micros,
-                stages: done
-                    .stages
-                    .iter()
-                    .map(|&(name, micros)| StageTiming {
-                        name: name.to_string(),
-                        micros,
-                    })
-                    .collect(),
-            },
-            created: Instant::now(),
-        })
-    });
-    tessel_obs::info(
-        "http",
+    let flight = finish_request(
+        service,
+        job,
+        trace_id,
+        status,
+        started,
+        start_unix_ms,
         "streamed request completed",
-        &[
-            ("method", job.request.method.as_str()),
-            ("path", job.request.path.as_str()),
-            ("status", &status.to_string()),
-            ("micros", &total_micros.to_string()),
-            ("trace_id", trace_id.as_str()),
-        ],
     );
-    push_completion(
-        completions,
-        waker,
-        Completion {
-            token,
-            seq,
-            bytes,
-            close: true,
-            fin: true,
-            droppable: false,
-            flight,
-        },
-    );
+    let mut done = Completion::full(token, seq, bytes, true);
+    done.flight = flight;
+    push_completion(completions, waker, done);
 }
 
 /// A keep-alive HTTP/1.1 client: one TCP connection reused across calls.
@@ -2253,9 +2147,15 @@ impl HttpClient {
     ///
     /// Fails if `addr` does not resolve or the connection is refused.
     pub fn new(addr: &str) -> std::io::Result<Self> {
-        let mut client = Self::with_timeouts(addr, Duration::from_secs(10), IO_TIMEOUT)?;
+        let mut client = Self::interactive(addr)?;
         client.stream = Some(client.open()?);
         Ok(client)
+    }
+
+    /// An unconnected client with the interactive timeouts every CLI-facing
+    /// entry point uses (10 s to connect, [`IO_TIMEOUT`] per read or write).
+    fn interactive(addr: &str) -> std::io::Result<Self> {
+        Self::with_timeouts(addr, Duration::from_secs(10), IO_TIMEOUT)
     }
 
     /// Creates a client with explicit connect and read/write timeouts,
@@ -2355,11 +2255,28 @@ impl HttpClient {
         body: Option<&str>,
         extra_headers: &[(&str, &str)],
     ) -> std::io::Result<(u16, ResponseHeaders, String)> {
+        let stream = self.send(method, path, body.unwrap_or(""), extra_headers)?;
+        let (status, headers, received) = read_head(stream)?;
+        let payload = read_body(stream, received, &headers)?;
+        if last_header(&headers, "connection").is_some_and(|v| v.eq_ignore_ascii_case("close")) {
+            self.stream = None;
+        }
+        Ok((status, headers, payload))
+    }
+
+    /// Writes one request on the held connection (opening it first when
+    /// there is none) and hands the stream back for the response.
+    fn send(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: &str,
+        extra_headers: &[(&str, &str)],
+    ) -> std::io::Result<&mut TcpStream> {
         if self.stream.is_none() {
             self.stream = Some(self.open()?);
         }
         let stream = self.stream.as_mut().expect("connection just opened");
-        let body = body.unwrap_or("");
         // HTTP/1.1 defaults to keep-alive: no Connection header needed.
         let mut request = format!(
             "{method} {path} HTTP/1.1\r\nHost: {host}\r\nContent-Type: application/json\r\nContent-Length: {length}\r\n",
@@ -2375,11 +2292,7 @@ impl HttpClient {
         request.push_str("\r\n");
         request.push_str(body);
         stream.write_all(request.as_bytes())?;
-        let (status, close, headers, payload) = read_response_full(stream)?;
-        if close {
-            self.stream = None;
-        }
-        Ok((status, headers, payload))
+        Ok(stream)
     }
 }
 
@@ -2394,83 +2307,87 @@ fn retriable(error: &std::io::Error) -> bool {
     )
 }
 
-/// Reads one HTTP response from `stream`, discarding the response headers.
-/// Returns `(status, server_wants_close, body)`.
-fn read_response(stream: &mut TcpStream) -> std::io::Result<(u16, bool, String)> {
-    read_response_full(stream).map(|(status, close, _headers, body)| (status, close, body))
+fn invalid_data(message: &'static str) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, message)
 }
 
-/// Reads one HTTP response from `stream`: head, then exactly
-/// `Content-Length` body bytes (the connection may stay open, so reading to
-/// EOF is not an option). Returns
-/// `(status, server_wants_close, headers, body)`; header names keep their
-/// wire casing, so callers look them up case-insensitively.
-fn read_response_full(
+/// Reads from `stream` into `buffer`, failing with `UnexpectedEof` (and
+/// `closed_mid`) when the peer has closed the connection.
+fn read_more(
     stream: &mut TcpStream,
-) -> std::io::Result<(u16, bool, ResponseHeaders, String)> {
-    let mut buffer: Vec<u8> = Vec::with_capacity(1024);
+    buffer: &mut Vec<u8>,
+    closed_mid: &'static str,
+) -> std::io::Result<()> {
     let mut chunk = [0u8; 4096];
+    let n = stream.read(&mut chunk)?;
+    if n == 0 {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            closed_mid,
+        ));
+    }
+    buffer.extend_from_slice(&chunk[..n]);
+    Ok(())
+}
+
+/// Reads one HTTP response head from `stream`. Returns the status, the
+/// headers (names keep their wire casing, so callers look them up
+/// case-insensitively) and the bytes that arrived after the head.
+fn read_head(stream: &mut TcpStream) -> std::io::Result<(u16, ResponseHeaders, Vec<u8>)> {
+    let mut buffer: Vec<u8> = Vec::with_capacity(4096);
     let header_end = loop {
         if let Some(pos) = find_header_end(&buffer, 0) {
             break pos;
         }
         if buffer.len() > MAX_HEADER_BYTES {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "response headers too large",
-            ));
+            return Err(invalid_data("response headers too large"));
         }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed mid-response",
-            ));
-        }
-        buffer.extend_from_slice(&chunk[..n]);
+        read_more(stream, &mut buffer, "connection closed mid-response")?;
     };
-
     let head = String::from_utf8_lossy(&buffer[..header_end]).into_owned();
     let status: u16 = head
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse().ok())
-        .ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, "missing status code")
-        })?;
-    let mut content_length = 0usize;
-    let mut close = false;
-    let mut headers: Vec<(String, String)> = Vec::new();
-    for line in head.split("\r\n").skip(1) {
-        if let Some((name, value)) = line.split_once(':') {
-            let name = name.trim();
-            let value = value.trim();
-            headers.push((name.to_string(), value.to_string()));
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.parse().map_err(|_| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, "bad Content-Length")
-                })?;
-            } else if name.eq_ignore_ascii_case("connection") {
-                close = value.eq_ignore_ascii_case("close");
-            }
-        }
-    }
+        .ok_or_else(|| invalid_data("missing status code"))?;
+    let headers = head
+        .split("\r\n")
+        .skip(1)
+        .filter_map(|line| line.split_once(':'))
+        .map(|(name, value)| (name.trim().to_string(), value.trim().to_string()))
+        .collect();
+    buffer.drain(..header_end + 4);
+    Ok((status, headers, buffer))
+}
 
-    let mut body = buffer[header_end + 4..].to_vec();
-    while body.len() < content_length {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed mid-body",
-            ));
-        }
-        body.extend_from_slice(&chunk[..n]);
+/// The value of the last `name` header (a repeated header's last value wins).
+fn last_header<'a>(headers: &'a ResponseHeaders, name: &str) -> Option<&'a str> {
+    let found = headers
+        .iter()
+        .rev()
+        .find(|(key, _)| key.eq_ignore_ascii_case(name));
+    found.map(|(_, value)| value.as_str())
+}
+
+/// Reads exactly `Content-Length` body bytes (none when the header is
+/// absent), starting from the `received` bytes that followed the head — the
+/// connection may stay open, so reading to EOF is not an option.
+fn read_body(
+    stream: &mut TcpStream,
+    mut received: Vec<u8>,
+    headers: &ResponseHeaders,
+) -> std::io::Result<String> {
+    let content_length: usize = match last_header(headers, "content-length") {
+        Some(value) => value
+            .parse()
+            .map_err(|_| invalid_data("bad Content-Length"))?,
+        None => 0,
+    };
+    while received.len() < content_length {
+        read_more(stream, &mut received, "connection closed mid-body")?;
     }
-    body.truncate(content_length);
-    let body = String::from_utf8(body)
-        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "body is not UTF-8"))?;
-    Ok((status, close, headers, body))
+    received.truncate(content_length);
+    String::from_utf8(received).map_err(|_| invalid_data("body is not UTF-8"))
 }
 
 /// Issues one HTTP request against `addr` on a throwaway connection and
@@ -2489,20 +2406,9 @@ pub fn http_call(
     path: &str,
     body: Option<&str>,
 ) -> std::io::Result<(u16, String)> {
-    let socket_addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::InvalidInput, "unresolvable addr")
-    })?;
-    let mut stream = TcpStream::connect_timeout(&socket_addr, Duration::from_secs(10))?;
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
-    stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    let body = body.unwrap_or("");
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes())?;
-    let (status, _close, payload) = read_response(&mut stream)?;
-    Ok((status, payload))
+    HttpClient::interactive(addr)?
+        .call_with_headers(method, path, body, &[("Connection", "close")])
+        .map(|(status, _headers, payload)| (status, payload))
 }
 
 /// Issues one streaming request against `addr` on a throwaway connection
@@ -2524,90 +2430,22 @@ pub fn http_call_streaming(
     body: &str,
     mut on_event: impl FnMut(&str),
 ) -> std::io::Result<(u16, String)> {
-    let socket_addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::InvalidInput, "unresolvable addr")
-    })?;
-    let mut stream = TcpStream::connect_timeout(&socket_addr, Duration::from_secs(10))?;
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
-    stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    let request = format!(
-        "POST {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes())?;
-
-    let mut buffer: Vec<u8> = Vec::with_capacity(4096);
-    let mut chunk = [0u8; 4096];
-    let header_end = loop {
-        if let Some(pos) = find_header_end(&buffer, 0) {
-            break pos;
-        }
-        if buffer.len() > MAX_HEADER_BYTES {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "response headers too large",
-            ));
-        }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed mid-response",
-            ));
-        }
-        buffer.extend_from_slice(&chunk[..n]);
-    };
-    let head = String::from_utf8_lossy(&buffer[..header_end]).into_owned();
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, "missing status code")
-        })?;
-    let mut chunked = false;
-    let mut content_length = 0usize;
-    for line in head.split("\r\n").skip(1) {
-        if let Some((name, value)) = line.split_once(':') {
-            let name = name.trim();
-            let value = value.trim();
-            if name.eq_ignore_ascii_case("transfer-encoding") {
-                chunked = value.eq_ignore_ascii_case("chunked");
-            } else if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.parse().map_err(|_| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, "bad Content-Length")
-                })?;
-            }
-        }
-    }
-    let body_start = header_end + 4;
-
+    let mut client = HttpClient::interactive(addr)?;
+    let stream = client.send("POST", path, body, &[("Connection", "close")])?;
+    let (status, headers, mut buffer) = read_head(stream)?;
+    let chunked = last_header(&headers, "transfer-encoding")
+        .is_some_and(|value| value.eq_ignore_ascii_case("chunked"));
     if !chunked {
-        // Transport-level error (shed, queue-full, malformed body): a plain
+        // Transport-level error (shed, malformed body): a plain
         // Content-Length response with no events.
-        let mut payload = buffer[body_start..].to_vec();
-        while payload.len() < content_length {
-            let n = stream.read(&mut chunk)?;
-            if n == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-body",
-                ));
-            }
-            payload.extend_from_slice(&chunk[..n]);
-        }
-        payload.truncate(content_length);
-        let payload = String::from_utf8(payload).map_err(|_| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, "body is not UTF-8")
-        })?;
-        return Ok((status, payload));
+        return Ok((status, read_body(stream, buffer, &headers)?));
     }
 
     // Incremental chunked decode reusing the server parser's checkpointing:
     // decoded bytes accumulate in `progress.body`; complete SSE frames
     // (`data: ...\n\n`) are emitted as they appear.
     let mut progress = ChunkProgress {
-        pos: body_start,
+        pos: 0,
         body: Vec::new(),
     };
     let mut emitted = 0usize;
@@ -2640,14 +2478,7 @@ pub fn http_call_streaming(
         if done {
             return Ok((status, last_event));
         }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed mid-stream",
-            ));
-        }
-        buffer.extend_from_slice(&chunk[..n]);
+        read_more(stream, &mut buffer, "connection closed mid-stream")?;
     }
 }
 
@@ -3007,11 +2838,7 @@ mod tests {
 
     #[test]
     fn admission_pops_by_fairness_priority_then_deadline() {
-        let queue = AdmissionQueue::new(
-            8,
-            ShedPolicy::LeastValuable,
-            Arc::new(TransportMetrics::new()),
-        );
+        let queue = AdmissionQueue::new(8, Arc::new(TransportMetrics::new()));
         let a: IpAddr = "10.0.0.1".parse().unwrap();
         let b: IpAddr = "10.0.0.2".parse().unwrap();
         let now = Instant::now();
@@ -3049,17 +2876,21 @@ mod tests {
         // Back to `a`: earliest deadline among its equal-priority waiters.
         let third = queue.pop().unwrap();
         assert_eq!(third.deadline, Some(now + Duration::from_secs(1)));
+        // Closing still drains the last waiter; only then do pops return
+        // `None`, and new offers are refused.
+        queue.close();
         let fourth = queue.pop().unwrap();
         assert_eq!(fourth.deadline, Some(now + Duration::from_secs(9)));
+        assert!(queue.pop().is_none());
+        assert!(matches!(
+            queue.offer(admission_job(Some(a), 0, None)),
+            OfferOutcome::Closed
+        ));
     }
 
     #[test]
     fn overload_sheds_the_least_valuable_waiting_request() {
-        let queue = AdmissionQueue::new(
-            2,
-            ShedPolicy::LeastValuable,
-            Arc::new(TransportMetrics::new()),
-        );
+        let queue = AdmissionQueue::new(2, Arc::new(TransportMetrics::new()));
         let now = Instant::now();
         let a: IpAddr = "10.0.0.1".parse().unwrap();
         let b: IpAddr = "10.0.0.2".parse().unwrap();
@@ -3084,11 +2915,7 @@ mod tests {
         }
         // Priority outranks deadline: a low-priority urgent request is shed
         // before a high-priority lazy one.
-        let queue = AdmissionQueue::new(
-            1,
-            ShedPolicy::LeastValuable,
-            Arc::new(TransportMetrics::new()),
-        );
+        let queue = AdmissionQueue::new(1, Arc::new(TransportMetrics::new()));
         queue.offer(admission_job(Some(a), 9, None));
         match queue.offer(admission_job(
             Some(b),
@@ -3100,24 +2927,6 @@ mod tests {
             }
             _ => panic!("expected a shed victim"),
         }
-    }
-
-    #[test]
-    fn reject_newest_policy_refuses_the_newcomer() {
-        let queue = AdmissionQueue::new(
-            1,
-            ShedPolicy::RejectNewest,
-            Arc::new(TransportMetrics::new()),
-        );
-        queue.offer(admission_job(None, 0, None));
-        assert!(matches!(
-            queue.offer(admission_job(None, 9, None)),
-            OfferOutcome::Rejected(_)
-        ));
-        // Closing drains the waiter, then pops return None.
-        queue.close();
-        assert!(queue.pop().is_some());
-        assert!(queue.pop().is_none());
     }
 
     #[test]

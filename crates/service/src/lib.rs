@@ -85,7 +85,7 @@ pub mod wire;
 pub use cache::{CacheConfig, CacheJournal, CachedSearch, ShardedCache};
 pub use cluster::{peers::PeerConfig, ring::HashRing, Cluster, ClusterConfig};
 pub use flight::{FlightQuery, FlightRecord, FlightRecorder, StageTiming};
-pub use http::{http_call_streaming, HttpClient, HttpServer, ServerConfig, ShedPolicy};
+pub use http::{http_call_streaming, HttpClient, HttpServer, ServerConfig};
 pub use inflight::{InflightGuard, InflightRegistry};
 pub use metrics::{
     ClusterMetrics, ClusterSnapshot, MetricsSnapshot, ServiceMetrics, TransportMetrics,

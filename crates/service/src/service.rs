@@ -20,7 +20,7 @@
 
 use crate::cache::{CacheConfig, CacheJournal, CacheKey, CacheParams, CachedSearch, ShardedCache};
 use crate::cluster::{Cluster, ClusterConfig, ClusterSnapshot, RemoteFetch};
-use crate::flight::{now_unix_ms, FlightQuery, FlightRecord, FlightRecorder, StageTiming};
+use crate::flight::{now_unix_ms, FlightQuery, FlightRecord, FlightRecorder};
 use crate::inflight::{self, InflightGuard, InflightRegistry};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::singleflight::{Joined, SingleFlight};
@@ -124,11 +124,6 @@ pub struct ServiceConfig {
     ///
     /// [`SolverConfig::steal_depth`]: tessel_solver::SolverConfig::steal_depth
     pub solver_steal_depth: usize,
-    /// Shard count of the parallel solver's shared dominance table (see
-    /// [`SolverConfig::dominance_shards`]).
-    ///
-    /// [`SolverConfig::dominance_shards`]: tessel_solver::SolverConfig::dominance_shards
-    pub solver_memo_shards: usize,
     /// Optional cap on candidates per `NR` level.
     pub candidate_limit: Option<usize>,
     /// Deadline applied when a request does not carry one.
@@ -167,7 +162,6 @@ impl Default for ServiceConfig {
             solver_threads: 1,
             max_solver_threads: 8,
             solver_steal_depth: solver_defaults.steal_depth,
-            solver_memo_shards: solver_defaults.dominance_shards,
             candidate_limit: None,
             default_deadline: Some(Duration::from_secs(60)),
             journal_compact_every: 64,
@@ -199,6 +193,16 @@ pub struct ScheduleService {
     inflight: InflightRegistry,
 }
 
+/// A validated request, resolved to what the cache / single-flight / solve
+/// pipeline keys on.
+struct Prepared {
+    canon: CanonicalPlacement,
+    params: CacheParams,
+    key: CacheKey,
+    deadline: Option<Instant>,
+    solver_threads: usize,
+}
+
 /// How a cache entry was obtained, before translation into the requester's
 /// labeling. `cached`/`coalesced` carry through to the response's
 /// bookkeeping fields with the same semantics the inline flow always had.
@@ -206,6 +210,18 @@ struct Obtained {
     entry: Arc<CachedSearch>,
     cached: bool,
     coalesced: bool,
+}
+
+/// The batch member result for a search that failed with `error`.
+fn failed_item(error: &ServiceError) -> BatchSearchItem {
+    BatchSearchItem {
+        ok: None,
+        error: Some(ErrorBody {
+            kind: error.kind().to_string(),
+            error: error.to_string(),
+        }),
+        deduped: false,
+    }
 }
 
 /// RAII guard for the in-flight gauge.
@@ -442,14 +458,8 @@ impl ScheduleService {
         let _inflight = owns_context.then(|| self.register_inflight("CALL", "/v1/search", None));
         self.metrics.requests.fetch_add(1, Ordering::Relaxed);
         let result = self.search_inner(request, arrived, sink);
-        match &result {
-            Ok(_) => {}
-            Err(ServiceError::Timeout(_)) => {
-                self.metrics.timeouts.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                self.metrics.errors.fetch_add(1, Ordering::Relaxed);
-            }
+        if let Err(e) = &result {
+            self.count_failures(e, 1);
         }
         self.metrics.record_latency(arrived.elapsed());
         if owns_context {
@@ -458,25 +468,26 @@ impl ScheduleService {
                     Ok(_) => 200,
                     Err(e) => e.http_status(),
                 };
-                self.record_flight(FlightRecord {
-                    trace_id: finished.trace_id.as_str().to_string(),
-                    method: "CALL".to_string(),
-                    path: "/v1/search".to_string(),
+                self.record_flight(FlightRecord::from_finished(
+                    &finished,
+                    ("CALL", "/v1/search"),
                     status,
-                    start_unix_ms: started_unix_ms,
-                    total_micros: arrived.elapsed().as_micros() as u64,
-                    stages: finished
-                        .stages
-                        .iter()
-                        .map(|(name, micros)| StageTiming {
-                            name: (*name).to_string(),
-                            micros: *micros,
-                        })
-                        .collect(),
-                });
+                    started_unix_ms,
+                    arrived.elapsed().as_micros() as u64,
+                ));
             }
         }
         result
+    }
+
+    /// Counts `requests` failed requests under the timeout or the error
+    /// counter, by what failed them.
+    fn count_failures(&self, error: &ServiceError, requests: usize) {
+        let counter = match error {
+            ServiceError::Timeout(_) => &self.metrics.timeouts,
+            _ => &self.metrics.errors,
+        };
+        counter.fetch_add(requests as u64, Ordering::Relaxed);
     }
 
     fn search_inner(
@@ -485,28 +496,38 @@ impl ScheduleService {
         arrived: Instant,
         sink: Option<&IncumbentSink>,
     ) -> Result<SearchResponse, ServiceError> {
+        let prepared = self.prepare(request, arrived)?;
+        inflight::with_current(|entry| entry.set_deadline(prepared.deadline));
+        let obtained = self.obtain_entry(&prepared, sink)?;
+        Ok(self.respond(
+            &obtained.entry,
+            &prepared.canon,
+            &request.placement,
+            obtained.cached,
+            obtained.coalesced,
+        ))
+    }
+
+    /// Validates a request and resolves everything the pipeline needs to
+    /// know about it: parameters, canonical form, cache key, absolute
+    /// deadline and solver thread count.
+    fn prepare(&self, request: &SearchRequest, arrived: Instant) -> Result<Prepared, ServiceError> {
         request
             .placement
             .validate()
             .map_err(|e| ServiceError::BadRequest(format!("invalid placement: {e}")))?;
         let params = self.resolve_params(request)?;
-        let solver_threads = self.resolve_solver_threads(request);
-        let deadline = request
-            .deadline_ms
-            .map(|ms| arrived + Duration::from_millis(ms))
-            .or_else(|| self.config.default_deadline.map(|d| arrived + d));
-        inflight::with_current(|entry| entry.set_deadline(deadline));
-
         let canon = self.canonicalize_budgeted(&request.placement);
-        let key = CacheKey::new(canon.fingerprint, &params);
-        let obtained = self.obtain_entry(key, &canon, &params, deadline, solver_threads, sink)?;
-        Ok(self.respond(
-            &obtained.entry,
-            &canon,
-            &request.placement,
-            obtained.cached,
-            obtained.coalesced,
-        ))
+        Ok(Prepared {
+            key: CacheKey::new(canon.fingerprint, &params),
+            canon,
+            params,
+            deadline: request
+                .deadline_ms
+                .map(|ms| arrived + Duration::from_millis(ms))
+                .or_else(|| self.config.default_deadline.map(|d| arrived + d)),
+            solver_threads: self.resolve_solver_threads(request),
+        })
     }
 
     /// Resolves a canonicalized request to its cached entry: cache lookup,
@@ -517,13 +538,16 @@ impl ScheduleService {
     /// as the historical inline flow did.
     fn obtain_entry(
         &self,
-        key: CacheKey,
-        canon: &CanonicalPlacement,
-        params: &CacheParams,
-        deadline: Option<Instant>,
-        solver_threads: usize,
+        prepared: &Prepared,
         sink: Option<&IncumbentSink>,
     ) -> Result<Obtained, ServiceError> {
+        let Prepared {
+            key,
+            ref canon,
+            ref params,
+            deadline,
+            solver_threads,
+        } = *prepared;
         if let Some(entry) = live_stage("cache_lookup", || self.cache_lookup(key, canon, params)) {
             self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Obtained {
@@ -583,29 +607,19 @@ impl ScheduleService {
                         self.persist_insert(key, entry);
                     }
                 }
-                match result {
-                    Ok(entry) => {
-                        if remote_hit {
-                            // Served from the logical (cluster-wide) cache:
-                            // a hit for the client, counted under
-                            // `tessel_cluster_remote_hits_total` rather than
-                            // the local hit/miss pair.
-                            Ok(Obtained {
-                                entry,
-                                cached: true,
-                                coalesced: false,
-                            })
-                        } else {
-                            self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-                            Ok(Obtained {
-                                entry,
-                                cached: false,
-                                coalesced: false,
-                            })
-                        }
-                    }
-                    Err(e) => Err(e),
+                let entry = result?;
+                // A remote hit was served from the logical (cluster-wide)
+                // cache: a hit for the client, counted under
+                // `tessel_cluster_remote_hits_total` rather than the local
+                // hit/miss pair.
+                if !remote_hit {
+                    self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
                 }
+                Ok(Obtained {
+                    entry,
+                    cached: remote_hit,
+                    coalesced: false,
+                })
             }
             Joined::Done(result) => {
                 self.metrics.coalesced.fetch_add(1, Ordering::Relaxed);
@@ -632,13 +646,6 @@ impl ScheduleService {
     #[must_use]
     pub fn search_batch(&self, batch: &BatchSearchRequest) -> BatchSearchResponse {
         let arrived = Instant::now();
-        struct Prepared {
-            canon: CanonicalPlacement,
-            params: CacheParams,
-            key: CacheKey,
-            deadline: Option<Instant>,
-            solver_threads: usize,
-        }
         self.metrics
             .requests
             .fetch_add(batch.requests.len() as u64, Ordering::Relaxed);
@@ -648,25 +655,7 @@ impl ScheduleService {
         let prepared: Vec<Result<Prepared, ServiceError>> = batch
             .requests
             .iter()
-            .map(|request| {
-                request
-                    .placement
-                    .validate()
-                    .map_err(|e| ServiceError::BadRequest(format!("invalid placement: {e}")))?;
-                let params = self.resolve_params(request)?;
-                let canon = self.canonicalize_budgeted(&request.placement);
-                let key = CacheKey::new(canon.fingerprint, &params);
-                Ok(Prepared {
-                    canon,
-                    params,
-                    key,
-                    deadline: request
-                        .deadline_ms
-                        .map(|ms| arrived + Duration::from_millis(ms))
-                        .or_else(|| self.config.default_deadline.map(|d| arrived + d)),
-                    solver_threads: self.resolve_solver_threads(request),
-                })
-            })
+            .map(|request| self.prepare(request, arrived))
             .collect();
         // Group members by cache key; the first member of each group is the
         // representative that pays for the resolve.
@@ -688,15 +677,7 @@ impl ScheduleService {
             let members = &groups[raw_key];
             let rep = &prepared[members[0]];
             let Ok(rep) = rep else { unreachable!() };
-            let obtained = self.obtain_entry(
-                rep.key,
-                &rep.canon,
-                &rep.params,
-                rep.deadline,
-                rep.solver_threads,
-                None,
-            );
-            match obtained {
+            match self.obtain_entry(rep, None) {
                 Ok(obtained) => {
                     for (position, &index) in members.iter().enumerate() {
                         let Ok(prep) = &prepared[index] else {
@@ -723,27 +704,9 @@ impl ScheduleService {
                 Err(e) => {
                     // The whole group shares the representative's failure:
                     // they asked for the same solve.
-                    match &e {
-                        ServiceError::Timeout(_) => {
-                            self.metrics
-                                .timeouts
-                                .fetch_add(members.len() as u64, Ordering::Relaxed);
-                        }
-                        _ => {
-                            self.metrics
-                                .errors
-                                .fetch_add(members.len() as u64, Ordering::Relaxed);
-                        }
-                    }
+                    self.count_failures(&e, members.len());
                     for &index in members {
-                        results[index] = Some(BatchSearchItem {
-                            ok: None,
-                            error: Some(ErrorBody {
-                                kind: e.kind().to_string(),
-                                error: e.to_string(),
-                            }),
-                            deduped: false,
-                        });
+                        results[index] = Some(failed_item(&e));
                     }
                 }
             }
@@ -752,14 +715,7 @@ impl ScheduleService {
         for (index, prep) in prepared.iter().enumerate() {
             if let Err(e) = prep {
                 self.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                results[index] = Some(BatchSearchItem {
-                    ok: None,
-                    error: Some(ErrorBody {
-                        kind: e.kind().to_string(),
-                        error: e.to_string(),
-                    }),
-                    deduped: false,
-                });
+                results[index] = Some(failed_item(e));
             }
         }
         self.metrics
@@ -930,7 +886,6 @@ impl ScheduleService {
         let board = inflight::with_current(|entry| entry.board().clone());
         for solver in [&mut config.repetend_solver, &mut config.phase_solver] {
             solver.steal_depth = self.config.solver_steal_depth;
-            solver.dominance_shards = self.config.solver_memo_shards;
             solver.progress = board.clone();
         }
 

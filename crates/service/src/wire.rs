@@ -5,7 +5,7 @@
 //! results render to byte-identical JSON.
 
 use crate::cache::{CacheParams, CachedSearch};
-use serde::{field, field_or_null, Deserialize, Error as SerdeError, Serialize, Value};
+use serde::{field, Deserialize, Error as SerdeError, Serialize, Value};
 use tessel_core::fingerprint::Fingerprint;
 use tessel_core::ir::PlacementSpec;
 use tessel_core::schedule::Schedule;
@@ -13,7 +13,7 @@ use tessel_runtime::metrics::UtilizationSummary;
 use tessel_solver::SolverTotals;
 
 /// A `POST /v1/search` request body.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SearchRequest {
     /// The placement to schedule. Device labels and block order are
     /// irrelevant for cache identity: requests canonicalize to the same
@@ -21,23 +21,28 @@ pub struct SearchRequest {
     pub placement: PlacementSpec,
     /// Micro-batches the composed schedule should cover; the service default
     /// applies when omitted.
+    #[serde(default)]
     pub num_micro_batches: Option<usize>,
     /// `NR` cap for the repetend search; the service default applies when
     /// omitted.
+    #[serde(default)]
     pub max_repetend_micro_batches: Option<usize>,
     /// Per-request deadline in milliseconds. A search (or a coalesced wait)
     /// running past it fails with a timeout error and nothing is cached.
+    #[serde(default)]
     pub deadline_ms: Option<u64>,
     /// Worker threads for each exact solve (the work-stealing parallel
     /// solver). Defaults to the daemon's configured value; clamped to the
     /// daemon's ceiling; `0` asks for the machine's available parallelism.
     /// Does not participate in cache identity — every thread count proves
     /// the same optimum.
+    #[serde(default)]
     pub solver_threads: Option<usize>,
     /// Admission priority. Higher values are admitted first; among equal
     /// priorities the earliest deadline wins. Under overload, the lowest
     /// priority / latest deadline waiting request is shed first. Defaults to
     /// `0`; does not participate in cache identity.
+    #[serde(default)]
     pub priority: Option<i64>,
 }
 
@@ -54,44 +59,6 @@ impl SearchRequest {
             solver_threads: None,
             priority: None,
         }
-    }
-}
-
-impl Serialize for SearchRequest {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("placement".into(), self.placement.to_value()),
-            (
-                "num_micro_batches".into(),
-                self.num_micro_batches.to_value(),
-            ),
-            (
-                "max_repetend_micro_batches".into(),
-                self.max_repetend_micro_batches.to_value(),
-            ),
-            ("deadline_ms".into(), self.deadline_ms.to_value()),
-            ("solver_threads".into(), self.solver_threads.to_value()),
-            ("priority".into(), self.priority.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for SearchRequest {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        let map = value
-            .as_map()
-            .ok_or_else(|| SerdeError::custom("expected object for SearchRequest"))?;
-        Ok(SearchRequest {
-            placement: PlacementSpec::from_value(field(map, "placement")?)?,
-            num_micro_batches: Deserialize::from_value(field_or_null(map, "num_micro_batches"))?,
-            max_repetend_micro_batches: Deserialize::from_value(field_or_null(
-                map,
-                "max_repetend_micro_batches",
-            ))?,
-            deadline_ms: Deserialize::from_value(field_or_null(map, "deadline_ms"))?,
-            solver_threads: Deserialize::from_value(field_or_null(map, "solver_threads"))?,
-            priority: Deserialize::from_value(field_or_null(map, "priority"))?,
-        })
     }
 }
 
@@ -129,67 +96,26 @@ pub struct SearchResponse {
 
 /// A `POST /v1/search/batch` request body: many searches admitted, solved
 /// and answered as one unit.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BatchSearchRequest {
     /// The member searches, answered in order.
     pub requests: Vec<SearchRequest>,
 }
 
-impl Serialize for BatchSearchRequest {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![("requests".into(), self.requests.to_value())])
-    }
-}
-
-impl Deserialize for BatchSearchRequest {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        let map = value
-            .as_map()
-            .ok_or_else(|| SerdeError::custom("expected object for BatchSearchRequest"))?;
-        Ok(BatchSearchRequest {
-            requests: Deserialize::from_value(field(map, "requests")?)?,
-        })
-    }
-}
-
 /// One member result of a `POST /v1/search/batch` response: exactly one of
-/// `ok` / `error` is present.
-#[derive(Debug, Clone, PartialEq)]
+/// `ok` / `error` is present, and the absent one is left out of the JSON.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BatchSearchItem {
     /// The member's search response, translated into its own labeling.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub ok: Option<SearchResponse>,
     /// The member's failure, when the search could not be answered.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub error: Option<ErrorBody>,
     /// `true` when this member shared another member's solve (same canonical
     /// fingerprint and parameters) instead of running its own.
+    #[serde(default)]
     pub deduped: bool,
-}
-
-impl Serialize for BatchSearchItem {
-    fn to_value(&self) -> Value {
-        let mut map: Vec<(String, Value)> = Vec::new();
-        if let Some(ok) = &self.ok {
-            map.push(("ok".into(), ok.to_value()));
-        }
-        if let Some(error) = &self.error {
-            map.push(("error".into(), error.to_value()));
-        }
-        map.push(("deduped".into(), self.deduped.to_value()));
-        Value::Map(map)
-    }
-}
-
-impl Deserialize for BatchSearchItem {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        let map = value
-            .as_map()
-            .ok_or_else(|| SerdeError::custom("expected object for BatchSearchItem"))?;
-        Ok(BatchSearchItem {
-            ok: Deserialize::from_value(field_or_null(map, "ok"))?,
-            error: Deserialize::from_value(field_or_null(map, "error"))?,
-            deduped: Deserialize::from_value(field_or_null(map, "deduped")).unwrap_or(false),
-        })
-    }
 }
 
 /// A `POST /v1/search/batch` response body.
@@ -229,6 +155,9 @@ pub enum StreamEvent {
     },
 }
 
+// Hand-written, unlike every other type here: the vendored derive only knows
+// externally tagged enums (`{"Incumbent": {...}}`), and these frames are
+// internally tagged — a lowercase `event` key next to the variant's fields.
 impl Serialize for StreamEvent {
     fn to_value(&self) -> Value {
         match self {
@@ -310,13 +239,14 @@ pub struct CacheEntryInfo {
 /// accepting daemon always re-canonicalizes it and rejects any entry whose
 /// placement does not hash back to the claimed fingerprint (the only defence
 /// against a consistent but mislabeled peer payload).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WireSearchEntry {
     /// Canonical fingerprint of the placement.
     pub fingerprint: Fingerprint,
     /// Parameters the search ran with.
     pub params: CacheParams,
     /// The canonical placement; `None` on the slim remote-hit path.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub canonical_placement: Option<PlacementSpec>,
     /// The composed schedule, in canonical labeling.
     pub schedule: Schedule,
@@ -379,54 +309,6 @@ impl WireSearchEntry {
             solver: self.solver,
             search_millis: self.search_millis,
         }
-    }
-}
-
-impl Serialize for WireSearchEntry {
-    fn to_value(&self) -> Value {
-        let mut map: Vec<(String, Value)> = vec![
-            ("fingerprint".into(), self.fingerprint.to_value()),
-            ("params".into(), self.params.to_value()),
-        ];
-        if let Some(placement) = &self.canonical_placement {
-            map.push(("canonical_placement".into(), placement.to_value()));
-        }
-        map.extend([
-            ("schedule".into(), self.schedule.to_value()),
-            ("period".into(), self.period.to_value()),
-            (
-                "repetend_micro_batches".into(),
-                self.repetend_micro_batches.to_value(),
-            ),
-            ("bubble_rate".into(), self.bubble_rate.to_value()),
-            ("utilization".into(), self.utilization.to_value()),
-            ("solver".into(), self.solver.to_value()),
-            ("search_millis".into(), self.search_millis.to_value()),
-        ]);
-        Value::Map(map)
-    }
-}
-
-impl Deserialize for WireSearchEntry {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        let map = value
-            .as_map()
-            .ok_or_else(|| SerdeError::custom("expected object for WireSearchEntry"))?;
-        Ok(WireSearchEntry {
-            fingerprint: Fingerprint::from_value(field(map, "fingerprint")?)?,
-            params: CacheParams::from_value(field(map, "params")?)?,
-            canonical_placement: Deserialize::from_value(field_or_null(
-                map,
-                "canonical_placement",
-            ))?,
-            schedule: Schedule::from_value(field(map, "schedule")?)?,
-            period: Deserialize::from_value(field(map, "period")?)?,
-            repetend_micro_batches: Deserialize::from_value(field(map, "repetend_micro_batches")?)?,
-            bubble_rate: Deserialize::from_value(field(map, "bubble_rate")?)?,
-            utilization: UtilizationSummary::from_value(field(map, "utilization")?)?,
-            solver: SolverTotals::from_value(field(map, "solver")?)?,
-            search_millis: Deserialize::from_value(field(map, "search_millis")?)?,
-        })
     }
 }
 
@@ -562,7 +444,7 @@ pub struct DebugRequestsResponse {
 /// Solver progress fields (`nodes`, `incumbent`, …) are relaxed-atomic
 /// snapshots of the request's live progress board; they read as zero while a
 /// request is still queued or waiting on the cache tiers.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct InflightInfo {
     /// The request's trace ID.
     pub trace_id: String,
@@ -571,6 +453,7 @@ pub struct InflightInfo {
     /// Request path.
     pub path: String,
     /// Peer address of the client connection, when known.
+    #[serde(default)]
     pub peer: Option<String>,
     /// The pipeline stage the request is currently in (`queued`,
     /// `cache_lookup`, `singleflight_wait`, `remote_fetch`, `solve`,
@@ -580,10 +463,12 @@ pub struct InflightInfo {
     pub elapsed_ms: u64,
     /// Milliseconds until the request's deadline, when it has one. Zero when
     /// the deadline has already passed.
+    #[serde(default)]
     pub deadline_remaining_ms: Option<u64>,
     /// Search nodes explored so far by this request's solves.
     pub nodes: u64,
     /// Best makespan proved so far, when any incumbent exists.
+    #[serde(default)]
     pub incumbent: Option<u64>,
     /// Incumbent improvements so far.
     pub incumbents: u64,
@@ -591,53 +476,6 @@ pub struct InflightInfo {
     pub steals: u64,
     /// Current DFS depth of each active solver worker.
     pub worker_depths: Vec<u64>,
-}
-
-impl Serialize for InflightInfo {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("trace_id".into(), self.trace_id.to_value()),
-            ("method".into(), self.method.to_value()),
-            ("path".into(), self.path.to_value()),
-            ("peer".into(), self.peer.to_value()),
-            ("stage".into(), self.stage.to_value()),
-            ("elapsed_ms".into(), self.elapsed_ms.to_value()),
-            (
-                "deadline_remaining_ms".into(),
-                self.deadline_remaining_ms.to_value(),
-            ),
-            ("nodes".into(), self.nodes.to_value()),
-            ("incumbent".into(), self.incumbent.to_value()),
-            ("incumbents".into(), self.incumbents.to_value()),
-            ("steals".into(), self.steals.to_value()),
-            ("worker_depths".into(), self.worker_depths.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for InflightInfo {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        let map = value
-            .as_map()
-            .ok_or_else(|| SerdeError::custom("expected object for InflightInfo"))?;
-        Ok(InflightInfo {
-            trace_id: Deserialize::from_value(field(map, "trace_id")?)?,
-            method: Deserialize::from_value(field(map, "method")?)?,
-            path: Deserialize::from_value(field(map, "path")?)?,
-            peer: Deserialize::from_value(field_or_null(map, "peer"))?,
-            stage: Deserialize::from_value(field(map, "stage")?)?,
-            elapsed_ms: Deserialize::from_value(field(map, "elapsed_ms")?)?,
-            deadline_remaining_ms: Deserialize::from_value(field_or_null(
-                map,
-                "deadline_remaining_ms",
-            ))?,
-            nodes: Deserialize::from_value(field(map, "nodes")?)?,
-            incumbent: Deserialize::from_value(field_or_null(map, "incumbent"))?,
-            incumbents: Deserialize::from_value(field(map, "incumbents")?)?,
-            steals: Deserialize::from_value(field(map, "steals")?)?,
-            worker_depths: Deserialize::from_value(field(map, "worker_depths")?)?,
-        })
-    }
 }
 
 /// The `GET /v1/debug/inflight` response body.
@@ -816,6 +654,14 @@ mod tests {
         let json = serde_json::to_string(&response).unwrap();
         let back: BatchSearchResponse = serde_json::from_str(&json).unwrap();
         assert_eq!(back, response);
+    }
+
+    #[test]
+    fn batch_item_deduped_defaults_when_absent_but_must_be_a_bool_when_present() {
+        let absent: BatchSearchItem = serde_json::from_str("{}").unwrap();
+        assert!(!absent.deduped && absent.ok.is_none() && absent.error.is_none());
+        let mistyped: Result<BatchSearchItem, _> = serde_json::from_str("{\"deduped\":\"yes\"}");
+        assert!(mistyped.is_err());
     }
 
     #[test]

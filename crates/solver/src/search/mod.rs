@@ -117,12 +117,6 @@ pub struct SolverConfig {
     /// loop. Larger values create finer-grained (smaller, more numerous)
     /// tasks. Ignored by the single-threaded search.
     pub steal_depth: usize,
-    /// **Compatibility no-op.** Earlier releases striped the shared dominance
-    /// table into this many mutex-guarded shards; the table is now a single
-    /// lock-free structure with no shards to configure. The knob is kept so
-    /// existing configurations (and serialized configs) keep working; its
-    /// value no longer affects the search.
-    pub dominance_shards: usize,
     /// Node budget of the **serial warmstart probe**: with multiple threads
     /// configured, the search first runs single-threaded for up to this many
     /// nodes and only spawns the worker pool if the instance survives the
@@ -166,7 +160,6 @@ impl Default for SolverConfig {
             dominance_memo_limit: 1 << 20,
             threads: default_threads(),
             steal_depth: 4,
-            dominance_shards: 64,
             serial_warmstart_nodes: default_serial_warmstart(),
             abort: Abort::none(),
             stats_sink: None,
@@ -188,7 +181,6 @@ impl PartialEq for SolverConfig {
             && self.dominance_memo_limit == other.dominance_memo_limit
             && self.threads == other.threads
             && self.steal_depth == other.steal_depth
-            && self.dominance_shards == other.dominance_shards
             && self.serial_warmstart_nodes == other.serial_warmstart_nodes
     }
 }
@@ -233,15 +225,6 @@ impl SolverConfig {
     #[must_use]
     pub fn with_steal_depth(mut self, depth: usize) -> Self {
         self.steal_depth = depth;
-        self
-    }
-
-    /// Returns a copy with a different shard count for the former striped
-    /// dominance table (see [`SolverConfig::dominance_shards`]; now a
-    /// compatibility no-op).
-    #[must_use]
-    pub fn with_dominance_shards(mut self, shards: usize) -> Self {
-        self.dominance_shards = shards;
         self
     }
 
@@ -1020,7 +1003,6 @@ mod tests {
         let e = SolverConfig::default().with_progress(ProgressBoard::new());
         assert_eq!(a, e);
         assert_ne!(a, SolverConfig::default().with_steal_depth(9));
-        assert_ne!(a, SolverConfig::default().with_dominance_shards(2));
         assert_ne!(
             a,
             SolverConfig::default().with_serial_warmstart(a.serial_warmstart_nodes + 1)
@@ -1153,20 +1135,17 @@ mod tests {
             .unwrap();
         let best = reference.solution().unwrap().makespan();
         for steal_depth in [0usize, 1, 2, 8, 64] {
-            for shards in [1usize, 4, 64] {
-                let config = SolverConfig::default()
-                    .with_threads(4)
-                    .with_steal_depth(steal_depth)
-                    .with_dominance_shards(shards)
-                    .with_serial_warmstart(0);
-                let outcome = Solver::new(config).minimize(&inst).unwrap();
-                assert!(outcome.is_optimal(), "steal_depth={steal_depth}");
-                assert_eq!(
-                    outcome.solution().unwrap().makespan(),
-                    best,
-                    "steal_depth={steal_depth} shards={shards}"
-                );
-            }
+            let config = SolverConfig::default()
+                .with_threads(4)
+                .with_steal_depth(steal_depth)
+                .with_serial_warmstart(0);
+            let outcome = Solver::new(config).minimize(&inst).unwrap();
+            assert!(outcome.is_optimal(), "steal_depth={steal_depth}");
+            assert_eq!(
+                outcome.solution().unwrap().makespan(),
+                best,
+                "steal_depth={steal_depth}"
+            );
         }
     }
 }
