@@ -1,24 +1,39 @@
 //! Minimal, self-contained substitute for the `serde` crate.
 //!
 //! The build environment of this repository has no access to crates.io, so
-//! the workspace vendors the narrow slice of serde it actually uses: a JSON-
-//! shaped [`Value`] data model, [`Serialize`] / [`Deserialize`] traits that
-//! convert to and from it, and derive macros (re-exported from the sibling
-//! `serde_derive` crate) covering named-field structs, tuple structs and
-//! enums with unit or struct variants, plus the `#[serde(skip)]` and
-//! `#[serde(with = "module")]` field attributes.
+//! the workspace vendors the narrow slice of serde it actually uses, and that
+//! slice is JSON and nothing else:
 //!
-//! The API is intentionally *not* the full serde data model: there are no
-//! `Serializer`/`Deserializer` visitors. `with`-style modules implement
-//! `fn serialize(&T) -> Value` and `fn deserialize(&Value) -> Result<T, Error>`
-//! instead. Swapping this crate for the real serde only requires restoring
-//! those two signatures.
+//! * **Out:** [`Serialize::write_json`] writes a value as JSON text straight
+//!   into the output buffer through a [`Writer`] — no intermediate tree, no
+//!   allocation per key or per number. `serde_json::to_string` and
+//!   `to_string_pretty` are that one call with a compact or a pretty writer;
+//!   there is no other way a value becomes JSON text.
+//! * **In:** `serde_json::from_str` parses text into a [`Value`] tree in one
+//!   pass and [`Deserialize::from_value`] rebuilds the typed structure from
+//!   it. The tree is kept on this side because it costs little next to the
+//!   parse and lets fields arrive in any order.
+//!
+//! The derive macros (re-exported from the sibling `serde_derive` crate) cover
+//! named-field structs, tuple structs and enums with unit or struct variants,
+//! plus the `#[serde(skip)]`, `#[serde(default)]`, `#[serde(with = "module")]`
+//! and `#[serde(skip_serializing_if = "path")]` field attributes.
+//!
+//! This is *not* the serde data model: there are no `Serializer` /
+//! `Deserializer` visitors and no format but JSON. A `with` module implements
+//! `fn serialize(&T, &mut Writer<'_>)` and
+//! `fn deserialize(&Value) -> Result<T, Error>`; moving to the real serde
+//! means rewriting those modules and the hand-written impls (three in this
+//! workspace) against its visitor API.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::time::Duration;
 
+mod writer;
+
 pub use serde_derive::{Deserialize, Serialize};
+pub use writer::{Compound, Writer};
 
 /// A self-describing tree value, structurally equivalent to JSON.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,10 +102,10 @@ pub fn field<'a>(entries: &'a [(String, Value)], name: &str) -> Result<&'a Value
         .ok_or_else(|| Error::custom(format!("missing field `{name}`")))
 }
 
-/// Types that can be converted into a [`Value`].
+/// Types that can be written as JSON text.
 pub trait Serialize {
-    /// Converts `self` into the serde data model.
-    fn to_value(&self) -> Value;
+    /// Writes `self` as one JSON value through `writer`.
+    fn write_json(&self, writer: &mut Writer<'_>);
 }
 
 /// Types that can be reconstructed from a [`Value`].
@@ -100,8 +115,23 @@ pub trait Deserialize: Sized {
 }
 
 impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
+    fn write_json(&self, writer: &mut Writer<'_>) {
+        match self {
+            Value::Null => writer.null(),
+            Value::Bool(b) => writer.bool(*b),
+            Value::UInt(u) => writer.u64(*u),
+            Value::Int(i) => writer.i64(*i),
+            Value::Float(f) => writer.f64(*f),
+            Value::Str(s) => writer.str(s),
+            Value::Seq(items) => items.write_json(writer),
+            Value::Map(entries) => {
+                let mut map = writer.map();
+                for (key, item) in entries {
+                    item.write_json(map.key_str(key));
+                }
+                map.end();
+            }
+        }
     }
 }
 
@@ -114,8 +144,8 @@ impl Deserialize for Value {
 macro_rules! impl_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::UInt(*self as u64)
+            fn write_json(&self, writer: &mut Writer<'_>) {
+                writer.u64(*self as u64);
             }
         }
         impl Deserialize for $t {
@@ -140,9 +170,8 @@ impl_unsigned!(u8, u16, u32, u64, usize);
 macro_rules! impl_signed {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                let v = *self as i64;
-                if v >= 0 { Value::UInt(v as u64) } else { Value::Int(v) }
+            fn write_json(&self, writer: &mut Writer<'_>) {
+                writer.i64(*self as i64);
             }
         }
         impl Deserialize for $t {
@@ -168,8 +197,8 @@ impl_signed!(i8, i16, i32, i64, isize);
 macro_rules! impl_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Float(*self as f64)
+            fn write_json(&self, writer: &mut Writer<'_>) {
+                writer.f64(*self as f64);
             }
         }
         impl Deserialize for $t {
@@ -188,8 +217,8 @@ macro_rules! impl_float {
 impl_float!(f32, f64);
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn write_json(&self, writer: &mut Writer<'_>) {
+        writer.bool(*self);
     }
 }
 
@@ -203,8 +232,8 @@ impl Deserialize for bool {
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
+    fn write_json(&self, writer: &mut Writer<'_>) {
+        writer.str(self);
     }
 }
 
@@ -218,14 +247,14 @@ impl Deserialize for String {
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn write_json(&self, writer: &mut Writer<'_>) {
+        writer.str(self);
     }
 }
 
 impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn write_json(&self, writer: &mut Writer<'_>) {
+        writer.str(self.encode_utf8(&mut [0; 4]));
     }
 }
 
@@ -239,16 +268,16 @@ impl Deserialize for char {
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn write_json(&self, writer: &mut Writer<'_>) {
+        (**self).write_json(writer);
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn write_json(&self, writer: &mut Writer<'_>) {
         match self {
-            Some(inner) => inner.to_value(),
-            None => Value::Null,
+            Some(inner) => inner.write_json(writer),
+            None => writer.null(),
         }
     }
 }
@@ -263,37 +292,49 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
+    fn write_json(&self, writer: &mut Writer<'_>) {
+        self.as_slice().write_json(writer);
     }
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
     fn from_value(value: &Value) -> Result<Self, Error> {
         match value {
-            Value::Seq(items) => items.iter().map(T::from_value).collect(),
+            Value::Seq(items) => {
+                let mut out = Vec::with_capacity(items.len());
+                for item in items {
+                    out.push(T::from_value(item)?);
+                }
+                Ok(out)
+            }
             other => Err(Error::custom(format!("expected array, found {other:?}"))),
         }
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
+    fn write_json(&self, writer: &mut Writer<'_>) {
+        let mut seq = writer.seq();
+        for item in self {
+            item.write_json(seq.element());
+        }
+        seq.end();
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
+    fn write_json(&self, writer: &mut Writer<'_>) {
+        self.as_slice().write_json(writer);
     }
 }
 
 macro_rules! impl_tuple {
     ($(($($name:ident : $idx:tt),+))*) => {$(
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_value(&self) -> Value {
-                Value::Seq(vec![$(self.$idx.to_value()),+])
+            fn write_json(&self, writer: &mut Writer<'_>) {
+                let mut seq = writer.seq();
+                $(self.$idx.write_json(seq.element());)+
+                seq.end();
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
@@ -326,12 +367,12 @@ impl_tuple! {
 }
 
 impl<K: fmt::Display + Ord, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn to_value(&self) -> Value {
-        Value::Map(
-            self.iter()
-                .map(|(k, v)| (k.to_string(), v.to_value()))
-                .collect(),
-        )
+    fn write_json(&self, writer: &mut Writer<'_>) {
+        let mut map = writer.map();
+        for (key, item) in self {
+            item.write_json(map.key_display(key));
+        }
+        map.end();
     }
 }
 
@@ -353,13 +394,15 @@ impl<K: std::str::FromStr + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> 
 }
 
 impl<K: fmt::Display + Eq + std::hash::Hash, V: Serialize> Serialize for HashMap<K, V> {
-    fn to_value(&self) -> Value {
-        let mut entries: Vec<(String, Value)> = self
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_value()))
-            .collect();
+    fn write_json(&self, writer: &mut Writer<'_>) {
+        // Sorted by the key's text, so equal maps render to equal bytes.
+        let mut entries: Vec<(String, &V)> = self.iter().map(|(k, v)| (k.to_string(), v)).collect();
         entries.sort_by(|(a, _), (b, _)| a.cmp(b));
-        Value::Map(entries)
+        let mut map = writer.map();
+        for (key, item) in entries {
+            item.write_json(map.key_str(&key));
+        }
+        map.end();
     }
 }
 
@@ -381,14 +424,11 @@ impl<K: std::str::FromStr + Eq + std::hash::Hash, V: Deserialize> Deserialize fo
 }
 
 impl Serialize for Duration {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("secs".to_string(), Value::UInt(self.as_secs())),
-            (
-                "nanos".to_string(),
-                Value::UInt(u64::from(self.subsec_nanos())),
-            ),
-        ])
+    fn write_json(&self, writer: &mut Writer<'_>) {
+        let mut map = writer.map();
+        map.key("\"secs\":").u64(self.as_secs());
+        map.key("\"nanos\":").u64(u64::from(self.subsec_nanos()));
+        map.end();
     }
 }
 
@@ -407,32 +447,56 @@ impl Deserialize for Duration {
 mod tests {
     use super::*;
 
+    fn json<T: Serialize + ?Sized>(value: &T) -> String {
+        let mut out = String::new();
+        value.write_json(&mut Writer::compact(&mut out));
+        out
+    }
+
     #[test]
-    fn primitives_round_trip() {
-        assert_eq!(u64::from_value(&42u64.to_value()).unwrap(), 42);
-        assert_eq!(i64::from_value(&(-7i64).to_value()).unwrap(), -7);
-        assert!(bool::from_value(&true.to_value()).unwrap());
-        assert_eq!(
-            String::from_value(&"hi".to_string().to_value()).unwrap(),
-            "hi"
-        );
-        let v: Vec<u64> = Vec::from_value(&vec![1u64, 2, 3].to_value()).unwrap();
-        assert_eq!(v, vec![1, 2, 3]);
-        let t: (u64, i64) = Deserialize::from_value(&(3u64, -4i64).to_value()).unwrap();
+    fn primitives_write_and_read_back() {
+        assert_eq!(json(&42u64), "42");
+        assert_eq!(u64::from_value(&Value::UInt(42)).unwrap(), 42);
+        assert_eq!(json(&-7i64), "-7");
+        assert_eq!(i64::from_value(&Value::Int(-7)).unwrap(), -7);
+        assert_eq!(json(&true), "true");
+        assert!(bool::from_value(&Value::Bool(true)).unwrap());
+        assert_eq!(json("hi"), "\"hi\"");
+        assert_eq!(String::from_value(&Value::Str("hi".into())).unwrap(), "hi");
+        assert_eq!(json(&vec![1u64, 2, 3]), "[1,2,3]");
+        let seq = Value::Seq(vec![Value::UInt(3), Value::Int(-4)]);
+        let t: (u64, i64) = Deserialize::from_value(&seq).unwrap();
         assert_eq!(t, (3, -4));
+        assert_eq!(json(&t), "[3,-4]");
     }
 
     #[test]
     fn option_maps_null() {
         assert_eq!(Option::<u64>::from_value(&Value::Null).unwrap(), None);
         assert_eq!(Option::<u64>::from_value(&Value::UInt(5)).unwrap(), Some(5));
-        assert_eq!(None::<u64>.to_value(), Value::Null);
+        assert_eq!(json(&None::<u64>), "null");
     }
 
     #[test]
     fn duration_round_trips() {
         let d = Duration::new(3, 250_000_000);
-        assert_eq!(Duration::from_value(&d.to_value()).unwrap(), d);
+        assert_eq!(json(&d), "{\"secs\":3,\"nanos\":250000000}");
+        let value = Value::Map(vec![
+            ("secs".into(), Value::UInt(3)),
+            ("nanos".into(), Value::UInt(250_000_000)),
+        ]);
+        assert_eq!(Duration::from_value(&value).unwrap(), d);
+    }
+
+    #[test]
+    fn map_keys_are_escaped_and_hash_maps_sorted() {
+        let ordered: BTreeMap<String, u64> = [("a\"b".to_string(), 1), ("c".to_string(), 2)].into();
+        assert_eq!(json(&ordered), "{\"a\\\"b\":1,\"c\":2}");
+        let numbered: BTreeMap<u64, bool> = [(7, true)].into();
+        assert_eq!(json(&numbered), "{\"7\":true}");
+        let hashed: HashMap<String, u64> = (0..20).map(|i| (format!("k{i:02}"), i)).collect();
+        let keys: Vec<String> = (0..20).map(|i| format!("\"k{i:02}\":{i}")).collect();
+        assert_eq!(json(&hashed), format!("{{{}}}", keys.join(",")));
     }
 
     #[test]

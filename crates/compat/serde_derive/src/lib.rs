@@ -380,27 +380,36 @@ fn impl_header(input: &Input, trait_name: &str) -> String {
     }
 }
 
-/// The `__fields.push((name, value));` statements serializing `fields`, in
-/// declaration order. `access` turns a field name into a reference to its
-/// value: `"&self."` in a struct, `""` for the by-reference bindings of an
-/// enum variant pattern.
-fn named_field_pushes(fields: &[Field], access: &str) -> String {
-    let mut pushes = String::new();
+/// The statements writing `fields` into the open map `__map`, in declaration
+/// order, each under its ready-made `"name":` literal. `access` turns a field
+/// name into a reference to its value: `"&self."` in a struct, `""` for the
+/// by-reference bindings of an enum variant pattern.
+fn named_field_writes(fields: &[Field], access: &str) -> String {
+    let mut writes = String::new();
     for f in fields.iter().filter(|f| !f.attrs.skip) {
         let fname = &f.name;
-        let value = match &f.attrs.with {
-            Some(path) => format!("{path}::serialize({access}{fname})"),
-            None => format!("::serde::Serialize::to_value({access}{fname})"),
+        let slot = format!("__map.key(\"\\\"{fname}\\\":\")");
+        let write = match &f.attrs.with {
+            Some(path) => format!("{path}::serialize({access}{fname}, {slot});"),
+            None => format!("::serde::Serialize::write_json({access}{fname}, {slot});"),
         };
-        let push = format!("__fields.push((::std::string::String::from(\"{fname}\"), {value}));");
         match &f.attrs.skip_serializing_if {
             Some(predicate) => {
-                pushes.push_str(&format!("if !{predicate}({access}{fname}) {{ {push} }}\n"));
+                writes.push_str(&format!("if !{predicate}({access}{fname}) {{ {write} }}\n"));
             }
-            None => pushes.push_str(&format!("{push}\n")),
+            None => writes.push_str(&format!("{write}\n")),
         }
     }
-    pushes
+    writes
+}
+
+/// The statements writing `values` (expressions yielding references) as the
+/// elements of a sequence.
+fn seq_writes(values: impl Iterator<Item = String>) -> String {
+    let elements: String = values
+        .map(|value| format!("::serde::Serialize::write_json({value}, __seq.element());\n"))
+        .collect();
+    format!("let mut __seq = __w.seq();\n{elements}__seq.end();")
 }
 
 fn gen_serialize(input: &Input) -> String {
@@ -408,26 +417,22 @@ fn gen_serialize(input: &Input) -> String {
     let header = impl_header(input, "Serialize");
     let body = match &input.data {
         Data::NamedStruct(fields) => {
-            let pushes = named_field_pushes(fields, "&self.");
-            format!(
-                "let mut __fields: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = \
-                 ::std::vec::Vec::new();\n{pushes}::serde::Value::Map(__fields)"
-            )
+            let writes = named_field_writes(fields, "&self.");
+            format!("let mut __map = __w.map();\n{writes}__map.end();")
         }
-        Data::TupleStruct(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
-        Data::TupleStruct(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                .collect();
-            format!("::serde::Value::Seq(::std::vec![{}])", items.join(", "))
-        }
+        Data::TupleStruct(1) => "::serde::Serialize::write_json(&self.0, __w);".to_string(),
+        Data::TupleStruct(n) => seq_writes((0..*n).map(|i| format!("&self.{i}"))),
         Data::Enum(variants) => {
             let mut arms = String::new();
             for v in variants {
                 let vname = &v.name;
+                // Externally tagged: `{"Variant": <payload>}`.
+                let tag = format!(
+                    "let mut __tag = __w.map();\nlet __w = __tag.key(\"\\\"{vname}\\\":\");"
+                );
                 match &v.fields {
                     VariantFields::Unit => arms.push_str(&format!(
-                        "{name}::{vname} => ::serde::Value::Str(::std::string::String::from(\"{vname}\")),\n"
+                        "{name}::{vname} => __w.raw(\"\\\"{vname}\\\"\"),\n"
                     )),
                     VariantFields::Named(fields) => {
                         let pattern: Vec<String> = fields
@@ -440,30 +445,22 @@ fn gen_serialize(input: &Input) -> String {
                                 }
                             })
                             .collect();
-                        let pushes = named_field_pushes(fields, "");
+                        let writes = named_field_writes(fields, "");
                         arms.push_str(&format!(
-                            "{name}::{vname} {{ {} }} => {{\n\
-                             let mut __fields: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = \
-                             ::std::vec::Vec::new();\n{pushes}\
-                             ::serde::Value::Map(::std::vec![(::std::string::String::from(\"{vname}\"), \
-                             ::serde::Value::Map(__fields))])\n}}\n",
+                            "{name}::{vname} {{ {} }} => {{\n{tag}\n\
+                             let mut __map = __w.map();\n{writes}__map.end();\n__tag.end();\n}}\n",
                             pattern.join(", ")
                         ));
                     }
                     VariantFields::Tuple(n) => {
                         let binders: Vec<String> = (0..*n).map(|i| format!("__v{i}")).collect();
-                        let values: Vec<String> = binders
-                            .iter()
-                            .map(|b| format!("::serde::Serialize::to_value({b})"))
-                            .collect();
                         let inner = if *n == 1 {
-                            values[0].clone()
+                            "::serde::Serialize::write_json(__v0, __w);".to_string()
                         } else {
-                            format!("::serde::Value::Seq(::std::vec![{}])", values.join(", "))
+                            seq_writes(binders.iter().cloned())
                         };
                         arms.push_str(&format!(
-                            "{name}::{vname}({}) => ::serde::Value::Map(::std::vec![(\
-                             ::std::string::String::from(\"{vname}\"), {inner})]),\n",
+                            "{name}::{vname}({}) => {{\n{tag}\n{inner}\n__tag.end();\n}}\n",
                             binders.join(", ")
                         ));
                     }
@@ -474,7 +471,7 @@ fn gen_serialize(input: &Input) -> String {
     };
     format!(
         "#[automatically_derived]\n#[allow(unused_variables, clippy::all)]\n\
-         {header} {{\nfn to_value(&self) -> ::serde::Value {{\n{body}\n}}\n}}\n"
+         {header} {{\nfn write_json(&self, __w: &mut ::serde::Writer<'_>) {{\n{body}\n}}\n}}\n"
     )
 }
 

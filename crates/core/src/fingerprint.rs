@@ -59,7 +59,7 @@
 
 use crate::error::CoreError;
 use crate::ir::{BlockKind, BlockSpec, PlacementSpec};
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use serde::{Deserialize, Error as SerdeError, Serialize, Value, Writer};
 use std::fmt;
 
 /// A stable 64-bit hash of a placement's canonical form.
@@ -87,8 +87,8 @@ impl Fingerprint {
 }
 
 impl Serialize for Fingerprint {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn write_json(&self, writer: &mut Writer<'_>) {
+        writer.display(self);
     }
 }
 

@@ -86,6 +86,7 @@ use crate::sys::{Event, Interest, Poller};
 use crate::wire::{ErrorBody, StreamEvent};
 use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 use std::io::{PipeReader, PipeWriter, Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
@@ -298,9 +299,7 @@ impl HttpServer {
                             // A body that does not even parse degrades to the
                             // ordinary (non-streamed) 400 below via `route`.
                             if let Ok(search_request) =
-                                serde_json::from_str::<crate::wire::SearchRequest>(
-                                    &job.request.body,
-                                )
+                                decode_body::<crate::wire::SearchRequest>(&job.request.body)
                             {
                                 run_streaming(
                                     &service,
@@ -317,10 +316,6 @@ impl HttpServer {
                         }
                         let response =
                             route(&service, &transport, timeseries.as_deref(), &job.request);
-                        let mut extra_headers = vec![(
-                            "X-Tessel-Trace-Id".to_string(),
-                            trace_id.as_str().to_string(),
-                        )];
                         let flight = finish_request(
                             &service,
                             &job,
@@ -330,17 +325,19 @@ impl HttpServer {
                             start_unix_ms,
                             "request completed",
                         );
-                        let stages = flight.iter().flat_map(|flight| &flight.record.stages);
-                        let timing = stages
-                            .map(|stage| {
-                                format!("{};dur={:.3}", stage.name, stage.micros as f64 / 1000.0)
-                            })
-                            .collect::<Vec<_>>()
-                            .join(", ");
-                        if !timing.is_empty() {
-                            extra_headers.push(("Server-Timing".to_string(), timing));
-                        }
-                        let bytes = encode_response(&response, !job.request.close, &extra_headers);
+                        let bytes = encode_response(&response, !job.request.close, |head| {
+                            let _ = write!(head, "X-Tessel-Trace-Id: {}\r\n", trace_id.as_str());
+                            let mut separator = "Server-Timing: ";
+                            for stage in flight.iter().flat_map(|flight| &flight.record.stages) {
+                                let millis = stage.micros as f64 / 1000.0;
+                                let _ = write!(head, "{separator}{};dur={millis:.3}", stage.name);
+                                separator = ", ";
+                            }
+                            if separator == ", " {
+                                // At least one stage was written: end the line.
+                                head.push_str("\r\n");
+                            }
+                        });
                         let mut done =
                             Completion::full(job.token, job.seq, bytes, job.request.close);
                         done.flight = flight;
@@ -1182,7 +1179,7 @@ impl EventLoop {
                         let bytes = encode_response(
                             &error_response(400, "bad_request", &message),
                             false,
-                            &[],
+                            |_| {},
                         );
                         self.deliver(Completion::full(token, seq, bytes, true));
                         return;
@@ -1256,7 +1253,7 @@ impl EventLoop {
                             "shed by admission control: retry shortly",
                         ),
                         !close,
-                        &[("Retry-After".to_string(), "1".to_string())],
+                        |head| head.push_str("Retry-After: 1\r\n"),
                     );
                     self.deliver(Completion::full(victim.token, victim.seq, bytes, close));
                 }
@@ -1601,35 +1598,23 @@ fn route(
         .split_once('?')
         .unwrap_or((request.path.as_str(), ""));
     match (request.method.as_str(), path) {
-        ("POST", "/v1/search") => match serde_json::from_str(&request.body) {
+        ("POST", "/v1/search") => match decode_body(&request.body) {
             Ok(search_request) => match service.search(&search_request) {
-                Ok(response) => Response {
-                    status: 200,
-                    content_type: "application/json",
-                    body: tessel_obs::stage("serialize", || render_json(&response)),
-                },
+                Ok(response) => tessel_obs::stage("serialize", || json_response(200, &response)),
                 Err(e) => service_error_response(&e),
             },
             Err(e) => error_response(400, "bad_request", &format!("invalid request body: {e}")),
         },
         ("POST", "/v1/search/batch") => {
-            match serde_json::from_str::<crate::wire::BatchSearchRequest>(&request.body) {
+            match decode_body::<crate::wire::BatchSearchRequest>(&request.body) {
                 Ok(batch) => {
                     let response = service.search_batch(&batch);
-                    Response {
-                        status: 200,
-                        content_type: "application/json",
-                        body: tessel_obs::stage("serialize", || render_json(&response)),
-                    }
+                    tessel_obs::stage("serialize", || json_response(200, &response))
                 }
                 Err(e) => error_response(400, "bad_request", &format!("invalid request body: {e}")),
             }
         }
-        ("GET", "/v1/cache") => Response {
-            status: 200,
-            content_type: "application/json",
-            body: render_json(&service.cache_entries()),
-        },
+        ("GET", "/v1/cache") => json_response(200, &service.cache_entries()),
         ("GET", path) if path.starts_with("/v1/cache/") => {
             let raw = &path["/v1/cache/".len()..];
             match Fingerprint::parse(raw) {
@@ -1638,11 +1623,7 @@ fn route(
                     if inspect.entries.is_empty() {
                         error_response(404, "not_found", &format!("no entry for {fingerprint}"))
                     } else {
-                        Response {
-                            status: 200,
-                            content_type: "application/json",
-                            body: render_json(&inspect),
-                        }
+                        json_response(200, &inspect)
                     }
                 }
                 None => error_response(400, "bad_request", &format!("invalid fingerprint `{raw}`")),
@@ -1659,18 +1640,11 @@ fn route(
             let Some(fingerprint) = Fingerprint::parse(raw) else {
                 return error_response(400, "bad_request", &format!("invalid fingerprint `{raw}`"));
             };
-            match serde_json::from_str::<crate::wire::CacheExchange>(&request.body) {
+            match decode_body::<crate::wire::CacheExchange>(&request.body) {
                 Ok(exchange) => {
                     let ack = service.accept_replication(fingerprint, &exchange);
-                    Response {
-                        status: if ack.accepted > 0 || ack.rejected == 0 {
-                            200
-                        } else {
-                            400
-                        },
-                        content_type: "application/json",
-                        body: render_json(&ack),
-                    }
+                    let ok = ack.accepted > 0 || ack.rejected == 0;
+                    json_response(if ok { 200 } else { 400 }, &ack)
                 }
                 Err(e) => {
                     error_response(400, "bad_request", &format!("invalid exchange body: {e}"))
@@ -1683,11 +1657,7 @@ fn route(
                 .find_map(|pair| pair.strip_prefix("fp="))
                 .and_then(Fingerprint::parse);
             match service.cluster_status(fingerprint) {
-                Some(status) => Response {
-                    status: 200,
-                    content_type: "application/json",
-                    body: render_json(&status),
-                },
+                Some(status) => json_response(200, &status),
                 None => error_response(404, "not_found", "cluster mode is not enabled"),
             }
         }
@@ -1696,11 +1666,7 @@ fn route(
         ("GET", path) if path.starts_with("/v1/cluster/export/") => {
             let node = &path["/v1/cluster/export/".len()..];
             match service.export_owned(node) {
-                Some(exchanges) => Response {
-                    status: 200,
-                    content_type: "application/json",
-                    body: render_json(&exchanges),
-                },
+                Some(exchanges) => json_response(200, &exchanges),
                 None => error_response(
                     404,
                     "not_found",
@@ -1712,19 +1678,11 @@ fn route(
         // timing breakdowns, plus the slowest requests seen since startup.
         // Filterable: `?status=408&min_micros=50000&endpoint=/v1/search&trace=…`.
         ("GET", "/v1/debug/requests") => match parse_flight_query(query) {
-            Ok(flight_query) => Response {
-                status: 200,
-                content_type: "application/json",
-                body: render_json(&service.debug_requests_filtered(&flight_query)),
-            },
+            Ok(flight_query) => json_response(200, &service.debug_requests_filtered(&flight_query)),
             Err(message) => error_response(400, "bad_request", &message),
         },
         // Live in-flight requests with their solver progress boards.
-        ("GET", "/v1/debug/inflight") => Response {
-            status: 200,
-            content_type: "application/json",
-            body: render_json(&service.debug_inflight()),
-        },
+        ("GET", "/v1/debug/inflight") => json_response(200, &service.debug_inflight()),
         // Windowed live-plane rates and gauges (`?window=N` ticks, default
         // the whole retained ring).
         ("GET", "/v1/debug/timeseries") => match timeseries {
@@ -1765,11 +1723,7 @@ fn route(
                         })
                         .collect(),
                 };
-                Response {
-                    status: 200,
-                    content_type: "application/json",
-                    body: render_json(&response),
-                }
+                json_response(200, &response)
             }
             None => error_response(
                 404,
@@ -1782,25 +1736,18 @@ fn route(
         ("GET", path) if path.starts_with("/v1/debug/trace/") => {
             let raw = &path["/v1/debug/trace/".len()..];
             match tessel_obs::TraceId::parse(raw) {
-                Some(trace_id) => Response {
-                    status: 200,
-                    content_type: "application/json",
-                    body: render_json(&service.assemble_trace(trace_id.as_str())),
-                },
+                Some(trace_id) => json_response(200, &service.assemble_trace(trace_id.as_str())),
                 None => error_response(400, "bad_request", &format!("invalid trace id `{raw}`")),
             }
         }
-        ("GET", "/v1/debug/loglevel") => Response {
-            status: 200,
-            content_type: "application/json",
-            body: render_json(&crate::wire::LogLevelBody {
-                level: tessel_obs::level().as_str().to_string(),
-            }),
-        },
+        ("GET", "/v1/debug/loglevel") => {
+            let level = tessel_obs::level().as_str().to_string();
+            json_response(200, &crate::wire::LogLevelBody { level })
+        }
         // Runtime log-level control. The change is announced at the *old*
         // level so turning logging down leaves one last trace of who did it.
         ("PUT", "/v1/debug/loglevel") => {
-            match serde_json::from_str::<crate::wire::LogLevelBody>(&request.body) {
+            match decode_body::<crate::wire::LogLevelBody>(&request.body) {
                 Ok(body) => match body.level.parse::<tessel_obs::Level>() {
                     Ok(level) => {
                         let previous = tessel_obs::set_level(level);
@@ -1888,25 +1835,29 @@ fn parse_flight_query(query: &str) -> Result<crate::flight::FlightQuery, String>
 }
 
 fn service_error_response(error: &ServiceError) -> Response {
-    Response {
-        status: error.http_status(),
-        content_type: "application/json",
-        body: render_json(&ErrorBody {
-            kind: error.kind().into(),
-            error: error.to_string(),
-        }),
-    }
+    error_response(error.http_status(), error.kind(), &error.to_string())
 }
 
 fn error_response(status: u16, kind: &str, message: &str) -> Response {
+    let body = ErrorBody {
+        kind: kind.into(),
+        error: message.into(),
+    };
+    json_response(status, &body)
+}
+
+/// A JSON response with `value` as its body.
+fn json_response<T: Serialize>(status: u16, value: &T) -> Response {
     Response {
         status,
         content_type: "application/json",
-        body: render_json(&ErrorBody {
-            kind: kind.into(),
-            error: message.into(),
-        }),
+        body: render_json(value),
     }
+}
+
+/// Decodes a JSON request body as the `decode` stage of the request's trace.
+fn decode_body<T: serde::Deserialize>(body: &str) -> serde_json::Result<T> {
+    tessel_obs::stage("decode", || serde_json::from_str(body))
 }
 
 fn render_json<T: Serialize>(value: &T) -> String {
@@ -1926,12 +1877,19 @@ fn status_text(status: u16) -> &'static str {
     }
 }
 
+/// Renders the whole response — head, then `extra_headers`' complete
+/// `Name: value\r\n` lines, then the body — into the one buffer the
+/// completion carries, sized up front.
 fn encode_response(
     response: &Response,
     keep_alive: bool,
-    extra_headers: &[(String, String)],
+    extra_headers: impl FnOnce(&mut String),
 ) -> Vec<u8> {
-    let mut encoded = format!(
+    // The fixed head is ~110 bytes; a trace ID and a full `Server-Timing`
+    // line add ~300.
+    let mut encoded = String::with_capacity(512 + response.body.len());
+    let _ = write!(
+        encoded,
         "HTTP/1.1 {status} {text}\r\nContent-Type: {content_type}\r\nContent-Length: {length}\r\nConnection: {connection}\r\n",
         status = response.status,
         text = status_text(response.status),
@@ -1939,12 +1897,7 @@ fn encode_response(
         length = response.body.len(),
         connection = if keep_alive { "keep-alive" } else { "close" },
     );
-    for (name, value) in extra_headers {
-        encoded.push_str(name);
-        encoded.push_str(": ");
-        encoded.push_str(value);
-        encoded.push_str("\r\n");
-    }
+    extra_headers(&mut encoded);
     encoded.push_str("\r\n");
     encoded.push_str(&response.body);
     encoded.into_bytes()
@@ -2311,6 +2264,11 @@ fn invalid_data(message: &'static str) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, message)
 }
 
+/// The peer closed the connection before the response was complete.
+fn closed(mid: &'static str) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::UnexpectedEof, mid)
+}
+
 /// Reads from `stream` into `buffer`, failing with `UnexpectedEof` (and
 /// `closed_mid`) when the peer has closed the connection.
 fn read_more(
@@ -2321,10 +2279,7 @@ fn read_more(
     let mut chunk = [0u8; 4096];
     let n = stream.read(&mut chunk)?;
     if n == 0 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            closed_mid,
-        ));
+        return Err(closed(closed_mid));
     }
     buffer.extend_from_slice(&chunk[..n]);
     Ok(())
@@ -2383,8 +2338,15 @@ fn read_body(
             .map_err(|_| invalid_data("bad Content-Length"))?,
         None => 0,
     };
-    while received.len() < content_length {
-        read_more(stream, &mut received, "connection closed mid-body")?;
+    // What the head's reads did not already bring goes straight into the
+    // body's own buffer, sized once (a peer's claim of more than a request
+    // may carry is not believed before the bytes arrive).
+    if let Some(missing) = content_length.checked_sub(received.len()) {
+        received.reserve_exact(missing.min(MAX_BODY_BYTES));
+        stream.take(missing as u64).read_to_end(&mut received)?;
+        if received.len() < content_length {
+            return Err(closed("connection closed mid-body"));
+        }
     }
     received.truncate(content_length);
     String::from_utf8(received).map_err(|_| invalid_data("body is not UTF-8"))
@@ -2512,24 +2474,20 @@ mod tests {
             content_type: "application/json",
             body: "{}".into(),
         };
-        let keep = String::from_utf8(encode_response(&response, true, &[])).unwrap();
+        let keep = String::from_utf8(encode_response(&response, true, |_| {})).unwrap();
         assert!(keep.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(keep.contains("Content-Length: 2\r\n"));
         assert!(keep.contains("Connection: keep-alive\r\n"));
         assert!(keep.ends_with("\r\n\r\n{}"));
-        let close = String::from_utf8(encode_response(&response, false, &[])).unwrap();
+        let close = String::from_utf8(encode_response(&response, false, |_| {})).unwrap();
         assert!(close.contains("Connection: close\r\n"));
         assert_eq!(status_text(408), "Request Timeout");
         assert_eq!(status_text(599), "Internal Server Error");
         // Extra headers land between the fixed head and the blank line.
-        let traced = encode_response(
-            &response,
-            true,
-            &[
-                ("X-Tessel-Trace-Id".to_string(), "a".repeat(32)),
-                ("Server-Timing".to_string(), "solve;dur=1.500".to_string()),
-            ],
-        );
+        let traced = encode_response(&response, true, |head| {
+            let _ = write!(head, "X-Tessel-Trace-Id: {}\r\n", "a".repeat(32));
+            head.push_str("Server-Timing: solve;dur=1.500\r\n");
+        });
         let traced = String::from_utf8(traced).unwrap();
         assert!(traced.contains(&format!("X-Tessel-Trace-Id: {}\r\n", "a".repeat(32))));
         assert!(traced.contains("Server-Timing: solve;dur=1.500\r\n"));

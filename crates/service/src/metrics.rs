@@ -161,9 +161,12 @@ pub const ENDPOINT_LABELS: [&str; 12] = [
 
 /// The fixed label set of the per-stage duration histogram family — the span
 /// taxonomy of the request lifecycle (see `docs/ARCHITECTURE.md`).
-pub const STAGE_LABELS: [&str; 11] = [
+pub const STAGE_LABELS: [&str; 14] = [
     "parse",
     "queue_wait",
+    "decode",
+    "validate",
+    "canonicalize",
     "cache_lookup",
     "singleflight_wait",
     "remote_fetch",

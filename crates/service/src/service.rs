@@ -512,12 +512,12 @@ impl ScheduleService {
     /// know about it: parameters, canonical form, cache key, absolute
     /// deadline and solver thread count.
     fn prepare(&self, request: &SearchRequest, arrived: Instant) -> Result<Prepared, ServiceError> {
-        request
-            .placement
-            .validate()
+        live_stage("validate", || request.placement.validate())
             .map_err(|e| ServiceError::BadRequest(format!("invalid placement: {e}")))?;
         let params = self.resolve_params(request)?;
-        let canon = self.canonicalize_budgeted(&request.placement);
+        let canon = live_stage("canonicalize", || {
+            self.canonicalize_budgeted(&request.placement)
+        });
         Ok(Prepared {
             key: CacheKey::new(canon.fingerprint, &params),
             canon,

@@ -5,7 +5,7 @@
 //! results render to byte-identical JSON.
 
 use crate::cache::{CacheParams, CachedSearch};
-use serde::{field, Deserialize, Error as SerdeError, Serialize, Value};
+use serde::{field, Deserialize, Error as SerdeError, Serialize, Value, Writer};
 use tessel_core::fingerprint::Fingerprint;
 use tessel_core::ir::PlacementSpec;
 use tessel_core::schedule::Schedule;
@@ -159,23 +159,25 @@ pub enum StreamEvent {
 // externally tagged enums (`{"Incumbent": {...}}`), and these frames are
 // internally tagged — a lowercase `event` key next to the variant's fields.
 impl Serialize for StreamEvent {
-    fn to_value(&self) -> Value {
+    fn write_json(&self, writer: &mut Writer<'_>) {
+        let mut map = writer.map();
         match self {
-            StreamEvent::Incumbent { value, elapsed_ms } => Value::Map(vec![
-                ("event".into(), Value::Str("incumbent".into())),
-                ("value".into(), value.to_value()),
-                ("elapsed_ms".into(), elapsed_ms.to_value()),
-            ]),
-            StreamEvent::Result(response) => Value::Map(vec![
-                ("event".into(), Value::Str("result".into())),
-                ("response".into(), response.to_value()),
-            ]),
-            StreamEvent::Error { status, body } => Value::Map(vec![
-                ("event".into(), Value::Str("error".into())),
-                ("status".into(), status.to_value()),
-                ("body".into(), body.to_value()),
-            ]),
+            StreamEvent::Incumbent { value, elapsed_ms } => {
+                map.key("\"event\":").str("incumbent");
+                map.key("\"value\":").u64(*value);
+                map.key("\"elapsed_ms\":").u64(*elapsed_ms);
+            }
+            StreamEvent::Result(response) => {
+                map.key("\"event\":").str("result");
+                response.write_json(map.key("\"response\":"));
+            }
+            StreamEvent::Error { status, body } => {
+                map.key("\"event\":").str("error");
+                map.key("\"status\":").u64(u64::from(*status));
+                body.write_json(map.key("\"body\":"));
+            }
         }
+        map.end();
     }
 }
 
@@ -456,8 +458,8 @@ pub struct InflightInfo {
     #[serde(default)]
     pub peer: Option<String>,
     /// The pipeline stage the request is currently in (`queued`,
-    /// `cache_lookup`, `singleflight_wait`, `remote_fetch`, `solve`,
-    /// `translate`).
+    /// `validate`, `canonicalize`, `cache_lookup`, `singleflight_wait`,
+    /// `remote_fetch`, `solve`, `translate`).
     pub stage: String,
     /// Milliseconds since the request was admitted.
     pub elapsed_ms: u64,

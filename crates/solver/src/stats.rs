@@ -222,11 +222,11 @@ impl std::fmt::Debug for IncumbentSink {
 }
 
 mod duration_serde {
-    use serde::{Deserialize, Error, Serialize, Value};
+    use serde::{Deserialize, Error, Value, Writer};
     use std::time::Duration;
 
-    pub fn serialize(d: &Duration) -> Value {
-        d.as_secs_f64().to_value()
+    pub fn serialize(d: &Duration, writer: &mut Writer<'_>) {
+        writer.f64(d.as_secs_f64());
     }
 
     pub fn deserialize(value: &Value) -> Result<Duration, Error> {

@@ -15,8 +15,8 @@ use tessel::service::wire::{
     StreamEvent, WireSearchEntry,
 };
 use tessel::service::{
-    ClusterMetrics, HttpClient, HttpServer, MetricsSnapshot, ScheduleService, ServerConfig,
-    ServiceConfig, ServiceMetrics, TransportMetrics, TransportSnapshot,
+    ClusterConfig, ClusterMetrics, HttpClient, HttpServer, MetricsSnapshot, ScheduleService,
+    ServerConfig, ServiceConfig, ServiceMetrics, TransportMetrics, TransportSnapshot,
 };
 
 fn v2() -> PlacementSpec {
@@ -30,10 +30,14 @@ fn v2() -> PlacementSpec {
 }
 
 fn start_server() -> (HttpServer, String) {
+    start_server_with(ServiceConfig::default())
+}
+
+fn start_server_with(config: ServiceConfig) -> (HttpServer, String) {
     let service = ScheduleService::new(ServiceConfig {
         default_micro_batches: 2,
         default_max_repetend: 2,
-        ..ServiceConfig::default()
+        ..config
     })
     .unwrap();
     let config = ServerConfig {
@@ -596,5 +600,47 @@ fn client_entry_points_return_what_they_always_did() {
     let error: ErrorBody = serde_json::from_str(&payload).unwrap();
     assert_eq!(error.kind, "bad_request");
 
+    server.shutdown();
+}
+
+/// A body of 200,000 `[` — 200 KB, far under the 16 MiB body cap — used to
+/// overflow the JSON parser's stack and abort the daemon. Every endpoint that
+/// decodes a body answers it with a plain 400, and the daemon keeps serving.
+#[test]
+fn deeply_nested_bodies_are_a_400_not_a_crash() {
+    // Cluster mode (a fleet of one) so that `PUT /v1/cache/{fp}` decodes its
+    // body instead of answering 404.
+    let (server, addr) = start_server_with(ServiceConfig {
+        cluster: Some(ClusterConfig::new("solo", vec![])),
+        ..ServiceConfig::default()
+    });
+    let bomb = "[".repeat(200_000);
+    for (method, path) in [
+        ("POST", "/v1/search"),
+        ("POST", "/v1/search/batch"),
+        ("POST", "/v1/search?stream=1"),
+        ("PUT", "/v1/cache/0123456789abcdef"),
+    ] {
+        let (status, payload) = http_call(&addr, method, path, Some(&bomb)).unwrap();
+        assert_eq!(status, 400, "{method} {path}: {payload}");
+        let error: ErrorBody = serde_json::from_str(&payload).unwrap();
+        assert_eq!(error.kind, "bad_request", "{method} {path}");
+        assert!(
+            error.error.contains("nesting deeper than 128"),
+            "{method} {path}: {}",
+            error.error
+        );
+    }
+    // Objects nest through the same counter.
+    let objects = "{\"requests\":".repeat(200_000);
+    let (status, _) = http_call(&addr, "POST", "/v1/search/batch", Some(&objects)).unwrap();
+    assert_eq!(status, 400);
+
+    // A well-formed request on a fresh connection is still answered.
+    let body = serde_json::to_string(&SearchRequest::for_placement(v2())).unwrap();
+    let (status, payload) = http_call(&addr, "POST", "/v1/search", Some(&body)).unwrap();
+    assert_eq!(status, 200, "{payload}");
+    let answer: SearchResponse = serde_json::from_str(&payload).unwrap();
+    assert_eq!(answer.schedule.num_devices(), 2);
     server.shutdown();
 }
