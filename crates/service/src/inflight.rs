@@ -84,6 +84,7 @@ impl InflightEntry {
             incumbent: progress.incumbent,
             incumbents: progress.incumbents,
             steals: progress.steals,
+            memo_drops: progress.memo_drops,
             worker_depths: progress
                 .worker_depths
                 .iter()
@@ -221,6 +222,7 @@ mod tests {
             entry.set_deadline(Some(Instant::now() + std::time::Duration::from_secs(3600)));
             entry.board().add_nodes(17);
             entry.board().record_incumbent(9);
+            entry.board().add_memo_drops(3);
             entry.board().set_worker_depth(0, 4);
         })
         .expect("a current entry exists");
@@ -230,6 +232,7 @@ mod tests {
         assert_eq!(entry.nodes, 17);
         assert_eq!(entry.incumbent, Some(9));
         assert_eq!(entry.incumbents, 1);
+        assert_eq!(entry.memo_drops, 3);
         assert_eq!(entry.worker_depths, vec![4]);
         let remaining = entry.deadline_remaining_ms.expect("deadline is set");
         assert!(

@@ -211,7 +211,7 @@ metric_group! {
         #[serde(default)]
         solver_steal_failures, "tessel_solver_steal_failures_total", "Solver steal attempts that lost the deque-top race.";
         #[serde(default)]
-        solver_memo_drops, "tessel_solver_memo_drops_total", "Finish vectors the bounded-probe dominance table declined to memoise.";
+        solver_memo_drops, "tessel_solver_memo_drops_total", "Finish vectors a full dominance memo (serial limit or shared probe window) declined to record.";
         /// Any nonzero value means the exact canonical labeling broke its
         /// contract.
         #[serde(default)]

@@ -476,6 +476,11 @@ pub struct InflightInfo {
     pub incumbents: u64,
     /// Work-stealing steals so far.
     pub steals: u64,
+    /// Finish vectors a full dominance memo declined to record so far (a
+    /// rising count explains an exploding node count: the solve re-explores
+    /// states it can no longer remember).
+    #[serde(default)]
+    pub memo_drops: u64,
     /// Current DFS depth of each active solver worker.
     pub worker_depths: Vec<u64>,
 }
@@ -710,6 +715,7 @@ mod tests {
                     incumbent: Some(17),
                     incumbents: 3,
                     steals: 2,
+                    memo_drops: 7,
                     worker_depths: vec![4, 9],
                 },
                 InflightInfo {
@@ -724,6 +730,7 @@ mod tests {
                     incumbent: None,
                     incumbents: 0,
                     steals: 0,
+                    memo_drops: 0,
                     worker_depths: vec![],
                 },
             ],

@@ -41,6 +41,7 @@ struct BoardState {
     incumbent: AtomicU64,
     incumbents: AtomicU64,
     steals: AtomicU64,
+    memo_drops: AtomicU64,
     depths: [AtomicU64; MAX_PROGRESS_WORKERS],
 }
 
@@ -65,6 +66,7 @@ impl Default for ProgressBoard {
                 incumbent: AtomicU64::new(NO_INCUMBENT),
                 incumbents: AtomicU64::new(0),
                 steals: AtomicU64::new(0),
+                memo_drops: AtomicU64::new(0),
                 depths: std::array::from_fn(|_| AtomicU64::new(DEPTH_INACTIVE)),
             }),
         }
@@ -87,6 +89,10 @@ pub struct ProgressSnapshot {
     pub incumbents: u64,
     /// Subtree tasks stolen between workers so far.
     pub steals: u64,
+    /// Finish vectors a full dominance memo declined to record so far; a
+    /// count that keeps rising means the solve is re-exploring states it
+    /// could no longer remember.
+    pub memo_drops: u64,
     /// `(worker, depth)` of every worker that has published a depth and not
     /// yet retired, ascending by worker id.
     pub worker_depths: Vec<(u32, u64)>,
@@ -123,6 +129,14 @@ impl ProgressBoard {
         self.state.steals.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Adds a flushed batch of dropped memo inserts to the published total.
+    #[inline]
+    pub fn add_memo_drops(&self, batch: u64) {
+        if batch > 0 {
+            self.state.memo_drops.fetch_add(batch, Ordering::Relaxed);
+        }
+    }
+
     /// Publishes `worker`'s current search depth (no-op past
     /// [`MAX_PROGRESS_WORKERS`]).
     #[inline]
@@ -149,6 +163,7 @@ impl ProgressBoard {
             incumbent: (incumbent != NO_INCUMBENT).then_some(incumbent),
             incumbents: self.state.incumbents.load(Ordering::Relaxed),
             steals: self.state.steals.load(Ordering::Relaxed),
+            memo_drops: self.state.memo_drops.load(Ordering::Relaxed),
             worker_depths: self
                 .state
                 .depths
@@ -186,9 +201,12 @@ mod tests {
         clone.add_nodes(24);
         board.add_nodes(0); // no-op
         clone.add_steal();
+        clone.add_memo_drops(2);
+        board.add_memo_drops(3);
         let snap = board.snapshot();
         assert_eq!(snap.nodes, 124);
         assert_eq!(snap.steals, 1);
+        assert_eq!(snap.memo_drops, 5);
     }
 
     #[test]

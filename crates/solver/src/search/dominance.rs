@@ -74,31 +74,49 @@ use crate::stats::SolveStats;
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-pub(super) const EMPTY_HEAD: u32 = u32::MAX;
+/// End of a slot's chain of overflow records.
+const EMPTY_HEAD: u32 = u32::MAX;
 
+/// One cache line of the serial table.
 #[derive(Debug, Clone, Copy)]
-struct Slot {
-    mask: u128,
-    head: u32,
-    occupied: bool,
-}
+#[repr(align(64))]
+struct Line([u64; LINE_WORDS]);
 
-const FREE_SLOT: Slot = Slot {
-    mask: 0,
-    head: EMPTY_HEAD,
-    occupied: false,
-};
+const LINE_WORDS: usize = 8;
+// Words of a slot's first line: the two halves of the scheduled-task mask,
+// the slot's state (`0` free, else `OCCUPIED` plus the head of its overflow
+// chain in the low 32 bits), then the first lanes of the finish vector the
+// slot stores itself.
+const MASK_LO: usize = 0;
+const MASK_HI: usize = 1;
+const META: usize = 2;
+const INLINE: usize = 3;
+const OCCUPIED: u64 = 1 << 32;
+
+/// Slots a table starts with, allocated on its first probe.
+const INITIAL_SLOTS: usize = 64;
 
 /// Dominance memo keyed by the scheduled-task bitmask.
 ///
-/// Replaces the seed's `HashMap<u128, Vec<Vec<u64>>>`: slots are probed
-/// linearly in a power-of-two table, and every stored per-device finish-time
-/// vector lives packed in one arena `Vec<u64>` as
-/// `[next, owner, f_0, .., f_{D-1}]` records chained per mask. Lookups,
-/// insertions and removals therefore touch no allocator once the table has
-/// warmed up, which is what makes dominance pruning cheap enough to run at
-/// every node. The `owner` word records which worker inserted the vector, so
-/// shared-table semantics can be cross-checked against this one.
+/// An open-addressing table whose slots are whole cache lines:
+/// `[mask_lo, mask_hi, meta, f_0 .. f_{D-1}]` in `⌈(3 + D) / 8⌉` 64-byte
+/// aligned lines, probed linearly. Key and first finish vector share a
+/// line, so the common lookup — one vector stored under the mask — is
+/// answered from the line the probe loaded anyway (the hot loop even starts
+/// that load early, see [`DominanceTable::touch`]). Further pairwise
+/// incomparable vectors of the same mask are chained from `meta` through
+/// `[next, f_0 .. f_{D-1}]` records packed in one arena `Vec<u64>` with a
+/// free list, so lookups, insertions and removals touch no allocator once
+/// the table has warmed up. The table allocates nothing until its first
+/// probe and doubles from [`INITIAL_SLOTS`]: Tessel's repetend enumeration
+/// issues thousands of solves that never branch or branch a few dozen times,
+/// and zeroing a table sized for the large ones used to cost more than the
+/// solve.
+///
+/// The stored vectors of a mask form an antichain: a lookup prunes iff one of
+/// them is componentwise `<=` the current vector, drops the ones the current
+/// vector dominates, and records the current vector while fewer than `limit`
+/// are stored (a refused insert counts in `memo_drops`).
 ///
 /// This single-owner table is the *reference semantics* for the lock-free
 /// [`SharedDominanceTable`]: the serial search uses it directly, and the
@@ -106,7 +124,9 @@ const FREE_SLOT: Slot = Slot {
 /// prune decisions.
 #[derive(Debug, Clone)]
 pub(super) struct DominanceTable {
-    slots: Vec<Slot>,
+    lines: Vec<Line>,
+    /// Lines per slot.
+    stride: usize,
     occupied: usize,
     arena: Vec<u64>,
     free_head: u32,
@@ -118,7 +138,8 @@ pub(super) struct DominanceTable {
 impl DominanceTable {
     pub(super) fn new(devices: usize, limit: usize) -> Self {
         DominanceTable {
-            slots: vec![FREE_SLOT; 1024],
+            lines: Vec::new(),
+            stride: (INLINE + devices).div_ceil(LINE_WORDS),
             occupied: 0,
             arena: Vec::new(),
             free_head: EMPTY_HEAD,
@@ -135,32 +156,85 @@ impl DominanceTable {
         h ^ (h >> 33)
     }
 
+    fn slots(&self) -> usize {
+        self.lines.len() / self.stride
+    }
+
+    /// First line of the slot holding `mask`, or of the free slot where its
+    /// probe sequence ends (the table always keeps free slots).
     fn find_slot(&self, mask: u128) -> usize {
-        let cap = self.slots.len();
-        let mut idx = (Self::hash(mask) as usize) & (cap - 1);
+        let wrap = self.slots() - 1;
+        let mut slot = (Self::hash(mask) as usize) & wrap;
         loop {
-            let slot = &self.slots[idx];
-            if !slot.occupied || slot.mask == mask {
-                return idx;
+            let head = &self.lines[slot * self.stride].0;
+            if head[META] == 0
+                || (head[MASK_LO] == mask as u64 && head[MASK_HI] == (mask >> 64) as u64)
+            {
+                return slot * self.stride;
             }
-            idx = (idx + 1) & (cap - 1);
+            slot = (slot + 1) & wrap;
+        }
+    }
+
+    /// Reads the first line of `mask`'s home slot and discards it, so the
+    /// line is on its way from memory by the time the lookup that follows
+    /// needs it. `black_box` keeps the otherwise dead load alive; nothing
+    /// waits on its value, so several touches in a row miss in parallel.
+    #[inline]
+    pub(super) fn touch(&self, mask: u128) {
+        if !self.lines.is_empty() {
+            let slot = (Self::hash(mask) as usize) & (self.slots() - 1);
+            std::hint::black_box(self.lines[slot * self.stride].0[MASK_LO]);
         }
     }
 
     fn grow(&mut self) {
-        let doubled = self.slots.len() * 2;
-        let old = std::mem::replace(&mut self.slots, vec![FREE_SLOT; doubled]);
-        for slot in old {
-            if slot.occupied {
-                let idx = self.find_slot(slot.mask);
-                self.slots[idx] = slot;
-            }
+        let doubled = (self.slots() * 2).max(INITIAL_SLOTS);
+        let stride = self.stride;
+        let old = std::mem::replace(
+            &mut self.lines,
+            vec![Line([0; LINE_WORDS]); doubled * stride],
+        );
+        for slot in old.chunks_exact(stride).filter(|slot| slot[0].0[META] != 0) {
+            let head = &slot[0].0;
+            let mask = u128::from(head[MASK_LO]) | u128::from(head[MASK_HI]) << 64;
+            let base = self.find_slot(mask);
+            self.lines[base..base + stride].copy_from_slice(slot);
         }
     }
 
-    /// Arena record layout: `[next, owner, f_0 .. f_{D-1}]`.
+    /// Compares the finish vector stored in `slot` itself — the lanes after
+    /// the key in its first line, whole lines after that — with `finishes`:
+    /// `(stored <= finishes, finishes <= stored)` componentwise.
+    #[inline]
+    fn compare_inline(slot: &[Line], finishes: &[u64]) -> (bool, bool) {
+        let head = finishes.len().min(LINE_WORDS - INLINE);
+        let (mut stored_le, mut current_le) =
+            simd::compare_le(&slot[0].0[INLINE..INLINE + head], &finishes[..head]);
+        for (line, lanes) in slot[1..].iter().zip(finishes[head..].chunks(LINE_WORDS)) {
+            let (s, c) = simd::compare_le(&line.0[..lanes.len()], lanes);
+            stored_le &= s;
+            current_le &= c;
+        }
+        (stored_le, current_le)
+    }
+
+    /// Overwrites the finish vector stored in `slot` itself with `finishes`.
+    #[inline]
+    fn store_inline(slot: &mut [Line], finishes: &[u64]) {
+        let head = finishes.len().min(LINE_WORDS - INLINE);
+        slot[0].0[INLINE..INLINE + head].copy_from_slice(&finishes[..head]);
+        for (line, lanes) in slot[1..]
+            .iter_mut()
+            .zip(finishes[head..].chunks(LINE_WORDS))
+        {
+            line.0[..lanes.len()].copy_from_slice(lanes);
+        }
+    }
+
+    /// Arena record layout: `[next, f_0 .. f_{D-1}]`.
     fn rec_size(&self) -> usize {
-        self.devices + 2
+        self.devices + 1
     }
 
     fn alloc_record(&mut self) -> u32 {
@@ -175,52 +249,69 @@ impl DominanceTable {
     }
 
     /// Checks the current `finishes` vector against every vector stored for
-    /// `mask`. Returns `Some(owner)` — the id of the worker that inserted
-    /// the dominating vector — if a stored vector dominates it (the caller
+    /// `mask`. Returns `true` if a stored vector dominates it (the caller
     /// should prune); otherwise removes the stored vectors it dominates and,
-    /// capacity permitting, records it under `owner`.
+    /// capacity permitting, records it — a vector refused for capacity counts
+    /// in `stats.memo_drops`.
     pub(super) fn check_and_insert(
         &mut self,
         mask: u128,
         finishes: &[u64],
-        owner: u32,
-    ) -> Option<u32> {
-        let mut idx = self.find_slot(mask);
-        if !self.slots[idx].occupied {
-            // Keep the probe chains short: grow at 70% occupancy.
-            if (self.occupied + 1) * 10 > self.slots.len() * 7 {
-                self.grow();
-                idx = self.find_slot(mask);
+        stats: &mut SolveStats,
+    ) -> bool {
+        if self.lines.is_empty() {
+            self.grow();
+        }
+        let stride = self.stride;
+        let mut base = self.find_slot(mask);
+        if self.lines[base].0[META] == 0 {
+            if self.stored >= self.limit {
+                stats.memo_drops += 1;
+                return false;
             }
-            self.slots[idx] = Slot {
-                mask,
-                head: EMPTY_HEAD,
-                occupied: true,
-            };
+            // Keep the probe sequences short: grow at 70% occupancy.
+            if (self.occupied + 1) * 10 > self.slots() * 7 {
+                self.grow();
+                base = self.find_slot(mask);
+            }
+            let head = &mut self.lines[base].0;
+            head[MASK_LO] = mask as u64;
+            head[MASK_HI] = (mask >> 64) as u64;
+            head[META] = OCCUPIED | u64::from(EMPTY_HEAD);
+            Self::store_inline(&mut self.lines[base..base + stride], finishes);
             self.occupied += 1;
+            self.stored += 1;
+            return false;
         }
 
+        let (stored_le, current_le) =
+            Self::compare_inline(&self.lines[base..base + stride], finishes);
+        if stored_le {
+            // An at-least-as-good state was already explored.
+            return true;
+        }
+        // A strictly worse inline vector is overwritten once the chain has
+        // shown that nothing stored dominates the current one.
+        let replace_inline = current_le;
+
         let rec = self.rec_size();
-        let devices = self.devices;
-        let mut r = self.slots[idx].head;
+        let mut r = self.lines[base].0[META] as u32;
         let mut prev = EMPTY_HEAD;
         while r != EMPTY_HEAD {
-            let base = r as usize * rec;
-            let next = self.arena[base] as u32;
-            let (stored_le, current_le) =
-                simd::compare_le(&self.arena[base + 2..base + 2 + devices], finishes);
+            let at = r as usize * rec;
+            let next = self.arena[at] as u32;
+            let (stored_le, current_le) = simd::compare_le(&self.arena[at + 1..at + rec], finishes);
             if stored_le {
-                // An at-least-as-good state was already explored.
-                return Some(self.arena[base + 1] as u32);
+                return true;
             }
             if current_le {
                 // The stored state is strictly worse: unlink and recycle it.
                 if prev == EMPTY_HEAD {
-                    self.slots[idx].head = next;
+                    self.lines[base].0[META] = OCCUPIED | u64::from(next);
                 } else {
                     self.arena[prev as usize * rec] = u64::from(next);
                 }
-                self.arena[base] = u64::from(self.free_head);
+                self.arena[at] = u64::from(self.free_head);
                 self.free_head = r;
                 self.stored -= 1;
                 r = next;
@@ -230,16 +321,19 @@ impl DominanceTable {
             r = next;
         }
 
-        if self.stored < self.limit {
+        if replace_inline {
+            Self::store_inline(&mut self.lines[base..base + stride], finishes);
+        } else if self.stored < self.limit {
             let new = self.alloc_record();
-            let base = new as usize * rec;
-            self.arena[base] = u64::from(self.slots[idx].head);
-            self.arena[base + 1] = u64::from(owner);
-            self.arena[base + 2..base + 2 + devices].copy_from_slice(finishes);
-            self.slots[idx].head = new;
+            let at = new as usize * rec;
+            self.arena[at] = self.lines[base].0[META] & u64::from(u32::MAX);
+            self.arena[at + 1..at + rec].copy_from_slice(finishes);
+            self.lines[base].0[META] = OCCUPIED | u64::from(new);
             self.stored += 1;
+        } else {
+            stats.memo_drops += 1;
         }
-        None
+        false
     }
 }
 
@@ -528,50 +622,142 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Convenience driver for the serial table in tests that ignore drops.
+    fn check(table: &mut DominanceTable, mask: u128, finishes: &[u64]) -> bool {
+        table.check_and_insert(mask, finishes, &mut SolveStats::default())
+    }
+
     #[test]
     fn dominance_table_detects_and_replaces() {
         let mut table = DominanceTable::new(2, 1024);
         // First sighting of a mask: recorded, not pruned.
-        assert!(table.check_and_insert(0b11, &[3, 4], 0).is_none());
-        // Dominated by the stored [3, 4]: pruned, attributed to worker 0.
-        assert_eq!(table.check_and_insert(0b11, &[3, 5], 1), Some(0));
-        assert_eq!(table.check_and_insert(0b11, &[3, 4], 1), Some(0));
+        assert!(!check(&mut table, 0b11, &[3, 4]));
+        // Dominated by the stored [3, 4]: pruned.
+        assert!(check(&mut table, 0b11, &[3, 5]));
+        assert!(check(&mut table, 0b11, &[3, 4]));
         // Strictly better on one device: replaces the stored vector...
-        assert!(table.check_and_insert(0b11, &[2, 4], 1).is_none());
-        // ...so the old vector now reads as dominated, by worker 1's record.
-        assert_eq!(table.check_and_insert(0b11, &[3, 4], 0), Some(1));
+        assert!(!check(&mut table, 0b11, &[2, 4]));
+        // ...so the old vector now reads as dominated.
+        assert!(check(&mut table, 0b11, &[3, 4]));
+        assert_eq!(table.stored, 1);
         // A different mask is tracked independently.
-        assert!(table.check_and_insert(0b101, &[3, 4], 0).is_none());
+        assert!(!check(&mut table, 0b101, &[3, 4]));
         // Incomparable vectors coexist.
-        assert!(table.check_and_insert(0b11, &[1, 9], 0).is_none());
-        assert!(table.check_and_insert(0b11, &[2, 9], 0).is_some());
+        assert!(!check(&mut table, 0b11, &[1, 9]));
+        assert!(check(&mut table, 0b11, &[2, 9]));
+        // The empty mask (the root) is a key like any other.
+        assert!(!check(&mut table, 0, &[0, 0]));
+        assert!(check(&mut table, 0, &[0, 0]));
     }
 
     #[test]
-    fn dominance_table_survives_growth() {
+    fn dominance_table_is_lazy_and_grows_from_its_initial_size() {
         let mut table = DominanceTable::new(1, 1 << 16);
+        // Nothing is allocated until the first probe; touching is a no-op.
+        assert!(table.lines.is_empty());
+        table.touch(0b1);
+        assert!(table.lines.is_empty());
+        assert!(!check(&mut table, 0, &[0]));
+        assert_eq!(table.slots(), INITIAL_SLOTS);
         for i in 0..5000u64 {
-            // All distinct masks: forces slot growth past the initial 1024.
-            assert!(table
-                .check_and_insert(u128::from(i) << 1, &[i], 0)
-                .is_none());
+            // All distinct masks: forces many doublings.
+            assert!(!check(&mut table, u128::from(i) << 1 | 1, &[i]));
+            table.touch(u128::from(i) << 1 | 1);
         }
+        assert!(table.slots() * 7 >= 5001 * 10 && table.slots() > INITIAL_SLOTS);
+        assert!(table.slots().is_power_of_two());
         for i in 0..5000u64 {
-            assert!(table
-                .check_and_insert(u128::from(i) << 1, &[i + 1], 0)
-                .is_some());
+            assert!(check(&mut table, u128::from(i) << 1 | 1, &[i + 1]));
         }
+        // Masks that differ only in the high half are different keys.
+        assert!(!check(&mut table, 1u128 << 100 | 1, &[0]));
     }
 
     #[test]
-    fn dominance_table_respects_capacity() {
+    fn dominance_table_respects_capacity_and_counts_drops() {
         let mut table = DominanceTable::new(1, 2);
-        assert!(table.check_and_insert(0b1, &[5], 0).is_none());
-        assert!(table.check_and_insert(0b10, &[5], 0).is_none());
+        let mut stats = SolveStats::default();
+        assert!(!table.check_and_insert(0b1, &[5], &mut stats));
+        assert!(!table.check_and_insert(0b10, &[5], &mut stats));
+        assert_eq!(stats.memo_drops, 0);
         // Capacity reached: the vector is not recorded...
-        assert!(table.check_and_insert(0b100, &[5], 0).is_none());
+        assert!(!table.check_and_insert(0b100, &[5], &mut stats));
+        assert_eq!(stats.memo_drops, 1);
         // ...so an identical state is not pruned either.
-        assert!(table.check_and_insert(0b100, &[5], 0).is_none());
+        assert!(!table.check_and_insert(0b100, &[5], &mut stats));
+        // An incomparable vector under a stored mask is refused the same way.
+        let mut wide = DominanceTable::new(2, 1);
+        assert!(!wide.check_and_insert(0b1, &[1, 9], &mut stats));
+        assert_eq!(stats.memo_drops, 2);
+        assert!(!wide.check_and_insert(0b1, &[9, 1], &mut stats));
+        assert_eq!(stats.memo_drops, 3);
+        // A dominating vector replaces instead of adding: never a drop.
+        assert!(!wide.check_and_insert(0b1, &[1, 8], &mut stats));
+        assert_eq!(stats.memo_drops, 3);
+        assert!(wide.check_and_insert(0b1, &[1, 9], &mut stats));
+    }
+
+    #[test]
+    fn a_dominated_inline_vector_is_replaced_while_its_chain_survives() {
+        let mut table = DominanceTable::new(2, 1024);
+        // [5, 5] sits in the slot, [1, 9] and [9, 1] behind it in the chain.
+        for v in [[5, 5], [1, 9], [9, 1]] {
+            assert!(!check(&mut table, 0b1, &v));
+        }
+        assert_eq!(table.stored, 3);
+        // [4, 4] dominates only the inline vector and takes its place.
+        assert!(!check(&mut table, 0b1, &[4, 4]));
+        assert_eq!(table.stored, 3);
+        assert!(check(&mut table, 0b1, &[5, 5]));
+        assert!(check(&mut table, 0b1, &[4, 4]));
+        assert!(check(&mut table, 0b1, &[1, 9]));
+        assert!(check(&mut table, 0b1, &[9, 2]));
+        assert!(!check(&mut table, 0b1, &[3, 8]));
+        // [0, 0] dominates everything: the chain is recycled, one vector
+        // remains, and the freed records are reused by the next inserts.
+        assert!(!check(&mut table, 0b1, &[0, 0]));
+        assert_eq!(table.stored, 1);
+        let arena = table.arena.len();
+        assert!(check(&mut table, 0b1, &[1, 9]));
+        assert!(!check(&mut table, 0b10, &[1, 9]));
+        assert!(!check(&mut table, 0b10, &[9, 1]));
+        assert_eq!(table.arena.len(), arena);
+    }
+
+    #[test]
+    fn slots_span_as_many_lines_as_the_devices_need() {
+        // 1 and 5 devices fit the key's line, 6 and 13 spill into a second,
+        // 16 into a third; every lane must take part in the comparison.
+        for (devices, lines) in [(1, 1), (5, 1), (6, 2), (13, 2), (16, 3)] {
+            let mut table = DominanceTable::new(devices, 1 << 12);
+            assert_eq!(table.stride, lines, "{devices} devices");
+            let base = vec![10u64; devices];
+            for mask in 1..200u128 {
+                assert!(!check(&mut table, mask, &base));
+            }
+            for mask in 1..200u128 {
+                for lane in 0..devices {
+                    // Worse in one lane only: dominated by the stored vector.
+                    let mut worse = base.clone();
+                    worse[lane] += 1;
+                    assert!(check(&mut table, mask, &worse), "{devices}/{lane}");
+                    // Better in one lane, worse in the next: incomparable
+                    // (with one device there is no next lane).
+                    if devices > 1 {
+                        let mut mixed = worse.clone();
+                        mixed[(lane + 1) % devices] -= 2;
+                        assert!(!check(&mut table, mask, &mixed), "{devices}/{lane}");
+                        assert!(check(&mut table, mask, &mixed), "{devices}/{lane}");
+                    }
+                }
+                // Better in the last lane only: replaces the inline vector and
+                // sweeps the chain vectors it dominates.
+                let mut better = base.clone();
+                better[devices - 1] -= 1;
+                assert!(!check(&mut table, mask, &better), "{devices}");
+                assert!(check(&mut table, mask, &base), "{devices}");
+            }
+        }
     }
 
     /// Convenience driver for the lock-free table in single-threaded tests.
@@ -667,11 +853,11 @@ mod tests {
             let mut stats = SolveStats::default();
             for (mask, finishes) in &ops {
                 let mask = u128::from(*mask);
-                let locked = reference.check_and_insert(mask, finishes, 0);
+                let locked = reference.check_and_insert(mask, finishes, &mut stats);
                 let lock_free = shared
                     .check_and_insert(mask, finishes, 0, &mut scratch, &mut stats);
                 prop_assert_eq!(
-                    locked.is_some(),
+                    locked,
                     lock_free.is_some(),
                     "prune decision diverged for mask {} finishes {:?}",
                     mask,

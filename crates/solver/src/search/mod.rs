@@ -17,10 +17,12 @@
 //! # Module layout
 //!
 //! * [`engine`] — the allocation-free DFS hot loop: flattened instance data,
-//!   undo-stack state restoration, pooled candidate buffers, bound passes.
+//!   earliest starts, bound and ready list maintained incrementally through
+//!   undo stacks, children tested before they are applied.
 //! * [`dominance`] — the flat open-addressing dominance tables: one private
-//!   table for the serial search, a lock-free CAS-claimed table shared by
-//!   parallel workers (SIMD-friendly vector compares live in [`simd`]).
+//!   cache-line-per-lookup table for the serial search, a lock-free
+//!   CAS-claimed table shared by parallel workers (SIMD-friendly vector
+//!   compares live in [`simd`]).
 //! * [`frontier`] — subtree tasks and the per-worker Chase–Lev steal deques
 //!   of the work-stealing scheduler.
 //! * [`parallel`] — the work-stealing worker pool: seeding, stealing,
@@ -414,7 +416,7 @@ impl Solver {
             return None;
         }
         ctx.node_cap = ctx.stats.nodes.saturating_add(probe);
-        ctx.dfs(0);
+        ctx.dfs();
         ctx.node_cap = u64::MAX;
         if !ctx.stop {
             return Some(true);
@@ -464,12 +466,14 @@ impl Solver {
             }));
         }
 
-        let flat = FlatInstance::build(instance, &windows);
-        let mut ctx = SearchContext::new(&flat, &self.config, deadline, upper, lower, started);
-
         // Seed the incumbent with a greedy schedule when minimising; this both
         // provides an upper bound for pruning and guarantees a solution even
-        // if the node limit is hit immediately.
+        // if the node limit is hit immediately. The seeds run before any
+        // search state exists: a large share of Tessel's repetend instances
+        // is settled right here and never needs one.
+        let mut upper = upper;
+        let mut stats = SolveStats::default();
+        let mut seed: Option<Solution> = None;
         if deadline.is_none() {
             for priority in [
                 GreedyPriority::LongestTail,
@@ -477,40 +481,42 @@ impl Solver {
                 GreedyPriority::EarliestStart,
             ] {
                 if let Some(sol) = greedy_schedule(instance, priority) {
-                    if sol.makespan() < ctx.upper {
-                        ctx.upper = sol.makespan();
-                        ctx.best_makespan = Some(sol.makespan());
-                        ctx.best_starts.copy_from_slice(sol.starts());
-                        ctx.stats.incumbents += 1;
+                    if sol.makespan() < upper {
+                        upper = sol.makespan();
+                        stats.incumbents += 1;
                         if let Some(board) = &self.config.progress {
                             board.record_incumbent(sol.makespan());
                         }
                         if let Some(sink) = &self.config.incumbent_sink {
                             sink.report(sol.makespan());
                         }
+                        seed = Some(sol);
                     }
                 }
             }
-            // Greedy already optimal: no need to branch at all.
-            if ctx.best_makespan.is_some() && ctx.upper <= lower {
-                ctx.stats.complete = true;
-                ctx.stats.elapsed = started.elapsed();
-                let solution = Solution::new(ctx.best_starts.clone(), instance);
-                return Ok(SolveOutcome::Optimal(solution, ctx.stats));
-            }
         }
 
-        // An abort that fired before branching (e.g. an already-expired
-        // per-request deadline) returns promptly: the greedy incumbent, if
-        // any, is reported as an unproven feasible solution.
-        if self.config.abort.should_stop() {
-            ctx.stats.elapsed = started.elapsed();
-            ctx.stats.complete = false;
-            let stats = ctx.stats.clone();
-            return Ok(match ctx.best_makespan {
-                Some(_) => SolveOutcome::Feasible(Solution::new(ctx.best_starts, instance), stats),
+        // Greedy already optimal (no need to branch at all), or an abort
+        // that fired before branching (e.g. an already-expired per-request
+        // deadline, which returns promptly: the greedy incumbent, if any, is
+        // reported as an unproven feasible solution).
+        let settled = seed.is_some() && upper <= lower;
+        if settled || self.config.abort.should_stop() {
+            stats.elapsed = started.elapsed();
+            stats.complete = settled;
+            return Ok(match seed {
+                Some(solution) if settled => SolveOutcome::Optimal(solution, stats),
+                Some(solution) => SolveOutcome::Feasible(solution, stats),
                 None => SolveOutcome::Unknown(stats),
             });
+        }
+
+        let flat = FlatInstance::build(instance, &windows);
+        let mut ctx = SearchContext::new(&flat, &self.config, deadline, upper, lower, started);
+        ctx.stats = stats;
+        if let Some(solution) = &seed {
+            ctx.best_makespan = Some(solution.makespan());
+            ctx.best_starts.copy_from_slice(solution.starts());
         }
 
         let threads = self.config.effective_threads();
@@ -530,17 +536,14 @@ impl Solver {
                 }
             }
         } else {
-            ctx.dfs(0);
+            ctx.dfs();
             !ctx.stop || ctx.deadline_satisfied()
         };
         ctx.stats.elapsed = started.elapsed();
         ctx.stats.complete = complete;
         // Publish the final sub-batch so a finished solve's board matches
         // its node count even when the solve never reached a flush boundary.
-        if let Some(board) = &self.config.progress {
-            board.add_nodes(ctx.nodes_since_flush);
-            ctx.nodes_since_flush = 0;
-        }
+        ctx.flush();
 
         let stats = ctx.stats.clone();
         Ok(match (ctx.best_makespan, stats.complete) {
@@ -1116,6 +1119,124 @@ mod tests {
         assert_eq!(snap.steals, stats.steals);
         // Workers retire their depth slots when the pool winds down.
         assert!(snap.worker_depths.is_empty());
+    }
+
+    /// Deterministic splitmix64 (no external RNG in the solver crate).
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A small random instance with everything the incremental state has to
+    /// get right: release dates, zero-length tasks, tasks on two devices,
+    /// a random precedence DAG and (half the time) a memory cap.
+    fn random_instance(state: &mut u64) -> Instance {
+        let devices = 1 + (next(state) % 3) as usize;
+        let tasks = 6 + (next(state) % 9) as usize;
+        let mut b = InstanceBuilder::new(devices);
+        if next(state).is_multiple_of(2) {
+            b.set_memory_capacity(Some(2 + (next(state) % 3) as i64));
+        }
+        for t in 0..tasks {
+            let first = (next(state) % devices as u64) as usize;
+            let second = (next(state) % devices as u64) as usize;
+            let on: Vec<usize> = if next(state).is_multiple_of(4) && second != first {
+                vec![first, second]
+            } else {
+                vec![first]
+            };
+            let memory = (next(state) % 3) as i64 - 1;
+            let mut task = Task::new(format!("t{t}"), next(state) % 4, on, memory);
+            if next(state).is_multiple_of(4) {
+                task = task.with_release(next(state) % 6);
+            }
+            b.push_task(task).unwrap();
+        }
+        for succ in 1..tasks {
+            for pred in 0..succ {
+                if next(state).is_multiple_of(5) {
+                    b.add_precedence(TaskId::from_index(pred), TaskId::from_index(succ))
+                        .unwrap();
+                }
+            }
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn incremental_state_matches_recomputation_on_random_solves() {
+        // The engine's `#[cfg(test)]` hooks do the work: at every expanded
+        // node `est`, the bound and the ready list are compared with a
+        // from-scratch pass, and every search that returns is compared with
+        // a fresh root. This test only has to drive enough different solves
+        // through them, serially and through the worker pool.
+        let mut state = 0x007e_55e1_u64;
+        let mut nodes = 0;
+        for case in 0..150 {
+            let inst = random_instance(&mut state);
+            let serial = Solver::new(SolverConfig::exhaustive().with_threads(1));
+            let pool = Solver::new(
+                SolverConfig::exhaustive()
+                    .with_threads(2)
+                    .with_serial_warmstart(0),
+            );
+            let reference = serial.minimize(&inst).unwrap();
+            assert!(reference.stats().complete, "case {case}");
+            nodes += reference.stats().nodes;
+            let best = reference.solution().map(Solution::makespan);
+            assert_eq!(
+                pool.minimize(&inst)
+                    .unwrap()
+                    .solution()
+                    .map(Solution::makespan),
+                best,
+                "case {case}"
+            );
+            let Some(best) = best else { continue };
+            for solver in [&serial, &pool] {
+                let below = solver.minimize_below(&inst, best).unwrap();
+                assert!(below.is_infeasible(), "case {case}");
+                let above = solver.minimize_below(&inst, best + 1).unwrap();
+                assert_eq!(above.solution().map(Solution::makespan), Some(best));
+                let met = solver.satisfy(&inst, best).unwrap();
+                met.solution().unwrap().validate(&inst).unwrap();
+                nodes += below.stats().nodes + above.stats().nodes + met.stats().nodes;
+                if best > 0 {
+                    assert!(solver.satisfy(&inst, best - 1).unwrap().is_infeasible());
+                }
+            }
+        }
+        assert!(nodes > 20_000, "the battery only expanded {nodes} nodes");
+    }
+
+    #[test]
+    fn a_full_serial_memo_reports_its_drops() {
+        let inst = v_shape(2, 4, 2, None);
+        let reference = Solver::new(SolverConfig::exhaustive().with_threads(1))
+            .minimize(&inst)
+            .unwrap();
+        assert_eq!(reference.stats().memo_drops, 0);
+        let board = ProgressBoard::new();
+        let starved = SolverConfig {
+            dominance_memo_limit: 64,
+            ..SolverConfig::exhaustive().with_threads(1)
+        };
+        let outcome = Solver::new(starved.with_progress(board.clone()))
+            .minimize(&inst)
+            .unwrap();
+        // Still exact, but the search had to forget states — and says so,
+        // in its statistics and on the live board.
+        assert!(outcome.is_optimal());
+        assert_eq!(
+            outcome.solution().unwrap().makespan(),
+            reference.solution().unwrap().makespan()
+        );
+        assert!(outcome.stats().nodes > reference.stats().nodes);
+        assert!(outcome.stats().memo_drops > 0);
+        assert_eq!(board.snapshot().memo_drops, outcome.stats().memo_drops);
     }
 
     #[test]

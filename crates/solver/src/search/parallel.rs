@@ -97,7 +97,7 @@ pub(super) fn run_parallel(ctx: &mut SearchContext<'_>, threads: usize) -> bool 
         ctx.record_incumbent();
         return true;
     }
-    if ctx.node_lower_bound() >= ctx.upper {
+    if ctx.bound >= ctx.upper {
         ctx.stats.pruned_bound += 1;
         return true;
     }
@@ -118,9 +118,10 @@ pub(super) fn run_parallel(ctx: &mut SearchContext<'_>, threads: usize) -> bool 
         // spawn throttle can have in flight at once, so a seed push can
         // never overflow (asserted below) and offload pushes rarely do.
         queues: TaskQueues::new(workers, roots.len().div_ceil(workers) + spawn_cap + workers),
-        dominance: (ctx.config.dominance_memo_limit > 0).then(|| {
-            SharedDominanceTable::new(ctx.flat.num_devices, ctx.config.dominance_memo_limit)
-        }),
+        dominance: ctx
+            .flat
+            .memo_limit(ctx.config)
+            .map(|limit| SharedDominanceTable::new(ctx.flat.num_devices, limit)),
         flush_interval: FLUSH_INTERVAL
             .min(ctx.config.max_nodes / (workers as u64 * 2).max(1))
             .max(1),
@@ -192,12 +193,8 @@ pub(super) fn run_parallel(ctx: &mut SearchContext<'_>, threads: usize) -> bool 
                         worker.run_task(&task);
                         shared.outstanding.0.fetch_sub(1, Ordering::Release);
                     }
-                    shared
-                        .nodes
-                        .0
-                        .fetch_add(worker.nodes_since_flush, Ordering::Relaxed);
+                    worker.flush();
                     if let Some(board) = &worker.config.progress {
-                        board.add_nodes(worker.nodes_since_flush);
                         board.clear_worker(w as u32);
                     }
                     WorkerResult {

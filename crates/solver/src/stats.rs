@@ -39,11 +39,14 @@ pub struct SolveStats {
     /// single-threaded solves).
     #[serde(default)]
     pub steal_failures: u64,
-    /// Number of finish vectors the bounded-probe lock-free dominance table
-    /// declined to memoise (probe window exhausted or capacity reached). The
-    /// search stays exact — a dropped memo only forfeits future pruning (0
-    /// for single-threaded solves, whose private table reports drops the
-    /// same way as capacity evictions: silently).
+    /// Number of finish vectors a dominance memo declined to record: the
+    /// serial table once [`dominance_memo_limit`] vectors are stored, the
+    /// lock-free shared table when its bounded probe window is exhausted.
+    /// The search stays exact — a dropped memo only forfeits future pruning
+    /// — but a count that is large against `nodes` says the node count is
+    /// what it is because the memo was too small.
+    ///
+    /// [`dominance_memo_limit`]: crate::SolverConfig::dominance_memo_limit
     #[serde(default)]
     pub memo_drops: u64,
     /// Wall-clock microseconds spent in the bounded serial warm-start probe
@@ -101,8 +104,8 @@ pub struct SolverTotals {
     /// [`SolveStats::steal_failures`]).
     #[serde(default)]
     pub steal_failures: u64,
-    /// Finish vectors the bounded-probe shared dominance table declined to
-    /// memoise (see [`SolveStats::memo_drops`]).
+    /// Finish vectors a full dominance memo declined to record (see
+    /// [`SolveStats::memo_drops`]).
     #[serde(default)]
     pub memo_drops: u64,
     /// Microseconds spent in serial warm-start probes (see

@@ -273,6 +273,7 @@ fn every_wire_type_matches_the_reference_printer() {
         incumbent: Some(9),
         incumbents: 2,
         steals: 0,
+        memo_drops: 5,
         worker_depths: vec![3, 0, 17],
     };
     assert_codec!(InflightInfo, waiting);

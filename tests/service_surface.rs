@@ -428,6 +428,7 @@ fn inflight_rows_serialize_absent_options_as_null() {
         incumbent: None,
         incumbents: 0,
         steals: 0,
+        memo_drops: 0,
         worker_depths: vec![],
     };
     assert_pinned!(
@@ -436,7 +437,7 @@ fn inflight_rows_serialize_absent_options_as_null() {
         "{\"trace_id\":\"00000000000000000000000000000000\",\"method\":\"CALL\",\
          \"path\":\"/v1/search\",\"peer\":null,\"stage\":\"queued\",\"elapsed_ms\":1,\
          \"deadline_remaining_ms\":null,\"nodes\":0,\"incumbent\":null,\"incumbents\":0,\
-         \"steals\":0,\"worker_depths\":[]}"
+         \"steals\":0,\"memo_drops\":0,\"worker_depths\":[]}"
     );
     let solving = InflightInfo {
         peer: Some("127.0.0.1:50000".into()),
@@ -446,6 +447,7 @@ fn inflight_rows_serialize_absent_options_as_null() {
         incumbent: Some(17),
         incumbents: 3,
         steals: 2,
+        memo_drops: 7,
         worker_depths: vec![4, 9],
         ..queued.clone()
     };
@@ -455,7 +457,7 @@ fn inflight_rows_serialize_absent_options_as_null() {
         "{\"trace_id\":\"00000000000000000000000000000000\",\"method\":\"CALL\",\
          \"path\":\"/v1/search\",\"peer\":\"127.0.0.1:50000\",\"stage\":\"solve\",\
          \"elapsed_ms\":1,\"deadline_remaining_ms\":958,\"nodes\":12345,\"incumbent\":17,\
-         \"incumbents\":3,\"steals\":2,\"worker_depths\":[4,9]}"
+         \"incumbents\":3,\"steals\":2,\"memo_drops\":7,\"worker_depths\":[4,9]}"
     );
     // The three options may be left out entirely.
     let sparse: InflightInfo = serde_json::from_str(
