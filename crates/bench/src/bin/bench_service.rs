@@ -1,16 +1,17 @@
-//! Records the `service_throughput`, `request_stage_latency` and
-//! `http_transport` sections of `BENCH_search.json`: the in-process
-//! schedule-search service under repeat traffic — with the per-stage
-//! latency medians its flight recorder observed — plus socket-level daemon
-//! throughput (see [`tessel_bench::report::service_rows`]).
+//! Records the `admission_overload`, `anytime_streaming` and
+//! `observability_overhead` sections of `BENCH_search.json`: goodput of the
+//! daemon under sustained overload, the time to the first streamed incumbent
+//! and the cost of the live-plane sampler (see
+//! [`tessel_bench::report::emit_service`]). Request throughput and per-stage
+//! latency belong to the benchmark package (`serve_hit`, `serve_miss`).
 //!
 //! ```bash
 //! cargo run --release -p tessel-bench --bin bench_service
 //! ```
 
 fn main() {
-    // Keep the measurement output readable: the socket-level transport rows
-    // would otherwise interleave with one info log line per request.
+    // Keep the measurement output readable: the socket-level rows would
+    // otherwise interleave with one info log line per request.
     tessel_obs::init(tessel_obs::Level::Warn, tessel_obs::LogFormat::Text);
     tessel_bench::report::emit_service();
 }

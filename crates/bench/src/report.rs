@@ -20,16 +20,12 @@
 //!   wall-clock columns need a multi-core box (interpret against `host.cpus`).
 //! * `portfolio_search` — end-to-end `TesselSearch::run` wall-clock on the
 //!   Fig. 8 synthetic shapes with 1 vs 4 portfolio workers.
-//! * `service_throughput` — requests/s and cache hit rate of the in-process
-//!   schedule-search service under repeat traffic (written by the
-//!   `bench_service` binary).
-//! * `request_stage_latency` — per-stage median latency of the same repeat
-//!   workload, computed from the service's flight recorder (the per-request
-//!   stage breakdowns behind `GET /v1/debug/requests`); shows *where* the
-//!   request time goes, not just how much there is.
-//! * `http_transport` — socket-level daemon throughput with a fresh TCP
-//!   connection per request vs one kept-alive connection (also written by
-//!   `bench_service`).
+//! * `admission_overload`, `anytime_streaming`, `observability_overhead` —
+//!   the daemon under sustained overload, the time to the first streamed
+//!   incumbent and the cost of the live-plane sampler (written by the
+//!   `bench_service` binary). Request throughput and per-stage latency are
+//!   not recorded here: the benchmark package's `serve_hit` / `serve_miss`
+//!   workloads measure them with segments, medians and spread.
 //! * `criterion_<name>` — raw measurements of the corresponding criterion
 //!   bench run.
 
@@ -378,268 +374,6 @@ pub fn portfolio_rows() -> Vec<PortfolioRow> {
             });
         }
     }
-    rows
-}
-
-/// One row of the `service_throughput` section.
-#[derive(Debug, Clone, Serialize)]
-pub struct ServiceThroughputRow {
-    /// Workload description.
-    pub workload: String,
-    /// Search requests issued.
-    pub requests: u64,
-    /// Requests served from the result cache (including device-permuted
-    /// variants that hit via the canonical fingerprint).
-    pub cache_hits: u64,
-    /// Requests that ran a full search.
-    pub cache_misses: u64,
-    /// Hit rate over all requests.
-    pub hit_rate: f64,
-    /// Wall-clock seconds for the whole workload.
-    pub seconds: f64,
-    /// Requests per second.
-    pub requests_per_sec: f64,
-    /// Median request latency in milliseconds (histogram bucket bound).
-    pub p50_ms: f64,
-    /// 99th-percentile request latency in milliseconds (bucket bound).
-    pub p99_ms: f64,
-}
-
-/// One row of the `request_stage_latency` section: the latency distribution
-/// of a single request stage across the whole repeat workload, read back
-/// from the service's flight recorder.
-#[derive(Debug, Clone, Serialize)]
-pub struct StageLatencyRow {
-    /// Stage name (the span taxonomy in `docs/ARCHITECTURE.md`).
-    pub stage: String,
-    /// Requests whose flight record contains the stage.
-    pub samples: u64,
-    /// Median stage latency in milliseconds.
-    pub median_ms: f64,
-    /// Worst stage latency in milliseconds.
-    pub max_ms: f64,
-}
-
-/// The two result sets of the in-process service workload: aggregate
-/// throughput per shape plus the per-stage latency medians recovered from
-/// the flight recorder afterwards.
-#[derive(Debug, Clone)]
-pub struct ServiceBenchResults {
-    /// The `service_throughput` section rows.
-    pub throughput: Vec<ServiceThroughputRow>,
-    /// The `request_stage_latency` section rows.
-    pub stage_latency: Vec<StageLatencyRow>,
-}
-
-/// Measures the in-process schedule-search service under repeat traffic:
-/// every synthetic 4-device shape is requested `repeats` times — the first
-/// request pays the full search, later ones (including device-permuted
-/// variants) must hit the canonical-fingerprint cache — and the aggregate
-/// requests/s and hit rate are recorded. After each shape's workload the
-/// service's flight recorder is drained into per-stage latency samples.
-#[must_use]
-pub fn service_rows(repeats: usize) -> ServiceBenchResults {
-    use tessel_service::wire::SearchRequest;
-    use tessel_service::{ScheduleService, ServiceConfig};
-
-    let mut rows = Vec::new();
-    let mut stage_samples: Vec<(String, Vec<u64>)> = Vec::new();
-    for shape in [
-        ShapeKind::V,
-        ShapeKind::X,
-        ShapeKind::M,
-        ShapeKind::NN,
-        ShapeKind::K,
-    ] {
-        let placement = synthetic_placement(shape, 4).expect("placement");
-        let service = ScheduleService::new(ServiceConfig {
-            default_micro_batches: 8,
-            default_max_repetend: 3,
-            candidate_limit: Some(600),
-            ..ServiceConfig::default()
-        })
-        .expect("service");
-        let devices = placement.num_devices();
-        let started = Instant::now();
-        for i in 0..repeats.max(1) {
-            // Every other repeat rotates the device labels: those requests
-            // can only hit through canonical fingerprinting.
-            let variant = if i % 2 == 1 {
-                let rotation: Vec<usize> = (0..devices).map(|d| (d + 1) % devices).collect();
-                let order: Vec<usize> = (0..placement.num_blocks()).collect();
-                placement.permuted(&rotation, &order).expect("permutation")
-            } else {
-                placement.clone()
-            };
-            service
-                .search(&SearchRequest::for_placement(variant))
-                .expect("search");
-        }
-        let seconds = started.elapsed().as_secs_f64();
-        let snapshot = service.metrics_snapshot();
-        rows.push(ServiceThroughputRow {
-            workload: format!("{shape}-4dev-x{}-rotating", repeats.max(1)),
-            requests: snapshot.requests,
-            cache_hits: snapshot.cache_hits,
-            cache_misses: snapshot.cache_misses,
-            hit_rate: snapshot.hit_rate,
-            seconds,
-            requests_per_sec: snapshot.requests as f64 / seconds.max(1e-9),
-            p50_ms: snapshot.latency_p50_ms,
-            p99_ms: snapshot.latency_p99_ms,
-        });
-        // Drain this shape's flight records into the per-stage sample pools
-        // before the service (and its recorder) is dropped.
-        for record in service.flight_recorder().recent() {
-            for stage in &record.stages {
-                match stage_samples
-                    .iter_mut()
-                    .find(|(name, _)| *name == stage.name)
-                {
-                    Some((_, samples)) => samples.push(stage.micros),
-                    None => stage_samples.push((stage.name.clone(), vec![stage.micros])),
-                }
-            }
-        }
-    }
-    ServiceBenchResults {
-        throughput: rows,
-        stage_latency: stage_latency_rows(stage_samples),
-    }
-}
-
-/// Collapses per-stage sample pools into [`StageLatencyRow`]s, ordered by the
-/// canonical stage taxonomy (unknown stage names sort last, alphabetically).
-fn stage_latency_rows(stage_samples: Vec<(String, Vec<u64>)>) -> Vec<StageLatencyRow> {
-    use tessel_service::metrics::STAGE_LABELS;
-
-    let mut rows: Vec<StageLatencyRow> = stage_samples
-        .into_iter()
-        .map(|(stage, mut samples)| {
-            samples.sort_unstable();
-            let mid = samples.len() / 2;
-            let median_micros = if samples.len() % 2 == 0 {
-                (samples[mid - 1] + samples[mid]) as f64 / 2.0
-            } else {
-                samples[mid] as f64
-            };
-            StageLatencyRow {
-                stage,
-                samples: samples.len() as u64,
-                median_ms: median_micros / 1e3,
-                max_ms: *samples.last().expect("non-empty sample pool") as f64 / 1e3,
-            }
-        })
-        .collect();
-    let rank = |stage: &str| {
-        STAGE_LABELS
-            .iter()
-            .position(|&known| known == stage)
-            .unwrap_or(STAGE_LABELS.len())
-    };
-    rows.sort_by(|a, b| {
-        rank(&a.stage)
-            .cmp(&rank(&b.stage))
-            .then_with(|| a.stage.cmp(&b.stage))
-    });
-    rows
-}
-
-/// One row of the `http_transport` section: socket-level daemon throughput
-/// in one connection mode.
-#[derive(Debug, Clone, Serialize)]
-pub struct TransportThroughputRow {
-    /// Workload description (`…/close-per-request` or `…/keepalive`).
-    pub workload: String,
-    /// Requests issued (all cache hits; the transport is what is measured).
-    pub requests: u64,
-    /// Wall-clock seconds for the whole workload.
-    pub seconds: f64,
-    /// Requests per second.
-    pub requests_per_sec: f64,
-    /// TCP connections the workload opened against the daemon.
-    pub connections: u64,
-    /// Requests that reused an already-open connection (keep-alive).
-    pub keepalive_reuses: u64,
-}
-
-/// Measures the daemon over real sockets in both connection modes: a fresh
-/// TCP connection per request (the pre-event-loop behaviour, still available
-/// via `Connection: close`) vs one kept-alive connection carrying every
-/// request. The cache is warmed first so the numbers isolate transport cost,
-/// not search cost.
-#[must_use]
-pub fn transport_rows(requests: usize) -> Vec<TransportThroughputRow> {
-    use std::sync::Arc;
-    use tessel_service::http::http_call;
-    use tessel_service::wire::SearchRequest;
-    use tessel_service::{HttpClient, HttpServer, ScheduleService, ServerConfig, ServiceConfig};
-
-    let placement = synthetic_placement(ShapeKind::V, 4).expect("placement");
-    let service = ScheduleService::new(ServiceConfig {
-        default_micro_batches: 8,
-        default_max_repetend: 3,
-        candidate_limit: Some(600),
-        ..ServiceConfig::default()
-    })
-    .expect("service");
-    let server = HttpServer::serve(
-        Arc::new(service),
-        &ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            ..ServerConfig::default()
-        },
-    )
-    .expect("server");
-    let addr = server.local_addr().to_string();
-    let body = serde_json::to_string(&SearchRequest::for_placement(placement)).expect("request");
-
-    // Warm the cache so both modes measure the transport, not the search.
-    let (status, warm) = http_call(&addr, "POST", "/v1/search", Some(&body)).expect("warmup");
-    assert_eq!(status, 200, "warmup failed: {warm}");
-
-    let requests = requests.max(1);
-    let mut rows = Vec::new();
-
-    let before = server.transport_snapshot();
-    let started = Instant::now();
-    for _ in 0..requests {
-        let (status, _) =
-            http_call(&addr, "POST", "/v1/search", Some(&body)).expect("close-per-request call");
-        assert_eq!(status, 200);
-    }
-    let seconds = started.elapsed().as_secs_f64();
-    let after = server.transport_snapshot();
-    rows.push(TransportThroughputRow {
-        workload: format!("http/v4-x{requests}/close-per-request"),
-        requests: requests as u64,
-        seconds,
-        requests_per_sec: requests as f64 / seconds.max(1e-9),
-        connections: after.connections_accepted - before.connections_accepted,
-        keepalive_reuses: after.keepalive_reuses - before.keepalive_reuses,
-    });
-
-    let before = server.transport_snapshot();
-    let mut client = HttpClient::new(&addr).expect("client");
-    let started = Instant::now();
-    for _ in 0..requests {
-        let (status, _) = client
-            .call("POST", "/v1/search", Some(&body))
-            .expect("keep-alive call");
-        assert_eq!(status, 200);
-    }
-    let seconds = started.elapsed().as_secs_f64();
-    let after = server.transport_snapshot();
-    rows.push(TransportThroughputRow {
-        workload: format!("http/v4-x{requests}/keepalive"),
-        requests: requests as u64,
-        seconds,
-        requests_per_sec: requests as f64 / seconds.max(1e-9),
-        connections: after.connections_accepted - before.connections_accepted,
-        keepalive_reuses: after.keepalive_reuses - before.keepalive_reuses,
-    });
-
-    server.shutdown();
     rows
 }
 
@@ -1100,33 +834,10 @@ pub fn observability_overhead_rows(requests: usize, passes: usize) -> Observabil
     }
 }
 
-/// Runs the service workloads (in-process and socket-level) and updates
-/// their `BENCH_search.json` sections.
+/// Runs the daemon workloads (overload, streaming, sampler overhead) and
+/// updates their `BENCH_search.json` sections.
 pub fn emit_service() {
     write_section("host", &HostInfo::capture());
-    let results = service_rows(16);
-    write_section("service_throughput", &results.throughput);
-    for row in &results.throughput {
-        println!(
-            "service_throughput {:<24} {:>3} reqs hit_rate={:.2} {:>8.1} req/s p50={:.3}ms p99={:.3}ms",
-            row.workload, row.requests, row.hit_rate, row.requests_per_sec, row.p50_ms, row.p99_ms
-        );
-    }
-    write_section("request_stage_latency", &results.stage_latency);
-    for row in &results.stage_latency {
-        println!(
-            "request_stage_latency {:<18} {:>4} samples median={:.3}ms max={:.3}ms",
-            row.stage, row.samples, row.median_ms, row.max_ms
-        );
-    }
-    let transport = transport_rows(200);
-    write_section("http_transport", &transport);
-    for row in &transport {
-        println!(
-            "http_transport {:<36} {:>4} reqs {:>8.1} req/s conns={} reuses={}",
-            row.workload, row.requests, row.requests_per_sec, row.connections, row.keepalive_reuses
-        );
-    }
     let overload = admission_overload_rows(std::time::Duration::from_secs(4));
     write_section("admission_overload", &overload);
     for row in &overload {
@@ -1245,22 +956,6 @@ pub fn emit_all() {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stage_latency_rows_compute_medians_in_taxonomy_order() {
-        let rows = stage_latency_rows(vec![
-            ("serialize".to_string(), vec![40, 10, 20]),
-            ("parse".to_string(), vec![2, 4]),
-            ("mystery".to_string(), vec![7]),
-        ]);
-        let names: Vec<&str> = rows.iter().map(|r| r.stage.as_str()).collect();
-        // Taxonomy order (parse before serialize), unknown stages last.
-        assert_eq!(names, ["parse", "serialize", "mystery"]);
-        assert_eq!(rows[0].median_ms, 0.003); // even count: mean of middles
-        assert_eq!(rows[1].median_ms, 0.020); // odd count: middle sample
-        assert_eq!(rows[1].max_ms, 0.040);
-        assert_eq!(rows[1].samples, 3);
-    }
 
     #[test]
     fn host_info_records_the_git_commit() {

@@ -185,6 +185,25 @@ pub fn cooldown_entry_memory(
     mem
 }
 
+/// The block set of one completion phase of `candidate` (Eqs. 5 and 6) and
+/// the memory resident on each device when the phase starts: nothing before
+/// the warmup, the warmup plus `copies` repetend repetitions before the
+/// cooldown.
+pub(crate) fn phase_inputs(
+    placement: &PlacementSpec,
+    phase: Phase,
+    candidate: &RepetendCandidate,
+    copies: usize,
+) -> (Vec<(usize, usize)>, Vec<i64>) {
+    match phase {
+        Phase::Warmup => (warmup_blocks(candidate), vec![0; placement.num_devices()]),
+        Phase::Cooldown => (
+            cooldown_blocks(candidate),
+            cooldown_entry_memory(placement, candidate, copies),
+        ),
+    }
+}
+
 /// Solves a completion phase time-optimally.
 ///
 /// # Errors
@@ -250,21 +269,11 @@ pub fn complete_schedule(
     copies: usize,
     solver: &Solver,
 ) -> Result<(PhasePlan, PhasePlan), CoreError> {
-    let warmup = solve_phase(
-        placement,
-        Phase::Warmup,
-        &warmup_blocks(&repetend.candidate),
-        vec![0; placement.num_devices()],
-        solver,
-    )?;
-    let cooldown = solve_phase(
-        placement,
-        Phase::Cooldown,
-        &cooldown_blocks(&repetend.candidate),
-        cooldown_entry_memory(placement, &repetend.candidate, copies),
-        solver,
-    )?;
-    Ok((warmup, cooldown))
+    let solve = |phase| {
+        let (blocks, entry_memory) = phase_inputs(placement, phase, &repetend.candidate, copies);
+        solve_phase(placement, phase, &blocks, entry_memory, solver)
+    };
+    Ok((solve(Phase::Warmup)?, solve(Phase::Cooldown)?))
 }
 
 #[cfg(test)]

@@ -10,11 +10,14 @@
 //! before an instance is built. The *lazy search* optimisation (§V) replaces
 //! per-candidate phase optimisation with a cheap satisfiability probe and
 //! only optimises the phases once, for the winning repetend.
+//!
+//! The candidate loop is written once, for every portfolio width: workers
+//! pull from one lazy candidate stream, share the best period found so far
+//! through an atomic bound, and the minimum by (period, enumeration order)
+//! wins. One worker runs inline on the caller's thread and is the serial loop
+//! of the paper; several run as scoped threads.
 
-use crate::completion::{
-    cooldown_blocks, cooldown_entry_memory, probe_phase, solve_phase, warmup_blocks, Phase,
-    PhasePlan,
-};
+use crate::completion::{phase_inputs, probe_phase, solve_phase, Phase, PhasePlan};
 use crate::compose::compose_schedule;
 use crate::error::CoreError;
 use crate::ir::PlacementSpec;
@@ -27,7 +30,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use tessel_solver::{
-    Abort, CancelToken, IncumbentSink, Solver, SolverConfig, SolverTotals, StatsSink,
+    resolve_threads, Abort, CancelToken, IncumbentSink, Solver, SolverConfig, SolverTotals,
+    StatsSink,
 };
 
 /// Configuration of the Tessel search.
@@ -47,17 +51,19 @@ pub struct SearchConfig {
     /// Optional cap on the number of candidates examined per `NR` value;
     /// `None` enumerates all of them.
     pub candidate_limit: Option<usize>,
-    /// Number of worker threads evaluating repetend candidates in parallel
-    /// (the *portfolio* search).
+    /// Number of workers evaluating repetend candidates (the *portfolio*
+    /// width).
     ///
-    /// `1` (the default) reproduces the strictly serial candidate loop of
-    /// Algorithm 1; `0` uses [`std::thread::available_parallelism`]. Workers
-    /// pull candidates lazily from a shared generator and share the best
-    /// period found so far through an atomic bound, so a good repetend found
-    /// by one worker immediately tightens the solver budget of all others.
-    /// The winning *period* is independent of the thread count (ties among
-    /// recorded candidates break by enumeration order); which equally-good
-    /// candidate carries it may differ from the serial loop.
+    /// Every width runs the same candidate loop: workers pull candidates
+    /// lazily from one shared generator and share the best period found so
+    /// far through an atomic bound, so a good repetend found by one worker
+    /// immediately tightens the screen and the solver budget of all others.
+    /// `1` (the default) runs that loop inline on the caller's thread, which
+    /// is the strictly serial loop of Algorithm 1; `0` means one worker per
+    /// core (see [`resolve_threads`]). The winning *period* is independent
+    /// of the width (ties among recorded candidates break by enumeration
+    /// order); which equally-good candidate carries it may differ from the
+    /// one-worker run.
     pub portfolio_threads: usize,
     /// Optional wall-clock budget for one [`TesselSearch::run`] call. When it
     /// elapses, in-flight solver work is aborted cooperatively and the run
@@ -182,14 +188,11 @@ impl SearchConfig {
         self
     }
 
-    /// The portfolio thread count actually used: resolves `0` to the
-    /// machine's available parallelism.
-    #[must_use]
-    pub fn effective_portfolio_threads(&self) -> usize {
-        match self.portfolio_threads {
-            0 => std::thread::available_parallelism().map_or(1, usize::from),
-            n => n,
-        }
+    /// Repetend repetitions between warmup and cooldown when the composed
+    /// schedule covers [`SearchConfig::num_micro_batches`] micro-batches.
+    fn copies_for(&self, repetend: &Repetend) -> usize {
+        let nr = repetend.num_micro_batches();
+        self.num_micro_batches.max(nr) - nr + 1
     }
 }
 
@@ -210,6 +213,14 @@ impl PhaseBreakdown {
     #[must_use]
     pub fn total(&self) -> Duration {
         self.repetend + self.warmup + self.cooldown
+    }
+
+    /// The column a completion phase is charged to.
+    fn of(&mut self, phase: Phase) -> &mut Duration {
+        match phase {
+            Phase::Warmup => &mut self.warmup,
+            Phase::Cooldown => &mut self.cooldown,
+        }
     }
 }
 
@@ -309,88 +320,92 @@ impl TesselSearch {
         let started = Instant::now();
         let mut stats = SearchStats::default();
 
-        // Per-run abort conditions: the caller's cancellation token plus the
-        // wall-clock budget, shared with every solver this run creates so
-        // in-flight branch loops stop cooperatively.
-        let abort = Abort {
-            cancel: self.config.cancel.clone(),
-            deadline: self.config.time_budget.map(|budget| started + budget),
-        };
-
-        // Every solver this run creates reports its effort into one shared
-        // sink, aggregated into `SearchStats::solver` at the end.
-        let sink = StatsSink::new();
-        let phase_solver = solver_for_run(&self.config.phase_solver, &abort, &sink, None);
-
         // Lines 1-6 of Algorithm 1: bounds and the in-flight micro-batch cap.
-        let mut optimal = placement.total_block_time() + 1;
-        let lower_bound = placement.repetend_lower_bound();
         let inflights = placement
             .max_inflight_micro_batches(self.config.max_repetend_micro_batches)
             .min(self.config.max_repetend_micro_batches)
             .min(self.config.num_micro_batches)
             .max(1);
 
-        let threads = self.config.effective_portfolio_threads();
-        let (best, best_phases) = if threads > 1 {
-            self.search_candidates_portfolio(
+        let shared = Shared {
+            placement,
+            config: &self.config,
+            // Per-run abort conditions: the caller's cancellation token plus
+            // the wall-clock budget, shared with every solver this run
+            // creates so in-flight branch loops stop cooperatively.
+            abort: Abort {
+                cancel: self.config.cancel.clone(),
+                deadline: self.config.time_budget.map(|budget| started + budget),
+            },
+            // Every solver this run creates reports its effort into one
+            // shared sink, aggregated into `SearchStats::solver` at the end.
+            sink: StatsSink::new(),
+            stream: Mutex::new(CandidateStream::new(
                 placement,
-                &mut stats,
-                &mut optimal,
-                lower_bound,
                 inflights,
-                threads,
-                &abort,
-                &sink,
-            )?
-        } else {
-            self.search_candidates_serial(
-                placement,
-                &mut stats,
-                &mut optimal,
-                lower_bound,
-                inflights,
-                &abort,
-                &sink,
-            )?
+                self.config.candidate_limit,
+            )),
+            optimal: AtomicU64::new(placement.total_block_time() + 1),
+            lower_bound: placement.repetend_lower_bound(),
+            stop: AtomicBool::new(false),
+            best: Mutex::new(None),
         };
 
-        // The budget expiring anywhere inside the candidate loops — including
+        // Lines 7-19: the same worker whatever the width. One worker needs
+        // no thread of its own.
+        let threads = resolve_threads(self.config.portfolio_threads);
+        let tallies: Vec<Result<SearchStats, CoreError>> = if threads == 1 {
+            vec![Worker::new(&shared).run()]
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|_| scope.spawn(|| Worker::new(&shared).run()))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("portfolio worker panicked"))
+                    .collect()
+            })
+        };
+
+        // Candidates actually pulled from the generator: enumeration stops
+        // once the early exit fires.
+        stats.candidates_considered = shared.stream.lock().expect("stream lock").pulled;
+        for tally in tallies {
+            let tally = tally?;
+            stats.candidates_screened += tally.candidates_screened;
+            stats.repetend_solves += tally.repetend_solves;
+            stats.feasibility_probes += tally.feasibility_probes;
+            stats.improving_repetends += tally.improving_repetends;
+            stats.phase_times.repetend += tally.phase_times.repetend;
+            stats.phase_times.warmup += tally.phase_times.warmup;
+            stats.phase_times.cooldown += tally.phase_times.cooldown;
+        }
+
+        // The budget expiring anywhere inside the candidate loop — including
         // mid-solve on the last candidate of an eager-mode run, which the
-        // loops themselves cannot distinguish from an infeasible candidate —
+        // loop itself cannot distinguish from an infeasible candidate —
         // uniformly surfaces as a deadline error rather than a silently
         // weaker result.
-        if abort.should_stop() {
+        if shared.abort.should_stop() {
             return Err(CoreError::DeadlineExceeded);
         }
 
-        let repetend = best.ok_or(CoreError::NoFeasibleRepetend)?;
-        let copies = self.copies_for(&repetend);
-        let (warmup, cooldown) = match best_phases {
+        let winner = shared.best.lock().expect("winner lock").take();
+        let winner = winner.ok_or(CoreError::NoFeasibleRepetend)?;
+        let repetend = winner.repetend;
+        stats.chosen_nr = winner.nr;
+        stats.early_exit = repetend.period <= shared.lower_bound;
+        let (warmup, cooldown) = match winner.phases {
             Some(phases) => phases,
-            None => {
-                // Lazy mode (or the winning candidate changed after its eager
-                // phases were solved): optimise the phases once, now.
-                let warmup_clock = Instant::now();
-                let warmup = solve_phase(
-                    placement,
-                    Phase::Warmup,
-                    &warmup_blocks(&repetend.candidate),
-                    vec![0; placement.num_devices()],
-                    &phase_solver,
-                )?;
-                stats.phase_times.warmup += warmup_clock.elapsed();
-                let cooldown_clock = Instant::now();
-                let cooldown = solve_phase(
-                    placement,
-                    Phase::Cooldown,
-                    &cooldown_blocks(&repetend.candidate),
-                    cooldown_entry_memory(placement, &repetend.candidate, copies),
-                    &phase_solver,
-                )?;
-                stats.phase_times.cooldown += cooldown_clock.elapsed();
-                (warmup, cooldown)
-            }
+            // Lazy mode: optimise the phases once, now, for the winner only.
+            None => solve_phases(
+                placement,
+                &repetend,
+                self.config.copies_for(&repetend),
+                &shared.solver(&self.config.phase_solver, None),
+                &mut stats.phase_times,
+            )?,
         };
 
         let schedule = compose_schedule(
@@ -402,7 +417,7 @@ impl TesselSearch {
                 .num_micro_batches
                 .max(repetend.num_micro_batches()),
         )?;
-        stats.solver = sink.totals();
+        stats.solver = shared.sink.totals();
         stats.total_time = started.elapsed();
         Ok(SearchOutcome {
             schedule,
@@ -412,421 +427,232 @@ impl TesselSearch {
             stats,
         })
     }
+}
 
-    /// Lines 7-19 of Algorithm 1: the strictly serial candidate loop.
+/// What one [`TesselSearch::run`] call shares among its workers.
+struct Shared<'a> {
+    placement: &'a PlacementSpec,
+    config: &'a SearchConfig,
+    abort: Abort,
+    sink: StatsSink,
+    /// All repetend candidates (every `NR` level, in enumeration order) form
+    /// one logical work queue, produced **lazily** — nothing is materialized
+    /// up front, so very large `NR` levels cost `O(K)` memory no matter how
+    /// many candidates they contain. A worker pulls the next candidate under
+    /// this short-held lock.
+    stream: Mutex<CandidateStream<'a>>,
+    /// The best period found so far (Algorithm 1's `optimal`): the upper
+    /// bound of every screen and solve. An improvement published by one
+    /// worker immediately tightens the pruning of every other and cancels
+    /// candidates that can no longer win.
+    optimal: AtomicU64,
+    /// The per-device load bound no repetend can beat.
+    lower_bound: u64,
+    /// Raised by the worker that reaches `lower_bound` (line 19 of
+    /// Algorithm 1, the early exit).
+    stop: AtomicBool,
+    /// Only the (period, seq)-minimum candidate can win, so a single running
+    /// best is retained instead of every phase-feasible candidate.
+    best: Mutex<Option<Win>>,
+}
+
+impl Shared<'_> {
+    /// A solver configured by `config` with the run's abort conditions,
+    /// statistics sink and (for repetend solvers only) the anytime incumbent
+    /// observer attached.
+    fn solver(&self, config: &SolverConfig, incumbent: Option<&IncumbentSink>) -> Solver {
+        let mut config = config.clone();
+        config.abort = self.abort.clone();
+        config.stats_sink = Some(self.sink.clone());
+        config.incumbent_sink = incumbent.cloned();
+        Solver::new(config)
+    }
+}
+
+/// A solved warmup and cooldown.
+type Phases = (PhasePlan, PhasePlan);
+
+/// A phase-feasible candidate, as recorded for the final pick.
+struct Win {
+    /// Position in the enumeration: the tie-breaker among equal periods.
+    seq: usize,
+    nr: usize,
+    repetend: Repetend,
+    /// The completion phases, if eager mode already solved them.
+    phases: Option<Phases>,
+}
+
+/// One evaluator of repetend candidates: its own solvers, its own
+/// [`CandidateScreen`] (the scratch buffers inside are not shareable) and its
+/// own tally — the counters and phase times of a [`SearchStats`], summed over
+/// the workers after the loop — so nothing but [`Shared`] is contended.
+struct Worker<'s, 'p> {
+    shared: &'s Shared<'p>,
+    repetend_solver: Solver,
+    phase_solver: Solver,
+    probe_solver: Solver,
+    screen: CandidateScreen,
+    tally: SearchStats,
+}
+
+impl<'s, 'p> Worker<'s, 'p> {
+    fn new(shared: &'s Shared<'p>) -> Self {
+        let config = shared.config;
+        Worker {
+            shared,
+            repetend_solver: shared.solver(&config.repetend_solver, config.incumbent_sink.as_ref()),
+            phase_solver: shared.solver(&config.phase_solver, None),
+            probe_solver: shared.solver(&SolverConfig::probe(), None),
+            screen: CandidateScreen::new(shared.placement),
+            tally: SearchStats::default(),
+        }
+    }
+
+    /// Lines 7-19 of Algorithm 1: pull candidates until the stream runs dry,
+    /// the lower bound is reached or the run is aborted.
     ///
-    /// Candidates are pulled incrementally from [`candidate_iter`], so even
-    /// an astronomically large candidate space costs `O(K)` memory, and pass
-    /// the [`CandidateScreen`] before anything is built for them.
-    ///
-    /// Returns the winning repetend (if any) and, in eager mode, the phases
-    /// solved alongside it.
-    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
-    fn search_candidates_serial(
-        &self,
-        placement: &PlacementSpec,
-        stats: &mut SearchStats,
-        optimal: &mut u64,
-        lower_bound: u64,
-        inflights: usize,
-        abort: &Abort,
-        sink: &StatsSink,
-    ) -> Result<(Option<Repetend>, Option<(PhasePlan, PhasePlan)>), CoreError> {
-        let repetend_solver = solver_for_run(
-            &self.config.repetend_solver,
-            abort,
-            sink,
-            self.config.incumbent_sink.as_ref(),
-        );
-        let phase_solver = solver_for_run(&self.config.phase_solver, abort, sink, None);
-        let probe_solver = solver_for_run(&SolverConfig::probe(), abort, sink, None);
-        let mut screen = CandidateScreen::new(placement);
-        let mut best: Option<Repetend> = None;
-        let mut best_phases: Option<(PhasePlan, PhasePlan)> = None;
+    /// The final winner is the recorded candidate with the smallest period,
+    /// ties broken by enumeration order (the stream's sequence number). With
+    /// one worker that *is* the last strictly improving candidate — the
+    /// serial loop of the paper. With several, the winning *period* is the
+    /// same (both are the minimum over phase-feasible candidates); which
+    /// equally-good candidate carries it may depend on completion timing.
+    fn run(mut self) -> Result<SearchStats, CoreError> {
+        let shared = self.shared;
+        while !shared.stop.load(Ordering::Relaxed) && !shared.abort.should_stop() {
+            let Some((seq, nr, candidate)) = shared.stream.lock().expect("stream lock").next()
+            else {
+                break;
+            };
+            let Some((repetend, phases)) = self.evaluate(&candidate)? else {
+                continue;
+            };
 
-        'outer: for nr in 1..=inflights {
-            let level_limit = self.config.candidate_limit.unwrap_or(usize::MAX);
-            for candidate in candidate_iter(placement, nr).take(level_limit) {
-                if abort.should_stop() {
-                    return Err(CoreError::DeadlineExceeded);
-                }
-                stats.candidates_considered += 1;
-                let repetend_clock = Instant::now();
-                let solved = if screen.bound(&candidate, *optimal) >= *optimal {
-                    stats.candidates_screened += 1;
-                    None
-                } else {
-                    stats.repetend_solves += 1;
-                    solve_repetend(placement, &candidate, &repetend_solver, *optimal)?
-                };
-                stats.phase_times.repetend += repetend_clock.elapsed();
-                let Some(repetend) = solved else { continue };
-                if repetend.period >= *optimal {
-                    continue;
-                }
-
-                let copies = self.copies_for(&repetend);
-                if self.config.lazy {
-                    // Lazy search: a cheap satisfiability check instead of a
-                    // time-optimal solve per improving candidate.
-                    let warmup_clock = Instant::now();
-                    let warmup_ok = probe_phase(
-                        placement,
-                        &warmup_blocks(&repetend.candidate),
-                        vec![0; placement.num_devices()],
-                        &probe_solver,
-                    )?;
-                    stats.feasibility_probes += 1;
-                    stats.phase_times.warmup += warmup_clock.elapsed();
-                    if !warmup_ok {
-                        continue;
-                    }
-                    let cooldown_clock = Instant::now();
-                    let cooldown_ok = probe_phase(
-                        placement,
-                        &cooldown_blocks(&repetend.candidate),
-                        cooldown_entry_memory(placement, &repetend.candidate, copies),
-                        &probe_solver,
-                    )?;
-                    stats.feasibility_probes += 1;
-                    stats.phase_times.cooldown += cooldown_clock.elapsed();
-                    if !cooldown_ok {
-                        continue;
-                    }
-                    best_phases = None;
-                } else {
-                    // Eager mode: optimise the completion phases for every
-                    // improving repetend (the configuration compared against
-                    // in the Fig. 10(b) ablation).
-                    let warmup_clock = Instant::now();
-                    let warmup = solve_phase(
-                        placement,
-                        Phase::Warmup,
-                        &warmup_blocks(&repetend.candidate),
-                        vec![0; placement.num_devices()],
-                        &phase_solver,
-                    );
-                    stats.phase_times.warmup += warmup_clock.elapsed();
-                    let Ok(warmup) = warmup else { continue };
-                    let cooldown_clock = Instant::now();
-                    let cooldown = solve_phase(
-                        placement,
-                        Phase::Cooldown,
-                        &cooldown_blocks(&repetend.candidate),
-                        cooldown_entry_memory(placement, &repetend.candidate, copies),
-                        &phase_solver,
-                    );
-                    stats.phase_times.cooldown += cooldown_clock.elapsed();
-                    let Ok(cooldown) = cooldown else { continue };
-                    best_phases = Some((warmup, cooldown));
-                }
-
-                *optimal = repetend.period;
-                stats.improving_repetends += 1;
-                stats.chosen_nr = nr;
-                best = Some(repetend);
-                if *optimal <= lower_bound {
-                    stats.early_exit = true;
-                    break 'outer;
+            // Publish the improvement and record the win for the final pick.
+            let period = repetend.period;
+            let improved = period < shared.optimal.fetch_min(period, Ordering::Relaxed);
+            if improved {
+                self.tally.improving_repetends += 1;
+            }
+            {
+                let mut best = shared.best.lock().expect("winner lock");
+                let beats = best
+                    .as_ref()
+                    .is_none_or(|b| (period, seq) < (b.repetend.period, b.seq));
+                if beats {
+                    *best = Some(Win {
+                        seq,
+                        nr,
+                        repetend,
+                        phases,
+                    });
                 }
             }
+            if improved && period <= shared.lower_bound {
+                shared.stop.store(true, Ordering::Relaxed);
+                break;
+            }
         }
-        Ok((best, best_phases))
+        Ok(self.tally)
     }
 
-    /// The parallel portfolio variant of the candidate loop.
-    ///
-    /// All repetend candidates (every `NR` level, in enumeration order) form
-    /// one logical work queue, produced **lazily** by a shared
-    /// [`PortfolioStream`] — nothing is materialized up front, so very large
-    /// `NR` levels cost `O(K)` memory no matter how many candidates they
-    /// contain. Workers pull the next candidate under a short-held lock,
-    /// screen it (each on its own clone of the [`CandidateScreen`]) and solve
-    /// it with the current shared best period as the upper bound of both, run
-    /// the lazy feasibility probes (or the eager phase solves) for
-    /// improving candidates, and publish improvements to the shared
-    /// `AtomicU64` bound — which immediately tightens the pruning of every
-    /// other worker and cancels candidates that can no longer win. A worker
-    /// that reaches the repetend lower bound raises the stop flag (the
-    /// parallel form of Algorithm 1's line 19 early exit).
-    ///
-    /// The final winner is chosen by smallest period, breaking ties by
-    /// enumeration order (the stream's sequence number). The winning *period*
-    /// always matches the serial loop's (both are the minimum over
-    /// phase-feasible candidates); which equally-good candidate carries it
-    /// may depend on completion timing.
-    #[allow(
-        clippy::type_complexity,
-        clippy::too_many_lines,
-        clippy::too_many_arguments
-    )]
-    fn search_candidates_portfolio(
-        &self,
-        placement: &PlacementSpec,
-        stats: &mut SearchStats,
-        optimal: &mut u64,
-        lower_bound: u64,
-        inflights: usize,
-        threads: usize,
-        abort: &Abort,
-        sink: &StatsSink,
-    ) -> Result<(Option<Repetend>, Option<(PhasePlan, PhasePlan)>), CoreError> {
-        let stream = Mutex::new(PortfolioStream::new(
-            placement,
-            inflights,
-            self.config.candidate_limit,
-        ));
-
-        struct Win {
-            seq: usize,
-            nr: usize,
-            repetend: Repetend,
-            phases: Option<(PhasePlan, PhasePlan)>,
-        }
-
-        #[derive(Default)]
-        struct WorkerTally {
-            candidates_screened: usize,
-            repetend_solves: usize,
-            feasibility_probes: usize,
-            improving: usize,
-            phase_times: PhaseBreakdown,
-        }
-
-        let screen = CandidateScreen::new(placement);
-        let shared_optimal = AtomicU64::new(*optimal);
-        let stop = AtomicBool::new(false);
-        let timed_out = AtomicBool::new(false);
-        // Only the (period, seq)-minimum candidate can win, so a single
-        // running best is retained instead of every phase-feasible candidate.
-        let best_win: Mutex<Option<Win>> = Mutex::new(None);
-
-        let tallies: Vec<Result<WorkerTally, CoreError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let stream = &stream;
-                    let shared_optimal = &shared_optimal;
-                    let stop = &stop;
-                    let timed_out = &timed_out;
-                    let best_win = &best_win;
-                    let screen = &screen;
-                    scope.spawn(move || -> Result<WorkerTally, CoreError> {
-                        let repetend_solver = solver_for_run(
-                            &self.config.repetend_solver,
-                            abort,
-                            sink,
-                            self.config.incumbent_sink.as_ref(),
-                        );
-                        let phase_solver =
-                            solver_for_run(&self.config.phase_solver, abort, sink, None);
-                        let probe_solver =
-                            solver_for_run(&SolverConfig::probe(), abort, sink, None);
-                        let mut screen = screen.clone();
-                        let mut tally = WorkerTally::default();
-                        loop {
-                            if stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            if abort.should_stop() {
-                                timed_out.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                            let Some((seq, nr, candidate)) =
-                                stream.lock().expect("stream lock").next()
-                            else {
-                                break;
-                            };
-                            // The shared bound cancels candidates that can no
-                            // longer win before any solver work happens.
-                            let bound = shared_optimal.load(Ordering::Relaxed);
-                            let repetend_clock = Instant::now();
-                            let solved = if screen.bound(&candidate, bound) >= bound {
-                                tally.candidates_screened += 1;
-                                None
-                            } else {
-                                tally.repetend_solves += 1;
-                                solve_repetend(placement, &candidate, &repetend_solver, bound)?
-                            };
-                            tally.phase_times.repetend += repetend_clock.elapsed();
-                            let Some(repetend) = solved else { continue };
-                            if repetend.period >= shared_optimal.load(Ordering::Relaxed) {
-                                continue;
-                            }
-
-                            let copies = self.copies_for(&repetend);
-                            let phases = if self.config.lazy {
-                                // Lazy search: probe feasibility first and
-                                // leave phase optimisation to the very end.
-                                let warmup_clock = Instant::now();
-                                let warmup_ok = probe_phase(
-                                    placement,
-                                    &warmup_blocks(&repetend.candidate),
-                                    vec![0; placement.num_devices()],
-                                    &probe_solver,
-                                )?;
-                                tally.feasibility_probes += 1;
-                                tally.phase_times.warmup += warmup_clock.elapsed();
-                                if !warmup_ok {
-                                    continue;
-                                }
-                                let cooldown_clock = Instant::now();
-                                let cooldown_ok = probe_phase(
-                                    placement,
-                                    &cooldown_blocks(&repetend.candidate),
-                                    cooldown_entry_memory(placement, &repetend.candidate, copies),
-                                    &probe_solver,
-                                )?;
-                                tally.feasibility_probes += 1;
-                                tally.phase_times.cooldown += cooldown_clock.elapsed();
-                                if !cooldown_ok {
-                                    continue;
-                                }
-                                None
-                            } else {
-                                let warmup_clock = Instant::now();
-                                let warmup = solve_phase(
-                                    placement,
-                                    Phase::Warmup,
-                                    &warmup_blocks(&repetend.candidate),
-                                    vec![0; placement.num_devices()],
-                                    &phase_solver,
-                                );
-                                tally.phase_times.warmup += warmup_clock.elapsed();
-                                let Ok(warmup) = warmup else { continue };
-                                let cooldown_clock = Instant::now();
-                                let cooldown = solve_phase(
-                                    placement,
-                                    Phase::Cooldown,
-                                    &cooldown_blocks(&repetend.candidate),
-                                    cooldown_entry_memory(placement, &repetend.candidate, copies),
-                                    &phase_solver,
-                                );
-                                tally.phase_times.cooldown += cooldown_clock.elapsed();
-                                let Ok(cooldown) = cooldown else { continue };
-                                Some((warmup, cooldown))
-                            };
-
-                            // Publish the improvement (CAS-min on the shared
-                            // bound) and record the win for the final pick.
-                            let period = repetend.period;
-                            let mut current = shared_optimal.load(Ordering::Relaxed);
-                            let mut improved = false;
-                            while period < current {
-                                match shared_optimal.compare_exchange_weak(
-                                    current,
-                                    period,
-                                    Ordering::Relaxed,
-                                    Ordering::Relaxed,
-                                ) {
-                                    Ok(_) => {
-                                        improved = true;
-                                        break;
-                                    }
-                                    Err(observed) => current = observed,
-                                }
-                            }
-                            if improved {
-                                tally.improving += 1;
-                            }
-                            {
-                                let mut best = best_win.lock().unwrap();
-                                let beats = best
-                                    .as_ref()
-                                    .is_none_or(|b| (period, seq) < (b.repetend.period, b.seq));
-                                if beats {
-                                    *best = Some(Win {
-                                        seq,
-                                        nr,
-                                        repetend,
-                                        phases,
-                                    });
-                                }
-                            }
-                            if improved && period <= lower_bound {
-                                stop.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                        }
-                        Ok(tally)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("portfolio worker panicked"))
-                .collect()
-        });
-
-        // Candidates actually pulled from the generator; comparable to the
-        // serial loop, which also stops enumerating once the early exit
-        // fires.
-        stats.candidates_considered += stream.into_inner().expect("stream lock").pulled();
-
-        for tally in tallies {
-            let tally = tally?;
-            stats.candidates_screened += tally.candidates_screened;
-            stats.repetend_solves += tally.repetend_solves;
-            stats.feasibility_probes += tally.feasibility_probes;
-            stats.improving_repetends += tally.improving;
-            stats.phase_times.repetend += tally.phase_times.repetend;
-            stats.phase_times.warmup += tally.phase_times.warmup;
-            stats.phase_times.cooldown += tally.phase_times.cooldown;
-        }
-
-        if timed_out.load(Ordering::Relaxed) {
-            return Err(CoreError::DeadlineExceeded);
-        }
-
-        let Some(winner) = best_win.into_inner().unwrap() else {
-            return Ok((None, None));
+    /// Everything Algorithm 1 does with one candidate: screen it, solve it
+    /// below the best period so far, and check that its completion phases
+    /// exist. Returns the repetend if it is still improving and
+    /// phase-feasible, together with its phases when eager mode solved them.
+    fn evaluate(
+        &mut self,
+        candidate: &RepetendCandidate,
+    ) -> Result<Option<(Repetend, Option<Phases>)>, CoreError> {
+        let (placement, optimal) = (self.shared.placement, &self.shared.optimal);
+        // The shared bound cancels candidates that can no longer win before
+        // any solver work happens: a candidate whose screen bound reaches it
+        // is rejected before an instance is built.
+        let bound = optimal.load(Ordering::Relaxed);
+        let repetend_clock = Instant::now();
+        let solved = if self.screen.bound(candidate, bound) >= bound {
+            self.tally.candidates_screened += 1;
+            None
+        } else {
+            self.tally.repetend_solves += 1;
+            solve_repetend(placement, candidate, &self.repetend_solver, bound)?
         };
-        *optimal = winner.repetend.period.min(*optimal);
-        stats.chosen_nr = winner.nr;
-        stats.early_exit = winner.repetend.period <= lower_bound;
-        Ok((Some(winner.repetend), winner.phases))
-    }
+        self.tally.phase_times.repetend += repetend_clock.elapsed();
+        let Some(repetend) = solved.filter(|r| r.period < optimal.load(Ordering::Relaxed)) else {
+            return Ok(None);
+        };
 
-    fn copies_for(&self, repetend: &Repetend) -> usize {
-        let nr = repetend.num_micro_batches();
-        let n = self.config.num_micro_batches.max(nr);
-        n - nr + 1
+        let copies = self.shared.config.copies_for(&repetend);
+        if !self.shared.config.lazy {
+            // Eager mode: optimise the completion phases for every improving
+            // repetend (the configuration compared against in the Fig. 10(b)
+            // ablation). A repetend whose phases cannot be solved is skipped.
+            let phases = solve_phases(
+                placement,
+                &repetend,
+                copies,
+                &self.phase_solver,
+                &mut self.tally.phase_times,
+            );
+            return Ok(phases.ok().map(|phases| (repetend, Some(phases))));
+        }
+        // Lazy search: a cheap satisfiability check instead of a time-optimal
+        // solve per improving candidate; phase optimisation is left to the
+        // very end.
+        for phase in [Phase::Warmup, Phase::Cooldown] {
+            let clock = Instant::now();
+            let (blocks, entry_memory) =
+                phase_inputs(placement, phase, &repetend.candidate, copies);
+            let feasible = probe_phase(placement, &blocks, entry_memory, &self.probe_solver)?;
+            self.tally.feasibility_probes += 1;
+            *self.tally.phase_times.of(phase) += clock.elapsed();
+            if !feasible {
+                return Ok(None);
+            }
+        }
+        Ok(Some((repetend, None)))
     }
 }
 
-/// Clones a solver configuration with the run's abort conditions, statistics
-/// sink and (for repetend solvers only) the anytime incumbent observer
-/// attached.
-fn solver_for_run(
-    config: &SolverConfig,
-    abort: &Abort,
-    sink: &StatsSink,
-    incumbent: Option<&IncumbentSink>,
-) -> Solver {
-    let mut config = config.clone();
-    config.abort = abort.clone();
-    config.stats_sink = Some(sink.clone());
-    config.incumbent_sink = incumbent.cloned();
-    Solver::new(config)
+/// Solves the warmup, then the cooldown of `repetend` time-optimally,
+/// charging each to its column of `times`. The cooldown is not attempted if
+/// the warmup has no schedule.
+fn solve_phases(
+    placement: &PlacementSpec,
+    repetend: &Repetend,
+    copies: usize,
+    solver: &Solver,
+    times: &mut PhaseBreakdown,
+) -> Result<Phases, CoreError> {
+    let mut solve = |phase| {
+        let clock = Instant::now();
+        let (blocks, entry_memory) = phase_inputs(placement, phase, &repetend.candidate, copies);
+        let plan = solve_phase(placement, phase, &blocks, entry_memory, solver);
+        *times.of(phase) += clock.elapsed();
+        plan
+    };
+    Ok((solve(Phase::Warmup)?, solve(Phase::Cooldown)?))
 }
 
-/// Shared lazy candidate source for the portfolio search: chains the
-/// incremental [`candidate_iter`] generators of every `NR` level (respecting
-/// the per-level candidate limit) and stamps each candidate with its global
+/// The lazy candidate source of a search run: chains the incremental
+/// [`candidate_iter`] generators of every `NR` level (respecting the
+/// per-level candidate limit) and stamps each candidate with its global
 /// enumeration sequence number, which doubles as the deterministic
 /// tie-breaker among equal periods.
-struct PortfolioStream<'a> {
+struct CandidateStream<'a> {
     placement: &'a PlacementSpec,
     inflights: usize,
     level_limit: usize,
     nr: usize,
     taken_in_level: usize,
     iter: CandidateIter<'a>,
+    /// Number of candidates handed out so far.
     pulled: usize,
 }
 
-impl<'a> PortfolioStream<'a> {
+impl<'a> CandidateStream<'a> {
     fn new(placement: &'a PlacementSpec, inflights: usize, limit: Option<usize>) -> Self {
-        PortfolioStream {
+        CandidateStream {
             placement,
             inflights,
             level_limit: limit.unwrap_or(usize::MAX),
@@ -836,14 +662,9 @@ impl<'a> PortfolioStream<'a> {
             pulled: 0,
         }
     }
-
-    /// Number of candidates handed out so far.
-    fn pulled(&self) -> usize {
-        self.pulled
-    }
 }
 
-impl Iterator for PortfolioStream<'_> {
+impl Iterator for CandidateStream<'_> {
     type Item = (usize, usize, RepetendCandidate);
 
     fn next(&mut self) -> Option<(usize, usize, RepetendCandidate)> {
@@ -1096,13 +917,6 @@ mod tests {
         assert!(!config.lazy);
         assert_eq!(config.max_repetend_micro_batches, 3);
         assert_eq!(config.portfolio_threads, 4);
-        assert_eq!(config.effective_portfolio_threads(), 4);
-        assert!(
-            SearchConfig::default()
-                .with_portfolio_threads(0)
-                .effective_portfolio_threads()
-                >= 1
-        );
     }
 
     #[test]

@@ -119,11 +119,6 @@ pub struct ServiceConfig {
     /// Hard ceiling on solver threads accepted from requests (protects the
     /// daemon from thread-bomb requests).
     pub max_solver_threads: usize,
-    /// Steal granularity of the parallel solver (see
-    /// [`SolverConfig::steal_depth`]).
-    ///
-    /// [`SolverConfig::steal_depth`]: tessel_solver::SolverConfig::steal_depth
-    pub solver_steal_depth: usize,
     /// Optional cap on candidates per `NR` level.
     pub candidate_limit: Option<usize>,
     /// Deadline applied when a request does not carry one.
@@ -151,7 +146,6 @@ pub struct ServiceConfig {
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        let solver_defaults = tessel_solver::SolverConfig::default();
         ServiceConfig {
             cache: CacheConfig::default(),
             cache_path: None,
@@ -161,7 +155,6 @@ impl Default for ServiceConfig {
             portfolio_threads: 1,
             solver_threads: 1,
             max_solver_threads: 8,
-            solver_steal_depth: solver_defaults.steal_depth,
             candidate_limit: None,
             default_deadline: Some(Duration::from_secs(60)),
             journal_compact_every: 64,
@@ -837,12 +830,7 @@ impl ScheduleService {
     /// every thread count proves the same optimum.
     fn resolve_solver_threads(&self, request: &SearchRequest) -> usize {
         let asked = request.solver_threads.unwrap_or(self.config.solver_threads);
-        // Reuse the solver's own 0-resolution policy rather than duplicating
-        // it here.
-        let resolved = tessel_solver::SolverConfig::default()
-            .with_threads(asked)
-            .effective_threads();
-        resolved.clamp(1, self.config.max_solver_threads.max(1))
+        tessel_solver::resolve_threads(asked).clamp(1, self.config.max_solver_threads.max(1))
     }
 
     /// Runs the actual search (leader path) and populates the cache on
@@ -878,14 +866,13 @@ impl ScheduleService {
         if let Some(sink) = sink {
             config = config.with_incumbent_sink(sink.clone());
         }
-        // The parallel-solver tuning knobs apply to both solver roles; so
-        // does the live progress board of the leading request, when one is
-        // registered — core's per-run config cloning preserves the handle,
-        // so every solve of this search publishes into it at its existing
-        // node-batch flush boundaries (relaxed atomics, no added locks).
+        // The live progress board of the leading request, when one is
+        // registered, applies to both solver roles — core's per-run config
+        // cloning preserves the handle, so every solve of this search
+        // publishes into it at its existing node-batch flush boundaries
+        // (relaxed atomics, no added locks).
         let board = inflight::with_current(|entry| entry.board().clone());
         for solver in [&mut config.repetend_solver, &mut config.phase_solver] {
-            solver.steal_depth = self.config.solver_steal_depth;
             solver.progress = board.clone();
         }
 

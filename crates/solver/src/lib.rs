@@ -72,7 +72,7 @@ pub use lower_bound::{
 };
 pub use progress::{ProgressBoard, ProgressSnapshot, MAX_PROGRESS_WORKERS};
 pub use propagate::TimeWindows;
-pub use search::{SolveOutcome, Solver, SolverConfig};
+pub use search::{resolve_threads, SolveOutcome, Solver, SolverConfig};
 pub use solution::{Solution, SolutionViolation};
 pub use stats::{IncumbentSink, SolveStats, SolverTotals, StatsSink};
 pub use task::{Task, TaskId};

@@ -261,15 +261,18 @@ impl SolverConfig {
         self.progress = Some(board);
         self
     }
+}
 
-    /// The thread count actually used: resolves `0` to the machine's
-    /// available parallelism.
-    #[must_use]
-    pub fn effective_threads(&self) -> usize {
-        match self.threads {
-            0 => std::thread::available_parallelism().map_or(1, usize::from),
-            n => n,
-        }
+/// The worker count a thread setting stands for: `0` means the machine's
+/// available parallelism, anything else is taken literally. The one place
+/// the workspace spells that rule — [`SolverConfig::threads`], the schedule
+/// search's portfolio width and the daemon's per-request thread ask all
+/// resolve through it.
+#[must_use]
+pub fn resolve_threads(requested: usize) -> usize {
+    match requested {
+        0 => std::thread::available_parallelism().map_or(1, usize::from),
+        n => n,
     }
 }
 
@@ -519,7 +522,7 @@ impl Solver {
             ctx.best_starts.copy_from_slice(solution.starts());
         }
 
-        let threads = self.config.effective_threads();
+        let threads = resolve_threads(self.config.threads);
         let complete = if threads > 1 {
             let probe_started = Instant::now();
             let probed = self.warmstart_probe(&mut ctx, started);
@@ -1242,7 +1245,8 @@ mod tests {
     #[test]
     fn zero_threads_resolves_to_available_parallelism() {
         let config = SolverConfig::default().with_threads(0);
-        assert!(config.effective_threads() >= 1);
+        assert!(resolve_threads(config.threads) >= 1);
+        assert_eq!(resolve_threads(3), 3);
         let inst = v_shape(2, 2, 2, None);
         let outcome = Solver::new(config).minimize(&inst).unwrap();
         assert!(outcome.is_optimal());

@@ -113,3 +113,139 @@ fn memory_constrained_search_degrades_gracefully() {
         previous_period = Some(outcome.repetend.period);
     }
 }
+
+/// `tests/golden/search_stats.json`: what the serial search does on six small
+/// placements, lazy and eager — every host-independent counter of
+/// `SearchStats`, the winner and the composed makespan. Written by the code
+/// *before* a change to the candidate loop (`cargo test --test
+/// search_end_to_end -- --ignored` at the parent commit) and only compared
+/// against afterwards.
+const GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/search_stats.json"
+);
+
+/// The five 4-device synthetic shapes plus a V whose memory cap keeps the
+/// search from reaching the zero-bubble bound, each lazy and eager.
+fn pinned_cases() -> Vec<(String, tessel::core::PlacementSpec, SearchConfig)> {
+    let mut placements: Vec<(String, tessel::core::PlacementSpec)> = ShapeKind::all()
+        .into_iter()
+        .map(|shape| (format!("{shape}"), synthetic_placement(shape, 4).unwrap()))
+        .collect();
+    let capped = synthetic_placement(ShapeKind::V, 4)
+        .unwrap()
+        .with_memory_capacity(Some(2));
+    placements.push(("V-Shape/cap2".to_string(), capped));
+    let mut cases = Vec::new();
+    for (name, placement) in placements {
+        for lazy in [true, false] {
+            // Every thread count explicit, so `TESSEL_TEST_THREADS` cannot
+            // change which of several equally short schedules a solve
+            // returns; the candidate limit keeps the X-shape's two
+            // independent chains in the seconds range in a debug build.
+            let mut config = SearchConfig::default()
+                .with_micro_batches(8)
+                .with_lazy(lazy)
+                .with_portfolio_threads(1)
+                .with_solver_threads(1);
+            config.candidate_limit = Some(400);
+            let mode = if lazy { "lazy" } else { "eager" };
+            cases.push((format!("{name}/{mode}"), placement.clone(), config));
+        }
+    }
+    cases
+}
+
+/// One golden row. The node total comes last so a reader that must ignore it
+/// (see `without_nodes`) can cut it off.
+fn stats_row(name: &str, outcome: &tessel::core::SearchOutcome) -> String {
+    let stats = &outcome.stats;
+    format!(
+        "  \"{name}\": {{\"considered\": {}, \"screened\": {}, \"solves\": {}, \"probes\": {}, \
+         \"improving\": {}, \"chosen_nr\": {}, \"early_exit\": {}, \"period\": {}, \
+         \"indices\": {:?}, \"makespan\": {}, \"nodes\": {}}}",
+        stats.candidates_considered,
+        stats.candidates_screened,
+        stats.repetend_solves,
+        stats.feasibility_probes,
+        stats.improving_repetends,
+        stats.chosen_nr,
+        stats.early_exit,
+        outcome.repetend.period,
+        outcome.repetend.candidate.indices,
+        outcome.schedule.makespan(),
+        stats.solver.nodes
+    )
+}
+
+fn render_search_stats() -> String {
+    let rows: Vec<String> = pinned_cases()
+        .iter()
+        .map(|(name, placement, config)| {
+            let outcome = TesselSearch::new(config.clone())
+                .run(placement)
+                .expect("search succeeds");
+            outcome.schedule.validate(placement).unwrap();
+            stats_row(name, &outcome)
+        })
+        .collect();
+    format!("{{\n{}\n}}\n", rows.join(",\n"))
+}
+
+/// Every row up to its `nodes` field: the lazy probes run
+/// `SolverConfig::probe()`, whose thread count (and so node count) follows
+/// `TESSEL_TEST_THREADS`; nothing else in a row does.
+fn without_nodes(rendered: &str) -> Vec<&str> {
+    rendered
+        .lines()
+        .map(|line| line.split(", \"nodes\": ").next().unwrap_or(line))
+        .collect()
+}
+
+#[test]
+fn serial_search_matches_the_golden_stats() {
+    let golden = std::fs::read_to_string(GOLDEN).expect("tests/golden/search_stats.json");
+    let actual = render_search_stats();
+    if std::env::var_os("TESSEL_TEST_THREADS").is_none() {
+        assert_eq!(actual, golden, "the serial candidate loop changed");
+    } else {
+        assert_eq!(without_nodes(&actual), without_nodes(&golden));
+    }
+}
+
+/// More portfolio workers change which candidates get solved, never the
+/// period the search proves.
+#[test]
+fn portfolio_widths_reach_the_golden_period() {
+    let golden = std::fs::read_to_string(GOLDEN).expect("tests/golden/search_stats.json");
+    for (name, placement, config) in pinned_cases() {
+        let row = golden
+            .lines()
+            .find(|line| line.contains(&format!("\"{name}\"")))
+            .unwrap_or_else(|| panic!("no golden row for {name}"));
+        for threads in [2usize, 4] {
+            let outcome = TesselSearch::new(config.clone().with_portfolio_threads(threads))
+                .run(&placement)
+                .expect("search succeeds");
+            outcome.schedule.validate(&placement).unwrap();
+            let stats = &outcome.stats;
+            assert!(
+                row.contains(&format!("\"period\": {},", outcome.repetend.period)),
+                "{name} at {threads} workers: period {} not in {row}",
+                outcome.repetend.period
+            );
+            assert_eq!(
+                stats.candidates_considered,
+                stats.candidates_screened + stats.repetend_solves,
+                "{name} at {threads} workers"
+            );
+        }
+    }
+}
+
+/// Writes the golden file from the code as it stands.
+#[test]
+#[ignore = "re-records the golden file; run it at the parent commit of a search change"]
+fn record_golden_search_stats() {
+    std::fs::write(GOLDEN, render_search_stats()).expect("write golden file");
+}
