@@ -3,10 +3,10 @@
 //! The schedule-search pipeline is the hot path of the whole system, so its
 //! perf trajectory is tracked in a single JSON file at the repository root
 //! (override the location with the `TESSEL_BENCH_JSON` environment
-//! variable). Three emitters update it section-by-section — the
-//! `bench_search` binary and the `solver_scaling` / `schedule_search`
-//! criterion benches — each replacing only its own key, so the file
-//! accumulates a consistent snapshot no matter which entry point ran last.
+//! variable). Two emitters update it section-by-section — the
+//! `bench_search` and `bench_service` binaries — each replacing only its own
+//! keys, so the file accumulates a consistent snapshot no matter which
+//! entry point ran last.
 //!
 //! Sections:
 //!
@@ -26,8 +26,6 @@
 //!   `bench_service` binary). Request throughput and per-stage latency are
 //!   not recorded here: the benchmark package's `serve_hit` / `serve_miss`
 //!   workloads measure them with segments, medians and spread.
-//! * `criterion_<name>` — raw measurements of the corresponding criterion
-//!   bench run.
 
 use crate::legacy_solver::legacy_minimize;
 use crate::time_optimal_instance;
@@ -74,9 +72,10 @@ pub struct PortfolioRow {
 
 /// Path of the tracked JSON file.
 ///
-/// Anchored to the workspace root at compile time: `cargo bench` runs bench
-/// binaries with the *package* directory as their working directory, so a
-/// bare relative path would scatter copies under `crates/bench/`.
+/// Anchored to the workspace root at compile time: the emitters (and the
+/// unit tests, which cargo runs from the *package* directory) start in
+/// arbitrary working directories, so a bare relative path would scatter
+/// copies of the file.
 #[must_use]
 pub fn bench_json_path() -> std::path::PathBuf {
     std::env::var_os("TESSEL_BENCH_JSON")
@@ -328,8 +327,7 @@ pub fn emit_thread_scaling() {
 /// The search configuration used for the portfolio wall-clock comparison:
 /// the Fig. 8 experiment configuration, bounded so a full run stays in the
 /// seconds range single-threaded.
-#[must_use]
-pub fn portfolio_bench_config(threads: usize) -> SearchConfig {
+fn portfolio_bench_config(threads: usize) -> SearchConfig {
     let mut config = crate::experiment_search_config(8)
         .with_lazy(false)
         .with_portfolio_threads(threads);
@@ -906,8 +904,8 @@ impl HostInfo {
 }
 
 /// The workspace's current commit hash, or `"unknown"`. Anchored to the
-/// manifest directory: bench binaries may run with an arbitrary working
-/// directory (`cargo bench` uses the package dir).
+/// manifest directory: the emitters may run with an arbitrary working
+/// directory.
 fn git_commit_hash() -> String {
     std::process::Command::new("git")
         .args(["rev-parse", "HEAD"])
@@ -919,16 +917,6 @@ fn git_commit_hash() -> String {
         .map(|hash| hash.trim().to_string())
         .filter(|hash| !hash.is_empty())
         .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// Drains the criterion measurements recorded so far in this process into
-/// `(id, seconds)` rows for a `criterion_*` section.
-#[must_use]
-pub fn criterion_rows() -> Vec<(String, f64)> {
-    criterion::take_measurements()
-        .into_iter()
-        .map(|m| (m.id, m.mean_ns / 1e9))
-        .collect()
 }
 
 /// Runs all solver measurement suites and updates their sections. The

@@ -19,7 +19,7 @@
 //! [`ClusterConfig::circuit_failure_threshold`]: super::ClusterConfig::circuit_failure_threshold
 //! [`ClusterConfig::circuit_cooldown`]: super::ClusterConfig::circuit_cooldown
 
-use crate::http::HttpClient;
+use crate::http::{parse::scan_json_integer, HttpClient};
 use crate::wire::PeerStatusInfo;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -378,7 +378,7 @@ impl Drop for PeerSet {
 
 /// Extracts the `unix_ms` integer a daemon's `/healthz` body reports.
 fn parse_unix_ms(body: &str) -> Option<u64> {
-    u64::try_from(crate::http::scan_json_integer(body, "unix_ms")?).ok()
+    u64::try_from(scan_json_integer(body, "unix_ms")?).ok()
 }
 
 /// Probes every peer's `/healthz` each interval. Sleeps in short slices so

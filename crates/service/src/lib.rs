@@ -16,12 +16,14 @@
 //! * [`singleflight`] — the request-coalescing primitive.
 //! * [`metrics`] — request/hit/miss/latency counters with p50/p99 estimates,
 //!   rendered in Prometheus text format for `/metrics`.
-//! * [`http`] — a readiness-based HTTP/1.1 server over nonblocking
-//!   `std::net` sockets: one epoll-driven event-loop thread multiplexes
-//!   every connection (keep-alive, pipelining, chunked request bodies, idle
-//!   timeouts, per-IP accept caps) and hands parsed requests to the bounded
-//!   worker pool; plus the keep-alive [`HttpClient`] used by the
-//!   `tessel-client` binary, the cluster tier and the end-to-end tests.
+//! * [`http`] — a readiness-based HTTP/1.1 transport over nonblocking
+//!   `std::net` sockets, one submodule per decision: `parse` (the message
+//!   grammar and its size limits, shared by server and client), `event_loop`
+//!   (one epoll-driven thread multiplexing every connection), `admission`
+//!   (the pop/shed policy in front of the bounded worker pool), `reply` (what
+//!   a worker does with one job), `route` (URL → handler → response) and
+//!   `client` (the keep-alive [`HttpClient`] behind `tessel-client`, the
+//!   cluster tier and the end-to-end tests).
 //! * [`cluster`] — the consistent-hash cache sharding tier: a fleet of
 //!   daemons (static `--node-id`/`--peer` membership) shares one logical
 //!   cache, fetching misses from the fingerprint's ring owner, replicating

@@ -808,3 +808,133 @@ fn http_client_reuses_and_recovers_connections() {
 
     server.shutdown();
 }
+
+/// The header cap holds however the head arrives: 100 KB written in one
+/// `write_all` — terminator included, several reads' worth in one readiness
+/// event — is refused with `400` and the connection closes.
+#[test]
+fn oversized_head_in_one_write_is_refused() {
+    let (server, addr) = start_server(ephemeral_config());
+
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let pad = "x".repeat(100 * 1024);
+    let request = format!("GET /healthz HTTP/1.1\r\nHost: test\r\nX-Pad: {pad}\r\n\r\n");
+    // The refusal can land (and the socket close) while the tail is still
+    // being written.
+    let _ = stream.write_all(request.as_bytes());
+
+    let (status, head, body) = read_one_response_with_head(&mut stream);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("headers too large"), "{body}");
+    assert!(head.contains("Connection: close\r\n"), "{head}");
+    // The close may surface as EOF or — unread request bytes were still
+    // queued — as a reset; either way nothing more is served.
+    let mut sink = [0u8; 8];
+    assert!(matches!(stream.read(&mut sink), Ok(0) | Err(_)));
+
+    server.shutdown();
+}
+
+/// A response whose head exceeds the 64 KiB cap fails the client with
+/// `InvalidData` even when it overshoots by less than one read, so that the
+/// read that crosses the cap also delivers the terminator.
+#[test]
+fn http_client_refuses_an_oversized_response_head() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut request = [0u8; 1024];
+        let _ = stream.read(&mut request).unwrap();
+        let pad = "x".repeat(64 * 1024 + 1000);
+        let response = format!("HTTP/1.1 200 OK\r\nX-Pad: {pad}\r\nContent-Length: 2\r\n\r\nok");
+        // The client may hang up before the tail is written.
+        let _ = stream.write_all(response.as_bytes());
+    });
+
+    let error = http_call(&addr, "GET", "/healthz", None).unwrap_err();
+    assert_eq!(error.kind(), std::io::ErrorKind::InvalidData, "{error}");
+    assert!(error.to_string().contains("too large"), "{error}");
+    peer.join().unwrap();
+}
+
+/// A `?stream=1` request that ends up not streaming — its body does not
+/// decode, so the worker answers an ordinary `400` — is still on a connection
+/// the event loop closes after the response. The response must say so:
+/// `Connection: close`, not a `keep-alive` the client would trust.
+#[test]
+fn unstreamed_stream_request_announces_the_close() {
+    let (server, addr) = start_server(ephemeral_config());
+
+    let mut client = HttpClient::new(&addr).unwrap();
+    let (status, headers, body) = client
+        .call_with_headers("POST", "/v1/search?stream=1", Some("not json"), &[])
+        .unwrap();
+    assert_eq!(status, 400, "{body}");
+    let connection = headers
+        .iter()
+        .find(|(name, _)| name.eq_ignore_ascii_case("connection"))
+        .map(|(_, value)| value.as_str());
+    assert_eq!(connection, Some("close"), "{headers:?}");
+    assert!(
+        !client.is_connected(),
+        "the client must not keep the socket"
+    );
+
+    // The next call opens a fresh connection up front instead of tripping
+    // over a dead one: no keep-alive reuse is recorded for it.
+    let (status, _) = client.call("GET", "/healthz", None).unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(server.transport_snapshot().keepalive_reuses, 0);
+    assert!(server.transport_snapshot().connections_accepted >= 2);
+
+    server.shutdown();
+}
+
+/// Lengths are digits only and duplicates must agree: a signed
+/// `Content-Length`, a signed chunk size and two `Content-Length`s that
+/// differ are each a `400` + close; a repeated identical one is served.
+#[test]
+fn signed_and_conflicting_lengths_are_refused() {
+    let (server, addr) = start_server(ephemeral_config());
+    let answer = |framing: &str, body: &str| {
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let request =
+            format!("PUT /v1/debug/loglevel HTTP/1.1\r\nHost: test\r\n{framing}\r\n{body}");
+        stream.write_all(request.as_bytes()).unwrap();
+        let (status, head, body) = read_one_response_with_head(&mut stream);
+        (status, head.contains("Connection: close\r\n"), body)
+    };
+    let level = r#"{"level":"info"}"#;
+    let chunked = "Transfer-Encoding: chunked\r\n";
+
+    for (framing, body) in [
+        ("Content-Length: +16\r\n", level.to_string()),
+        (
+            "Content-Length: 16\r\nContent-Length: 17\r\n",
+            level.to_string(),
+        ),
+        (chunked, format!("+10\r\n{level}\r\n0\r\n\r\n")),
+    ] {
+        let (status, closes, body) = answer(framing, &body);
+        assert_eq!((status, closes), (400, true), "{framing:?}: {body}");
+    }
+    for (framing, body) in [
+        (
+            "Content-Length: 16\r\ncontent-length: 16\r\n",
+            level.to_string(),
+        ),
+        (chunked, format!("10\r\n{level}\r\n0\r\n\r\n")),
+    ] {
+        let (status, closes, body) = answer(framing, &body);
+        assert_eq!((status, closes), (200, false), "{framing:?}: {body}");
+    }
+
+    server.shutdown();
+}
