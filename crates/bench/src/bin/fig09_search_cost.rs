@@ -3,7 +3,10 @@
 //! three evaluation placements.
 
 use std::time::{Duration, Instant};
-use tessel_bench::{print_table, run_tessel, save_record, time_optimal_instance, ExperimentRecord};
+use tessel_bench::{
+    print_table, run_tessel, save_record, screening_cells, time_optimal_instance, ExperimentRecord,
+    SCREENING_HEADER,
+};
 use tessel_placement::shapes::{synthetic_placement, ShapeKind};
 use tessel_solver::{Solver, SolverConfig};
 
@@ -32,11 +35,8 @@ fn main() {
         let stats = run_tessel(&placement, 8).expect("tessel search").stats;
         let tessel_seconds = started.elapsed().as_secs_f64().max(1e-4);
 
-        let mut row = vec![
-            label.to_string(),
-            format!("{tessel_seconds:.3}"),
-            format!("{} / {}", stats.candidates_screened, stats.repetend_solves),
-        ];
+        let mut row = vec![label.to_string(), format!("{tessel_seconds:.3}")];
+        row.extend(screening_cells(&stats));
         let mut series = vec![];
         for nmb in [2usize, 4, 6] {
             let (to_seconds, optimal) = to_search_seconds(&placement, nmb);
@@ -56,7 +56,8 @@ fn main() {
         &[
             "placement",
             "Tessel (s)",
-            "screened / solved",
+            SCREENING_HEADER[0],
+            SCREENING_HEADER[1],
             "TO nmb=2",
             "TO nmb=4",
             "TO nmb=6",

@@ -2,7 +2,10 @@
 //! phases, and the effect of the lazy-search optimisation.
 
 use std::time::Instant;
-use tessel_bench::{experiment_search_config, print_table, save_record, ExperimentRecord};
+use tessel_bench::{
+    experiment_search_config, print_table, save_record, screening_cells, ExperimentRecord,
+    SCREENING_HEADER,
+};
 use tessel_core::search::TesselSearch;
 use tessel_placement::shapes::{synthetic_placement, ShapeKind};
 
@@ -23,16 +26,14 @@ fn main() {
             .expect("lazy search");
         let times = lazy_outcome.stats.phase_times;
         let total = times.total().as_secs_f64().max(1e-9);
-        breakdown_rows.push(vec![
+        let mut row = vec![
             label.to_string(),
             format!("{:.0}%", times.warmup.as_secs_f64() / total * 100.0),
             format!("{:.0}%", times.repetend.as_secs_f64() / total * 100.0),
             format!("{:.0}%", times.cooldown.as_secs_f64() / total * 100.0),
-            format!(
-                "{} / {}",
-                lazy_outcome.stats.candidates_screened, lazy_outcome.stats.repetend_solves
-            ),
-        ]);
+        ];
+        row.extend(screening_cells(&lazy_outcome.stats));
+        breakdown_rows.push(row);
 
         let started = Instant::now();
         let _ = TesselSearch::new(experiment_search_config(8).with_lazy(false))
@@ -62,7 +63,8 @@ fn main() {
             "warmup",
             "repetend",
             "cooldown",
-            "screened / solved",
+            SCREENING_HEADER[0],
+            SCREENING_HEADER[1],
         ],
         &breakdown_rows,
     );

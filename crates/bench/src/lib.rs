@@ -18,7 +18,7 @@ use std::path::PathBuf;
 use tessel_baselines::{one_f_one_b, one_f_one_b_plus};
 use tessel_core::ir::PlacementSpec;
 use tessel_core::schedule::Schedule;
-use tessel_core::search::{SearchConfig, SearchOutcome, TesselSearch};
+use tessel_core::search::{SearchConfig, SearchOutcome, SearchStats, TesselSearch};
 use tessel_core::CoreError;
 use tessel_models::config::{gpt_config_for_gpus, mt5_config_for_gpus, FlavaConfig};
 use tessel_models::cost::CostModel;
@@ -84,6 +84,28 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     for row in rows {
         println!("{}", fmt_row(row));
     }
+}
+
+/// Headers of [`screening_cells`].
+pub const SCREENING_HEADER: [&str; 2] = [
+    "screened / solved",
+    "by load/path/Jackson/selection/probing",
+];
+
+/// What became of a search's candidates, as the search-cost figures print
+/// it: how many the `CandidateScreen` refuted and how many were solved, and
+/// the refuted ones by the stage that refuted them. Host-independent, so the
+/// figures' goldens pin these cells.
+#[must_use]
+pub fn screening_cells(stats: &SearchStats) -> [String; 2] {
+    let by = &stats.screened_by;
+    [
+        format!("{} / {}", stats.candidates_screened, stats.repetend_solves),
+        format!(
+            "{}/{}/{}/{}/{}",
+            by.load, by.critical_path, by.jackson, by.immediate_selection, by.probing
+        ),
+    ]
 }
 
 /// Builds the *time-optimal* (whole-schedule) solver instance used as the

@@ -7,8 +7,10 @@
 //! * [`schedule`] — schedules, their validation against Eq. 1 and the bubble
 //!   rate metric.
 //! * [`repetend`] — repetend construction (§IV-B): candidate enumeration with
-//!   Property 4.1/4.2 pruning, the exact candidate screen, entry-memory
-//!   inference and the compacted period of Eq. 4.
+//!   Property 4.1/4.2 pruning, entry-memory inference and the compacted
+//!   period of Eq. 4.
+//! * [`screen`] — the exact candidate screen in front of the repetend solves:
+//!   three makespan lower bounds, then deadline propagation.
 //! * [`completion`] — warmup/cooldown completion (§IV-C, Eqs. 5 and 6).
 //! * [`compose`] — schedule generalisation to arbitrary micro-batch counts
 //!   (§III-C).
@@ -50,6 +52,7 @@ pub mod fingerprint;
 pub mod ir;
 pub mod repetend;
 pub mod schedule;
+pub mod screen;
 pub mod search;
 
 pub use error::CoreError;

@@ -10,9 +10,9 @@
 use crate::error::CoreError;
 use crate::ir::PlacementSpec;
 use serde::{Deserialize, Serialize};
-use tessel_solver::{
-    jackson_preemptive_bound, Instance, InstanceBuilder, Solution, Solver, TaskId,
-};
+use tessel_solver::{Instance, InstanceBuilder, Solution, Solver, TaskId};
+
+pub use crate::screen::CandidateScreen;
 
 /// An assignment of micro-batch indices to stages (Eq. 3): stage `i` of the
 /// repetend executes micro-batch `indices[i]`.
@@ -151,117 +151,6 @@ impl Iterator for CandidateIter<'_> {
             }
         }
         None
-    }
-}
-
-/// Exact screen in front of the repetend solves: a makespan lower bound for a
-/// candidate's instance, computed from the placement without building the
-/// instance.
-///
-/// The bound is the maximum of the busiest device's load (the same for every
-/// candidate), the critical path over the dependency edges the candidate
-/// keeps (both ends carry the same micro-batch index) and, per device,
-/// [`jackson_preemptive_bound`] over the device's blocks with their heads and
-/// tails along those edges. Every term relaxes the solver's constraint system
-/// (memory is ignored, devices are decoupled), so no schedule of the
-/// candidate's instance finishes earlier: a candidate whose bound reaches the
-/// search's current upper bound has no schedule below it, which is all
-/// [`solve_repetend`] could have reported.
-///
-/// Built once per placement; the scratch buffers inside make
-/// [`CandidateScreen::bound`] allocation-free, so each search worker owns a
-/// clone.
-#[derive(Debug, Clone)]
-pub struct CandidateScreen {
-    /// Stages in topological order.
-    order: Vec<usize>,
-    times: Vec<u64>,
-    /// `deps_flat[deps_off[i]..deps_off[i + 1]]`: the dependencies of stage `i`.
-    deps_off: Vec<usize>,
-    deps_flat: Vec<usize>,
-    /// Stages occupying each device.
-    device_blocks: Vec<Vec<usize>>,
-    load_bound: u64,
-    heads: Vec<u64>,
-    tails: Vec<u64>,
-    jobs: Vec<(u64, u64, u64)>,
-}
-
-impl CandidateScreen {
-    /// Prepares the screen for `placement`.
-    #[must_use]
-    pub fn new(placement: &PlacementSpec) -> Self {
-        let k = placement.num_blocks();
-        let mut deps_off = Vec::with_capacity(k + 1);
-        let mut deps_flat = Vec::new();
-        let mut device_blocks = vec![Vec::new(); placement.num_devices()];
-        for (stage, block) in placement.blocks().iter().enumerate() {
-            deps_off.push(deps_flat.len());
-            deps_flat.extend_from_slice(&block.deps);
-            for &d in &block.devices {
-                device_blocks[d].push(stage);
-            }
-        }
-        deps_off.push(deps_flat.len());
-        CandidateScreen {
-            order: placement.topological_stages(),
-            times: placement.blocks().iter().map(|b| b.time).collect(),
-            deps_off,
-            deps_flat,
-            device_blocks,
-            load_bound: placement.repetend_lower_bound(),
-            heads: vec![0; k],
-            tails: vec![0; k],
-            jobs: Vec::with_capacity(k),
-        }
-    }
-
-    /// A lower bound on the makespan of every schedule of `candidate`'s
-    /// repetend instance. The stages are evaluated cheapest first and the
-    /// evaluation stops as soon as one reaches `enough`, so the result is the
-    /// full bound whenever it is below `enough` (pass `u64::MAX` for the full
-    /// bound unconditionally).
-    pub fn bound(&mut self, candidate: &RepetendCandidate, enough: u64) -> u64 {
-        let indices = &candidate.indices;
-        let mut bound = self.load_bound;
-        if bound >= enough {
-            return bound;
-        }
-        // Heads forwards and tails backwards along the kept edges; a stage's
-        // kept successors all precede it in the reverse sweep, so its tail is
-        // final when it is pushed on to its dependencies.
-        for &stage in &self.order {
-            let mut head = 0;
-            for &dep in &self.deps_flat[self.deps_off[stage]..self.deps_off[stage + 1]] {
-                if indices[dep] == indices[stage] {
-                    head = head.max(self.heads[dep] + self.times[dep]);
-                }
-            }
-            self.heads[stage] = head;
-        }
-        self.tails.fill(0);
-        for &stage in self.order.iter().rev() {
-            let chain = self.times[stage] + self.tails[stage];
-            bound = bound.max(self.heads[stage] + chain);
-            for &dep in &self.deps_flat[self.deps_off[stage]..self.deps_off[stage + 1]] {
-                if indices[dep] == indices[stage] {
-                    self.tails[dep] = self.tails[dep].max(chain);
-                }
-            }
-        }
-        for blocks in &self.device_blocks {
-            if bound >= enough {
-                break;
-            }
-            self.jobs.clear();
-            self.jobs.extend(
-                blocks
-                    .iter()
-                    .map(|&i| (self.heads[i], self.times[i], self.tails[i])),
-            );
-            bound = bound.max(jackson_preemptive_bound(&mut self.jobs));
-        }
-        bound
     }
 }
 
@@ -556,6 +445,7 @@ pub fn solve_repetend(
 mod tests {
     use super::*;
     use crate::ir::{BlockKind, PlacementSpec};
+    use crate::screen::random_placement;
     use tessel_solver::SolverConfig;
 
     /// V-shape placement over `d` devices with forward cost 1 and backward
@@ -747,41 +637,6 @@ mod tests {
         let solver = Solver::new(SolverConfig::default());
         let result = solve_repetend(&p, &cand, &solver, u64::MAX).unwrap();
         assert!(result.is_none());
-    }
-
-    /// A seeded random placement: 2-4 devices, 3-7 blocks with times 1-4,
-    /// random backward edges, occasional two-device (tensor-parallel) blocks,
-    /// forward blocks allocating and backward blocks releasing, and on some
-    /// seeds a memory capacity.
-    fn random_placement(seed: u64) -> PlacementSpec {
-        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x7e55e1;
-        let mut below = move |n: u64| {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            (state >> 11) % n
-        };
-        let devices = 2 + below(3) as usize;
-        let blocks = 3 + below(5) as usize;
-        let mut b = PlacementSpec::builder(format!("random-{seed}"), devices);
-        if below(3) == 0 {
-            b.set_memory_capacity(Some(2 + below(4) as i64));
-        }
-        for i in 0..blocks {
-            let mut devs = vec![below(devices as u64) as usize];
-            if below(4) == 0 {
-                devs.push((devs[0] + 1) % devices);
-            }
-            let deps: Vec<usize> = (0..i).filter(|_| below(3) == 0).collect();
-            let (kind, memory) = if i < blocks / 2 {
-                (BlockKind::Forward, 1)
-            } else {
-                (BlockKind::Backward, -1)
-            };
-            b.add_block(format!("b{i}"), kind, devs, 1 + below(4), memory, deps)
-                .unwrap();
-        }
-        b.build().unwrap()
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! optimality with the exact scheduling solver, keeps the one with the
 //! smallest period and finally completes warmup and cooldown phases around
 //! it. A [`CandidateScreen`] in front of the solves rejects every candidate
-//! whose makespan lower bound already reaches the best period found so far —
-//! the solver could only answer "no schedule below the bound" for it —
-//! before an instance is built. The *lazy search* optimisation (§V) replaces
+//! it can prove has no schedule below the best period found so far, by a
+//! makespan lower bound or by propagating that deadline — the solver could
+//! only answer "no schedule below the bound" for it — before an instance is
+//! built. The *lazy search* optimisation (§V) replaces
 //! per-candidate phase optimisation with a cheap satisfiability probe and
 //! only optimises the phases once, for the winning repetend.
 //!
@@ -21,10 +22,9 @@ use crate::completion::{phase_inputs, probe_phase, solve_phase, Phase, PhasePlan
 use crate::compose::compose_schedule;
 use crate::error::CoreError;
 use crate::ir::PlacementSpec;
-use crate::repetend::{
-    candidate_iter, solve_repetend, CandidateIter, CandidateScreen, Repetend, RepetendCandidate,
-};
+use crate::repetend::{candidate_iter, solve_repetend, CandidateIter, Repetend, RepetendCandidate};
 use crate::schedule::Schedule;
+use crate::screen::{CandidateScreen, ScreenStage};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -200,7 +200,9 @@ impl SearchConfig {
 /// Fig. 10 of the paper.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhaseBreakdown {
-    /// Time spent solving repetend candidates.
+    /// Time spent on repetend candidates — pulling, screening and solving
+    /// them: the candidate loop's time less what it spent on the two phases
+    /// below.
     pub repetend: Duration,
     /// Time spent probing/optimising warmup phases.
     pub warmup: Duration,
@@ -224,17 +226,65 @@ impl PhaseBreakdown {
     }
 }
 
+/// [`SearchStats::candidates_screened`] split by the stage of the
+/// [`CandidateScreen`] that refuted the candidate.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ScreenedBy {
+    /// The busiest device's load already reaches the bound.
+    pub load: usize,
+    /// The critical path over the candidate's kept edges does.
+    pub critical_path: usize,
+    /// Jackson's preemptive one-machine bound on some device does.
+    pub jackson: usize,
+    /// Precedence propagation and immediate selection contradict the bound.
+    pub immediate_selection: usize,
+    /// Pair probing does.
+    pub probing: usize,
+}
+
+impl ScreenedBy {
+    /// Candidates refuted by any stage.
+    #[must_use]
+    pub fn total(&self) -> usize {
+        self.load + self.critical_path + self.jackson + self.immediate_selection + self.probing
+    }
+
+    /// The column a screen stage is counted in.
+    fn of(&mut self, stage: ScreenStage) -> &mut usize {
+        match stage {
+            ScreenStage::Load => &mut self.load,
+            ScreenStage::CriticalPath => &mut self.critical_path,
+            ScreenStage::Jackson => &mut self.jackson,
+            ScreenStage::ImmediateSelection => &mut self.immediate_selection,
+            ScreenStage::Probing => &mut self.probing,
+        }
+    }
+}
+
+impl std::ops::AddAssign for ScreenedBy {
+    fn add_assign(&mut self, other: Self) {
+        self.load += other.load;
+        self.critical_path += other.critical_path;
+        self.jackson += other.jackson;
+        self.immediate_selection += other.immediate_selection;
+        self.probing += other.probing;
+    }
+}
+
 /// Statistics of one search run.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SearchStats {
     /// Number of repetend candidates pulled from the incremental generator
     /// (enumeration stops early once the lower bound is reached).
     pub candidates_considered: usize,
-    /// Number of candidates the [`CandidateScreen`] rejected — its bound
-    /// already reached the best period found so far — before any instance
-    /// was built.
+    /// Number of candidates the [`CandidateScreen`] refuted below the best
+    /// period found so far, before any instance was built.
     #[serde(default)]
     pub candidates_screened: usize,
+    /// Which stage of the screen refuted them; sums to
+    /// `candidates_screened`.
+    #[serde(default)]
+    pub screened_by: ScreenedBy,
     /// Number of repetend candidates that passed the screen and were handed
     /// on to the solver: `candidates_considered == candidates_screened +
     /// repetend_solves`.
@@ -373,7 +423,7 @@ impl TesselSearch {
         stats.candidates_considered = shared.stream.lock().expect("stream lock").pulled;
         for tally in tallies {
             let tally = tally?;
-            stats.candidates_screened += tally.candidates_screened;
+            stats.screened_by += tally.screened_by;
             stats.repetend_solves += tally.repetend_solves;
             stats.feasibility_probes += tally.feasibility_probes;
             stats.improving_repetends += tally.improving_repetends;
@@ -381,6 +431,7 @@ impl TesselSearch {
             stats.phase_times.warmup += tally.phase_times.warmup;
             stats.phase_times.cooldown += tally.phase_times.cooldown;
         }
+        stats.candidates_screened = stats.screened_by.total();
 
         // The budget expiring anywhere inside the candidate loop — including
         // mid-solve on the last candidate of an eager-mode run, which the
@@ -519,6 +570,7 @@ impl<'s, 'p> Worker<'s, 'p> {
     /// equally-good candidate carries it may depend on completion timing.
     fn run(mut self) -> Result<SearchStats, CoreError> {
         let shared = self.shared;
+        let clock = Instant::now();
         while !shared.stop.load(Ordering::Relaxed) && !shared.abort.should_stop() {
             let Some((seq, nr, candidate)) = shared.stream.lock().expect("stream lock").next()
             else {
@@ -553,6 +605,13 @@ impl<'s, 'p> Worker<'s, 'p> {
                 break;
             }
         }
+        // Whatever the loop did not spend completing phases it spent on
+        // repetends: pulling, screening and solving candidates. One clock
+        // read per run, not two per candidate.
+        let times = &mut self.tally.phase_times;
+        times.repetend = clock
+            .elapsed()
+            .saturating_sub(times.warmup + times.cooldown);
         Ok(self.tally)
     }
 
@@ -566,18 +625,19 @@ impl<'s, 'p> Worker<'s, 'p> {
     ) -> Result<Option<(Repetend, Option<Phases>)>, CoreError> {
         let (placement, optimal) = (self.shared.placement, &self.shared.optimal);
         // The shared bound cancels candidates that can no longer win before
-        // any solver work happens: a candidate whose screen bound reaches it
-        // is rejected before an instance is built.
+        // any solver work happens: a candidate the screen refutes below it is
+        // rejected before an instance is built.
         let bound = optimal.load(Ordering::Relaxed);
-        let repetend_clock = Instant::now();
-        let solved = if self.screen.bound(candidate, bound) >= bound {
-            self.tally.candidates_screened += 1;
-            None
-        } else {
-            self.tally.repetend_solves += 1;
-            solve_repetend(placement, candidate, &self.repetend_solver, bound)?
+        let solved = match self.screen.refutes(candidate, bound) {
+            Some(stage) => {
+                *self.tally.screened_by.of(stage) += 1;
+                None
+            }
+            None => {
+                self.tally.repetend_solves += 1;
+                solve_repetend(placement, candidate, &self.repetend_solver, bound)?
+            }
         };
-        self.tally.phase_times.repetend += repetend_clock.elapsed();
         let Some(repetend) = solved.filter(|r| r.period < optimal.load(Ordering::Relaxed)) else {
             return Ok(None);
         };
@@ -851,6 +911,7 @@ mod tests {
             stats.candidates_considered,
             stats.candidates_screened + stats.repetend_solves
         );
+        assert_eq!(stats.screened_by.total(), stats.candidates_screened);
         assert!(stats.improving_repetends >= 1);
         assert!(stats.chosen_nr >= 1);
         assert!(stats.phase_times.total() <= stats.total_time + Duration::from_secs(1));
@@ -1017,6 +1078,7 @@ mod tests {
             stats.candidates_considered,
             stats.candidates_screened + stats.repetend_solves
         );
+        assert_eq!(stats.screened_by.total(), stats.candidates_screened);
         assert!(stats.improving_repetends >= 1);
         assert!(stats.chosen_nr >= 1);
         assert!(stats.early_exit);

@@ -231,9 +231,9 @@ fn search_counters_are_pinned() {
     let nodes_are_exact = std::env::var_os("TESSEL_TEST_THREADS").is_none();
     // (shape, devices, NR cap) -> (considered, screened, solved), solver nodes
     let pins = [
-        (ShapeKind::V, 4, 6, (500, 491, 9), 522),
-        (ShapeKind::M, 4, 6, (1456, 1044, 412), 50_487),
-        (ShapeKind::K, 8, 4, (13_700, 13_431, 269), 587_206),
+        (ShapeKind::V, 4, 6, (500, 494, 6), 355),
+        (ShapeKind::M, 4, 6, (1456, 1444, 12), 6_482),
+        (ShapeKind::K, 8, 4, (13_700, 13_694, 6), 1_787),
     ];
     for (shape, devices, nr, candidates, nodes) in pins {
         let placement = synthetic_placement(shape, devices).unwrap();
