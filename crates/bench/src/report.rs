@@ -13,8 +13,8 @@
 //! * `solver_scaling` — branch-and-bound nodes per second: the seed
 //!   (allocation-heavy) solver vs the current allocation-free one, single-
 //!   and multi-threaded.
-//! * `solver_thread_scaling` — the 1→N curve of the lock-free work-stealing
-//!   solver: explored-node count and its ratio vs serial, shared-memo hits,
+//! * `solver_thread_scaling` — the 1→N curve of the work-stealing solver:
+//!   explored-node count and its ratio vs serial, shared-memo hits,
 //!   wall-clock and the contention counters (steals, failed steals, CAS
 //!   retries, memo drops). Node counts are meaningful on any host; the
 //!   wall-clock columns need a multi-core box (interpret against `host.cpus`).
@@ -192,19 +192,20 @@ pub fn solver_scaling_rows() -> Vec<SolverScalingRow> {
 
 /// One row of the `solver_thread_scaling` section.
 ///
-/// The 1→N curve of the lock-free work-stealing solver. `nodes_vs_serial` is
+/// The 1→N curve of the work-stealing solver. `nodes_vs_serial` is
 /// the search-quality column: with per-worker *private* dominance memos the
 /// 4-thread search re-explored ~2.7× the serial node count on the mb6
 /// instance; the shared table must keep the ratio near 1, and
 /// `shared_memo_hits` of `pruned_dominance` shows the sharing paying off. The
 /// wall-clock columns come with the contention counters that explain them:
-/// `steals` (successful load balancing), `steal_failures` (lost deque-`top`
-/// races), `cas_retries` (lost claims in the shared dominance table) and
-/// `memo_drops` (bounded-probe memo drops). Wall-clock speedups need a multi-core host — interpret `seconds`
-/// against the recorded `host.cpus`; on a single core the curve only shows
-/// the synchronisation overhead floor, which the lock-free structures keep
-/// flat. The serial warmstart probe is disabled for these rows so every
-/// thread count exercises the real worker pool.
+/// `steals` (successful load balancing), `steal_failures` (steals that met a
+/// held deque lock), `cas_retries` (lost claims in the shared dominance
+/// table) and `memo_drops` (bounded-probe memo drops). Wall-clock speedups
+/// need a multi-core host — interpret `seconds` against the recorded
+/// `host.cpus`; on a single core the curve only shows the synchronisation
+/// overhead floor, which the lock-free shared table keeps flat. The serial
+/// warmstart probe is disabled for these rows so every thread count exercises
+/// the real worker pool.
 #[derive(Debug, Clone, Serialize)]
 pub struct ThreadScalingRow {
     /// Instance description.
@@ -227,7 +228,7 @@ pub struct ThreadScalingRow {
     pub speedup_vs_serial: f64,
     /// Subtree tasks stolen between workers.
     pub steals: u64,
-    /// Steal attempts that lost the deque-`top` race.
+    /// Steal attempts that found the victim's deque held.
     pub steal_failures: u64,
     /// Lost CAS races in the lock-free shared dominance table.
     pub cas_retries: u64,
@@ -237,8 +238,8 @@ pub struct ThreadScalingRow {
     pub makespan: Option<u64>,
 }
 
-/// Measures the 1→N thread-scaling curve of the lock-free work-stealing
-/// solver on the whole-schedule (time-optimal) V-shape instances.
+/// Measures the 1→N thread-scaling curve of the work-stealing solver on the
+/// whole-schedule (time-optimal) V-shape instances.
 #[must_use]
 pub fn solver_thread_scaling_rows() -> Vec<ThreadScalingRow> {
     let placement = synthetic_placement(ShapeKind::V, 4).expect("placement");

@@ -32,18 +32,6 @@ impl ModelConfig {
         let v = self.vocab_size as f64;
         (12.0 * l * h * h + v * h) / 1e9
     }
-
-    /// Bytes of the embedding table parameters in half precision.
-    #[must_use]
-    pub fn embedding_param_bytes(&self) -> u64 {
-        (self.vocab_size as u64) * (self.hidden_size as u64) * 2
-    }
-
-    /// Bytes of a single transformer layer's parameters in half precision.
-    #[must_use]
-    pub fn layer_param_bytes(&self) -> u64 {
-        12 * (self.hidden_size as u64) * (self.hidden_size as u64) * 2
-    }
 }
 
 /// One row of Table III: the model configuration used at a given GPU count.
@@ -207,14 +195,6 @@ impl Default for FlavaConfig {
     }
 }
 
-impl FlavaConfig {
-    /// Total number of transformer layers across all three encoders.
-    #[must_use]
-    pub fn total_layers(&self) -> usize {
-        self.text_layers + self.vision_layers + self.cross_layers
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,13 +240,19 @@ mod tests {
         // The motivation of Fig. 2: the embedding table of a multilingual GPT
         // is enormous relative to a single transformer layer.
         let config = gpt_config_for_gpus(4).unwrap();
-        assert!(config.embedding_param_bytes() > 20 * config.layer_param_bytes());
+        // Half-precision bytes: V·H·2 for the table, 12·H²·2 for a layer.
+        let embedding = config.vocab_size * config.hidden_size * 2;
+        let layer = 12 * config.hidden_size * config.hidden_size * 2;
+        assert!(embedding > 20 * layer);
     }
 
     #[test]
     fn flava_defaults_match_the_paper_inference_setup() {
         let flava = FlavaConfig::default();
-        assert_eq!(flava.total_layers(), 24);
+        assert_eq!(
+            flava.text_layers + flava.vision_layers + flava.cross_layers,
+            24
+        );
         assert_eq!(flava.hidden_size, 4096);
         assert_eq!(flava.num_heads, 32);
     }

@@ -8,7 +8,6 @@
 //! both are coarse on purpose, because the Tessel search only needs relative
 //! block costs, not microsecond-accurate ones.
 
-use crate::config::{FlavaConfig, ModelConfig};
 use serde::{Deserialize, Serialize};
 
 /// Costs of a single layer for one micro-batch.
@@ -194,69 +193,12 @@ impl CostModel {
             output_bytes: (batch * seq * hidden) as u64 * 2,
         }
     }
-
-    /// Per-device memory units of a layer when its parameters and optimizer
-    /// state are sharded across `shards` devices.
-    #[must_use]
-    pub fn sharded_param_memory(&self, cost: &LayerCost, shards: usize) -> i64 {
-        // Parameters + gradients + fp32 optimizer state: roughly 8x the
-        // half-precision parameter bytes, spread across the shards.
-        let total = cost.param_bytes.saturating_mul(8);
-        self.memory_units(total / shards.max(1) as u64)
-    }
-
-    /// Activation memory units of one micro-batch through a layer.
-    #[must_use]
-    pub fn activation_memory(&self, cost: &LayerCost) -> i64 {
-        self.memory_units(cost.activation_bytes)
-    }
 }
 
 impl Default for CostModel {
     fn default() -> Self {
         CostModel::paper_default()
     }
-}
-
-/// Convenience: the total forward FLOPs of one GPT micro-batch (embedding +
-/// all transformer layers), used for PFLOPS throughput reporting.
-#[must_use]
-pub fn gpt_micro_batch_flops(model: &ModelConfig, cost: &CostModel) -> f64 {
-    let layer = cost.transformer_layer(model.hidden_size, model.seq_len, model.micro_batch_size);
-    let embed = cost.embedding_layer(
-        model.hidden_size,
-        model.vocab_size,
-        model.seq_len,
-        model.micro_batch_size,
-    );
-    // Forward + backward (3x forward with recompute is a *time* effect; the
-    // FLOP metric conventionally counts 3x forward as well when recompute is
-    // enabled, matching Megatron-LM's reporting).
-    3.0 * (layer.forward_flops * model.num_layers as f64 + embed.forward_flops)
-}
-
-/// Total forward FLOPs of one Flava micro-batch across both branches and the
-/// cross encoder.
-#[must_use]
-pub fn flava_micro_batch_flops(config: &FlavaConfig, cost: &CostModel) -> f64 {
-    let text = cost.transformer_layer(
-        config.hidden_size,
-        config.text_seq_len,
-        config.micro_batch_size,
-    );
-    let vision = cost.transformer_layer(
-        config.hidden_size,
-        config.vision_seq_len,
-        config.micro_batch_size,
-    );
-    let cross = cost.transformer_layer(
-        config.hidden_size,
-        config.text_seq_len + config.vision_seq_len,
-        config.micro_batch_size,
-    );
-    text.forward_flops * config.text_layers as f64
-        + vision.forward_flops * config.vision_layers as f64
-        + cross.forward_flops * config.cross_layers as f64
 }
 
 #[cfg(test)]
@@ -304,13 +246,6 @@ mod tests {
         assert!(embed.param_bytes > 20 * layer.param_bytes);
         // Compute: the embedding costs less than the whole 32-layer stack.
         assert!(embed.forward_flops < layer.forward_flops * gpt.num_layers as f64);
-        // It is large enough that it cannot fit on a single V100 with
-        // optimizer state, which is the paper's motivation for distributing
-        // it (M-shape).
-        let full_units = cm.sharded_param_memory(&embed, 1);
-        assert!(full_units > cm.device.memory_capacity_units());
-        let sharded_units = cm.sharded_param_memory(&embed, 4);
-        assert!(sharded_units <= cm.device.memory_capacity_units());
     }
 
     #[test]
@@ -329,18 +264,5 @@ mod tests {
         assert_eq!(cm.memory_units(1), 1);
         assert_eq!(cm.memory_units(1 << 30), 1);
         assert_eq!(cm.memory_units((1 << 30) + 1), 2);
-    }
-
-    #[test]
-    fn flops_helpers_are_positive_and_ordered() {
-        let cm = CostModel::paper_default();
-        let gpt4 = gpt_config_for_gpus(4).unwrap();
-        let gpt16 = gpt_config_for_gpus(16).unwrap();
-        let small = gpt_micro_batch_flops(&gpt4, &cm);
-        let large = gpt_micro_batch_flops(&gpt16, &cm);
-        assert!(small > 0.0);
-        assert!(large > small);
-        let flava = flava_micro_batch_flops(&FlavaConfig::default(), &cm);
-        assert!(flava > 0.0);
     }
 }

@@ -1047,12 +1047,6 @@ impl ScheduleService {
         &self.metrics
     }
 
-    /// The flight recorder of completed requests.
-    #[must_use]
-    pub fn flight_recorder(&self) -> &FlightRecorder {
-        &self.recorder
-    }
-
     /// The `GET /v1/debug/requests` response body.
     #[must_use]
     pub fn debug_requests(&self) -> DebugRequestsResponse {
@@ -1190,19 +1184,6 @@ impl ScheduleService {
             self.metrics.observe_stage_micros(&stage.name, stage.micros);
         }
         self.recorder.record(record);
-    }
-
-    /// Compacts the cache journal now (inserts append to it continuously
-    /// when a path is configured).
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors; does nothing without a configured path.
-    pub fn save_cache(&self) -> std::io::Result<()> {
-        match &self.journal {
-            Some(journal) => journal.compact(&self.cache),
-            None => Ok(()),
-        }
     }
 
     /// The cluster tier, when the daemon runs with `--node-id`/`--peer`.

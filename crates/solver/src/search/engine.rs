@@ -40,8 +40,8 @@
 //! behind an `Option` that the serial path never touches.
 
 use super::dominance::DominanceTable;
-use super::frontier::{SubtreeTask, MAX_TASK_PATH};
-use super::parallel::SharedSearch;
+use super::frontier::SubtreeTask;
+use super::parallel::{SharedSearch, STEAL_DEPTH};
 use super::SolverConfig;
 use crate::instance::Instance;
 use crate::propagate::TimeWindows;
@@ -713,7 +713,7 @@ impl<'a> SearchContext<'a> {
 
     /// Offers the subtree rooted at child `task` of the current node to the
     /// work-stealing pool instead of exploring it inline. Only shallow nodes
-    /// (depth below [`SolverConfig::steal_depth`]) spawn, and only while the
+    /// (depth below [`STEAL_DEPTH`]) spawn, and only while the
     /// queues are hungry (below the spawn cap) — deep or saturated nodes
     /// keep the cheap sequential loop. Returns `true` if the subtree was
     /// published.
@@ -721,12 +721,7 @@ impl<'a> SearchContext<'a> {
         let Some(shared) = self.shared else {
             return false;
         };
-        if depth >= self.config.steal_depth || shared.queues.queued() >= shared.spawn_cap {
-            return false;
-        }
-        // Tasks deeper than the fixed-width deque slots can carry run inline;
-        // `steal_depth` keeps offloads far shallower than this in practice.
-        if self.path.len() + 1 > MAX_TASK_PATH {
+        if depth >= STEAL_DEPTH || shared.queues.queued() >= shared.spawn_cap {
             return false;
         }
         let mut path = Vec::with_capacity(self.path.len() + 1);
@@ -737,10 +732,10 @@ impl<'a> SearchContext<'a> {
         shared.outstanding.0.fetch_add(1, Ordering::Relaxed);
         if !shared
             .queues
-            .push(self.worker as usize, &SubtreeTask { path })
+            .push(self.worker as usize, SubtreeTask { path })
         {
-            // The bounded ring is full: withdraw the reservation and explore
-            // the subtree inline instead of blocking or growing the ring.
+            // The bounded deque is full: withdraw the reservation and explore
+            // the subtree inline instead of blocking or growing the deque.
             shared.outstanding.0.fetch_sub(1, Ordering::Release);
             return false;
         }

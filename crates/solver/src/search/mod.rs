@@ -23,24 +23,24 @@
 //!   cache-line-per-lookup table for the serial search, a lock-free
 //!   CAS-claimed table shared by parallel workers (SIMD-friendly vector
 //!   compares live in [`simd`]).
-//! * [`frontier`] — subtree tasks and the per-worker Chase–Lev steal deques
-//!   of the work-stealing scheduler.
+//! * [`frontier`] — subtree tasks and the per-worker mutex-guarded steal
+//!   deques of the work-stealing scheduler.
 //! * [`parallel`] — the work-stealing worker pool: seeding, stealing,
 //!   termination detection and result merging.
 //!
 //! # Parallel search
 //!
 //! With [`SolverConfig::threads`] > 1 the search runs **work-stealing**: the
-//! root frontier seeds per-worker lock-free deques, workers publish shallow
-//! subtrees as stealable tasks ([`SolverConfig::steal_depth`]) and steal from
-//! peers when their own deque drains, and *all* workers prune against one
-//! **lock-free shared dominance table** plus an atomic incumbent bound —
-//! no mutex or blocking lock sits anywhere on the search hot path. Small
-//! instances skip the pool entirely: a bounded serial probe
-//! ([`SolverConfig::serial_warmstart_nodes`]) solves them before any worker
-//! thread is spawned. Every thread count proves the same optimal makespan;
-//! only the tie-breaking among equally good schedules may differ. See
-//! [`parallel`] for the full design.
+//! root frontier seeds per-worker deques, workers publish shallow subtrees as
+//! stealable tasks and steal from peers when their own deque drains, and
+//! *all* workers prune against one **lock-free shared dominance table** plus
+//! an atomic incumbent bound — the two things a node touches. The deques see
+//! ~10² operations per solve and sit behind a plain mutex each; no lock is
+//! taken per node. Small instances skip the pool entirely: a bounded serial
+//! probe ([`SolverConfig::serial_warmstart_nodes`]) solves them before any
+//! worker thread is spawned. Every thread count proves the same optimal
+//! makespan; only the tie-breaking among equally good schedules may differ.
+//! See [`parallel`] for the full design.
 
 mod dominance;
 mod engine;
@@ -113,12 +113,6 @@ pub struct SolverConfig {
     /// `SolverConfig::default()` call), which the CI matrix uses to exercise
     /// the parallel paths in every default-configured test.
     pub threads: usize,
-    /// Steal granularity: parallel workers publish the later siblings of
-    /// nodes at depths *below* this limit as stealable subtree tasks (subject
-    /// to a queue-occupancy throttle); deeper nodes run the plain sequential
-    /// loop. Larger values create finer-grained (smaller, more numerous)
-    /// tasks. Ignored by the single-threaded search.
-    pub steal_depth: usize,
     /// Node budget of the **serial warmstart probe**: with multiple threads
     /// configured, the search first runs single-threaded for up to this many
     /// nodes and only spawns the worker pool if the instance survives the
@@ -161,7 +155,6 @@ impl Default for SolverConfig {
             time_limit: Some(Duration::from_secs(20)),
             dominance_memo_limit: 1 << 20,
             threads: default_threads(),
-            steal_depth: 4,
             serial_warmstart_nodes: default_serial_warmstart(),
             abort: Abort::none(),
             stats_sink: None,
@@ -182,7 +175,6 @@ impl PartialEq for SolverConfig {
             && self.time_limit == other.time_limit
             && self.dominance_memo_limit == other.dominance_memo_limit
             && self.threads == other.threads
-            && self.steal_depth == other.steal_depth
             && self.serial_warmstart_nodes == other.serial_warmstart_nodes
     }
 }
@@ -219,14 +211,6 @@ impl SolverConfig {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Returns a copy with a different steal granularity (see
-    /// [`SolverConfig::steal_depth`]).
-    #[must_use]
-    pub fn with_steal_depth(mut self, depth: usize) -> Self {
-        self.steal_depth = depth;
         self
     }
 
@@ -1008,7 +992,6 @@ mod tests {
         assert_eq!(a, d);
         let e = SolverConfig::default().with_progress(ProgressBoard::new());
         assert_eq!(a, e);
-        assert_ne!(a, SolverConfig::default().with_steal_depth(9));
         assert_ne!(
             a,
             SolverConfig::default().with_serial_warmstart(a.serial_warmstart_nodes + 1)
@@ -1250,27 +1233,5 @@ mod tests {
         let inst = v_shape(2, 2, 2, None);
         let outcome = Solver::new(config).minimize(&inst).unwrap();
         assert!(outcome.is_optimal());
-    }
-
-    #[test]
-    fn steal_granularity_does_not_change_the_optimum() {
-        let inst = v_shape(3, 3, 2, None);
-        let reference = Solver::new(SolverConfig::default().with_threads(1))
-            .minimize(&inst)
-            .unwrap();
-        let best = reference.solution().unwrap().makespan();
-        for steal_depth in [0usize, 1, 2, 8, 64] {
-            let config = SolverConfig::default()
-                .with_threads(4)
-                .with_steal_depth(steal_depth)
-                .with_serial_warmstart(0);
-            let outcome = Solver::new(config).minimize(&inst).unwrap();
-            assert!(outcome.is_optimal(), "steal_depth={steal_depth}");
-            assert_eq!(
-                outcome.solution().unwrap().makespan(),
-                best,
-                "steal_depth={steal_depth}"
-            );
-        }
     }
 }

@@ -1,22 +1,25 @@
 //! The work-stealing parallel search.
 //!
 //! With [`SolverConfig::threads`] > 1 the search runs on a worker pool wired
-//! together by three pieces of shared state — all of them lock-free:
+//! together by three pieces of shared state, each synchronised as heavily as
+//! its traffic warrants:
 //!
-//! * **per-worker Chase–Lev deques of subtree tasks** ([`super::frontier`]):
-//!   the root frontier seeds the deques round-robin, and workers exploring
-//!   shallow nodes publish later siblings as stealable tasks while the
-//!   queues run below the spawn cap. A worker whose deque empties steals the
-//!   oldest (largest) task from a peer by CASing the victim's `top`, so load
-//!   balances far below the root even when the root frontier is narrow or
-//!   lopsided;
-//! * **a lock-free shared dominance table** ([`super::dominance`]): all
-//!   workers prune against (and feed) one CAS-claimed open-addressing memo,
-//!   so a state explored by any worker is never re-explored by another —
-//!   per-worker private memos previously re-explored ~2.7× the serial node
-//!   count at 4 threads;
-//! * **an atomic incumbent bound**: a makespan proved by one worker
-//!   immediately prunes every other worker's subtrees.
+//! * **a lock-free shared dominance table** ([`super::dominance`]), probed
+//!   on every node: all workers prune against (and feed) one CAS-claimed
+//!   open-addressing memo, so a state explored by any worker is never
+//!   re-explored by another — per-worker private memos previously
+//!   re-explored ~2.7× the serial node count at 4 threads;
+//! * **an atomic incumbent bound**, read on every node: a makespan proved by
+//!   one worker immediately prunes every other worker's subtrees;
+//! * **per-worker mutex-guarded deques of subtree tasks**
+//!   ([`super::frontier`]), touched ~10² times per solve (62–135 pushes,
+//!   1–24 steals, 0–3 contended accesses against 1.4 M – 16 M nodes on the
+//!   benchmark's `solve_parallel`): the root frontier seeds the deques
+//!   round-robin, and workers exploring shallow nodes publish later siblings
+//!   as stealable tasks while the queues run below the spawn cap. A worker
+//!   whose deque empties steals the oldest (largest) task from a peer whose
+//!   lock is free, so load balances far below the root even when the root
+//!   frontier is narrow or lopsided.
 //!
 //! Cooperative cancellation and deadlines are preserved in stolen subtrees —
 //! the DFS checks them at its usual node-batch boundaries regardless of how
@@ -26,17 +29,18 @@
 //! Every thread count proves the same optimal makespan: the search is exact
 //! (each subtree is explored once, by whichever worker dequeues it, against
 //! a monotonically tightening shared bound), so only tie-breaking among
-//! equally good schedules may differ between runs. The lock-free structures
-//! keep that invariant because every race they admit is *prune-only*: a
-//! reader can miss a memo entry or lose a steal CAS, but can never observe a
-//! half-written record (see [`super::dominance`] and [`super::frontier`] for
-//! the ordering arguments).
+//! equally good schedules may differ between runs. The one lock-free
+//! structure keeps that invariant because every race it admits is
+//! *prune-only*: a reader can miss a memo entry, but can never observe a
+//! half-written record (see [`super::dominance`] for the ordering argument).
+//! The deques hand each task to exactly one taker under their lock; a thief
+//! that finds a lock held only looks elsewhere.
 //!
 //! [`SolverConfig::threads`]: super::SolverConfig::threads
 
 use super::dominance::SharedDominanceTable;
 use super::engine::{SearchContext, FLUSH_INTERVAL};
-use super::frontier::{CachePadded, SubtreeTask, TaskQueues};
+use super::frontier::{SubtreeTask, TaskQueues};
 use crate::stats::SolveStats;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
@@ -45,8 +49,20 @@ use std::time::Duration;
 /// publishing new ones (deep siblings then run inline, which is cheaper).
 const SPAWN_BUFFER_PER_WORKER: usize = 8;
 
+/// Steal granularity: workers publish the later siblings of nodes at depths
+/// *below* this limit as stealable subtree tasks (subject to the spawn
+/// throttle); deeper nodes run the plain sequential loop.
+pub(super) const STEAL_DEPTH: usize = 4;
+
 /// How long an idle worker naps once spinning has not produced work.
 const IDLE_NAP: Duration = Duration::from_micros(50);
+
+/// Pads (and aligns) a value to a 64-byte cache line so two heavily-written
+/// shared words never share a line (false sharing turns every write into a
+/// coherence round-trip).
+#[derive(Debug, Default)]
+#[repr(align(64))]
+pub(super) struct CachePadded<T>(pub(super) T);
 
 /// State shared between the parallel workers of one solve.
 ///
@@ -68,7 +84,7 @@ pub(super) struct SharedSearch {
     /// Subtree tasks created but not yet fully processed. Zero means no work
     /// exists anywhere and none can appear: workers may exit.
     pub(super) outstanding: CachePadded<AtomicUsize>,
-    /// The per-worker Chase–Lev task deques.
+    /// The per-worker task deques.
     pub(super) queues: TaskQueues,
     /// The lock-free shared dominance memo (`None` when dominance pruning is
     /// off).
@@ -134,7 +150,7 @@ pub(super) fn run_parallel(ctx: &mut SearchContext<'_>, threads: usize) -> bool 
     for (idx, &(_, _, i)) in roots.iter().enumerate() {
         let pushed = shared
             .queues
-            .push(idx % workers, &SubtreeTask { path: vec![i] });
+            .push(idx % workers, SubtreeTask { path: vec![i] });
         // A lost seed would leave `outstanding` above zero forever (the
         // workers would never exit); the capacity above rules it out.
         assert!(pushed, "root seed exceeded deque capacity");

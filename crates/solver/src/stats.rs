@@ -25,7 +25,7 @@ pub struct SolveStats {
     /// *different* worker — the exploration the shared dominance table
     /// deduplicated across threads (0 for single-threaded solves).
     pub shared_memo_hits: u64,
-    /// Number of contention events in the lock-free shared structures:
+    /// Number of contention events in the lock-free shared dominance table:
     /// compare-and-swap attempts that lost a race (dominance-slot claims and
     /// in-place upgrades beaten by another worker), seqlock record copies
     /// discarded because the slot version moved mid-read, and slot segments
@@ -34,9 +34,9 @@ pub struct SolveStats {
     /// single-threaded solves).
     #[serde(default)]
     pub cas_retries: u64,
-    /// Number of steal attempts that raced another thief (or the owner) for
-    /// the same task and lost the `top` CAS of a Chase–Lev deque (0 for
-    /// single-threaded solves).
+    /// Number of steal attempts that found the victim's deque held by its
+    /// owner or by another thief (a failed `try_lock`; the thief moves on to
+    /// the next victim instead of waiting). 0 for single-threaded solves.
     #[serde(default)]
     pub steal_failures: u64,
     /// Number of finish vectors a dominance memo declined to record: the
@@ -96,11 +96,11 @@ pub struct SolverTotals {
     /// Dominance prunes served by a record another worker inserted.
     pub shared_memo_hits: u64,
     /// Contention events — lost CAS races, discarded seqlock reads, skipped
-    /// mid-build segments — in the lock-free shared structures (see
+    /// mid-build segments — in the lock-free shared dominance table (see
     /// [`SolveStats::cas_retries`]).
     #[serde(default)]
     pub cas_retries: u64,
-    /// Steal attempts that lost the deque-`top` race (see
+    /// Steal attempts that found the victim's deque held (see
     /// [`SolveStats::steal_failures`]).
     #[serde(default)]
     pub steal_failures: u64,

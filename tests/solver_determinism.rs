@@ -1,7 +1,7 @@
 //! Cross-thread determinism of the work-stealing parallel solver.
 //!
 //! The parallel search shares a lock-free dominance table and an atomic
-//! incumbent bound between workers, steals subtrees between their Chase–Lev
+//! incumbent bound between workers, steals subtrees between their per-worker
 //! deques, and merges per-worker results at the end — none of which may
 //! change *what is proved*. These tests pin that property end to end: for thread counts
 //! 1, 2, 4 and 8 the proved optimal period/makespan must be identical on
