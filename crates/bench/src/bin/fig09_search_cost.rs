@@ -4,8 +4,8 @@
 
 use std::time::{Duration, Instant};
 use tessel_bench::{
-    print_table, run_tessel, save_record, screening_cells, time_optimal_instance, ExperimentRecord,
-    SCREENING_HEADER,
+    print_subtrees_pruned, print_table, run_tessel, save_record, screening_cells,
+    time_optimal_instance, ExperimentRecord, SCREENING_HEADER,
 };
 use tessel_placement::shapes::{synthetic_placement, ShapeKind};
 use tessel_solver::{Solver, SolverConfig};
@@ -25,6 +25,7 @@ fn main() {
     let devices = 4;
     let mut rows = Vec::new();
     let mut data = Vec::new();
+    let mut pruned = Vec::new();
     for (label, shape) in [
         ("GPT (M-Shape)", ShapeKind::M),
         ("mT5 (NN-Shape)", ShapeKind::NN),
@@ -37,6 +38,7 @@ fn main() {
 
         let mut row = vec![label.to_string(), format!("{tessel_seconds:.3}")];
         row.extend(screening_cells(&stats));
+        pruned.push((label, stats.subtrees_pruned));
         let mut series = vec![];
         for nmb in [2usize, 4, 6] {
             let (to_seconds, optimal) = to_search_seconds(&placement, nmb);
@@ -64,6 +66,7 @@ fn main() {
         ],
         &rows,
     );
+    print_subtrees_pruned(&pruned);
     save_record(&ExperimentRecord {
         id: "fig09".into(),
         description: "Relative search cost of the time-optimal formulation vs Tessel".into(),

@@ -3,8 +3,8 @@
 
 use std::time::Instant;
 use tessel_bench::{
-    experiment_search_config, print_table, save_record, screening_cells, ExperimentRecord,
-    SCREENING_HEADER,
+    experiment_search_config, print_subtrees_pruned, print_table, save_record, screening_cells,
+    ExperimentRecord, SCREENING_HEADER,
 };
 use tessel_core::search::TesselSearch;
 use tessel_placement::shapes::{synthetic_placement, ShapeKind};
@@ -14,6 +14,7 @@ fn main() {
     let mut breakdown_rows = Vec::new();
     let mut lazy_rows = Vec::new();
     let mut data = Vec::new();
+    let mut pruned = Vec::new();
     for (label, shape) in [
         ("GPT (M-Shape)", ShapeKind::M),
         ("mT5 (NN-Shape)", ShapeKind::NN),
@@ -33,6 +34,7 @@ fn main() {
             format!("{:.0}%", times.cooldown.as_secs_f64() / total * 100.0),
         ];
         row.extend(screening_cells(&lazy_outcome.stats));
+        pruned.push((label, lazy_outcome.stats.subtrees_pruned));
         breakdown_rows.push(row);
 
         let started = Instant::now();
@@ -68,6 +70,7 @@ fn main() {
         ],
         &breakdown_rows,
     );
+    print_subtrees_pruned(&pruned);
     print_table(
         "Fig. 10(b) — lazy search ablation",
         &["placement", "w/o lazy (s)", "w/ lazy (s)", "speedup"],

@@ -108,6 +108,19 @@ pub fn screening_cells(stats: &SearchStats) -> [String; 2] {
     ]
 }
 
+/// Prints, on a line of its own under a search-cost table, how many prefixes
+/// the enumeration refuted per placement ([`SearchStats::subtrees_pruned`]):
+/// the candidates under them appear in no column of [`screening_cells`]. The
+/// labels are cut at their parenthesis so the line matches none of the row
+/// patterns the figures' goldens are extracted with.
+pub fn print_subtrees_pruned(pruned: &[(&str, usize)]) {
+    let cells: Vec<String> = pruned
+        .iter()
+        .map(|(label, n)| format!("{} {n}", label.split(" (").next().unwrap_or(label)))
+        .collect();
+    println!("subtrees_pruned: {}", cells.join(", "));
+}
+
 /// Builds the *time-optimal* (whole-schedule) solver instance used as the
 /// Fig. 3/9 baseline: every block of every micro-batch as a separate task,
 /// with only the intra-micro-batch data dependencies — the formulation the

@@ -13,6 +13,7 @@ use serde::{Deserialize, Serialize};
 use tessel_solver::{Instance, InstanceBuilder, Solution, Solver, TaskId};
 
 pub use crate::screen::CandidateScreen;
+use crate::screen::StageGraph;
 
 /// An assignment of micro-batch indices to stages (Eq. 3): stage `i` of the
 /// repetend executes micro-batch `indices[i]`.
@@ -39,12 +40,9 @@ impl RepetendCandidate {
     }
 }
 
-/// Enumerates every repetend candidate over exactly `nr` micro-batches by
-/// draining [`candidate_iter`]. Kept for callers that genuinely need the full
-/// list; the search itself pulls candidates lazily so very large `NR` never
-/// materializes the whole (exponentially sized) set.
-#[must_use]
-pub fn enumerate_candidates(placement: &PlacementSpec, nr: usize) -> Vec<RepetendCandidate> {
+/// Every repetend candidate over exactly `nr` micro-batches, as a list.
+#[cfg(test)]
+fn enumerate_candidates(placement: &PlacementSpec, nr: usize) -> Vec<RepetendCandidate> {
     candidate_iter(placement, nr).collect()
 }
 
@@ -59,98 +57,233 @@ pub fn enumerate_candidates(placement: &PlacementSpec, nr: usize) -> Vec<Repeten
 ///   at least the index of the successor (`indices[i] >= indices[j]`).
 ///
 /// The iterator holds `O(K)` state regardless of how many candidates exist,
-/// which keeps memory bounded for large `NR` (a ROADMAP open item); portfolio
-/// search workers pull from it on demand.
+/// which keeps memory bounded for large `NR`; portfolio search workers pull
+/// from it on demand. As an [`Iterator`] it yields every candidate;
+/// [`CandidateIter::next_below`] yields only those whose critical path stays
+/// below a bound.
 #[must_use]
-pub fn candidate_iter(placement: &PlacementSpec, nr: usize) -> CandidateIter<'_> {
-    let k = placement.num_blocks();
-    CandidateIter {
-        placement,
-        order: placement.topological_stages(),
-        nr,
-        indices: vec![0; k],
-        cursor: vec![0; k],
-        pos: 0,
-        done: nr == 0 || k == 0,
-    }
+pub fn candidate_iter(placement: &PlacementSpec, nr: usize) -> CandidateIter {
+    let mut iter = CandidateIter::new(placement);
+    iter.restart(nr, usize::MAX);
+    iter
 }
 
-/// Incremental repetend-candidate generator returned by [`candidate_iter`].
+/// What one [`CandidateIter::advance`] call came to.
+#[derive(Debug)]
+pub(crate) enum Advance {
+    /// The next candidate whose critical path is below the bound; its heads
+    /// are [`CandidateIter::heads`] until the next call.
+    Leaf(RepetendCandidate),
+    /// The step budget ran out between two candidates.
+    Paused,
+    /// No candidate is left, or the work limit is spent.
+    Done,
+}
+
+/// Incremental repetend-candidate generator returned by [`candidate_iter`]:
+/// a depth-first branch-and-bound over the assignment of micro-batch indices
+/// to stages, on an explicit cursor stack, so candidates are produced one at
+/// a time.
 ///
-/// Implements the depth-first assignment of micro-batch indices to stages
-/// (in topological order) with an explicit cursor stack instead of recursion,
-/// so candidates are produced one at a time.
+/// Stages are assigned in topological order, so the moment a stage gets its
+/// index its *head* — the earliest it can start over the edges the candidate
+/// keeps, those whose two ends carry the same index — is final: it reads only
+/// its dependencies, all assigned before it, and nothing assigned later can
+/// change it. The longest kept chain of a prefix is therefore a lower bound
+/// on the critical path of every candidate that completes it, and a prefix
+/// whose chain (or the busiest device's load, which no candidate escapes)
+/// reaches the bound is refuted with its whole subtree, once. Each stack
+/// level holds that running maximum and the smallest and largest index
+/// assigned so far; they are written on the way down and never undone, since
+/// a retreat only lowers the level that is read. Tails run against the
+/// topological order — a stage's tail depends on stages assigned after it —
+/// so only heads-side bounds can live in the tree; the rest of the
+/// [`CandidateScreen`] runs on the leaves that survive.
 #[derive(Debug, Clone)]
-pub struct CandidateIter<'a> {
-    placement: &'a PlacementSpec,
-    order: Vec<usize>,
+pub struct CandidateIter {
+    graph: StageGraph,
     nr: usize,
     /// Current (partial) index assignment, by stage.
     indices: Vec<usize>,
+    /// The head of every assigned stage over the kept edges, by stage.
+    heads: Vec<u64>,
     /// `cursor[pos]`: the next index value to try at position `pos` of the
     /// topological order.
     cursor: Vec<usize>,
+    /// `upper[pos]`: the largest index value Property 4.2 allows there.
+    upper: Vec<usize>,
+    /// `reach[pos]`: the load bound or the longest kept chain among the first
+    /// `pos` positions, whichever is larger.
+    reach: Vec<u64>,
+    /// `lowest[pos]`, `highest[pos]`: the smallest and largest index among
+    /// the first `pos` positions.
+    lowest: Vec<usize>,
+    highest: Vec<usize>,
     /// Number of positions currently assigned.
     pos: usize,
     done: bool,
+    subtrees_pruned: usize,
+    steps: u64,
+    /// Candidates and refuted prefixes left before the work limit is spent.
+    work_left: usize,
 }
 
-impl CandidateIter<'_> {
-    /// Steps back to the previous position (or finishes the iteration).
-    fn retreat(&mut self) {
-        if self.pos == 0 {
-            self.done = true;
-        } else {
-            self.pos -= 1;
+impl CandidateIter {
+    /// An exhausted enumeration over `placement`; [`CandidateIter::restart`]
+    /// opens a level.
+    pub(crate) fn new(placement: &PlacementSpec) -> Self {
+        let k = placement.num_blocks();
+        CandidateIter {
+            graph: StageGraph::new(placement),
+            nr: 0,
+            indices: vec![0; k],
+            heads: vec![0; k],
+            cursor: vec![0; k],
+            upper: vec![0; k],
+            reach: vec![placement.repetend_lower_bound(); k + 1],
+            lowest: vec![usize::MAX; k + 1],
+            highest: vec![0; k + 1],
+            pos: 0,
+            done: true,
+            subtrees_pruned: 0,
+            steps: 0,
+            work_left: 0,
         }
     }
-}
 
-impl Iterator for CandidateIter<'_> {
-    type Item = RepetendCandidate;
+    /// The next candidate whose critical path over the edges it keeps (and
+    /// the busiest device's load) is below `below`: exactly the candidates
+    /// the [`CandidateScreen`] does not refute at its load or critical-path
+    /// stage, in enumeration order. `below` may differ from call to call; a
+    /// candidate is held against the value passed to the call that reaches
+    /// it.
+    pub fn next_below(&mut self, below: u64) -> Option<RepetendCandidate> {
+        match self.advance(below, u64::MAX) {
+            Advance::Leaf(candidate) => Some(candidate),
+            Advance::Paused | Advance::Done => None,
+        }
+    }
 
-    fn next(&mut self) -> Option<RepetendCandidate> {
-        let k = self.order.len();
+    /// The head of every stage of the candidate last returned.
+    #[must_use]
+    pub fn heads(&self) -> &[u64] {
+        &self.heads
+    }
+
+    /// Prefixes refuted so far, each with every candidate that completes it.
+    #[must_use]
+    pub fn subtrees_pruned(&self) -> usize {
+        self.subtrees_pruned
+    }
+
+    /// Steps of the traversal so far: index values tried, leaves visited and
+    /// retreats.
+    #[cfg(test)]
+    pub(crate) fn steps(&self) -> u64 {
+        self.steps
+    }
+
+    /// Starts over at the root, for candidates over exactly `nr`
+    /// micro-batches, and ends once `work` candidates and refuted prefixes,
+    /// taken together, have been counted. The counters run on.
+    pub(crate) fn restart(&mut self, nr: usize, work: usize) {
+        self.nr = nr;
+        self.pos = 0;
+        self.work_left = work;
+        self.done = nr == 0 || work == 0 || self.indices.is_empty();
+        if !self.done {
+            self.enter();
+        }
+    }
+
+    /// The one traversal: walks on for at most `max_steps` steps and stops at
+    /// the first candidate below `below`.
+    pub(crate) fn advance(&mut self, below: u64, max_steps: u64) -> Advance {
+        // `below` may have tightened since the cursor came to stand where it
+        // does: resume from the first level it now refutes.
+        let refuted = self.reach[1..=self.pos].partition_point(|&reach| reach < below);
+        if refuted < self.pos && !self.done {
+            self.pos = refuted;
+            self.prune();
+        }
+        let k = self.graph.order.len();
+        let pause_at = self.steps.saturating_add(max_steps);
         while !self.done {
+            if self.steps == pause_at {
+                return Advance::Paused;
+            }
+            self.steps += 1;
             if self.pos == k {
                 // Leaf: all stages assigned. Emit if the candidate uses
                 // exactly the index range {0, .., nr-1}, then backtrack.
-                let min = self.indices.iter().min().copied().unwrap_or(0);
-                let max = self.indices.iter().max().copied().unwrap_or(0);
-                let emit = min == 0 && max + 1 == self.nr;
-                let candidate = emit.then(|| RepetendCandidate {
-                    indices: self.indices.clone(),
-                });
-                self.retreat();
-                if candidate.is_some() {
-                    return candidate;
+                self.pos -= 1;
+                if self.lowest[k] == 0 && self.highest[k] + 1 == self.nr {
+                    self.spend();
+                    return Advance::Leaf(RepetendCandidate {
+                        indices: self.indices.clone(),
+                    });
                 }
                 continue;
             }
-            let stage = self.order[self.pos];
-            // Property 4.2: the index of a stage may not exceed the index of
-            // any of its predecessors.
-            let upper = self
-                .placement
-                .block(stage)
-                .deps
-                .iter()
-                .map(|&d| self.indices[d])
-                .min()
-                .unwrap_or(self.nr - 1);
-            let next = self.cursor[self.pos];
-            if next > upper {
-                self.retreat();
+            let pos = self.pos;
+            let value = self.cursor[pos];
+            if value > self.upper[pos] {
+                // Steps back to the previous position (or finishes).
+                match pos {
+                    0 => self.done = true,
+                    _ => self.pos -= 1,
+                }
                 continue;
             }
-            self.indices[stage] = next;
-            self.cursor[self.pos] = next + 1;
+            self.cursor[pos] = value + 1;
+            let stage = self.graph.order[pos];
+            self.indices[stage] = value;
+            let head = self.graph.head(stage, &self.indices, &self.heads);
+            let reach = self.reach[pos].max(head + self.graph.times[stage]);
+            if reach >= below {
+                self.prune();
+                continue;
+            }
+            self.heads[stage] = head;
+            self.reach[pos + 1] = reach;
+            self.lowest[pos + 1] = self.lowest[pos].min(value);
+            self.highest[pos + 1] = self.highest[pos].max(value);
             self.pos += 1;
             if self.pos < k {
-                self.cursor[self.pos] = 0;
+                self.enter();
             }
         }
-        None
+        Advance::Done
+    }
+
+    /// Opens position `pos`: every value from 0 to what Property 4.2 allows —
+    /// the index of a stage may not exceed the index of any of its
+    /// predecessors.
+    fn enter(&mut self) {
+        let stage = self.graph.order[self.pos];
+        let deps = self.graph.deps(stage).iter();
+        self.upper[self.pos] = deps.map(|&d| self.indices[d]).min().unwrap_or(self.nr - 1);
+        self.cursor[self.pos] = 0;
+    }
+
+    /// Counts a refuted prefix.
+    fn prune(&mut self) {
+        self.subtrees_pruned += 1;
+        self.spend();
+    }
+
+    /// Counts one candidate or refuted prefix against the work limit.
+    fn spend(&mut self) {
+        self.work_left -= 1;
+        self.done |= self.work_left == 0;
+    }
+}
+
+impl Iterator for CandidateIter {
+    type Item = RepetendCandidate;
+
+    fn next(&mut self) -> Option<RepetendCandidate> {
+        self.next_below(u64::MAX)
     }
 }
 
@@ -540,6 +673,78 @@ mod tests {
         assert_eq!(iter.next(), None);
         // Exhausted iterators stay exhausted.
         assert_eq!(iter.next(), None);
+    }
+
+    #[test]
+    fn a_paused_traversal_resumes_where_it_stopped() {
+        let p = v_shape(3, 2, None);
+        for below in [5, 7, u64::MAX] {
+            let whole: Vec<RepetendCandidate> = {
+                let mut iter = candidate_iter(&p, 3);
+                std::iter::from_fn(|| iter.next_below(below)).collect()
+            };
+            // Three steps at a time: every leaf, in order, and the same count
+            // of refuted prefixes.
+            let mut iter = candidate_iter(&p, 3);
+            let mut stepwise = Vec::new();
+            loop {
+                let before = iter.steps();
+                match iter.advance(below, 3) {
+                    Advance::Leaf(candidate) => stepwise.push(candidate),
+                    Advance::Paused => assert_eq!(iter.steps() - before, 3),
+                    Advance::Done => break,
+                }
+            }
+            assert_eq!(stepwise, whole, "below {below}");
+            let mut unpaused = candidate_iter(&p, 3);
+            while unpaused.next_below(below).is_some() {}
+            assert_eq!(iter.subtrees_pruned(), unpaused.subtrees_pruned());
+            assert_eq!(iter.steps(), unpaused.steps());
+        }
+    }
+
+    #[test]
+    fn the_work_limit_counts_candidates_and_refuted_prefixes() {
+        let p = v_shape(3, 2, None);
+        let mut unlimited = candidate_iter(&p, 3);
+        let all: Vec<RepetendCandidate> = std::iter::from_fn(|| unlimited.next_below(7)).collect();
+        let work = all.len() + unlimited.subtrees_pruned();
+        assert!(all.len() > 2 && unlimited.subtrees_pruned() > 2);
+        for limit in 0..=work + 1 {
+            let mut iter = candidate_iter(&p, 3);
+            iter.restart(3, limit);
+            let leaves: Vec<RepetendCandidate> =
+                std::iter::from_fn(|| iter.next_below(7)).collect();
+            // A prefix of the unlimited run, cut where the work is spent.
+            assert_eq!(leaves[..], all[..leaves.len()], "limit {limit}");
+            assert_eq!(
+                leaves.len() + iter.subtrees_pruned(),
+                limit.min(work),
+                "limit {limit}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_tightened_bound_retreats_to_the_level_it_refutes() {
+        // Chain f0 f1 f2 b2 b1 b0 with times 1 1 1 2 2 2. The first candidate
+        // over two micro-batches keeps every edge but the first: a chain of
+        // 8. Below 6 nothing that starts [1, 0, 0, 0] survives, so the next
+        // call resumes past that prefix and counts it as refuted.
+        let p = v_shape(3, 2, None);
+        let mut iter = candidate_iter(&p, 2);
+        let first = iter.next_below(9).unwrap();
+        assert_eq!(first.indices, vec![1, 0, 0, 0, 0, 0]);
+        assert_eq!(iter.heads(), [0, 0, 1, 2, 4, 6]);
+        let (pruned, steps) = (iter.subtrees_pruned(), iter.steps());
+        let next = iter.next_below(6).unwrap();
+        assert_eq!(next.indices, vec![1, 1, 1, 1, 0, 0]);
+        assert!(iter.subtrees_pruned() > pruned);
+        // The same candidate a fresh traversal below 6 starts with, reached
+        // without walking the rest of the refuted subtree.
+        let mut fresh = candidate_iter(&p, 2);
+        assert_eq!(fresh.next_below(6), Some(next));
+        assert!(iter.steps() - steps < fresh.steps());
     }
 
     #[test]

@@ -11,6 +11,14 @@
 //! constraint propagation over the same `(head, time, tail)` triples, and
 //! only runs on the few candidates the bounds let through.
 //!
+//! In the search the first two stages have already run by the time a
+//! candidate exists: [`CandidateIter`](crate::repetend::CandidateIter) keeps
+//! every assigned block's head and the longest kept chain on its cursor
+//! stack and refutes a prefix, with every candidate under it, the moment that
+//! chain or the device load reaches the bound. A candidate that survives
+//! arrives with its heads, and the screen starts at the backward sweep for
+//! the tails. The head recurrence both use is written once, `StageGraph::head`.
+//!
 //! Every rule relaxes the solver's constraint system (memory is dropped,
 //! devices are coupled only pairwise), so a refuted candidate has no schedule
 //! below the bound; an unrefuted one is handed to the solver, which remains
@@ -35,6 +43,58 @@ pub enum ScreenStage {
     /// Pair probing: both orders of some conflict pair (or the one left after
     /// the other was ruled out) contradict the deadline.
     Probing,
+}
+
+/// What the head recurrence reads of a placement: its stages in topological
+/// order, their times and their dependencies. Shared by the screen and by
+/// [`CandidateIter`](crate::repetend::CandidateIter), which runs the screen's
+/// critical-path stage inside the enumeration.
+#[derive(Debug, Clone)]
+pub(crate) struct StageGraph {
+    /// Stages in topological order.
+    pub(crate) order: Vec<usize>,
+    pub(crate) times: Vec<u64>,
+    /// `deps_flat[deps_off[i]..deps_off[i + 1]]`: the dependencies of stage `i`.
+    deps_off: Vec<usize>,
+    deps_flat: Vec<usize>,
+}
+
+impl StageGraph {
+    pub(crate) fn new(placement: &PlacementSpec) -> Self {
+        let blocks = placement.blocks();
+        let mut deps_off = Vec::with_capacity(blocks.len() + 1);
+        let mut deps_flat = Vec::new();
+        for block in blocks {
+            deps_off.push(deps_flat.len());
+            deps_flat.extend_from_slice(&block.deps);
+        }
+        deps_off.push(deps_flat.len());
+        StageGraph {
+            order: placement.topological_stages(),
+            times: blocks.iter().map(|b| b.time).collect(),
+            deps_off,
+            deps_flat,
+        }
+    }
+
+    pub(crate) fn deps(&self, stage: usize) -> &[usize] {
+        &self.deps_flat[self.deps_off[stage]..self.deps_off[stage + 1]]
+    }
+
+    /// The head of `stage` — the earliest it can start — over the edges
+    /// `indices` keeps: an edge is kept iff both ends carry the same
+    /// micro-batch index. Reads only the heads of the stage's dependencies,
+    /// so in topological order a head is final the moment it is computed.
+    #[inline]
+    pub(crate) fn head(&self, stage: usize, indices: &[usize], heads: &[u64]) -> u64 {
+        let mut head = 0;
+        for &dep in self.deps(stage) {
+            if indices[dep] == indices[stage] {
+                head = head.max(heads[dep] + self.times[dep]);
+            }
+        }
+        head
+    }
 }
 
 /// What deadline propagation tightens: a lower bound on every block's start
@@ -80,12 +140,7 @@ impl Windows {
 /// allocation-free, so each search worker owns a clone.
 #[derive(Debug, Clone)]
 pub struct CandidateScreen {
-    /// Stages in topological order.
-    order: Vec<usize>,
-    times: Vec<u64>,
-    /// `deps_flat[deps_off[i]..deps_off[i + 1]]`: the dependencies of stage `i`.
-    deps_off: Vec<usize>,
-    deps_flat: Vec<usize>,
+    graph: StageGraph,
     /// Stages occupying each device.
     device_blocks: Vec<Vec<usize>>,
     load_bound: u64,
@@ -109,13 +164,10 @@ impl CandidateScreen {
     pub fn new(placement: &PlacementSpec) -> Self {
         let k = placement.num_blocks();
         let blocks = placement.blocks();
-        let mut deps_off = Vec::with_capacity(k + 1);
-        let mut deps_flat = Vec::new();
+        let graph = StageGraph::new(placement);
         let mut device_blocks = vec![Vec::new(); placement.num_devices()];
         let mut pairs = Vec::new();
         for (stage, block) in blocks.iter().enumerate() {
-            deps_off.push(deps_flat.len());
-            deps_flat.extend_from_slice(&block.deps);
             for &d in &block.devices {
                 device_blocks[d].push(stage);
             }
@@ -126,13 +178,9 @@ impl CandidateScreen {
                 }
             }
         }
-        deps_off.push(deps_flat.len());
         CandidateScreen {
-            order: placement.topological_stages(),
-            times: blocks.iter().map(|b| b.time).collect(),
-            edges: Vec::with_capacity(deps_flat.len() + pairs.len()),
-            deps_off,
-            deps_flat,
+            edges: Vec::with_capacity(graph.deps_flat.len() + pairs.len()),
+            graph,
             device_blocks,
             load_bound: placement.repetend_lower_bound(),
             jobs: Vec::with_capacity(k),
@@ -150,6 +198,7 @@ impl CandidateScreen {
     pub fn bound(&mut self, candidate: &RepetendCandidate, enough: u64) -> u64 {
         let mut bound = self.load_bound;
         if bound < enough {
+            self.sweep_heads(candidate);
             bound = bound.max(self.critical_path(candidate));
         }
         if bound < enough {
@@ -181,6 +230,30 @@ impl CandidateScreen {
     /// most one round per block, each further one fixes a pair, and each
     /// pair is probed once.
     pub fn refutes(&mut self, candidate: &RepetendCandidate, below: u64) -> Option<ScreenStage> {
+        self.sweep_heads(candidate);
+        self.refutes_from_heads(candidate, below)
+    }
+
+    /// [`CandidateScreen::refutes`] for a leaf of the pruned enumeration,
+    /// whose `heads` [`CandidateIter`](crate::repetend::CandidateIter)
+    /// computed on the way down: the screen starts at the backward sweep.
+    pub(crate) fn refutes_with_heads(
+        &mut self,
+        candidate: &RepetendCandidate,
+        heads: &[u64],
+        below: u64,
+    ) -> Option<ScreenStage> {
+        self.windows.heads.copy_from_slice(heads);
+        self.refutes_from_heads(candidate, below)
+    }
+
+    /// Every stage of [`CandidateScreen::refutes`], over the candidate's
+    /// heads in `windows`.
+    fn refutes_from_heads(
+        &mut self,
+        candidate: &RepetendCandidate,
+        below: u64,
+    ) -> Option<ScreenStage> {
         if self.load_bound >= below {
             return Some(ScreenStage::Load);
         }
@@ -198,28 +271,28 @@ impl CandidateScreen {
         self.probe_pairs(deadline).then_some(ScreenStage::Probing)
     }
 
-    /// Heads forwards and tails backwards along the edges `candidate` keeps,
-    /// into `windows`; returns the critical path.
+    /// Heads forwards along the edges `candidate` keeps, into `windows`.
+    fn sweep_heads(&mut self, candidate: &RepetendCandidate) {
+        let heads = &mut self.windows.heads;
+        for &stage in &self.graph.order {
+            heads[stage] = self.graph.head(stage, &candidate.indices, heads);
+        }
+    }
+
+    /// Tails backwards along the edges `candidate` keeps, into `windows`,
+    /// which holds its heads; returns the critical path.
     fn critical_path(&mut self, candidate: &RepetendCandidate) -> u64 {
         let indices = &candidate.indices;
+        let times = &self.graph.times;
         let Windows { heads, tails, .. } = &mut self.windows;
-        for &stage in &self.order {
-            let mut head = 0;
-            for &dep in &self.deps_flat[self.deps_off[stage]..self.deps_off[stage + 1]] {
-                if indices[dep] == indices[stage] {
-                    head = head.max(heads[dep] + self.times[dep]);
-                }
-            }
-            heads[stage] = head;
-        }
         // A stage's kept successors all precede it in the reverse sweep, so
         // its tail is final when it is pushed on to its dependencies.
         tails.fill(0);
         let mut path = 0;
-        for &stage in self.order.iter().rev() {
-            let chain = self.times[stage] + tails[stage];
+        for &stage in self.graph.order.iter().rev() {
+            let chain = times[stage] + tails[stage];
             path = path.max(heads[stage] + chain);
-            for &dep in &self.deps_flat[self.deps_off[stage]..self.deps_off[stage + 1]] {
+            for &dep in self.graph.deps(stage) {
                 if indices[dep] == indices[stage] {
                     tails[dep] = tails[dep].max(chain);
                 }
@@ -235,11 +308,13 @@ impl CandidateScreen {
         let mut bound = 0;
         for blocks in &self.device_blocks {
             self.jobs.clear();
-            self.jobs.extend(
-                blocks
-                    .iter()
-                    .map(|&i| (self.windows.heads[i], self.times[i], self.windows.tails[i])),
-            );
+            self.jobs.extend(blocks.iter().map(|&i| {
+                (
+                    self.windows.heads[i],
+                    self.graph.times[i],
+                    self.windows.tails[i],
+                )
+            }));
             bound = bound.max(jackson_preemptive_bound(&mut self.jobs));
             if bound >= enough {
                 break;
@@ -253,8 +328,8 @@ impl CandidateScreen {
     fn keep_edges(&mut self, candidate: &RepetendCandidate) {
         let indices = &candidate.indices;
         self.edges.clear();
-        for &stage in &self.order {
-            for &dep in &self.deps_flat[self.deps_off[stage]..self.deps_off[stage + 1]] {
+        for &stage in &self.graph.order {
+            for &dep in self.graph.deps(stage) {
                 if indices[dep] == indices[stage] {
                     self.edges.push((dep, stage));
                 }
@@ -271,7 +346,13 @@ impl CandidateScreen {
         } else {
             &mut self.windows
         };
-        tighten(&self.times, &self.pairs, deadline, &mut self.edges, windows)
+        tighten(
+            &self.graph.times,
+            &self.pairs,
+            deadline,
+            &mut self.edges,
+            windows,
+        )
     }
 
     /// Pair probing over `windows`, which [`tighten`] has brought to a

@@ -4,25 +4,34 @@
 //! repetend candidates over a growing number of micro-batches, solves each to
 //! optimality with the exact scheduling solver, keeps the one with the
 //! smallest period and finally completes warmup and cooldown phases around
-//! it. A [`CandidateScreen`] in front of the solves rejects every candidate
-//! it can prove has no schedule below the best period found so far, by a
-//! makespan lower bound or by propagating that deadline — the solver could
-//! only answer "no schedule below the bound" for it — before an instance is
-//! built. The *lazy search* optimisation (§V) replaces
+//! it. Two things stand in front of the solves, and neither changes what the
+//! search returns, because the solver could only answer "no schedule below
+//! the bound" for what they reject. The enumeration itself is a
+//! branch-and-bound ([`CandidateIter`]): a partial index assignment whose
+//! longest kept dependency chain already reaches the best period found so
+//! far is refuted with every candidate that completes it, so those are never
+//! produced. A [`CandidateScreen`] then rejects every surviving candidate it
+//! can prove has no schedule below that period, by a makespan lower bound or
+//! by propagating the deadline, before an instance is built. The *lazy
+//! search* optimisation (§V) replaces
 //! per-candidate phase optimisation with a cheap satisfiability probe and
 //! only optimises the phases once, for the winning repetend.
 //!
 //! The candidate loop is written once, for every portfolio width: workers
 //! pull from one lazy candidate stream, share the best period found so far
-//! through an atomic bound, and the minimum by (period, enumeration order)
-//! wins. One worker runs inline on the caller's thread and is the serial loop
-//! of the paper; several run as scoped threads.
+//! through an atomic bound — which is also the bound the enumeration prunes
+//! against, re-read at every pull — and the minimum by (period, enumeration
+//! order) wins. A pull hands control back after a fixed number of steps
+//! whether or not it reached a candidate, so the early exit, a cancellation
+//! and the time budget are seen promptly however many refuted prefixes lie
+//! between two candidates. One worker runs inline on the caller's thread and
+//! is the serial loop of the paper; several run as scoped threads.
 
 use crate::completion::{phase_inputs, probe_phase, solve_phase, Phase, PhasePlan};
 use crate::compose::compose_schedule;
 use crate::error::CoreError;
 use crate::ir::PlacementSpec;
-use crate::repetend::{candidate_iter, solve_repetend, CandidateIter, Repetend, RepetendCandidate};
+use crate::repetend::{solve_repetend, Advance, CandidateIter, Repetend, RepetendCandidate};
 use crate::schedule::Schedule;
 use crate::screen::{CandidateScreen, ScreenStage};
 use serde::{Deserialize, Serialize};
@@ -48,8 +57,13 @@ pub struct SearchConfig {
     pub phase_solver: SolverConfig,
     /// Enables the lazy-search optimisation of §V (on by default).
     pub lazy: bool,
-    /// Optional cap on the number of candidates examined per `NR` value;
-    /// `None` enumerates all of them.
+    /// Optional cap on the enumeration *work* per `NR` value: candidates
+    /// handed to a worker plus partial assignments refuted with their whole
+    /// subtree ([`SearchStats::subtrees_pruned`]), taken together. `None`
+    /// enumerates every level to its end. A refuted prefix counts once
+    /// however many candidates lie under it, so how far into a level a
+    /// limited search reaches depends on how early its bound tightens; with
+    /// several portfolio workers that depends on timing.
     pub candidate_limit: Option<usize>,
     /// Number of workers evaluating repetend candidates (the *portfolio*
     /// width).
@@ -274,8 +288,10 @@ impl std::ops::AddAssign for ScreenedBy {
 /// Statistics of one search run.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SearchStats {
-    /// Number of repetend candidates pulled from the incremental generator
-    /// (enumeration stops early once the lower bound is reached).
+    /// Number of repetend candidates the enumeration handed to a worker: the
+    /// leaves of its branch-and-bound that survive the bound (enumeration
+    /// stops early once the lower bound is reached). The candidates under a
+    /// refuted prefix are not among them; see `subtrees_pruned`.
     pub candidates_considered: usize,
     /// Number of candidates the [`CandidateScreen`] refuted below the best
     /// period found so far, before any instance was built.
@@ -289,6 +305,11 @@ pub struct SearchStats {
     /// on to the solver: `candidates_considered == candidates_screened +
     /// repetend_solves`.
     pub repetend_solves: usize,
+    /// Number of partial index assignments the enumeration refuted below the
+    /// best period found so far, each together with every candidate that
+    /// completes it; none of those candidates is in `candidates_considered`.
+    #[serde(default)]
+    pub subtrees_pruned: usize,
     /// Number of lazy feasibility probes issued for completion phases.
     pub feasibility_probes: usize,
     /// Number of candidates that improved on the incumbent repetend.
@@ -370,36 +391,7 @@ impl TesselSearch {
         let started = Instant::now();
         let mut stats = SearchStats::default();
 
-        // Lines 1-6 of Algorithm 1: bounds and the in-flight micro-batch cap.
-        let inflights = placement
-            .max_inflight_micro_batches(self.config.max_repetend_micro_batches)
-            .min(self.config.max_repetend_micro_batches)
-            .min(self.config.num_micro_batches)
-            .max(1);
-
-        let shared = Shared {
-            placement,
-            config: &self.config,
-            // Per-run abort conditions: the caller's cancellation token plus
-            // the wall-clock budget, shared with every solver this run
-            // creates so in-flight branch loops stop cooperatively.
-            abort: Abort {
-                cancel: self.config.cancel.clone(),
-                deadline: self.config.time_budget.map(|budget| started + budget),
-            },
-            // Every solver this run creates reports its effort into one
-            // shared sink, aggregated into `SearchStats::solver` at the end.
-            sink: StatsSink::new(),
-            stream: Mutex::new(CandidateStream::new(
-                placement,
-                inflights,
-                self.config.candidate_limit,
-            )),
-            optimal: AtomicU64::new(placement.total_block_time() + 1),
-            lower_bound: placement.repetend_lower_bound(),
-            stop: AtomicBool::new(false),
-            best: Mutex::new(None),
-        };
+        let shared = Shared::new(placement, &self.config, started);
 
         // Lines 7-19: the same worker whatever the width. One worker needs
         // no thread of its own.
@@ -418,9 +410,13 @@ impl TesselSearch {
             })
         };
 
-        // Candidates actually pulled from the generator: enumeration stops
-        // once the early exit fires.
-        stats.candidates_considered = shared.stream.lock().expect("stream lock").pulled;
+        // What the enumeration actually did: it stops once the early exit
+        // fires.
+        {
+            let stream = shared.stream.lock().expect("stream lock");
+            stats.candidates_considered = stream.pulled;
+            stats.subtrees_pruned = stream.iter.subtrees_pruned();
+        }
         for tally in tallies {
             let tally = tally?;
             stats.screened_by += tally.screened_by;
@@ -490,8 +486,9 @@ struct Shared<'a> {
     /// one logical work queue, produced **lazily** — nothing is materialized
     /// up front, so very large `NR` levels cost `O(K)` memory no matter how
     /// many candidates they contain. A worker pulls the next candidate under
-    /// this short-held lock.
-    stream: Mutex<CandidateStream<'a>>,
+    /// this lock, which it holds for [`PULL_STEPS`] steps of the enumeration
+    /// at most.
+    stream: Mutex<CandidateStream>,
     /// The best period found so far (Algorithm 1's `optimal`): the upper
     /// bound of every screen and solve. An improvement published by one
     /// worker immediately tightens the pruning of every other and cancels
@@ -507,7 +504,39 @@ struct Shared<'a> {
     best: Mutex<Option<Win>>,
 }
 
-impl Shared<'_> {
+impl<'a> Shared<'a> {
+    /// Lines 1-6 of Algorithm 1: bounds and the in-flight micro-batch cap.
+    fn new(placement: &'a PlacementSpec, config: &'a SearchConfig, started: Instant) -> Self {
+        let inflights = placement
+            .max_inflight_micro_batches(config.max_repetend_micro_batches)
+            .min(config.max_repetend_micro_batches)
+            .min(config.num_micro_batches)
+            .max(1);
+        Shared {
+            placement,
+            config,
+            // Per-run abort conditions: the caller's cancellation token plus
+            // the wall-clock budget, shared with every solver this run
+            // creates so in-flight branch loops stop cooperatively.
+            abort: Abort {
+                cancel: config.cancel.clone(),
+                deadline: config.time_budget.map(|budget| started + budget),
+            },
+            // Every solver this run creates reports its effort into one
+            // shared sink, aggregated into `SearchStats::solver` at the end.
+            sink: StatsSink::new(),
+            stream: Mutex::new(CandidateStream::new(
+                placement,
+                inflights,
+                config.candidate_limit,
+            )),
+            optimal: AtomicU64::new(placement.total_block_time() + 1),
+            lower_bound: placement.repetend_lower_bound(),
+            stop: AtomicBool::new(false),
+            best: Mutex::new(None),
+        }
+    }
+
     /// A solver configured by `config` with the run's abort conditions,
     /// statistics sink and (for repetend solvers only) the anytime incumbent
     /// observer attached.
@@ -572,11 +601,16 @@ impl<'s, 'p> Worker<'s, 'p> {
         let shared = self.shared;
         let clock = Instant::now();
         while !shared.stop.load(Ordering::Relaxed) && !shared.abort.should_stop() {
-            let Some((seq, nr, candidate)) = shared.stream.lock().expect("stream lock").next()
-            else {
-                break;
+            // The lock is released before the match: a pull holds it for one
+            // step budget at most.
+            let below = shared.optimal.load(Ordering::Relaxed);
+            let pull = shared.stream.lock().expect("stream lock").next_below(below);
+            let leaf = match pull {
+                Pull::Leaf(leaf) => leaf,
+                Pull::Paused => continue,
+                Pull::Done => break,
             };
-            let Some((repetend, phases)) = self.evaluate(&candidate)? else {
+            let Some((repetend, phases)) = self.evaluate(&leaf.candidate, &leaf.heads)? else {
                 continue;
             };
 
@@ -590,11 +624,11 @@ impl<'s, 'p> Worker<'s, 'p> {
                 let mut best = shared.best.lock().expect("winner lock");
                 let beats = best
                     .as_ref()
-                    .is_none_or(|b| (period, seq) < (b.repetend.period, b.seq));
+                    .is_none_or(|b| (period, leaf.seq) < (b.repetend.period, b.seq));
                 if beats {
                     *best = Some(Win {
-                        seq,
-                        nr,
+                        seq: leaf.seq,
+                        nr: leaf.nr,
                         repetend,
                         phases,
                     });
@@ -615,20 +649,22 @@ impl<'s, 'p> Worker<'s, 'p> {
         Ok(self.tally)
     }
 
-    /// Everything Algorithm 1 does with one candidate: screen it, solve it
-    /// below the best period so far, and check that its completion phases
-    /// exist. Returns the repetend if it is still improving and
-    /// phase-feasible, together with its phases when eager mode solved them.
+    /// Everything Algorithm 1 does with one candidate the enumeration let
+    /// through: screen it from its `heads` on, solve it below the best period
+    /// so far, and check that its completion phases exist. Returns the
+    /// repetend if it is still improving and phase-feasible, together with
+    /// its phases when eager mode solved them.
     fn evaluate(
         &mut self,
         candidate: &RepetendCandidate,
+        heads: &[u64],
     ) -> Result<Option<(Repetend, Option<Phases>)>, CoreError> {
         let (placement, optimal) = (self.shared.placement, &self.shared.optimal);
         // The shared bound cancels candidates that can no longer win before
         // any solver work happens: a candidate the screen refutes below it is
         // rejected before an instance is built.
         let bound = optimal.load(Ordering::Relaxed);
-        let solved = match self.screen.refutes(candidate, bound) {
+        let solved = match self.screen.refutes_with_heads(candidate, heads, bound) {
             Some(stage) => {
                 *self.tally.screened_by.of(stage) += 1;
                 None
@@ -694,56 +730,88 @@ fn solve_phases(
     Ok((solve(Phase::Warmup)?, solve(Phase::Cooldown)?))
 }
 
+/// The most steps of the enumeration one [`CandidateStream::next_below`] call
+/// takes before it hands control back. Between two candidates that survive
+/// the bound there may be 10⁴-10⁶ refuted prefixes; the worker loop re-reads
+/// the bound, the early exit and the abort conditions (and a portfolio worker
+/// releases the stream lock) at least this often. A step is a few
+/// nanoseconds, so a pull lasts tens of microseconds at most.
+const PULL_STEPS: u64 = 4096;
+
+/// A candidate the enumeration let through, as handed to a worker.
+struct Leaf {
+    /// Position among the candidates handed out: the tie-breaker among equal
+    /// periods.
+    seq: usize,
+    nr: usize,
+    candidate: RepetendCandidate,
+    /// The head of each of the candidate's blocks over the edges it keeps.
+    heads: Vec<u64>,
+}
+
+/// What one [`CandidateStream::next_below`] call came to.
+enum Pull {
+    Leaf(Leaf),
+    /// No candidate yet: the step budget ran out or an `NR` level ended.
+    Paused,
+    /// Every level is exhausted.
+    Done,
+}
+
 /// The lazy candidate source of a search run: chains the incremental
-/// [`candidate_iter`] generators of every `NR` level (respecting the
-/// per-level candidate limit) and stamps each candidate with its global
-/// enumeration sequence number, which doubles as the deterministic
-/// tie-breaker among equal periods.
-struct CandidateStream<'a> {
-    placement: &'a PlacementSpec,
+/// [`CandidateIter`] enumerations of every `NR` level (each under the
+/// per-level work limit) and stamps each candidate with its sequence number,
+/// which doubles as the deterministic tie-breaker among equal periods.
+struct CandidateStream {
     inflights: usize,
+    /// The most candidates and refuted prefixes, taken together, one level
+    /// may count.
     level_limit: usize,
     nr: usize,
-    taken_in_level: usize,
-    iter: CandidateIter<'a>,
+    /// The enumeration of level `nr`; its counters run over every level.
+    iter: CandidateIter,
     /// Number of candidates handed out so far.
     pulled: usize,
 }
 
-impl<'a> CandidateStream<'a> {
-    fn new(placement: &'a PlacementSpec, inflights: usize, limit: Option<usize>) -> Self {
+impl CandidateStream {
+    fn new(placement: &PlacementSpec, inflights: usize, limit: Option<usize>) -> Self {
+        let level_limit = limit.unwrap_or(usize::MAX);
+        let mut iter = CandidateIter::new(placement);
+        iter.restart(1, level_limit);
         CandidateStream {
-            placement,
             inflights,
-            level_limit: limit.unwrap_or(usize::MAX),
+            level_limit,
             nr: 1,
-            taken_in_level: 0,
-            iter: candidate_iter(placement, 1.min(inflights)),
+            iter,
             pulled: 0,
         }
     }
-}
 
-impl Iterator for CandidateStream<'_> {
-    type Item = (usize, usize, RepetendCandidate);
-
-    fn next(&mut self) -> Option<(usize, usize, RepetendCandidate)> {
-        loop {
-            if self.nr > self.inflights {
-                return None;
+    /// Walks on towards the next candidate whose critical path is below
+    /// `below`, for [`PULL_STEPS`] steps at most.
+    fn next_below(&mut self, below: u64) -> Pull {
+        if self.nr > self.inflights {
+            return Pull::Done;
+        }
+        match self.iter.advance(below, PULL_STEPS) {
+            Advance::Leaf(candidate) => {
+                let seq = self.pulled;
+                self.pulled += 1;
+                Pull::Leaf(Leaf {
+                    seq,
+                    nr: self.nr,
+                    candidate,
+                    heads: self.iter.heads().to_vec(),
+                })
             }
-            if self.taken_in_level < self.level_limit {
-                if let Some(candidate) = self.iter.next() {
-                    self.taken_in_level += 1;
-                    let seq = self.pulled;
-                    self.pulled += 1;
-                    return Some((seq, self.nr, candidate));
+            Advance::Paused => Pull::Paused,
+            Advance::Done => {
+                self.nr += 1;
+                if self.nr <= self.inflights {
+                    self.iter.restart(self.nr, self.level_limit);
                 }
-            }
-            self.nr += 1;
-            self.taken_in_level = 0;
-            if self.nr <= self.inflights {
-                self.iter = candidate_iter(self.placement, self.nr);
+                Pull::Paused
             }
         }
     }
@@ -779,36 +847,34 @@ mod tests {
     }
 
     /// X-shape placement (Chimera-style, Fig. 1b): two pipelines flowing in
-    /// opposite directions across two devices.
-    fn x_shape() -> PlacementSpec {
-        let mut b = PlacementSpec::builder("x2", 2);
-        b.set_memory_capacity(Some(4));
-        // Branch "down": stage0 on dev0, stage1 on dev1.
-        let f0 = b
-            .add_block("d-f0", BlockKind::Forward, [0], 1, 1, [])
-            .unwrap();
-        let f1 = b
-            .add_block("d-f1", BlockKind::Forward, [1], 1, 1, [f0])
-            .unwrap();
-        let b1 = b
-            .add_block("d-b1", BlockKind::Backward, [1], 2, -1, [f1])
-            .unwrap();
-        let _b0 = b
-            .add_block("d-b0", BlockKind::Backward, [0], 2, -1, [b1])
-            .unwrap();
-        // Branch "up": stage0 on dev1, stage1 on dev0.
-        let g0 = b
-            .add_block("u-f0", BlockKind::Forward, [1], 1, 1, [])
-            .unwrap();
-        let g1 = b
-            .add_block("u-f1", BlockKind::Forward, [0], 1, 1, [g0])
-            .unwrap();
-        let c1 = b
-            .add_block("u-b1", BlockKind::Backward, [0], 2, -1, [g1])
-            .unwrap();
-        let _c0 = b
-            .add_block("u-b0", BlockKind::Backward, [1], 2, -1, [c1])
-            .unwrap();
+    /// opposite directions across `d` devices.
+    fn x_shape(d: usize, capacity: Option<i64>) -> PlacementSpec {
+        let mut b = PlacementSpec::builder(format!("x{d}"), d);
+        b.set_memory_capacity(capacity);
+        for (branch, down) in [("d", true), ("u", false)] {
+            let across: Vec<usize> = if down {
+                (0..d).collect()
+            } else {
+                (0..d).rev().collect()
+            };
+            let mut prev: Option<usize> = None;
+            for &dev in &across {
+                let deps: Vec<usize> = prev.into_iter().collect();
+                let name = format!("{branch}-f{dev}");
+                prev = Some(
+                    b.add_block(name, BlockKind::Forward, [dev], 1, 1, deps)
+                        .unwrap(),
+                );
+            }
+            for &dev in across.iter().rev() {
+                let deps: Vec<usize> = prev.into_iter().collect();
+                let name = format!("{branch}-b{dev}");
+                prev = Some(
+                    b.add_block(name, BlockKind::Backward, [dev], 2, -1, deps)
+                        .unwrap(),
+                );
+            }
+        }
         b.build().unwrap()
     }
 
@@ -827,7 +893,7 @@ mod tests {
 
     #[test]
     fn search_handles_x_shape_placement() {
-        let p = x_shape();
+        let p = x_shape(2, Some(4));
         let search = TesselSearch::new(SearchConfig::default().with_micro_batches(6));
         let outcome = search.run(&p).unwrap();
         outcome.schedule.validate(&p).unwrap();
@@ -931,7 +997,7 @@ mod tests {
 
     #[test]
     fn solver_threads_leave_the_period_unchanged() {
-        for placement in [v_shape(2, 1, 2, Some(3)), x_shape()] {
+        for placement in [v_shape(2, 1, 2, Some(3)), x_shape(2, Some(4))] {
             let serial = TesselSearch::new(SearchConfig::default().with_solver_threads(1))
                 .run(&placement)
                 .unwrap();
@@ -1015,6 +1081,93 @@ mod tests {
         assert!(matches!(err, CoreError::DeadlineExceeded));
     }
 
+    /// Seven independent one-unit blocks, then a chain of five three-unit
+    /// blocks, every block on a device of its own. With four micro-batches
+    /// two chain blocks share an index, so no instance has a makespan below
+    /// 6; under that bound every candidate is refuted, but only along the
+    /// chain, once per assignment of the free blocks — `4^7` times at
+    /// `NR = 4`, with no leaf in between.
+    fn leafless_placement() -> PlacementSpec {
+        let free = 7;
+        let mut b = PlacementSpec::builder("leafless", free + 5);
+        for dev in 0..free {
+            b.add_block(format!("free{dev}"), BlockKind::Forward, [dev], 1, 0, [])
+                .unwrap();
+        }
+        let mut prev: Option<usize> = None;
+        for dev in free..free + 5 {
+            let deps: Vec<usize> = prev.into_iter().collect();
+            prev = Some(
+                b.add_block(format!("c{dev}"), BlockKind::Forward, [dev], 3, 0, deps)
+                    .unwrap(),
+            );
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn a_cancellation_is_seen_within_one_step_budget_of_refuted_prefixes() {
+        let p = leafless_placement();
+        let config = SearchConfig::default().with_max_repetend_micro_batches(4);
+        // The whole enumeration below the closed bound, uninterrupted.
+        let mut stream = CandidateStream::new(&p, 4, None);
+        loop {
+            let before = stream.iter.steps();
+            match stream.next_below(6) {
+                Pull::Leaf(leaf) => panic!("{:?} is below 6", leaf.candidate),
+                Pull::Paused => assert!(stream.iter.steps() - before <= PULL_STEPS),
+                Pull::Done => break,
+            }
+        }
+        let (prefixes, steps) = (stream.iter.subtrees_pruned(), stream.iter.steps());
+        assert!(prefixes >= 100_000 && steps >= 100 * PULL_STEPS);
+
+        // A worker is let into that stretch with the token cancelled the
+        // moment it starts its pull: the stream lock is held until then.
+        let mut caught_mid_pull = false;
+        for _ in 0..20 {
+            let shared = Shared::new(&p, &config, Instant::now());
+            shared.optimal.store(6, Ordering::Relaxed);
+            std::thread::scope(|scope| {
+                let stream = shared.stream.lock().unwrap();
+                let worker = scope.spawn(|| Worker::new(&shared).run());
+                // Long enough for the worker to pass its abort check and
+                // block on the lock; if it has not, it takes no step at all.
+                std::thread::sleep(Duration::from_millis(20));
+                config.cancel.cancel();
+                drop(stream);
+                worker.join().unwrap().unwrap();
+            });
+            let taken = shared.stream.lock().unwrap().iter.steps();
+            assert!(taken <= PULL_STEPS, "{taken} steps after the cancellation");
+            assert!(shared.abort.should_stop());
+            caught_mid_pull |= taken > 0;
+            if caught_mid_pull {
+                break;
+            }
+        }
+        assert!(caught_mid_pull, "no worker was blocked on the stream lock");
+    }
+
+    #[test]
+    fn an_expired_budget_ends_a_search_deep_in_refuted_prefixes() {
+        // X-shape over 16 devices up to six micro-batches: seconds of
+        // enumeration across 10⁷ refuted prefixes. Wherever the budget runs
+        // out, the search reports the deadline.
+        let p = x_shape(16, None);
+        for threads in [1usize, 2] {
+            let config = SearchConfig::default()
+                .with_max_repetend_micro_batches(6)
+                .with_portfolio_threads(threads)
+                .with_time_budget(Some(Duration::from_millis(30)));
+            let err = TesselSearch::new(config).run(&p).unwrap_err();
+            assert!(
+                matches!(err, CoreError::DeadlineExceeded),
+                "threads={threads}: {err:?}"
+            );
+        }
+    }
+
     #[test]
     fn generous_budget_leaves_the_result_unchanged() {
         let p = v_shape(2, 1, 2, Some(3));
@@ -1029,7 +1182,7 @@ mod tests {
 
     #[test]
     fn portfolio_search_finds_the_serial_period() {
-        for placement in [v_shape(2, 1, 2, Some(3)), x_shape()] {
+        for placement in [v_shape(2, 1, 2, Some(3)), x_shape(2, Some(4))] {
             let serial = TesselSearch::new(SearchConfig::default().with_micro_batches(6))
                 .run(&placement)
                 .unwrap();

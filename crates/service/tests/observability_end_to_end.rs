@@ -288,13 +288,14 @@ fn bad_inbound_trace_headers_mint_fresh_ids_and_are_never_reflected() {
 }
 
 /// A search the solver chews on for a predictable ~1.5 s window: the
-/// 8-device X-shape portfolio explores far longer single-threaded, so the
-/// request deadline is what ends it.
+/// 16-device X-shape up to six micro-batches takes ~6 s single-threaded in a
+/// release build (the 8-device one finishes in milliseconds since the
+/// enumeration prunes), so the request deadline is what ends it.
 fn slow_search_body(deadline_ms: u64) -> String {
-    let placement = synthetic_placement(ShapeKind::X, 8).expect("placement");
+    let placement = synthetic_placement(ShapeKind::X, 16).expect("placement");
     let mut request = SearchRequest::for_placement(placement);
     request.num_micro_batches = Some(8);
-    request.max_repetend_micro_batches = Some(4);
+    request.max_repetend_micro_batches = Some(6);
     request.solver_threads = Some(1);
     request.deadline_ms = Some(deadline_ms);
     serde_json::to_string(&request).unwrap()

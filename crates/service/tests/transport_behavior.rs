@@ -502,15 +502,16 @@ fn start_admission_server(queue_depth: usize) -> (HttpServer, String) {
     (server, addr)
 }
 
-/// A search the single worker chews on for ~2.5 s: the 8-device X-shape
-/// portfolio explores for tens of seconds single-threaded, so the request
-/// deadline is what ends it — a worker that is busy for a predictable
-/// window, then frees up.
+/// A search the single worker chews on for ~2.5 s: the 16-device X-shape up
+/// to six micro-batches takes ~6 s single-threaded in a release build (the
+/// 8-device one stopped being slow when the enumeration learned to prune:
+/// 38 s became 46 ms), so the request deadline is what ends it — a worker
+/// that is busy for a predictable window, then frees up.
 fn occupier_body() -> String {
-    let placement = synthetic_placement(ShapeKind::X, 8).expect("placement");
+    let placement = synthetic_placement(ShapeKind::X, 16).expect("placement");
     let mut request = SearchRequest::for_placement(placement);
     request.num_micro_batches = Some(8);
-    request.max_repetend_micro_batches = Some(4);
+    request.max_repetend_micro_batches = Some(6);
     request.solver_threads = Some(1);
     request.deadline_ms = Some(2500);
     serde_json::to_string(&request).unwrap()

@@ -1,18 +1,22 @@
-//! The candidate screen changes how fast the search rejects a candidate, never
-//! what the search returns.
+//! The candidate screen, and the bound inside the enumeration, change how
+//! fast the search rejects a candidate, never what the search returns.
 //!
-//! The oracle here is Algorithm 1's candidate loop (serial, lazy) with no
-//! screen in front of `solve_repetend`, written out over `core`'s public
-//! functions. It is the only unscreened loop in the repository. The searches
-//! under test must return its winner exactly — candidate, start times,
-//! period, `chosen_nr`, `early_exit` — and account for every candidate it
-//! pulled as either screened or solved.
+//! The oracle here is Algorithm 1's candidate loop (serial, lazy) over the
+//! unpruned enumeration with no screen in front of `solve_repetend`, written
+//! out over `core`'s public functions. It is the only such loop in the
+//! repository. The searches under test must return its winner exactly —
+//! candidate, start times, period, `chosen_nr`, `early_exit` — and account
+//! for every candidate they were handed as either screened or solved. The
+//! pruned enumeration on its own is held against the unpruned one: under
+//! every bound the reference passes through, it skips exactly the candidates
+//! the screen refutes by device load or critical path.
 
 use tessel::core::completion::{
     cooldown_blocks, cooldown_entry_memory, probe_phase, warmup_blocks,
 };
 use tessel::core::ir::{BlockKind, PlacementSpec};
-use tessel::core::repetend::{candidate_iter, solve_repetend, Repetend};
+use tessel::core::repetend::{candidate_iter, solve_repetend, Repetend, RepetendCandidate};
+use tessel::core::screen::{CandidateScreen, ScreenStage};
 use tessel::core::search::{SearchConfig, SearchOutcome, TesselSearch};
 use tessel::core::CoreError;
 use tessel::placement::shapes::{synthetic_placement, ShapeKind};
@@ -28,19 +32,27 @@ fn config(micro_batches: usize, max_repetend: usize) -> SearchConfig {
         .with_solver_threads(1)
 }
 
-/// What the unscreened loop found.
-struct Reference {
+/// The winner of the unscreened loop.
+struct Winner {
     repetend: Repetend,
     chosen_nr: usize,
     early_exit: bool,
 }
 
-/// Lines 1-19 of Algorithm 1 without the screen. Returns the winner (if any)
-/// and the number of candidates pulled.
-fn unscreened_reference(
-    placement: &PlacementSpec,
-    config: &SearchConfig,
-) -> (Option<Reference>, usize) {
+/// What the unscreened loop did.
+struct Reference {
+    winner: Option<Winner>,
+    /// Candidates pulled from the unpruned enumeration.
+    pulled: usize,
+    /// Every value the bound took, from `total_block_time + 1` down to the
+    /// winning period.
+    bounds: Vec<u64>,
+    /// The last `NR` level it enumerated.
+    levels: usize,
+}
+
+/// Lines 1-19 of Algorithm 1 without the screen.
+fn unscreened_reference(placement: &PlacementSpec, config: &SearchConfig) -> Reference {
     let repetend_solver = Solver::new(config.repetend_solver.clone());
     let probe_solver = Solver::new(SolverConfig::probe().with_threads(1));
     let n = config.num_micro_batches;
@@ -51,12 +63,16 @@ fn unscreened_reference(
         .min(config.max_repetend_micro_batches)
         .min(n)
         .max(1);
-    let mut best = None;
-    let mut pulled = 0;
+    let mut reference = Reference {
+        winner: None,
+        pulled: 0,
+        bounds: vec![optimal],
+        levels: inflights,
+    };
     for nr in 1..=inflights {
         let limit = config.candidate_limit.unwrap_or(usize::MAX);
         for candidate in candidate_iter(placement, nr).take(limit) {
-            pulled += 1;
+            reference.pulled += 1;
             let solved = solve_repetend(placement, &candidate, &repetend_solver, optimal).unwrap();
             let Some(repetend) = solved.filter(|r| r.period < optimal) else {
                 continue;
@@ -80,60 +96,68 @@ fn unscreened_reference(
                 continue;
             }
             optimal = repetend.period;
+            reference.bounds.push(optimal);
             let early_exit = optimal <= lower_bound;
-            best = Some(Reference {
+            reference.winner = Some(Winner {
                 repetend,
                 chosen_nr: nr,
                 early_exit,
             });
             if early_exit {
-                return (best, pulled);
+                reference.levels = nr;
+                return reference;
             }
         }
     }
-    (best, pulled)
+    reference
 }
 
-/// Runs the screened search serially and with two portfolio workers and holds
-/// both against the unscreened reference.
+/// Runs the search serially and with two and four portfolio workers and holds
+/// each against the unscreened reference. No candidate limit: under one the
+/// pruned enumeration reaches further than the reference does.
 fn assert_matches_reference(what: &str, placement: &PlacementSpec, config: &SearchConfig) {
-    let (reference, pulled) = unscreened_reference(placement, config);
+    assert_eq!(config.candidate_limit, None, "{what}");
+    let reference = unscreened_reference(placement, config);
     let serial = TesselSearch::new(config.clone()).run(placement);
-    let portfolio = TesselSearch::new(config.clone().with_portfolio_threads(2)).run(placement);
-    let Some(reference) = reference else {
-        assert!(
-            matches!(serial, Err(CoreError::NoFeasibleRepetend)),
-            "{what}: {serial:?}"
-        );
-        assert!(
-            matches!(portfolio, Err(CoreError::NoFeasibleRepetend)),
-            "{what}: {portfolio:?}"
-        );
+    let portfolios =
+        [2, 4].map(|w| TesselSearch::new(config.clone().with_portfolio_threads(w)).run(placement));
+    let Some(winner) = reference.winner else {
+        for outcome in [serial].iter().chain(&portfolios) {
+            assert!(
+                matches!(outcome, Err(CoreError::NoFeasibleRepetend)),
+                "{what}: {outcome:?}"
+            );
+        }
         return;
     };
     let serial: SearchOutcome = serial.unwrap_or_else(|e| panic!("{what}: {e}"));
-    assert_eq!(serial.repetend, reference.repetend, "{what}");
-    assert_eq!(serial.stats.chosen_nr, reference.chosen_nr, "{what}");
-    assert_eq!(serial.stats.early_exit, reference.early_exit, "{what}");
-    assert_eq!(serial.stats.candidates_considered, pulled, "{what}");
+    assert_eq!(serial.repetend, winner.repetend, "{what}");
+    assert_eq!(serial.stats.chosen_nr, winner.chosen_nr, "{what}");
+    assert_eq!(serial.stats.early_exit, winner.early_exit, "{what}");
+    // Every candidate the reference pulled was handed to the worker or lies
+    // under a refuted prefix.
+    assert!(
+        serial.stats.candidates_considered <= reference.pulled,
+        "{what}"
+    );
     assert_eq!(
+        serial.stats.candidates_considered,
         serial.stats.candidates_screened + serial.stats.repetend_solves,
-        pulled,
         "{what}"
     );
     serial.schedule.validate(placement).unwrap();
 
-    let portfolio = portfolio.unwrap_or_else(|e| panic!("{what}: {e}"));
-    assert_eq!(
-        portfolio.repetend.period, reference.repetend.period,
-        "{what}"
-    );
-    assert_eq!(
-        portfolio.stats.candidates_considered,
-        portfolio.stats.candidates_screened + portfolio.stats.repetend_solves,
-        "{what}"
-    );
-    portfolio.schedule.validate(placement).unwrap();
+    for portfolio in portfolios {
+        let portfolio = portfolio.unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(portfolio.repetend.period, winner.repetend.period, "{what}");
+        assert_eq!(portfolio.stats.early_exit, winner.early_exit, "{what}");
+        assert_eq!(
+            portfolio.stats.candidates_considered,
+            portfolio.stats.candidates_screened + portfolio.stats.repetend_solves,
+            "{what}"
+        );
+        portfolio.schedule.validate(placement).unwrap();
+    }
 }
 
 #[test]
@@ -211,14 +235,167 @@ fn screened_search_matches_the_unscreened_reference_on_random_placements() {
     let mut searched = 0;
     for seed in 0..40u64 {
         let placement = random_placement(seed);
-        let (reference, _) = unscreened_reference(&placement, &config(6, 3));
-        searched += usize::from(reference.is_some());
+        let reference = unscreened_reference(&placement, &config(6, 3));
+        searched += usize::from(reference.winner.is_some());
         assert_matches_reference(&format!("seed {seed}"), &placement, &config(6, 3));
     }
     assert!(
         searched >= 30,
         "only {searched} of 40 seeds were searchable"
     );
+}
+
+/// The head of every block of `candidate` over the edges it keeps, from the
+/// definition: the longest kept chain ending just before the block.
+fn reference_heads(placement: &PlacementSpec, candidate: &RepetendCandidate) -> Vec<u64> {
+    let indices = &candidate.indices;
+    let mut heads = vec![0; placement.num_blocks()];
+    for stage in placement.topological_stages() {
+        for &dep in &placement.block(stage).deps {
+            if indices[dep] == indices[stage] {
+                heads[stage] = heads[stage].max(heads[dep] + placement.block(dep).time);
+            }
+        }
+    }
+    heads
+}
+
+/// What a run of the pruned-stream oracle reached.
+#[derive(Debug, Default)]
+struct Reached {
+    /// Candidates `next_below` returned and candidates it skipped.
+    leaves: usize,
+    skipped: usize,
+    /// Prefixes it refuted to skip them.
+    subtrees: usize,
+}
+
+/// Holds `next_below` at level `nr` against `all`, the unpruned enumeration
+/// of that level: walking down `bounds` (one step every `leaves_per_bound`
+/// leaves, then staying on the last), every candidate a call skips is one the
+/// screen refutes below that call's bound by device load or critical path,
+/// and the candidate it returns is not — so under one constant bound the
+/// pruned stream is exactly the unpruned one filtered by those two stages.
+fn assert_stream_skips_only_the_refuted(
+    at: &str,
+    placement: &PlacementSpec,
+    nr: usize,
+    all: &[RepetendCandidate],
+    bounds: &[u64],
+    leaves_per_bound: usize,
+    reached: &mut Reached,
+) {
+    let mut screen = CandidateScreen::new(placement);
+    let mut refuted = |candidate: &RepetendCandidate, below: u64| {
+        matches!(
+            screen.refutes(candidate, below),
+            Some(ScreenStage::Load | ScreenStage::CriticalPath)
+        )
+    };
+    let mut stream = candidate_iter(placement, nr);
+    let mut unpruned = all.iter();
+    let mut leaves = 0;
+    loop {
+        let below = bounds[(leaves / leaves_per_bound).min(bounds.len() - 1)];
+        let at = format!("{at} nr {nr} below {below} after {leaves} leaves\n{placement:?}");
+        let leaf = stream.next_below(below);
+        let mut in_order = leaf.is_none();
+        for candidate in unpruned.by_ref() {
+            if Some(candidate) == leaf.as_ref() {
+                in_order = true;
+                break;
+            }
+            assert!(refuted(candidate, below), "skipped {candidate:?}: {at}");
+            reached.skipped += 1;
+        }
+        assert!(in_order, "{leaf:?} is not next in the enumeration: {at}");
+        let Some(leaf) = leaf else { break };
+        assert!(!refuted(&leaf, below), "returned {leaf:?}: {at}");
+        assert_eq!(stream.heads(), reference_heads(placement, &leaf), "{at}");
+        leaves += 1;
+    }
+    reached.leaves += leaves;
+    reached.subtrees += stream.subtrees_pruned();
+}
+
+/// The pruned-stream oracle on one placement: every level the unscreened
+/// reference enumerates, under every bound it passes through and under none,
+/// each held constant, and once tightening through all of them.
+fn assert_pruned_stream_matches(
+    at: &str,
+    placement: &PlacementSpec,
+    config: &SearchConfig,
+    reached: &mut Reached,
+) {
+    let reference = unscreened_reference(placement, config);
+    for nr in 1..=reference.levels {
+        let all: Vec<RepetendCandidate> = candidate_iter(placement, nr).collect();
+        for below in reference.bounds.iter().copied().chain([u64::MAX]) {
+            assert_stream_skips_only_the_refuted(at, placement, nr, &all, &[below], 1, reached);
+        }
+        assert_stream_skips_only_the_refuted(
+            at,
+            placement,
+            nr,
+            &all,
+            &reference.bounds,
+            2,
+            reached,
+        );
+    }
+}
+
+/// The first seed of the random half of the oracle: `TESSEL_FUZZ_SEED`
+/// (decimal or 0x-hex), or the pinned default.
+fn first_seed() -> u64 {
+    let raw = std::env::var("TESSEL_FUZZ_SEED").ok();
+    let parsed = raw
+        .as_deref()
+        .map(str::trim)
+        .and_then(|raw| match raw.strip_prefix("0x") {
+            Some(hex) => u64::from_str_radix(hex, 16).ok(),
+            None => raw.parse().ok(),
+        });
+    parsed.unwrap_or(0xf16e_4a44)
+}
+
+fn pruned_stream_oracle(seeds: u64) -> Reached {
+    let mut reached = Reached::default();
+    for shape in ShapeKind::all() {
+        let placement = synthetic_placement(shape, 4).unwrap();
+        assert_pruned_stream_matches(
+            &format!("{shape:?}4"),
+            &placement,
+            &config(8, 6),
+            &mut reached,
+        );
+    }
+    let first = first_seed();
+    for seed in first..first + seeds {
+        let at = format!("TESSEL_FUZZ_SEED={seed:#x}");
+        assert_pruned_stream_matches(&at, &random_placement(seed), &config(6, 3), &mut reached);
+    }
+    reached
+}
+
+#[test]
+fn pruned_stream_is_the_enumeration_less_what_the_screen_refutes_first() {
+    let reached = pruned_stream_oracle(300);
+    // The oracle has to reach its subject: bounds that bind, in the tree.
+    assert!(
+        reached.leaves > 10_000 && reached.skipped > 10_000 && reached.subtrees > 5_000,
+        "TESSEL_FUZZ_SEED={:#x}: {reached:?}",
+        first_seed()
+    );
+}
+
+/// Reproduce a failure with `TESSEL_FUZZ_SEED=<seed> cargo test --release
+/// --test screening pruned_stream -- --include-ignored`.
+#[test]
+#[ignore = "2,000 placements; CI's fuzz job runs it in release"]
+fn pruned_stream_matches_on_2000_seeds() {
+    let reached = pruned_stream_oracle(2000);
+    eprintln!("TESSEL_FUZZ_SEED={:#x}: {reached:?}", first_seed());
 }
 
 /// The counters that do not depend on the host, pinned exactly: the suite
@@ -229,11 +406,14 @@ fn search_counters_are_pinned() {
     // node count) follows `TESSEL_TEST_THREADS`; the other three columns do
     // not depend on it.
     let nodes_are_exact = std::env::var_os("TESSEL_TEST_THREADS").is_none();
-    // (shape, devices, NR cap) -> (considered, screened, solved), solver nodes
+    // (shape, devices, NR cap) -> (considered, screened, solved, subtrees
+    // pruned), solver nodes. Before the enumeration pruned, the first two
+    // columns read 500 / 494, 1456 / 1444 and 13,700 / 13,694: every
+    // candidate missing here the screen refuted at its critical-path stage.
     let pins = [
-        (ShapeKind::V, 4, 6, (500, 494, 6), 355),
-        (ShapeKind::M, 4, 6, (1456, 1444, 12), 6_482),
-        (ShapeKind::K, 8, 4, (13_700, 13_694, 6), 1_787),
+        (ShapeKind::V, 4, 6, (9, 3, 6, 529), 355),
+        (ShapeKind::M, 4, 6, (630, 618, 12, 1_088), 6_482),
+        (ShapeKind::K, 8, 4, (1_302, 1_296, 6, 3_054), 1_787),
     ];
     for (shape, devices, nr, candidates, nodes) in pins {
         let placement = synthetic_placement(shape, devices).unwrap();
@@ -246,6 +426,7 @@ fn search_counters_are_pinned() {
                 stats.candidates_considered,
                 stats.candidates_screened,
                 stats.repetend_solves,
+                stats.subtrees_pruned,
             ),
             candidates,
             "{shape:?}{devices}"

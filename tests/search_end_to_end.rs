@@ -141,8 +141,9 @@ fn pinned_cases() -> Vec<(String, tessel::core::PlacementSpec, SearchConfig)> {
         for lazy in [true, false] {
             // Every thread count explicit, so `TESSEL_TEST_THREADS` cannot
             // change which of several equally short schedules a solve
-            // returns; the candidate limit keeps the X-shape's two
-            // independent chains in the seconds range in a debug build.
+            // returns. The candidate limit dates from when the X-shape's
+            // two independent chains took seconds in a debug build; it stays
+            // so the limited path is pinned too (it binds on M and NN).
             let mut config = SearchConfig::default()
                 .with_micro_batches(8)
                 .with_lazy(lazy)
@@ -214,7 +215,11 @@ fn serial_search_matches_the_golden_stats() {
 }
 
 /// More portfolio workers change which candidates get solved, never the
-/// period the search proves.
+/// period the search proves. Under the candidate limit that needs a margin:
+/// the limit counts enumeration work, and a worker that pulls before another
+/// has published its improvement spends more of it on the same stretch. The
+/// pinned cases have one — serially M/NN reach period 7 at any limit from 150
+/// to 800 and X reaches 6 at any limit from 100 up; the limit is 400.
 #[test]
 fn portfolio_widths_reach_the_golden_period() {
     let golden = std::fs::read_to_string(GOLDEN).expect("tests/golden/search_stats.json");
