@@ -9,7 +9,7 @@ use crate::error::CoreError;
 use crate::ir::PlacementSpec;
 use crate::repetend::{entry_memory, Repetend, RepetendCandidate};
 use serde::{Deserialize, Serialize};
-use tessel_solver::{Instance, InstanceBuilder, Solver, TaskId};
+use tessel_solver::{greedy_schedule, GreedyPriority, Instance, InstanceBuilder, Solver, TaskId};
 
 /// Identifies which completion phase a block set belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -235,23 +235,48 @@ pub fn solve_phase(
 }
 
 /// Checks (without optimising) whether a completion phase admits *any*
-/// schedule; used by the paper's lazy-search optimisation.
+/// schedule within its total work; used by the paper's lazy-search
+/// optimisation. The answer is the one `solver.satisfy(instance,
+/// total_work)` gives when it runs to completion, reached in three steps:
+///
+/// 1. **Proof.** Without a memory capacity the answer is `true` and no
+///    instance is built: the phase's precedence graph (placement
+///    dependencies inside a micro-batch plus the Property 4.1 chain) is
+///    acyclic, so running the blocks one at a time in a topological order
+///    finishes at exactly the total work.
+/// 2. **Witness.** Otherwise the list schedules `minimize` seeds with are
+///    tried. An append-order list schedule never ends after the total work,
+///    so one that does not dead-end on memory answers `true`.
+/// 3. **Search.** Only when all three dead-end does `solver.satisfy` run.
 ///
 /// # Errors
 ///
 /// Propagates solver construction errors only; infeasibility is reported as
-/// `Ok(false)`.
+/// `Ok(false)`, and so is a `satisfy` that stops at its node or time budget
+/// without a schedule.
 pub fn probe_phase(
     placement: &PlacementSpec,
     blocks: &[(usize, usize)],
     initial_memory: Vec<i64>,
     solver: &Solver,
 ) -> Result<bool, CoreError> {
-    if blocks.is_empty() {
+    if blocks.is_empty() || placement.memory_capacity().is_none() {
         return Ok(true);
     }
     let (instance, _) = build_phase_instance(placement, blocks, initial_memory)?;
     let deadline = instance.total_work();
+    for priority in [
+        GreedyPriority::LongestTail,
+        GreedyPriority::MemoryAware,
+        GreedyPriority::EarliestStart,
+    ] {
+        if let Some(witness) = greedy_schedule(&instance, priority) {
+            if witness.makespan() <= deadline {
+                debug_assert!(witness.validate(&instance).is_ok());
+                return Ok(true);
+            }
+        }
+    }
     let outcome = solver.satisfy(&instance, deadline)?;
     Ok(outcome.solution().is_some())
 }
@@ -280,7 +305,7 @@ pub fn complete_schedule(
 mod tests {
     use super::*;
     use crate::ir::BlockKind;
-    use tessel_solver::SolverConfig;
+    use tessel_solver::{SolveOutcome, SolverConfig};
 
     fn v_shape(d: usize, bwd: u64, capacity: Option<i64>) -> PlacementSpec {
         let mut b = PlacementSpec::builder(format!("v{d}"), d);
@@ -410,6 +435,98 @@ mod tests {
             err,
             CoreError::PhaseInfeasible { phase: "warmup" }
         ));
+    }
+
+    /// Which step of [`probe_phase`] answered, over one run of the oracle.
+    #[derive(Debug, Default)]
+    struct Answered {
+        proof: usize,
+        witness: usize,
+        /// Probes no list schedule answered, split by the answer `satisfy`
+        /// gave.
+        search_feasible: usize,
+        search_infeasible: usize,
+    }
+
+    /// [`probe_phase`] against the exhaustive solver's `satisfy` at the
+    /// phase's total work: the warmup and cooldown of every candidate at NR
+    /// 1-3 of every seed's placement, uncapped and under three tight
+    /// capacities.
+    fn probe_oracle(seeds: std::ops::Range<u64>) -> Answered {
+        use crate::repetend::candidate_iter;
+        use crate::screen::random_placement;
+        let exhaustive = Solver::new(SolverConfig::exhaustive().with_threads(1));
+        let probe = Solver::new(SolverConfig::probe().with_threads(1));
+        let mut answered = Answered::default();
+        for seed in seeds {
+            let random = random_placement(seed);
+            for capacity in [None, Some(1), Some(2), Some(3)] {
+                let p = random.with_memory_capacity(capacity);
+                for cand in (1..=3).flat_map(|nr| candidate_iter(&p, nr)) {
+                    for phase in [Phase::Warmup, Phase::Cooldown] {
+                        let (blocks, entry) = phase_inputs(&p, phase, &cand, 1);
+                        if blocks.is_empty() {
+                            continue;
+                        }
+                        let at = format!(
+                            "TESSEL_FUZZ_SEED={seed:#x} capacity {capacity:?} candidate {:?} {}",
+                            cand.indices,
+                            phase.name()
+                        );
+                        let got = probe_phase(&p, &blocks, entry.clone(), &probe);
+                        let Ok((instance, _)) = build_phase_instance(&p, &blocks, entry) else {
+                            assert!(got.is_err(), "{at}: {got:?}");
+                            continue;
+                        };
+                        let outcome = exhaustive
+                            .satisfy(&instance, instance.total_work())
+                            .unwrap();
+                        assert!(!matches!(outcome, SolveOutcome::Unknown(_)), "{at}");
+                        let feasible = outcome.solution().is_some();
+                        assert_eq!(got.unwrap(), feasible, "{at}");
+                        let witnessed = [
+                            GreedyPriority::LongestTail,
+                            GreedyPriority::MemoryAware,
+                            GreedyPriority::EarliestStart,
+                        ]
+                        .into_iter()
+                        .any(|priority| greedy_schedule(&instance, priority).is_some());
+                        *match (capacity, witnessed, feasible) {
+                            (None, ..) => &mut answered.proof,
+                            (_, true, _) => &mut answered.witness,
+                            (_, false, true) => &mut answered.search_feasible,
+                            (_, false, false) => &mut answered.search_infeasible,
+                        } += 1;
+                    }
+                }
+            }
+        }
+        answered
+    }
+
+    #[test]
+    fn probe_answers_as_the_exhaustive_solver_does() {
+        let first = crate::screen::first_seed();
+        let answered = probe_oracle(first..first + 60);
+        // The oracle has to reach all three steps, the search with both
+        // answers.
+        assert!(
+            answered.proof > 1000
+                && answered.witness > 1000
+                && answered.search_feasible > 0
+                && answered.search_infeasible > 0,
+            "TESSEL_FUZZ_SEED={first:#x}: {answered:?}"
+        );
+    }
+
+    /// Reproduce a failure with `TESSEL_FUZZ_SEED=<seed> cargo test --release
+    /// -p tessel-core --lib completion::tests::probe -- --include-ignored`.
+    #[test]
+    #[ignore = "2,000 placements against the exhaustive solver; CI's fuzz job runs it in release"]
+    fn probe_answers_as_the_exhaustive_solver_does_on_2000_seeds() {
+        let first = crate::screen::first_seed();
+        let answered = probe_oracle(first..first + 2000);
+        eprintln!("TESSEL_FUZZ_SEED={first:#x}: {answered:?}");
     }
 
     #[test]

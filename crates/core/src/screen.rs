@@ -508,6 +508,21 @@ pub(crate) fn random_placement(seed: u64) -> PlacementSpec {
     b.build().unwrap()
 }
 
+/// The first seed of a battery over [`random_placement`]:
+/// `TESSEL_FUZZ_SEED` (decimal or 0x-hex), or the pinned default.
+#[cfg(test)]
+pub(crate) fn first_seed() -> u64 {
+    let raw = std::env::var("TESSEL_FUZZ_SEED").ok();
+    let parsed = raw
+        .as_deref()
+        .map(str::trim)
+        .and_then(|raw| match raw.strip_prefix("0x") {
+            Some(hex) => u64::from_str_radix(hex, 16).ok(),
+            None => raw.parse().ok(),
+        });
+    parsed.unwrap_or(0xf16e_4a44)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -639,20 +654,6 @@ mod tests {
             }
         }
         reached
-    }
-
-    /// The first seed of the battery: `TESSEL_FUZZ_SEED` (decimal or
-    /// 0x-hex), or the pinned default.
-    fn first_seed() -> u64 {
-        let raw = std::env::var("TESSEL_FUZZ_SEED").ok();
-        let parsed = raw
-            .as_deref()
-            .map(str::trim)
-            .and_then(|raw| match raw.strip_prefix("0x") {
-                Some(hex) => u64::from_str_radix(hex, 16).ok(),
-                None => raw.parse().ok(),
-            });
-        parsed.unwrap_or(0xf16e_4a44)
     }
 
     #[test]

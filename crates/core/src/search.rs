@@ -983,9 +983,33 @@ mod tests {
         assert!(stats.phase_times.total() <= stats.total_time + Duration::from_secs(1));
     }
 
+    /// M-shape placement: a `d`-device V between an embedding forward and
+    /// backward that span every device. Its repetend solves branch; every
+    /// solve of a 2-device V's search is settled by its greedy seeds.
+    fn m_shape(d: usize) -> PlacementSpec {
+        let mut b = PlacementSpec::builder(format!("m{d}"), d);
+        let all: Vec<usize> = (0..d).collect();
+        let mut prev = b
+            .add_block("embed-f", BlockKind::Forward, all.clone(), 1, 1, [])
+            .unwrap();
+        for dev in 0..d {
+            prev = b
+                .add_block(format!("f{dev}"), BlockKind::Forward, [dev], 1, 1, [prev])
+                .unwrap();
+        }
+        for dev in (0..d).rev() {
+            prev = b
+                .add_block(format!("b{dev}"), BlockKind::Backward, [dev], 2, -1, [prev])
+                .unwrap();
+        }
+        b.add_block("embed-b", BlockKind::Backward, all, 2, -1, [prev])
+            .unwrap();
+        b.build().unwrap()
+    }
+
     #[test]
     fn stats_aggregate_solver_effort() {
-        let p = v_shape(2, 1, 2, Some(3));
+        let p = m_shape(4);
         let outcome = TesselSearch::new(SearchConfig::default()).run(&p).unwrap();
         let solver = &outcome.stats.solver;
         // Every repetend solve, probe and phase optimisation reports in; the

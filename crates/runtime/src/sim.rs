@@ -8,26 +8,41 @@
 //!   devices for the duration of the transfer (plus any rendezvous wait);
 //! * **non-blocking** — transfers run on a dedicated channel per device pair
 //!   and only the consuming compute block waits for them.
+//!
+//! The simulation runs in rounds: every round visits the devices in order and
+//! lets each one execute at most the instruction its program counter is at.
+//! Everything that does not change while the program runs — which transfer a
+//! tag names, which transfers a compute block waits for, how many devices
+//! share a block's flops, how long a transfer takes — is resolved once per
+//! call, so a visit reads a few vector slots.
 
 use crate::instantiate::CommMode;
 use crate::metrics::ExecutionReport;
 use crate::network::ClusterSpec;
 use crate::program::{CommTag, Instr, Program};
 use crate::Result;
-use std::collections::HashMap;
 use tessel_core::CoreError;
 
 /// Simulates `program` on `cluster` and returns the execution report.
 ///
+/// Every round visits the devices in index order and executes at most one
+/// instruction per device; a compute block runs once every transfer it
+/// consumes on its device has completed. In blocking mode a transfer starts
+/// when both ends have reached it: the side that arrives second records it
+/// (at the later of the two clocks) and moves on, and the other side then
+/// completes it at the recorded time.
+///
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidSchedule`] if the program deadlocks (cannot
-/// happen for programs produced by [`instantiate`](crate::instantiate())).
+/// happen for programs produced by [`instantiate`](crate::instantiate()):
+/// their sends and receives appear in one global order on every device).
 pub fn simulate(
     program: &Program,
     cluster: &ClusterSpec,
     mode: CommMode,
 ) -> Result<ExecutionReport> {
+    let steps = Steps::index(program, cluster);
     let num_devices = program.devices.len();
     let mut pc = vec![0usize; num_devices];
     let mut clock = vec![0u64; num_devices];
@@ -36,24 +51,24 @@ pub fn simulate(
     let mut memory = vec![0i64; num_devices];
     let mut peak_memory = vec![0i64; num_devices];
     let mut total_flops = 0.0f64;
-    // Completion time of each transfer, keyed by tag.
-    let mut transfer_done: HashMap<CommTag, u64> = HashMap::new();
-    // Non-blocking: next free time of each directed channel.
-    let mut channel_free: HashMap<(usize, usize), u64> = HashMap::new();
+    // Completion time of each transfer, by transfer id.
+    let mut transfer_done: Vec<Option<u64>> = vec![None; steps.transfers];
+    // Non-blocking: next free time of each directed channel, `from * n + to`.
+    let mut channel_free = vec![0u64; num_devices * num_devices];
 
-    let total_instrs: usize = program.devices.iter().map(|d| d.instrs.len()).sum();
+    let total_instrs: usize = steps.by_device.iter().map(Vec::len).sum();
     let mut executed = 0usize;
 
     while executed < total_instrs {
         let mut progressed = false;
         for device in 0..num_devices {
-            let Some(instr) = program.devices[device].instrs.get(pc[device]) else {
+            let Some(&step) = steps.by_device[device].get(pc[device]) else {
                 continue;
             };
-            match instr {
-                Instr::Compute {
-                    stage,
-                    micro_batch,
+            let parked_at = |peer: usize| steps.by_device[peer].get(pc[peer]).copied();
+            let done = match step {
+                Step::Compute {
+                    feeds,
                     duration,
                     flops,
                     memory: mem_delta,
@@ -61,110 +76,95 @@ pub fn simulate(
                     // Wait for every tensor this block consumes. In
                     // non-blocking mode the receives do not occupy the
                     // compute stream, so the dependency is expressed here.
-                    let mut ready_at = clock[device];
-                    let mut waiting = false;
-                    for d in &program.devices {
-                        for i in &d.instrs {
-                            if let Instr::Recv { tag, .. } = i {
-                                if tag.consumer_stage == *stage
-                                    && tag.micro_batch == *micro_batch
-                                    && program.devices[device].instrs.iter().any(
-                                        |x| matches!(x, Instr::Recv { tag: t2, .. } if t2 == tag),
-                                    )
-                                {
-                                    match transfer_done.get(tag) {
-                                        Some(&done) => ready_at = ready_at.max(done),
-                                        None => waiting = true,
-                                    }
-                                }
-                            }
-                        }
+                    let mut ready_at = Some(clock[device]);
+                    for &transfer in &steps.feeds[feeds.0..feeds.1] {
+                        ready_at = ready_at.zip(transfer_done[transfer]).map(|(r, d)| r.max(d));
                     }
-                    if waiting {
-                        continue;
+                    if let Some(start) = ready_at {
+                        clock[device] = start + duration;
+                        busy[device] += duration;
+                        total_flops += flops;
+                        memory[device] += mem_delta;
+                        peak_memory[device] = peak_memory[device].max(memory[device]);
                     }
-                    let start = ready_at;
-                    clock[device] = start + duration;
-                    busy[device] += duration;
-                    // Only count the flops once even for multi-device blocks:
-                    // attribute them to the first device that executes it.
-                    total_flops +=
-                        flops / count_devices_running(program, *stage, *micro_batch) as f64;
-                    memory[device] += mem_delta;
-                    peak_memory[device] = peak_memory[device].max(memory[device]);
-                    pc[device] += 1;
-                    executed += 1;
-                    progressed = true;
+                    ready_at.is_some()
                 }
-                Instr::Recv { from, bytes, tag } => match mode {
-                    CommMode::NonBlocking => {
-                        // The matching send schedules the transfer; the recv
-                        // itself costs nothing on the compute stream.
-                        if transfer_done.contains_key(tag) || *bytes == 0 {
-                            pc[device] += 1;
-                            executed += 1;
-                            progressed = true;
-                        } else {
-                            // Wait until the sender posts the transfer.
-                            let sender_posted = has_posted_send(program, &pc, *from, tag);
-                            if sender_posted {
-                                continue;
-                            }
-                            continue;
-                        }
+                Step::Recv {
+                    from,
+                    transfer,
+                    duration,
+                    empty,
+                } => match (mode, transfer_done[transfer]) {
+                    // The matching send schedules the transfer; the recv
+                    // itself costs nothing on the compute stream.
+                    (CommMode::NonBlocking, done) => done.is_some() || empty,
+                    // The sender recorded the rendezvous when it found this
+                    // device waiting here.
+                    (CommMode::Blocking, Some(done)) => {
+                        clock[device] = clock[device].max(done);
+                        comm[device] += duration;
+                        true
                     }
-                    CommMode::Blocking => {
-                        // Rendezvous: both sides must be at the matching
-                        // send/recv.
-                        if let Some(sender_clock) =
-                            sender_ready_at(program, &pc, &clock, *from, tag)
-                        {
-                            let start = clock[device].max(sender_clock);
-                            let duration = cluster.transfer_time_units(*from, device, *bytes);
-                            transfer_done.insert(*tag, start + duration);
+                    // Rendezvous from the receiver side: the sender must be
+                    // parked at the matching send.
+                    (CommMode::Blocking, None) => {
+                        let sender_parked = matches!(
+                            parked_at(from),
+                            Some(Step::Send { transfer: Some(t), .. }) if t == transfer
+                        );
+                        if sender_parked {
+                            let start = clock[device].max(clock[from]);
+                            transfer_done[transfer] = Some(start + duration);
                             clock[device] = start + duration;
                             comm[device] += duration;
-                            pc[device] += 1;
-                            executed += 1;
-                            progressed = true;
                         }
+                        sender_parked
                     }
                 },
-                Instr::Send { to, bytes, tag } => match mode {
+                Step::Send {
+                    to,
+                    transfer,
+                    duration,
+                } => match mode {
                     CommMode::NonBlocking => {
-                        let channel = channel_free.entry((device, *to)).or_insert(0);
+                        let channel = &mut channel_free[device * num_devices + to];
                         let start = clock[device].max(*channel);
-                        let duration = cluster.transfer_time_units(device, *to, *bytes);
                         *channel = start + duration;
-                        transfer_done.insert(*tag, start + duration);
-                        pc[device] += 1;
-                        executed += 1;
-                        progressed = true;
+                        if let Some(transfer) = transfer {
+                            transfer_done[transfer] = Some(start + duration);
+                        }
+                        true
                     }
-                    CommMode::Blocking => {
-                        // The receiver side drives the rendezvous; the sender
-                        // completes when the transfer is recorded.
-                        if let Some(&done) = transfer_done.get(tag) {
+                    CommMode::Blocking => match transfer.map(|t| (t, transfer_done[t])) {
+                        // The receiver recorded the rendezvous.
+                        Some((_, Some(done))) => {
                             clock[device] = clock[device].max(done);
-                            comm[device] += cluster.transfer_time_units(device, *to, *bytes);
-                            pc[device] += 1;
-                            executed += 1;
-                            progressed = true;
-                        } else if receiver_waiting(program, &pc, *to, tag) {
-                            // Record the transfer from the sender side; the
-                            // receiver will pick it up on its next visit.
-                            let receiver = *to;
-                            let start = clock[device].max(clock[receiver]);
-                            let duration = cluster.transfer_time_units(device, receiver, *bytes);
-                            transfer_done.insert(*tag, start + duration);
+                            comm[device] += duration;
+                            true
+                        }
+                        // Rendezvous from the sender side: record the
+                        // transfer if the receiver is parked at the matching
+                        // recv; it completes it on its next visit.
+                        Some((transfer, None))
+                            if matches!(
+                                parked_at(to),
+                                Some(Step::Recv { transfer: t, .. }) if t == transfer
+                            ) =>
+                        {
+                            let start = clock[device].max(clock[to]);
+                            transfer_done[transfer] = Some(start + duration);
                             clock[device] = start + duration;
                             comm[device] += duration;
-                            pc[device] += 1;
-                            executed += 1;
-                            progressed = true;
+                            true
                         }
-                    }
+                        _ => false,
+                    },
                 },
+            };
+            if done {
+                pc[device] += 1;
+                executed += 1;
+                progressed = true;
             }
         }
         if !progressed {
@@ -184,52 +184,175 @@ pub fn simulate(
     })
 }
 
-/// Number of devices that execute `(stage, micro_batch)` (multi-device blocks
-/// appear once per device in the program).
-fn count_devices_running(program: &Program, stage: usize, micro_batch: usize) -> usize {
-    program
-        .devices
-        .iter()
-        .filter(|d| {
-            d.instrs.iter().any(|i| {
-                matches!(i, Instr::Compute { stage: s, micro_batch: m, .. } if *s == stage && *m == micro_batch)
+/// One instruction with what the round loop needs of it resolved.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Compute {
+        /// Range of [`Steps::feeds`]: the transfers the block waits for.
+        feeds: (usize, usize),
+        duration: u64,
+        /// The block's flops divided by the number of devices running it, so
+        /// a multi-device block is counted once over all its copies.
+        flops: f64,
+        memory: i64,
+    },
+    Send {
+        to: usize,
+        /// `None` if no device receives the tag: nothing waits for it.
+        transfer: Option<usize>,
+        duration: u64,
+    },
+    Recv {
+        from: usize,
+        transfer: usize,
+        duration: u64,
+        /// Zero bytes: in non-blocking mode the receive does not wait.
+        empty: bool,
+    },
+}
+
+/// A program indexed for [`simulate`].
+struct Steps {
+    /// Per device, its instructions in program order.
+    by_device: Vec<Vec<Step>>,
+    /// Transfer ids of every compute block's feeds, one range per block.
+    feeds: Vec<usize>,
+    /// Number of transfer ids.
+    transfers: usize,
+}
+
+impl Steps {
+    /// Resolves every instruction of `program` with counting sorts over
+    /// `(consumer stage, micro-batch)` keys — the small integers of the tags
+    /// — and no hashing.
+    ///
+    /// A transfer id is a slot among the receives bucketed by key: the first
+    /// receive of the bucket whose tag has the same producer stage, so the
+    /// send and the receive of one tag name one id. A compute block of
+    /// `(stage, micro_batch)` on device `d` waits for the receives on `d` of
+    /// bucket `(stage, micro_batch)`.
+    fn index(program: &Program, cluster: &ClusterSpec) -> Self {
+        // Key space: every stage and micro-batch a compute or a tag's
+        // consumer names.
+        let (mut stages, mut micro_batches) = (0, 0);
+        for instr in program.devices.iter().flat_map(|d| &d.instrs) {
+            let (stage, micro_batch) = match instr {
+                Instr::Compute {
+                    stage, micro_batch, ..
+                } => (*stage, *micro_batch),
+                Instr::Send { tag, .. } | Instr::Recv { tag, .. } => {
+                    (tag.consumer_stage, tag.micro_batch)
+                }
+            };
+            stages = stages.max(stage + 1);
+            micro_batches = micro_batches.max(micro_batch + 1);
+        }
+        let key = |stage: usize, micro_batch: usize| stage * micro_batches + micro_batch;
+        let keys = stages * micro_batches;
+
+        // Receives bucketed by `(consumer stage, micro-batch)`, in program
+        // order within a bucket: `(device, producer stage)` per slot.
+        let mut bucket_start = vec![0usize; keys + 1];
+        // Devices running each `(stage, micro-batch)`; `last_device` counts
+        // a device once however many copies of the block it runs.
+        let mut running = vec![0usize; keys];
+        let mut last_device = vec![usize::MAX; keys];
+        for (device, program) in program.devices.iter().enumerate() {
+            for instr in &program.instrs {
+                match instr {
+                    Instr::Recv { tag, .. } => {
+                        bucket_start[key(tag.consumer_stage, tag.micro_batch) + 1] += 1;
+                    }
+                    Instr::Compute {
+                        stage, micro_batch, ..
+                    } => {
+                        let k = key(*stage, *micro_batch);
+                        if last_device[k] != device {
+                            last_device[k] = device;
+                            running[k] += 1;
+                        }
+                    }
+                    Instr::Send { .. } => {}
+                }
+            }
+        }
+        for k in 0..keys {
+            bucket_start[k + 1] += bucket_start[k];
+        }
+        let mut slots = vec![(0usize, 0usize); bucket_start[keys]];
+        let mut filled = bucket_start.clone();
+        for (device, program) in program.devices.iter().enumerate() {
+            for instr in &program.instrs {
+                if let Instr::Recv { tag, .. } = instr {
+                    let k = key(tag.consumer_stage, tag.micro_batch);
+                    slots[filled[k]] = (device, tag.producer_stage);
+                    filled[k] += 1;
+                }
+            }
+        }
+        let bucket = |k: usize| bucket_start[k]..bucket_start[k + 1];
+        let transfer_in =
+            |k: usize, producer_stage: usize| bucket(k).find(|&s| slots[s].1 == producer_stage);
+        let transfer_of = |tag: &CommTag| {
+            transfer_in(key(tag.consumer_stage, tag.micro_batch), tag.producer_stage)
+        };
+
+        let mut feeds = Vec::new();
+        let by_device = program
+            .devices
+            .iter()
+            .enumerate()
+            .map(|(device, program)| {
+                program
+                    .instrs
+                    .iter()
+                    .map(|instr| match *instr {
+                        Instr::Compute {
+                            stage,
+                            micro_batch,
+                            duration,
+                            flops,
+                            memory,
+                        } => {
+                            let k = key(stage, micro_batch);
+                            let first = feeds.len();
+                            for (receiver, producer_stage) in &slots[bucket(k)] {
+                                if *receiver == device {
+                                    feeds.extend(transfer_in(k, *producer_stage));
+                                }
+                            }
+                            Step::Compute {
+                                feeds: (first, feeds.len()),
+                                duration,
+                                flops: flops / running[k] as f64,
+                                memory,
+                            }
+                        }
+                        Instr::Send { to, bytes, ref tag } => Step::Send {
+                            to,
+                            transfer: transfer_of(tag),
+                            duration: cluster.transfer_time_units(device, to, bytes),
+                        },
+                        Instr::Recv {
+                            from,
+                            bytes,
+                            ref tag,
+                        } => Step::Recv {
+                            from,
+                            transfer: transfer_of(tag).expect("a receive names its own slot"),
+                            duration: cluster.transfer_time_units(from, device, bytes),
+                            empty: bytes == 0,
+                        },
+                    })
+                    .collect()
             })
-        })
-        .count()
-        .max(1)
-}
-
-/// `true` if device `from`'s program counter has passed (or is at) the send
-/// matching `tag`.
-fn has_posted_send(program: &Program, pc: &[usize], from: usize, tag: &CommTag) -> bool {
-    program.devices[from]
-        .instrs
-        .iter()
-        .take(pc[from])
-        .any(|i| matches!(i, Instr::Send { tag: t, .. } if t == tag))
-}
-
-/// If device `from` is currently parked at the send matching `tag`, returns
-/// its clock (the rendezvous time from the sender side).
-fn sender_ready_at(
-    program: &Program,
-    pc: &[usize],
-    clock: &[u64],
-    from: usize,
-    tag: &CommTag,
-) -> Option<u64> {
-    match program.devices[from].instrs.get(pc[from]) {
-        Some(Instr::Send { tag: t, .. }) if t == tag => Some(clock[from]),
-        _ => None,
+            .collect();
+        Steps {
+            by_device,
+            feeds,
+            transfers: slots.len(),
+        }
     }
-}
-
-/// `true` if device `to` is currently parked at the recv matching `tag`.
-fn receiver_waiting(program: &Program, pc: &[usize], to: usize, tag: &CommTag) -> bool {
-    matches!(
-        program.devices[to].instrs.get(pc[to]),
-        Some(Instr::Recv { tag: t, .. }) if t == tag
-    )
 }
 
 #[cfg(test)]

@@ -1535,10 +1535,12 @@ mod tests {
 
     #[test]
     fn solver_effort_reaches_metrics_and_inspect() {
+        use tessel_placement::shapes::{synthetic_placement, ShapeKind};
+        // Every solve of a 2-device V's search is settled by its greedy
+        // seeds; the 4-device M-shape's repetend solves branch.
+        let m4 = || synthetic_placement(ShapeKind::M, 4).unwrap();
         let service = quick_service();
-        let response = service
-            .search(&SearchRequest::for_placement(v_shape(2)))
-            .unwrap();
+        let response = service.search(&SearchRequest::for_placement(m4())).unwrap();
         let snap = service.metrics_snapshot();
         assert!(snap.solver_solves > 0, "{snap:?}");
         assert!(snap.solver_nodes > 0, "{snap:?}");
@@ -1551,9 +1553,7 @@ mod tests {
         assert_eq!(inspect.entries.len(), 1);
         assert_eq!(inspect.entries[0].solver.nodes, snap.solver_nodes);
         // Cache hits do not re-run the solver: the counters stay put.
-        service
-            .search(&SearchRequest::for_placement(v_shape(2)))
-            .unwrap();
+        service.search(&SearchRequest::for_placement(m4())).unwrap();
         assert_eq!(service.metrics_snapshot().solver_nodes, snap.solver_nodes);
     }
 

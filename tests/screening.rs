@@ -402,18 +402,18 @@ fn pruned_stream_matches_on_2000_seeds() {
 /// entries of the benchmark's `search_cold` in identity labeling.
 #[test]
 fn search_counters_are_pinned() {
-    // The lazy probes run `SolverConfig::probe()`, whose thread count (and so
-    // node count) follows `TESSEL_TEST_THREADS`; the other three columns do
-    // not depend on it.
-    let nodes_are_exact = std::env::var_os("TESSEL_TEST_THREADS").is_none();
     // (shape, devices, NR cap) -> (considered, screened, solved, subtrees
     // pruned), solver nodes. Before the enumeration pruned, the first two
     // columns read 500 / 494, 1456 / 1444 and 13,700 / 13,694: every
     // candidate missing here the screen refuted at its critical-path stage.
+    // The nodes are the repetend solves' and the final phases' only — 355,
+    // 6,482 and 1,787 while the lazy probes still ran `satisfy`; without a
+    // memory capacity a probe is answered by proof — so `TESSEL_TEST_THREADS`
+    // cannot move them.
     let pins = [
-        (ShapeKind::V, 4, 6, (9, 3, 6, 529), 355),
-        (ShapeKind::M, 4, 6, (630, 618, 12, 1_088), 6_482),
-        (ShapeKind::K, 8, 4, (1_302, 1_296, 6, 3_054), 1_787),
+        (ShapeKind::V, 4, 6, (9, 3, 6, 529), 257),
+        (ShapeKind::M, 4, 6, (630, 618, 12, 1_088), 6_306),
+        (ShapeKind::K, 8, 4, (1_302, 1_296, 6, 3_054), 1_615),
     ];
     for (shape, devices, nr, candidates, nodes) in pins {
         let placement = synthetic_placement(shape, devices).unwrap();
@@ -431,8 +431,6 @@ fn search_counters_are_pinned() {
             candidates,
             "{shape:?}{devices}"
         );
-        if nodes_are_exact {
-            assert_eq!(stats.solver.nodes, nodes, "{shape:?}{devices}");
-        }
+        assert_eq!(stats.solver.nodes, nodes, "{shape:?}{devices}");
     }
 }
