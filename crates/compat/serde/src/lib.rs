@@ -9,29 +9,38 @@
 //!   allocation per key or per number. `serde_json::to_string` and
 //!   `to_string_pretty` are that one call with a compact or a pretty writer;
 //!   there is no other way a value becomes JSON text.
-//! * **In:** `serde_json::from_str` parses text into a [`Value`] tree in one
-//!   pass and [`Deserialize::from_value`] rebuilds the typed structure from
-//!   it. The tree is kept on this side because it costs little next to the
-//!   parse and lets fields arrive in any order.
+//! * **In:** [`Deserialize::deserialize`] reads a value straight out of the
+//!   text through a [`Reader`], a pull parser: a struct asks for its map's
+//!   keys one at a time, compares each in place against its field names and
+//!   reads the value into the field — no key `String`, no [`Value`] tree.
+//!   Keys arrive in any order; an unknown key's value is skipped (and still
+//!   parsed), a key's first occurrence wins, and a `#[serde(default)]` field
+//!   missing from the map is `Default::default()`. `serde_json::from_str` is
+//!   that one call plus the check that nothing follows the value. The tree
+//!   the reader replaced cost more than the parse itself: two thirds of a
+//!   `/v1/search` request's decode went into building and dropping it.
 //!
 //! The derive macros (re-exported from the sibling `serde_derive` crate) cover
 //! named-field structs, tuple structs and enums with unit or struct variants,
 //! plus the `#[serde(skip)]`, `#[serde(default)]`, `#[serde(with = "module")]`
-//! and `#[serde(skip_serializing_if = "path")]` field attributes.
+//! and `#[serde(skip_serializing_if = "path")]` field attributes. [`Value`]
+//! is an ordinary `Deserialize` type for callers that want the tree.
 //!
 //! This is *not* the serde data model: there are no `Serializer` /
 //! `Deserializer` visitors and no format but JSON. A `with` module implements
 //! `fn serialize(&T, &mut Writer<'_>)` and
-//! `fn deserialize(&Value) -> Result<T, Error>`; moving to the real serde
-//! means rewriting those modules and the hand-written impls (three in this
-//! workspace) against its visitor API.
+//! `fn deserialize(&mut Reader<'_>) -> Result<T, Error>`; moving to the real
+//! serde means rewriting those modules and the hand-written impls (three in
+//! this workspace) against its visitor API.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::time::Duration;
 
+mod reader;
 mod writer;
 
+pub use reader::{Elements, Entries, Number, Reader, MAX_DEPTH};
 pub use serde_derive::{Deserialize, Serialize};
 pub use writer::{Compound, Writer};
 
@@ -74,7 +83,7 @@ impl Value {
     }
 }
 
-/// Error produced while converting a [`Value`] back into a typed structure.
+/// Error produced while reading JSON text into a typed structure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Error(String);
 
@@ -108,10 +117,16 @@ pub trait Serialize {
     fn write_json(&self, writer: &mut Writer<'_>);
 }
 
-/// Types that can be reconstructed from a [`Value`].
+/// Types that can be read from JSON text.
 pub trait Deserialize: Sized {
-    /// Rebuilds `Self` from the serde data model.
-    fn from_value(value: &Value) -> Result<Self, Error>;
+    /// Reads one JSON value of this type from `reader`, leaving it right
+    /// after the value.
+    ///
+    /// # Errors
+    ///
+    /// The text is not well-formed JSON, or does not have the shape `Self`
+    /// expects.
+    fn deserialize(reader: &mut Reader<'_>) -> Result<Self, Error>;
 }
 
 impl Serialize for Value {
@@ -136,8 +151,30 @@ impl Serialize for Value {
 }
 
 impl Deserialize for Value {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        Ok(value.clone())
+    fn deserialize(reader: &mut Reader<'_>) -> Result<Self, Error> {
+        Ok(match reader.peek()? {
+            b'{' => {
+                let mut entries = reader.map()?;
+                let mut map = Vec::new();
+                while let Some(key) = entries.key()? {
+                    map.push((key.into_owned(), Value::deserialize(entries.value())?));
+                }
+                Value::Map(map)
+            }
+            b'[' => Value::Seq(Vec::deserialize(reader)?),
+            b'"' => Value::Str(reader.str()?.into_owned()),
+            b't' | b'f' => Value::Bool(reader.bool()?),
+            b'n' => {
+                reader.null()?;
+                Value::Null
+            }
+            b'-' | b'0'..=b'9' => match reader.number()? {
+                Number::UInt(u) => Value::UInt(u),
+                Number::Int(i) => Value::Int(i),
+                Number::Float(f) => Value::Float(f),
+            },
+            _ => return Err(reader.unexpected("a value")),
+        })
     }
 }
 
@@ -149,11 +186,12 @@ macro_rules! impl_unsigned {
             }
         }
         impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, Error> {
-                let raw = match value {
-                    Value::UInt(u) => *u,
-                    Value::Int(i) if *i >= 0 => *i as u64,
-                    Value::Float(f) if f.fract() == 0.0 && *f >= 0.0 => *f as u64,
+            #[inline]
+            fn deserialize(reader: &mut Reader<'_>) -> Result<Self, Error> {
+                let raw = match reader.number()? {
+                    Number::UInt(u) => u,
+                    Number::Int(i) if i >= 0 => i as u64,
+                    Number::Float(f) if f.fract() == 0.0 && f >= 0.0 => f as u64,
                     other => return Err(Error::custom(format!(
                         "expected unsigned integer, found {other:?}"
                     ))),
@@ -175,12 +213,13 @@ macro_rules! impl_signed {
             }
         }
         impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, Error> {
-                let raw = match value {
-                    Value::Int(i) => *i,
-                    Value::UInt(u) => i64::try_from(*u)
+            #[inline]
+            fn deserialize(reader: &mut Reader<'_>) -> Result<Self, Error> {
+                let raw = match reader.number()? {
+                    Number::Int(i) => i,
+                    Number::UInt(u) => i64::try_from(u)
                         .map_err(|_| Error::custom(format!("integer {u} out of range")))?,
-                    Value::Float(f) if f.fract() == 0.0 => *f as i64,
+                    Number::Float(f) if f.fract() == 0.0 => f as i64,
                     other => return Err(Error::custom(format!(
                         "expected integer, found {other:?}"
                     ))),
@@ -202,13 +241,13 @@ macro_rules! impl_float {
             }
         }
         impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, Error> {
-                match value {
-                    Value::Float(f) => Ok(*f as $t),
-                    Value::UInt(u) => Ok(*u as $t),
-                    Value::Int(i) => Ok(*i as $t),
-                    other => Err(Error::custom(format!("expected number, found {other:?}"))),
-                }
+            #[inline]
+            fn deserialize(reader: &mut Reader<'_>) -> Result<Self, Error> {
+                Ok(match reader.number()? {
+                    Number::Float(f) => f as $t,
+                    Number::UInt(u) => u as $t,
+                    Number::Int(i) => i as $t,
+                })
             }
         }
     )*};
@@ -223,11 +262,9 @@ impl Serialize for bool {
 }
 
 impl Deserialize for bool {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Bool(b) => Ok(*b),
-            other => Err(Error::custom(format!("expected bool, found {other:?}"))),
-        }
+    #[inline]
+    fn deserialize(reader: &mut Reader<'_>) -> Result<Self, Error> {
+        reader.bool()
     }
 }
 
@@ -238,11 +275,9 @@ impl Serialize for String {
 }
 
 impl Deserialize for String {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Str(s) => Ok(s.clone()),
-            other => Err(Error::custom(format!("expected string, found {other:?}"))),
-        }
+    #[inline]
+    fn deserialize(reader: &mut Reader<'_>) -> Result<Self, Error> {
+        reader.str().map(std::borrow::Cow::into_owned)
     }
 }
 
@@ -259,10 +294,12 @@ impl Serialize for char {
 }
 
 impl Deserialize for char {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Str(s) if s.chars().count() == 1 => Ok(s.chars().next().unwrap()),
-            other => Err(Error::custom(format!("expected char, found {other:?}"))),
+    fn deserialize(reader: &mut Reader<'_>) -> Result<Self, Error> {
+        let text = reader.str()?;
+        let mut chars = text.chars();
+        match (chars.next(), chars.next()) {
+            (Some(c), None) => Ok(c),
+            _ => Err(Error::custom(format!("expected char, found {text:?}"))),
         }
     }
 }
@@ -283,10 +320,11 @@ impl<T: Serialize> Serialize for Option<T> {
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Null => Ok(None),
-            other => Ok(Some(T::from_value(other)?)),
+    fn deserialize(reader: &mut Reader<'_>) -> Result<Self, Error> {
+        if reader.null()? {
+            Ok(None)
+        } else {
+            T::deserialize(reader).map(Some)
         }
     }
 }
@@ -298,17 +336,13 @@ impl<T: Serialize> Serialize for Vec<T> {
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Seq(items) => {
-                let mut out = Vec::with_capacity(items.len());
-                for item in items {
-                    out.push(T::from_value(item)?);
-                }
-                Ok(out)
-            }
-            other => Err(Error::custom(format!("expected array, found {other:?}"))),
+    fn deserialize(reader: &mut Reader<'_>) -> Result<Self, Error> {
+        let mut elements = reader.seq()?;
+        let mut out = Vec::new();
+        while let Some(element) = elements.element()? {
+            out.push(T::deserialize(element)?);
         }
+        Ok(out)
     }
 }
 
@@ -338,18 +372,15 @@ macro_rules! impl_tuple {
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(value: &Value) -> Result<Self, Error> {
-                let items = value
-                    .as_seq()
-                    .ok_or_else(|| Error::custom("expected array for tuple"))?;
+            fn deserialize(reader: &mut Reader<'_>) -> Result<Self, Error> {
                 let expected = [$($idx),+].len();
-                if items.len() != expected {
-                    return Err(Error::custom(format!(
-                        "expected array of {expected} elements, found {}",
-                        items.len()
-                    )));
+                let arity = || Error::custom(format!("expected array of {expected} elements"));
+                let mut elements = reader.seq()?;
+                let tuple = ($($name::deserialize(elements.element()?.ok_or_else(arity)?)?,)+);
+                match elements.element()? {
+                    None => Ok(tuple),
+                    Some(_) => Err(arity()),
                 }
-                Ok(($($name::from_value(&items[$idx])?,)+))
             }
         }
     )*};
@@ -376,20 +407,30 @@ impl<K: fmt::Display + Ord, V: Serialize> Serialize for BTreeMap<K, V> {
     }
 }
 
+/// The entries of a JSON object whose keys parse as `K`, in document order
+/// (a repeated key comes through once per occurrence; the map it is
+/// collected into keeps the last).
+fn read_entries<K: std::str::FromStr, V: Deserialize>(
+    reader: &mut Reader<'_>,
+    mut insert: impl FnMut(K, V),
+) -> Result<(), Error> {
+    let mut entries = reader.map()?;
+    while let Some(key) = entries.key()? {
+        let parsed = key
+            .parse()
+            .map_err(|_| Error::custom(format!("invalid map key `{key}`")))?;
+        insert(parsed, V::deserialize(entries.value())?);
+    }
+    Ok(())
+}
+
 impl<K: std::str::FromStr + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let entries = value
-            .as_map()
-            .ok_or_else(|| Error::custom("expected object for map"))?;
-        entries
-            .iter()
-            .map(|(k, v)| {
-                let key = k
-                    .parse()
-                    .map_err(|_| Error::custom(format!("invalid map key `{k}`")))?;
-                Ok((key, V::from_value(v)?))
-            })
-            .collect()
+    fn deserialize(reader: &mut Reader<'_>) -> Result<Self, Error> {
+        let mut map = BTreeMap::new();
+        read_entries(reader, |key, value| {
+            map.insert(key, value);
+        })?;
+        Ok(map)
     }
 }
 
@@ -407,19 +448,12 @@ impl<K: fmt::Display + Eq + std::hash::Hash, V: Serialize> Serialize for HashMap
 }
 
 impl<K: std::str::FromStr + Eq + std::hash::Hash, V: Deserialize> Deserialize for HashMap<K, V> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let entries = value
-            .as_map()
-            .ok_or_else(|| Error::custom("expected object for map"))?;
-        entries
-            .iter()
-            .map(|(k, v)| {
-                let key = k
-                    .parse()
-                    .map_err(|_| Error::custom(format!("invalid map key `{k}`")))?;
-                Ok((key, V::from_value(v)?))
-            })
-            .collect()
+    fn deserialize(reader: &mut Reader<'_>) -> Result<Self, Error> {
+        let mut map = HashMap::new();
+        read_entries(reader, |key, value| {
+            map.insert(key, value);
+        })?;
+        Ok(map)
     }
 }
 
@@ -433,13 +467,23 @@ impl Serialize for Duration {
 }
 
 impl Deserialize for Duration {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let entries = value
-            .as_map()
-            .ok_or_else(|| Error::custom("expected object for Duration"))?;
-        let secs = u64::from_value(field(entries, "secs")?)?;
-        let nanos = u32::from_value(field(entries, "nanos")?)?;
-        Ok(Duration::new(secs, nanos))
+    fn deserialize(reader: &mut Reader<'_>) -> Result<Self, Error> {
+        let (mut secs, mut nanos) = (None, None);
+        let mut entries = reader.map()?;
+        while let Some(key) = entries.key()? {
+            match &*key {
+                "secs" if secs.is_none() => secs = Some(u64::deserialize(entries.value())?),
+                "nanos" if nanos.is_none() => nanos = Some(u32::deserialize(entries.value())?),
+                _ => {
+                    entries.value().skip()?;
+                }
+            }
+        }
+        let missing = |name: &str| Error::custom(format!("missing field `{name}`"));
+        Ok(Duration::new(
+            secs.ok_or_else(|| missing("secs"))?,
+            nanos.ok_or_else(|| missing("nanos"))?,
+        ))
     }
 }
 
@@ -453,27 +497,81 @@ mod tests {
         out
     }
 
+    /// `text` read as one `T`, with nothing after it.
+    fn read<T: Deserialize>(text: &str) -> Result<T, Error> {
+        let mut reader = Reader::new(text);
+        let value = T::deserialize(&mut reader)?;
+        reader.end()?;
+        Ok(value)
+    }
+
     #[test]
     fn primitives_write_and_read_back() {
         assert_eq!(json(&42u64), "42");
-        assert_eq!(u64::from_value(&Value::UInt(42)).unwrap(), 42);
+        assert_eq!(read::<u64>("42").unwrap(), 42);
         assert_eq!(json(&-7i64), "-7");
-        assert_eq!(i64::from_value(&Value::Int(-7)).unwrap(), -7);
+        assert_eq!(read::<i64>("-7").unwrap(), -7);
         assert_eq!(json(&true), "true");
-        assert!(bool::from_value(&Value::Bool(true)).unwrap());
+        assert!(read::<bool>("true").unwrap());
         assert_eq!(json("hi"), "\"hi\"");
-        assert_eq!(String::from_value(&Value::Str("hi".into())).unwrap(), "hi");
+        assert_eq!(read::<String>("\"hi\"").unwrap(), "hi");
         assert_eq!(json(&vec![1u64, 2, 3]), "[1,2,3]");
-        let seq = Value::Seq(vec![Value::UInt(3), Value::Int(-4)]);
-        let t: (u64, i64) = Deserialize::from_value(&seq).unwrap();
+        let t: (u64, i64) = read("[3,-4]").unwrap();
         assert_eq!(t, (3, -4));
         assert_eq!(json(&t), "[3,-4]");
     }
 
+    /// Decimals the reader computes itself (Clinger's fast path) and those
+    /// it leaves to `str::parse` read as the same bits `str::parse` gives.
+    #[test]
+    fn decimals_read_as_str_parse_reads_them() {
+        let mut texts: Vec<String> = [
+            "0.0",
+            "-0.0",
+            "0.1",
+            "-2.5",
+            "1000000000.0",
+            "123456789012345.678",
+            "9007199254740991.0",
+            "9007199254740993.0",
+            "0.0000000000000000000001",
+            "0.00000000000000000000001",
+            "1.5e3",
+            "184467440737095516150.5",
+        ]
+        .map(String::from)
+        .to_vec();
+        // xorshift over mantissas and fraction lengths on both sides of the
+        // fast path's limits (2^53, 22 fraction digits).
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..5_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let digits = (state % 20_000_000_000_000_000) >> (state % 40);
+            let places = 1 + (state >> 8) as usize % 24;
+            let padded = format!("{digits:0>width$}", width = places + 1);
+            let (int, fraction) = padded.split_at(padded.len() - places);
+            let int = match int.trim_start_matches('0') {
+                "" => "0",
+                int => int,
+            };
+            let sign = if state & 1 == 0 { "" } else { "-" };
+            texts.push(format!("{sign}{int}.{fraction}"));
+        }
+        for text in &texts {
+            let expected: f64 = text.parse().unwrap();
+            match Reader::new(text).number().unwrap() {
+                Number::Float(read) => assert_eq!(read.to_bits(), expected.to_bits(), "{text}"),
+                other => panic!("{text} read as {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn option_maps_null() {
-        assert_eq!(Option::<u64>::from_value(&Value::Null).unwrap(), None);
-        assert_eq!(Option::<u64>::from_value(&Value::UInt(5)).unwrap(), Some(5));
+        assert_eq!(read::<Option<u64>>("null").unwrap(), None);
+        assert_eq!(read::<Option<u64>>("5").unwrap(), Some(5));
         assert_eq!(json(&None::<u64>), "null");
     }
 
@@ -481,11 +579,8 @@ mod tests {
     fn duration_round_trips() {
         let d = Duration::new(3, 250_000_000);
         assert_eq!(json(&d), "{\"secs\":3,\"nanos\":250000000}");
-        let value = Value::Map(vec![
-            ("secs".into(), Value::UInt(3)),
-            ("nanos".into(), Value::UInt(250_000_000)),
-        ]);
-        assert_eq!(Duration::from_value(&value).unwrap(), d);
+        let text = "{\"nanos\":250000000,\"secs\":3}";
+        assert_eq!(read::<Duration>(text).unwrap(), d);
     }
 
     #[test]
@@ -505,5 +600,7 @@ mod tests {
         assert!(field(&entries, "a").is_ok());
         let err = field(&entries, "b").unwrap_err();
         assert!(err.to_string().contains("missing field `b`"));
+        let err = read::<Duration>("{\"secs\":1}").unwrap_err();
+        assert!(err.to_string().contains("missing field `nanos`"), "{err}");
     }
 }

@@ -1,4 +1,5 @@
-//! The JSON text writer behind [`Serialize`](crate::Serialize).
+//! The JSON text writer behind [`Serialize`](crate::Serialize); its
+//! counterpart on the way in is the [`Reader`](crate::Reader).
 //!
 //! Everything is appended to one `String`: integers are formatted into a
 //! stack buffer, floats go through `write!` straight into the output, strings
@@ -109,9 +110,10 @@ impl<'a> Writer<'a> {
         self.out.push('"');
     }
 
-    /// Writes `json`, which must already be one complete JSON value (the
-    /// derive passes the quoted name of a unit enum variant).
-    pub fn raw(&mut self, json: &'static str) {
+    /// Appends `json` as it is: text the caller already rendered in the
+    /// writer's own form (the derive passes the quoted name of a unit enum
+    /// variant; the daemon's answer writer, pieces of compact JSON).
+    pub fn raw(&mut self, json: &str) {
         self.out.push_str(json);
     }
 

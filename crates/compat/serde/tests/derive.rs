@@ -1,7 +1,6 @@
-//! The text the vendored derive writes, and its `skip_serializing_if` field
-//! attribute.
+//! The text the vendored derive writes and reads, and its field attributes.
 
-use serde::{Deserialize, Serialize, Value, Writer};
+use serde::{Deserialize, Error, Reader, Serialize, Value, Writer};
 
 #[derive(Debug, PartialEq, Serialize, Deserialize)]
 struct Entry {
@@ -17,6 +16,19 @@ fn json<T: Serialize>(value: &T) -> String {
     let mut out = String::new();
     value.write_json(&mut Writer::compact(&mut out));
     out
+}
+
+/// `text` read as one `T`, with nothing after it.
+fn read<T: Deserialize>(text: &str) -> Result<T, Error> {
+    let mut reader = Reader::new(text);
+    let value = T::deserialize(&mut reader)?;
+    reader.end()?;
+    Ok(value)
+}
+
+/// `value`'s JSON text read as a `T`.
+fn from_value<T: Deserialize>(value: &Value) -> Result<T, Error> {
+    read(&json(value))
 }
 
 fn map(entries: &[(&str, Value)]) -> Value {
@@ -70,10 +82,10 @@ fn combines_with_default_on_the_same_field() {
         tags: vec![3],
         last: true,
     };
-    assert_eq!(Entry::from_value(&without_note).unwrap(), bare);
+    assert_eq!(from_value::<Entry>(&without_note).unwrap(), bare);
     // …while `tags`, skippable but not defaulted, is still required.
     let without_tags = map(&[("id", Value::UInt(1)), ("last", Value::Bool(true))]);
-    let error = Entry::from_value(&without_tags).unwrap_err();
+    let error = from_value::<Entry>(&without_tags).unwrap_err();
     assert!(error.to_string().contains("missing field `tags`"));
 }
 
@@ -97,7 +109,7 @@ fn struct_variants_honour_it_too() {
     };
     assert_eq!(json(&plain), r#"{"Tagged":{"size":2}}"#);
     let value = map(&[("Tagged", map(&[("size", Value::UInt(2))]))]);
-    assert_eq!(Shape::from_value(&value).unwrap(), plain);
+    assert_eq!(from_value::<Shape>(&value).unwrap(), plain);
 }
 
 mod halves {
@@ -105,8 +117,8 @@ mod halves {
         writer.f64(*value as f64 / 2.0);
     }
 
-    pub fn deserialize(value: &serde::Value) -> Result<u64, serde::Error> {
-        <f64 as serde::Deserialize>::from_value(value).map(|half| (half * 2.0) as u64)
+    pub fn deserialize(reader: &mut serde::Reader<'_>) -> Result<u64, serde::Error> {
+        <f64 as serde::Deserialize>::deserialize(reader).map(|half| (half * 2.0) as u64)
     }
 }
 
@@ -128,9 +140,9 @@ struct Everything {
     nothing: Option<u64>,
 }
 
-/// Every shape the derive knows, written in declaration order: a `with`
-/// module, a skipped field, tuple and newtype structs, and the four kinds of
-/// enum variant.
+/// Every shape the derive knows, written in declaration order and read back:
+/// a `with` module, a skipped field, tuple and newtype structs, and the four
+/// kinds of enum variant.
 #[test]
 fn every_derived_shape_writes_the_expected_text() {
     let everything = Everything {
@@ -155,6 +167,14 @@ fn every_derived_shape_writes_the_expected_text() {
             r#"{"halved":1.5,"pair":[1,"x"],"newtype":5,"shapes":["Unit","#,
             r#"{"Tagged":{"size":1,"label":"l"}},{"Wrapped":7},{"Pair":[8,true]}],"nothing":null}"#
         )
+    );
+    let back: Everything = read(&json(&everything)).unwrap();
+    assert_eq!(
+        back,
+        Everything {
+            scratch: 0,
+            ..everything
+        }
     );
     let mut pretty = String::new();
     Shape::Tagged {
@@ -199,4 +219,53 @@ fn malformed_attribute_is_a_compile_error_naming_the_field() {
         stderr.contains("`skip_serializing_if` on field `ratio` needs `= \"path\"`"),
         "unexpected compiler output:\n{stderr}"
     );
+}
+
+/// How a derived type reads a map: keys in any order, a key's first
+/// occurrence wins, unknown keys are skipped but must still be valid JSON,
+/// and a struct's shape errors name what is wrong.
+#[test]
+fn reading_takes_the_first_occurrence_and_skips_the_unknown() {
+    let text =
+        r#"{"last":true,"extra":{"deep":[1,{"x":null}]},"id":7,"tags":[1],"id":8,"tags":"bad"}"#;
+    let entry: Entry = read(text).unwrap();
+    assert_eq!(
+        entry,
+        Entry {
+            id: 7,
+            note: None,
+            tags: vec![1],
+            last: true,
+        }
+    );
+    // A skipped value is still parsed: malformed JSON under an unknown key
+    // fails the whole document.
+    assert!(read::<Entry>(r#"{"id":1,"tags":[],"last":true,"extra":[1,]}"#).is_err());
+    assert!(read::<Entry>(r#"{"id":1,"tags":[],"last":true,"id":}"#).is_err());
+    let error = read::<Entry>(r#"{"id":1,"last":true}"#).unwrap_err();
+    assert!(
+        error.to_string().contains("missing field `tags`"),
+        "{error}"
+    );
+    assert!(read::<Entry>("[1]").is_err());
+
+    assert_eq!(read::<Pair>(r#"[1,"x"]"#).unwrap(), Pair(1, "x".into()));
+    assert!(read::<Pair>(r#"[1]"#).is_err());
+    assert!(read::<Pair>(r#"[1,"x",2]"#).is_err());
+    assert_eq!(read::<Newtype>("5").unwrap(), Newtype(5));
+    for (text, ok) in [
+        (r#""Unit""#, true),
+        (r#"{"Wrapped":7}"#, true),
+        (r#"{"Pair":[8,true]}"#, true),
+        (r#"{"Tagged":{"size":1}}"#, true),
+        (r#""Tagged""#, false),
+        (r#"{"Unit":null}"#, false),
+        (r#"{"Wrapped":7,"Wrapped":7}"#, false),
+        (r#"{}"#, false),
+        (r#"{"Pair":[8]}"#, false),
+        (r#"{"Other":1}"#, false),
+        ("7", false),
+    ] {
+        assert_eq!(read::<Shape>(text).is_ok(), ok, "{text}");
+    }
 }

@@ -475,31 +475,74 @@ fn gen_serialize(input: &Input) -> String {
     )
 }
 
-fn named_field_builders(fields: &[Field], map_var: &str) -> String {
-    let mut out = String::new();
-    for f in fields {
+/// Code reading a JSON object into the fields of a struct (or struct
+/// variant) from the `&mut Reader` expression `reader`: the statements that
+/// read every key into one local per field, and the struct-literal fields
+/// built from those locals. A key's first occurrence fills its field and a
+/// repeat or an unknown key is skipped; a missing field is an error unless
+/// `#[serde(default)]` (or `skip`) supplies `Default::default()`.
+fn named_field_reads(fields: &[Field], reader: &str) -> (String, String) {
+    let mut locals = String::new();
+    let mut arms = String::new();
+    let mut inits = String::new();
+    for (i, f) in fields.iter().enumerate() {
         let fname = &f.name;
-        let from_value = |value: &str| match &f.attrs.with {
-            Some(path) => format!("{path}::deserialize({value})?"),
-            None => format!("::serde::Deserialize::from_value({value})?"),
+        if f.attrs.skip {
+            inits.push_str(&format!("{fname}: ::std::default::Default::default(),\n"));
+            continue;
+        }
+        let local = format!("__f{i}");
+        locals.push_str(&format!("let mut {local} = ::std::option::Option::None;\n"));
+        let read = match &f.attrs.with {
+            Some(path) => format!("{path}::deserialize(__entries.value())?"),
+            None => "::serde::Deserialize::deserialize(__entries.value())?".to_string(),
         };
-        let expr = if f.attrs.skip {
+        arms.push_str(&format!(
+            "\"{fname}\" if ::std::option::Option::is_none(&{local}) => \
+             {{ {local} = ::std::option::Option::Some({read}); }}\n"
+        ));
+        let missing = if f.attrs.default {
             "::std::default::Default::default()".to_string()
-        } else if f.attrs.default {
-            // A plain lookup, not `::serde::field`: an absent key is the
-            // expected case here and must not pay for an error message.
-            format!(
-                "match {map_var}.iter().find(|(__k, _)| __k == \"{fname}\") {{\n\
-                 ::std::option::Option::Some((_, __v)) => {},\n\
-                 ::std::option::Option::None => ::std::default::Default::default(),\n}}",
-                from_value("__v")
-            )
         } else {
-            from_value(&format!("::serde::field({map_var}, \"{fname}\")?"))
+            format!(
+                "return ::std::result::Result::Err(\
+                 ::serde::Error::custom(\"missing field `{fname}`\"))"
+            )
         };
-        out.push_str(&format!("{fname}: {expr},\n"));
+        inits.push_str(&format!(
+            "{fname}: match {local} {{ ::std::option::Option::Some(__v) => __v, \
+             ::std::option::Option::None => {missing} }},\n"
+        ));
     }
-    out
+    let reads = format!(
+        "let mut __entries = ::serde::Reader::map({reader})?;\n{locals}\
+         while let ::std::option::Option::Some(__key) = __entries.key()? {{\n\
+         match &*__key {{\n{arms}_ => {{ __entries.value().skip()?; }}\n}}\n}}\n"
+    );
+    (reads, inits)
+}
+
+/// An expression reading a JSON array of exactly `n` elements from the
+/// `&mut Reader` expression `reader` into `ctor(element, …)`.
+fn tuple_read(n: usize, reader: &str, ctor: &str, what: &str) -> String {
+    let arity = format!(
+        "return ::std::result::Result::Err(::serde::Error::custom(\"wrong arity for {what}\"))"
+    );
+    let items: Vec<String> = (0..n)
+        .map(|_| {
+            format!(
+                "match __elements.element()? {{ \
+                 ::std::option::Option::Some(__e) => ::serde::Deserialize::deserialize(__e)?, \
+                 ::std::option::Option::None => {arity} }}"
+            )
+        })
+        .collect();
+    format!(
+        "{{ let mut __elements = ::serde::Reader::seq({reader})?;\n\
+         let __value = {ctor}({});\n\
+         if __elements.element()?.is_some() {{ {arity} }}\n__value }}",
+        items.join(",\n")
+    )
 }
 
 fn gen_deserialize(input: &Input) -> String {
@@ -507,30 +550,16 @@ fn gen_deserialize(input: &Input) -> String {
     let header = impl_header(input, "Deserialize");
     let body = match &input.data {
         Data::NamedStruct(fields) => {
-            let builders = named_field_builders(fields, "__map");
-            format!(
-                "let __map = __value.as_map().ok_or_else(|| \
-                 ::serde::Error::custom(\"expected map for `{name}`\"))?;\n\
-                 ::std::result::Result::Ok(Self {{\n{builders}}})"
-            )
+            let (reads, inits) = named_field_reads(fields, "__r");
+            format!("{reads}::std::result::Result::Ok(Self {{\n{inits}}})")
         }
         Data::TupleStruct(1) => {
-            "::std::result::Result::Ok(Self(::serde::Deserialize::from_value(__value)?))"
-                .to_string()
+            "::std::result::Result::Ok(Self(::serde::Deserialize::deserialize(__r)?))".to_string()
         }
-        Data::TupleStruct(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Deserialize::from_value(&__seq[{i}])?"))
-                .collect();
-            format!(
-                "let __seq = __value.as_seq().ok_or_else(|| \
-                 ::serde::Error::custom(\"expected array for `{name}`\"))?;\n\
-                 if __seq.len() != {n} {{ return ::std::result::Result::Err(\
-                 ::serde::Error::custom(\"wrong tuple length for `{name}`\")); }}\n\
-                 ::std::result::Result::Ok(Self({}))",
-                items.join(", ")
-            )
-        }
+        Data::TupleStruct(n) => format!(
+            "::std::result::Result::Ok({})",
+            tuple_read(*n, "__r", "Self", &format!("`{name}`"))
+        ),
         Data::Enum(variants) => {
             let mut unit_arms = String::new();
             let mut tagged_arms = String::new();
@@ -541,55 +570,57 @@ fn gen_deserialize(input: &Input) -> String {
                         "\"{vname}\" => ::std::result::Result::Ok({name}::{vname}),\n"
                     )),
                     VariantFields::Named(fields) => {
-                        let builders = named_field_builders(fields, "__map");
+                        let (reads, inits) = named_field_reads(fields, "__r");
                         tagged_arms.push_str(&format!(
-                            "\"{vname}\" => {{\n\
-                             let __map = __inner.as_map().ok_or_else(|| \
-                             ::serde::Error::custom(\"expected map for variant `{vname}`\"))?;\n\
-                             ::std::result::Result::Ok({name}::{vname} {{\n{builders}}})\n}}\n"
+                            "\"{vname}\" => {{\n{reads}{name}::{vname} {{\n{inits}}}\n}}\n"
                         ));
                     }
-                    VariantFields::Tuple(n) => {
-                        if *n == 1 {
-                            tagged_arms.push_str(&format!(
-                                "\"{vname}\" => ::std::result::Result::Ok({name}::{vname}(\
-                                 ::serde::Deserialize::from_value(__inner)?)),\n"
-                            ));
-                        } else {
-                            let items: Vec<String> = (0..*n)
-                                .map(|i| format!("::serde::Deserialize::from_value(&__seq[{i}])?"))
-                                .collect();
-                            tagged_arms.push_str(&format!(
-                                "\"{vname}\" => {{\n\
-                                 let __seq = __inner.as_seq().ok_or_else(|| \
-                                 ::serde::Error::custom(\"expected array for variant `{vname}`\"))?;\n\
-                                 if __seq.len() != {n} {{ return ::std::result::Result::Err(\
-                                 ::serde::Error::custom(\"wrong arity for variant `{vname}`\")); }}\n\
-                                 ::std::result::Result::Ok({name}::{vname}({}))\n}}\n",
-                                items.join(", ")
-                            ));
-                        }
-                    }
+                    VariantFields::Tuple(1) => tagged_arms.push_str(&format!(
+                        "\"{vname}\" => {name}::{vname}(::serde::Deserialize::deserialize(__r)?),\n"
+                    )),
+                    VariantFields::Tuple(n) => tagged_arms.push_str(&format!(
+                        "\"{vname}\" => {},\n",
+                        tuple_read(
+                            *n,
+                            "__r",
+                            &format!("{name}::{vname}"),
+                            &format!("variant `{vname}`")
+                        )
+                    )),
                 }
             }
+            // Externally tagged: a unit variant is its quoted name, any other
+            // a one-entry object `{"Variant": <payload>}`.
+            let invalid = format!(
+                "::std::result::Result::Err(::serde::Error::custom(\
+                 \"invalid value for enum `{name}`\"))"
+            );
+            let unknown = format!(
+                "::std::result::Result::Err(::serde::Error::custom(\
+                 ::std::format!(\"unknown variant `{{}}` of `{name}`\", __other)))"
+            );
             format!(
-                "match __value {{\n\
-                 ::serde::Value::Str(__s) => match __s.as_str() {{\n{unit_arms}\
-                 __other => ::std::result::Result::Err(::serde::Error::custom(\
-                 ::std::format!(\"unknown variant `{{}}` of `{name}`\", __other))),\n}},\n\
-                 ::serde::Value::Map(__entries) if __entries.len() == 1 => {{\n\
-                 let (__tag, __inner) = &__entries[0];\n\
-                 match __tag.as_str() {{\n{tagged_arms}\
-                 __other => ::std::result::Result::Err(::serde::Error::custom(\
-                 ::std::format!(\"unknown variant `{{}}` of `{name}`\", __other))),\n}}\n}}\n\
-                 _ => ::std::result::Result::Err(::serde::Error::custom(\
-                 \"invalid value for enum `{name}`\")),\n}}"
+                "match ::serde::Reader::peek(__r)? {{\n\
+                 b'\"' => {{\n\
+                 let __variant = ::serde::Reader::str(__r)?;\n\
+                 match &*__variant {{\n{unit_arms}__other => {unknown},\n}}\n}}\n\
+                 b'{{' => {{\n\
+                 let mut __tag = ::serde::Reader::map(__r)?;\n\
+                 let __variant = match __tag.key()? {{\n\
+                 ::std::option::Option::Some(__variant) => __variant,\n\
+                 ::std::option::Option::None => return {invalid},\n}};\n\
+                 let __r = __tag.value();\n\
+                 let __value = match &*__variant {{\n{tagged_arms}__other => return {unknown},\n}};\n\
+                 match __tag.key()? {{\n\
+                 ::std::option::Option::None => ::std::result::Result::Ok(__value),\n\
+                 ::std::option::Option::Some(_) => {invalid},\n}}\n}}\n\
+                 _ => {invalid},\n}}"
             )
         }
     };
     format!(
-        "#[automatically_derived]\n#[allow(unused_variables, clippy::all)]\n\
-         {header} {{\nfn from_value(__value: &::serde::Value) -> \
+        "#[automatically_derived]\n#[allow(unused_variables, unused_mut, unreachable_code, clippy::all)]\n\
+         {header} {{\nfn deserialize(__r: &mut ::serde::Reader<'_>) -> \
          ::std::result::Result<Self, ::serde::Error> {{\n{body}\n}}\n}}\n"
     )
 }

@@ -1,4 +1,10 @@
+use super::mutation::{mutate, Rng};
 use super::*;
+
+/// The pull decoder's tree, the way the old parser was called.
+fn parse_value(text: &str) -> Result<Value> {
+    from_str(text)
+}
 
 #[test]
 fn round_trips_scalars() {
@@ -210,26 +216,6 @@ fn nesting_is_capped() {
 // ---------------------------------------------------------------------------
 // Seeded random documents
 // ---------------------------------------------------------------------------
-
-/// xorshift64*: small, seedable, good enough to shuffle test inputs.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 >> 12;
-        self.0 ^= self.0 << 25;
-        self.0 ^= self.0 >> 27;
-        self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    fn below(&mut self, bound: usize) -> usize {
-        (self.next() % bound as u64) as usize
-    }
-
-    fn pick<'a, T>(&mut self, choices: &'a [T]) -> &'a T {
-        &choices[self.below(choices.len())]
-    }
-}
 
 /// Numbers on every boundary the writer and the parser branch on.
 const EDGE_FLOATS: [f64; 22] = [
@@ -445,51 +431,10 @@ fn fuzz_seed() -> u64 {
         .unwrap_or(0xf16e_4a44)
 }
 
-/// Bytes that steer the parser somewhere else when dropped into a document.
-const DICTIONARY: [&str; 24] = [
-    "[", "]", "{", "}", "\"", "\\", ":", ",", "-", "+", ".", "e", "E", "0", "9", "\\u", "\\ud83d",
-    "\\ude00", "null", "true", " ", "\n", "\u{0}", "é",
-];
-
-fn mutate(rng: &mut Rng, corpus: &[String]) -> String {
-    let mut bytes = rng.pick(corpus).clone().into_bytes();
-    for _ in 0..1 + rng.below(4) {
-        let at = rng.below(bytes.len() + 1);
-        match rng.below(7) {
-            0 if at < bytes.len() => bytes[at] ^= 1 << rng.below(8),
-            1 if at < bytes.len() => bytes[at] = rng.next() as u8,
-            2 => {
-                let piece = rng.pick(&DICTIONARY).as_bytes();
-                bytes.splice(at..at, piece.iter().copied());
-            }
-            3 => {
-                let end = (at + rng.below(8)).min(bytes.len());
-                bytes.drain(at..end);
-            }
-            4 => {
-                let end = (at + rng.below(16)).min(bytes.len());
-                let copy = bytes[at..end].to_vec();
-                bytes.splice(at..at, copy);
-            }
-            5 => bytes.truncate(at),
-            _ => {
-                let other = rng.pick(corpus).as_bytes();
-                let from = rng.below(other.len() + 1);
-                bytes.truncate(at);
-                bytes.extend_from_slice(&other[from..]);
-            }
-        }
-    }
-    String::from_utf8_lossy(&bytes).into_owned()
-}
-
-/// Mutated documents never panic the parser and never get past the depth
-/// cap: every one is either an error or a value that writes and reads back.
-/// Reproduce a failure with `TESSEL_FUZZ_SEED=<seed> cargo test -p serde_json fuzz`.
-#[test]
-fn fuzz_mutated_documents_parse_or_error() {
-    let seed = fuzz_seed();
-    eprintln!("json parser fuzz seed: {seed:#x}");
+/// The fuzzers' corpus: seeded random documents, compact and pretty, three
+/// hand-written ones (a request, the number grammar's corners, escapes) and
+/// nesting right at the cap.
+fn fuzz_corpus(seed: u64) -> Vec<String> {
     let mut corpus: Vec<String> = documents(seed, 60)
         .iter()
         .flat_map(|value| [to_string(value).unwrap(), to_string_pretty(value).unwrap()])
@@ -510,6 +455,17 @@ fn fuzz_mutated_documents_parse_or_error() {
             "}".repeat(levels)
         ));
     }
+    corpus
+}
+
+/// Mutated documents never panic the parser and never get past the depth
+/// cap: every one is either an error or a value that writes and reads back.
+/// Reproduce a failure with `TESSEL_FUZZ_SEED=<seed> cargo test -p serde_json fuzz`.
+#[test]
+fn fuzz_mutated_documents_parse_or_error() {
+    let seed = fuzz_seed();
+    eprintln!("json parser fuzz seed: {seed:#x}");
+    let corpus = fuzz_corpus(seed);
 
     let mut rng = Rng(seed | 1);
     let (mut parsed, mut refused) = (0u32, 0u32);
@@ -544,4 +500,118 @@ fn fuzz_mutated_documents_parse_or_error() {
         parsed > 500 && refused > 500,
         "parsed {parsed}, refused {refused} (seed {seed:#x})"
     );
+}
+
+// ---------------------------------------------------------------------------
+// The pull decoder against the tree decoder it replaced
+// ---------------------------------------------------------------------------
+
+/// A derived type exercising every way a field is read: a required integer,
+/// a defaulted option, a sequence, a tuple, a char, a unit enum and
+/// recursion. (Enums written as one-entry objects stay out: the old decoder
+/// refused a repeated tag, which `first_wins` cannot tell from a struct's
+/// repeated key.)
+#[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+struct Probe {
+    id: u64,
+    #[serde(default)]
+    note: Option<String>,
+    tags: Vec<i32>,
+    pair: (bool, f64),
+    initial: char,
+    kind: ProbeKind,
+    #[serde(default)]
+    nested: Vec<Probe>,
+}
+
+#[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+enum ProbeKind {
+    Plain,
+    Fancy,
+}
+
+fn random_probe(rng: &mut Rng, levels: usize) -> Probe {
+    Probe {
+        id: *rng.pick(&EDGE_UINTS),
+        note: (rng.below(2) == 0).then(|| random_string(rng)),
+        tags: (0..rng.below(4))
+            .map(|_| rng.next() as i32 >> rng.below(32))
+            .collect(),
+        pair: (rng.below(2) == 0, (rng.next() % 1_000_000) as f64 / 1000.0),
+        initial: *rng.pick(&['a', '"', '\n', 'é', '\u{1f600}']),
+        kind: if rng.below(2) == 0 {
+            ProbeKind::Plain
+        } else {
+            ProbeKind::Fancy
+        },
+        nested: if levels == 0 {
+            vec![]
+        } else {
+            (0..rng.below(3))
+                .map(|_| random_probe(rng, levels - 1))
+                .collect()
+        },
+    }
+}
+
+/// On mutated documents the pull decoder agrees with the tree decoder it
+/// replaced: as a `Value`, the same tree or an error from both; as a typed
+/// `Probe`, the value the old typed half would have built from that tree (a
+/// key's first occurrence, unknown keys ignored) or an error exactly when
+/// it had none to build.
+fn pull_decoder_agrees_with_the_tree_decoder(cases: usize) {
+    let seed = fuzz_seed();
+    eprintln!("pull decoder differential seed: {seed:#x}");
+    let mut rng = Rng(seed ^ 0x9011_dec0 | 1);
+    let mut corpus = fuzz_corpus(seed);
+    for _ in 0..60 {
+        let probe = random_probe(&mut rng, 2);
+        corpus.extend([
+            to_string(&probe).unwrap(),
+            to_string_pretty(&probe).unwrap(),
+        ]);
+    }
+    let (mut trees, mut probes) = (0u32, 0u32);
+    for case in 0..cases {
+        let text = mutate(&mut rng, &corpus);
+        let context = format!("TESSEL_FUZZ_SEED={seed:#x} case {case}: input {text:?}");
+        let reference = reference_decode::parse(&text);
+        let pulled = std::panic::catch_unwind(|| from_str::<Value>(&text))
+            .unwrap_or_else(|_| panic!("pull decoder panicked — {context}"));
+        match (&pulled, &reference) {
+            (Ok(pulled), Ok(reference)) => assert_eq!(pulled, reference, "{context}"),
+            (Err(_), Err(_)) => {}
+            _ => panic!("tree decoder {reference:?}, pull decoder {pulled:?} — {context}"),
+        }
+        trees += u32::from(pulled.is_ok());
+        let Ok(tree) = reference.as_ref().map(reference_decode::first_wins) else {
+            assert!(from_str::<Probe>(&text).is_err(), "{context}");
+            continue;
+        };
+        if !reference_decode::reads_back_exactly(&tree) {
+            continue;
+        }
+        let expected = from_str::<Probe>(&to_string(&tree).unwrap()).ok();
+        let typed = from_str::<Probe>(&text).ok();
+        assert_eq!(typed, expected, "as a Probe — {context}");
+        probes += u32::from(typed.is_some());
+    }
+    // Both outcomes stay exercised, typed ones included.
+    assert!(
+        trees as usize > cases / 20 && probes as usize > cases / 100,
+        "{trees} trees and {probes} probes decoded of {cases} (seed {seed:#x})"
+    );
+}
+
+#[test]
+fn fuzz_pull_decoder_agrees_with_the_tree_decoder() {
+    pull_decoder_agrees_with_the_tree_decoder(10_000);
+}
+
+/// The long run of the differential above: `TESSEL_FUZZ_SEED=<seed> cargo
+/// test --release -p serde_json -- --ignored`.
+#[test]
+#[ignore = "200k mutated documents; run explicitly or via the fingerprint-stress CI job"]
+fn fuzz_pull_decoder_agrees_with_the_tree_decoder_long() {
+    pull_decoder_agrees_with_the_tree_decoder(200_000);
 }

@@ -59,7 +59,7 @@
 
 use crate::error::CoreError;
 use crate::ir::{BlockKind, BlockSpec, PlacementSpec};
-use serde::{Deserialize, Error as SerdeError, Serialize, Value, Writer};
+use serde::{Deserialize, Error as SerdeError, Reader, Serialize, Writer};
 use std::fmt;
 
 /// A stable 64-bit hash of a placement's canonical form.
@@ -93,19 +93,87 @@ impl Serialize for Fingerprint {
 }
 
 impl Deserialize for Fingerprint {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        match value {
-            Value::Str(s) => Fingerprint::parse(s)
-                .ok_or_else(|| SerdeError::custom(format!("invalid fingerprint `{s}`"))),
-            other => Err(SerdeError::custom(format!(
-                "expected fingerprint string, found {other:?}"
-            ))),
-        }
+    fn deserialize(reader: &mut Reader<'_>) -> Result<Self, SerdeError> {
+        let text = reader.str()?;
+        Fingerprint::parse(&text)
+            .ok_or_else(|| SerdeError::custom(format!("invalid fingerprint `{text}`")))
     }
 }
 
+/// The canonical labeling of a placement: what the canonical-labeling search
+/// decides — the [`Fingerprint`] and where every block and device goes —
+/// without the canonical [`PlacementSpec`] it describes. Answering from a
+/// cache needs no more; [`CanonicalLabeling::canonical_placement`] builds the
+/// placement for the callers that do (a search, a cache fill, a form
+/// comparison).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CanonicalLabeling {
+    /// The fingerprint of the canonical form.
+    pub fingerprint: Fingerprint,
+    /// `block_perm[original_stage] = canonical_stage`.
+    pub block_perm: Vec<usize>,
+    /// `device_perm[original_device] = canonical_device`.
+    pub device_perm: Vec<usize>,
+}
+
+impl CanonicalLabeling {
+    /// Inverse of [`CanonicalLabeling::block_perm`]:
+    /// `result[canonical_stage] = original_stage`.
+    #[must_use]
+    pub fn inverse_block_perm(&self) -> Vec<usize> {
+        invert(&self.block_perm)
+    }
+
+    /// The canonical placement of `placement` (the placement this labeling
+    /// was computed for): its blocks in canonical (topological) order, its
+    /// devices relabeled, names normalised.
+    #[must_use]
+    pub fn canonical_placement(&self, placement: &PlacementSpec) -> PlacementSpec {
+        let mut builder = PlacementSpec::builder(
+            format!("canonical-{}", self.fingerprint),
+            placement.num_devices(),
+        );
+        builder.set_memory_capacity(placement.memory_capacity());
+        for (canonical, &orig) in self.inverse_block_perm().iter().enumerate() {
+            let b = placement.block(orig);
+            let mut devices: Vec<usize> = b.devices.iter().map(|&d| self.device_perm[d]).collect();
+            devices.sort_unstable();
+            let mut deps: Vec<usize> = b.deps.iter().map(|&p| self.block_perm[p]).collect();
+            deps.sort_unstable();
+            let prefix = if b.kind.is_forward() { 'f' } else { 'b' };
+            builder
+                .push_block(
+                    BlockSpec::new(
+                        format!("{prefix}{canonical}"),
+                        b.kind,
+                        devices,
+                        b.time,
+                        b.memory,
+                    )
+                    .with_deps(deps)
+                    .with_flops(b.flops)
+                    .with_output_bytes(b.output_bytes),
+                )
+                .expect("canonical blocks are valid by construction");
+        }
+        builder
+            .build()
+            .expect("canonical order is topological by construction")
+    }
+}
+
+/// `result[perm[i]] = i`.
+fn invert(perm: &[usize]) -> Vec<usize> {
+    let mut inv = vec![0usize; perm.len()];
+    for (orig, &canon) in perm.iter().enumerate() {
+        inv[canon] = orig;
+    }
+    inv
+}
+
 /// A placement brought into canonical form, with the permutations needed to
-/// translate results back to the original labeling.
+/// translate results back to the original labeling: a [`CanonicalLabeling`]
+/// together with the canonical placement it describes.
 #[derive(Debug, Clone)]
 pub struct CanonicalPlacement {
     /// The canonical placement: blocks in canonical (topological) order,
@@ -120,6 +188,17 @@ pub struct CanonicalPlacement {
 }
 
 impl CanonicalPlacement {
+    /// The labeling plus the canonical placement it describes for
+    /// `placement`.
+    fn build(placement: &PlacementSpec, labeling: CanonicalLabeling) -> Self {
+        CanonicalPlacement {
+            placement: labeling.canonical_placement(placement),
+            fingerprint: labeling.fingerprint,
+            block_perm: labeling.block_perm,
+            device_perm: labeling.device_perm,
+        }
+    }
+
     /// The original stage index of canonical stage `canonical`.
     #[must_use]
     pub fn original_block(&self, canonical: usize) -> usize {
@@ -133,22 +212,14 @@ impl CanonicalPlacement {
     /// `result[canonical_stage] = original_stage`.
     #[must_use]
     pub fn inverse_block_perm(&self) -> Vec<usize> {
-        let mut inv = vec![0usize; self.block_perm.len()];
-        for (orig, &canon) in self.block_perm.iter().enumerate() {
-            inv[canon] = orig;
-        }
-        inv
+        invert(&self.block_perm)
     }
 
     /// Inverse of [`CanonicalPlacement::device_perm`]:
     /// `result[canonical_device] = original_device`.
     #[must_use]
     pub fn inverse_device_perm(&self) -> Vec<usize> {
-        let mut inv = vec![0usize; self.device_perm.len()];
-        for (orig, &canon) in self.device_perm.iter().enumerate() {
-            inv[canon] = orig;
-        }
-        inv
+        invert(&self.device_perm)
     }
 }
 
@@ -766,7 +837,7 @@ impl<'a> Searcher<'a> {
 }
 
 impl PlacementSpec {
-    fn canonical_search(&self, prune: bool, node_budget: u64) -> (CanonicalPlacement, CanonStats) {
+    fn canonical_search(&self, prune: bool, node_budget: u64) -> (CanonicalLabeling, CanonStats) {
         let (best, stats) = Searcher::new(self, prune, node_budget).run();
 
         // The fingerprint hashes exactly the winning leaf form, so equal
@@ -775,50 +846,21 @@ impl PlacementSpec {
         for &word in &best.form {
             h = fnv_word(h, word);
         }
-        let fingerprint = Fingerprint(h);
+        let labeling = CanonicalLabeling {
+            fingerprint: Fingerprint(h),
+            block_perm: best.block_perm,
+            device_perm: best.device_perm,
+        };
+        (labeling, stats)
+    }
 
-        let mut order = vec![0usize; self.num_blocks()];
-        for (orig, &canon) in best.block_perm.iter().enumerate() {
-            order[canon] = orig;
-        }
-        let mut builder =
-            PlacementSpec::builder(format!("canonical-{fingerprint}"), self.num_devices());
-        builder.set_memory_capacity(self.memory_capacity());
-        for (canonical, &orig) in order.iter().enumerate() {
-            let b = self.block(orig);
-            let mut devices: Vec<usize> = b.devices.iter().map(|&d| best.device_perm[d]).collect();
-            devices.sort_unstable();
-            let mut deps: Vec<usize> = b.deps.iter().map(|&p| best.block_perm[p]).collect();
-            deps.sort_unstable();
-            let prefix = if b.kind.is_forward() { 'f' } else { 'b' };
-            builder
-                .push_block(
-                    BlockSpec::new(
-                        format!("{prefix}{canonical}"),
-                        b.kind,
-                        devices,
-                        b.time,
-                        b.memory,
-                    )
-                    .with_deps(deps)
-                    .with_flops(b.flops)
-                    .with_output_bytes(b.output_bytes),
-                )
-                .expect("canonical blocks are valid by construction");
-        }
-        let placement = builder
-            .build()
-            .expect("canonical order is topological by construction");
-
-        (
-            CanonicalPlacement {
-                placement,
-                fingerprint,
-                block_perm: best.block_perm,
-                device_perm: best.device_perm,
-            },
-            stats,
-        )
+    /// The canonical labeling alone: the search
+    /// [`PlacementSpec::canonicalize_budgeted`] runs, without building the
+    /// canonical placement. Same fingerprint, same permutations, same
+    /// statistics.
+    #[must_use]
+    pub fn canonical_labeling_budgeted(&self, node_budget: u64) -> (CanonicalLabeling, CanonStats) {
+        self.canonical_search(true, node_budget)
     }
 
     /// Computes the canonical form of this placement via the exact
@@ -830,13 +872,13 @@ impl PlacementSpec {
     /// for the exhaustion semantics.
     #[must_use]
     pub fn canonicalize(&self) -> CanonicalPlacement {
-        self.canonical_search(true, DEFAULT_NODE_BUDGET).0
+        self.canonicalize_budgeted(DEFAULT_NODE_BUDGET).0
     }
 
     /// [`PlacementSpec::canonicalize`] plus the search statistics.
     #[must_use]
     pub fn canonicalize_with_stats(&self) -> (CanonicalPlacement, CanonStats) {
-        self.canonical_search(true, DEFAULT_NODE_BUDGET)
+        self.canonicalize_budgeted(DEFAULT_NODE_BUDGET)
     }
 
     /// The canonical search under an explicit node budget. Past the budget
@@ -848,7 +890,8 @@ impl PlacementSpec {
     /// isomorphism-invariance guarantee must check the flag.
     #[must_use]
     pub fn canonicalize_budgeted(&self, node_budget: u64) -> (CanonicalPlacement, CanonStats) {
-        self.canonical_search(true, node_budget)
+        let (labeling, stats) = self.canonical_labeling_budgeted(node_budget);
+        (CanonicalPlacement::build(self, labeling), stats)
     }
 
     /// The canonical search with automorphism and best-leaf pruning disabled:
@@ -859,7 +902,8 @@ impl PlacementSpec {
     /// the pruning-soundness tests can compare against it.
     #[must_use]
     pub fn canonicalize_unpruned(&self) -> (CanonicalPlacement, CanonStats) {
-        self.canonical_search(false, u64::MAX)
+        let (labeling, stats) = self.canonical_search(false, u64::MAX);
+        (CanonicalPlacement::build(self, labeling), stats)
     }
 
     /// The stable 64-bit fingerprint of this placement's canonical form.
@@ -869,7 +913,9 @@ impl PlacementSpec {
     /// otherwise.
     #[must_use]
     pub fn fingerprint(&self) -> Fingerprint {
-        self.canonicalize().fingerprint
+        self.canonical_labeling_budgeted(DEFAULT_NODE_BUDGET)
+            .0
+            .fingerprint
     }
 
     /// The colour-refinement-strength (1-WL) fingerprint: a hash of the

@@ -56,7 +56,7 @@ pub mod screen;
 pub mod search;
 
 pub use error::CoreError;
-pub use fingerprint::{CanonicalPlacement, Fingerprint};
+pub use fingerprint::{CanonicalLabeling, CanonicalPlacement, Fingerprint};
 pub use ir::{BlockKind, BlockSpec, PlacementSpec};
 pub use schedule::{Schedule, ScheduledBlock};
 pub use search::{SearchConfig, SearchOutcome, TesselSearch};

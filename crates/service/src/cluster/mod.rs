@@ -39,7 +39,8 @@ use ring::HashRing;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
-use tessel_core::fingerprint::{CanonicalPlacement, Fingerprint};
+use tessel_core::fingerprint::Fingerprint;
+use tessel_core::ir::PlacementSpec;
 
 /// Configuration of a cluster member.
 #[derive(Debug, Clone)]
@@ -194,7 +195,8 @@ impl Cluster {
         self.owner_of(fingerprint) == self.config.node_id
     }
 
-    /// Consults the ring for a locally missed `(canon, params)` request and,
+    /// Consults the ring for a locally missed request — `fingerprint`, whose
+    /// canonical placement is `canonical`, searched under `params` — and,
     /// when a remote daemon owns it, fetches the entry from the owner.
     ///
     /// A returned [`RemoteFetch::Hit`] has already been validated: the
@@ -207,10 +209,10 @@ impl Cluster {
     #[must_use]
     pub fn fetch_from_owner(
         &self,
-        canon: &CanonicalPlacement,
+        fingerprint: Fingerprint,
+        canonical: &PlacementSpec,
         params: &CacheParams,
     ) -> RemoteFetch {
-        let fingerprint = canon.fingerprint;
         let owner = self.ring.owner_of(fingerprint);
         if owner == self.config.node_id {
             return RemoteFetch::LocalOwner;
@@ -233,12 +235,12 @@ impl Cluster {
                     let usable = exchange.entries.into_iter().find(|entry| {
                         entry.fingerprint == fingerprint
                             && entry.params == *params
-                            && entry.schedule.validate(&canon.placement).is_ok()
+                            && entry.schedule.validate(canonical).is_ok()
                     });
                     match usable {
                         Some(entry) => {
                             self.metrics.remote_hits.fetch_add(1, Ordering::Relaxed);
-                            RemoteFetch::Hit(Arc::new(entry.into_cached(canon.placement.clone())))
+                            RemoteFetch::Hit(Arc::new(entry.into_cached(canonical.clone())))
                         }
                         None => {
                             // The owner has the fingerprint but not these
@@ -428,20 +430,19 @@ mod tests {
         let mut b = tessel_core::ir::PlacementSpec::builder("p", 1);
         b.add_block("f0", tessel_core::ir::BlockKind::Forward, [0], 1, 0, [])
             .unwrap();
-        let mut canon = b.build().unwrap().canonicalize();
-        canon.fingerprint = fp;
+        let canonical = b.build().unwrap().canonicalize().placement;
         let params = CacheParams {
             num_micro_batches: 4,
             max_repetend_micro_batches: 2,
         };
         assert!(matches!(
-            cluster.fetch_from_owner(&canon, &params),
+            cluster.fetch_from_owner(fp, &canonical, &params),
             RemoteFetch::Unavailable
         ));
         // The failure tripped the breaker: the next fetch is rejected
         // instantly, still as Unavailable (degrade, never fail).
         assert!(matches!(
-            cluster.fetch_from_owner(&canon, &params),
+            cluster.fetch_from_owner(fp, &canonical, &params),
             RemoteFetch::Unavailable
         ));
         assert_eq!(cluster.snapshot().circuits_open, 1);

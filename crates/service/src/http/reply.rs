@@ -184,17 +184,21 @@ impl<'w> Reply<'w> {
         let request = &self.job.request;
         let finished = tessel_obs::end_request();
         let total_micros = self.started.elapsed().as_micros() as u64;
-        tessel_obs::info(
-            "http",
-            message,
-            &[
-                ("method", request.method.as_str()),
-                ("path", request.path.as_str()),
-                ("status", &status.to_string()),
-                ("micros", &total_micros.to_string()),
-                ("trace_id", self.trace_id.as_str()),
-            ],
-        );
+        // Checked first: the fields are formatted for the line alone, and the
+        // daemon usually runs at a level that drops it.
+        if tessel_obs::enabled(tessel_obs::Level::Info) {
+            tessel_obs::info(
+                "http",
+                message,
+                &[
+                    ("method", request.method.as_str()),
+                    ("path", request.path.as_str()),
+                    ("status", &status.to_string()),
+                    ("micros", &total_micros.to_string()),
+                    ("trace_id", self.trace_id.as_str()),
+                ],
+            );
+        }
         let flight = finished.map(|done| {
             Box::new(PendingFlight {
                 service: self.worker.service.clone(),

@@ -16,6 +16,11 @@ use crate::wire::ErrorBody;
 use serde::Serialize;
 use tessel_core::fingerprint::Fingerprint;
 
+/// Room reserved for a `/v1/search` answer (7-13 KB for the built-in
+/// shapes), so the body is not copied from buffer to larger buffer while it
+/// is written.
+const ANSWER_CAPACITY: usize = 16 * 1024;
+
 /// An un-encoded response produced by the router.
 pub(super) struct Response {
     pub(super) status: u16,
@@ -75,9 +80,19 @@ fn handle(
     let cluster_only = || not_found("cluster mode is not enabled");
     Ok(match (request.method.as_str(), path) {
         ("POST", "/v1/search") => {
-            let search_request = decode(body, "invalid request body")?;
-            match service.search(&search_request) {
-                Ok(response) => tessel_obs::stage("serialize", || json_response(200, &response)),
+            let search_request: crate::wire::SearchRequest = decode(body, "invalid request body")?;
+            match service.answer(&search_request) {
+                // Written from the cache entry itself: no `SearchResponse`
+                // is built on the way to the body.
+                Ok(answer) => tessel_obs::stage("serialize", || {
+                    let mut body = String::with_capacity(ANSWER_CAPACITY);
+                    answer.write_json(&mut body);
+                    Response {
+                        status: 200,
+                        content_type: "application/json",
+                        body,
+                    }
+                }),
                 Err(e) => error_response(e.http_status(), e.kind(), &e.to_string()),
             }
         }

@@ -11,6 +11,9 @@
 //!   identical concurrent requests onto one in-flight search
 //!   (*single-flight*), and enforces per-request deadlines through the
 //!   solver's cooperative cancellation.
+//! * [`answer`] — the one translation of a cached (canonical-labeled) entry
+//!   into a request's labeling, written straight into an HTTP body or
+//!   materialised as a [`wire::SearchResponse`].
 //! * [`cache`] — the lock-striped [`ShardedCache`] with LRU eviction and
 //!   JSON persistence, so daemon restarts start warm.
 //! * [`singleflight`] — the request-coalescing primitive.
@@ -72,6 +75,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod answer;
 pub mod cache;
 pub mod cluster;
 pub mod flight;

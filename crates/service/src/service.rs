@@ -4,12 +4,14 @@
 //! HTTP layer, the CLI client's `--in-process` mode, the benches and the
 //! tests all drive this same object. A search request flows through:
 //!
-//! 1. **Canonicalization** — the placement is brought into canonical form
-//!    ([`PlacementSpec::canonicalize`]); the fingerprint plus the resolved
-//!    search parameters form the cache key. Device relabelings and block
-//!    reorderings of a known placement therefore hit the cache.
-//! 2. **Cache lookup** — a hit returns immediately, with the cached canonical
-//!    schedule translated back into the request's own labeling.
+//! 1. **Canonicalization** — the placement's canonical labeling is computed
+//!    ([`PlacementSpec::canonical_labeling_budgeted`]); the fingerprint plus
+//!    the resolved search parameters form the cache key. Device relabelings
+//!    and block reorderings of a known placement therefore hit the cache. The
+//!    canonical placement itself is built only when something reads it: a
+//!    search, a cluster fetch, a `--paranoid-fingerprints` comparison.
+//! 2. **Cache lookup** — a hit returns immediately, as an [`Answer`]: the
+//!    cached canonical schedule seen through the request's own labeling.
 //! 3. **Single-flight** — concurrent identical misses elect one leader; the
 //!    rest block (bounded by their own deadlines) and share the result.
 //! 4. **Search** — the leader runs [`TesselSearch`] with the request deadline
@@ -18,6 +20,7 @@
 //!    utilization summary, and populates the cache. Timeouts and failures
 //!    are **not** cached.
 
+use crate::answer::Answer;
 use crate::cache::{CacheConfig, CacheJournal, CacheKey, CacheParams, CachedSearch, ShardedCache};
 use crate::cluster::{Cluster, ClusterConfig, ClusterSnapshot, RemoteFetch};
 use crate::flight::{now_unix_ms, FlightQuery, FlightRecord, FlightRecorder};
@@ -31,14 +34,14 @@ use crate::wire::{
     TraceSpanInfo, WireSearchEntry,
 };
 use serde::{Deserialize, Serialize};
+use std::cell::OnceCell;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tessel_core::fingerprint::{CanonicalPlacement, Fingerprint};
+use tessel_core::fingerprint::{CanonicalLabeling, Fingerprint};
 use tessel_core::ir::PlacementSpec;
-use tessel_core::schedule::{scheduled_block, Schedule};
 use tessel_core::search::{SearchConfig, TesselSearch};
 use tessel_core::CoreError;
 use tessel_runtime::{instantiate, simulate, ClusterSpec, CommMode};
@@ -188,12 +191,24 @@ pub struct ScheduleService {
 
 /// A validated request, resolved to what the cache / single-flight / solve
 /// pipeline keys on.
-struct Prepared {
-    canon: CanonicalPlacement,
+struct Prepared<'r> {
+    placement: &'r PlacementSpec,
+    labeling: CanonicalLabeling,
+    /// The canonical placement, built from the labeling the first time a
+    /// miss, a cluster fetch or a paranoid lookup reads it — never on a
+    /// plain hit.
+    canonical: OnceCell<PlacementSpec>,
     params: CacheParams,
     key: CacheKey,
     deadline: Option<Instant>,
     solver_threads: usize,
+}
+
+impl Prepared<'_> {
+    fn canonical(&self) -> &PlacementSpec {
+        self.canonical
+            .get_or_init(|| self.labeling.canonical_placement(self.placement))
+    }
 }
 
 /// How a cache entry was obtained, before translation into the requester's
@@ -263,6 +278,25 @@ fn live_stage<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
     tessel_obs::stage(name, f)
 }
 
+/// The `translate` stage: `obtained`, found for a request whose placement is
+/// `placement` and whose canonical labeling is `labeling`, seen through that
+/// request's labeling.
+fn translate(
+    obtained: Obtained,
+    labeling: CanonicalLabeling,
+    placement: &PlacementSpec,
+) -> Answer<'_> {
+    live_stage("translate", || {
+        Answer::new(
+            obtained.entry,
+            labeling,
+            placement,
+            obtained.cached,
+            obtained.coalesced,
+        )
+    })
+}
+
 /// Expands one flight record into assembled-trace spans: a whole-request
 /// envelope span named `request`, then one span per recorded stage laid out
 /// back-to-back from the request's start. `offset_ms` is the recording
@@ -328,10 +362,10 @@ impl ScheduleService {
             // then persists the cleaned set.
             let canon_budget = config.canon_node_budget;
             match journal.replay_filtered(&cache, &mut |entry: &CachedSearch| {
-                let (canon, stats) = entry
+                let (labeling, stats) = entry
                     .canonical_placement
-                    .canonicalize_budgeted(canon_budget);
-                !stats.budget_exhausted && canon.fingerprint == entry.fingerprint
+                    .canonical_labeling_budgeted(canon_budget);
+                !stats.budget_exhausted && labeling.fingerprint == entry.fingerprint
             }) {
                 Ok(outcome) => {
                     if outcome.dropped > 0 {
@@ -408,6 +442,17 @@ impl ScheduleService {
     /// Returns [`ServiceError`] for malformed requests, deadline timeouts and
     /// infeasible searches.
     pub fn search(&self, request: &SearchRequest) -> Result<SearchResponse, ServiceError> {
+        self.answer(request).map(|answer| answer.to_response())
+    }
+
+    /// As [`ScheduleService::search`], stopping at the translated answer:
+    /// the HTTP transport writes it straight into the response body instead
+    /// of building a [`SearchResponse`] to serialize.
+    ///
+    /// # Errors
+    ///
+    /// As [`ScheduleService::search`].
+    pub fn answer<'r>(&self, request: &'r SearchRequest) -> Result<Answer<'r>, ServiceError> {
         self.search_with_sink(request, None)
     }
 
@@ -428,13 +473,14 @@ impl ScheduleService {
         sink: &IncumbentSink,
     ) -> Result<SearchResponse, ServiceError> {
         self.search_with_sink(request, Some(sink))
+            .map(|answer| answer.to_response())
     }
 
-    fn search_with_sink(
+    fn search_with_sink<'r>(
         &self,
-        request: &SearchRequest,
+        request: &'r SearchRequest,
         sink: Option<&IncumbentSink>,
-    ) -> Result<SearchResponse, ServiceError> {
+    ) -> Result<Answer<'r>, ServiceError> {
         let arrived = Instant::now();
         let started_unix_ms = now_unix_ms();
         // The HTTP worker opens the request context (with the client's or a
@@ -483,37 +529,37 @@ impl ScheduleService {
         counter.fetch_add(requests as u64, Ordering::Relaxed);
     }
 
-    fn search_inner(
+    fn search_inner<'r>(
         &self,
-        request: &SearchRequest,
+        request: &'r SearchRequest,
         arrived: Instant,
         sink: Option<&IncumbentSink>,
-    ) -> Result<SearchResponse, ServiceError> {
+    ) -> Result<Answer<'r>, ServiceError> {
         let prepared = self.prepare(request, arrived)?;
         inflight::with_current(|entry| entry.set_deadline(prepared.deadline));
         let obtained = self.obtain_entry(&prepared, sink)?;
-        Ok(self.respond(
-            &obtained.entry,
-            &prepared.canon,
-            &request.placement,
-            obtained.cached,
-            obtained.coalesced,
-        ))
+        Ok(translate(obtained, prepared.labeling, &request.placement))
     }
 
     /// Validates a request and resolves everything the pipeline needs to
-    /// know about it: parameters, canonical form, cache key, absolute
+    /// know about it: parameters, canonical labeling, cache key, absolute
     /// deadline and solver thread count.
-    fn prepare(&self, request: &SearchRequest, arrived: Instant) -> Result<Prepared, ServiceError> {
+    fn prepare<'r>(
+        &self,
+        request: &'r SearchRequest,
+        arrived: Instant,
+    ) -> Result<Prepared<'r>, ServiceError> {
         live_stage("validate", || request.placement.validate())
             .map_err(|e| ServiceError::BadRequest(format!("invalid placement: {e}")))?;
         let params = self.resolve_params(request)?;
-        let canon = live_stage("canonicalize", || {
-            self.canonicalize_budgeted(&request.placement)
+        let labeling = live_stage("canonicalize", || {
+            self.canonical_labeling(&request.placement)
         });
         Ok(Prepared {
-            key: CacheKey::new(canon.fingerprint, &params),
-            canon,
+            placement: &request.placement,
+            key: CacheKey::new(labeling.fingerprint, &params),
+            labeling,
+            canonical: OnceCell::new(),
             params,
             deadline: request
                 .deadline_ms
@@ -531,17 +577,11 @@ impl ScheduleService {
     /// as the historical inline flow did.
     fn obtain_entry(
         &self,
-        prepared: &Prepared,
+        prepared: &Prepared<'_>,
         sink: Option<&IncumbentSink>,
     ) -> Result<Obtained, ServiceError> {
-        let Prepared {
-            key,
-            ref canon,
-            ref params,
-            deadline,
-            solver_threads,
-        } = *prepared;
-        if let Some(entry) = live_stage("cache_lookup", || self.cache_lookup(key, canon, params)) {
+        let Prepared { key, deadline, .. } = *prepared;
+        if let Some(entry) = live_stage("cache_lookup", || self.cache_lookup(prepared)) {
             self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Obtained {
                 entry,
@@ -568,24 +608,22 @@ impl ScheduleService {
                 // may already hold this schedule.
                 let mut remote_hit = false;
                 let mut inserted = false;
-                let result = match live_stage("cache_lookup", || {
-                    self.cache_lookup(key, canon, params)
-                }) {
+                let result = match live_stage("cache_lookup", || self.cache_lookup(prepared)) {
                     Some(entry) => Ok(entry),
                     // The stage only exists in cluster mode: standalone
                     // flight records carry no zero-length `remote_fetch` row.
-                    None => match self.cluster.as_ref().and_then(|_| {
-                        live_stage("remote_fetch", || self.cluster_fetch(key, canon, params))
-                    }) {
+                    None => match self
+                        .cluster
+                        .as_ref()
+                        .and_then(|_| live_stage("remote_fetch", || self.cluster_fetch(prepared)))
+                    {
                         Some(entry) => {
                             remote_hit = true;
                             inserted = true;
                             Ok(entry)
                         }
                         None => {
-                            let solved = live_stage("solve", || {
-                                self.run_search(canon, params, key, deadline, solver_threads, sink)
-                            });
+                            let solved = live_stage("solve", || self.run_search(prepared, sink));
                             inserted = solved.is_ok();
                             solved
                         }
@@ -677,15 +715,15 @@ impl ScheduleService {
                             unreachable!()
                         };
                         let deduped = position > 0;
-                        let response = self.respond(
-                            &obtained.entry,
-                            &prep.canon,
-                            &batch.requests[index].placement,
-                            obtained.cached,
+                        let member = Obtained {
+                            entry: obtained.entry.clone(),
+                            cached: obtained.cached,
                             // Shared members are coalesced in spirit: they
                             // rode the representative's resolve.
-                            obtained.coalesced || deduped,
-                        );
+                            coalesced: obtained.coalesced || deduped,
+                        };
+                        let response =
+                            translate(member, prep.labeling.clone(), prep.placement).to_response();
                         results[index] = Some(BatchSearchItem {
                             ok: Some(response),
                             error: None,
@@ -725,13 +763,14 @@ impl ScheduleService {
         }
     }
 
-    /// Canonicalizes a placement under the configured node budget. A search
-    /// that hits the budget completes greedily (bounded latency; relabeled
-    /// variants may land on different fingerprints and miss each other's
-    /// cache entries) and counts in
+    /// The canonical labeling of a placement under the configured node
+    /// budget. A search that hits the budget completes greedily (bounded
+    /// latency; relabeled variants may land on different fingerprints and
+    /// miss each other's cache entries) and counts in
     /// `tessel_fingerprint_canon_budget_exhausted_total`.
-    fn canonicalize_budgeted(&self, placement: &PlacementSpec) -> CanonicalPlacement {
-        let (canon, stats) = placement.canonicalize_budgeted(self.config.canon_node_budget);
+    fn canonical_labeling(&self, placement: &PlacementSpec) -> CanonicalLabeling {
+        let (labeling, stats) =
+            placement.canonical_labeling_budgeted(self.config.canon_node_budget);
         if stats.budget_exhausted {
             self.metrics
                 .canon_budget_exhausted
@@ -740,12 +779,12 @@ impl ScheduleService {
                 "fingerprint",
                 "canonical-labeling node budget exhausted; labeling completed greedily",
                 &[
-                    ("fingerprint", &canon.fingerprint.to_string()),
+                    ("fingerprint", &labeling.fingerprint.to_string()),
                     ("budget", &self.config.canon_node_budget.to_string()),
                 ],
             );
         }
-        canon
+        labeling
     }
 
     /// Cache lookup trusting fingerprint equality: the exact canonical
@@ -754,24 +793,20 @@ impl ScheduleService {
     /// `--paranoid-fingerprints` the full canonical-placement comparison is
     /// reinstated; a mismatch counts in
     /// `tessel_fingerprint_paranoia_mismatches_total` and degrades to a miss.
-    fn cache_lookup(
-        &self,
-        key: CacheKey,
-        canon: &CanonicalPlacement,
-        params: &CacheParams,
-    ) -> Option<Arc<CachedSearch>> {
-        let entry = self.cache.get(key)?;
-        if entry.params != *params || entry.fingerprint != canon.fingerprint {
+    fn cache_lookup(&self, prepared: &Prepared<'_>) -> Option<Arc<CachedSearch>> {
+        let fingerprint = prepared.labeling.fingerprint;
+        let entry = self.cache.get(prepared.key)?;
+        if entry.params != prepared.params || entry.fingerprint != fingerprint {
             return None;
         }
-        if self.config.paranoid_fingerprints && entry.canonical_placement != canon.placement {
+        if self.config.paranoid_fingerprints && entry.canonical_placement != *prepared.canonical() {
             self.metrics
                 .fingerprint_paranoia_mismatches
                 .fetch_add(1, Ordering::Relaxed);
             tessel_obs::warn(
                 "cache",
                 "fingerprint paranoia: canonical form mismatch on lookup",
-                &[("fingerprint", &canon.fingerprint.to_string())],
+                &[("fingerprint", &fingerprint.to_string())],
             );
             return None;
         }
@@ -783,17 +818,13 @@ impl ScheduleService {
     /// request is a local hit); every other outcome — this node is the
     /// owner, the owner also missed, the owner is unreachable — returns
     /// `None` and the caller solves locally.
-    fn cluster_fetch(
-        &self,
-        key: CacheKey,
-        canon: &CanonicalPlacement,
-        params: &CacheParams,
-    ) -> Option<Arc<CachedSearch>> {
+    fn cluster_fetch(&self, prepared: &Prepared<'_>) -> Option<Arc<CachedSearch>> {
         let cluster = self.cluster.as_ref()?;
-        match cluster.fetch_from_owner(canon, params) {
+        let fingerprint = prepared.labeling.fingerprint;
+        match cluster.fetch_from_owner(fingerprint, prepared.canonical(), &prepared.params) {
             RemoteFetch::Hit(entry) => {
                 // The caller journals the insert after completing the flight.
-                self.cache.insert(key, entry.clone());
+                self.cache.insert(prepared.key, entry.clone());
                 Some(entry)
             }
             RemoteFetch::LocalOwner | RemoteFetch::Miss | RemoteFetch::Unavailable => None,
@@ -837,13 +868,17 @@ impl ScheduleService {
     /// success.
     fn run_search(
         &self,
-        canon: &CanonicalPlacement,
-        params: &CacheParams,
-        key: CacheKey,
-        deadline: Option<Instant>,
-        solver_threads: usize,
+        prepared: &Prepared<'_>,
         sink: Option<&IncumbentSink>,
     ) -> Result<Arc<CachedSearch>, ServiceError> {
+        let Prepared {
+            ref params,
+            key,
+            deadline,
+            solver_threads,
+            ..
+        } = *prepared;
+        let canonical = prepared.canonical();
         self.metrics.in_flight.fetch_add(1, Ordering::Relaxed);
         let _guard = InFlightGuard(&self.metrics);
 
@@ -877,7 +912,7 @@ impl ScheduleService {
         }
 
         let outcome = TesselSearch::new(config)
-            .run(&canon.placement)
+            .run(canonical)
             .map_err(|e| match e {
                 CoreError::DeadlineExceeded => {
                     ServiceError::Timeout("search exceeded the request deadline".into())
@@ -898,20 +933,20 @@ impl ScheduleService {
 
         // Simulate the schedule on the reference cluster for the
         // machine-readable utilization summary.
-        let cluster = ClusterSpec::v100_cluster(canon.placement.num_devices());
-        let utilization = instantiate(&canon.placement, &outcome.schedule, CommMode::NonBlocking)
+        let cluster = ClusterSpec::v100_cluster(canonical.num_devices());
+        let utilization = instantiate(canonical, &outcome.schedule, CommMode::NonBlocking)
             .and_then(|program| simulate(&program, &cluster, CommMode::NonBlocking))
             .map(|report| report.utilization_summary())
             .map_err(|e| ServiceError::Search(format!("simulation failed: {e}")))?;
 
         let entry = Arc::new(CachedSearch {
-            fingerprint: canon.fingerprint,
+            fingerprint: prepared.labeling.fingerprint,
             params: *params,
-            canonical_placement: canon.placement.clone(),
+            canonical_placement: canonical.clone(),
             schedule: outcome.schedule,
             period: outcome.repetend.period,
             repetend_micro_batches: outcome.repetend.num_micro_batches(),
-            bubble_rate: outcome.repetend.bubble_rate(&canon.placement),
+            bubble_rate: outcome.repetend.bubble_rate(canonical),
             utilization,
             solver: outcome.stats.solver,
             search_millis,
@@ -924,71 +959,6 @@ impl ScheduleService {
             cluster.replicate_if_remote(&entry);
         }
         Ok(entry)
-    }
-
-    /// Translates a cached (canonical-labeled) entry into the request's own
-    /// device labeling and stage numbering.
-    fn respond(
-        &self,
-        entry: &CachedSearch,
-        canon: &CanonicalPlacement,
-        original: &PlacementSpec,
-        cached: bool,
-        coalesced: bool,
-    ) -> SearchResponse {
-        live_stage("translate", || {
-            self.respond_inner(entry, canon, original, cached, coalesced)
-        })
-    }
-
-    fn respond_inner(
-        &self,
-        entry: &CachedSearch,
-        canon: &CanonicalPlacement,
-        original: &PlacementSpec,
-        cached: bool,
-        coalesced: bool,
-    ) -> SearchResponse {
-        let inv_block = canon.inverse_block_perm();
-        let blocks = entry
-            .schedule
-            .blocks()
-            .iter()
-            .map(|b| scheduled_block(original, inv_block[b.stage], b.micro_batch, b.start))
-            .collect();
-        let mut schedule = Schedule::new(
-            original.num_devices(),
-            entry.schedule.num_micro_batches(),
-            blocks,
-        );
-        if let Some(span) = entry.schedule.repetend() {
-            schedule = schedule.with_repetend(span);
-        }
-
-        // Per-device utilization rows, re-indexed to the request's labels.
-        let mut utilization = entry.utilization.clone();
-        let mut devices = Vec::with_capacity(utilization.devices.len());
-        for (original_device, &canonical_device) in canon.device_perm.iter().enumerate() {
-            if let Some(row) = entry.utilization.devices.get(canonical_device) {
-                let mut row = row.clone();
-                row.device = original_device;
-                devices.push(row);
-            }
-        }
-        utilization.devices = devices;
-
-        SearchResponse {
-            fingerprint: entry.fingerprint,
-            cached,
-            coalesced,
-            num_micro_batches: entry.schedule.num_micro_batches(),
-            period: entry.period,
-            repetend_micro_batches: entry.repetend_micro_batches,
-            bubble_rate: entry.bubble_rate,
-            schedule,
-            utilization,
-            search_millis: if cached { 0 } else { entry.search_millis },
-        }
     }
 
     /// Appends one freshly inserted entry to the cache journal (best effort;
@@ -1244,7 +1214,8 @@ impl ScheduleService {
         if !structurally_valid {
             return None;
         }
-        let (canon, stats) = placement.canonicalize_budgeted(self.config.canon_node_budget);
+        let (labeling, stats) =
+            placement.canonical_labeling_budgeted(self.config.canon_node_budget);
         if stats.budget_exhausted {
             self.metrics
                 .canon_budget_exhausted
@@ -1256,7 +1227,7 @@ impl ScheduleService {
             );
             return None;
         }
-        if canon.fingerprint != fingerprint {
+        if labeling.fingerprint != fingerprint {
             self.metrics
                 .fingerprint_wire_mismatches
                 .fetch_add(1, Ordering::Relaxed);
@@ -1265,7 +1236,7 @@ impl ScheduleService {
                 "rejecting wire entry: shipped placement does not re-canonicalize to its claimed fingerprint",
                 &[
                     ("claimed", &fingerprint.to_string()),
-                    ("actual", &canon.fingerprint.to_string()),
+                    ("actual", &labeling.fingerprint.to_string()),
                 ],
             );
             return None;

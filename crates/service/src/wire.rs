@@ -5,7 +5,7 @@
 //! results render to byte-identical JSON.
 
 use crate::cache::{CacheParams, CachedSearch};
-use serde::{field, Deserialize, Error as SerdeError, Serialize, Value, Writer};
+use serde::{Deserialize, Error as SerdeError, Reader, Serialize, Writer};
 use tessel_core::fingerprint::Fingerprint;
 use tessel_core::ir::PlacementSpec;
 use tessel_core::schedule::Schedule;
@@ -182,22 +182,34 @@ impl Serialize for StreamEvent {
 }
 
 impl Deserialize for StreamEvent {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        let map = value
-            .as_map()
-            .ok_or_else(|| SerdeError::custom("expected object for StreamEvent"))?;
-        let event = String::from_value(field(map, "event")?)?;
-        match event.as_str() {
+    fn deserialize(reader: &mut Reader<'_>) -> Result<Self, SerdeError> {
+        // The `event` tag says how to read the other keys, and it may come
+        // last: every key's value is parsed (and its first occurrence kept
+        // as text) now, and read as its type once the tag is known. Keys the
+        // tag does not ask for are never read as anything.
+        let mut raw: [Option<&str>; 6] = [None; 6];
+        const KEYS: [&str; 6] = ["event", "value", "elapsed_ms", "response", "status", "body"];
+        let mut entries = reader.map()?;
+        while let Some(key) = entries.key()? {
+            let text = entries.value().skip()?;
+            if let Some(slot) = KEYS.iter().position(|k| *k == key) {
+                raw[slot].get_or_insert(text);
+            }
+        }
+        fn read<T: Deserialize>(raw: Option<&str>, name: &str) -> Result<T, SerdeError> {
+            let text = raw.ok_or_else(|| SerdeError::custom(format!("missing field `{name}`")))?;
+            T::deserialize(&mut Reader::new(text))
+        }
+        let [event, value, elapsed_ms, response, status, body] = raw;
+        match read::<String>(event, "event")?.as_str() {
             "incumbent" => Ok(StreamEvent::Incumbent {
-                value: Deserialize::from_value(field(map, "value")?)?,
-                elapsed_ms: Deserialize::from_value(field(map, "elapsed_ms")?)?,
+                value: read(value, "value")?,
+                elapsed_ms: read(elapsed_ms, "elapsed_ms")?,
             }),
-            "result" => Ok(StreamEvent::Result(SearchResponse::from_value(field(
-                map, "response",
-            )?)?)),
+            "result" => Ok(StreamEvent::Result(read(response, "response")?)),
             "error" => Ok(StreamEvent::Error {
-                status: Deserialize::from_value(field(map, "status")?)?,
-                body: ErrorBody::from_value(field(map, "body")?)?,
+                status: read(status, "status")?,
+                body: read(body, "body")?,
             }),
             other => Err(SerdeError::custom(format!(
                 "unknown stream event `{other}`"

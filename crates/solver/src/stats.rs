@@ -225,15 +225,15 @@ impl std::fmt::Debug for IncumbentSink {
 }
 
 mod duration_serde {
-    use serde::{Deserialize, Error, Value, Writer};
+    use serde::{Deserialize, Error, Reader, Writer};
     use std::time::Duration;
 
     pub fn serialize(d: &Duration, writer: &mut Writer<'_>) {
         writer.f64(d.as_secs_f64());
     }
 
-    pub fn deserialize(value: &Value) -> Result<Duration, Error> {
-        let secs = f64::from_value(value)?;
+    pub fn deserialize(reader: &mut Reader<'_>) -> Result<Duration, Error> {
+        let secs = f64::deserialize(reader)?;
         Ok(Duration::from_secs_f64(secs.max(0.0)))
     }
 }

@@ -17,12 +17,16 @@
 //! 4. **Pruning soundness** — the automorphism-pruned search agrees with the
 //!    unpruned search leaf-for-leaf on the winning canonical form while
 //!    exploring strictly fewer leaves than the factorial bound.
+//! 5. **The labeling alone** — `canonical_labeling_budgeted` decides exactly
+//!    what `canonicalize()` does, the canonical placement built from it later
+//!    is the eager one, and both still equal what `canonicalize()` returned
+//!    before the two were split (a digest recorded then).
 //!
-//! The `#[ignore]`d 10k-instance fuzz at the bottom is run by the
+//! The `#[ignore]`d 10k-instance fuzzes at the bottom are run by the
 //! `fingerprint-stress` CI job with a pinned `TESSEL_FUZZ_SEED`; on failure
 //! the seed and instance index are in the panic message for reproduction.
 
-use tessel::core::fingerprint::Fingerprint;
+use tessel::core::fingerprint::{Fingerprint, DEFAULT_NODE_BUDGET};
 use tessel::core::ir::{BlockKind, BlockSpec, PlacementSpec};
 use tessel::placement::shapes::{synthetic_placement, ShapeKind};
 
@@ -600,14 +604,10 @@ fn canonical_form_is_the_full_orbit_minimum_on_a_tiny_instance() {
 // CI stress: 10k random instances × random permutations (`--ignored`).
 // ---------------------------------------------------------------------------
 
-/// Long-run fuzz used by the `fingerprint-stress` CI job. The seed comes from
-/// `TESSEL_FUZZ_SEED` (decimal or 0x-hex; defaults to a pinned value) and is
-/// part of every failure message, so any break reproduces with
-/// `TESSEL_FUZZ_SEED=<seed> cargo test --test fingerprint_canonical -- --ignored`.
-#[test]
-#[ignore = "10k-instance fuzz; run explicitly or via the fingerprint-stress CI job"]
-fn fuzz_10k_random_instances_under_random_relabelings() {
-    let seed = std::env::var("TESSEL_FUZZ_SEED")
+/// The fuzz seed: `TESSEL_FUZZ_SEED` (decimal or 0x-hex), else the pinned
+/// [`PINNED_SEED`].
+fn fuzz_seed() -> u64 {
+    std::env::var("TESSEL_FUZZ_SEED")
         .ok()
         .and_then(|raw| {
             let raw = raw.trim();
@@ -616,7 +616,20 @@ fn fuzz_10k_random_instances_under_random_relabelings() {
                 None => raw.parse().ok(),
             }
         })
-        .unwrap_or(0xf16e_4a44);
+        .unwrap_or(PINNED_SEED)
+}
+
+/// The seed CI pins and the recorded digests below were taken with.
+const PINNED_SEED: u64 = 0xf16e_4a44;
+
+/// Long-run fuzz used by the `fingerprint-stress` CI job. The seed comes from
+/// `TESSEL_FUZZ_SEED` (decimal or 0x-hex; defaults to a pinned value) and is
+/// part of every failure message, so any break reproduces with
+/// `TESSEL_FUZZ_SEED=<seed> cargo test --test fingerprint_canonical -- --ignored`.
+#[test]
+#[ignore = "10k-instance fuzz; run explicitly or via the fingerprint-stress CI job"]
+fn fuzz_10k_random_instances_under_random_relabelings() {
+    let seed = fuzz_seed();
     eprintln!("fingerprint fuzz seed: {seed:#x}");
     let mut rng = Lcg::new(seed);
     for i in 0..10_000u64 {
@@ -640,4 +653,92 @@ fn fuzz_10k_random_instances_under_random_relabelings() {
             "TESSEL_FUZZ_SEED={seed:#x} instance {i}: WL fingerprint not invariant"
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// 5. The labeling without the placement.
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over the little-endian bytes of `words`, continuing from `h`.
+fn fnv_words(mut h: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+    for word in words {
+        for byte in word.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// What `canonicalize()` returned for the first `count` instances of the
+/// labeling oracle's corpus under [`PINNED_SEED`] (fingerprint, both
+/// permutations and the canonical placement's JSON, folded by [`fnv_words`]),
+/// recorded at the commit before the labeling was split from the build.
+/// Journals and peers key on these fingerprints: they must not move.
+const RECORDED_LABELING_DIGESTS: [(usize, u64); 2] = [
+    (300, 0x209b_ac79_45bd_5cf5),
+    (10_000, 0x120e_330c_d2c9_ad01),
+];
+
+/// The labeling oracle: on `count` random placements and a random relabeling
+/// of each, the labeling-only search returns `canonicalize()`'s fingerprint
+/// and permutations bit for bit (and its statistics), the canonical placement
+/// built from the labeling afterwards equals the eager one, and — under the
+/// pinned seed — the whole corpus digests to what `canonicalize()` returned
+/// before the split.
+fn labeling_matches_canonicalize(count: usize) {
+    let seed = fuzz_seed();
+    eprintln!("labeling oracle seed: {seed:#x}");
+    let mut rng = Lcg::new(seed ^ 0x1abe_1106);
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for i in 0..count as u64 {
+        let placement = random_instance(&mut rng, i);
+        let image = placement
+            .permuted(
+                &random_perm(&mut rng, placement.num_devices()),
+                &random_topo_order(&mut rng, &placement),
+            )
+            .unwrap();
+        for (which, p) in [("instance", &placement), ("its relabeling", &image)] {
+            let context = format!("TESSEL_FUZZ_SEED={seed:#x} {which} {i}: {p:?}");
+            let (labeling, stats) = p.canonical_labeling_budgeted(DEFAULT_NODE_BUDGET);
+            let (eager, eager_stats) = p.canonicalize_with_stats();
+            assert_eq!(labeling.fingerprint, eager.fingerprint, "{context}");
+            assert_eq!(labeling.block_perm, eager.block_perm, "{context}");
+            assert_eq!(labeling.device_perm, eager.device_perm, "{context}");
+            assert_eq!(stats, eager_stats, "{context}");
+            assert_eq!(p.fingerprint(), eager.fingerprint, "{context}");
+            let lazy = labeling.canonical_placement(p);
+            assert_eq!(lazy, eager.placement, "{context}");
+            digest = fnv_words(digest, [labeling.fingerprint.0]);
+            digest = fnv_words(digest, labeling.block_perm.iter().map(|&x| x as u64));
+            digest = fnv_words(digest, labeling.device_perm.iter().map(|&x| x as u64));
+            let text = serde_json::to_string(&lazy).unwrap();
+            digest = fnv_words(digest, text.bytes().map(u64::from));
+        }
+    }
+    let recorded = RECORDED_LABELING_DIGESTS
+        .iter()
+        .find(|&&(n, _)| n == count)
+        .map(|&(_, digest)| digest);
+    match recorded {
+        Some(recorded) if seed == PINNED_SEED => assert_eq!(
+            digest, recorded,
+            "{count} instances under the pinned seed no longer canonicalize as recorded"
+        ),
+        _ => eprintln!("no recorded digest for {count} instances under seed {seed:#x}"),
+    }
+}
+
+#[test]
+fn labeling_oracle_on_300_random_instances() {
+    labeling_matches_canonicalize(300);
+}
+
+/// `TESSEL_FUZZ_SEED=<seed> cargo test --release --test fingerprint_canonical
+/// labeling -- --ignored`.
+#[test]
+#[ignore = "10k-instance labeling oracle; run explicitly or via the fingerprint-stress CI job"]
+fn labeling_oracle_on_10k_random_instances() {
+    labeling_matches_canonicalize(10_000);
 }
