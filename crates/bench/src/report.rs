@@ -15,8 +15,8 @@
 //!   and multi-threaded.
 //! * `solver_thread_scaling` — the 1→N curve of the work-stealing solver:
 //!   explored-node count and its ratio vs serial, shared-memo hits,
-//!   wall-clock and the contention counters (steals, failed steals, CAS
-//!   retries, memo drops). Node counts are meaningful on any host; the
+//!   wall-clock and the contention counters (steals, failed steals, memo
+//!   stripe waits, memo drops). Node counts are meaningful on any host; the
 //!   wall-clock columns need a multi-core box (interpret against `host.cpus`).
 //! * `portfolio_search` — end-to-end `TesselSearch::run` wall-clock on the
 //!   Fig. 8 synthetic shapes with 1 vs 4 portfolio workers.
@@ -199,11 +199,11 @@ pub fn solver_scaling_rows() -> Vec<SolverScalingRow> {
 /// `shared_memo_hits` of `pruned_dominance` shows the sharing paying off. The
 /// wall-clock columns come with the contention counters that explain them:
 /// `steals` (successful load balancing), `steal_failures` (steals that met a
-/// held deque lock), `cas_retries` (lost claims in the shared dominance
-/// table) and `memo_drops` (bounded-probe memo drops). Wall-clock speedups
-/// need a multi-core host — interpret `seconds` against the recorded
-/// `host.cpus`; on a single core the curve only shows the synchronisation
-/// overhead floor, which the lock-free shared table keeps flat. The serial
+/// held deque lock), `cas_retries` (probes that waited for a held stripe of
+/// the shared dominance table) and `memo_drops` (memo-limit drops).
+/// Wall-clock speedups need a multi-core host — interpret `seconds` against
+/// the recorded `host.cpus`; on a single core the curve only shows the
+/// synchronisation overhead floor. The serial
 /// warmstart probe is disabled for these rows so every thread count exercises
 /// the real worker pool.
 #[derive(Debug, Clone, Serialize)]
@@ -230,9 +230,9 @@ pub struct ThreadScalingRow {
     pub steals: u64,
     /// Steal attempts that found the victim's deque held.
     pub steal_failures: u64,
-    /// Lost CAS races in the lock-free shared dominance table.
+    /// Probes that waited for a held stripe of the shared dominance table.
     pub cas_retries: u64,
-    /// Finish vectors the bounded-probe table declined to memoise.
+    /// Finish vectors the table declined to memoise, memo limit reached.
     pub memo_drops: u64,
     /// Proved optimal makespan — must be identical across thread counts.
     pub makespan: Option<u64>,

@@ -207,11 +207,11 @@ metric_group! {
         solver_steals, "tessel_solver_steals_total", "Subtree tasks stolen between parallel solver workers.";
         solver_shared_memo_hits, "tessel_solver_shared_memo_hits_total", "Dominance prunes served by another solver worker's record.";
         #[serde(default)]
-        solver_cas_retries, "tessel_solver_cas_retries_total", "Contention events (lost CAS races, discarded seqlock reads, skipped mid-build segments) in the solver's lock-free shared structures.";
+        solver_cas_retries, "tessel_solver_cas_retries_total", "Times a parallel solver worker found its dominance-memo stripe locked.";
         #[serde(default)]
-        solver_steal_failures, "tessel_solver_steal_failures_total", "Solver steal attempts that lost the deque-top race.";
+        solver_steal_failures, "tessel_solver_steal_failures_total", "Solver steal attempts that found the victim's deque lock held.";
         #[serde(default)]
-        solver_memo_drops, "tessel_solver_memo_drops_total", "Finish vectors a full dominance memo (serial limit or shared probe window) declined to record.";
+        solver_memo_drops, "tessel_solver_memo_drops_total", "Finish vectors a dominance memo declined to record (memo limit reached).";
         /// Any nonzero value means the exact canonical labeling broke its
         /// contract.
         #[serde(default)]

@@ -245,11 +245,6 @@ pub(super) struct SearchContext<'a> {
     /// with the tested child's finish written over its devices — built here
     /// so the memo is probed without applying the child.
     probe_finish: Vec<u64>,
-    /// Reusable buffer the lock-free shared dominance table copies candidate
-    /// finish vectors into before comparing (a torn read must never alias the
-    /// live search state); kept on the context so the hot loop stays
-    /// allocation-free.
-    dom_scratch: Vec<u64>,
     /// Additional node cap for the serial search, tightened by the
     /// warmstart probe (see [`SolverConfig::serial_warmstart_nodes`]);
     /// `u64::MAX` everywhere else.
@@ -309,7 +304,6 @@ impl<'a> SearchContext<'a> {
             nodes_since_flush: 0,
             drops_flushed: 0,
             probe_finish: vec![0; flat.num_devices],
-            dom_scratch: vec![0; flat.num_devices],
             node_cap: u64::MAX,
         };
         let mut est = vec![0; n];
@@ -672,8 +666,9 @@ impl<'a> SearchContext<'a> {
     /// Dominance pruning on (scheduled set, device finish vector) of the
     /// current state, or — without applying it — of the child that schedules
     /// `child`: the serial search consults its private table, parallel
-    /// workers the lock-free shared one. Returns `true` if the state is
-    /// dominated.
+    /// workers the striped shared one. Returns `true` if the state is
+    /// dominated; a prune by a vector another worker stored also counts as
+    /// a shared-memo hit.
     fn dominated(&mut self, child: Option<usize>) -> bool {
         let shared_table = self.shared.and_then(|shared| shared.dominance.as_ref());
         if shared_table.is_none() && self.dominance.is_none() {
@@ -688,27 +683,23 @@ impl<'a> SearchContext<'a> {
                 self.probe_finish[d as usize] = finish;
             }
         }
-        if let Some(table) = shared_table {
-            if let Some(owner) = table.check_and_insert(
-                mask,
-                &self.probe_finish,
-                self.worker,
-                &mut self.dom_scratch,
-                &mut self.stats,
-            ) {
-                self.stats.pruned_dominance += 1;
-                if owner != self.worker {
-                    self.stats.shared_memo_hits += 1;
-                }
-                return true;
+        let owner = match (shared_table, &mut self.dominance) {
+            (Some(table), _) => {
+                table.check_and_insert(mask, &self.probe_finish, self.worker, &mut self.stats)
             }
-        } else if let Some(table) = &mut self.dominance {
-            if table.check_and_insert(mask, &self.probe_finish, &mut self.stats) {
-                self.stats.pruned_dominance += 1;
-                return true;
+            (None, Some(table)) => {
+                table.check_and_insert(mask, &self.probe_finish, 0, &mut self.stats)
             }
+            (None, None) => None,
+        };
+        let Some(owner) = owner else {
+            return false;
+        };
+        self.stats.pruned_dominance += 1;
+        if owner != self.worker {
+            self.stats.shared_memo_hits += 1;
         }
-        false
+        true
     }
 
     /// Offers the subtree rooted at child `task` of the current node to the

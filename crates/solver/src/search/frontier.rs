@@ -13,8 +13,8 @@
 //! A deque is a `Mutex<VecDeque>`, not a lock-free ring, because of what it
 //! carries: a parallel solve of 1.4 M – 16 M nodes performs 62–135 pushes,
 //! 1–24 steals and 0–3 contended accesses (the benchmark's `solve_parallel`),
-//! while the shared dominance table — which stays lock-free — is probed on
-//! every node. The owner waits for its own lock (a thief holds it for one
+//! while the shared dominance table, itself striped over 64 locks, is probed
+//! on every node. The owner waits for its own lock (a thief holds it for one
 //! `pop_front`); a thief only `try_lock`s, so a held deque is a lost race,
 //! counted into `steal_failures`, and the thief moves on to the next victim.
 //! Deques are bounded: a refused [`TaskQueues::push`] makes the caller run the

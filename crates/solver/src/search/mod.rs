@@ -19,9 +19,9 @@
 //! * [`engine`] — the allocation-free DFS hot loop: flattened instance data,
 //!   earliest starts, bound and ready list maintained incrementally through
 //!   undo stacks, children tested before they are applied.
-//! * [`dominance`] — the flat open-addressing dominance tables: one private
-//!   cache-line-per-lookup table for the serial search, a lock-free
-//!   CAS-claimed table shared by parallel workers (SIMD-friendly vector
+//! * [`dominance`] — the flat open-addressing dominance table, one cache
+//!   line per lookup: private to the serial search, split into 64
+//!   mutex-guarded stripes for the parallel workers (SIMD-friendly vector
 //!   compares live in [`simd`]).
 //! * [`frontier`] — subtree tasks and the per-worker mutex-guarded steal
 //!   deques of the work-stealing scheduler.
@@ -33,12 +33,14 @@
 //! With [`SolverConfig::threads`] > 1 the search runs **work-stealing**: the
 //! root frontier seeds per-worker deques, workers publish shallow subtrees as
 //! stealable tasks and steal from peers when their own deque drains, and
-//! *all* workers prune against one **lock-free shared dominance table** plus
-//! an atomic incumbent bound — the two things a node touches. The deques see
-//! ~10² operations per solve and sit behind a plain mutex each; no lock is
-//! taken per node. Small instances skip the pool entirely: a bounded serial
-//! probe ([`SolverConfig::serial_warmstart_nodes`]) solves them before any
-//! worker thread is spawned. Every thread count proves the same optimal
+//! *all* workers prune against one **shared dominance table** plus an atomic
+//! incumbent bound — the two things a node touches. The table is 64
+//! mutex-guarded stripes of the serial one, found held ~150 k times in ~24 M
+//! nodes on the benchmark's `solve_parallel`. The deques see ~10² operations
+//! per solve and sit behind a plain mutex each. Small instances skip the pool
+//! entirely: a bounded serial probe
+//! ([`SolverConfig::serial_warmstart_nodes`]) solves them before any worker
+//! thread is spawned. Every thread count proves the same optimal
 //! makespan; only the tie-breaking among equally good schedules may differ.
 //! See [`parallel`] for the full design.
 
@@ -99,8 +101,8 @@ pub struct SolverConfig {
     pub time_limit: Option<Duration>,
     /// Maximum number of finish-time vectors kept in the dominance memo (`0`
     /// disables dominance pruning). In parallel mode the limit sizes the
-    /// *shared* lock-free table, whose bounded-probe insertion may memoise
-    /// slightly fewer states than the limit under heavy hash clustering
+    /// *shared* table, split evenly over its stripes, so a stripe that hashes
+    /// more than its share may drop memos before the whole table is full
     /// (dropped memos only forfeit pruning, never correctness).
     pub dominance_memo_limit: usize,
     /// Number of worker threads running the work-stealing parallel search.

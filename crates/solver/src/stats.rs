@@ -25,13 +25,10 @@ pub struct SolveStats {
     /// *different* worker — the exploration the shared dominance table
     /// deduplicated across threads (0 for single-threaded solves).
     pub shared_memo_hits: u64,
-    /// Number of contention events in the lock-free shared dominance table:
-    /// compare-and-swap attempts that lost a race (dominance-slot claims and
-    /// in-place upgrades beaten by another worker), seqlock record copies
-    /// discarded because the slot version moved mid-read, and slot segments
-    /// skipped while another worker was still zeroing them. High values
-    /// relative to `nodes` indicate genuine many-core contention (0 for
-    /// single-threaded solves).
+    /// Number of dominance probes by a parallel worker that found its
+    /// dominance-memo stripe locked by another worker and waited for it.
+    /// High values relative to `nodes` indicate genuine many-core contention
+    /// (0 for single-threaded solves).
     #[serde(default)]
     pub cas_retries: u64,
     /// Number of steal attempts that found the victim's deque held by its
@@ -39,10 +36,10 @@ pub struct SolveStats {
     /// the next victim instead of waiting). 0 for single-threaded solves.
     #[serde(default)]
     pub steal_failures: u64,
-    /// Number of finish vectors a dominance memo declined to record: the
-    /// serial table once [`dominance_memo_limit`] vectors are stored, the
-    /// lock-free shared table when its bounded probe window is exhausted.
-    /// The search stays exact — a dropped memo only forfeits future pruning
+    /// Number of finish vectors a dominance memo declined to record because
+    /// its memo limit was reached: the serial table once
+    /// [`dominance_memo_limit`] vectors are stored, a stripe of the shared
+    /// table once it holds its share of them. The search stays exact — a dropped memo only forfeits future pruning
     /// — but a count that is large against `nodes` says the node count is
     /// what it is because the memo was too small.
     ///
@@ -95,8 +92,7 @@ pub struct SolverTotals {
     pub steals: u64,
     /// Dominance prunes served by a record another worker inserted.
     pub shared_memo_hits: u64,
-    /// Contention events — lost CAS races, discarded seqlock reads, skipped
-    /// mid-build segments — in the lock-free shared dominance table (see
+    /// Dominance probes that found their dominance-memo stripe locked (see
     /// [`SolveStats::cas_retries`]).
     #[serde(default)]
     pub cas_retries: u64,
@@ -104,8 +100,8 @@ pub struct SolverTotals {
     /// [`SolveStats::steal_failures`]).
     #[serde(default)]
     pub steal_failures: u64,
-    /// Finish vectors a full dominance memo declined to record (see
-    /// [`SolveStats::memo_drops`]).
+    /// Finish vectors a dominance memo declined to record, memo limit reached
+    /// (see [`SolveStats::memo_drops`]).
     #[serde(default)]
     pub memo_drops: u64,
     /// Microseconds spent in serial warm-start probes (see
@@ -285,7 +281,7 @@ mod tests {
 
     #[test]
     fn contention_counters_default_when_absent() {
-        // Documents persisted before the lock-free counters existed (daemon
+        // Documents persisted before the contention counters existed (daemon
         // journals, cached bench sections) must keep deserializing, with the
         // new counters defaulting to zero.
         let json = r#"{"solves":2,"nodes":100,"pruned_bound":10,
