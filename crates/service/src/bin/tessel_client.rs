@@ -6,7 +6,6 @@
 //! tessel-client search --shape v4 --repeat 3
 //! tessel-client search --shape v4 --timing
 //! tessel-client search --shape v6 --stream
-//! tessel-client search --batch-file requests.json
 //! tessel-client search --placement-file my_placement.json --deadline-ms 500
 //! tessel-client cache
 //! tessel-client inspect 1a2b3c4d5e6f7081
@@ -26,10 +25,9 @@
 //! with its elapsed time the moment the daemon proves it, and the final
 //! (proved or deadline-best) response JSON prints to stdout.
 //!
-//! `search --batch-file PATH` posts many searches in one request
-//! (`POST /v1/search/batch`); the file holds either a JSON array of search
-//! requests or a `{"requests": [...]}` object. Placements sharing a
-//! canonical fingerprint are deduplicated daemon-side onto one solve.
+//! Many searches of one placement cost one solve without a batch call: the
+//! daemon's canonical-fingerprint cache answers relabeled repeats, and
+//! concurrent identical misses coalesce onto a single in-flight search.
 
 use std::process::exit;
 use tessel_placement::shapes::{synthetic_placement, ShapeKind};
@@ -57,7 +55,7 @@ fn usage() -> ! {
          \x20 fingerprint [--placement-file PATH | --shape KINDn]\n\
          \x20                                     print the canonical fingerprint\n\
          \x20                                     (computed locally, no daemon)\n\
-         \x20 search [--placement-file PATH | --shape KINDn | --batch-file PATH]\n\
+         \x20 search [--placement-file PATH | --shape KINDn]\n\
          \x20        [--rotate-devices N]\n\
          \x20        [--micro-batches N] [--max-repetend N] [--deadline-ms MS]\n\
          \x20        [--solver-threads N] [--priority N] [--repeat N]\n\
@@ -74,14 +72,10 @@ fn usage() -> ! {
          search --stream streams improving incumbents to stderr as the\n\
          daemon proves them (value + elapsed ms); the final response JSON\n\
          prints to stdout when the search completes.\n\
-         search --batch-file PATH posts every request in the file (a JSON\n\
-         array, or {{\"requests\": [...]}}) as one /v1/search/batch call;\n\
-         duplicate placements are deduplicated onto a single solve.\n\
          search --priority N raises (or, negative, lowers) the request's\n\
          admission priority under daemon overload.\n\
          search --dry-run prints the request body JSON that would be sent\n\
-         (single or batch) without contacting the daemon — handy for piping\n\
-         to curl or building batch files."
+         without contacting the daemon — handy for piping to curl."
     );
     exit(2)
 }
@@ -426,17 +420,12 @@ fn main() {
             let mut timing = false;
             let mut stream = false;
             let mut dry_run = false;
-            let mut batch_file: Option<String> = None;
             let mut it = rest.iter();
             while let Some(flag) = it.next() {
                 match flag.as_str() {
                     "--placement-file" => {
                         let Some(path) = it.next() else { usage() };
                         placement_file = Some(path.as_str());
-                    }
-                    "--batch-file" => {
-                        let Some(path) = it.next() else { usage() };
-                        batch_file = Some(path.clone());
                     }
                     "--shape" => {
                         let Some(spec) = it.next() else { usage() };
@@ -484,52 +473,8 @@ fn main() {
                     }
                 }
             }
-            if let Some(path) = batch_file {
-                // Batch mode: the file carries the requests; every other
-                // shaping flag is ignored.
-                let text = match std::fs::read_to_string(&path) {
-                    Ok(text) => text,
-                    Err(e) => {
-                        eprintln!("error: cannot read {path}: {e}");
-                        exit(1)
-                    }
-                };
-                // Accept either a full batch body or a bare array of
-                // requests (wrapped here).
-                let body =
-                    match serde_json::from_str::<tessel_service::wire::BatchSearchRequest>(&text) {
-                        Ok(batch) => match serde_json::to_string(&batch) {
-                            Ok(body) => body,
-                            Err(e) => {
-                                eprintln!("error: cannot serialize batch: {e}");
-                                exit(1)
-                            }
-                        },
-                        Err(_) => match serde_json::from_str::<Vec<SearchRequest>>(&text) {
-                            Ok(requests) => {
-                                let batch = tessel_service::wire::BatchSearchRequest { requests };
-                                match serde_json::to_string(&batch) {
-                                    Ok(body) => body,
-                                    Err(e) => {
-                                        eprintln!("error: cannot serialize batch: {e}");
-                                        exit(1)
-                                    }
-                                }
-                            }
-                            Err(e) => {
-                                eprintln!("error: {path} is not a batch of search requests: {e}");
-                                exit(1)
-                            }
-                        },
-                    };
-                if dry_run {
-                    println!("{body}");
-                    exit(0)
-                }
-                call(&addr, "POST", "/v1/search/batch", Some(&body))
-            }
             let Some(mut placement) = placement_from_flags(placement_file, shape) else {
-                eprintln!("error: search needs --placement-file, --shape or --batch-file");
+                eprintln!("error: search needs --placement-file or --shape");
                 usage()
             };
             if rotate_devices > 0 {

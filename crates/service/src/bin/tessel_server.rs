@@ -29,7 +29,7 @@ fn usage() -> ! {
          \x20                  [--max-conns-per-ip N] [--sample-interval-ms MS]\n\
          \x20                  [--cache-file PATH] [--cache-capacity N] [--cache-shards N]\n\
          \x20                  [--journal-compact-every N]\n\
-         \x20                  [--portfolio-threads N] [--micro-batches N] [--max-repetend N]\n\
+         \x20                  [--micro-batches N] [--max-repetend N]\n\
          \x20                  [--solver-threads N] [--max-solver-threads N]\n\
          \x20                  [--default-deadline-ms MS]\n\
          \x20                  [--node-id ID] [--peer ID=HOST:PORT]...\n\
@@ -104,9 +104,6 @@ fn main() {
             "--cache-shards" => service_config.cache.shards = parse_value(&flag, args.next()),
             "--journal-compact-every" => {
                 service_config.journal_compact_every = parse_value(&flag, args.next());
-            }
-            "--portfolio-threads" => {
-                service_config.portfolio_threads = parse_value(&flag, args.next());
             }
             "--solver-threads" => {
                 service_config.solver_threads = parse_value(&flag, args.next());

@@ -355,7 +355,7 @@ mod tests {
         timeout.status = 408;
         recorder.record(timeout);
         let mut fast_ok = record(&"b".repeat(32), 900);
-        fast_ok.path = "/v1/search/batch".to_string();
+        fast_ok.path = "/v1/cache".to_string();
         recorder.record(fast_ok);
         recorder.record(record(&"c".repeat(32), 60_000));
 
@@ -385,7 +385,7 @@ mod tests {
         assert_eq!(recorder.snapshot_filtered(&by_floor).recent.len(), 2);
 
         let by_endpoint = FlightQuery {
-            endpoint: Some("/v1/search/batch".to_string()),
+            endpoint: Some("/v1/cache".to_string()),
             ..FlightQuery::default()
         };
         let snap = recorder.snapshot_filtered(&by_endpoint);

@@ -25,7 +25,6 @@
 //! |--------|-----------------------------|------------------------------------|
 //! | POST   | `/v1/search`                | run or fetch a schedule search     |
 //! | POST   | `/v1/search?stream=1`       | same, streaming incumbents (SSE)   |
-//! | POST   | `/v1/search/batch`          | many searches, deduped in-batch    |
 //! | GET    | `/v1/cache`                 | list cache entries                 |
 //! | GET    | `/v1/cache/{fp}`            | inspect one fingerprint            |
 //! | PUT    | `/v1/cache/{fp}`            | accept a replicated entry (cluster)|

@@ -96,11 +96,6 @@ fn handle(
                 Err(e) => error_response(e.http_status(), e.kind(), &e.to_string()),
             }
         }
-        ("POST", "/v1/search/batch") => {
-            let batch: crate::wire::BatchSearchRequest = decode(body, "invalid request body")?;
-            let response = service.search_batch(&batch);
-            tessel_obs::stage("serialize", || json_response(200, &response))
-        }
         ("GET", "/v1/cache") => json_response(200, &service.cache_entries()),
         ("GET", path) if path.starts_with("/v1/cache/") => {
             let fingerprint = fingerprint_after(path, "/v1/cache/")?;

@@ -144,9 +144,8 @@ const BUCKETS: usize = 40;
 ///
 /// Paths are coarsened to this set by [`ServiceMetrics::endpoint_label`] so an
 /// attacker probing random URLs cannot mint unbounded label values.
-pub const ENDPOINT_LABELS: [&str; 12] = [
+pub const ENDPOINT_LABELS: [&str; 11] = [
     "/v1/search",
-    "/v1/search/batch",
     "/v1/cache",
     "/v1/cluster",
     "/v1/debug/requests",
@@ -224,9 +223,6 @@ metric_group! {
         /// unless configured.
         #[serde(default)]
         canon_budget_exhausted, "tessel_fingerprint_canon_budget_exhausted_total", "Canonical-labeling searches that hit the node budget and completed greedily.";
-        /// The solver ran at most once for the whole group.
-        #[serde(default)]
-        batch_deduped, "tessel_batch_deduped_total", "Batch-search members deduplicated within their batch (fingerprint-identical to another member).";
         /// Such records are dead weight from an older labeling scheme.
         #[serde(default)]
         journal_stale_dropped, "tessel_cache_journal_stale_dropped_total", "Journal records dropped at startup because re-canonicalization no longer reproduces their stored fingerprint.";
@@ -540,10 +536,7 @@ mod tests {
     #[test]
     fn endpoint_labels_coarsen_to_a_fixed_set() {
         assert_eq!(ServiceMetrics::endpoint_label("/v1/search"), "/v1/search");
-        assert_eq!(
-            ServiceMetrics::endpoint_label("/v1/search/batch"),
-            "/v1/search/batch"
-        );
+        assert_eq!(ServiceMetrics::endpoint_label("/v1/search/x"), "other");
         assert_eq!(ServiceMetrics::endpoint_label("/v1/cache"), "/v1/cache");
         assert_eq!(
             ServiceMetrics::endpoint_label("/v1/cache/deadbeef"),

@@ -28,13 +28,12 @@ use crate::inflight::{self, InflightGuard, InflightRegistry};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::singleflight::{Joined, SingleFlight};
 use crate::wire::{
-    BatchSearchItem, BatchSearchRequest, BatchSearchResponse, CacheEntryInfo, CacheExchange,
-    ClusterStatusResponse, DebugRequestsResponse, ErrorBody, FlightRecordInfo, InflightResponse,
-    InspectResponse, ReplicationAck, SearchRequest, SearchResponse, TraceAssemblyResponse,
-    TraceSpanInfo, WireSearchEntry,
+    CacheEntryInfo, CacheExchange, ClusterStatusResponse, DebugRequestsResponse, FlightRecordInfo,
+    InflightResponse, InspectResponse, ReplicationAck, SearchRequest, SearchResponse,
+    TraceAssemblyResponse, TraceSpanInfo, WireSearchEntry,
 };
 use serde::{Deserialize, Serialize};
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
@@ -198,6 +197,8 @@ struct Prepared<'r> {
     /// miss, a cluster fetch or a paranoid lookup reads it — never on a
     /// plain hit.
     canonical: OnceCell<PlacementSpec>,
+    /// Set once a paranoid lookup has counted this request's mismatch.
+    paranoia_mismatch: Cell<bool>,
     params: CacheParams,
     key: CacheKey,
     deadline: Option<Instant>,
@@ -212,24 +213,11 @@ impl Prepared<'_> {
 }
 
 /// How a cache entry was obtained, before translation into the requester's
-/// labeling. `cached`/`coalesced` carry through to the response's
-/// bookkeeping fields with the same semantics the inline flow always had.
+/// labeling. `cached`/`coalesced` become the response's bookkeeping fields.
 struct Obtained {
     entry: Arc<CachedSearch>,
     cached: bool,
     coalesced: bool,
-}
-
-/// The batch member result for a search that failed with `error`.
-fn failed_item(error: &ServiceError) -> BatchSearchItem {
-    BatchSearchItem {
-        ok: None,
-        error: Some(ErrorBody {
-            kind: error.kind().to_string(),
-            error: error.to_string(),
-        }),
-        deduped: false,
-    }
 }
 
 /// RAII guard for the in-flight gauge.
@@ -276,25 +264,6 @@ impl Drop for FlightGuard<'_> {
 fn live_stage<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
     inflight::with_current(|entry| entry.set_stage(name));
     tessel_obs::stage(name, f)
-}
-
-/// The `translate` stage: `obtained`, found for a request whose placement is
-/// `placement` and whose canonical labeling is `labeling`, seen through that
-/// request's labeling.
-fn translate(
-    obtained: Obtained,
-    labeling: CanonicalLabeling,
-    placement: &PlacementSpec,
-) -> Answer<'_> {
-    live_stage("translate", || {
-        Answer::new(
-            obtained.entry,
-            labeling,
-            placement,
-            obtained.cached,
-            obtained.coalesced,
-        )
-    })
 }
 
 /// Expands one flight record into assembled-trace spans: a whole-request
@@ -498,7 +467,7 @@ impl ScheduleService {
         self.metrics.requests.fetch_add(1, Ordering::Relaxed);
         let result = self.search_inner(request, arrived, sink);
         if let Err(e) = &result {
-            self.count_failures(e, 1);
+            self.count_failure(e);
         }
         self.metrics.record_latency(arrived.elapsed());
         if owns_context {
@@ -519,14 +488,14 @@ impl ScheduleService {
         result
     }
 
-    /// Counts `requests` failed requests under the timeout or the error
-    /// counter, by what failed them.
-    fn count_failures(&self, error: &ServiceError, requests: usize) {
+    /// Counts one failed request under the timeout or the error counter, by
+    /// what failed it.
+    fn count_failure(&self, error: &ServiceError) {
         let counter = match error {
             ServiceError::Timeout(_) => &self.metrics.timeouts,
             _ => &self.metrics.errors,
         };
-        counter.fetch_add(requests as u64, Ordering::Relaxed);
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     fn search_inner<'r>(
@@ -537,8 +506,21 @@ impl ScheduleService {
     ) -> Result<Answer<'r>, ServiceError> {
         let prepared = self.prepare(request, arrived)?;
         inflight::with_current(|entry| entry.set_deadline(prepared.deadline));
-        let obtained = self.obtain_entry(&prepared, sink)?;
-        Ok(translate(obtained, prepared.labeling, &request.placement))
+        let Obtained {
+            entry,
+            cached,
+            coalesced,
+        } = self.obtain_entry(&prepared, sink)?;
+        // The entry seen through the request's own labeling.
+        Ok(live_stage("translate", || {
+            Answer::new(
+                entry,
+                prepared.labeling,
+                &request.placement,
+                cached,
+                coalesced,
+            )
+        }))
     }
 
     /// Validates a request and resolves everything the pipeline needs to
@@ -560,6 +542,7 @@ impl ScheduleService {
             key: CacheKey::new(labeling.fingerprint, &params),
             labeling,
             canonical: OnceCell::new(),
+            paranoia_mismatch: Cell::new(false),
             params,
             deadline: request
                 .deadline_ms
@@ -571,10 +554,8 @@ impl ScheduleService {
 
     /// Resolves a canonicalized request to its cached entry: cache lookup,
     /// single-flight election and — for the leader — the remote fetch and
-    /// solve. Shared by the single-search path and the batch path (which
-    /// calls it once per distinct cache key and fans the entry out to every
-    /// fingerprint-identical member). Counts hits/misses/coalesces exactly
-    /// as the historical inline flow did.
+    /// solve. Counts the request as exactly one of a hit, a miss or a
+    /// coalesce (a remote hit counts in the cluster's own counters).
     fn obtain_entry(
         &self,
         prepared: &Prepared<'_>,
@@ -666,103 +647,6 @@ impl ScheduleService {
         }
     }
 
-    /// Handles a `POST /v1/search/batch` body: every member placement is
-    /// canonicalized up front, members sharing a (fingerprint, parameters)
-    /// cache key are grouped, each distinct group is resolved **once**
-    /// through the ordinary cache / single-flight / solve pipeline, and the
-    /// one entry fans out to every member translated into that member's own
-    /// labeling. A batch of N identical (even relabeled) placements touches
-    /// the solver once; the N-1 shared members count in
-    /// `tessel_batch_deduped_total` instead of the hit/miss pair.
-    #[must_use]
-    pub fn search_batch(&self, batch: &BatchSearchRequest) -> BatchSearchResponse {
-        let arrived = Instant::now();
-        self.metrics
-            .requests
-            .fetch_add(batch.requests.len() as u64, Ordering::Relaxed);
-        // Canonicalize everything first: dedup needs every member's key
-        // before the first solve starts. Invalid members fail alone without
-        // sinking the batch.
-        let prepared: Vec<Result<Prepared, ServiceError>> = batch
-            .requests
-            .iter()
-            .map(|request| self.prepare(request, arrived))
-            .collect();
-        // Group members by cache key; the first member of each group is the
-        // representative that pays for the resolve.
-        let mut groups: std::collections::HashMap<u64, Vec<usize>> =
-            std::collections::HashMap::new();
-        let mut group_order: Vec<u64> = Vec::new();
-        for (index, prep) in prepared.iter().enumerate() {
-            if let Ok(prep) = prep {
-                let slot = groups.entry(prep.key.raw()).or_default();
-                if slot.is_empty() {
-                    group_order.push(prep.key.raw());
-                }
-                slot.push(index);
-            }
-        }
-        let mut results: Vec<Option<BatchSearchItem>> = vec![None; batch.requests.len()];
-        let mut deduped_total = 0usize;
-        for raw_key in &group_order {
-            let members = &groups[raw_key];
-            let rep = &prepared[members[0]];
-            let Ok(rep) = rep else { unreachable!() };
-            match self.obtain_entry(rep, None) {
-                Ok(obtained) => {
-                    for (position, &index) in members.iter().enumerate() {
-                        let Ok(prep) = &prepared[index] else {
-                            unreachable!()
-                        };
-                        let deduped = position > 0;
-                        let member = Obtained {
-                            entry: obtained.entry.clone(),
-                            cached: obtained.cached,
-                            // Shared members are coalesced in spirit: they
-                            // rode the representative's resolve.
-                            coalesced: obtained.coalesced || deduped,
-                        };
-                        let response =
-                            translate(member, prep.labeling.clone(), prep.placement).to_response();
-                        results[index] = Some(BatchSearchItem {
-                            ok: Some(response),
-                            error: None,
-                            deduped,
-                        });
-                    }
-                    deduped_total += members.len() - 1;
-                }
-                Err(e) => {
-                    // The whole group shares the representative's failure:
-                    // they asked for the same solve.
-                    self.count_failures(&e, members.len());
-                    for &index in members {
-                        results[index] = Some(failed_item(&e));
-                    }
-                }
-            }
-        }
-        // Members that failed preparation (and never joined a group).
-        for (index, prep) in prepared.iter().enumerate() {
-            if let Err(e) = prep {
-                self.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                results[index] = Some(failed_item(e));
-            }
-        }
-        self.metrics
-            .batch_deduped
-            .fetch_add(deduped_total as u64, Ordering::Relaxed);
-        self.metrics.record_latency(arrived.elapsed());
-        BatchSearchResponse {
-            results: results
-                .into_iter()
-                .map(|item| item.expect("every batch member resolved"))
-                .collect(),
-            unique_solves: group_order.len(),
-            deduped: deduped_total,
-        }
-    }
-
     /// The canonical labeling of a placement under the configured node
     /// budget. A search that hits the budget completes greedily (bounded
     /// latency; relabeled variants may land on different fingerprints and
@@ -800,14 +684,18 @@ impl ScheduleService {
             return None;
         }
         if self.config.paranoid_fingerprints && entry.canonical_placement != *prepared.canonical() {
-            self.metrics
-                .fingerprint_paranoia_mismatches
-                .fetch_add(1, Ordering::Relaxed);
-            tessel_obs::warn(
-                "cache",
-                "fingerprint paranoia: canonical form mismatch on lookup",
-                &[("fingerprint", &fingerprint.to_string())],
-            );
+            // A miss looks up twice (before the election and in the leader's
+            // re-check); the request's mismatch counts once.
+            if !prepared.paranoia_mismatch.replace(true) {
+                self.metrics
+                    .fingerprint_paranoia_mismatches
+                    .fetch_add(1, Ordering::Relaxed);
+                tessel_obs::warn(
+                    "cache",
+                    "fingerprint paranoia: canonical form mismatch on lookup",
+                    &[("fingerprint", &fingerprint.to_string())],
+                );
+            }
             return None;
         }
         Some(entry)
@@ -1741,53 +1629,68 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    #[test]
-    fn batch_requests_dedup_to_one_solve() {
-        let service = quick_service();
-        let placement = v_shape(3);
-        let order: Vec<usize> = (0..placement.num_blocks()).collect();
-        let relabeled = placement.permuted(&[2, 0, 1], &order).unwrap();
-        let mut invalid = SearchRequest::for_placement(v_shape(2));
-        invalid.num_micro_batches = Some(0);
-        let batch = BatchSearchRequest {
-            requests: vec![
-                SearchRequest::for_placement(placement.clone()),
-                SearchRequest::for_placement(placement),
-                SearchRequest::for_placement(relabeled.clone()),
-                invalid,
-            ],
-        };
-        let response = service.search_batch(&batch);
-        assert_eq!(response.results.len(), 4);
-        // Two byte-identical members plus a relabeled one share a single
-        // solve; the invalid member fails alone.
-        assert_eq!(response.unique_solves, 1);
-        assert_eq!(response.deduped, 2);
-        let first = response.results[0].ok.as_ref().unwrap();
-        assert!(!response.results[0].deduped);
-        for item in &response.results[1..3] {
-            assert!(item.deduped);
-            let ok = item.ok.as_ref().unwrap();
-            assert_eq!(ok.period, first.period);
-            assert_eq!(ok.fingerprint, first.fingerprint);
-            assert!(ok.coalesced, "shared members ride the representative");
-        }
-        // The relabeled member's schedule is valid in its *own* labeling.
-        response.results[2]
-            .ok
-            .as_ref()
-            .unwrap()
-            .schedule
-            .validate(&relabeled)
+    /// Forges a 64-bit fingerprint collision in `service`'s cache: the
+    /// 2-device V's entry, with its fingerprint and parameters rewritten to
+    /// the 3-device V request's, filed under that request's key. Returns the
+    /// request and the key.
+    fn forge_collision(service: &ScheduleService) -> (SearchRequest, CacheKey) {
+        let donor = service
+            .search(&SearchRequest::for_placement(v_shape(2)))
             .unwrap();
-        assert!(response.results[3].error.is_some());
-        // The CI smoke asserts on exactly these deltas: one real miss, no
-        // hits, the shared members counted only as deduped.
-        let snap = service.metrics_snapshot();
-        assert_eq!(snap.cache_misses, 1, "{snap:?}");
-        assert_eq!(snap.cache_hits, 0, "{snap:?}");
-        assert_eq!(snap.batch_deduped, 2, "{snap:?}");
-        assert_eq!(snap.errors, 1, "{snap:?}");
+        let donor = service.cache.entries_for(donor.fingerprint)[0].clone();
+        let request = SearchRequest::for_placement(v_shape(3));
+        let params = service.resolve_params(&request).unwrap();
+        let fingerprint = service.canonical_labeling(&request.placement).fingerprint;
+        let key = CacheKey::new(fingerprint, &params);
+        let forged = CachedSearch {
+            fingerprint,
+            params,
+            ..(*donor).clone()
+        };
+        service.cache.insert(key, Arc::new(forged));
+        (request, key)
+    }
+
+    #[test]
+    fn paranoid_lookups_refuse_a_forged_collision_and_count_it_once() {
+        // Trusted mode believes the fingerprint and serves the donor's
+        // schedule, which does not fit the request's placement.
+        let trusted = quick_service();
+        let (request, _) = forge_collision(&trusted);
+        let served = trusted.search(&request).unwrap();
+        assert!(served.cached);
+        assert!(served.schedule.validate(&request.placement).is_err());
+        assert_eq!(served.utilization.devices.len(), 2);
+        assert_eq!(
+            trusted.metrics_snapshot().fingerprint_paranoia_mismatches,
+            0
+        );
+
+        let paranoid = ScheduleService::new(ServiceConfig {
+            default_micro_batches: 4,
+            default_max_repetend: 3,
+            paranoid_fingerprints: true,
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let (request, key) = forge_collision(&paranoid);
+        let answered = paranoid.search(&request).unwrap();
+        assert!(!answered.cached);
+        answered.schedule.validate(&request.placement).unwrap();
+        let snap = paranoid.metrics_snapshot();
+        assert_eq!(snap.fingerprint_paranoia_mismatches, 1, "{snap:?}");
+        assert_eq!(snap.cache_misses, 2, "the donor's and this one: {snap:?}");
+        // The solve replaced the forgery with the real entry.
+        let held = paranoid.cache.get(key).unwrap();
+        assert_eq!(
+            held.canonical_placement,
+            request.placement.canonicalize().placement
+        );
+        assert!(paranoid.search(&request).unwrap().cached);
+        assert_eq!(
+            paranoid.metrics_snapshot().fingerprint_paranoia_mismatches,
+            1
+        );
     }
 
     #[test]

@@ -94,41 +94,6 @@ pub struct SearchResponse {
     pub search_millis: u64,
 }
 
-/// A `POST /v1/search/batch` request body: many searches admitted, solved
-/// and answered as one unit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BatchSearchRequest {
-    /// The member searches, answered in order.
-    pub requests: Vec<SearchRequest>,
-}
-
-/// One member result of a `POST /v1/search/batch` response: exactly one of
-/// `ok` / `error` is present, and the absent one is left out of the JSON.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BatchSearchItem {
-    /// The member's search response, translated into its own labeling.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub ok: Option<SearchResponse>,
-    /// The member's failure, when the search could not be answered.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub error: Option<ErrorBody>,
-    /// `true` when this member shared another member's solve (same canonical
-    /// fingerprint and parameters) instead of running its own.
-    #[serde(default)]
-    pub deduped: bool,
-}
-
-/// A `POST /v1/search/batch` response body.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BatchSearchResponse {
-    /// Per-member results, in request order.
-    pub results: Vec<BatchSearchItem>,
-    /// Distinct (fingerprint, parameters) groups the batch resolved.
-    pub unique_solves: usize,
-    /// Members answered by another member's group (batch-level dedup).
-    pub deduped: usize,
-}
-
 /// One server-sent event of a streaming `POST /v1/search?stream=1` response.
 ///
 /// Incumbent events arrive while the search runs; exactly one terminal event
@@ -633,54 +598,6 @@ mod tests {
 
         let missing: Result<SearchRequest, _> = serde_json::from_str("{}");
         assert!(missing.is_err());
-    }
-
-    #[test]
-    fn batch_request_and_response_round_trip() {
-        let batch = BatchSearchRequest {
-            requests: vec![
-                SearchRequest::for_placement(v2()),
-                SearchRequest {
-                    priority: Some(3),
-                    deadline_ms: Some(100),
-                    ..SearchRequest::for_placement(v2())
-                },
-            ],
-        };
-        let json = serde_json::to_string(&batch).unwrap();
-        let back: BatchSearchRequest = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, batch);
-
-        let response = BatchSearchResponse {
-            results: vec![
-                BatchSearchItem {
-                    ok: None,
-                    error: Some(ErrorBody {
-                        kind: "bad_request".into(),
-                        error: "nope".into(),
-                    }),
-                    deduped: false,
-                },
-                BatchSearchItem {
-                    ok: None,
-                    error: None,
-                    deduped: true,
-                },
-            ],
-            unique_solves: 1,
-            deduped: 1,
-        };
-        let json = serde_json::to_string(&response).unwrap();
-        let back: BatchSearchResponse = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, response);
-    }
-
-    #[test]
-    fn batch_item_deduped_defaults_when_absent_but_must_be_a_bool_when_present() {
-        let absent: BatchSearchItem = serde_json::from_str("{}").unwrap();
-        assert!(!absent.deduped && absent.ok.is_none() && absent.error.is_none());
-        let mistyped: Result<BatchSearchItem, _> = serde_json::from_str("{\"deduped\":\"yes\"}");
-        assert!(mistyped.is_err());
     }
 
     #[test]

@@ -297,6 +297,77 @@ fn bursts_beyond_the_pipelining_cap_are_fully_served() {
     server.shutdown();
 }
 
+/// The value of the unlabeled series `name` on a `/metrics` page.
+fn metric(page: &str, name: &str) -> u64 {
+    page.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no `{name}` on the metrics page:\n{page}"))
+}
+
+/// Duplicate searches pipelined on one connection, past the pipelining cap,
+/// cost one solve: six device rotations of the 4-device M-shape are one miss
+/// and five hits or coalesces, an invalid request among them fails alone,
+/// and every response comes back in request order.
+#[test]
+fn pipelined_duplicates_cost_one_solve() {
+    let (server, addr) = start_server(ServerConfig {
+        max_pipelined: 2,
+        ..ephemeral_config()
+    });
+    let placement = synthetic_placement(ShapeKind::M, 4).unwrap();
+    let order: Vec<usize> = (0..placement.num_blocks()).collect();
+    let mut requests: Vec<SearchRequest> = (0..6)
+        .map(|rotation| {
+            let perm: Vec<usize> = (0..4).map(|device| (device + rotation) % 4).collect();
+            SearchRequest::for_placement(placement.permuted(&perm, &order).unwrap())
+        })
+        .collect();
+    let invalid = 3;
+    requests.insert(
+        invalid,
+        SearchRequest {
+            num_micro_batches: Some(0),
+            ..SearchRequest::for_placement(placement.clone())
+        },
+    );
+
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut burst = Vec::new();
+    for request in &requests {
+        burst.extend(post_search_bytes(&serde_json::to_string(request).unwrap()));
+    }
+    stream.write_all(&burst).unwrap();
+    let mut fingerprints = Vec::new();
+    for (i, request) in requests.iter().enumerate() {
+        let (status, body) = read_one_response(&mut stream);
+        if i == invalid {
+            assert_eq!(status, 400, "response {i}: {body}");
+            assert!(body.contains("num_micro_batches"), "response {i}: {body}");
+            continue;
+        }
+        assert_eq!(status, 200, "response {i}: {body}");
+        let response: tessel_service::wire::SearchResponse = serde_json::from_str(&body).unwrap();
+        response.schedule.validate(&request.placement).unwrap();
+        fingerprints.push(response.fingerprint);
+    }
+    assert!(
+        fingerprints.windows(2).all(|w| w[0] == w[1]),
+        "{fingerprints:?}"
+    );
+    drop(stream);
+
+    let (status, page) = http_call(&addr, "GET", "/metrics", None).unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(metric(&page, "tessel_cache_misses_total"), 1, "{page}");
+    let shared = metric(&page, "tessel_cache_hits_total") + metric(&page, "tessel_coalesced_total");
+    assert_eq!(shared, 5, "{page}");
+    assert_eq!(metric(&page, "tessel_errors_total"), 1, "{page}");
+    server.shutdown();
+}
+
 /// A slow-loris peer that keeps *trickling* bytes of an incomplete request
 /// is still reaped: only completed requests and response writes count as
 /// activity for the idle sweep.

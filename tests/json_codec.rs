@@ -11,9 +11,9 @@
 //! The answer writer: the `/v1/search` body the daemon writes straight from a
 //! cache entry (`service::answer`) is byte-identical to the owned response
 //! the translation it replaced built, on random placements under random
-//! relabelings, as a miss, a hit and a coalesced answer; batch members and
-//! streamed results equal that response too; and answering a hit allocates
-//! nothing per scheduled block.
+//! relabelings, as a miss, a hit and a coalesced answer; streamed results
+//! equal that response too; and answering a hit allocates nothing per
+//! scheduled block.
 //!
 //! In: the pull decoder agrees with the tree decoder it replaced on mutated
 //! documents of every wire type, and decoding a request allocates only what
@@ -36,11 +36,11 @@ use tessel::core::schedule::{scheduled_block, Schedule};
 use tessel::placement::{synthetic_placement, ShapeKind};
 use tessel::service::answer::Answer;
 use tessel::service::wire::{
-    BatchSearchItem, BatchSearchRequest, BatchSearchResponse, CacheEntryInfo, CacheExchange,
-    ClusterStatusResponse, DebugRequestsResponse, ErrorBody, FlightRecordInfo, InflightInfo,
-    InflightResponse, InspectResponse, LogLevelBody, OwnerInfo, PeerStatusInfo, ReplicationAck,
-    SearchRequest, SearchResponse, SeriesWindowInfo, StageTimingInfo, StreamEvent,
-    TimeseriesResponse, TraceAssemblyResponse, TraceSpanInfo, WireSearchEntry,
+    CacheEntryInfo, CacheExchange, ClusterStatusResponse, DebugRequestsResponse, ErrorBody,
+    FlightRecordInfo, InflightInfo, InflightResponse, InspectResponse, LogLevelBody, OwnerInfo,
+    PeerStatusInfo, ReplicationAck, SearchRequest, SearchResponse, SeriesWindowInfo,
+    StageTimingInfo, StreamEvent, TimeseriesResponse, TraceAssemblyResponse, TraceSpanInfo,
+    WireSearchEntry,
 };
 use tessel::service::{
     http_call_streaming, CacheConfig, CacheJournal, CachedSearch, HttpClient, HttpServer,
@@ -253,30 +253,23 @@ fn every_wire_type_decodes_like_the_tree_decoder_on_many_mutants() {
 
 fn every_wire_type_round_trips(mutants: usize) {
     let service = service();
-    let batch = BatchSearchRequest {
-        requests: vec![
-            request(ShapeKind::V, 4),
-            request(ShapeKind::V, 4),
-            SearchRequest {
-                max_repetend_micro_batches: Some(99),
-                deadline_ms: Some(250),
-                solver_threads: Some(2),
-                priority: Some(-3),
-                ..request(ShapeKind::M, 4)
-            },
-        ],
+    let solved = request(ShapeKind::V, 4);
+    let refused = SearchRequest {
+        max_repetend_micro_batches: Some(99),
+        deadline_ms: Some(250),
+        solver_threads: Some(2),
+        priority: Some(-3),
+        ..request(ShapeKind::M, 4)
     };
-    assert_codec!(BatchSearchRequest, batch, mutants);
-    let answered = service.search_batch(&batch);
-    assert!(answered.results[0].ok.is_some() && answered.results[2].error.is_some());
-    assert_codec!(BatchSearchResponse, answered, mutants);
-    for item in &answered.results {
-        assert_codec!(BatchSearchItem, item.clone(), mutants);
-    }
-
-    let response = answered.results[0].ok.clone().unwrap();
-    assert_codec!(SearchRequest, batch.requests[2], mutants);
+    assert_codec!(SearchRequest, refused, mutants);
+    let response = service.search(&solved).unwrap();
     assert_codec!(SearchResponse, response, mutants);
+    let refusal = service.search(&refused).unwrap_err();
+    let refusal = ErrorBody {
+        kind: refusal.kind().into(),
+        error: refusal.to_string(),
+    };
+    assert_codec!(ErrorBody, refusal, mutants);
     let error = ErrorBody {
         kind: "bad_request".into(),
         error: "line\nbreak, \"quotes\", back\\slash, tab\t, bell\u{7}, é and \u{1f600}".into(),
@@ -309,7 +302,7 @@ fn every_wire_type_round_trips(mutants: usize) {
     assert!(slim.canonical_placement.is_none());
     assert_codec!(WireSearchEntry, slim, mutants);
     let full = WireSearchEntry {
-        canonical_placement: Some(batch.requests[0].placement.clone()),
+        canonical_placement: Some(solved.placement.clone()),
         ..slim
     };
     assert_codec!(WireSearchEntry, full, mutants);
@@ -365,8 +358,8 @@ fn every_wire_type_round_trips(mutants: usize) {
         mutants
     );
 
-    // In-process searches (not batches) leave flight records.
-    assert!(service.search(&batch.requests[0]).unwrap().cached);
+    // In-process searches leave flight records.
+    assert!(service.search(&solved).unwrap().cached);
     let recorded: DebugRequestsResponse = service.debug_requests();
     assert!(!recorded.recent.is_empty());
     assert_codec!(DebugRequestsResponse, recorded, mutants);
@@ -821,8 +814,7 @@ fn random_entry(rng: &mut Rng, placement: &PlacementSpec) -> CachedSearch {
 ///   and `Answer::to_response` is that response — as a miss, a hit and a
 ///   coalesced answer;
 /// * the daemon's `/v1/search` body, over HTTP, is those bytes for a hit;
-/// * every tenth request's streamed result, and every request's member of a
-///   batch of all of them, is that response too.
+/// * every tenth request's streamed result is that response too.
 ///
 /// Real searches answered as a miss and then as a hit of a relabeling go the
 /// same way: each of the five shapes once.
@@ -871,7 +863,6 @@ fn answers_match_the_replaced_translation(cases: usize) {
         client.call("POST", "/v1/search", Some(&body)).unwrap()
     };
 
-    let mut members = Vec::new();
     for case in 0..cases {
         let (placement, entry) = rng.pick(&pool).clone();
         let devices = random_perm(&mut rng, placement.num_devices());
@@ -916,23 +907,6 @@ fn answers_match_the_replaced_translation(cases: usize) {
         assert_eq!(body, serde_json::to_string(&hit).unwrap(), "{context}");
         if case % 10 == 0 {
             assert_eq!(streamed(&addr, &request), hit, "streamed — {context}");
-        }
-        members.push((request, context, entry, canon));
-    }
-
-    for chunk in members.chunks(100) {
-        let batch = BatchSearchRequest {
-            requests: chunk.iter().map(|(request, ..)| request.clone()).collect(),
-        };
-        let answered = service.search_batch(&batch);
-        for ((request, context, entry, canon), item) in chunk.iter().zip(&answered.results) {
-            let expected =
-                replaced_translation(entry, canon, &request.placement, true, item.deduped);
-            assert_eq!(
-                item.ok.as_ref(),
-                Some(&expected),
-                "batch member — {context}"
-            );
         }
     }
 

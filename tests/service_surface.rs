@@ -11,8 +11,7 @@ use std::sync::Arc;
 use tessel::core::ir::{BlockKind, PlacementSpec};
 use tessel::service::http::{http_call, http_call_streaming};
 use tessel::service::wire::{
-    BatchSearchItem, BatchSearchRequest, ErrorBody, InflightInfo, SearchRequest, SearchResponse,
-    StreamEvent, WireSearchEntry,
+    ErrorBody, InflightInfo, SearchRequest, SearchResponse, StreamEvent, WireSearchEntry,
 };
 use tessel::service::{
     ClusterConfig, ClusterMetrics, HttpClient, HttpServer, MetricsSnapshot, ScheduleService,
@@ -183,7 +182,6 @@ fn service_and_transport_snapshot_json_are_pinned() {
         &service.fingerprint_paranoia_mismatches,
         &service.fingerprint_wire_mismatches,
         &service.canon_budget_exhausted,
-        &service.batch_deduped,
         &service.journal_stale_dropped,
     ];
     for (index, counter) in counters.iter().enumerate() {
@@ -199,8 +197,8 @@ fn service_and_transport_snapshot_json_are_pinned() {
          \"solver_pruned_bound\":10,\"solver_pruned_dominance\":11,\"solver_steals\":12,\
          \"solver_shared_memo_hits\":13,\"solver_cas_retries\":14,\"solver_steal_failures\":15,\
          \"solver_memo_drops\":16,\"fingerprint_paranoia_mismatches\":17,\
-         \"fingerprint_wire_mismatches\":18,\"canon_budget_exhausted\":19,\"batch_deduped\":20,\
-         \"journal_stale_dropped\":21,\"hit_rate\":0.4,\"cache_entries\":30,\
+         \"fingerprint_wire_mismatches\":18,\"canon_budget_exhausted\":19,\
+         \"journal_stale_dropped\":20,\"hit_rate\":0.4,\"cache_entries\":30,\
          \"cache_evictions\":31,\"latency_p50_ms\":0.128,\"latency_p99_ms\":0.128}"
     );
     assert_eq!(
@@ -348,52 +346,6 @@ fn search_requests_serialize_every_field_and_decode_leniently() {
         "{{\"placement\":{PLACEMENT},\"priority\":\"high\"}}"
     ))
     .is_err());
-
-    let batch = BatchSearchRequest {
-        requests: vec![bare, tuned],
-    };
-    assert_pinned!(
-        BatchSearchRequest,
-        batch,
-        format!(
-            "{{\"requests\":[{{\"placement\":{PLACEMENT},\"num_micro_batches\":null,\
-             \"max_repetend_micro_batches\":null,\"deadline_ms\":null,\"solver_threads\":null,\
-             \"priority\":null}},{tuned_json}]}}"
-        )
-    );
-    assert!(serde_json::from_str::<BatchSearchRequest>("{}").is_err());
-}
-
-#[test]
-fn batch_items_omit_the_absent_side() {
-    let response: SearchResponse = serde_json::from_str(&response_json()).unwrap();
-    let ok_only = BatchSearchItem {
-        ok: Some(response),
-        error: None,
-        deduped: true,
-    };
-    assert_pinned!(
-        BatchSearchItem,
-        ok_only,
-        format!("{{\"ok\":{},\"deduped\":true}}", response_json())
-    );
-    let error_only = BatchSearchItem {
-        ok: None,
-        error: Some(ErrorBody {
-            kind: "bad_request".into(),
-            error: "nope".into(),
-        }),
-        deduped: false,
-    };
-    assert_pinned!(
-        BatchSearchItem,
-        error_only,
-        "{\"error\":{\"kind\":\"bad_request\",\"error\":\"nope\"},\"deduped\":false}"
-    );
-    // `deduped` joined the item later: absent reads `false`.
-    let old: BatchSearchItem =
-        serde_json::from_str("{\"error\":{\"kind\":\"search\",\"error\":\"x\"}}").unwrap();
-    assert!(!old.deduped && old.ok.is_none());
 }
 
 #[test]
@@ -619,7 +571,6 @@ fn deeply_nested_bodies_are_a_400_not_a_crash() {
     let bomb = "[".repeat(200_000);
     for (method, path) in [
         ("POST", "/v1/search"),
-        ("POST", "/v1/search/batch"),
         ("POST", "/v1/search?stream=1"),
         ("PUT", "/v1/cache/0123456789abcdef"),
     ] {
@@ -634,9 +585,10 @@ fn deeply_nested_bodies_are_a_400_not_a_crash() {
         );
     }
     // Objects nest through the same counter.
-    let objects = "{\"requests\":".repeat(200_000);
-    let (status, _) = http_call(&addr, "POST", "/v1/search/batch", Some(&objects)).unwrap();
-    assert_eq!(status, 400);
+    let objects = "{\"placement\":".repeat(200_000);
+    let (status, payload) = http_call(&addr, "POST", "/v1/search", Some(&objects)).unwrap();
+    assert_eq!(status, 400, "{payload}");
+    assert!(payload.contains("nesting deeper than 128"), "{payload}");
 
     // A well-formed request on a fresh connection is still answered.
     let body = serde_json::to_string(&SearchRequest::for_placement(v2())).unwrap();
