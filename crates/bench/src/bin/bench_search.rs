@@ -1,10 +1,9 @@
 //! Refreshes the tracked schedule-search performance snapshot.
 //!
-//! Runs the solver node-throughput comparison (seed vs current engine), the
-//! end-to-end portfolio wall-clock comparison and the 1→N thread-scaling
-//! curve of the work-stealing solver (node counts vs serial, shared-memo
-//! hits, wall-clock, contention counters), then updates the `solver_scaling`,
-//! `portfolio_search` and `solver_thread_scaling` sections of
+//! Runs the solver node-throughput comparison (seed vs current engine) and
+//! the 1→N thread-scaling curve of the work-stealing solver (node counts vs
+//! serial, shared-memo hits, wall-clock, contention counters), then updates
+//! the `solver_scaling` and `solver_thread_scaling` sections of
 //! `BENCH_search.json` (see [`tessel_bench::report`]).
 //!
 //! ```text

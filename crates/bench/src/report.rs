@@ -18,8 +18,6 @@
 //!   wall-clock and the contention counters (steals, failed steals, memo
 //!   stripe waits, memo drops). Node counts are meaningful on any host; the
 //!   wall-clock columns need a multi-core box (interpret against `host.cpus`).
-//! * `portfolio_search` — end-to-end `TesselSearch::run` wall-clock on the
-//!   Fig. 8 synthetic shapes with 1 vs 4 portfolio workers.
 //! * `admission_overload`, `anytime_streaming`, `observability_overhead` —
 //!   the daemon under sustained overload, the time to the first streamed
 //!   incumbent and the cost of the live-plane sampler (written by the
@@ -31,7 +29,6 @@ use crate::legacy_solver::legacy_minimize;
 use crate::time_optimal_instance;
 use serde::Serialize;
 use std::time::Instant;
-use tessel_core::search::{SearchConfig, TesselSearch};
 use tessel_placement::shapes::{synthetic_placement, ShapeKind};
 use tessel_solver::{Solver, SolverConfig};
 
@@ -52,22 +49,6 @@ pub struct SolverScalingRow {
     pub nodes_per_sec: f64,
     /// Proved optimal makespan.
     pub makespan: Option<u64>,
-}
-
-/// One row of the `portfolio_search` section.
-#[derive(Debug, Clone, Serialize)]
-pub struct PortfolioRow {
-    /// Placement shape (Fig. 8 synthetic set).
-    pub shape: String,
-    /// Portfolio worker threads.
-    pub threads: usize,
-    /// End-to-end `TesselSearch::run` wall-clock seconds.
-    pub seconds: f64,
-    /// Repetend period found (must not depend on the thread count).
-    pub period: u64,
-    /// Wall-clock speedup relative to the single-threaded row of the same
-    /// shape.
-    pub speedup_vs_serial: f64,
 }
 
 /// Path of the tracked JSON file.
@@ -325,57 +306,6 @@ pub fn emit_thread_scaling() {
     }
 }
 
-/// The search configuration used for the portfolio wall-clock comparison:
-/// the Fig. 8 experiment configuration, bounded so a full run stays in the
-/// seconds range single-threaded.
-fn portfolio_bench_config(threads: usize) -> SearchConfig {
-    let mut config = crate::experiment_search_config(8)
-        .with_lazy(false)
-        .with_portfolio_threads(threads);
-    config.max_repetend_micro_batches = 4;
-    config.candidate_limit = Some(600);
-    config
-}
-
-/// Measures end-to-end `TesselSearch::run` wall-clock on the 8-device
-/// synthetic shapes with 1 vs 4 portfolio workers (best of 2 runs each).
-///
-/// The X-shape row is the headline: its candidate portfolio mixes expensive
-/// dead-end candidates with cheap good ones, so the shared bound lets the
-/// 4-worker pool skip most of the dead-end work — a >2x wall-clock win even
-/// on a single core. The other shapes early-exit at the zero-bubble lower
-/// bound within milliseconds and only benefit on multi-core hosts.
-#[must_use]
-pub fn portfolio_rows() -> Vec<PortfolioRow> {
-    let mut rows = Vec::new();
-    for shape in [ShapeKind::X, ShapeKind::M, ShapeKind::NN, ShapeKind::K] {
-        let placement = synthetic_placement(shape, 8).expect("placement");
-        let mut serial_seconds = None;
-        for threads in [1usize, 4] {
-            let search = TesselSearch::new(portfolio_bench_config(threads));
-            let mut best: Option<(f64, u64)> = None;
-            for _ in 0..2 {
-                let started = Instant::now();
-                let outcome = search.run(&placement).expect("search");
-                let seconds = started.elapsed().as_secs_f64();
-                if best.is_none_or(|(s, _)| seconds < s) {
-                    best = Some((seconds, outcome.repetend.period));
-                }
-            }
-            let (seconds, period) = best.expect("at least one run");
-            let baseline = *serial_seconds.get_or_insert(seconds);
-            rows.push(PortfolioRow {
-                shape: shape.to_string(),
-                threads,
-                seconds,
-                period,
-                speedup_vs_serial: baseline / seconds.max(1e-9),
-            });
-        }
-    }
-    rows
-}
-
 /// One row of the `admission_overload` section: the daemon under sustained
 /// overload (one worker, a tiny queue, more clients than slots), shedding the
 /// least valuable waiting request.
@@ -536,7 +466,6 @@ pub fn admission_overload_rows(window: std::time::Duration) -> Vec<AdmissionOver
     let service = ScheduleService::new(ServiceConfig {
         default_micro_batches: 8,
         default_max_repetend: 3,
-        portfolio_threads: 1,
         solver_threads: 1,
         candidate_limit: Some(600),
         ..ServiceConfig::default()
@@ -665,7 +594,7 @@ pub struct AnytimeStreamingRow {
 }
 
 /// Measures anytime streaming on a search slow enough to be worth watching:
-/// the 8-device X-shape portfolio (bounded by a candidate limit), streamed
+/// the 8-device X-shape (bounded by a candidate limit), streamed
 /// over `POST /v1/search?stream=1`.
 #[must_use]
 pub fn anytime_streaming_row() -> AnytimeStreamingRow {
@@ -677,7 +606,6 @@ pub fn anytime_streaming_row() -> AnytimeStreamingRow {
     let service = ScheduleService::new(ServiceConfig {
         default_micro_batches: 8,
         default_max_repetend: 4,
-        portfolio_threads: 1,
         solver_threads: 1,
         candidate_limit: Some(600),
         ..ServiceConfig::default()
@@ -879,7 +807,7 @@ pub fn emit_service() {
 
 /// Host metadata stored alongside the measurements so thread-scaling rows
 /// can be interpreted (a single-core host cannot show wall-clock speedups
-/// from hardware parallelism, only from portfolio-effect pruning).
+/// from hardware parallelism, only node-count changes).
 #[derive(Debug, Clone, Serialize)]
 pub struct HostInfo {
     /// Available hardware parallelism.
@@ -925,18 +853,10 @@ fn git_commit_hash() -> String {
 pub fn emit_all() {
     let scaling = solver_scaling_rows();
     write_section("solver_scaling", &scaling);
-    let portfolio = portfolio_rows();
-    write_section("portfolio_search", &portfolio);
     for row in &scaling {
         println!(
             "solver_scaling {:<28} {:>8} threads={} {:>12.0} nodes/s",
             row.instance, row.engine, row.threads, row.nodes_per_sec
-        );
-    }
-    for row in &portfolio {
-        println!(
-            "portfolio_search {:<10} threads={} {:>8.3}s speedup={:.2}x period={}",
-            row.shape, row.threads, row.seconds, row.speedup_vs_serial, row.period
         );
     }
     emit_thread_scaling();

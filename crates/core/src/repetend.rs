@@ -57,8 +57,8 @@ fn enumerate_candidates(placement: &PlacementSpec, nr: usize) -> Vec<RepetendCan
 ///   at least the index of the successor (`indices[i] >= indices[j]`).
 ///
 /// The iterator holds `O(K)` state regardless of how many candidates exist,
-/// which keeps memory bounded for large `NR`; portfolio search workers pull
-/// from it on demand. As an [`Iterator`] it yields every candidate;
+/// which keeps memory bounded for large `NR`; the search's candidate loop
+/// pulls from it on demand. As an [`Iterator`] it yields every candidate;
 /// [`CandidateIter::next_below`] yields only those whose critical path stays
 /// below a bound.
 #[must_use]

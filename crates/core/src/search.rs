@@ -17,15 +17,13 @@
 //! per-candidate phase optimisation with a cheap satisfiability probe and
 //! only optimises the phases once, for the winning repetend.
 //!
-//! The candidate loop is written once, for every portfolio width: workers
-//! pull from one lazy candidate stream, share the best period found so far
-//! through an atomic bound — which is also the bound the enumeration prunes
-//! against, re-read at every pull — and the minimum by (period, enumeration
-//! order) wins. A pull hands control back after a fixed number of steps
-//! whether or not it reached a candidate, so the early exit, a cancellation
-//! and the time budget are seen promptly however many refuted prefixes lie
-//! between two candidates. One worker runs inline on the caller's thread and
-//! is the serial loop of the paper; several run as scoped threads.
+//! The candidate loop is the serial loop of the paper: one lazy candidate
+//! stream, pruned against the best period found so far — which is also the
+//! bound every screen and solve runs below, re-read at every pull — and the
+//! last candidate that improves on it wins. A pull hands control back after a
+//! fixed number of steps whether or not it reached a candidate, so a
+//! cancellation and the time budget are seen promptly however many refuted
+//! prefixes lie between two candidates.
 
 use crate::completion::{phase_inputs, probe_phase, solve_phase, Phase, PhasePlan};
 use crate::compose::compose_schedule;
@@ -35,12 +33,9 @@ use crate::repetend::{solve_repetend, Advance, CandidateIter, Repetend, Repetend
 use crate::schedule::Schedule;
 use crate::screen::{CandidateScreen, ScreenStage};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use tessel_solver::{
-    resolve_threads, Abort, CancelToken, IncumbentSink, Solver, SolverConfig, SolverTotals,
-    StatsSink,
+    Abort, CancelToken, IncumbentSink, Solver, SolverConfig, SolverTotals, StatsSink,
 };
 
 /// Configuration of the Tessel search.
@@ -58,27 +53,13 @@ pub struct SearchConfig {
     /// Enables the lazy-search optimisation of §V (on by default).
     pub lazy: bool,
     /// Optional cap on the enumeration *work* per `NR` value: candidates
-    /// handed to a worker plus partial assignments refuted with their whole
-    /// subtree ([`SearchStats::subtrees_pruned`]), taken together. `None`
-    /// enumerates every level to its end. A refuted prefix counts once
-    /// however many candidates lie under it, so how far into a level a
-    /// limited search reaches depends on how early its bound tightens; with
-    /// several portfolio workers that depends on timing.
+    /// handed to the candidate loop plus partial assignments refuted with
+    /// their whole subtree ([`SearchStats::subtrees_pruned`]), taken
+    /// together. `None` enumerates every level to its end. A refuted prefix
+    /// counts once however many candidates lie under it, so how far into a
+    /// level a limited search reaches depends on how early its bound
+    /// tightens.
     pub candidate_limit: Option<usize>,
-    /// Number of workers evaluating repetend candidates (the *portfolio*
-    /// width).
-    ///
-    /// Every width runs the same candidate loop: workers pull candidates
-    /// lazily from one shared generator and share the best period found so
-    /// far through an atomic bound, so a good repetend found by one worker
-    /// immediately tightens the screen and the solver budget of all others.
-    /// `1` (the default) runs that loop inline on the caller's thread, which
-    /// is the strictly serial loop of Algorithm 1; `0` means one worker per
-    /// core (see [`resolve_threads`]). The winning *period* is independent
-    /// of the width (ties among recorded candidates break by enumeration
-    /// order); which equally-good candidate carries it may differ from the
-    /// one-worker run.
-    pub portfolio_threads: usize,
     /// Optional wall-clock budget for one [`TesselSearch::run`] call. When it
     /// elapses, in-flight solver work is aborted cooperatively and the run
     /// returns [`CoreError::DeadlineExceeded`]. `None` (the default) never
@@ -94,8 +75,11 @@ pub struct SearchConfig {
     /// reported value upper-bounds the period of a repetend the search has
     /// already found feasible work towards, so a caller can act on a good
     /// schedule bound long before the proof completes. Values are *not*
-    /// globally monotone across portfolio workers; callers wanting a strictly
-    /// decreasing stream should filter (the daemon does). Attached only to
+    /// monotone across candidates: a candidate's incumbents are reported
+    /// before its completion phases are probed, and one whose phases fail
+    /// leaves the bound where it was, so a later candidate can report a
+    /// higher value. Callers wanting a strictly decreasing stream should
+    /// filter (the daemon does). Attached only to
     /// repetend solves — warmup/cooldown phase solves optimise a different
     /// objective and stay silent. The default reports nothing.
     pub incumbent_sink: Option<IncumbentSink>,
@@ -110,7 +94,6 @@ impl Default for SearchConfig {
             phase_solver: SolverConfig::default(),
             lazy: true,
             candidate_limit: None,
-            portfolio_threads: 1,
             time_budget: None,
             cancel: CancelToken::new(),
             incumbent_sink: None,
@@ -129,7 +112,6 @@ impl PartialEq for SearchConfig {
             && self.phase_solver == other.phase_solver
             && self.lazy == other.lazy
             && self.candidate_limit == other.candidate_limit
-            && self.portfolio_threads == other.portfolio_threads
             && self.time_budget == other.time_budget
     }
 }
@@ -158,20 +140,24 @@ impl SearchConfig {
         self
     }
 
-    /// Returns a copy evaluating repetend candidates on `threads` worker
-    /// threads (see [`SearchConfig::portfolio_threads`]).
+    /// Returns the copy unchanged: the candidate loop is serial, so its one
+    /// worker is the only width there is. Kept for callers that still state
+    /// it; `threads` must be 1.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads` is anything but 1.
     #[must_use]
-    pub fn with_portfolio_threads(mut self, threads: usize) -> Self {
-        self.portfolio_threads = threads;
+    pub fn with_portfolio_threads(self, threads: usize) -> Self {
+        assert_eq!(threads, 1, "the candidate loop is serial: one worker only");
         self
     }
 
     /// Returns a copy whose repetend *and* phase solvers run the
     /// work-stealing parallel search with `threads` workers (see
-    /// [`SolverConfig::threads`]). Orthogonal to
-    /// [`SearchConfig::portfolio_threads`], which parallelises *across*
-    /// candidates: solver threads parallelise each individual solve, which
-    /// helps when a few hard candidates dominate the run.
+    /// [`SolverConfig::threads`]). Candidates are still evaluated one at a
+    /// time; solver threads parallelise each individual solve, which helps
+    /// when a few hard candidates dominate the run.
     #[must_use]
     pub fn with_solver_threads(mut self, threads: usize) -> Self {
         self.repetend_solver.threads = threads;
@@ -275,23 +261,14 @@ impl ScreenedBy {
     }
 }
 
-impl std::ops::AddAssign for ScreenedBy {
-    fn add_assign(&mut self, other: Self) {
-        self.load += other.load;
-        self.critical_path += other.critical_path;
-        self.jackson += other.jackson;
-        self.immediate_selection += other.immediate_selection;
-        self.probing += other.probing;
-    }
-}
-
 /// Statistics of one search run.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SearchStats {
-    /// Number of repetend candidates the enumeration handed to a worker: the
-    /// leaves of its branch-and-bound that survive the bound (enumeration
-    /// stops early once the lower bound is reached). The candidates under a
-    /// refuted prefix are not among them; see `subtrees_pruned`.
+    /// Number of repetend candidates the enumeration handed to the candidate
+    /// loop: the leaves of its branch-and-bound that survive the bound
+    /// (enumeration stops early once the lower bound is reached). The
+    /// candidates under a refuted prefix are not among them; see
+    /// `subtrees_pruned`.
     pub candidates_considered: usize,
     /// Number of candidates the [`CandidateScreen`] refuted below the best
     /// period found so far, before any instance was built.
@@ -389,44 +366,13 @@ impl TesselSearch {
     pub fn run(&self, placement: &PlacementSpec) -> Result<SearchOutcome, CoreError> {
         placement.validate()?;
         let started = Instant::now();
-        let mut stats = SearchStats::default();
-
-        let shared = Shared::new(placement, &self.config, started);
-
-        // Lines 7-19: the same worker whatever the width. One worker needs
-        // no thread of its own.
-        let threads = resolve_threads(self.config.portfolio_threads);
-        let tallies: Vec<Result<SearchStats, CoreError>> = if threads == 1 {
-            vec![Worker::new(&shared).run()]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| scope.spawn(|| Worker::new(&shared).run()))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("portfolio worker panicked"))
-                    .collect()
-            })
-        };
-
+        let mut search = SearchRun::new(placement, &self.config, started);
+        search.candidates()?;
+        let mut stats = search.stats;
         // What the enumeration actually did: it stops once the early exit
         // fires.
-        {
-            let stream = shared.stream.lock().expect("stream lock");
-            stats.candidates_considered = stream.pulled;
-            stats.subtrees_pruned = stream.iter.subtrees_pruned();
-        }
-        for tally in tallies {
-            let tally = tally?;
-            stats.screened_by += tally.screened_by;
-            stats.repetend_solves += tally.repetend_solves;
-            stats.feasibility_probes += tally.feasibility_probes;
-            stats.improving_repetends += tally.improving_repetends;
-            stats.phase_times.repetend += tally.phase_times.repetend;
-            stats.phase_times.warmup += tally.phase_times.warmup;
-            stats.phase_times.cooldown += tally.phase_times.cooldown;
-        }
+        stats.candidates_considered = search.stream.pulled;
+        stats.subtrees_pruned = search.stream.iter.subtrees_pruned();
         stats.candidates_screened = stats.screened_by.total();
 
         // The budget expiring anywhere inside the candidate loop — including
@@ -434,15 +380,14 @@ impl TesselSearch {
         // loop itself cannot distinguish from an infeasible candidate —
         // uniformly surfaces as a deadline error rather than a silently
         // weaker result.
-        if shared.abort.should_stop() {
+        if search.abort.should_stop() {
             return Err(CoreError::DeadlineExceeded);
         }
 
-        let winner = shared.best.lock().expect("winner lock").take();
-        let winner = winner.ok_or(CoreError::NoFeasibleRepetend)?;
+        let winner = search.best.ok_or(CoreError::NoFeasibleRepetend)?;
         let repetend = winner.repetend;
         stats.chosen_nr = winner.nr;
-        stats.early_exit = repetend.period <= shared.lower_bound;
+        stats.early_exit = repetend.period <= search.lower_bound;
         let (warmup, cooldown) = match winner.phases {
             Some(phases) => phases,
             // Lazy mode: optimise the phases once, now, for the winner only.
@@ -450,7 +395,7 @@ impl TesselSearch {
                 placement,
                 &repetend,
                 self.config.copies_for(&repetend),
-                &shared.solver(&self.config.phase_solver, None),
+                &search.phase_solver,
                 &mut stats.phase_times,
             )?,
         };
@@ -464,7 +409,7 @@ impl TesselSearch {
                 .num_micro_batches
                 .max(repetend.num_micro_batches()),
         )?;
-        stats.solver = shared.sink.totals();
+        stats.solver = search.sink.totals();
         stats.total_time = started.elapsed();
         Ok(SearchOutcome {
             schedule,
@@ -476,35 +421,37 @@ impl TesselSearch {
     }
 }
 
-/// What one [`TesselSearch::run`] call shares among its workers.
-struct Shared<'a> {
+/// One [`TesselSearch::run`] call's candidate loop and everything it keeps:
+/// the lazy candidate stream, the best period so far, the winner, the
+/// solvers and the [`CandidateScreen`] it evaluates candidates with, and the
+/// counters of its [`SearchStats`].
+struct SearchRun<'a> {
     placement: &'a PlacementSpec,
     config: &'a SearchConfig,
     abort: Abort,
     sink: StatsSink,
-    /// All repetend candidates (every `NR` level, in enumeration order) form
-    /// one logical work queue, produced **lazily** — nothing is materialized
-    /// up front, so very large `NR` levels cost `O(K)` memory no matter how
-    /// many candidates they contain. A worker pulls the next candidate under
-    /// this lock, which it holds for [`PULL_STEPS`] steps of the enumeration
-    /// at most.
-    stream: Mutex<CandidateStream>,
+    /// All repetend candidates (every `NR` level, in enumeration order),
+    /// produced **lazily** — nothing is materialized up front, so very large
+    /// `NR` levels cost `O(K)` memory no matter how many candidates they
+    /// contain.
+    stream: CandidateStream,
     /// The best period found so far (Algorithm 1's `optimal`): the upper
-    /// bound of every screen and solve. An improvement published by one
-    /// worker immediately tightens the pruning of every other and cancels
-    /// candidates that can no longer win.
-    optimal: AtomicU64,
+    /// bound of every pull, screen and solve.
+    optimal: u64,
     /// The per-device load bound no repetend can beat.
     lower_bound: u64,
-    /// Raised by the worker that reaches `lower_bound` (line 19 of
-    /// Algorithm 1, the early exit).
-    stop: AtomicBool,
-    /// Only the (period, seq)-minimum candidate can win, so a single running
-    /// best is retained instead of every phase-feasible candidate.
-    best: Mutex<Option<Win>>,
+    /// The last candidate that improved on `optimal`: only it can win, so a
+    /// single running best is retained instead of every phase-feasible
+    /// candidate.
+    best: Option<Win>,
+    repetend_solver: Solver,
+    phase_solver: Solver,
+    probe_solver: Solver,
+    screen: CandidateScreen,
+    stats: SearchStats,
 }
 
-impl<'a> Shared<'a> {
+impl<'a> SearchRun<'a> {
     /// Lines 1-6 of Algorithm 1: bounds and the in-flight micro-batch cap.
     fn new(placement: &'a PlacementSpec, config: &'a SearchConfig, started: Instant) -> Self {
         let inflights = placement
@@ -512,100 +459,48 @@ impl<'a> Shared<'a> {
             .min(config.max_repetend_micro_batches)
             .min(config.num_micro_batches)
             .max(1);
-        Shared {
+        // Per-run abort conditions: the caller's cancellation token plus the
+        // wall-clock budget, given to every solver this run creates so
+        // in-flight branch loops stop cooperatively.
+        let abort = Abort {
+            cancel: config.cancel.clone(),
+            deadline: config.time_budget.map(|budget| started + budget),
+        };
+        // Every solver this run creates reports its effort into one sink,
+        // aggregated into `SearchStats::solver` at the end.
+        let sink = StatsSink::new();
+        let solver = |solver: &SolverConfig, incumbent: Option<&IncumbentSink>| {
+            let mut solver = solver.clone();
+            solver.abort = abort.clone();
+            solver.stats_sink = Some(sink.clone());
+            solver.incumbent_sink = incumbent.cloned();
+            Solver::new(solver)
+        };
+        SearchRun {
             placement,
             config,
-            // Per-run abort conditions: the caller's cancellation token plus
-            // the wall-clock budget, shared with every solver this run
-            // creates so in-flight branch loops stop cooperatively.
-            abort: Abort {
-                cancel: config.cancel.clone(),
-                deadline: config.time_budget.map(|budget| started + budget),
-            },
-            // Every solver this run creates reports its effort into one
-            // shared sink, aggregated into `SearchStats::solver` at the end.
-            sink: StatsSink::new(),
-            stream: Mutex::new(CandidateStream::new(
-                placement,
-                inflights,
-                config.candidate_limit,
-            )),
-            optimal: AtomicU64::new(placement.total_block_time() + 1),
+            repetend_solver: solver(&config.repetend_solver, config.incumbent_sink.as_ref()),
+            phase_solver: solver(&config.phase_solver, None),
+            probe_solver: solver(&SolverConfig::probe(), None),
+            abort,
+            sink,
+            stream: CandidateStream::new(placement, inflights, config.candidate_limit),
+            optimal: placement.total_block_time() + 1,
             lower_bound: placement.repetend_lower_bound(),
-            stop: AtomicBool::new(false),
-            best: Mutex::new(None),
-        }
-    }
-
-    /// A solver configured by `config` with the run's abort conditions,
-    /// statistics sink and (for repetend solvers only) the anytime incumbent
-    /// observer attached.
-    fn solver(&self, config: &SolverConfig, incumbent: Option<&IncumbentSink>) -> Solver {
-        let mut config = config.clone();
-        config.abort = self.abort.clone();
-        config.stats_sink = Some(self.sink.clone());
-        config.incumbent_sink = incumbent.cloned();
-        Solver::new(config)
-    }
-}
-
-/// A solved warmup and cooldown.
-type Phases = (PhasePlan, PhasePlan);
-
-/// A phase-feasible candidate, as recorded for the final pick.
-struct Win {
-    /// Position in the enumeration: the tie-breaker among equal periods.
-    seq: usize,
-    nr: usize,
-    repetend: Repetend,
-    /// The completion phases, if eager mode already solved them.
-    phases: Option<Phases>,
-}
-
-/// One evaluator of repetend candidates: its own solvers, its own
-/// [`CandidateScreen`] (the scratch buffers inside are not shareable) and its
-/// own tally — the counters and phase times of a [`SearchStats`], summed over
-/// the workers after the loop — so nothing but [`Shared`] is contended.
-struct Worker<'s, 'p> {
-    shared: &'s Shared<'p>,
-    repetend_solver: Solver,
-    phase_solver: Solver,
-    probe_solver: Solver,
-    screen: CandidateScreen,
-    tally: SearchStats,
-}
-
-impl<'s, 'p> Worker<'s, 'p> {
-    fn new(shared: &'s Shared<'p>) -> Self {
-        let config = shared.config;
-        Worker {
-            shared,
-            repetend_solver: shared.solver(&config.repetend_solver, config.incumbent_sink.as_ref()),
-            phase_solver: shared.solver(&config.phase_solver, None),
-            probe_solver: shared.solver(&SolverConfig::probe(), None),
-            screen: CandidateScreen::new(shared.placement),
-            tally: SearchStats::default(),
+            best: None,
+            screen: CandidateScreen::new(placement),
+            stats: SearchStats::default(),
         }
     }
 
     /// Lines 7-19 of Algorithm 1: pull candidates until the stream runs dry,
-    /// the lower bound is reached or the run is aborted.
-    ///
-    /// The final winner is the recorded candidate with the smallest period,
-    /// ties broken by enumeration order (the stream's sequence number). With
-    /// one worker that *is* the last strictly improving candidate — the
-    /// serial loop of the paper. With several, the winning *period* is the
-    /// same (both are the minimum over phase-feasible candidates); which
-    /// equally-good candidate carries it may depend on completion timing.
-    fn run(mut self) -> Result<SearchStats, CoreError> {
-        let shared = self.shared;
+    /// the lower bound is reached or the run is aborted. Every candidate
+    /// [`SearchRun::evaluate`] accepts is strictly below the one before it,
+    /// so the last one wins.
+    fn candidates(&mut self) -> Result<(), CoreError> {
         let clock = Instant::now();
-        while !shared.stop.load(Ordering::Relaxed) && !shared.abort.should_stop() {
-            // The lock is released before the match: a pull holds it for one
-            // step budget at most.
-            let below = shared.optimal.load(Ordering::Relaxed);
-            let pull = shared.stream.lock().expect("stream lock").next_below(below);
-            let leaf = match pull {
+        while !self.abort.should_stop() {
+            let leaf = match self.stream.next_below(self.optimal) {
                 Pull::Leaf(leaf) => leaf,
                 Pull::Paused => continue,
                 Pull::Done => break,
@@ -613,73 +508,56 @@ impl<'s, 'p> Worker<'s, 'p> {
             let Some((repetend, phases)) = self.evaluate(&leaf.candidate, &leaf.heads)? else {
                 continue;
             };
-
-            // Publish the improvement and record the win for the final pick.
-            let period = repetend.period;
-            let improved = period < shared.optimal.fetch_min(period, Ordering::Relaxed);
-            if improved {
-                self.tally.improving_repetends += 1;
-            }
-            {
-                let mut best = shared.best.lock().expect("winner lock");
-                let beats = best
-                    .as_ref()
-                    .is_none_or(|b| (period, leaf.seq) < (b.repetend.period, b.seq));
-                if beats {
-                    *best = Some(Win {
-                        seq: leaf.seq,
-                        nr: leaf.nr,
-                        repetend,
-                        phases,
-                    });
-                }
-            }
-            if improved && period <= shared.lower_bound {
-                shared.stop.store(true, Ordering::Relaxed);
+            self.optimal = repetend.period;
+            self.stats.improving_repetends += 1;
+            self.best = Some(Win {
+                nr: leaf.nr,
+                repetend,
+                phases,
+            });
+            if self.optimal <= self.lower_bound {
                 break;
             }
         }
         // Whatever the loop did not spend completing phases it spent on
         // repetends: pulling, screening and solving candidates. One clock
         // read per run, not two per candidate.
-        let times = &mut self.tally.phase_times;
+        let times = &mut self.stats.phase_times;
         times.repetend = clock
             .elapsed()
             .saturating_sub(times.warmup + times.cooldown);
-        Ok(self.tally)
+        Ok(())
     }
 
     /// Everything Algorithm 1 does with one candidate the enumeration let
     /// through: screen it from its `heads` on, solve it below the best period
     /// so far, and check that its completion phases exist. Returns the
-    /// repetend if it is still improving and phase-feasible, together with
-    /// its phases when eager mode solved them.
+    /// repetend if it is improving and phase-feasible, together with its
+    /// phases when eager mode solved them.
     fn evaluate(
         &mut self,
         candidate: &RepetendCandidate,
         heads: &[u64],
     ) -> Result<Option<(Repetend, Option<Phases>)>, CoreError> {
-        let (placement, optimal) = (self.shared.placement, &self.shared.optimal);
-        // The shared bound cancels candidates that can no longer win before
-        // any solver work happens: a candidate the screen refutes below it is
-        // rejected before an instance is built.
-        let bound = optimal.load(Ordering::Relaxed);
+        let (placement, bound) = (self.placement, self.optimal);
+        // A candidate the screen refutes below the bound is rejected before
+        // an instance is built.
         let solved = match self.screen.refutes_with_heads(candidate, heads, bound) {
             Some(stage) => {
-                *self.tally.screened_by.of(stage) += 1;
+                *self.stats.screened_by.of(stage) += 1;
                 None
             }
             None => {
-                self.tally.repetend_solves += 1;
+                self.stats.repetend_solves += 1;
                 solve_repetend(placement, candidate, &self.repetend_solver, bound)?
             }
         };
-        let Some(repetend) = solved.filter(|r| r.period < optimal.load(Ordering::Relaxed)) else {
+        let Some(repetend) = solved.filter(|r| r.period < bound) else {
             return Ok(None);
         };
 
-        let copies = self.shared.config.copies_for(&repetend);
-        if !self.shared.config.lazy {
+        let copies = self.config.copies_for(&repetend);
+        if !self.config.lazy {
             // Eager mode: optimise the completion phases for every improving
             // repetend (the configuration compared against in the Fig. 10(b)
             // ablation). A repetend whose phases cannot be solved is skipped.
@@ -688,7 +566,7 @@ impl<'s, 'p> Worker<'s, 'p> {
                 &repetend,
                 copies,
                 &self.phase_solver,
-                &mut self.tally.phase_times,
+                &mut self.stats.phase_times,
             );
             return Ok(phases.ok().map(|phases| (repetend, Some(phases))));
         }
@@ -700,14 +578,25 @@ impl<'s, 'p> Worker<'s, 'p> {
             let (blocks, entry_memory) =
                 phase_inputs(placement, phase, &repetend.candidate, copies);
             let feasible = probe_phase(placement, &blocks, entry_memory, &self.probe_solver)?;
-            self.tally.feasibility_probes += 1;
-            *self.tally.phase_times.of(phase) += clock.elapsed();
+            self.stats.feasibility_probes += 1;
+            *self.stats.phase_times.of(phase) += clock.elapsed();
             if !feasible {
                 return Ok(None);
             }
         }
         Ok(Some((repetend, None)))
     }
+}
+
+/// A solved warmup and cooldown.
+type Phases = (PhasePlan, PhasePlan);
+
+/// A phase-feasible candidate, as recorded for the final pick.
+struct Win {
+    nr: usize,
+    repetend: Repetend,
+    /// The completion phases, if eager mode already solved them.
+    phases: Option<Phases>,
 }
 
 /// Solves the warmup, then the cooldown of `repetend` time-optimally,
@@ -732,17 +621,13 @@ fn solve_phases(
 
 /// The most steps of the enumeration one [`CandidateStream::next_below`] call
 /// takes before it hands control back. Between two candidates that survive
-/// the bound there may be 10⁴-10⁶ refuted prefixes; the worker loop re-reads
-/// the bound, the early exit and the abort conditions (and a portfolio worker
-/// releases the stream lock) at least this often. A step is a few
-/// nanoseconds, so a pull lasts tens of microseconds at most.
+/// the bound there may be 10⁴-10⁶ refuted prefixes; the candidate loop checks
+/// the abort conditions at least this often. A step is a few nanoseconds, so
+/// a pull lasts tens of microseconds at most.
 const PULL_STEPS: u64 = 4096;
 
-/// A candidate the enumeration let through, as handed to a worker.
+/// A candidate the enumeration let through, as handed to the candidate loop.
 struct Leaf {
-    /// Position among the candidates handed out: the tie-breaker among equal
-    /// periods.
-    seq: usize,
     nr: usize,
     candidate: RepetendCandidate,
     /// The head of each of the candidate's blocks over the edges it keeps.
@@ -760,8 +645,7 @@ enum Pull {
 
 /// The lazy candidate source of a search run: chains the incremental
 /// [`CandidateIter`] enumerations of every `NR` level (each under the
-/// per-level work limit) and stamps each candidate with its sequence number,
-/// which doubles as the deterministic tie-breaker among equal periods.
+/// per-level work limit) and counts the candidates it hands out.
 struct CandidateStream {
     inflights: usize,
     /// The most candidates and refuted prefixes, taken together, one level
@@ -796,10 +680,8 @@ impl CandidateStream {
         }
         match self.iter.advance(below, PULL_STEPS) {
             Advance::Leaf(candidate) => {
-                let seq = self.pulled;
                 self.pulled += 1;
                 Pull::Leaf(Leaf {
-                    seq,
                     nr: self.nr,
                     candidate,
                     heads: self.iter.heads().to_vec(),
@@ -1063,26 +945,24 @@ mod tests {
             .with_micro_batches(12)
             .with_lazy(false)
             .with_max_repetend_micro_batches(3)
-            .with_portfolio_threads(4);
+            .with_portfolio_threads(1);
         assert_eq!(config.num_micro_batches, 12);
         assert!(!config.lazy);
         assert_eq!(config.max_repetend_micro_batches, 3);
-        assert_eq!(config.portfolio_threads, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "one worker only")]
+    fn the_portfolio_shim_refuses_a_second_worker() {
+        let _ = SearchConfig::default().with_portfolio_threads(2);
     }
 
     #[test]
     fn zero_time_budget_times_out_cleanly() {
         let p = v_shape(2, 1, 2, Some(3));
-        for threads in [1usize, 3] {
-            let config = SearchConfig::default()
-                .with_portfolio_threads(threads)
-                .with_time_budget(Some(Duration::ZERO));
-            let err = TesselSearch::new(config).run(&p).unwrap_err();
-            assert!(
-                matches!(err, CoreError::DeadlineExceeded),
-                "threads={threads}: {err:?}"
-            );
-        }
+        let config = SearchConfig::default().with_time_budget(Some(Duration::ZERO));
+        let err = TesselSearch::new(config).run(&p).unwrap_err();
+        assert!(matches!(err, CoreError::DeadlineExceeded), "{err:?}");
     }
 
     #[test]
@@ -1146,31 +1026,14 @@ mod tests {
         let (prefixes, steps) = (stream.iter.subtrees_pruned(), stream.iter.steps());
         assert!(prefixes >= 100_000 && steps >= 100 * PULL_STEPS);
 
-        // A worker is let into that stretch with the token cancelled the
-        // moment it starts its pull: the stream lock is held until then.
-        let mut caught_mid_pull = false;
-        for _ in 0..20 {
-            let shared = Shared::new(&p, &config, Instant::now());
-            shared.optimal.store(6, Ordering::Relaxed);
-            std::thread::scope(|scope| {
-                let stream = shared.stream.lock().unwrap();
-                let worker = scope.spawn(|| Worker::new(&shared).run());
-                // Long enough for the worker to pass its abort check and
-                // block on the lock; if it has not, it takes no step at all.
-                std::thread::sleep(Duration::from_millis(20));
-                config.cancel.cancel();
-                drop(stream);
-                worker.join().unwrap().unwrap();
-            });
-            let taken = shared.stream.lock().unwrap().iter.steps();
-            assert!(taken <= PULL_STEPS, "{taken} steps after the cancellation");
-            assert!(shared.abort.should_stop());
-            caught_mid_pull |= taken > 0;
-            if caught_mid_pull {
-                break;
-            }
-        }
-        assert!(caught_mid_pull, "no worker was blocked on the stream lock");
+        // The loop checks the token before every pull, so a search
+        // cancelled before it starts enters none of that stretch.
+        config.cancel.cancel();
+        let mut search = SearchRun::new(&p, &config, Instant::now());
+        search.optimal = 6;
+        search.candidates().unwrap();
+        assert_eq!(search.stream.iter.steps(), 0);
+        assert!(search.abort.should_stop());
     }
 
     #[test]
@@ -1179,17 +1042,11 @@ mod tests {
         // enumeration across 10⁷ refuted prefixes. Wherever the budget runs
         // out, the search reports the deadline.
         let p = x_shape(16, None);
-        for threads in [1usize, 2] {
-            let config = SearchConfig::default()
-                .with_max_repetend_micro_batches(6)
-                .with_portfolio_threads(threads)
-                .with_time_budget(Some(Duration::from_millis(30)));
-            let err = TesselSearch::new(config).run(&p).unwrap_err();
-            assert!(
-                matches!(err, CoreError::DeadlineExceeded),
-                "threads={threads}: {err:?}"
-            );
-        }
+        let config = SearchConfig::default()
+            .with_max_repetend_micro_batches(6)
+            .with_time_budget(Some(Duration::from_millis(30)));
+        let err = TesselSearch::new(config).run(&p).unwrap_err();
+        assert!(matches!(err, CoreError::DeadlineExceeded), "{err:?}");
     }
 
     #[test]
@@ -1202,62 +1059,5 @@ mod tests {
         .run(&p)
         .unwrap();
         assert_eq!(plain.repetend.period, budgeted.repetend.period);
-    }
-
-    #[test]
-    fn portfolio_search_finds_the_serial_period() {
-        for placement in [v_shape(2, 1, 2, Some(3)), x_shape(2, Some(4))] {
-            let serial = TesselSearch::new(SearchConfig::default().with_micro_batches(6))
-                .run(&placement)
-                .unwrap();
-            for threads in [2usize, 4] {
-                let portfolio = TesselSearch::new(
-                    SearchConfig::default()
-                        .with_micro_batches(6)
-                        .with_portfolio_threads(threads),
-                )
-                .run(&placement)
-                .unwrap();
-                portfolio.schedule.validate(&placement).unwrap();
-                assert_eq!(portfolio.repetend.period, serial.repetend.period);
-            }
-        }
-    }
-
-    #[test]
-    fn portfolio_search_works_in_eager_mode() {
-        let p = v_shape(2, 1, 2, Some(3));
-        let serial = TesselSearch::new(SearchConfig::default().with_lazy(false))
-            .run(&p)
-            .unwrap();
-        let portfolio = TesselSearch::new(
-            SearchConfig::default()
-                .with_lazy(false)
-                .with_portfolio_threads(3),
-        )
-        .run(&p)
-        .unwrap();
-        portfolio.schedule.validate(&p).unwrap();
-        assert_eq!(portfolio.repetend.period, serial.repetend.period);
-        assert_eq!(portfolio.stats.feasibility_probes, 0);
-    }
-
-    #[test]
-    fn portfolio_stats_report_effort() {
-        let p = v_shape(2, 1, 2, Some(3));
-        let outcome = TesselSearch::new(SearchConfig::default().with_portfolio_threads(4))
-            .run(&p)
-            .unwrap();
-        let stats = &outcome.stats;
-        assert!(stats.candidates_considered > 0);
-        assert!(stats.repetend_solves > 0);
-        assert_eq!(
-            stats.candidates_considered,
-            stats.candidates_screened + stats.repetend_solves
-        );
-        assert_eq!(stats.screened_by.total(), stats.candidates_screened);
-        assert!(stats.improving_repetends >= 1);
-        assert!(stats.chosen_nr >= 1);
-        assert!(stats.early_exit);
     }
 }

@@ -137,8 +137,9 @@ impl<'w> Reply<'w> {
             self.trace_id.as_str()
         );
         completions.push(Completion::fragment(token, seq, head.into_bytes(), false));
-        // Portfolio workers report incumbents concurrently and not globally
-        // in order; an atomic-min filter keeps the stream strictly improving.
+        // Incumbents fall within one candidate's solve, not across
+        // candidates (a later one can report a higher value); an atomic-min
+        // filter keeps the stream strictly improving.
         let best = AtomicU64::new(u64::MAX);
         let sink = {
             let completions = completions.clone();

@@ -112,7 +112,8 @@ pub struct ServiceConfig {
     /// Hard ceiling on `NR` accepted from requests (protects the daemon from
     /// exponential blowup).
     pub max_repetend_ceiling: usize,
-    /// Portfolio worker threads per search.
+    /// Kept for callers that still state the search's worker count: the
+    /// candidate loop is serial, and [`ScheduleService::new`] accepts only 1.
     pub portfolio_threads: usize,
     /// Worker threads for each exact solve (the work-stealing parallel
     /// solver) when a request does not ask for a specific count; `0` uses
@@ -308,11 +309,25 @@ impl ScheduleService {
     ///
     /// # Errors
     ///
-    /// Propagates snapshot read failures. A missing snapshot is fine, and a
-    /// snapshot that no longer parses (corrupt, or written by an older
-    /// daemon with a different entry layout) is skipped with a warning — an
-    /// incompatible cache file must cost a cold start, not a crash loop.
+    /// Returns [`std::io::ErrorKind::InvalidInput`] for a zero
+    /// `default_micro_batches` or `default_max_repetend` (every request
+    /// relying on the default would be rejected as the client's fault) and
+    /// for any `portfolio_threads` but 1. Propagates snapshot read failures.
+    /// A missing snapshot is fine, and a snapshot that no longer parses
+    /// (corrupt, or written by an older daemon with a different entry
+    /// layout) is skipped with a warning — an incompatible cache file must
+    /// cost a cold start, not a crash loop.
     pub fn new(mut config: ServiceConfig) -> std::io::Result<Self> {
+        let invalid = |what: &str| Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, what));
+        if config.default_micro_batches == 0 {
+            return invalid("default_micro_batches must be at least 1");
+        }
+        if config.default_max_repetend == 0 {
+            return invalid("default_max_repetend must be at least 1");
+        }
+        if config.portfolio_threads != 1 {
+            return invalid("portfolio_threads must be 1: the search is serial");
+        }
         // An operator-raised default must never exceed the ceiling, or every
         // request relying on the default would be rejected.
         config.max_repetend_ceiling = config.max_repetend_ceiling.max(config.default_max_repetend);
@@ -429,9 +444,10 @@ impl ScheduleService {
     /// this request leads a solve, every strictly improving repetend makespan
     /// the solver proves is reported through `sink` while the search runs.
     /// Coalesced followers and cache hits report nothing (the transport still
-    /// gets the terminal result). Portfolio workers report concurrently, so
-    /// values are monotone per worker but not globally — a consumer wanting a
-    /// strictly decreasing stream must filter (the HTTP transport does).
+    /// gets the terminal result). Values are monotone within one candidate's
+    /// solve but not across candidates (see
+    /// [`SearchConfig::incumbent_sink`]) — a consumer wanting a strictly
+    /// decreasing stream must filter (the HTTP transport does).
     ///
     /// # Errors
     ///
@@ -782,7 +798,6 @@ impl ScheduleService {
         let mut config = SearchConfig::default()
             .with_micro_batches(params.num_micro_batches)
             .with_max_repetend_micro_batches(params.max_repetend_micro_batches)
-            .with_portfolio_threads(self.config.portfolio_threads)
             .with_solver_threads(solver_threads)
             .with_time_budget(budget);
         config.candidate_limit = self.config.candidate_limit;
@@ -1344,6 +1359,40 @@ mod tests {
         ));
         let snap = service.metrics_snapshot();
         assert_eq!(snap.errors, 2);
+    }
+
+    /// `ScheduleService::new`'s answer to `config`, which must be a refusal.
+    fn refused(config: ServiceConfig) -> std::io::Error {
+        let err = ScheduleService::new(config).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        err
+    }
+
+    #[test]
+    fn a_zero_default_micro_batch_count_is_refused_at_startup() {
+        let err = refused(ServiceConfig {
+            default_micro_batches: 0,
+            ..ServiceConfig::default()
+        });
+        assert!(err.to_string().contains("default_micro_batches"), "{err}");
+    }
+
+    #[test]
+    fn a_zero_default_repetend_cap_is_refused_at_startup() {
+        let err = refused(ServiceConfig {
+            default_max_repetend: 0,
+            ..ServiceConfig::default()
+        });
+        assert!(err.to_string().contains("default_max_repetend"), "{err}");
+    }
+
+    #[test]
+    fn a_second_portfolio_worker_is_refused_at_startup() {
+        let err = refused(ServiceConfig {
+            portfolio_threads: 2,
+            ..ServiceConfig::default()
+        });
+        assert!(err.to_string().contains("portfolio_threads"), "{err}");
     }
 
     #[test]

@@ -307,7 +307,6 @@ fn inflight_shows_monotone_solver_progress_and_a_live_incumbent() {
     let addr = listener.local_addr().unwrap().to_string();
     let service = Arc::new(
         ScheduleService::new(ServiceConfig {
-            portfolio_threads: 1,
             solver_threads: 1,
             ..ServiceConfig::default()
         })

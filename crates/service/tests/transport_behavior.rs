@@ -554,7 +554,6 @@ fn start_admission_server(queue_depth: usize) -> (HttpServer, String) {
     let service = ScheduleService::new(ServiceConfig {
         default_micro_batches: 4,
         default_max_repetend: 3,
-        portfolio_threads: 1,
         solver_threads: 1,
         ..ServiceConfig::default()
     })

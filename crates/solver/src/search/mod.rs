@@ -251,9 +251,8 @@ impl SolverConfig {
 
 /// The worker count a thread setting stands for: `0` means the machine's
 /// available parallelism, anything else is taken literally. The one place
-/// the workspace spells that rule — [`SolverConfig::threads`], the schedule
-/// search's portfolio width and the daemon's per-request thread ask all
-/// resolve through it.
+/// the workspace spells that rule — [`SolverConfig::threads`] and the
+/// daemon's per-request thread ask both resolve through it.
 #[must_use]
 pub fn resolve_threads(requested: usize) -> usize {
     match requested {

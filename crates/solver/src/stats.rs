@@ -149,8 +149,8 @@ impl SolverTotals {
 /// Shareable accumulator of [`SolverTotals`] across solver invocations.
 ///
 /// Attach a clone via [`SolverConfig::stats_sink`] and every solve records its
-/// final [`SolveStats`] into the shared totals on completion — including
-/// solves issued concurrently from several threads (the portfolio search).
+/// final [`SolveStats`] into the shared totals on completion, whichever
+/// thread it ran on (a schedule search gives one sink to all its solvers).
 /// Cloning shares the underlying accumulator, like [`CancelToken`].
 ///
 /// [`SolverConfig::stats_sink`]: crate::SolverConfig::stats_sink

@@ -105,30 +105,6 @@ fn parallel_and_serial_solver_agree_on_all_shapes() {
     }
 }
 
-/// Determinism of the portfolio search: the winning repetend period does not
-/// depend on the portfolio thread count on any synthetic shape.
-#[test]
-fn portfolio_and_serial_search_agree_on_all_shapes() {
-    for shape in ShapeKind::all() {
-        let placement = synthetic_placement(shape, 4).unwrap();
-        let serial = TesselSearch::new(SearchConfig::default().with_micro_batches(6))
-            .run(&placement)
-            .unwrap();
-        let portfolio = TesselSearch::new(
-            SearchConfig::default()
-                .with_micro_batches(6)
-                .with_portfolio_threads(4),
-        )
-        .run(&placement)
-        .unwrap();
-        portfolio.schedule.validate(&placement).unwrap();
-        assert_eq!(
-            portfolio.repetend.period, serial.repetend.period,
-            "{shape:?} portfolio found a different period"
-        );
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 

@@ -147,7 +147,6 @@ fn pinned_cases() -> Vec<(String, tessel::core::PlacementSpec, SearchConfig)> {
             let mut config = SearchConfig::default()
                 .with_micro_batches(8)
                 .with_lazy(lazy)
-                .with_portfolio_threads(1)
                 .with_solver_threads(1);
             config.candidate_limit = Some(400);
             let mode = if lazy { "lazy" } else { "eager" };
@@ -203,40 +202,6 @@ fn serial_search_matches_the_golden_stats() {
         golden,
         "the serial candidate loop changed"
     );
-}
-
-/// More portfolio workers change which candidates get solved, never the
-/// period the search proves. Under the candidate limit that needs a margin:
-/// the limit counts enumeration work, and a worker that pulls before another
-/// has published its improvement spends more of it on the same stretch. The
-/// pinned cases have one — serially M/NN reach period 7 at any limit from 150
-/// to 800 and X reaches 6 at any limit from 100 up; the limit is 400.
-#[test]
-fn portfolio_widths_reach_the_golden_period() {
-    let golden = std::fs::read_to_string(GOLDEN).expect("tests/golden/search_stats.json");
-    for (name, placement, config) in pinned_cases() {
-        let row = golden
-            .lines()
-            .find(|line| line.contains(&format!("\"{name}\"")))
-            .unwrap_or_else(|| panic!("no golden row for {name}"));
-        for threads in [2usize, 4] {
-            let outcome = TesselSearch::new(config.clone().with_portfolio_threads(threads))
-                .run(&placement)
-                .expect("search succeeds");
-            outcome.schedule.validate(&placement).unwrap();
-            let stats = &outcome.stats;
-            assert!(
-                row.contains(&format!("\"period\": {},", outcome.repetend.period)),
-                "{name} at {threads} workers: period {} not in {row}",
-                outcome.repetend.period
-            );
-            assert_eq!(
-                stats.candidates_considered,
-                stats.candidates_screened + stats.repetend_solves,
-                "{name} at {threads} workers"
-            );
-        }
-    }
 }
 
 /// Writes the golden file from the code as it stands.

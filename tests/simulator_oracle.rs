@@ -319,7 +319,6 @@ fn oracle(cases: u64) -> Compared {
         let config = SearchConfig::default()
             .with_micro_batches(micro_batches)
             .with_max_repetend_micro_batches(3)
-            .with_portfolio_threads(1)
             .with_solver_threads(1);
         let mut schedules = Vec::new();
         if let Ok(outcome) = TesselSearch::new(config).run(&placement) {
