@@ -141,27 +141,30 @@ pub fn build_phase_instance(
     builder.set_initial_memory(initial_memory)?;
     let mut ordered: Vec<(usize, usize)> = blocks.to_vec();
     ordered.sort_unstable();
-    let mut ids: std::collections::HashMap<(usize, usize), TaskId> =
-        std::collections::HashMap::new();
+    // The task of block `(stage, mb)` sits at `ids[mb * stages + stage]`.
+    let stages = placement.num_blocks();
+    let micro_batches = ordered.iter().map(|&(_, mb)| mb + 1).max().unwrap_or(0);
+    let mut ids: Vec<Option<TaskId>> = vec![None; stages * micro_batches];
     for &(stage, mb) in &ordered {
         let spec = placement.block(stage);
         let label = format!("{}^{}", spec.name, mb);
         let id = builder.add_task(label, spec.time, spec.devices.iter().copied(), spec.memory)?;
-        ids.insert((stage, mb), id);
+        ids[mb * stages + stage] = Some(id);
     }
     for &(stage, mb) in &ordered {
         let spec = placement.block(stage);
+        let id = ids[mb * stages + stage].expect("every phase block has a task");
         // Intra-micro-batch data dependencies (only those inside the phase;
         // cross-phase dependencies are satisfied by phase concatenation).
         for &dep in &spec.deps {
-            if let Some(&pred) = ids.get(&(dep, mb)) {
-                builder.add_precedence(pred, ids[&(stage, mb)])?;
+            if let Some(pred) = ids[mb * stages + dep] {
+                builder.add_precedence(pred, id)?;
             }
         }
         // Property 4.1: blocks of the same stage run in micro-batch order.
         if mb > 0 {
-            if let Some(&pred) = ids.get(&(stage, mb - 1)) {
-                builder.add_precedence(pred, ids[&(stage, mb)])?;
+            if let Some(pred) = ids[(mb - 1) * stages + stage] {
+                builder.add_precedence(pred, id)?;
             }
         }
     }
