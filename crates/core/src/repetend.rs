@@ -71,9 +71,10 @@ pub fn candidate_iter(placement: &PlacementSpec, nr: usize) -> CandidateIter {
 /// What one [`CandidateIter::advance`] call came to.
 #[derive(Debug)]
 pub(crate) enum Advance {
-    /// The next candidate whose critical path is below the bound; its heads
-    /// are [`CandidateIter::heads`] until the next call.
-    Leaf(RepetendCandidate),
+    /// The next candidate whose critical path is below the bound: its
+    /// indices and heads are [`CandidateIter::indices`] and
+    /// [`CandidateIter::heads`] until the next call.
+    Leaf,
     /// The step budget ran out between two candidates.
     Paused,
     /// No candidate is left, or the work limit is spent.
@@ -159,9 +160,16 @@ impl CandidateIter {
     /// it.
     pub fn next_below(&mut self, below: u64) -> Option<RepetendCandidate> {
         match self.advance(below, u64::MAX) {
-            Advance::Leaf(candidate) => Some(candidate),
+            Advance::Leaf => Some(RepetendCandidate {
+                indices: self.indices.clone(),
+            }),
             Advance::Paused | Advance::Done => None,
         }
+    }
+
+    /// The micro-batch index of every stage of the candidate last returned.
+    pub(crate) fn indices(&self) -> &[usize] {
+        &self.indices
     }
 
     /// The head of every stage of the candidate last returned.
@@ -219,9 +227,7 @@ impl CandidateIter {
                 self.pos -= 1;
                 if self.lowest[k] == 0 && self.highest[k] + 1 == self.nr {
                     self.spend();
-                    return Advance::Leaf(RepetendCandidate {
-                        indices: self.indices.clone(),
-                    });
+                    return Advance::Leaf;
                 }
                 continue;
             }
@@ -690,7 +696,9 @@ mod tests {
             loop {
                 let before = iter.steps();
                 match iter.advance(below, 3) {
-                    Advance::Leaf(candidate) => stepwise.push(candidate),
+                    Advance::Leaf => stepwise.push(RepetendCandidate {
+                        indices: iter.indices().to_vec(),
+                    }),
                     Advance::Paused => assert_eq!(iter.steps() - before, 3),
                     Advance::Done => break,
                 }

@@ -19,6 +19,18 @@
 //! arrives with its heads, and the screen starts at the backward sweep for
 //! the tails. The head recurrence both use is written once, `StageGraph::head`.
 //!
+//! The fourth stage runs on a trail. Heads and tails rise from FIFO
+//! worklists of the blocks that changed, along the kept edges (read off the
+//! stage graph and the candidate's indices, never copied) and the arcs fixed
+//! so far; immediate selection looks again only at the pairs of a block
+//! whose window changed. A probe assumes one order of a pair on the
+//! candidate's own windows and rolls every head, tail, fixed pair and arc it
+//! changed back from the trail afterwards. Every rule only ever raises a
+//! window or fixes a pair, and does so whenever it applies, so propagation
+//! reaches the same fixpoint — the same verdict, windows and fixed pairs —
+//! in whatever order it runs; pairs are still probed in index order. The
+//! tests hold it to the whole-edge sweeps it replaced.
+//!
 //! Every rule relaxes the solver's constraint system (memory is dropped,
 //! devices are coupled only pairwise), so a refuted candidate has no schedule
 //! below the bound; an unrefuted one is handed to the solver, which remains
@@ -26,6 +38,7 @@
 
 use crate::ir::PlacementSpec;
 use crate::repetend::RepetendCandidate;
+use std::collections::VecDeque;
 use tessel_solver::jackson_preemptive_bound;
 
 /// The stage of [`CandidateScreen::refutes`] that rejected a candidate.
@@ -100,7 +113,7 @@ impl StageGraph {
 /// What deadline propagation tightens: a lower bound on every block's start
 /// (`heads`) and on the time between its end and the end of the schedule
 /// (`tails`), and which conflict pairs already have their order fixed.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Windows {
     heads: Vec<u64>,
     tails: Vec<u64>,
@@ -115,14 +128,25 @@ impl Windows {
             fixed: vec![false; pairs],
         }
     }
-
-    /// `clone_from` without the allocation the derived one makes.
-    fn copy_from(&mut self, other: &Windows) {
-        self.heads.copy_from_slice(&other.heads);
-        self.tails.copy_from_slice(&other.tails);
-        self.fixed.copy_from_slice(&other.fixed);
-    }
 }
+
+/// One change of deadline propagation, as the trail keeps it to roll a probe
+/// back.
+#[derive(Debug, Clone, Copy)]
+enum Undo {
+    /// A block's head, and what it was before.
+    Head(usize, u64),
+    /// A block's tail, and what it was before.
+    Tail(usize, u64),
+    /// `(pair, before, after)`: the pair fixed, with the arc it got.
+    Arc(usize, usize, usize),
+}
+
+/// Per-block flags of deadline propagation.
+const HEAD_QUEUED: u8 = 1;
+const TAIL_QUEUED: u8 = 2;
+/// The block's window changed since its pairs were last decided.
+const DIRTY: u8 = 4;
 
 /// Exact screen in front of the repetend solves (see the [module
 /// documentation](self)).
@@ -137,7 +161,7 @@ impl Windows {
 /// search applies: those three bounds, then deadline propagation.
 ///
 /// Built once per placement; the scratch buffers inside make both
-/// allocation-free, so each search worker owns a clone.
+/// allocation-free once they have grown to the placement's size.
 #[derive(Debug, Clone)]
 pub struct CandidateScreen {
     graph: StageGraph,
@@ -149,13 +173,29 @@ pub struct CandidateScreen {
     /// however many devices they share. A zero-time block never occupies its
     /// device (as in [`jackson_preemptive_bound`]), so it is in no pair.
     pairs: Vec<(usize, usize)>,
-    /// `(before, after)`: the edges the candidate keeps, in topological
-    /// order, then every arc fixed between the two blocks of a conflict pair.
-    edges: Vec<(usize, usize)>,
+    /// The pairs each block is in.
+    block_pairs: Vec<Vec<usize>>,
+    /// The stages that depend on each stage: the dependency edges read
+    /// forwards.
+    dependents: Vec<Vec<usize>>,
     /// The candidate's windows; what a bound or a refutation is read from.
     windows: Windows,
-    /// A copy of `windows` on which a probe tries one order of a pair.
-    trial: Windows,
+    /// The candidate under deadline propagation: a dependency edge is kept
+    /// iff its two ends carry the same index.
+    indices: Vec<usize>,
+    /// The arcs fixed so far, from each block and into each block, in the
+    /// order they were fixed.
+    arcs_out: Vec<Vec<usize>>,
+    arcs_in: Vec<Vec<usize>>,
+    /// FIFO worklists of the blocks whose head (tail) rose since it was last
+    /// pushed along the edges and arcs.
+    head_queue: VecDeque<usize>,
+    tail_queue: VecDeque<usize>,
+    /// The blocks flagged [`DIRTY`].
+    dirty: Vec<usize>,
+    flags: Vec<u8>,
+    /// Every change since the candidate's propagation started, latest last.
+    trail: Vec<Undo>,
 }
 
 impl CandidateScreen {
@@ -167,26 +207,41 @@ impl CandidateScreen {
         let graph = StageGraph::new(placement);
         let mut device_blocks = vec![Vec::new(); placement.num_devices()];
         let mut pairs = Vec::new();
+        let mut block_pairs = vec![Vec::new(); k];
+        let mut dependents = vec![Vec::new(); k];
         for (stage, block) in blocks.iter().enumerate() {
             for &d in &block.devices {
                 device_blocks[d].push(stage);
             }
+            for &dep in graph.deps(stage) {
+                dependents[dep].push(stage);
+            }
             for (i, other) in blocks[..stage].iter().enumerate() {
                 let share_a_device = block.devices.iter().any(|d| other.devices.contains(d));
                 if block.time > 0 && other.time > 0 && share_a_device {
+                    block_pairs[i].push(pairs.len());
+                    block_pairs[stage].push(pairs.len());
                     pairs.push((i, stage));
                 }
             }
         }
         CandidateScreen {
-            edges: Vec::with_capacity(graph.deps_flat.len() + pairs.len()),
             graph,
             device_blocks,
             load_bound: placement.repetend_lower_bound(),
             jobs: Vec::with_capacity(k),
             windows: Windows::new(k, pairs.len()),
-            trial: Windows::new(k, pairs.len()),
             pairs,
+            block_pairs,
+            dependents,
+            indices: vec![0; k],
+            arcs_out: vec![Vec::new(); k],
+            arcs_in: vec![Vec::new(); k],
+            head_queue: VecDeque::with_capacity(k),
+            tail_queue: VecDeque::with_capacity(k),
+            dirty: Vec::with_capacity(k),
+            flags: vec![0; k],
+            trail: Vec::new(),
         }
     }
 
@@ -222,13 +277,14 @@ impl CandidateScreen {
     ///    candidate; one ruled out fixes the other as an arc. Repeated with
     ///    (1) until nothing changes, then the one-machine bound is taken
     ///    again over the tightened windows;
-    /// 3. *pair probing*: each order of a pair still open is tried on a copy
-    ///    of the windows with (1) and (2). A contradiction on both sides
-    ///    refutes the candidate; on one side it fixes the other order.
+    /// 3. *pair probing*: each order of a pair still open is assumed, with
+    ///    (1) and (2) run on top and rolled back afterwards. A contradiction
+    ///    on both sides refutes the candidate; on one side it fixes the other
+    ///    order.
     ///
-    /// Every loop is bounded by the placement's size: a propagation takes at
-    /// most one round per block, each further one fixes a pair, and each
-    /// pair is probed once.
+    /// Every loop is bounded by the placement's size: a propagation makes
+    /// at most a quadratic number of steps in the blocks, each further one
+    /// fixes a pair, and each pair is probed once.
     pub fn refutes(&mut self, candidate: &RepetendCandidate, below: u64) -> Option<ScreenStage> {
         self.sweep_heads(candidate);
         self.refutes_from_heads(candidate, below)
@@ -264,8 +320,7 @@ impl CandidateScreen {
             return Some(ScreenStage::Jackson);
         }
         let deadline = below - 1;
-        self.keep_edges(candidate);
-        if !self.tighten(deadline, false) || self.one_machine_bound(below) >= below {
+        if !self.start_propagation(candidate, deadline) || self.one_machine_bound(below) >= below {
             return Some(ScreenStage::ImmediateSelection);
         }
         self.probe_pairs(deadline).then_some(ScreenStage::Probing)
@@ -323,39 +378,28 @@ impl CandidateScreen {
         bound
     }
 
-    /// Starts deadline propagation for `candidate`: its kept edges in
-    /// topological order, no arc fixed, every pair open.
-    fn keep_edges(&mut self, candidate: &RepetendCandidate) {
-        let indices = &candidate.indices;
-        self.edges.clear();
-        for &stage in &self.graph.order {
-            for &dep in self.graph.deps(stage) {
-                if indices[dep] == indices[stage] {
-                    self.edges.push((dep, stage));
-                }
-            }
+    /// Starts deadline propagation for `candidate`, whose heads and tails
+    /// `windows` holds (a fixpoint of its kept edges, every window within the
+    /// deadline): no arc fixed, every pair decided once, then propagation
+    /// and selection to a fixpoint. Whether the windows can still meet
+    /// `deadline`.
+    fn start_propagation(&mut self, candidate: &RepetendCandidate, deadline: u64) -> bool {
+        self.indices.copy_from_slice(&candidate.indices);
+        for arcs in self.arcs_out.iter_mut().chain(&mut self.arcs_in) {
+            arcs.clear();
         }
         self.windows.fixed.fill(false);
+        self.trail.clear();
+        for p in 0..self.pairs.len() {
+            if !self.decide(p, deadline) {
+                self.abandon();
+                return false;
+            }
+        }
+        self.tighten(deadline)
     }
 
-    /// [`tighten`] over `edges` and the candidate's windows, or the probe's
-    /// copy of them.
-    fn tighten(&mut self, deadline: u64, on_trial: bool) -> bool {
-        let windows = if on_trial {
-            &mut self.trial
-        } else {
-            &mut self.windows
-        };
-        tighten(
-            &self.graph.times,
-            &self.pairs,
-            deadline,
-            &mut self.edges,
-            windows,
-        )
-    }
-
-    /// Pair probing over `windows`, which [`tighten`] has brought to a
+    /// Pair probing over `windows`, which [`Self::tighten`] has brought to a
     /// fixpoint. Returns `true` if the candidate is refuted.
     fn probe_pairs(&mut self, deadline: u64) -> bool {
         for p in 0..self.pairs.len() {
@@ -364,105 +408,212 @@ impl CandidateScreen {
                 if self.windows.fixed[p] {
                     break;
                 }
-                let fixed_arcs = self.edges.len();
-                self.trial.copy_from(&self.windows);
-                self.trial.fixed[p] = true;
-                self.edges.push((first, second));
-                let met = self.tighten(deadline, true);
-                self.edges.truncate(fixed_arcs);
-                if met {
-                    continue;
-                }
+                let mark = self.trail.len();
+                let met = self.assume(p, first, second, deadline);
+                self.undo_to(mark);
                 // `first → second` misses the deadline: the pair runs the
                 // other way round, or the candidate is refuted.
-                self.windows.fixed[p] = true;
-                self.edges.push((second, first));
-                if !self.tighten(deadline, false) {
+                if !met && !self.assume(p, second, first, deadline) {
                     return true;
                 }
             }
         }
         false
     }
-}
 
-/// Longest paths along `edges` into `windows`. Returns `false` if a block's
-/// window `head + time + tail` passes `deadline`, or if the edges hold a
-/// cycle: longest paths over an acyclic edge set settle within one round per
-/// block, and a cycle runs through an arc, which joins two positive-time
-/// blocks, so no schedule orders its blocks that way. The round limit rather
-/// than the deadline ends the loop on a cycle, so the cost does not grow with
-/// the magnitude of the block times.
-fn propagate(
-    times: &[u64],
-    deadline: u64,
-    edges: &[(usize, usize)],
-    windows: &mut Windows,
-) -> bool {
-    let Windows { heads, tails, .. } = windows;
-    for _ in 0..=times.len() {
-        let mut changed = false;
-        for &(before, after) in edges {
-            let head = heads[before] + times[before];
-            if head > heads[after] {
-                if head + times[after] + tails[after] > deadline {
-                    return false;
-                }
-                heads[after] = head;
-                changed = true;
-            }
-        }
-        for &(before, after) in edges.iter().rev() {
-            let tail = times[after] + tails[after];
-            if tail > tails[before] {
-                if heads[before] + times[before] + tail > deadline {
-                    return false;
-                }
-                tails[before] = tail;
-                changed = true;
-            }
-        }
-        if !changed {
-            return true;
-        }
-    }
-    false
-}
-
-/// Precedence propagation and immediate selection to a fixpoint: whether the
-/// windows can still meet `deadline`. Every arc it fixes is appended to
-/// `edges` and its pair marked in `windows.fixed`.
-///
-/// On entry no window passes the deadline; [`propagate`] keeps it so.
-fn tighten(
-    times: &[u64],
-    pairs: &[(usize, usize)],
-    deadline: u64,
-    edges: &mut Vec<(usize, usize)>,
-    windows: &mut Windows,
-) -> bool {
-    loop {
-        if !propagate(times, deadline, edges, windows) {
+    /// Fixes `before → after` for pair `p` and tightens: whether the windows
+    /// can still meet `deadline`.
+    fn assume(&mut self, p: usize, before: usize, after: usize, deadline: u64) -> bool {
+        if !self.fix(p, before, after, deadline) {
+            self.abandon();
             return false;
         }
-        let fixed_arcs = edges.len();
-        for (p, &(i, j)) in pairs.iter().enumerate() {
-            if windows.fixed[p] {
-                continue;
+        self.tighten(deadline)
+    }
+
+    /// Propagation and immediate selection from the worklists to a
+    /// fixpoint: whether the windows can still meet `deadline`. On `false`
+    /// the worklists are emptied, the windows left where the contradiction
+    /// was found.
+    fn tighten(&mut self, deadline: u64) -> bool {
+        while self.propagate(deadline) {
+            if self.dirty.is_empty() {
+                return true;
             }
-            let both = times[i] + times[j];
-            let i_first = windows.heads[i] + both + windows.tails[j] <= deadline;
-            let j_first = windows.heads[j] + both + windows.tails[i] <= deadline;
-            match (i_first, j_first) {
-                (true, true) => continue,
-                (true, false) => edges.push((i, j)),
-                (false, true) => edges.push((j, i)),
-                (false, false) => return false,
+            if !self.select(deadline) {
+                break;
             }
-            windows.fixed[p] = true;
         }
-        if edges.len() == fixed_arcs {
+        self.abandon();
+        false
+    }
+
+    /// Pushes every raised head forwards and every raised tail backwards
+    /// along the kept edges and the fixed arcs until the worklists run dry.
+    /// Returns `false` if a block's window `head + time + tail` passes
+    /// `deadline`, or if the edges hold a cycle: a cycle runs through an
+    /// arc, which joins two positive-time blocks, so no schedule orders its
+    /// blocks that way. Without one, a FIFO worklist settles within one pass
+    /// per block, each block queued at most once per pass; the step budget
+    /// rather than the deadline ends the loop on a cycle, so the cost does
+    /// not grow with the magnitude of the block times.
+    fn propagate(&mut self, deadline: u64) -> bool {
+        let k = self.flags.len();
+        let mut budget = 2 * k * (k + 1);
+        loop {
+            if let Some(b) = self.head_queue.pop_front() {
+                self.flags[b] &= !HEAD_QUEUED;
+                let head = self.windows.heads[b] + self.graph.times[b];
+                for n in 0..self.dependents[b].len() {
+                    let after = self.dependents[b][n];
+                    if self.indices[after] == self.indices[b]
+                        && !self.raise_head(after, head, deadline)
+                    {
+                        return false;
+                    }
+                }
+                for n in 0..self.arcs_out[b].len() {
+                    if !self.raise_head(self.arcs_out[b][n], head, deadline) {
+                        return false;
+                    }
+                }
+            } else if let Some(b) = self.tail_queue.pop_front() {
+                self.flags[b] &= !TAIL_QUEUED;
+                let tail = self.graph.times[b] + self.windows.tails[b];
+                for n in 0..self.graph.deps(b).len() {
+                    let before = self.graph.deps(b)[n];
+                    if self.indices[before] == self.indices[b]
+                        && !self.raise_tail(before, tail, deadline)
+                    {
+                        return false;
+                    }
+                }
+                for n in 0..self.arcs_in[b].len() {
+                    if !self.raise_tail(self.arcs_in[b][n], tail, deadline) {
+                        return false;
+                    }
+                }
+            } else {
+                return true;
+            }
+            budget -= 1;
+            if budget == 0 {
+                return false;
+            }
+        }
+    }
+
+    /// Immediate selection on every open pair of a block whose window
+    /// changed. Returns `false` if some pair can run in neither order.
+    fn select(&mut self, deadline: u64) -> bool {
+        while let Some(b) = self.dirty.pop() {
+            self.flags[b] &= !DIRTY;
+            for n in 0..self.block_pairs[b].len() {
+                if !self.decide(self.block_pairs[b][n], deadline) {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Immediate selection on pair `p`: fixes the one order the deadline
+    /// leaves, if only one. Returns `false` if it leaves neither.
+    fn decide(&mut self, p: usize, deadline: u64) -> bool {
+        if self.windows.fixed[p] {
             return true;
+        }
+        let (i, j) = self.pairs[p];
+        let Windows { heads, tails, .. } = &self.windows;
+        let both = self.graph.times[i] + self.graph.times[j];
+        let i_first = heads[i] + both + tails[j] <= deadline;
+        let j_first = heads[j] + both + tails[i] <= deadline;
+        match (i_first, j_first) {
+            (true, true) => true,
+            (true, false) => self.fix(p, i, j, deadline),
+            (false, true) => self.fix(p, j, i, deadline),
+            (false, false) => false,
+        }
+    }
+
+    /// Fixes pair `p` as the arc `before → after` and pushes each end's
+    /// window across it. Returns `false` if a window passes `deadline`.
+    fn fix(&mut self, p: usize, before: usize, after: usize, deadline: u64) -> bool {
+        self.windows.fixed[p] = true;
+        self.arcs_out[before].push(after);
+        self.arcs_in[after].push(before);
+        self.trail.push(Undo::Arc(p, before, after));
+        let head = self.windows.heads[before] + self.graph.times[before];
+        let tail = self.graph.times[after] + self.windows.tails[after];
+        self.raise_head(after, head, deadline) && self.raise_tail(before, tail, deadline)
+    }
+
+    /// Raises block `b`'s head to `head` and queues it, unless it is already
+    /// that high. Returns `false` if that passes `deadline`.
+    fn raise_head(&mut self, b: usize, head: u64, deadline: u64) -> bool {
+        let old = self.windows.heads[b];
+        if head <= old {
+            return true;
+        }
+        if head + self.graph.times[b] + self.windows.tails[b] > deadline {
+            return false;
+        }
+        self.windows.heads[b] = head;
+        self.trail.push(Undo::Head(b, old));
+        if self.flags[b] & HEAD_QUEUED == 0 {
+            self.head_queue.push_back(b);
+        }
+        self.touch(b, HEAD_QUEUED);
+        true
+    }
+
+    /// [`Self::raise_head`] for block `b`'s tail.
+    fn raise_tail(&mut self, b: usize, tail: u64, deadline: u64) -> bool {
+        let old = self.windows.tails[b];
+        if tail <= old {
+            return true;
+        }
+        if self.windows.heads[b] + self.graph.times[b] + tail > deadline {
+            return false;
+        }
+        self.windows.tails[b] = tail;
+        self.trail.push(Undo::Tail(b, old));
+        if self.flags[b] & TAIL_QUEUED == 0 {
+            self.tail_queue.push_back(b);
+        }
+        self.touch(b, TAIL_QUEUED);
+        true
+    }
+
+    /// Sets `queued` on block `b` and marks it [`DIRTY`].
+    fn touch(&mut self, b: usize, queued: u8) {
+        if self.flags[b] & DIRTY == 0 {
+            self.dirty.push(b);
+        }
+        self.flags[b] |= queued | DIRTY;
+    }
+
+    /// Empties the worklists after a contradiction.
+    fn abandon(&mut self) {
+        self.head_queue.clear();
+        self.tail_queue.clear();
+        self.dirty.clear();
+        self.flags.fill(0);
+    }
+
+    /// Rolls every change after the first `mark` entries of the trail back,
+    /// latest first.
+    fn undo_to(&mut self, mark: usize) {
+        while self.trail.len() > mark {
+            match self.trail.pop().expect("length checked") {
+                Undo::Head(b, old) => self.windows.heads[b] = old,
+                Undo::Tail(b, old) => self.windows.tails[b] = old,
+                Undo::Arc(p, before, after) => {
+                    self.windows.fixed[p] = false;
+                    self.arcs_out[before].pop();
+                    self.arcs_in[after].pop();
+                }
+            }
         }
     }
 }
@@ -593,6 +744,212 @@ mod tests {
         assert_eq!(screen.refutes(&candidate, 9), None);
     }
 
+    #[test]
+    fn a_probe_that_closes_a_cycle_ends_on_the_step_budget() {
+        // `a → b → c` with `a` and `c` on device 0, next to a long block on
+        // device 2 that puts the deadline far beyond the chain. Probing the
+        // pair `(a, c)` the wrong way round closes the cycle `a → b → c → a`,
+        // which gains 3 units a lap: only the step budget, not the deadline,
+        // can end that in time.
+        let long = 1 << 40;
+        let mut b = PlacementSpec::builder("cycle", 3);
+        let a = b.add_block("a", BlockKind::Forward, [0], 1, 0, []).unwrap();
+        let mid = b
+            .add_block("b", BlockKind::Forward, [1], 1, 0, [a])
+            .unwrap();
+        let c = b
+            .add_block("c", BlockKind::Forward, [0], 1, 0, [mid])
+            .unwrap();
+        b.add_block("d", BlockKind::Forward, [2], long, 0, [])
+            .unwrap();
+        let placement = b.build().unwrap();
+        let candidate = RepetendCandidate {
+            indices: vec![0; 4],
+        };
+        let mut screen = CandidateScreen::new(&placement);
+        assert_eq!(screen.bound(&candidate, u64::MAX), long);
+        let stage = refutes_as_the_sweeps_do(&mut screen, &candidate, long + 1, "cycle");
+        assert_eq!(stage, None);
+        // The probe refuted `c → a`, so the pair is fixed as `a → c`.
+        assert_eq!(screen.pairs, vec![(a, c)]);
+        assert!(screen.windows.fixed[0] && screen.arcs_out[a] == [c]);
+    }
+
+    /// Stage 4 as it was before the trail, kept as the reference the
+    /// worklist must agree with: every `tighten` sweeps all edges until
+    /// nothing changes and rescans every pair, and every probe runs on a
+    /// copy of the windows.
+    mod sweeps {
+        use super::super::{CandidateScreen, Windows};
+        use crate::repetend::RepetendCandidate;
+        use crate::screen::ScreenStage;
+
+        /// [`CandidateScreen::refutes`] with the sweeps as its fourth stage.
+        pub(super) fn refutes(
+            screen: &mut CandidateScreen,
+            candidate: &RepetendCandidate,
+            below: u64,
+        ) -> Option<ScreenStage> {
+            screen.sweep_heads(candidate);
+            if screen.load_bound >= below {
+                return Some(ScreenStage::Load);
+            }
+            if screen.critical_path(candidate) >= below {
+                return Some(ScreenStage::CriticalPath);
+            }
+            if screen.one_machine_bound(below) >= below {
+                return Some(ScreenStage::Jackson);
+            }
+            let deadline = below - 1;
+            let indices = &candidate.indices;
+            let mut edges = Vec::new();
+            for &stage in &screen.graph.order {
+                for &dep in screen.graph.deps(stage) {
+                    if indices[dep] == indices[stage] {
+                        edges.push((dep, stage));
+                    }
+                }
+            }
+            screen.windows.fixed.fill(false);
+            let (times, pairs) = (&screen.graph.times, &screen.pairs);
+            if !tighten(times, pairs, deadline, &mut edges, &mut screen.windows)
+                || screen.one_machine_bound(below) >= below
+            {
+                return Some(ScreenStage::ImmediateSelection);
+            }
+            probe_pairs(screen, deadline, &mut edges).then_some(ScreenStage::Probing)
+        }
+
+        /// Pair probing over `screen.windows`, which [`tighten`] has brought
+        /// to a fixpoint. Returns `true` if the candidate is refuted.
+        fn probe_pairs(
+            screen: &mut CandidateScreen,
+            deadline: u64,
+            edges: &mut Vec<(usize, usize)>,
+        ) -> bool {
+            let (times, pairs) = (&screen.graph.times, &screen.pairs);
+            for (p, &(i, j)) in pairs.iter().enumerate() {
+                for (first, second) in [(i, j), (j, i)] {
+                    if screen.windows.fixed[p] {
+                        break;
+                    }
+                    let fixed_arcs = edges.len();
+                    let mut trial = screen.windows.clone();
+                    trial.fixed[p] = true;
+                    edges.push((first, second));
+                    let met = tighten(times, pairs, deadline, edges, &mut trial);
+                    edges.truncate(fixed_arcs);
+                    if met {
+                        continue;
+                    }
+                    screen.windows.fixed[p] = true;
+                    edges.push((second, first));
+                    if !tighten(times, pairs, deadline, edges, &mut screen.windows) {
+                        return true;
+                    }
+                }
+            }
+            false
+        }
+
+        /// Longest paths along `edges` into `windows`, one sweep each way
+        /// per round. Returns `false` if a window passes `deadline`, or if
+        /// the rounds run out (a cycle).
+        fn propagate(
+            times: &[u64],
+            deadline: u64,
+            edges: &[(usize, usize)],
+            windows: &mut Windows,
+        ) -> bool {
+            let Windows { heads, tails, .. } = windows;
+            for _ in 0..=times.len() {
+                let mut changed = false;
+                for &(before, after) in edges {
+                    let head = heads[before] + times[before];
+                    if head > heads[after] {
+                        if head + times[after] + tails[after] > deadline {
+                            return false;
+                        }
+                        heads[after] = head;
+                        changed = true;
+                    }
+                }
+                for &(before, after) in edges.iter().rev() {
+                    let tail = times[after] + tails[after];
+                    if tail > tails[before] {
+                        if heads[before] + times[before] + tail > deadline {
+                            return false;
+                        }
+                        tails[before] = tail;
+                        changed = true;
+                    }
+                }
+                if !changed {
+                    return true;
+                }
+            }
+            false
+        }
+
+        /// [`propagate`] and a rescan of every pair, to a fixpoint: whether
+        /// the windows can still meet `deadline`. Every arc it fixes is
+        /// appended to `edges` and its pair marked in `windows.fixed`.
+        fn tighten(
+            times: &[u64],
+            pairs: &[(usize, usize)],
+            deadline: u64,
+            edges: &mut Vec<(usize, usize)>,
+            windows: &mut Windows,
+        ) -> bool {
+            loop {
+                if !propagate(times, deadline, edges, windows) {
+                    return false;
+                }
+                let fixed_arcs = edges.len();
+                for (p, &(i, j)) in pairs.iter().enumerate() {
+                    if windows.fixed[p] {
+                        continue;
+                    }
+                    let both = times[i] + times[j];
+                    let i_first = windows.heads[i] + both + windows.tails[j] <= deadline;
+                    let j_first = windows.heads[j] + both + windows.tails[i] <= deadline;
+                    match (i_first, j_first) {
+                        (true, true) => continue,
+                        (true, false) => edges.push((i, j)),
+                        (false, true) => edges.push((j, i)),
+                        (false, false) => return false,
+                    }
+                    windows.fixed[p] = true;
+                }
+                if edges.len() == fixed_arcs {
+                    return true;
+                }
+            }
+        }
+    }
+
+    /// `refutes` on the trail, held to the sweeps: the same verdict at the
+    /// same stage, and where nothing is refuted the same windows and fixed
+    /// pairs. Leaves `screen` as the trail left it.
+    fn refutes_as_the_sweeps_do(
+        screen: &mut CandidateScreen,
+        candidate: &RepetendCandidate,
+        below: u64,
+        at: &str,
+    ) -> Option<ScreenStage> {
+        let mut reference = screen.clone();
+        let expected = sweeps::refutes(&mut reference, candidate, below);
+        let stage = screen.refutes(candidate, below);
+        assert_eq!(stage, expected, "{at}: below {below}, trail against sweeps");
+        if stage.is_none() {
+            assert_eq!(
+                screen.windows, reference.windows,
+                "{at}: below {below}, the fixpoints differ"
+            );
+        }
+        stage
+    }
+
     /// What one run of the soundness battery reached.
     #[derive(Debug, Default)]
     struct Reached {
@@ -607,7 +964,7 @@ mod tests {
     /// The fourth stage against the exhaustive solver: for every candidate of
     /// every seed's placement at NR 1-3 and every `below` from just past the
     /// Jackson bound to just past the optimum, `refutes` implies that the
-    /// optimum is not below `below`.
+    /// optimum is not below `below`, and it answers as the sweeps do.
     fn soundness_battery(seeds: std::ops::Range<u64>) -> Reached {
         let solver = Solver::new(SolverConfig::exhaustive().with_threads(1));
         let mut reached = Reached::default();
@@ -630,14 +987,15 @@ mod tests {
                 // Up to its own bound the screen is the three bounds.
                 assert!(
                     matches!(
-                        screen.refutes(&cand, jackson),
+                        refutes_as_the_sweeps_do(&mut screen, &cand, jackson, &at),
                         Some(ScreenStage::Load | ScreenStage::CriticalPath | ScreenStage::Jackson)
                     ),
                     "{at}"
                 );
                 for below in jackson + 1..=optimum + 2 {
                     reached.calls += 1;
-                    let Some(stage) = screen.refutes(&cand, below) else {
+                    let Some(stage) = refutes_as_the_sweeps_do(&mut screen, &cand, below, &at)
+                    else {
                         continue;
                     };
                     assert!(

@@ -499,12 +499,13 @@ impl<'a> SearchRun<'a> {
     /// so the last one wins.
     fn candidates(&mut self) -> Result<(), CoreError> {
         let clock = Instant::now();
+        let mut leaf = Leaf::new(self.placement.num_blocks());
         while !self.abort.should_stop() {
-            let leaf = match self.stream.next_below(self.optimal) {
-                Pull::Leaf(leaf) => leaf,
+            match self.stream.next_below(self.optimal, &mut leaf) {
+                Pull::Leaf => {}
                 Pull::Paused => continue,
                 Pull::Done => break,
-            };
+            }
             let Some((repetend, phases)) = self.evaluate(&leaf.candidate, &leaf.heads)? else {
                 continue;
             };
@@ -626,7 +627,9 @@ fn solve_phases(
 /// a pull lasts tens of microseconds at most.
 const PULL_STEPS: u64 = 4096;
 
-/// A candidate the enumeration let through, as handed to the candidate loop.
+/// A candidate the enumeration let through, as handed to the candidate loop:
+/// one buffer per run, which every [`CandidateStream::next_below`] that
+/// reaches a candidate overwrites.
 struct Leaf {
     nr: usize,
     candidate: RepetendCandidate,
@@ -634,9 +637,23 @@ struct Leaf {
     heads: Vec<u64>,
 }
 
+impl Leaf {
+    /// A buffer for candidates over `blocks` stages.
+    fn new(blocks: usize) -> Self {
+        Leaf {
+            nr: 0,
+            candidate: RepetendCandidate {
+                indices: vec![0; blocks],
+            },
+            heads: vec![0; blocks],
+        }
+    }
+}
+
 /// What one [`CandidateStream::next_below`] call came to.
 enum Pull {
-    Leaf(Leaf),
+    /// The next candidate is in the caller's [`Leaf`].
+    Leaf,
     /// No candidate yet: the step budget ran out or an `NR` level ended.
     Paused,
     /// Every level is exhausted.
@@ -673,19 +690,19 @@ impl CandidateStream {
     }
 
     /// Walks on towards the next candidate whose critical path is below
-    /// `below`, for [`PULL_STEPS`] steps at most.
-    fn next_below(&mut self, below: u64) -> Pull {
+    /// `below`, for [`PULL_STEPS`] steps at most, and writes it into `leaf`
+    /// if it gets there.
+    fn next_below(&mut self, below: u64, leaf: &mut Leaf) -> Pull {
         if self.nr > self.inflights {
             return Pull::Done;
         }
         match self.iter.advance(below, PULL_STEPS) {
-            Advance::Leaf(candidate) => {
+            Advance::Leaf => {
                 self.pulled += 1;
-                Pull::Leaf(Leaf {
-                    nr: self.nr,
-                    candidate,
-                    heads: self.iter.heads().to_vec(),
-                })
+                leaf.nr = self.nr;
+                leaf.candidate.indices.copy_from_slice(self.iter.indices());
+                leaf.heads.copy_from_slice(self.iter.heads());
+                Pull::Leaf
             }
             Advance::Paused => Pull::Paused,
             Advance::Done => {
@@ -1015,10 +1032,11 @@ mod tests {
         let config = SearchConfig::default().with_max_repetend_micro_batches(4);
         // The whole enumeration below the closed bound, uninterrupted.
         let mut stream = CandidateStream::new(&p, 4, None);
+        let mut leaf = Leaf::new(p.num_blocks());
         loop {
             let before = stream.iter.steps();
-            match stream.next_below(6) {
-                Pull::Leaf(leaf) => panic!("{:?} is below 6", leaf.candidate),
+            match stream.next_below(6, &mut leaf) {
+                Pull::Leaf => panic!("{:?} is below 6", leaf.candidate),
                 Pull::Paused => assert!(stream.iter.steps() - before <= PULL_STEPS),
                 Pull::Done => break,
             }

@@ -31,8 +31,18 @@ pub enum GreedyPriority {
 /// solver may still find a feasible schedule in that case.
 #[must_use]
 pub fn greedy_schedule(instance: &Instance, priority: GreedyPriority) -> Option<Solution> {
-    let n = instance.num_tasks();
     let windows = TimeWindows::compute(instance, instance.total_work());
+    greedy_with_windows(instance, &windows, priority)
+}
+
+/// [`greedy_schedule`] over time windows the caller already computed for
+/// `instance` (only their tails are read, so any horizon will do).
+pub(crate) fn greedy_with_windows(
+    instance: &Instance,
+    windows: &TimeWindows,
+    priority: GreedyPriority,
+) -> Option<Solution> {
+    let n = instance.num_tasks();
     let mut scheduled = vec![false; n];
     let mut starts = vec![0u64; n];
     let mut remaining_preds: Vec<usize> = (0..n)
@@ -70,7 +80,7 @@ pub fn greedy_schedule(instance: &Instance, priority: GreedyPriority) -> Option<
                 None => true,
                 Some((cur, cur_est)) => is_preferred(
                     instance,
-                    &windows,
+                    windows,
                     priority,
                     &device_mem,
                     id,

@@ -8,8 +8,9 @@
 //! [`jackson_preemptive_bound`] is the stronger one-machine relaxation. It is
 //! a *root* bound: the solver uses it to refuse bounded solves that cannot
 //! succeed, and `tessel-core` uses the same routine to screen repetend
-//! candidates before building their instances. The per-node bound of the
-//! branch-and-bound stays [`makespan_lower_bound`].
+//! candidates before building their instances. Below the bound of a bounded
+//! solve it is also the floor of every node bound; the per-node bound of an
+//! unbounded `minimize` stays [`makespan_lower_bound`].
 
 use crate::instance::Instance;
 use crate::propagate::TimeWindows;
@@ -90,21 +91,20 @@ pub fn jackson_preemptive_bound(jobs: &mut [(u64, u64, u64)]) -> u64 {
 /// device over the tasks that occupy it (a multi-device task counts on each
 /// of its devices), with heads and tails taken from `windows`.
 pub(crate) fn one_machine_bound(instance: &Instance, windows: &TimeWindows) -> u64 {
-    let mut jobs = Vec::with_capacity(instance.num_tasks());
-    (0..instance.num_devices())
-        .map(|device| {
-            jobs.clear();
-            jobs.extend(
-                instance
-                    .task_ids()
-                    .filter(|&id| instance.task(id).uses_device(device))
-                    .map(|id| {
-                        let duration = instance.task(id).duration;
-                        (windows.earliest_start(id), duration, windows.tail(id))
-                    }),
-            );
-            jackson_preemptive_bound(&mut jobs)
-        })
+    // One pass over the tasks builds every device's job list, each in task
+    // order; a device a task names twice still gets one job.
+    let mut jobs = vec![Vec::new(); instance.num_devices()];
+    for id in instance.task_ids() {
+        let task = instance.task(id);
+        let job = (windows.earliest_start(id), task.duration, windows.tail(id));
+        for (k, &device) in task.devices.iter().enumerate() {
+            if !task.devices[..k].contains(&device) {
+                jobs[device].push(job);
+            }
+        }
+    }
+    jobs.iter_mut()
+        .map(|jobs| jackson_preemptive_bound(jobs))
         .max()
         .unwrap_or(0)
 }

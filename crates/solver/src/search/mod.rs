@@ -51,7 +51,7 @@ mod parallel;
 mod simd;
 
 use crate::cancel::Abort;
-use crate::greedy::{greedy_schedule, GreedyPriority};
+use crate::greedy::{greedy_with_windows, GreedyPriority};
 use crate::instance::Instance;
 use crate::lower_bound::{device_load_lower_bound, one_machine_bound};
 use crate::progress::ProgressBoard;
@@ -351,7 +351,9 @@ impl Solver {
     /// [`one_machine_lower_bound`](crate::one_machine_lower_bound)) already
     /// reaches `upper_bound`, the call returns [`SolveOutcome::Infeasible`]
     /// with `complete` statistics and zero nodes, before any search state is
-    /// built.
+    /// built. Otherwise that bound is the floor of every node bound of the
+    /// search: it cuts nodes once the incumbent has come down to it, and
+    /// changes no answer.
     ///
     /// # Errors
     ///
@@ -366,8 +368,8 @@ impl Solver {
     /// This is the satisfiability mode used by the paper's lazy-search
     /// optimisation (§V) to validate that warmup and cooldown phases admit a
     /// schedule at all before spending time optimising them. A deadline below
-    /// the root lower bound is refused the same way as in
-    /// [`Solver::minimize_below`].
+    /// the root lower bound is refused, and the search floored, the same way
+    /// as in [`Solver::minimize_below`].
     ///
     /// # Errors
     ///
@@ -433,7 +435,7 @@ impl Solver {
     ) -> Result<SolveOutcome> {
         let started = Instant::now();
         let windows = TimeWindows::compute(instance, instance.total_work());
-        let lower = device_load_lower_bound(instance).max(windows.critical_path(instance));
+        let mut lower = device_load_lower_bound(instance).max(windows.critical_path(instance));
         // `upper` is exclusive: only schedules strictly below it are kept.
         let upper = match (upper_bound, deadline) {
             (_, Some(d)) => d.saturating_add(1),
@@ -443,10 +445,14 @@ impl Solver {
 
         // Root cut: a bounded solve whose root bound already reaches `upper`
         // is proved to have no schedule below it before any search state is
-        // built. The one-machine bound is used here and nowhere else — it
-        // must not reach `SearchContext::lower`, which shapes the node count
-        // of every unbounded `minimize`.
-        if upper < u64::MAX && (lower >= upper || one_machine_bound(instance, &windows) >= upper) {
+        // built. Below `upper`, the one-machine bound becomes the floor of
+        // every node bound of the bounded solve. An unbounded `minimize`
+        // never computes it: its `lower` shapes the node counts the
+        // benchmark pins.
+        if upper < u64::MAX && lower < upper {
+            lower = lower.max(one_machine_bound(instance, &windows));
+        }
+        if lower >= upper {
             return Ok(SolveOutcome::Infeasible(SolveStats {
                 complete: true,
                 elapsed: started.elapsed(),
@@ -468,7 +474,7 @@ impl Solver {
                 GreedyPriority::MemoryAware,
                 GreedyPriority::EarliestStart,
             ] {
-                if let Some(sol) = greedy_schedule(instance, priority) {
+                if let Some(sol) = greedy_with_windows(instance, &windows, priority) {
                     if sol.makespan() < upper {
                         upper = sol.makespan();
                         stats.incumbents += 1;
@@ -1159,10 +1165,12 @@ mod tests {
         // node `est`, the bound and the ready list are compared with a
         // from-scratch pass, and every search that returns is compared with
         // a fresh root. This test only has to drive enough different solves
-        // through them, serially and through the worker pool.
+        // through them, serially and through the worker pool. Bounded solves
+        // stop at the one-machine floor, so the battery needs 200 instances
+        // to reach the 20,000 nodes it asks for.
         let mut state = 0x007e_55e1_u64;
         let mut nodes = 0;
-        for case in 0..150 {
+        for case in 0..200 {
             let inst = random_instance(&mut state);
             let serial = Solver::new(SolverConfig::exhaustive().with_threads(1));
             let pool = Solver::new(

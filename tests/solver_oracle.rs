@@ -15,7 +15,9 @@
 //! Every instance is solved by `Solver::minimize` at 1, 2, 4 and 8 threads
 //! (half of the battery with the serial warm-start probe off, so the tiny
 //! instances really run through the worker pool), and the proved optimum is
-//! then squeezed from both sides with `minimize_below`. The seed is pinned;
+//! then squeezed from both sides with `minimize_below`. A second battery
+//! holds the bounded solves' one-machine floor to the unbounded search it
+//! leaves out. The seed is pinned;
 //! `TESSEL_FUZZ_SEED` (decimal or 0x-hex) overrides it and every failure
 //! message carries it.
 
@@ -177,9 +179,9 @@ fn brute_force(instance: &Instance) -> Option<u64> {
     best
 }
 
-#[test]
-fn solver_legacy_engine_and_brute_force_agree_on_random_instances() {
-    let seed = std::env::var("TESSEL_FUZZ_SEED")
+/// `TESSEL_FUZZ_SEED` (decimal or 0x-hex), or the pinned default.
+fn fuzz_seed() -> u64 {
+    std::env::var("TESSEL_FUZZ_SEED")
         .ok()
         .and_then(|raw| {
             let raw = raw.trim();
@@ -188,7 +190,12 @@ fn solver_legacy_engine_and_brute_force_agree_on_random_instances() {
                 None => raw.parse().ok(),
             }
         })
-        .unwrap_or(0x0b5e_55ed);
+        .unwrap_or(0x0b5e_55ed)
+}
+
+#[test]
+fn solver_legacy_engine_and_brute_force_agree_on_random_instances() {
+    let seed = fuzz_seed();
     let mut rng = Rng(seed);
     let (mut feasible, mut nodes) = (0, 0);
     for case in 0..INSTANCES {
@@ -246,4 +253,88 @@ fn solver_legacy_engine_and_brute_force_agree_on_random_instances() {
         nodes >= 50 * INSTANCES as u64,
         "TESSEL_FUZZ_SEED={seed:#x}: only {nodes} nodes expanded"
     );
+}
+
+/// A bounded solve floors every node bound at the instance's one-machine
+/// bound; an unbounded one does not. The floor may only cut nodes: on every
+/// instance, a bound no schedule reaches (`u64::MAX - 1`) must return the
+/// starts, the makespan and the incumbents of the unbounded solve, with no
+/// more nodes, and the proved optimum must be exactly where a bounded solve
+/// stops finding schedules.
+fn floor_battery(instances: usize) {
+    let seed = fuzz_seed();
+    let mut rng = Rng(seed);
+    let solver = Solver::new(SolverConfig::exhaustive().with_threads(1));
+    let (mut feasible, mut cut) = (0, 0);
+    for case in 0..instances {
+        let instance = loop {
+            if let Some(instance) = draw(&mut rng) {
+                break instance;
+            }
+        };
+        let context = format!("TESSEL_FUZZ_SEED={seed:#x} instance {case}: {instance:?}");
+        let free = solver.minimize(&instance).expect("solve");
+        let floored = solver
+            .minimize_below(&instance, u64::MAX - 1)
+            .expect("solve");
+        assert!(
+            free.stats().complete && floored.stats().complete,
+            "{context}"
+        );
+        assert_eq!(
+            floored.solution().map(|s| s.starts().to_vec()),
+            free.solution().map(|s| s.starts().to_vec()),
+            "starts; {context}"
+        );
+        assert_eq!(
+            floored.solution().map(|s| s.makespan()),
+            free.solution().map(|s| s.makespan()),
+            "makespan; {context}"
+        );
+        assert_eq!(
+            floored.stats().incumbents,
+            free.stats().incumbents,
+            "incumbents; {context}"
+        );
+        assert!(
+            floored.stats().nodes <= free.stats().nodes,
+            "{} nodes with the floor, {} without; {context}",
+            floored.stats().nodes,
+            free.stats().nodes
+        );
+        cut += free.stats().nodes - floored.stats().nodes;
+        let Some(optimum) = free.solution().map(|s| s.makespan()) else {
+            continue;
+        };
+        feasible += 1;
+        let below = solver.minimize_below(&instance, optimum).expect("solve");
+        assert!(below.is_infeasible(), "below the optimum; {context}");
+        let met = solver.satisfy(&instance, optimum).expect("solve");
+        met.solution()
+            .unwrap_or_else(|| panic!("no schedule by the optimum; {context}"))
+            .validate(&instance)
+            .unwrap_or_else(|e| panic!("{e}; {context}"));
+    }
+    eprintln!(
+        "TESSEL_FUZZ_SEED={seed:#x}: {feasible} of {instances} instances feasible, \
+         {cut} nodes cut by the floor"
+    );
+    // The battery has to reach its subject: solves the floor shortens.
+    assert!(
+        feasible * 10 >= instances * 7 && cut > 0,
+        "TESSEL_FUZZ_SEED={seed:#x}: {feasible} feasible, {cut} nodes cut"
+    );
+}
+
+#[test]
+fn the_one_machine_floor_keeps_every_answer() {
+    floor_battery(300);
+}
+
+/// Reproduce a failure with `TESSEL_FUZZ_SEED=<seed> cargo test --release
+/// --test solver_oracle floor -- --include-ignored`.
+#[test]
+#[ignore = "10k instances; CI's fuzz job runs it in release"]
+fn the_one_machine_floor_keeps_every_answer_on_10k_instances() {
+    floor_battery(10_000);
 }
