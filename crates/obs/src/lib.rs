@@ -13,12 +13,9 @@
 //! * **Request-scoped trace IDs** ([`TraceId`]): 32 lowercase hex
 //!   characters, minted per request or adopted from a validated
 //!   `X-Tessel-Trace-Id` header so a trace spans the cluster tier.
-//! * **Stage timing** ([`begin_request`], [`stage`], [`record_stage`],
-//!   [`end_request`]): a thread-local span collector the request pipeline
-//!   feeds per-stage wall-clock into; the transport harvests it to build
-//!   flight-recorder entries, `Server-Timing` headers and per-stage
-//!   histograms. All recording calls are no-ops when no request context is
-//!   active, so library callers pay one thread-local read.
+//!   The active ID lives in a thread-local set by [`begin_request`] and
+//!   cleared by [`end_request`]; a request's stage timing is kept by the
+//!   service that opens it, not here.
 //! * **Log-bucketed histograms** ([`Histogram`]): atomic fixed-bucket
 //!   duration histograms on a 1–2.5–5 ladder from 100µs to 60s, rendered as
 //!   real Prometheus `_bucket`/`_sum`/`_count` series
@@ -27,14 +24,14 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::collections::hash_map::RandomState;
 use std::fmt;
 use std::hash::{BuildHasher, Hasher};
 use std::io::Write;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::{SystemTime, UNIX_EPOCH};
 
 // ---------------------------------------------------------------------------
 // Levels and formats
@@ -356,89 +353,29 @@ impl fmt::Debug for TraceId {
 }
 
 // ---------------------------------------------------------------------------
-// Request context and stage timing
+// Request trace context
 // ---------------------------------------------------------------------------
 
-struct ActiveRequest {
-    trace_id: TraceId,
-    stages: Vec<(&'static str, u64)>,
-}
-
 thread_local! {
-    static CURRENT: RefCell<Option<ActiveRequest>> = const { RefCell::new(None) };
+    static CURRENT: Cell<Option<TraceId>> = const { Cell::new(None) };
 }
 
-/// A completed request context: the trace ID plus every recorded stage, in
-/// first-recorded order (repeated stages merged by summing).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FinishedRequest {
-    /// The request's trace ID.
-    pub trace_id: TraceId,
-    /// `(stage name, wall-clock microseconds)` rows.
-    pub stages: Vec<(&'static str, u64)>,
-}
-
-impl FinishedRequest {
-    /// Microseconds recorded for `name` (0 when the stage never ran).
-    #[must_use]
-    pub fn stage_micros(&self, name: &str) -> u64 {
-        self.stages
-            .iter()
-            .find(|(stage, _)| *stage == name)
-            .map_or(0, |(_, micros)| *micros)
-    }
-}
-
-/// Opens a request context on this thread. Stages recorded until the matching
-/// [`end_request`] accumulate under `trace_id`; log events carry it
-/// automatically. Re-entrant calls replace the previous context (the
-/// transport is the one caller and never nests).
+/// Opens a request's trace context on this thread: log events carry
+/// `trace_id` until the matching [`end_request`]. A second call replaces the
+/// first (the service's request books are the one caller and never nest).
 pub fn begin_request(trace_id: TraceId) {
-    CURRENT.with(|current| {
-        *current.borrow_mut() = Some(ActiveRequest {
-            trace_id,
-            stages: Vec::with_capacity(8),
-        });
-    });
+    CURRENT.with(|current| current.set(Some(trace_id)));
 }
 
 /// The trace ID of the request context active on this thread, if any.
 #[must_use]
 pub fn current_trace_id() -> Option<TraceId> {
-    CURRENT.with(|current| current.borrow().as_ref().map(|active| active.trace_id))
+    CURRENT.with(Cell::get)
 }
 
-/// Adds `micros` to stage `name` of the active request context (no-op when
-/// none is active). Repeated recordings of one stage sum.
-pub fn record_stage(name: &'static str, micros: u64) {
-    CURRENT.with(|current| {
-        if let Some(active) = current.borrow_mut().as_mut() {
-            match active.stages.iter_mut().find(|(stage, _)| *stage == name) {
-                Some((_, total)) => *total += micros,
-                None => active.stages.push((name, micros)),
-            }
-        }
-    });
-}
-
-/// Runs `f`, recording its wall-clock as stage `name` of the active request
-/// context (still runs `f`, un-timed in effect, when none is active).
-pub fn stage<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
-    let started = Instant::now();
-    let result = f();
-    record_stage(name, started.elapsed().as_micros() as u64);
-    result
-}
-
-/// Closes the request context on this thread and returns what it collected
-/// (`None` when none was active).
-pub fn end_request() -> Option<FinishedRequest> {
-    CURRENT.with(|current| {
-        current.borrow_mut().take().map(|active| FinishedRequest {
-            trace_id: active.trace_id,
-            stages: active.stages,
-        })
-    })
+/// Closes the request's trace context on this thread.
+pub fn end_request() {
+    CURRENT.with(|current| current.set(None));
 }
 
 // ---------------------------------------------------------------------------
@@ -795,23 +732,13 @@ mod tests {
     }
 
     #[test]
-    fn stages_accumulate_and_merge_per_request() {
+    fn the_trace_context_lasts_from_begin_to_end() {
         let trace = TraceId::generate();
+        assert_eq!(current_trace_id(), None);
         begin_request(trace);
         assert_eq!(current_trace_id(), Some(trace));
-        record_stage("cache_lookup", 10);
-        let value = stage("solve", || 42);
-        assert_eq!(value, 42);
-        record_stage("cache_lookup", 5);
-        let finished = end_request().unwrap();
-        assert_eq!(finished.trace_id, trace);
-        assert_eq!(finished.stage_micros("cache_lookup"), 15);
-        assert_eq!(finished.stage_micros("missing"), 0);
-        assert_eq!(finished.stages[0].0, "cache_lookup");
-        // The context is gone; further recording is a no-op.
+        end_request();
         assert_eq!(current_trace_id(), None);
-        record_stage("late", 1);
-        assert!(end_request().is_none());
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! In-memory flight recorder: the last N completed requests with per-stage
 //! timing breakdowns, plus a slowest-requests leaderboard.
 //!
-//! Every completed request — HTTP or in-process — deposits one
-//! [`FlightRecord`] here. The recorder keeps two bounded views:
+//! Every completed request — HTTP or in-process — deposits the one
+//! [`FlightRecordInfo`] its books closed to here
+//! ([`crate::inflight::RequestBooks::close`]), and both views serve that
+//! same record on the wire. The recorder keeps two bounded views:
 //!
 //! * **recent** — a ring buffer of the last [`FlightRecorder::capacity`]
 //!   requests, newest first, for "what just happened" debugging;
@@ -14,7 +16,8 @@
 //! the trace ID, request line, status and a short stage vector — roughly 200
 //! bytes each, so the default configuration retains well under 64 KiB.
 
-use crate::wire::{DebugRequestsResponse, FlightRecordInfo, StageTimingInfo};
+use crate::http::route::split_target;
+use crate::wire::{DebugRequestsResponse, FlightRecordInfo};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
@@ -33,62 +36,6 @@ pub const RECENT_CAPACITY: usize = 128;
 /// Number of slowest-request slots retained.
 pub const SLOWEST_CAPACITY: usize = 16;
 
-/// One per-stage timing row of a completed request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StageTiming {
-    /// Stage name (see the span taxonomy in `docs/ARCHITECTURE.md`).
-    pub name: String,
-    /// Wall-clock microseconds spent in the stage.
-    pub micros: u64,
-}
-
-/// A completed request as retained by the flight recorder.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlightRecord {
-    /// The request's trace ID (32 lowercase hex characters).
-    pub trace_id: String,
-    /// HTTP method (`"POST"`), or `"CALL"` for in-process searches.
-    pub method: String,
-    /// Request path (`"/v1/search"`).
-    pub path: String,
-    /// Response status code (200 for in-process searches that succeed).
-    pub status: u16,
-    /// Unix milliseconds when the request started.
-    pub start_unix_ms: u64,
-    /// Total wall-clock microseconds, accept to write.
-    pub total_micros: u64,
-    /// Per-stage breakdown, in execution order.
-    pub stages: Vec<StageTiming>,
-}
-
-impl FlightRecord {
-    /// The record of a request whose trace just ended: `finished` supplies
-    /// the trace ID and the stage breakdown, the caller the envelope.
-    #[must_use]
-    pub fn from_finished(
-        finished: &tessel_obs::FinishedRequest,
-        (method, path): (&str, &str),
-        status: u16,
-        start_unix_ms: u64,
-        total_micros: u64,
-    ) -> Self {
-        FlightRecord {
-            trace_id: finished.trace_id.as_str().to_string(),
-            method: method.to_string(),
-            path: path.to_string(),
-            status,
-            start_unix_ms,
-            total_micros,
-            stages: (finished.stages.iter())
-                .map(|&(name, micros)| StageTiming {
-                    name: name.to_string(),
-                    micros,
-                })
-                .collect(),
-        }
-    }
-}
-
 /// Filter predicate for `GET /v1/debug/requests` query parameters. Every
 /// populated field must match; an empty query matches everything.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -97,7 +44,8 @@ pub struct FlightQuery {
     pub status: Option<u16>,
     /// Minimum total duration in microseconds (`?min_micros=50000`).
     pub min_micros: Option<u64>,
-    /// Exact request path (`?endpoint=/v1/search`).
+    /// Exact request path, without the record's query string
+    /// (`?endpoint=/v1/search` also lists `/v1/search?stream=1`).
     pub endpoint: Option<String>,
     /// Exact trace ID (`?trace=HEX32`).
     pub trace: Option<String>,
@@ -112,7 +60,7 @@ impl FlightQuery {
 
     /// `true` when `record` satisfies every populated filter field.
     #[must_use]
-    pub fn matches(&self, record: &FlightRecord) -> bool {
+    pub fn matches(&self, record: &FlightRecordInfo) -> bool {
         self.status.is_none_or(|status| record.status == status)
             && self
                 .min_micros
@@ -120,41 +68,11 @@ impl FlightQuery {
             && self
                 .endpoint
                 .as_deref()
-                .is_none_or(|endpoint| record.path == endpoint)
+                .is_none_or(|endpoint| split_target(&record.path).0 == endpoint)
             && self
                 .trace
                 .as_deref()
                 .is_none_or(|trace| record.trace_id == trace)
-    }
-}
-
-impl FlightRecord {
-    /// Microseconds recorded for stage `name` (0 when it never ran).
-    #[must_use]
-    pub fn stage_micros(&self, name: &str) -> u64 {
-        self.stages
-            .iter()
-            .find(|stage| stage.name == name)
-            .map_or(0, |stage| stage.micros)
-    }
-
-    fn to_wire(&self) -> FlightRecordInfo {
-        FlightRecordInfo {
-            trace_id: self.trace_id.clone(),
-            method: self.method.clone(),
-            path: self.path.clone(),
-            status: self.status,
-            start_unix_ms: self.start_unix_ms,
-            total_micros: self.total_micros,
-            stages: self
-                .stages
-                .iter()
-                .map(|stage| StageTimingInfo {
-                    name: stage.name.clone(),
-                    micros: stage.micros,
-                })
-                .collect(),
-        }
     }
 }
 
@@ -166,8 +84,8 @@ impl FlightRecord {
 #[derive(Debug)]
 pub struct FlightRecorder {
     capacity: usize,
-    recent: Mutex<VecDeque<Arc<FlightRecord>>>,
-    slowest: Mutex<Vec<Arc<FlightRecord>>>,
+    recent: Mutex<VecDeque<Arc<FlightRecordInfo>>>,
+    slowest: Mutex<Vec<Arc<FlightRecordInfo>>>,
 }
 
 impl Default for FlightRecorder {
@@ -194,7 +112,7 @@ impl FlightRecorder {
     }
 
     /// Deposits one completed request into both views.
-    pub fn record(&self, record: FlightRecord) {
+    pub fn record(&self, record: FlightRecordInfo) {
         let record = Arc::new(record);
         {
             let mut recent = self.recent.lock().expect("flight recorder lock");
@@ -217,14 +135,14 @@ impl FlightRecorder {
 
     /// The recent view, newest first.
     #[must_use]
-    pub fn recent(&self) -> Vec<Arc<FlightRecord>> {
+    pub fn recent(&self) -> Vec<Arc<FlightRecordInfo>> {
         let recent = self.recent.lock().expect("flight recorder lock");
         recent.iter().rev().cloned().collect()
     }
 
     /// The slowest view, slowest first.
     #[must_use]
-    pub fn slowest(&self) -> Vec<Arc<FlightRecord>> {
+    pub fn slowest(&self) -> Vec<Arc<FlightRecordInfo>> {
         self.slowest.lock().expect("flight recorder lock").clone()
     }
 
@@ -243,13 +161,13 @@ impl FlightRecorder {
                 .recent()
                 .iter()
                 .filter(|r| query.matches(r))
-                .map(|r| r.to_wire())
+                .map(|r| (**r).clone())
                 .collect(),
             slowest: self
                 .slowest()
                 .iter()
                 .filter(|r| query.matches(r))
-                .map(|r| r.to_wire())
+                .map(|r| (**r).clone())
                 .collect(),
         }
     }
@@ -258,8 +176,8 @@ impl FlightRecorder {
     /// across the two views (a record can sit in both). Trace assembly walks
     /// this to rebuild a request's span timeline.
     #[must_use]
-    pub fn find_by_trace(&self, trace_id: &str) -> Vec<Arc<FlightRecord>> {
-        let mut found: Vec<Arc<FlightRecord>> = Vec::new();
+    pub fn find_by_trace(&self, trace_id: &str) -> Vec<Arc<FlightRecordInfo>> {
+        let mut found: Vec<Arc<FlightRecordInfo>> = Vec::new();
         {
             let recent = self.recent.lock().expect("flight recorder lock");
             found.extend(recent.iter().filter(|r| r.trace_id == trace_id).cloned());
@@ -278,9 +196,10 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::StageTimingInfo;
 
-    fn record(trace: &str, total: u64) -> FlightRecord {
-        FlightRecord {
+    fn record(trace: &str, total: u64) -> FlightRecordInfo {
+        FlightRecordInfo {
             trace_id: trace.to_string(),
             method: "POST".to_string(),
             path: "/v1/search".to_string(),
@@ -288,11 +207,11 @@ mod tests {
             start_unix_ms: 1_700_000_000_000,
             total_micros: total,
             stages: vec![
-                StageTiming {
+                StageTimingInfo {
                     name: "solve".to_string(),
                     micros: total / 2,
                 },
-                StageTiming {
+                StageTimingInfo {
                     name: "serialize".to_string(),
                     micros: total / 4,
                 },
@@ -338,14 +257,6 @@ mod tests {
         }
         assert_eq!(recorder.slowest().len(), SLOWEST_CAPACITY);
         assert_eq!(recorder.slowest()[0].total_micros, 99);
-    }
-
-    #[test]
-    fn stage_micros_looks_up_by_name() {
-        let r = record("t", 100);
-        assert_eq!(r.stage_micros("solve"), 50);
-        assert_eq!(r.stage_micros("serialize"), 25);
-        assert_eq!(r.stage_micros("absent"), 0);
     }
 
     #[test]

@@ -15,10 +15,11 @@ use super::parse::{parse_request, scan_json_integer, ParseCursor};
 use super::reply::encode_response;
 use super::route::{error_response, split_target, stream_requested};
 use super::ServerConfig;
-use crate::flight::{FlightRecord, StageTiming};
+use crate::inflight::Stage;
 use crate::metrics::{ServiceMetrics, TransportMetrics};
 use crate::service::ScheduleService;
 use crate::sys::{Event, Interest, Poller};
+use crate::wire::{FlightRecordInfo, StageTimingInfo};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{PipeReader, PipeWriter, Read, Write};
 use std::net::{IpAddr, TcpListener, TcpStream};
@@ -95,7 +96,7 @@ impl Completion {
 #[derive(Debug)]
 pub(super) struct PendingFlight {
     pub(super) service: Arc<ScheduleService>,
-    pub(super) record: FlightRecord,
+    pub(super) record: FlightRecordInfo,
     pub(super) created: Instant,
 }
 
@@ -463,16 +464,15 @@ impl EventLoop {
             let write_micros = pending.created.elapsed().as_micros() as u64;
             let mut record = pending.record;
             record.total_micros += write_micros;
-            record.stages.push(StageTiming {
-                name: "write".to_string(),
+            record.stages.push(StageTimingInfo {
+                name: Stage::Write.name().to_string(),
                 micros: write_micros,
             });
             let (path, _query) = split_target(&record.path);
             let label = ServiceMetrics::endpoint_label(path);
-            pending
-                .service
-                .metrics()
-                .observe_endpoint_micros(label, record.total_micros);
+            let metrics = pending.service.metrics();
+            metrics.observe_endpoint_micros(label, record.total_micros);
+            metrics.observe_stage(Stage::Write, write_micros);
             pending.service.record_flight(record);
         }
     }

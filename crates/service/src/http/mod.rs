@@ -55,7 +55,7 @@ mod event_loop;
 mod fuzz;
 pub(crate) mod parse;
 mod reply;
-mod route;
+pub(crate) mod route;
 #[cfg(test)]
 mod tests;
 

@@ -1,10 +1,12 @@
 //! What a worker does with one job.
 //!
 //! This module owns one decision: *how a request's books are opened and
-//! closed around its answer*. Every job gets the same prologue (trace ID,
-//! `parse` / `queue_wait` stages, in-flight registration) and the same
-//! epilogue (trace ended, completion logged, flight record built, terminal
-//! [`Completion`] queued) from one [`Reply`] value; only the middle differs —
+//! closed around its answer*. Every job gets the same prologue (the books
+//! opened with the trace ID, request line and peer; the `parse` /
+//! `queue_wait` stages) and the same epilogue (the books closed to a flight
+//! record, completion logged, terminal [`Completion`] queued) from one
+//! [`Reply`] value, through the same open and close the in-process
+//! [`ScheduleService`] calls use; only the middle differs —
 //! one [`route`]d [`Response`], or the chunked `text/event-stream` of
 //! `POST /v1/search?stream=1`, whose incumbent frames are *droppable* under
 //! backpressure while the terminal frame never is. Encoding lives here too,
@@ -13,11 +15,10 @@
 use super::admission::{AdmissionQueue, Job};
 use super::event_loop::{Completion, Completions, PendingFlight};
 use super::route::{decode_json, render_json, route, stream_requested, Response};
-use crate::flight::{now_unix_ms, FlightRecord, StageTiming};
-use crate::inflight::InflightGuard;
+use crate::inflight::{self, RequestBooks, Stage};
 use crate::metrics::TransportMetrics;
 use crate::service::ScheduleService;
-use crate::wire::{ErrorBody, SearchRequest, StreamEvent};
+use crate::wire::{ErrorBody, SearchRequest, StageTimingInfo, StreamEvent};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -58,20 +59,18 @@ impl Worker {
     }
 }
 
-/// One job's open books, from worker pickup to its terminal completion.
+/// One job, from worker pickup to its terminal completion.
 struct Reply<'w> {
     worker: &'w Worker,
     job: Job,
-    trace_id: TraceId,
     started: Instant,
-    start_unix_ms: u64,
-    /// Live registration: the request shows up on `GET /v1/debug/inflight`
-    /// (with its solver progress board) until this value drops.
-    _inflight: InflightGuard<'w>,
+    /// The request's books: it shows up on `GET /v1/debug/inflight` (with
+    /// its solver progress board) until they close.
+    books: RequestBooks<'w>,
 }
 
 impl<'w> Reply<'w> {
-    /// The prologue: opens the request's trace and records what happened
+    /// The prologue: opens the request's books and records what happened
     /// before a worker saw it.
     fn open(worker: &'w Worker, job: Job) -> Self {
         // A valid inbound trace ID joins the request to the originating
@@ -79,33 +78,28 @@ impl<'w> Reply<'w> {
         // oversized — mints a fresh ID and the raw header value is never
         // reflected back.
         let inbound = job.request.trace_header.as_deref();
-        let trace_id = inbound
-            .and_then(TraceId::parse)
-            .unwrap_or_else(TraceId::generate);
         let started = Instant::now();
-        let start_unix_ms = now_unix_ms();
-        tessel_obs::begin_request(trace_id);
-        tessel_obs::record_stage("parse", job.parse_micros);
-        tessel_obs::record_stage("queue_wait", job.enqueued.elapsed().as_micros() as u64);
-        let _inflight = worker.service.register_inflight(
+        let queue_wait = job.enqueued.elapsed().as_micros() as u64;
+        let books = worker.service.open_request(
+            inbound.and_then(TraceId::parse),
             &job.request.method,
             &job.request.path,
             job.client.map(|ip| ip.to_string()),
         );
+        inflight::record_stage(Stage::Parse, job.parse_micros);
+        inflight::record_stage(Stage::QueueWait, queue_wait);
         Reply {
             worker,
             job,
-            trace_id,
             started,
-            start_unix_ms,
-            _inflight,
+            books,
         }
     }
 
     /// Answers with one encoded response carrying the trace ID and the
     /// `Server-Timing` stage breakdown.
     fn single_shot(self, response: &Response) {
-        let trace_id = self.trace_id;
+        let trace_id = self.books.trace_id();
         let keep_alive = !self.job.close;
         self.finish(response.status, "request completed", |stages| {
             encode_response(response, keep_alive, |head| {
@@ -134,7 +128,7 @@ impl<'w> Reply<'w> {
         let completions = &self.worker.completions;
         let head = format!(
             "HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\nTransfer-Encoding: chunked\r\nConnection: close\r\nX-Tessel-Trace-Id: {}\r\n\r\n",
-            self.trace_id.as_str()
+            self.books.trace_id().as_str()
         );
         completions.push(Completion::fragment(token, seq, head.into_bytes(), false));
         // Incumbents fall within one candidate's solve, not across
@@ -175,19 +169,24 @@ impl<'w> Reply<'w> {
         self.finish(status, "streamed request completed", |_stages| bytes);
     }
 
-    /// The epilogue: ends the request's trace, logs the completion line,
-    /// builds the flight-recorder entry (trace ID, request line, status,
-    /// stage breakdown) that the event loop finalizes once the response's
-    /// write pass has run, and queues the terminal completion. `encode`
-    /// renders the terminal bytes from the recorded stages (none when no
-    /// trace was open on this thread).
-    fn finish(self, status: u16, message: &str, encode: impl FnOnce(&[StageTiming]) -> Vec<u8>) {
+    /// The epilogue: closes the books — so the request has left
+    /// `GET /v1/debug/inflight` before its completion is queued — logs the
+    /// completion line, and queues the terminal completion with the flight
+    /// record, which the event loop finalizes once the response's write pass
+    /// has run. `encode` renders the terminal bytes from the closed stages.
+    fn finish(
+        self,
+        status: u16,
+        message: &str,
+        encode: impl FnOnce(&[StageTimingInfo]) -> Vec<u8>,
+    ) {
+        let trace_id = self.books.trace_id();
+        let record = self.books.close(status);
         let request = &self.job.request;
-        let finished = tessel_obs::end_request();
-        let total_micros = self.started.elapsed().as_micros() as u64;
         // Checked first: the fields are formatted for the line alone, and the
         // daemon usually runs at a level that drops it.
         if tessel_obs::enabled(tessel_obs::Level::Info) {
+            let total_micros = record.as_ref().map_or(0, |r| r.total_micros);
             tessel_obs::info(
                 "http",
                 message,
@@ -196,20 +195,14 @@ impl<'w> Reply<'w> {
                     ("path", request.path.as_str()),
                     ("status", &status.to_string()),
                     ("micros", &total_micros.to_string()),
-                    ("trace_id", self.trace_id.as_str()),
+                    ("trace_id", trace_id.as_str()),
                 ],
             );
         }
-        let flight = finished.map(|done| {
+        let flight = record.map(|record| {
             Box::new(PendingFlight {
                 service: self.worker.service.clone(),
-                record: FlightRecord::from_finished(
-                    &done,
-                    (request.method.as_str(), request.path.as_str()),
-                    status,
-                    self.start_unix_ms,
-                    total_micros,
-                ),
+                record,
                 created: Instant::now(),
             })
         });

@@ -3,13 +3,15 @@
 //! This module owns one decision: *what a request line means* — which
 //! handler a method and path select, how the query string is read, and what
 //! status and body the handler's outcome becomes. It knows nothing about
-//! sockets, connections or tracing; a worker hands it a parsed request and
-//! gets back an un-encoded response. (The route table itself is documented
-//! once, in the parent module.)
+//! sockets or connections, and of the request's books only the `decode` and
+//! `serialize` stages it times; a worker hands it a parsed request and gets
+//! back an un-encoded response. (The route table itself is documented once,
+//! in the parent module.)
 
 use super::parse::ParsedRequest;
 use super::TIMESERIES_CAPACITY;
 use crate::flight::now_unix_ms;
+use crate::inflight::{self, Stage};
 use crate::metrics::TransportMetrics;
 use crate::service::ScheduleService;
 use crate::wire::ErrorBody;
@@ -30,7 +32,7 @@ pub(super) struct Response {
 
 /// Splits a request target into its path and query string (`""` without a
 /// `?`).
-pub(super) fn split_target(target: &str) -> (&str, &str) {
+pub(crate) fn split_target(target: &str) -> (&str, &str) {
     target.split_once('?').unwrap_or((target, ""))
 }
 
@@ -84,7 +86,7 @@ fn handle(
             match service.answer(&search_request) {
                 // Written from the cache entry itself: no `SearchResponse`
                 // is built on the way to the body.
-                Ok(answer) => tessel_obs::stage("serialize", || {
+                Ok(answer) => inflight::stage(Stage::Serialize, || {
                     let mut body = String::with_capacity(ANSWER_CAPACITY);
                     answer.write_json(&mut body);
                     Response {
@@ -301,7 +303,7 @@ fn json_response<T: Serialize>(status: u16, value: &T) -> Response {
 
 /// Decodes a JSON request body as the `decode` stage of the request's trace.
 pub(super) fn decode_json<T: serde::Deserialize>(body: &str) -> serde_json::Result<T> {
-    tessel_obs::stage("decode", || serde_json::from_str(body))
+    inflight::stage(Stage::Decode, || serde_json::from_str(body))
 }
 
 pub(super) fn render_json<T: Serialize>(value: &T) -> String {

@@ -1,12 +1,23 @@
-//! Live in-flight request registry: every admitted request, from admission
-//! to response, visible at `GET /v1/debug/inflight`.
+//! One request's books, from the moment a thread takes it on to its flight
+//! record, and the live registry of every request whose books are open
+//! (`GET /v1/debug/inflight`).
 //!
-//! The HTTP worker registers each request right after popping it off the
-//! admission queue (so it knows the peer address and the queue wait);
-//! in-process callers register inside [`crate::service::ScheduleService`]
-//! alongside the trace context they host. Registration returns an RAII
-//! [`InflightGuard`] — the entry disappears when the request finishes, by
-//! any path, including panics.
+//! Three functions do all the bookkeeping, and the HTTP worker and the
+//! in-process [`crate::service::ScheduleService`] calls share them:
+//!
+//! * [`InflightRegistry::open`] registers the request — trace ID, method,
+//!   path, peer and start — and makes it the calling thread's open request.
+//!   An open on a thread that already has one *joins* it: the outer request
+//!   keeps the books, and the inner [`RequestBooks`] closes to nothing.
+//! * [`stage`] times one [`Stage`] of the open request and makes it the
+//!   request's live stage ([`record_stage`] adds a duration measured
+//!   elsewhere without touching the live stage).
+//! * [`RequestBooks::close`] takes the request off the registry and turns
+//!   its books into the [`FlightRecordInfo`] that the flight recorder keeps,
+//!   the `Server-Timing` header renders and the stage histograms count.
+//!
+//! The books drop off the registry on any path, panics included: a
+//! [`RequestBooks`] dropped without a close deregisters just the same.
 //!
 //! Each entry carries a [`ProgressBoard`] handle. When the request leads a
 //! solve, the service clones that handle into the solver configuration, so
@@ -15,46 +26,128 @@
 //! hot path. Requests that never solve (cache hits, coalesced followers)
 //! simply read zero.
 //!
-//! Memory is strictly bounded by concurrency: one entry per admitted
-//! request, each a couple hundred bytes plus one 64-slot progress board,
-//! and the worker-pool size caps how many are live at once.
+//! Memory is strictly bounded by concurrency: one entry per open request,
+//! each a couple hundred bytes plus one 64-slot progress board, and the
+//! worker-pool size caps how many are live at once.
 
-use crate::wire::{InflightInfo, InflightResponse};
+use crate::flight::now_unix_ms;
+use crate::metrics::ServiceMetrics;
+use crate::wire::{FlightRecordInfo, InflightInfo, InflightResponse, StageTimingInfo};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
+use tessel_obs::TraceId;
 use tessel_solver::ProgressBoard;
 
+/// The span taxonomy of the request lifecycle (see `docs/ARCHITECTURE.md`):
+/// every stage a request's books can time, in pipeline order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub enum Stage {
+    /// HTTP head + body parsing on the event loop.
+    Parse,
+    /// Queued for a free worker.
+    QueueWait,
+    /// Request body JSON → typed request.
+    Decode,
+    /// `PlacementSpec::validate`.
+    Validate,
+    /// Canonical labeling → fingerprint.
+    Canonicalize,
+    /// The sharded-LRU probe.
+    CacheLookup,
+    /// A follower waiting on an identical in-flight search.
+    SingleflightWait,
+    /// The owning peer's cache, in cluster mode.
+    RemoteFetch,
+    /// The whole `TesselSearch::run`.
+    Solve,
+    /// Serial warmstart probes inside the solver.
+    SolverWarmstart,
+    /// Parallel worker-pool solves inside the solver.
+    SolverParallel,
+    /// The cached schedule seen through the request's labeling.
+    Translate,
+    /// Response JSON rendering.
+    Serialize,
+    /// Worker completion → event-loop response write.
+    Write,
+}
+
+impl Stage {
+    /// Every stage, in declaration order (the stage histograms' order).
+    pub const ALL: [Stage; 14] = [
+        Stage::Parse,
+        Stage::QueueWait,
+        Stage::Decode,
+        Stage::Validate,
+        Stage::Canonicalize,
+        Stage::CacheLookup,
+        Stage::SingleflightWait,
+        Stage::RemoteFetch,
+        Stage::Solve,
+        Stage::SolverWarmstart,
+        Stage::SolverParallel,
+        Stage::Translate,
+        Stage::Serialize,
+        Stage::Write,
+    ];
+
+    /// The stage's name on every surface: flight records, `Server-Timing`,
+    /// the `stage` histogram label and the in-flight view.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Stage::Parse => "parse",
+            Stage::QueueWait => "queue_wait",
+            Stage::Decode => "decode",
+            Stage::Validate => "validate",
+            Stage::Canonicalize => "canonicalize",
+            Stage::CacheLookup => "cache_lookup",
+            Stage::SingleflightWait => "singleflight_wait",
+            Stage::RemoteFetch => "remote_fetch",
+            Stage::Solve => "solve",
+            Stage::SolverWarmstart => "solver_warmstart",
+            Stage::SolverParallel => "solver_parallel",
+            Stage::Translate => "translate",
+            Stage::Serialize => "serialize",
+            Stage::Write => "write",
+        }
+    }
+}
+
+/// The request open on this thread: its registry entry plus its stage rows,
+/// in first-recorded order (a repeated stage sums into its first row).
+struct OpenRequest {
+    entry: Arc<InflightEntry>,
+    stages: Vec<(Stage, u64)>,
+}
+
 thread_local! {
-    /// The entry of the request this thread is currently serving, so the
-    /// service pipeline can update stage/deadline/progress without threading
-    /// a handle through every call signature (mirrors the [`tessel_obs`]
-    /// request context). A stack, so a request that transitively issues
-    /// another registered request restores the outer entry on drop.
-    static CURRENT: RefCell<Vec<Arc<InflightEntry>>> = const { RefCell::new(Vec::new()) };
+    /// The one request context of the workspace (`tessel_obs` keeps only the
+    /// trace ID its log lines carry).
+    static CURRENT: RefCell<Option<OpenRequest>> = const { RefCell::new(None) };
 }
 
 /// One admitted-but-unanswered request.
 #[derive(Debug)]
 pub struct InflightEntry {
-    trace_id: String,
+    trace_id: TraceId,
     method: String,
     path: String,
     peer: Option<String>,
     started: Instant,
+    start_unix_ms: u64,
     deadline: Mutex<Option<Instant>>,
-    stage: Mutex<&'static str>,
+    /// The live stage: 0 while none has started (`queued`), else the
+    /// [`Stage`] discriminant plus one.
+    stage: AtomicU8,
     board: ProgressBoard,
 }
 
 impl InflightEntry {
-    /// Marks the pipeline stage the request is currently in.
-    pub fn set_stage(&self, stage: &'static str) {
-        *self.stage.lock().expect("inflight stage lock") = stage;
-    }
-
     /// Records the request's resolved deadline (known only after parameter
     /// resolution, which happens after registration).
     pub fn set_deadline(&self, deadline: Option<Instant>) {
@@ -72,11 +165,13 @@ impl InflightEntry {
         let deadline = *self.deadline.lock().expect("inflight deadline lock");
         let progress = self.board.snapshot();
         InflightInfo {
-            trace_id: self.trace_id.clone(),
+            trace_id: self.trace_id.as_str().to_string(),
             method: self.method.clone(),
             path: self.path.clone(),
             peer: self.peer.clone(),
-            stage: (*self.stage.lock().expect("inflight stage lock")).to_string(),
+            stage: (self.stage.load(Ordering::Relaxed).checked_sub(1))
+                .map_or("queued", |index| Stage::ALL[usize::from(index)].name())
+                .to_string(),
             elapsed_ms: now.saturating_duration_since(self.started).as_millis() as u64,
             deadline_remaining_ms: deadline
                 .map(|d| d.saturating_duration_since(now).as_millis() as u64),
@@ -94,7 +189,7 @@ impl InflightEntry {
     }
 }
 
-/// Registry of every admitted request, ordered oldest first.
+/// Registry of every request whose books are open, ordered oldest first.
 #[derive(Debug, Default)]
 pub struct InflightRegistry {
     next_id: AtomicU64,
@@ -102,45 +197,58 @@ pub struct InflightRegistry {
 }
 
 impl InflightRegistry {
-    /// Registers one admitted request and makes it the calling thread's
-    /// current entry. Drop the returned guard when the request finishes.
-    #[must_use]
-    pub fn register(
-        &self,
-        trace_id: String,
-        method: String,
-        path: String,
+    /// Opens one request's books on the calling thread: registers it under
+    /// `trace_id` (a fresh ID when `None`), starts its clock and opens its
+    /// trace context. When the thread already has a request open, the call
+    /// joins that request instead and registers nothing.
+    pub fn open<'a>(
+        &'a self,
+        metrics: &'a ServiceMetrics,
+        trace_id: Option<TraceId>,
+        method: &str,
+        path: &str,
         peer: Option<String>,
-    ) -> InflightGuard<'_> {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+    ) -> RequestBooks<'a> {
+        let joined =
+            CURRENT.with(|current| (current.borrow().as_ref()).map(|open| open.entry.trace_id));
+        if let Some(trace_id) = joined {
+            return RequestBooks {
+                registry: self,
+                metrics,
+                trace_id,
+                id: None,
+            };
+        }
+        let trace_id = trace_id.unwrap_or_else(TraceId::generate);
         let entry = Arc::new(InflightEntry {
             trace_id,
-            method,
-            path,
+            method: method.to_string(),
+            path: path.to_string(),
             peer,
             started: Instant::now(),
+            start_unix_ms: now_unix_ms(),
             deadline: Mutex::new(None),
-            stage: Mutex::new("queued"),
+            stage: AtomicU8::new(0),
             board: ProgressBoard::new(),
         });
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         self.entries
             .lock()
             .expect("inflight registry lock")
             .insert(id, Arc::clone(&entry));
-        CURRENT.with(|current| current.borrow_mut().push(entry));
-        InflightGuard { registry: self, id }
-    }
-
-    /// Entries currently in flight.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.lock().expect("inflight registry lock").len()
-    }
-
-    /// `true` when nothing is in flight.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        CURRENT.with(|current| {
+            *current.borrow_mut() = Some(OpenRequest {
+                entry,
+                stages: Vec::with_capacity(8),
+            });
+        });
+        tessel_obs::begin_request(trace_id);
+        RequestBooks {
+            registry: self,
+            metrics,
+            trace_id,
+            id: Some(id),
+        }
     }
 
     /// The `GET /v1/debug/inflight` response body, oldest request first.
@@ -158,48 +266,125 @@ impl InflightRegistry {
     }
 }
 
-/// RAII registration handle: removes the entry (and pops the thread's
-/// current-entry stack) when the request finishes.
+/// The handle of one [`InflightRegistry::open`]. Only the open that
+/// registered the request closes it to a record; a joined one closes to
+/// `None`.
 #[derive(Debug)]
-pub struct InflightGuard<'a> {
+#[must_use = "close the books to get the request's flight record"]
+pub struct RequestBooks<'a> {
     registry: &'a InflightRegistry,
-    id: u64,
+    metrics: &'a ServiceMetrics,
+    trace_id: TraceId,
+    /// The registry key; `None` when this open joined an outer request.
+    id: Option<u64>,
 }
 
-impl Drop for InflightGuard<'_> {
-    fn drop(&mut self) {
+impl RequestBooks<'_> {
+    /// The trace ID of the request these books belong to (the outer
+    /// request's, for a joined open).
+    #[must_use]
+    pub fn trace_id(&self) -> TraceId {
+        self.trace_id
+    }
+
+    /// Closes the books: the request leaves the registry and the thread's
+    /// context, every stage but `write` (which the event loop adds once the
+    /// response is written) is counted in its histogram, and the request's
+    /// flight record comes back. `None` for a joined open.
+    ///
+    /// The request leaves `GET /v1/debug/inflight` here, so a transport that
+    /// closes before queueing the response never lists an answered request.
+    pub fn close(mut self, status: u16) -> Option<FlightRecordInfo> {
+        let open = self.release()?;
+        let mut stages = Vec::with_capacity(open.stages.len());
+        for &(stage, micros) in &open.stages {
+            self.metrics.observe_stage(stage, micros);
+            let name = stage.name().to_string();
+            stages.push(StageTimingInfo { name, micros });
+        }
+        let entry = &open.entry;
+        Some(FlightRecordInfo {
+            trace_id: self.trace_id.as_str().to_string(),
+            method: entry.method.clone(),
+            path: entry.path.clone(),
+            status,
+            start_unix_ms: entry.start_unix_ms,
+            total_micros: entry.started.elapsed().as_micros() as u64,
+            stages,
+        })
+    }
+
+    /// Takes the request off the registry, the thread and the trace
+    /// context; returns its books. A no-op for a joined (or closed) open.
+    fn release(&mut self) -> Option<OpenRequest> {
+        let id = self.id.take()?;
         self.registry
             .entries
             .lock()
             .expect("inflight registry lock")
-            .remove(&self.id);
-        CURRENT.with(|current| {
-            current.borrow_mut().pop();
-        });
+            .remove(&id);
+        tessel_obs::end_request();
+        CURRENT.with(|current| current.borrow_mut().take())
     }
 }
 
-/// Runs `f` against the calling thread's current in-flight entry, if any.
+impl Drop for RequestBooks<'_> {
+    fn drop(&mut self) {
+        self.release();
+    }
+}
+
+/// Runs `f` as stage `stage` of the calling thread's open request: marks it
+/// the request's live stage, times it and adds the time to the stage's row.
+/// Still runs `f`, untimed in effect, when no request is open.
+pub fn stage<R>(stage: Stage, f: impl FnOnce() -> R) -> R {
+    with_current(|entry| entry.stage.store(stage as u8 + 1, Ordering::Relaxed));
+    let started = Instant::now();
+    let result = f();
+    record_stage(stage, started.elapsed().as_micros() as u64);
+    result
+}
+
+/// Adds `micros` to stage `stage` of the calling thread's open request,
+/// leaving its live stage as it is (no-op when none is open).
+pub fn record_stage(stage: Stage, micros: u64) {
+    CURRENT.with(|current| {
+        if let Some(open) = current.borrow_mut().as_mut() {
+            match open.stages.iter_mut().find(|(seen, _)| *seen == stage) {
+                Some((_, total)) => *total += micros,
+                None => open.stages.push((stage, micros)),
+            }
+        }
+    });
+}
+
+/// Runs `f` against the calling thread's open request, if any.
 pub fn with_current<R>(f: impl FnOnce(&InflightEntry) -> R) -> Option<R> {
-    CURRENT.with(|current| current.borrow().last().map(|entry| f(entry)))
+    CURRENT.with(|current| current.borrow().as_ref().map(|open| f(&open.entry)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn trace(digit: char) -> Option<TraceId> {
+        TraceId::parse(&digit.to_string().repeat(32))
+    }
+
     #[test]
     fn register_snapshot_and_deregister() {
         let registry = InflightRegistry::default();
-        assert!(registry.is_empty());
+        let metrics = ServiceMetrics::new();
+        assert!(registry.snapshot().inflight.is_empty());
         {
-            let _guard = registry.register(
-                "a".repeat(32),
-                "POST".into(),
-                "/v1/search".into(),
+            let _books = registry.open(
+                &metrics,
+                trace('a'),
+                "POST",
+                "/v1/search",
                 Some("127.0.0.1:5000".into()),
             );
-            assert_eq!(registry.len(), 1);
+            assert_eq!(registry.snapshot().inflight.len(), 1);
             let snap = registry.snapshot();
             assert_eq!(snap.inflight.len(), 1);
             let entry = &snap.inflight[0];
@@ -210,22 +395,31 @@ mod tests {
             assert_eq!(entry.nodes, 0);
             assert_eq!(entry.incumbent, None);
         }
-        assert!(registry.is_empty(), "guard drop deregisters");
+        assert!(
+            registry.snapshot().inflight.is_empty(),
+            "dropped books deregister"
+        );
+        assert!(with_current(|_| ()).is_none(), "and leave the thread");
+        assert_eq!(tessel_obs::current_trace_id(), None);
     }
 
     #[test]
     fn stage_deadline_and_progress_flow_into_the_snapshot() {
         let registry = InflightRegistry::default();
-        let _guard = registry.register("b".repeat(32), "CALL".into(), "/v1/search".into(), None);
-        with_current(|entry| {
-            entry.set_stage("solve");
-            entry.set_deadline(Some(Instant::now() + std::time::Duration::from_secs(3600)));
-            entry.board().add_nodes(17);
-            entry.board().record_incumbent(9);
-            entry.board().add_memo_drops(3);
-            entry.board().set_worker_depth(0, 4);
-        })
-        .expect("a current entry exists");
+        let metrics = ServiceMetrics::new();
+        let _books = registry.open(&metrics, trace('b'), "CALL", "/v1/search", None);
+        stage(Stage::Solve, || {
+            with_current(|entry| {
+                entry.set_deadline(Some(Instant::now() + std::time::Duration::from_secs(3600)));
+                entry.board().add_nodes(17);
+                entry.board().record_incumbent(9);
+                entry.board().add_memo_drops(3);
+                entry.board().set_worker_depth(0, 4);
+            })
+            .expect("a current entry exists");
+        });
+        // A duration measured elsewhere leaves the live stage alone.
+        record_stage(Stage::SolverParallel, 5);
         let snap = registry.snapshot();
         let entry = &snap.inflight[0];
         assert_eq!(entry.stage, "solve");
@@ -243,24 +437,102 @@ mod tests {
 
     #[test]
     fn nested_registrations_restore_the_outer_entry() {
+        // An open on a thread with a request already open joins it: nothing
+        // more is registered, the stages land in the outer books, and the
+        // inner close yields no record and leaves the outer request open.
         let registry = InflightRegistry::default();
-        let _outer = registry.register("c".repeat(32), "POST".into(), "/outer".into(), None);
+        let metrics = ServiceMetrics::new();
+        let outer = registry.open(&metrics, trace('c'), "POST", "/outer", None);
         {
-            let _inner = registry.register("d".repeat(32), "CALL".into(), "/inner".into(), None);
-            assert_eq!(registry.len(), 2);
-            with_current(|entry| assert_eq!(entry.path, "/inner")).unwrap();
+            let inner = registry.open(&metrics, trace('d'), "CALL", "/inner", None);
+            assert_eq!(registry.snapshot().inflight.len(), 1);
+            assert_eq!(inner.trace_id(), outer.trace_id());
+            with_current(|entry| assert_eq!(entry.path, "/outer")).unwrap();
+            record_stage(Stage::Decode, 3);
+            assert!(inner.close(200).is_none());
         }
-        assert_eq!(registry.len(), 1);
+        assert_eq!(registry.snapshot().inflight.len(), 1);
         with_current(|entry| assert_eq!(entry.path, "/outer")).unwrap();
+        assert_eq!(tessel_obs::current_trace_id(), trace('c'));
+        let record = outer.close(200).expect("the outer open keeps the books");
+        assert_eq!(record.path, "/outer");
+        assert_eq!(record.trace_id, "c".repeat(32));
+        assert_eq!(record.stages.len(), 1);
+        assert_eq!(record.stages[0].name, "decode");
+        assert!(registry.snapshot().inflight.is_empty());
     }
 
     #[test]
     fn registry_is_ordered_oldest_first() {
         let registry = InflightRegistry::default();
-        let _a = registry.register("1".repeat(32), "POST".into(), "/a".into(), None);
-        let _b = registry.register("2".repeat(32), "POST".into(), "/b".into(), None);
-        let snap = registry.snapshot();
-        assert_eq!(snap.inflight[0].path, "/a");
-        assert_eq!(snap.inflight[1].path, "/b");
+        let metrics = ServiceMetrics::new();
+        // Two threads, so neither open joins the other.
+        let _a = registry.open(&metrics, trace('1'), "POST", "/a", None);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let _b = registry.open(&metrics, trace('2'), "POST", "/b", None);
+                let snap = registry.snapshot();
+                assert_eq!(snap.inflight[0].path, "/a");
+                assert_eq!(snap.inflight[1].path, "/b");
+            });
+        });
+    }
+
+    #[test]
+    fn stages_accumulate_and_merge_per_request() {
+        let registry = InflightRegistry::default();
+        let metrics = ServiceMetrics::new();
+        let books = registry.open(&metrics, None, "CALL", "/v1/search", None);
+        let trace_id = books.trace_id();
+        assert_eq!(tessel_obs::current_trace_id(), Some(trace_id));
+        record_stage(Stage::CacheLookup, 10);
+        assert_eq!(stage(Stage::Solve, || 42), 42);
+        record_stage(Stage::CacheLookup, 5);
+        let record = books.close(200).unwrap();
+        assert_eq!(record.trace_id, trace_id.as_str());
+        let rows: Vec<&str> = record.stages.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(rows, ["cache_lookup", "solve"], "first-recorded order");
+        assert_eq!(record.stages[0].micros, 15, "a repeated stage sums");
+        // Every closed stage reached its histogram, once.
+        let text = metrics.render_histograms();
+        for name in ["cache_lookup", "solve"] {
+            let count =
+                format!("tessel_request_stage_duration_seconds_count{{stage=\"{name}\"}} 1");
+            assert!(text.contains(&count), "{text}");
+        }
+        // The context is gone; further recording is a no-op.
+        assert_eq!(tessel_obs::current_trace_id(), None);
+        record_stage(Stage::Write, 1);
+        assert!(with_current(|_| ()).is_none());
+    }
+
+    #[test]
+    fn the_span_taxonomy_table_matches_the_stage_enum() {
+        let doc = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../docs/ARCHITECTURE.md"
+        ))
+        .expect("docs/ARCHITECTURE.md");
+        // Only this section: other tables (the transport modules) also open
+        // with `parse`.
+        let (_, section) = doc
+            .split_once("\n### Span taxonomy\n")
+            .expect("a `### Span taxonomy` section");
+        let section = section.split("\n#").next().unwrap_or(section);
+        let documented: Vec<&str> = section
+            .lines()
+            .filter_map(|line| line.strip_prefix("| `")?.split_once('`'))
+            .map(|(name, _)| name)
+            .collect();
+        let names: Vec<&str> = Stage::ALL.into_iter().map(Stage::name).collect();
+        assert_eq!(documented, names);
+    }
+
+    #[test]
+    fn all_lists_the_stages_in_declaration_order() {
+        // The live stage and the histograms index `ALL` by discriminant.
+        for (index, stage) in Stage::ALL.into_iter().enumerate() {
+            assert_eq!(stage as usize, index);
+        }
     }
 }

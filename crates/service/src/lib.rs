@@ -36,9 +36,11 @@
 //!   timing breakdowns plus a slowest-requests view, correlated by the
 //!   request-scoped trace IDs of [`tessel_obs`], filterable by status /
 //!   duration / endpoint / trace.
-//! * [`inflight`] — the live registry behind `GET /v1/debug/inflight`:
-//!   every admitted-but-unanswered request with its pipeline stage,
-//!   deadline remaining and relaxed-atomic solver progress.
+//! * [`inflight`] — one request's books: the open, the timed
+//!   [`inflight::Stage`]s and the close to its flight record, shared by the
+//!   HTTP worker and the in-process calls; and the live registry behind
+//!   `GET /v1/debug/inflight`: every admitted-but-unanswered request with
+//!   its live stage, deadline remaining and relaxed-atomic solver progress.
 //! * [`wire`] — the JSON request/response types.
 //!
 //! Two binaries ship with the crate: `tessel-server` (the daemon) and
@@ -90,9 +92,9 @@ pub mod wire;
 
 pub use cache::{CacheConfig, CacheJournal, CachedSearch, ShardedCache};
 pub use cluster::{peers::PeerConfig, ring::HashRing, Cluster, ClusterConfig};
-pub use flight::{FlightQuery, FlightRecord, FlightRecorder, StageTiming};
+pub use flight::{FlightQuery, FlightRecorder};
 pub use http::{http_call_streaming, HttpClient, HttpServer, ServerConfig};
-pub use inflight::{InflightGuard, InflightRegistry};
+pub use inflight::{InflightRegistry, RequestBooks};
 pub use metrics::{
     ClusterMetrics, ClusterSnapshot, MetricsSnapshot, ServiceMetrics, TransportMetrics,
     TransportSnapshot,

@@ -19,6 +19,7 @@
 //! `_bucket`/`_sum`/`_count` series. The whole struct renders to Prometheus
 //! text exposition format for `GET /metrics`.
 
+use crate::inflight::Stage;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -158,33 +159,14 @@ pub const ENDPOINT_LABELS: [&str; 11] = [
     "other",
 ];
 
-/// The fixed label set of the per-stage duration histogram family — the span
-/// taxonomy of the request lifecycle (see `docs/ARCHITECTURE.md`).
-pub const STAGE_LABELS: [&str; 14] = [
-    "parse",
-    "queue_wait",
-    "decode",
-    "validate",
-    "canonicalize",
-    "cache_lookup",
-    "singleflight_wait",
-    "remote_fetch",
-    "solve",
-    "solver_warmstart",
-    "solver_parallel",
-    "translate",
-    "serialize",
-    "write",
-];
-
 metric_group! {
     /// Live metrics of a [`crate::ScheduleService`].
     live ServiceMetrics {
         latency_buckets: [AtomicU64; BUCKETS] = std::array::from_fn(|_| AtomicU64::new(0)),
         /// Request-duration histograms, one per [`ENDPOINT_LABELS`] entry.
         endpoint_durations: [Histogram; ENDPOINT_LABELS.len()] = std::array::from_fn(|_| Histogram::new()),
-        /// Stage-duration histograms, one per [`STAGE_LABELS`] entry.
-        stage_durations: [Histogram; STAGE_LABELS.len()] = std::array::from_fn(|_| Histogram::new()),
+        /// Stage-duration histograms, indexed by [`Stage`].
+        stage_durations: [Histogram; Stage::ALL.len()] = std::array::from_fn(|_| Histogram::new()),
     }
     /// Point-in-time snapshot of [`ServiceMetrics`] (plus cache gauges), served
     /// as JSON by the in-process API and rendered to Prometheus text for
@@ -301,12 +283,8 @@ impl ServiceMetrics {
     }
 
     /// Records one stage duration into the per-stage histogram family.
-    /// Stages outside [`STAGE_LABELS`] are dropped — the label set stays
-    /// fixed by construction.
-    pub fn observe_stage_micros(&self, stage: &str, micros: u64) {
-        if let Some(index) = STAGE_LABELS.iter().position(|&known| known == stage) {
-            self.stage_durations[index].observe_micros(micros);
-        }
+    pub fn observe_stage(&self, stage: Stage, micros: u64) {
+        self.stage_durations[stage as usize].observe_micros(micros);
     }
 
     /// Renders the request-duration and stage-duration histogram families in
@@ -326,8 +304,8 @@ impl ServiceMetrics {
             &mut out,
             "tessel_request_stage_duration_seconds",
             "Time spent per request-lifecycle stage.",
-            (STAGE_LABELS.iter().zip(&self.stage_durations))
-                .map(|(label, histogram)| (format!("stage=\"{label}\""), histogram)),
+            (Stage::ALL.iter().zip(&self.stage_durations))
+                .map(|(stage, histogram)| (format!("stage=\"{}\"", stage.name()), histogram)),
         );
         out
     }
@@ -577,9 +555,8 @@ mod tests {
         let m = ServiceMetrics::new();
         m.observe_endpoint_micros("/v1/search", 3_000);
         m.observe_endpoint_micros("no-such-endpoint", 10); // lands in `other`
-        m.observe_stage_micros("solve", 2_500);
-        m.observe_stage_micros("write", 80);
-        m.observe_stage_micros("not-a-stage", 1); // dropped
+        m.observe_stage(Stage::Solve, 2_500);
+        m.observe_stage(Stage::Write, 80);
         let text = m.render_histograms();
         assert!(text.contains("# TYPE tessel_http_request_duration_seconds histogram"));
         assert!(text.contains(
@@ -593,12 +570,14 @@ mod tests {
             "tessel_request_stage_duration_seconds_bucket{stage=\"solve\",le=\"0.0025\"} 1"
         ));
         assert!(text.contains("tessel_request_stage_duration_seconds_count{stage=\"write\"} 1"));
-        // The unknown stage was dropped, not folded anywhere.
-        let total: u64 = STAGE_LABELS
+        // Each observation landed in its own stage's series and nowhere else.
+        let total: u64 = Stage::ALL
             .iter()
-            .map(|label| {
-                let needle =
-                    format!("tessel_request_stage_duration_seconds_count{{stage=\"{label}\"}} ");
+            .map(|stage| {
+                let needle = format!(
+                    "tessel_request_stage_duration_seconds_count{{stage=\"{}\"}} ",
+                    stage.name()
+                );
                 text.lines()
                     .find(|line| line.starts_with(&needle))
                     .and_then(|line| line.rsplit(' ').next())
@@ -690,7 +669,7 @@ mod tests {
         service.requests.fetch_add(2, Ordering::Relaxed);
         service.record_latency(Duration::from_millis(3));
         service.observe_endpoint_micros("/v1/search", 3_000);
-        service.observe_stage_micros("solve", 2_000);
+        service.observe_stage(Stage::Solve, 2_000);
         let transport = TransportMetrics::new();
         transport.connections_open.fetch_add(1, Ordering::Relaxed);
         transport.admission_shed.fetch_add(2, Ordering::Relaxed);

@@ -23,8 +23,8 @@
 use crate::answer::Answer;
 use crate::cache::{CacheConfig, CacheJournal, CacheKey, CacheParams, CachedSearch, ShardedCache};
 use crate::cluster::{Cluster, ClusterConfig, ClusterSnapshot, RemoteFetch};
-use crate::flight::{now_unix_ms, FlightQuery, FlightRecord, FlightRecorder};
-use crate::inflight::{self, InflightGuard, InflightRegistry};
+use crate::flight::{FlightQuery, FlightRecorder};
+use crate::inflight::{self, InflightRegistry, RequestBooks, Stage};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::singleflight::{Joined, SingleFlight};
 use crate::wire::{
@@ -259,14 +259,6 @@ impl Drop for FlightGuard<'_> {
     }
 }
 
-/// Times `f` as a trace stage **and** marks it as the calling request's live
-/// pipeline stage on the in-flight registry, so `GET /v1/debug/inflight`
-/// shows where each request currently is.
-fn live_stage<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
-    inflight::with_current(|entry| entry.set_stage(name));
-    tessel_obs::stage(name, f)
-}
-
 /// Expands one flight record into assembled-trace spans: a whole-request
 /// envelope span named `request`, then one span per recorded stage laid out
 /// back-to-back from the request's start. `offset_ms` is the recording
@@ -467,39 +459,23 @@ impl ScheduleService {
         sink: Option<&IncumbentSink>,
     ) -> Result<Answer<'r>, ServiceError> {
         let arrived = Instant::now();
-        let started_unix_ms = now_unix_ms();
-        // The HTTP worker opens the request context (with the client's or a
-        // freshly minted trace ID) before calling in. In-process callers —
-        // benches, tests, `--in-process` — have no transport, so the service
-        // hosts a context of its own and deposits the flight record itself.
-        let owns_context = tessel_obs::current_trace_id().is_none();
-        if owns_context {
-            tessel_obs::begin_request(tessel_obs::TraceId::generate());
-        }
-        // The HTTP worker registers its requests (with peer and queue wait)
-        // before routing in; in-process callers are registered here, by the
-        // same ownership rule as the trace context above.
-        let _inflight = owns_context.then(|| self.register_inflight("CALL", "/v1/search", None));
+        // The HTTP worker opens the request's books (with the client's or a
+        // freshly minted trace ID, the peer and the queue wait) before
+        // calling in, and this open joins them; an in-process caller has no
+        // transport, so this open keeps the books and its close yields the
+        // flight record.
+        let books = self.open_request(None, "CALL", "/v1/search", None);
         self.metrics.requests.fetch_add(1, Ordering::Relaxed);
         let result = self.search_inner(request, arrived, sink);
         if let Err(e) = &result {
             self.count_failure(e);
         }
         self.metrics.record_latency(arrived.elapsed());
-        if owns_context {
-            if let Some(finished) = tessel_obs::end_request() {
-                let status = match &result {
-                    Ok(_) => 200,
-                    Err(e) => e.http_status(),
-                };
-                self.record_flight(FlightRecord::from_finished(
-                    &finished,
-                    ("CALL", "/v1/search"),
-                    status,
-                    started_unix_ms,
-                    arrived.elapsed().as_micros() as u64,
-                ));
-            }
+        let status = result
+            .as_ref()
+            .map_or_else(ServiceError::http_status, |_| 200);
+        if let Some(record) = books.close(status) {
+            self.record_flight(record);
         }
         result
     }
@@ -528,7 +504,7 @@ impl ScheduleService {
             coalesced,
         } = self.obtain_entry(&prepared, sink)?;
         // The entry seen through the request's own labeling.
-        Ok(live_stage("translate", || {
+        Ok(inflight::stage(Stage::Translate, || {
             Answer::new(
                 entry,
                 prepared.labeling,
@@ -547,10 +523,10 @@ impl ScheduleService {
         request: &'r SearchRequest,
         arrived: Instant,
     ) -> Result<Prepared<'r>, ServiceError> {
-        live_stage("validate", || request.placement.validate())
+        inflight::stage(Stage::Validate, || request.placement.validate())
             .map_err(|e| ServiceError::BadRequest(format!("invalid placement: {e}")))?;
         let params = self.resolve_params(request)?;
-        let labeling = live_stage("canonicalize", || {
+        let labeling = inflight::stage(Stage::Canonicalize, || {
             self.canonical_labeling(&request.placement)
         });
         Ok(Prepared {
@@ -578,7 +554,7 @@ impl ScheduleService {
         sink: Option<&IncumbentSink>,
     ) -> Result<Obtained, ServiceError> {
         let Prepared { key, deadline, .. } = *prepared;
-        if let Some(entry) = live_stage("cache_lookup", || self.cache_lookup(prepared)) {
+        if let Some(entry) = inflight::stage(Stage::CacheLookup, || self.cache_lookup(prepared)) {
             self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Obtained {
                 entry,
@@ -587,7 +563,7 @@ impl ScheduleService {
             });
         }
 
-        match live_stage("singleflight_wait", || {
+        match inflight::stage(Stage::SingleflightWait, || {
             self.flights.join(key.raw(), deadline)
         }) {
             Joined::Leader => {
@@ -605,22 +581,23 @@ impl ScheduleService {
                 // may already hold this schedule.
                 let mut remote_hit = false;
                 let mut inserted = false;
-                let result = match live_stage("cache_lookup", || self.cache_lookup(prepared)) {
+                let result = match inflight::stage(Stage::CacheLookup, || {
+                    self.cache_lookup(prepared)
+                }) {
                     Some(entry) => Ok(entry),
                     // The stage only exists in cluster mode: standalone
                     // flight records carry no zero-length `remote_fetch` row.
-                    None => match self
-                        .cluster
-                        .as_ref()
-                        .and_then(|_| live_stage("remote_fetch", || self.cluster_fetch(prepared)))
-                    {
+                    None => match self.cluster.as_ref().and_then(|_| {
+                        inflight::stage(Stage::RemoteFetch, || self.cluster_fetch(prepared))
+                    }) {
                         Some(entry) => {
                             remote_hit = true;
                             inserted = true;
                             Ok(entry)
                         }
                         None => {
-                            let solved = live_stage("solve", || self.run_search(prepared, sink));
+                            let solved =
+                                inflight::stage(Stage::Solve, || self.run_search(prepared, sink));
                             inserted = solved.is_ok();
                             solved
                         }
@@ -828,10 +805,13 @@ impl ScheduleService {
         // invocations, become spans of the surrounding request. Zero totals
         // (single-threaded solves have neither phase) are omitted.
         if outcome.stats.solver.warmstart_micros > 0 {
-            tessel_obs::record_stage("solver_warmstart", outcome.stats.solver.warmstart_micros);
+            inflight::record_stage(
+                Stage::SolverWarmstart,
+                outcome.stats.solver.warmstart_micros,
+            );
         }
         if outcome.stats.solver.parallel_micros > 0 {
-            tessel_obs::record_stage("solver_parallel", outcome.stats.solver.parallel_micros);
+            inflight::record_stage(Stage::SolverParallel, outcome.stats.solver.parallel_micros);
         }
 
         // Simulate the schedule on the reference cluster for the
@@ -933,22 +913,21 @@ impl ScheduleService {
         self.recorder.snapshot_filtered(query)
     }
 
-    /// Registers one admitted request on the live in-flight registry under
-    /// the calling thread's current trace ID. The HTTP transport calls this
-    /// right after popping a job off the admission queue; in-process
-    /// searches register themselves. Hold the guard until the request is
-    /// answered.
-    #[must_use]
-    pub fn register_inflight(
+    /// Opens one request's books on the calling thread (see
+    /// [`crate::inflight`]): registers it on the live in-flight registry
+    /// under `trace_id` (a fresh ID when `None`) and opens its trace
+    /// context. The HTTP worker opens every job right after popping it off
+    /// the admission queue; [`ScheduleService::search`] and its siblings open
+    /// in-process calls, and join the worker's books when called from one.
+    pub fn open_request(
         &self,
+        trace_id: Option<tessel_obs::TraceId>,
         method: &str,
         path: &str,
         peer: Option<String>,
-    ) -> InflightGuard<'_> {
-        let trace_id =
-            tessel_obs::current_trace_id().map_or_else(String::new, |id| id.as_str().to_string());
+    ) -> RequestBooks<'_> {
         self.inflight
-            .register(trace_id, method.to_string(), path.to_string(), peer)
+            .open(&self.metrics, trace_id, method, path, peer)
     }
 
     /// The `GET /v1/debug/inflight` response body: every admitted request
@@ -978,23 +957,7 @@ impl ScheduleService {
         let mut spans: Vec<TraceSpanInfo> = Vec::new();
 
         for record in self.recorder.find_by_trace(trace_id) {
-            let info = FlightRecordInfo {
-                trace_id: record.trace_id.clone(),
-                method: record.method.clone(),
-                path: record.path.clone(),
-                status: record.status,
-                start_unix_ms: record.start_unix_ms,
-                total_micros: record.total_micros,
-                stages: record
-                    .stages
-                    .iter()
-                    .map(|s| crate::wire::StageTimingInfo {
-                        name: s.name.clone(),
-                        micros: s.micros,
-                    })
-                    .collect(),
-            };
-            push_record_spans(&mut spans, &local_node, &info, 0);
+            push_record_spans(&mut spans, &local_node, &record, 0);
         }
         if !spans.is_empty() {
             nodes.push(local_node);
@@ -1048,14 +1011,11 @@ impl ScheduleService {
         }
     }
 
-    /// Deposits one completed request into the flight recorder and folds its
-    /// per-stage timings into the stage-duration histograms. Called by the
-    /// HTTP transport once per request (after the response write) and by
+    /// Deposits one closed request's record into the flight recorder (its
+    /// stages were counted when its books closed). Called by the HTTP
+    /// transport once per request, after the response write, and by
     /// [`ScheduleService::search`] for in-process callers.
-    pub fn record_flight(&self, record: FlightRecord) {
-        for stage in &record.stages {
-            self.metrics.observe_stage_micros(&stage.name, stage.micros);
-        }
+    pub fn record_flight(&self, record: FlightRecordInfo) {
         self.recorder.record(record);
     }
 

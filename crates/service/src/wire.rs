@@ -434,9 +434,10 @@ pub struct InflightInfo {
     /// Peer address of the client connection, when known.
     #[serde(default)]
     pub peer: Option<String>,
-    /// The pipeline stage the request is currently in (`queued`,
-    /// `validate`, `canonicalize`, `cache_lookup`, `singleflight_wait`,
-    /// `remote_fetch`, `solve`, `translate`).
+    /// The stage the request is currently in: `queued` until its first
+    /// timed stage, then the last one started (`decode`, `validate`,
+    /// `canonicalize`, `cache_lookup`, `singleflight_wait`, `remote_fetch`,
+    /// `solve`, `translate`, `serialize`).
     pub stage: String,
     /// Milliseconds since the request was admitted.
     pub elapsed_ms: u64,

@@ -12,15 +12,21 @@
 //!   `/v1/debug/timeseries` serves the sampler's windowed rates,
 //!   `/v1/debug/loglevel` changes the daemon's log level at runtime, and
 //!   `/v1/debug/trace/{id}` assembles one merged span timeline from both
-//!   members of a two-daemon fleet.
+//!   members of a two-daemon fleet;
+//! * one request's books agree on every surface: `Server-Timing`, the
+//!   flight record, the stage histograms and the assembled trace, for an
+//!   HTTP miss, an HTTP hit, a streamed search and an in-process call; an
+//!   answered request has left `/v1/debug/inflight`, and
+//!   `?endpoint=/v1/search` lists streamed searches too.
 
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use tessel_core::ir::{BlockKind, PlacementSpec};
 use tessel_placement::shapes::{synthetic_placement, ShapeKind};
 use tessel_service::wire::{
-    DebugRequestsResponse, InflightResponse, SearchRequest, TimeseriesResponse,
+    DebugRequestsResponse, FlightRecordInfo, InflightResponse, SearchRequest, TimeseriesResponse,
     TraceAssemblyResponse,
 };
 use tessel_service::{
@@ -636,4 +642,211 @@ fn assembled_trace_merges_spans_from_both_daemons() {
 
     server_a.shutdown();
     server_b.shutdown();
+}
+
+/// A standalone daemon with small search defaults, and its address.
+fn standalone() -> (HttpServer, Arc<ScheduleService>, String) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let service = Arc::new(
+        ScheduleService::new(ServiceConfig {
+            default_micro_batches: 4,
+            default_max_repetend: 3,
+            ..ServiceConfig::default()
+        })
+        .unwrap(),
+    );
+    let server =
+        HttpServer::serve_listener(service.clone(), listener, &ServerConfig::default()).unwrap();
+    (server, service, addr)
+}
+
+/// Runs `POST /v1/search?stream=1` over a fresh connection and returns the
+/// trace ID of its SSE response head.
+fn streamed_search(addr: &str, body: &str) -> String {
+    let response = raw_exchange(
+        addr,
+        &format!(
+            "POST /v1/search?stream=1 HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        ),
+    );
+    assert!(response.contains("\"event\":\"result\""), "{response}");
+    response_trace_id(&response).to_string()
+}
+
+/// The flight record the daemon keeps for the first request `wanted`
+/// accepts, waiting for the event loop to deposit it after the write.
+fn wait_for_record(
+    service: &ScheduleService,
+    wanted: impl Fn(&FlightRecordInfo) -> bool,
+) -> FlightRecordInfo {
+    for _ in 0..500 {
+        if let Some(record) = service.debug_requests().recent.into_iter().find(&wanted) {
+            return record;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    panic!("no flight record appeared: {:?}", service.debug_requests());
+}
+
+#[test]
+fn the_endpoint_filter_lists_streamed_and_plain_searches() {
+    let (server, service, addr) = standalone();
+    let mut client = HttpClient::new(&addr).unwrap();
+    let body = serde_json::to_string(&SearchRequest::for_placement(v_shape(3))).unwrap();
+    let (status, headers, response) = client
+        .call_with_headers("POST", "/v1/search", Some(&body), &[])
+        .unwrap();
+    assert_eq!(status, 200, "{response}");
+    let plain = header(&headers, "x-tessel-trace-id").unwrap().to_string();
+    let streamed = streamed_search(&addr, &body);
+    for trace in [&plain, &streamed] {
+        wait_for_record(&service, |r| &r.trace_id == trace);
+    }
+
+    let (status, body) = client
+        .call("GET", "/v1/debug/requests?endpoint=/v1/search", None)
+        .unwrap();
+    assert_eq!(status, 200, "{body}");
+    let listed: DebugRequestsResponse = serde_json::from_str(&body).unwrap();
+    let listed: Vec<(&str, &str)> = (listed.recent.iter())
+        .map(|r| (r.trace_id.as_str(), r.path.as_str()))
+        .collect();
+    assert!(
+        listed.contains(&(plain.as_str(), "/v1/search")),
+        "{listed:?}"
+    );
+    // The record keeps its full target; the filter reads only the path.
+    assert!(
+        listed.contains(&(streamed.as_str(), "/v1/search?stream=1")),
+        "{listed:?}"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn an_answered_request_has_left_the_inflight_view() {
+    let (server, service, addr) = standalone();
+    let mut client = HttpClient::new(&addr).unwrap();
+    for round in 0..1_000 {
+        let (status, headers, _) = client
+            .call_with_headers("GET", "/healthz", None, &[])
+            .unwrap();
+        assert_eq!(status, 200);
+        let trace = header(&headers, "x-tessel-trace-id").unwrap();
+        let inflight = service.debug_inflight().inflight;
+        assert!(
+            inflight.iter().all(|entry| entry.trace_id != trace),
+            "round {round}: answered request {trace} still in flight: {inflight:?}"
+        );
+    }
+    server.shutdown();
+}
+
+/// Every stage histogram's `_count`, by stage name.
+fn stage_counts(service: &ScheduleService) -> BTreeMap<String, u64> {
+    let text = service.metrics().render_histograms();
+    let counts = text.lines().filter_map(|line| {
+        let rest = line.strip_prefix("tessel_request_stage_duration_seconds_count{stage=\"")?;
+        let (name, count) = rest.split_once("\"} ")?;
+        Some((name.to_string(), count.parse().unwrap()))
+    });
+    counts.collect()
+}
+
+/// The `Server-Timing` header as `(stage, milliseconds)` rows, in order.
+fn server_timing(headers: &[(String, String)]) -> Vec<(String, f64)> {
+    let value = header(headers, "server-timing").expect("a Server-Timing header");
+    (value.split(", "))
+        .map(|part| {
+            let (name, millis) = part.split_once(";dur=").unwrap();
+            (name.to_string(), millis.parse().unwrap())
+        })
+        .collect()
+}
+
+#[test]
+fn one_request_agrees_on_every_surface() {
+    let (server, service, addr) = standalone();
+    let mut client = HttpClient::new(&addr).unwrap();
+    let search =
+        |devices| serde_json::to_string(&SearchRequest::for_placement(v_shape(devices))).unwrap();
+    let http_search = |client: &mut HttpClient, body: &str| {
+        let (status, headers, response) = client
+            .call_with_headers("POST", "/v1/search", Some(body), &[])
+            .unwrap();
+        assert_eq!(status, 200, "{response}");
+        let trace = header(&headers, "x-tessel-trace-id").unwrap().to_string();
+        (trace, Some(server_timing(&headers)))
+    };
+
+    let mut records = Vec::new();
+    for request in ["miss", "hit", "streamed", "call"] {
+        let before = stage_counts(&service);
+        let (trace, timing) = match request {
+            "miss" | "hit" => http_search(&mut client, &search(3)),
+            // The SSE head leaves before any stage has run: no header.
+            "streamed" => (streamed_search(&addr, &search(4)), None),
+            _ => {
+                service
+                    .search(&SearchRequest::for_placement(v_shape(2)))
+                    .unwrap();
+                let call = wait_for_record(&service, |r| r.method == "CALL");
+                (call.trace_id, None)
+            }
+        };
+        let record = wait_for_record(&service, |r| r.trace_id == trace);
+        let names: Vec<&str> = record.stages.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(
+            names.last() == Some(&"write"),
+            request != "call",
+            "{request}: the event loop appends `write` to HTTP records: {names:?}"
+        );
+
+        // Server-Timing = the record minus `write`, to the header's 1 µs.
+        if let Some(timing) = timing {
+            let header_names: Vec<&str> = timing.iter().map(|(name, _)| name.as_str()).collect();
+            assert_eq!(header_names, names[..names.len() - 1], "{request}");
+            for ((_, millis), stage) in timing.iter().zip(&record.stages) {
+                let micros = stage.micros as f64;
+                assert!(
+                    (millis * 1e3 - micros).abs() <= 1.0,
+                    "{request}: {} is {millis} ms in the header, {micros} µs recorded",
+                    stage.name
+                );
+            }
+        }
+
+        // Each listed stage counted once in its histogram, and nothing else.
+        let after = stage_counts(&service);
+        for (stage, count) in &after {
+            let listed = names.iter().filter(|name| *name == stage).count() as u64;
+            assert_eq!(
+                count - before[stage],
+                listed,
+                "{request}: stage {stage} of {names:?}"
+            );
+        }
+        records.push(record);
+    }
+    assert!(records[0].stages.iter().any(|s| s.name == "solve"));
+    assert!(records[1].stages.iter().all(|s| s.name != "solve"));
+
+    // A standalone trace assembly is the request span plus one per stage.
+    for record in &records {
+        let (status, body) = client
+            .call("GET", &format!("/v1/debug/trace/{}", record.trace_id), None)
+            .unwrap();
+        assert_eq!(status, 200, "{body}");
+        let assembly: TraceAssemblyResponse = serde_json::from_str(&body).unwrap();
+        let spans: Vec<(&str, u64)> = (assembly.spans.iter())
+            .map(|span| (span.name.as_str(), span.micros))
+            .collect();
+        let expected: Vec<(&str, u64)> = std::iter::once(("request", record.total_micros))
+            .chain(record.stages.iter().map(|s| (s.name.as_str(), s.micros)))
+            .collect();
+        assert_eq!(spans, expected, "{}", record.path);
+    }
+    server.shutdown();
 }
