@@ -455,7 +455,6 @@ pub fn admission_overload_rows(window: std::time::Duration) -> Vec<AdmissionOver
                 let mut request = SearchRequest::for_placement(placement.clone());
                 request.num_micro_batches = Some(8 + i);
                 request.max_repetend_micro_batches = Some(4);
-                request.solver_threads = Some(1);
                 request.priority = Some(0);
                 request.deadline_ms = Some(150);
                 serde_json::to_string(&request).expect("request")
@@ -466,7 +465,6 @@ pub fn admission_overload_rows(window: std::time::Duration) -> Vec<AdmissionOver
     let service = ScheduleService::new(ServiceConfig {
         default_micro_batches: 8,
         default_max_repetend: 3,
-        solver_threads: 1,
         candidate_limit: Some(600),
         ..ServiceConfig::default()
     })
@@ -606,7 +604,6 @@ pub fn anytime_streaming_row() -> AnytimeStreamingRow {
     let service = ScheduleService::new(ServiceConfig {
         default_micro_batches: 8,
         default_max_repetend: 4,
-        solver_threads: 1,
         candidate_limit: Some(600),
         ..ServiceConfig::default()
     })

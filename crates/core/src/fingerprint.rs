@@ -40,8 +40,9 @@
 //! cache tiers: equal fingerprints imply equal canonical forms up to 64-bit
 //! hash collision of two *non-isomorphic* forms (probability ~2⁻⁶⁴ per pair,
 //! and a collision degrades to a wrong cache hit that schedule validation
-//! rejects). The service keeps a `--paranoid-fingerprints` escape hatch that
-//! re-checks full canonical-form equality and counts any mismatch.
+//! rejects). The service does not re-check canonical-form equality at
+//! runtime; the answer oracle in `tests/json_codec.rs` asserts it for every
+//! relabeled request it sends (pinned seed, 300 in tier-1, 10k in CI).
 //!
 //! The search carries a **node budget** ([`DEFAULT_NODE_BUDGET`] unless the
 //! caller picks one): individualisation-refinement is exponential in the

@@ -35,49 +35,64 @@ use tessel_service::http::{http_call, http_call_streaming};
 use tessel_service::wire::{SearchRequest, StreamEvent};
 use tessel_service::HttpClient;
 
+/// The `usage` text; every flag the parser matches is named here, and
+/// nothing else (a unit test holds the two to each other).
+const USAGE: &str = "\
+usage: tessel-client [--addr HOST:PORT] COMMAND
+commands:
+  health                              liveness probe
+  metrics                             Prometheus metrics
+  cache                               list cache entries
+  inspect FINGERPRINT                 inspect one fingerprint
+  cluster [--fp FINGERPRINT]          ring membership and peer health
+                                      (--fp also reports the owner)
+  top [--interval-ms MS] [--window N] [--cluster] [--once]
+                                      live terminal dashboard of the
+                                      daemon's sampled rates and
+                                      in-flight requests; --cluster
+                                      fans out to every ring member,
+                                      --once prints one frame and
+                                      exits (for scripts/CI)
+  fingerprint [--placement-file PATH | --shape KINDn]
+                                      print the canonical fingerprint
+                                      (computed locally, no daemon)
+  search [--placement-file PATH | --shape KINDn]
+         [--rotate-devices N]
+         [--micro-batches N] [--max-repetend N] [--deadline-ms MS]
+         [--priority N] [--repeat N]
+         [--timing] [--stream] [--dry-run]
+
+search --repeat N issues the request N times over one kept-alive
+TCP connection (later repeats hit the daemon's result cache).
+search --timing prints each response's Server-Timing per-stage
+breakdown (and trace ID) to stderr, one line per request; stdout
+stays pure response JSON.
+search --rotate-devices N relabels the placement's devices by a
+rotation of N before sending — the daemon still answers from the
+canonical-fingerprint cache and translates the schedule back.
+search --stream streams improving incumbents to stderr as the
+daemon proves them (value + elapsed ms); the final response JSON
+prints to stdout when the search completes.
+search --priority N raises (or, negative, lowers) the request's
+admission priority under daemon overload.
+search --dry-run prints the request body JSON that would be sent
+without contacting the daemon — handy for piping to curl.";
+
 fn usage() -> ! {
-    eprintln!(
-        "usage: tessel-client [--addr HOST:PORT] COMMAND\n\
-         commands:\n\
-         \x20 health                              liveness probe\n\
-         \x20 metrics                             Prometheus metrics\n\
-         \x20 cache                               list cache entries\n\
-         \x20 inspect FINGERPRINT                 inspect one fingerprint\n\
-         \x20 cluster [--fp FINGERPRINT]          ring membership and peer health\n\
-         \x20                                     (--fp also reports the owner)\n\
-         \x20 top [--interval-ms MS] [--window N] [--cluster] [--once]\n\
-         \x20                                     live terminal dashboard of the\n\
-         \x20                                     daemon's sampled rates and\n\
-         \x20                                     in-flight requests; --cluster\n\
-         \x20                                     fans out to every ring member,\n\
-         \x20                                     --once prints one frame and\n\
-         \x20                                     exits (for scripts/CI)\n\
-         \x20 fingerprint [--placement-file PATH | --shape KINDn]\n\
-         \x20                                     print the canonical fingerprint\n\
-         \x20                                     (computed locally, no daemon)\n\
-         \x20 search [--placement-file PATH | --shape KINDn]\n\
-         \x20        [--rotate-devices N]\n\
-         \x20        [--micro-batches N] [--max-repetend N] [--deadline-ms MS]\n\
-         \x20        [--solver-threads N] [--priority N] [--repeat N]\n\
-         \x20        [--timing] [--stream] [--dry-run]\n\
-         \n\
-         search --repeat N issues the request N times over one kept-alive\n\
-         TCP connection (later repeats hit the daemon's result cache).\n\
-         search --timing prints each response's Server-Timing per-stage\n\
-         breakdown (and trace ID) to stderr, one line per request; stdout\n\
-         stays pure response JSON.\n\
-         search --rotate-devices N relabels the placement's devices by a\n\
-         rotation of N before sending — the daemon still answers from the\n\
-         canonical-fingerprint cache and translates the schedule back.\n\
-         search --stream streams improving incumbents to stderr as the\n\
-         daemon proves them (value + elapsed ms); the final response JSON\n\
-         prints to stdout when the search completes.\n\
-         search --priority N raises (or, negative, lowers) the request's\n\
-         admission priority under daemon overload.\n\
-         search --dry-run prints the request body JSON that would be sent\n\
-         without contacting the daemon — handy for piping to curl."
-    );
+    eprintln!("{USAGE}");
     exit(2)
+}
+
+/// The value after `flag`, parsed; a missing or unparsable one is a usage
+/// error naming the flag.
+fn parse_value<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> T {
+    match value.and_then(|v| v.parse().ok()) {
+        Some(parsed) => parsed,
+        None => {
+            eprintln!("error: {flag} needs a valid value");
+            usage()
+        }
+    }
 }
 
 /// Builds the placement shared by `search` and `fingerprint`:
@@ -342,15 +357,7 @@ fn main() {
             let mut it = rest.iter();
             while let Some(flag) = it.next() {
                 match flag.as_str() {
-                    "--interval-ms" => {
-                        interval_ms = match it.next().and_then(|v| v.parse().ok()) {
-                            Some(ms) => ms,
-                            None => {
-                                eprintln!("error: --interval-ms needs a millisecond count");
-                                usage()
-                            }
-                        };
-                    }
+                    "--interval-ms" => interval_ms = parse_value(flag, it.next()),
                     "--window" => {
                         window = match it.next().and_then(|v| v.parse().ok()) {
                             Some(n) if n >= 1 => n,
@@ -414,7 +421,6 @@ fn main() {
             let mut request_micro_batches = None;
             let mut request_max_repetend = None;
             let mut deadline_ms = None;
-            let mut solver_threads = None;
             let mut priority = None;
             let mut repeat = 1usize;
             let mut timing = false;
@@ -431,30 +437,15 @@ fn main() {
                         let Some(spec) = it.next() else { usage() };
                         shape = Some(spec.as_str());
                     }
-                    "--rotate-devices" => {
-                        rotate_devices = match it.next().and_then(|v| v.parse().ok()) {
-                            Some(n) => n,
-                            None => {
-                                eprintln!("error: --rotate-devices needs a count");
-                                usage()
-                            }
-                        };
-                    }
+                    "--rotate-devices" => rotate_devices = parse_value(flag, it.next()),
                     "--micro-batches" => {
-                        request_micro_batches = it.next().and_then(|v| v.parse().ok());
+                        request_micro_batches = Some(parse_value(flag, it.next()));
                     }
                     "--max-repetend" => {
-                        request_max_repetend = it.next().and_then(|v| v.parse().ok());
+                        request_max_repetend = Some(parse_value(flag, it.next()));
                     }
-                    "--deadline-ms" => {
-                        deadline_ms = it.next().and_then(|v| v.parse().ok());
-                    }
-                    "--solver-threads" => {
-                        solver_threads = it.next().and_then(|v| v.parse().ok());
-                    }
-                    "--priority" => {
-                        priority = it.next().and_then(|v| v.parse().ok());
-                    }
+                    "--deadline-ms" => deadline_ms = Some(parse_value(flag, it.next())),
+                    "--priority" => priority = Some(parse_value(flag, it.next())),
                     "--timing" => timing = true,
                     "--stream" => stream = true,
                     "--dry-run" => dry_run = true,
@@ -498,7 +489,6 @@ fn main() {
                 num_micro_batches: request_micro_batches,
                 max_repetend_micro_batches: request_max_repetend,
                 deadline_ms,
-                solver_threads,
                 priority,
             };
             let body = match serde_json::to_string(&request) {
@@ -585,5 +575,20 @@ fn main() {
             exit(i32::from(!all_ok))
         }
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+#[path = "shared/flag_surface.rs"]
+mod flag_surface;
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn the_usage_names_exactly_the_flags_the_parser_matches() {
+        super::flag_surface::assert_usage_matches_parser(
+            super::USAGE,
+            include_str!("tessel_client.rs"),
+        );
     }
 }

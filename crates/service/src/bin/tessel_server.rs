@@ -22,38 +22,40 @@ use tessel_service::{
     ClusterConfig, HttpServer, PeerConfig, ScheduleService, ServerConfig, ServiceConfig,
 };
 
+/// The `--help` text; every flag the parser matches is named here, and
+/// nothing else (a unit test holds the two to each other).
+const USAGE: &str = "\
+usage: tessel-server [--addr HOST:PORT] [--workers N] [--queue-depth N]
+                   [--idle-timeout-ms MS] [--max-pipelined N]
+                   [--max-conns-per-ip N] [--sample-interval-ms MS]
+                   [--cache-file PATH] [--cache-capacity N] [--cache-shards N]
+                   [--journal-compact-every N]
+                   [--micro-batches N] [--max-repetend N]
+                   [--default-deadline-ms MS]
+                   [--node-id ID] [--peer ID=HOST:PORT]...
+                   [--cluster-vnodes N] [--probe-interval-ms MS]
+                   [--peer-timeout-ms MS] [--circuit-cooldown-ms MS]
+                   [--canon-node-budget N]
+                   [--log-level error|warn|info|debug|trace]
+                   [--log-format text|json] [--help]
+
+logging goes to stderr; --log-format json emits one JSON object
+per line (each served request logs one line carrying its trace ID).
+
+cluster mode: give this daemon a --node-id and one --peer flag per
+sibling; the fleet then shares one logical cache sharded by a
+consistent-hash ring over the canonical placement fingerprint.
+
+a full request queue (--queue-depth) admits the newcomer and sheds
+the waiting request with the lowest priority / largest queue share /
+latest deadline (429 + Retry-After).
+
+--sample-interval-ms sets the live-plane sampling cadence behind
+GET /v1/debug/timeseries and `tessel-client top` (default 1000;
+0 disables the sampler).";
+
 fn usage() -> ! {
-    eprintln!(
-        "usage: tessel-server [--addr HOST:PORT] [--workers N] [--queue-depth N]\n\
-         \x20                  [--idle-timeout-ms MS] [--max-pipelined N]\n\
-         \x20                  [--max-conns-per-ip N] [--sample-interval-ms MS]\n\
-         \x20                  [--cache-file PATH] [--cache-capacity N] [--cache-shards N]\n\
-         \x20                  [--journal-compact-every N]\n\
-         \x20                  [--micro-batches N] [--max-repetend N]\n\
-         \x20                  [--solver-threads N] [--max-solver-threads N]\n\
-         \x20                  [--default-deadline-ms MS]\n\
-         \x20                  [--node-id ID] [--peer ID=HOST:PORT]...\n\
-         \x20                  [--cluster-vnodes N] [--probe-interval-ms MS]\n\
-         \x20                  [--peer-timeout-ms MS] [--circuit-cooldown-ms MS]\n\
-         \x20                  [--paranoid-fingerprints] [--canon-node-budget N]\n\
-         \x20                  [--log-level error|warn|info|debug|trace]\n\
-         \x20                  [--log-format text|json]\n\
-         \n\
-         logging goes to stderr; --log-format json emits one JSON object\n\
-         per line (each served request logs one line carrying its trace ID).\n\
-         \n\
-         cluster mode: give this daemon a --node-id and one --peer flag per\n\
-         sibling; the fleet then shares one logical cache sharded by a\n\
-         consistent-hash ring over the canonical placement fingerprint.\n\
-         \n\
-         a full request queue (--queue-depth) admits the newcomer and sheds\n\
-         the waiting request with the lowest priority / largest queue share /\n\
-         latest deadline (429 + Retry-After).\n\
-         \n\
-         --sample-interval-ms sets the live-plane sampling cadence behind\n\
-         GET /v1/debug/timeseries and `tessel-client top` (default 1000;\n\
-         0 disables the sampler)."
-    );
+    eprintln!("{USAGE}");
     exit(2)
 }
 
@@ -105,12 +107,6 @@ fn main() {
             "--journal-compact-every" => {
                 service_config.journal_compact_every = parse_value(&flag, args.next());
             }
-            "--solver-threads" => {
-                service_config.solver_threads = parse_value(&flag, args.next());
-            }
-            "--max-solver-threads" => {
-                service_config.max_solver_threads = parse_value(&flag, args.next());
-            }
             "--micro-batches" => {
                 service_config.default_micro_batches = parse_value(&flag, args.next());
             }
@@ -121,7 +117,6 @@ fn main() {
                 service_config.default_deadline =
                     Some(Duration::from_millis(parse_value(&flag, args.next())));
             }
-            "--paranoid-fingerprints" => service_config.paranoid_fingerprints = true,
             "--canon-node-budget" => {
                 service_config.canon_node_budget = parse_value(&flag, args.next());
             }
@@ -250,5 +245,20 @@ fn main() {
     // Serve until the process is killed.
     loop {
         std::thread::park();
+    }
+}
+
+#[cfg(test)]
+#[path = "shared/flag_surface.rs"]
+mod flag_surface;
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn the_usage_names_exactly_the_flags_the_parser_matches() {
+        super::flag_surface::assert_usage_matches_parser(
+            super::USAGE,
+            include_str!("tessel_server.rs"),
+        );
     }
 }

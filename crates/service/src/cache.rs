@@ -84,12 +84,12 @@ pub struct CachedSearch {
     pub fingerprint: Fingerprint,
     /// Parameters the search ran with.
     pub params: CacheParams,
-    /// The canonical placement. Kept *locally* to translate the schedule into
-    /// a requester's labeling, to back `--paranoid-fingerprints` lookup
-    /// re-verification, and to ship with replication/warm-up (whose receiver
-    /// always re-canonicalizes it); the exact canonical labeling makes
-    /// fingerprint equality trustworthy between fingerprints a node computed
-    /// itself, so remote cache hits no longer ship it (see
+    /// The canonical placement. Kept *locally* to re-check a journaled
+    /// entry's fingerprint on replay, to size the entry in cache listings,
+    /// and to ship with replication/warm-up (whose receiver always
+    /// re-canonicalizes it); the exact canonical labeling makes fingerprint
+    /// equality trustworthy between fingerprints a node computed itself, so
+    /// lookups never compare it and remote cache hits do not ship it (see
     /// [`crate::wire::WireSearchEntry`]).
     pub canonical_placement: PlacementSpec,
     /// The composed schedule, in canonical labeling.

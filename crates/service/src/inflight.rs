@@ -21,10 +21,10 @@
 //!
 //! Each entry carries a [`ProgressBoard`] handle. When the request leads a
 //! solve, the service clones that handle into the solver configuration, so
-//! the entry's `nodes` / `incumbent` / `steals` fields tick live while the
-//! search runs — all relaxed-atomic reads, no locks shared with the solver
-//! hot path. Requests that never solve (cache hits, coalesced followers)
-//! simply read zero.
+//! the entry's `nodes` / `incumbent` / `memo_drops` fields tick live while
+//! the search runs — all relaxed-atomic reads, no locks shared with the
+//! solver hot path. Requests that never solve (cache hits, coalesced
+//! followers) simply read zero.
 //!
 //! Memory is strictly bounded by concurrency: one entry per open request,
 //! each a couple hundred bytes plus one 64-slot progress board, and the
@@ -64,10 +64,6 @@ pub enum Stage {
     RemoteFetch,
     /// The whole `TesselSearch::run`.
     Solve,
-    /// Serial warmstart probes inside the solver.
-    SolverWarmstart,
-    /// Parallel worker-pool solves inside the solver.
-    SolverParallel,
     /// The cached schedule seen through the request's labeling.
     Translate,
     /// Response JSON rendering.
@@ -78,7 +74,7 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in declaration order (the stage histograms' order).
-    pub const ALL: [Stage; 14] = [
+    pub const ALL: [Stage; 12] = [
         Stage::Parse,
         Stage::QueueWait,
         Stage::Decode,
@@ -88,8 +84,6 @@ impl Stage {
         Stage::SingleflightWait,
         Stage::RemoteFetch,
         Stage::Solve,
-        Stage::SolverWarmstart,
-        Stage::SolverParallel,
         Stage::Translate,
         Stage::Serialize,
         Stage::Write,
@@ -109,8 +103,6 @@ impl Stage {
             Stage::SingleflightWait => "singleflight_wait",
             Stage::RemoteFetch => "remote_fetch",
             Stage::Solve => "solve",
-            Stage::SolverWarmstart => "solver_warmstart",
-            Stage::SolverParallel => "solver_parallel",
             Stage::Translate => "translate",
             Stage::Serialize => "serialize",
             Stage::Write => "write",
@@ -178,7 +170,6 @@ impl InflightEntry {
             nodes: progress.nodes,
             incumbent: progress.incumbent,
             incumbents: progress.incumbents,
-            steals: progress.steals,
             memo_drops: progress.memo_drops,
             worker_depths: progress
                 .worker_depths
@@ -419,7 +410,7 @@ mod tests {
             .expect("a current entry exists");
         });
         // A duration measured elsewhere leaves the live stage alone.
-        record_stage(Stage::SolverParallel, 5);
+        record_stage(Stage::QueueWait, 5);
         let snap = registry.snapshot();
         let entry = &snap.inflight[0];
         assert_eq!(entry.stage, "solve");

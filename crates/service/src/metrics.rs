@@ -185,18 +185,8 @@ metric_group! {
         solver_nodes, "tessel_solver_nodes_total", "Branch-and-bound nodes expanded across completed searches.";
         solver_pruned_bound, "tessel_solver_pruned_bound_total", "Solver nodes pruned by the makespan lower bound.";
         solver_pruned_dominance, "tessel_solver_pruned_dominance_total", "Solver nodes pruned by state dominance.";
-        solver_steals, "tessel_solver_steals_total", "Subtree tasks stolen between parallel solver workers.";
-        solver_shared_memo_hits, "tessel_solver_shared_memo_hits_total", "Dominance prunes served by another solver worker's record.";
-        #[serde(default)]
-        solver_cas_retries, "tessel_solver_cas_retries_total", "Times a parallel solver worker found its dominance-memo stripe locked.";
-        #[serde(default)]
-        solver_steal_failures, "tessel_solver_steal_failures_total", "Solver steal attempts that found the victim's deque lock held.";
         #[serde(default)]
         solver_memo_drops, "tessel_solver_memo_drops_total", "Finish vectors a dominance memo declined to record (memo limit reached).";
-        /// Any nonzero value means the exact canonical labeling broke its
-        /// contract.
-        #[serde(default)]
-        fingerprint_paranoia_mismatches, "tessel_fingerprint_paranoia_mismatches_total", "Canonical-form mismatches caught by the --paranoid-fingerprints lookup re-comparison that trusted fingerprint equality would have accepted.";
         /// The check is the only defence against a consistent but mislabeled
         /// peer payload; nonzero means a peer is confused or hostile.
         #[serde(default)]
@@ -238,10 +228,6 @@ impl ServiceMetrics {
             (&self.solver_nodes, totals.nodes),
             (&self.solver_pruned_bound, totals.pruned_bound),
             (&self.solver_pruned_dominance, totals.pruned_dominance),
-            (&self.solver_steals, totals.steals),
-            (&self.solver_shared_memo_hits, totals.shared_memo_hits),
-            (&self.solver_cas_retries, totals.cas_retries),
-            (&self.solver_steal_failures, totals.steal_failures),
             (&self.solver_memo_drops, totals.memo_drops),
         ] {
             counter.fetch_add(amount, Ordering::Relaxed);
@@ -490,21 +476,16 @@ mod tests {
         assert_eq!(snap.cache_entries, 4);
         assert_eq!(snap.solver_solves, 7);
         assert_eq!(snap.solver_nodes, 1000);
-        assert_eq!(snap.solver_steals, 3);
-        assert_eq!(snap.solver_shared_memo_hits, 9);
+        assert_eq!(snap.solver_memo_drops, 13);
         let text = snap.render_prometheus();
         assert!(text.contains("tessel_requests_total 3"));
         assert!(text.contains("tessel_cache_hits_total 2"));
         assert!(text.contains("# TYPE tessel_requests_total counter"));
         assert!(text.contains("# TYPE tessel_cache_hit_rate gauge"));
         assert!(text.contains("tessel_solver_nodes_total 1000"));
-        assert!(text.contains("tessel_solver_steals_total 3"));
-        assert!(text.contains("tessel_solver_shared_memo_hits_total 9"));
-        assert!(text.contains("tessel_solver_cas_retries_total 11"));
-        assert!(text.contains("tessel_solver_steal_failures_total 12"));
         assert!(text.contains("tessel_solver_memo_drops_total 13"));
         assert!(text.contains("# TYPE tessel_solver_solves_total counter"));
-        assert!(text.contains("# TYPE tessel_solver_cas_retries_total counter"));
+        assert!(text.contains("# TYPE tessel_solver_memo_drops_total counter"));
         // JSON round trip for the in-process API.
         let json = serde_json::to_string(&snap).unwrap();
         let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();

@@ -9,7 +9,7 @@
 //!    the resolved search parameters form the cache key. Device relabelings
 //!    and block reorderings of a known placement therefore hit the cache. The
 //!    canonical placement itself is built only when something reads it: a
-//!    search, a cluster fetch, a `--paranoid-fingerprints` comparison.
+//!    search or a cluster fetch.
 //! 2. **Cache lookup** — a hit returns immediately, as an [`Answer`]: the
 //!    cached canonical schedule seen through the request's own labeling.
 //! 3. **Single-flight** — concurrent identical misses elect one leader; the
@@ -33,7 +33,7 @@ use crate::wire::{
     TraceAssemblyResponse, TraceSpanInfo, WireSearchEntry,
 };
 use serde::{Deserialize, Serialize};
-use std::cell::{Cell, OnceCell};
+use std::cell::OnceCell;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
@@ -115,13 +115,9 @@ pub struct ServiceConfig {
     /// Kept for callers that still state the search's worker count: the
     /// candidate loop is serial, and [`ScheduleService::new`] accepts only 1.
     pub portfolio_threads: usize,
-    /// Worker threads for each exact solve (the work-stealing parallel
-    /// solver) when a request does not ask for a specific count; `0` uses
-    /// the machine's available parallelism.
+    /// Kept for callers that still state each solve's thread count: every
+    /// daemon solve is serial, and [`ScheduleService::new`] accepts only 1.
     pub solver_threads: usize,
-    /// Hard ceiling on solver threads accepted from requests (protects the
-    /// daemon from thread-bomb requests).
-    pub max_solver_threads: usize,
     /// Optional cap on candidates per `NR` level.
     pub candidate_limit: Option<usize>,
     /// Deadline applied when a request does not carry one.
@@ -130,16 +126,6 @@ pub struct ServiceConfig {
     pub journal_compact_every: usize,
     /// Cluster membership; `None` runs the daemon standalone.
     pub cluster: Option<ClusterConfig>,
-    /// Distrust fingerprint equality on **cache lookups**: re-compare the
-    /// full canonical form on every hit, counting every mismatch trusted
-    /// mode would have accepted in
-    /// `tessel_fingerprint_paranoia_mismatches_total`. The exact canonical
-    /// labeling makes this redundant; the flag is the escape hatch that
-    /// proves it. (Replicated/warmed entries are re-canonicalized
-    /// *unconditionally*, regardless of this flag — exact labeling can only
-    /// vouch for fingerprints this node computed itself, not for a peer's
-    /// claim.)
-    pub paranoid_fingerprints: bool,
     /// Node budget of the canonical-labeling search run per request. Past
     /// it the search completes greedily — bounded latency at the cost of
     /// possible cache splits between relabeled variants — and the event
@@ -157,12 +143,10 @@ impl Default for ServiceConfig {
             max_repetend_ceiling: 8,
             portfolio_threads: 1,
             solver_threads: 1,
-            max_solver_threads: 8,
             candidate_limit: None,
             default_deadline: Some(Duration::from_secs(60)),
             journal_compact_every: 64,
             cluster: None,
-            paranoid_fingerprints: false,
             canon_node_budget: tessel_core::fingerprint::DEFAULT_NODE_BUDGET,
         }
     }
@@ -195,15 +179,11 @@ struct Prepared<'r> {
     placement: &'r PlacementSpec,
     labeling: CanonicalLabeling,
     /// The canonical placement, built from the labeling the first time a
-    /// miss, a cluster fetch or a paranoid lookup reads it — never on a
-    /// plain hit.
+    /// miss or a cluster fetch reads it — never on a hit.
     canonical: OnceCell<PlacementSpec>,
-    /// Set once a paranoid lookup has counted this request's mismatch.
-    paranoia_mismatch: Cell<bool>,
     params: CacheParams,
     key: CacheKey,
     deadline: Option<Instant>,
-    solver_threads: usize,
 }
 
 impl Prepared<'_> {
@@ -304,7 +284,8 @@ impl ScheduleService {
     /// Returns [`std::io::ErrorKind::InvalidInput`] for a zero
     /// `default_micro_batches` or `default_max_repetend` (every request
     /// relying on the default would be rejected as the client's fault) and
-    /// for any `portfolio_threads` but 1. Propagates snapshot read failures.
+    /// for any `portfolio_threads` or `solver_threads` but 1. Propagates
+    /// snapshot read failures.
     /// A missing snapshot is fine, and a snapshot that no longer parses
     /// (corrupt, or written by an older daemon with a different entry
     /// layout) is skipped with a warning — an incompatible cache file must
@@ -319,6 +300,9 @@ impl ScheduleService {
         }
         if config.portfolio_threads != 1 {
             return invalid("portfolio_threads must be 1: the search is serial");
+        }
+        if config.solver_threads != 1 {
+            return invalid("solver_threads must be 1: every daemon solve is serial");
         }
         // An operator-raised default must never exceed the ceiling, or every
         // request relying on the default would be rejected.
@@ -516,8 +500,8 @@ impl ScheduleService {
     }
 
     /// Validates a request and resolves everything the pipeline needs to
-    /// know about it: parameters, canonical labeling, cache key, absolute
-    /// deadline and solver thread count.
+    /// know about it: parameters, canonical labeling, cache key and absolute
+    /// deadline.
     fn prepare<'r>(
         &self,
         request: &'r SearchRequest,
@@ -534,13 +518,11 @@ impl ScheduleService {
             key: CacheKey::new(labeling.fingerprint, &params),
             labeling,
             canonical: OnceCell::new(),
-            paranoia_mismatch: Cell::new(false),
             params,
             deadline: request
                 .deadline_ms
                 .map(|ms| arrived + Duration::from_millis(ms))
                 .or_else(|| self.config.default_deadline.map(|d| arrived + d)),
-            solver_threads: self.resolve_solver_threads(request),
         })
     }
 
@@ -666,32 +648,12 @@ impl ScheduleService {
 
     /// Cache lookup trusting fingerprint equality: the exact canonical
     /// labeling guarantees equal fingerprints mean equal canonical forms, so
-    /// only the stored parameters are re-checked. Under
-    /// `--paranoid-fingerprints` the full canonical-placement comparison is
-    /// reinstated; a mismatch counts in
-    /// `tessel_fingerprint_paranoia_mismatches_total` and degrades to a miss.
+    /// only the stored parameters are re-checked (the answer oracle in
+    /// `tests/json_codec.rs` holds the labeling to that guarantee).
     fn cache_lookup(&self, prepared: &Prepared<'_>) -> Option<Arc<CachedSearch>> {
-        let fingerprint = prepared.labeling.fingerprint;
         let entry = self.cache.get(prepared.key)?;
-        if entry.params != prepared.params || entry.fingerprint != fingerprint {
-            return None;
-        }
-        if self.config.paranoid_fingerprints && entry.canonical_placement != *prepared.canonical() {
-            // A miss looks up twice (before the election and in the leader's
-            // re-check); the request's mismatch counts once.
-            if !prepared.paranoia_mismatch.replace(true) {
-                self.metrics
-                    .fingerprint_paranoia_mismatches
-                    .fetch_add(1, Ordering::Relaxed);
-                tessel_obs::warn(
-                    "cache",
-                    "fingerprint paranoia: canonical form mismatch on lookup",
-                    &[("fingerprint", &fingerprint.to_string())],
-                );
-            }
-            return None;
-        }
-        Some(entry)
+        (entry.params == prepared.params && entry.fingerprint == prepared.labeling.fingerprint)
+            .then_some(entry)
     }
 
     /// Consults the ring owner for a locally missed request. A validated
@@ -736,15 +698,6 @@ impl ScheduleService {
         })
     }
 
-    /// The solver thread count a request runs with: the request's ask (or
-    /// the daemon default), with `0` resolved to the machine's parallelism,
-    /// clamped to the configured ceiling. Not part of cache identity —
-    /// every thread count proves the same optimum.
-    fn resolve_solver_threads(&self, request: &SearchRequest) -> usize {
-        let asked = request.solver_threads.unwrap_or(self.config.solver_threads);
-        tessel_solver::resolve_threads(asked).clamp(1, self.config.max_solver_threads.max(1))
-    }
-
     /// Runs the actual search (leader path) and populates the cache on
     /// success.
     fn run_search(
@@ -756,7 +709,6 @@ impl ScheduleService {
             ref params,
             key,
             deadline,
-            solver_threads,
             ..
         } = *prepared;
         let canonical = prepared.canonical();
@@ -775,7 +727,9 @@ impl ScheduleService {
         let mut config = SearchConfig::default()
             .with_micro_batches(params.num_micro_batches)
             .with_max_repetend_micro_batches(params.max_repetend_micro_batches)
-            .with_solver_threads(solver_threads)
+            // Pinned, not left to the default: `SolverConfig::default()`
+            // reads `TESSEL_TEST_THREADS`.
+            .with_solver_threads(1)
             .with_time_budget(budget);
         config.candidate_limit = self.config.candidate_limit;
         if let Some(sink) = sink {
@@ -801,18 +755,6 @@ impl ScheduleService {
             })?;
         let search_millis = started.elapsed().as_millis() as u64;
         self.metrics.record_solver(&outcome.stats.solver);
-        // Solver sub-phases, summed across the search's many solver
-        // invocations, become spans of the surrounding request. Zero totals
-        // (single-threaded solves have neither phase) are omitted.
-        if outcome.stats.solver.warmstart_micros > 0 {
-            inflight::record_stage(
-                Stage::SolverWarmstart,
-                outcome.stats.solver.warmstart_micros,
-            );
-        }
-        if outcome.stats.solver.parallel_micros > 0 {
-            inflight::record_stage(Stage::SolverParallel, outcome.stats.solver.parallel_micros);
-        }
 
         // Simulate the schedule on the reference cluster for the
         // machine-readable utilization summary.
@@ -1112,7 +1054,7 @@ impl ScheduleService {
     /// be one this node owns per its own ring, the shipped canonical
     /// placement must be structurally valid, the schedule must validate
     /// against it, and the placement must re-canonicalize to exactly the
-    /// claimed fingerprint (always, not just in paranoid mode; see
+    /// claimed fingerprint (always; see
     /// `ScheduleService::validate_wire_entry`) — so a confused peer (or a
     /// fleet misconfigured with divergent `--peer` lists) can never poison
     /// this cache or park entries where no warm-up will ever find them. Any
@@ -1356,6 +1298,17 @@ mod tests {
     }
 
     #[test]
+    fn a_second_solver_thread_is_refused_at_startup() {
+        for threads in [0, 2] {
+            let err = refused(ServiceConfig {
+                solver_threads: threads,
+                ..ServiceConfig::default()
+            });
+            assert!(err.to_string().contains("solver_threads"), "{err}");
+        }
+    }
+
+    #[test]
     fn raised_default_max_repetend_raises_the_ceiling() {
         let service = ScheduleService::new(ServiceConfig {
             default_max_repetend: 10,
@@ -1412,10 +1365,9 @@ mod tests {
         let snap = service.metrics_snapshot();
         assert!(snap.solver_solves > 0, "{snap:?}");
         assert!(snap.solver_nodes > 0, "{snap:?}");
-        assert!(snap.solver_shared_memo_hits <= snap.solver_pruned_dominance);
         let rendered = snap.render_prometheus();
         assert!(rendered.contains("tessel_solver_nodes_total"));
-        assert!(rendered.contains("tessel_solver_steals_total"));
+        assert!(rendered.contains("tessel_solver_memo_drops_total"));
         // The inspect payload carries the per-search totals.
         let inspect = service.inspect(response.fingerprint);
         assert_eq!(inspect.entries.len(), 1);
@@ -1423,58 +1375,6 @@ mod tests {
         // Cache hits do not re-run the solver: the counters stay put.
         service.search(&SearchRequest::for_placement(m4())).unwrap();
         assert_eq!(service.metrics_snapshot().solver_nodes, snap.solver_nodes);
-    }
-
-    #[test]
-    fn multithreaded_deadline_times_out_without_poisoning_the_cache() {
-        // The cooperative-cancellation path under the work-stealing solver:
-        // a 4-thread search with an (effectively) expired deadline must fail
-        // with a timeout promptly, cache nothing, and leave the service able
-        // to serve the same placement afterwards.
-        let service = ScheduleService::new(ServiceConfig {
-            default_micro_batches: 4,
-            default_max_repetend: 3,
-            solver_threads: 4,
-            ..ServiceConfig::default()
-        })
-        .unwrap();
-        let mut request = SearchRequest::for_placement(v_shape(3));
-        request.solver_threads = Some(4);
-        request.deadline_ms = Some(0);
-        let started = Instant::now();
-        let err = service.search(&request).unwrap_err();
-        assert!(matches!(err, ServiceError::Timeout(_)), "{err:?}");
-        assert!(
-            started.elapsed() < Duration::from_secs(10),
-            "timeout was not prompt: {:?}",
-            started.elapsed()
-        );
-        assert_eq!(service.cache_entries().len(), 0);
-        assert_eq!(service.metrics_snapshot().timeouts, 1);
-        // Same placement without the deadline: clean search, cached result.
-        request.deadline_ms = None;
-        let ok = service.search(&request).unwrap();
-        assert!(!ok.cached);
-        assert_eq!(service.cache_entries().len(), 1);
-    }
-
-    #[test]
-    fn solver_thread_requests_are_clamped_to_the_ceiling() {
-        let service = ScheduleService::new(ServiceConfig {
-            solver_threads: 2,
-            max_solver_threads: 4,
-            ..ServiceConfig::default()
-        })
-        .unwrap();
-        let mut request = SearchRequest::for_placement(v_shape(2));
-        assert_eq!(service.resolve_solver_threads(&request), 2);
-        request.solver_threads = Some(64);
-        assert_eq!(service.resolve_solver_threads(&request), 4);
-        request.solver_threads = Some(3);
-        assert_eq!(service.resolve_solver_threads(&request), 3);
-        request.solver_threads = Some(0);
-        let auto = service.resolve_solver_threads(&request);
-        assert!((1..=4).contains(&auto));
     }
 
     #[test]
@@ -1641,8 +1541,8 @@ mod tests {
     /// Forges a 64-bit fingerprint collision in `service`'s cache: the
     /// 2-device V's entry, with its fingerprint and parameters rewritten to
     /// the 3-device V request's, filed under that request's key. Returns the
-    /// request and the key.
-    fn forge_collision(service: &ScheduleService) -> (SearchRequest, CacheKey) {
+    /// request.
+    fn forge_collision(service: &ScheduleService) -> SearchRequest {
         let donor = service
             .search(&SearchRequest::for_placement(v_shape(2)))
             .unwrap();
@@ -1657,49 +1557,20 @@ mod tests {
             ..(*donor).clone()
         };
         service.cache.insert(key, Arc::new(forged));
-        (request, key)
+        request
     }
 
     #[test]
-    fn paranoid_lookups_refuse_a_forged_collision_and_count_it_once() {
-        // Trusted mode believes the fingerprint and serves the donor's
-        // schedule, which does not fit the request's placement.
-        let trusted = quick_service();
-        let (request, _) = forge_collision(&trusted);
-        let served = trusted.search(&request).unwrap();
+    fn trusted_lookups_serve_a_forged_collision_as_cached() {
+        // The lookup believes the fingerprint and serves the donor's
+        // schedule, which does not fit the request's placement: a 64-bit
+        // collision is the one thing the exact labeling cannot rule out.
+        let service = quick_service();
+        let request = forge_collision(&service);
+        let served = service.search(&request).unwrap();
         assert!(served.cached);
         assert!(served.schedule.validate(&request.placement).is_err());
         assert_eq!(served.utilization.devices.len(), 2);
-        assert_eq!(
-            trusted.metrics_snapshot().fingerprint_paranoia_mismatches,
-            0
-        );
-
-        let paranoid = ScheduleService::new(ServiceConfig {
-            default_micro_batches: 4,
-            default_max_repetend: 3,
-            paranoid_fingerprints: true,
-            ..ServiceConfig::default()
-        })
-        .unwrap();
-        let (request, key) = forge_collision(&paranoid);
-        let answered = paranoid.search(&request).unwrap();
-        assert!(!answered.cached);
-        answered.schedule.validate(&request.placement).unwrap();
-        let snap = paranoid.metrics_snapshot();
-        assert_eq!(snap.fingerprint_paranoia_mismatches, 1, "{snap:?}");
-        assert_eq!(snap.cache_misses, 2, "the donor's and this one: {snap:?}");
-        // The solve replaced the forgery with the real entry.
-        let held = paranoid.cache.get(key).unwrap();
-        assert_eq!(
-            held.canonical_placement,
-            request.placement.canonicalize().placement
-        );
-        assert!(paranoid.search(&request).unwrap().cached);
-        assert_eq!(
-            paranoid.metrics_snapshot().fingerprint_paranoia_mismatches,
-            1
-        );
     }
 
     #[test]

@@ -31,13 +31,6 @@ pub struct SearchRequest {
     /// running past it fails with a timeout error and nothing is cached.
     #[serde(default)]
     pub deadline_ms: Option<u64>,
-    /// Worker threads for each exact solve (the work-stealing parallel
-    /// solver). Defaults to the daemon's configured value; clamped to the
-    /// daemon's ceiling; `0` asks for the machine's available parallelism.
-    /// Does not participate in cache identity — every thread count proves
-    /// the same optimum.
-    #[serde(default)]
-    pub solver_threads: Option<usize>,
     /// Admission priority. Higher values are admitted first; among equal
     /// priorities the earliest deadline wins. Under overload, the lowest
     /// priority / latest deadline waiting request is shed first. Defaults to
@@ -56,7 +49,6 @@ impl SearchRequest {
             num_micro_batches: None,
             max_repetend_micro_batches: None,
             deadline_ms: None,
-            solver_threads: None,
             priority: None,
         }
     }
@@ -452,8 +444,6 @@ pub struct InflightInfo {
     pub incumbent: Option<u64>,
     /// Incumbent improvements so far.
     pub incumbents: u64,
-    /// Work-stealing steals so far.
-    pub steals: u64,
     /// Finish vectors a full dominance memo declined to record so far (a
     /// rising count explains an exploding node count: the solve re-explores
     /// states it can no longer remember).
@@ -578,7 +568,6 @@ mod tests {
             num_micro_batches: Some(6),
             max_repetend_micro_batches: Some(3),
             deadline_ms: Some(250),
-            solver_threads: Some(4),
             priority: Some(-2),
         };
         let json = serde_json::to_string(&full).unwrap();
@@ -594,7 +583,6 @@ mod tests {
         assert_eq!(parsed.placement, v2());
         assert_eq!(parsed.num_micro_batches, None);
         assert_eq!(parsed.deadline_ms, None);
-        assert_eq!(parsed.solver_threads, None);
         assert_eq!(parsed.priority, None);
 
         let missing: Result<SearchRequest, _> = serde_json::from_str("{}");
@@ -644,7 +632,6 @@ mod tests {
                     nodes: 12_345,
                     incumbent: Some(17),
                     incumbents: 3,
-                    steals: 2,
                     memo_drops: 7,
                     worker_depths: vec![4, 9],
                 },
@@ -659,7 +646,6 @@ mod tests {
                     nodes: 0,
                     incumbent: None,
                     incumbents: 0,
-                    steals: 0,
                     memo_drops: 0,
                     worker_depths: vec![],
                 },

@@ -98,21 +98,11 @@ fn start_node(
     listener: TcpListener,
     peers: Vec<PeerConfig>,
 ) -> (HttpServer, Arc<ScheduleService>) {
-    start_node_with(node_id, listener, peers, false)
-}
-
-fn start_node_with(
-    node_id: &str,
-    listener: TcpListener,
-    peers: Vec<PeerConfig>,
-    paranoid_fingerprints: bool,
-) -> (HttpServer, Arc<ScheduleService>) {
     let service = Arc::new(
         ScheduleService::new(ServiceConfig {
             default_micro_batches: 4,
             default_max_repetend: 3,
             cluster: Some(cluster_config(node_id, peers)),
-            paranoid_fingerprints,
             ..ServiceConfig::default()
         })
         .unwrap(),
@@ -396,15 +386,13 @@ fn full_entry_from_search(
     }
 }
 
-/// With `--paranoid-fingerprints` on every node the fleet still round-trips:
-/// remote hits, replication and warm-up all succeed, and the paranoia
-/// counter (lookup re-comparison) stays at zero — the exact labeling gives
-/// it nothing to catch. A poisoned replication payload (a *consistent*
-/// entry whose placement simply is not the claimed fingerprint's placement)
-/// passes every structural check and is caught by the unconditional wire
-/// re-canonicalization, which runs in every mode.
+/// A fleet round-trips relabeled traffic — remote hits and replication
+/// succeed, and honest traffic trips no wire-mismatch counter. A poisoned
+/// replication payload (a *consistent* entry whose placement simply is not
+/// the claimed fingerprint's placement) passes every structural check and
+/// is caught by the unconditional wire re-canonicalization.
 #[test]
-fn paranoid_mode_round_trips_and_catches_mislabeled_replication() {
+fn a_fleet_round_trips_and_catches_mislabeled_replication() {
     let listener_a = TcpListener::bind("127.0.0.1:0").unwrap();
     let listener_b = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr_a = listener_a.local_addr().unwrap().to_string();
@@ -417,23 +405,21 @@ fn paranoid_mode_round_trips_and_catches_mislabeled_replication() {
     } else {
         ("beta", "alpha")
     };
-    let (server_a, service_a) = start_node_with(
+    let (server_a, service_a) = start_node(
         id_a,
         listener_a,
         vec![PeerConfig {
             node_id: id_b.into(),
             addr: addr_b.clone(),
         }],
-        true,
     );
-    let (server_b, _service_b) = start_node_with(
+    let (server_b, _service_b) = start_node(
         id_b,
         listener_b,
         vec![PeerConfig {
             node_id: id_a.into(),
             addr: addr_a.clone(),
         }],
-        true,
     );
     assert!(service_a.cluster().unwrap().owns(fingerprint));
 
@@ -443,7 +429,7 @@ fn paranoid_mode_round_trips_and_catches_mislabeled_replication() {
     let order: Vec<usize> = (0..placement.num_blocks()).collect();
     let permuted = placement.permuted(&[2, 0, 1], &order).unwrap();
     let (_, second) = post_search(&addr_b, &permuted);
-    assert!(second.cached, "paranoid remote hit must still hit");
+    assert!(second.cached, "a relabeled remote request must hit");
     assert_eq!(second.period, first.period);
     second.schedule.validate(&permuted).unwrap();
 
@@ -457,23 +443,19 @@ fn paranoid_mode_round_trips_and_catches_mislabeled_replication() {
                 http_call(&addr_a, "GET", &format!("/v1/cache/{chain_a_fp}"), None).unwrap();
             status == 200
         }),
-        "paranoid owner never accepted the replicated entry"
+        "the owner never accepted the replicated entry"
     );
 
-    // A local re-request of the adopted entries exercises the paranoid
-    // lookup path (canonical-form re-comparison) — still a hit.
+    // A local re-request of the adopted entry is a local hit.
     let (_, again) = post_search(&addr_b, &permuted);
     assert!(again.cached);
 
     for addr in [&addr_a, &addr_b] {
-        let text = metrics_text(addr);
         assert_eq!(
-            metric_value(&text, "tessel_fingerprint_paranoia_mismatches_total"),
-            0,
-            "honest traffic must not trip the paranoia counter"
-        );
-        assert_eq!(
-            metric_value(&text, "tessel_fingerprint_wire_mismatches_total"),
+            metric_value(
+                &metrics_text(addr),
+                "tessel_fingerprint_wire_mismatches_total"
+            ),
             0,
             "honest traffic must not trip the wire-mismatch counter"
         );
@@ -514,7 +496,7 @@ fn paranoid_mode_round_trips_and_catches_mislabeled_replication() {
 }
 
 /// Corrupted replication payloads are rejected by structural validation in
-/// DEFAULT mode (no paranoia needed): a slim entry with no placement, an
+/// structural validation: a slim entry with no placement, an
 /// entry whose inner fingerprint contradicts the exchange, and a tampered
 /// schedule that does not validate against the shipped placement.
 #[test]
@@ -572,22 +554,20 @@ fn corrupted_replication_payloads_are_rejected() {
             "{what} must be rejected"
         );
     }
-    // Structural rejections trip neither re-canonicalization counter: the
-    // three payloads above never reach the fingerprint re-verification.
-    let text = metrics_text(&addr);
+    // Structural rejections do not trip the re-canonicalization counter:
+    // the three payloads above never reach the fingerprint re-verification.
     assert_eq!(
-        metric_value(&text, "tessel_fingerprint_paranoia_mismatches_total"),
-        0
-    );
-    assert_eq!(
-        metric_value(&text, "tessel_fingerprint_wire_mismatches_total"),
+        metric_value(
+            &metrics_text(&addr),
+            "tessel_fingerprint_wire_mismatches_total"
+        ),
         0
     );
 
     // Corruption 4 — the cache-poisoning regression: a fully *consistent*
     // entry (chain-8's placement with chain-8's valid schedule) claiming
-    // chain-7's fingerprint. Every structural check passes; in DEFAULT mode
-    // the unconditional re-canonicalization must still reject it, or a later
+    // chain-7's fingerprint. Every structural check passes; the
+    // unconditional re-canonicalization must still reject it, or a later
     // request for chain-7 would be served chain-8's schedule.
     let poisoned = full_entry_from_search(fp, &other.placement, &other_solved);
     let ack = put_replication(
@@ -600,18 +580,15 @@ fn corrupted_replication_payloads_are_rejected() {
     assert_eq!(
         (ack.accepted, ack.rejected),
         (0, 1),
-        "consistent-but-mislabeled entry must be rejected in default mode"
+        "consistent-but-mislabeled entry must be rejected"
     );
-    let text = metrics_text(&addr);
     assert_eq!(
-        metric_value(&text, "tessel_fingerprint_wire_mismatches_total"),
+        metric_value(
+            &metrics_text(&addr),
+            "tessel_fingerprint_wire_mismatches_total"
+        ),
         1,
         "the catch must be visible in the wire-mismatch metric"
-    );
-    assert_eq!(
-        metric_value(&text, "tessel_fingerprint_paranoia_mismatches_total"),
-        0,
-        "the lookup paranoia counter is not involved on the wire path"
     );
     // The poison left no trace in the cache: chain-7's fingerprint still
     // serves chain-7's own schedule.

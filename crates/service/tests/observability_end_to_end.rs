@@ -302,7 +302,6 @@ fn slow_search_body(deadline_ms: u64) -> String {
     let mut request = SearchRequest::for_placement(placement);
     request.num_micro_batches = Some(8);
     request.max_repetend_micro_batches = Some(6);
-    request.solver_threads = Some(1);
     request.deadline_ms = Some(deadline_ms);
     serde_json::to_string(&request).unwrap()
 }
@@ -311,13 +310,7 @@ fn slow_search_body(deadline_ms: u64) -> String {
 fn inflight_shows_monotone_solver_progress_and_a_live_incumbent() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
-    let service = Arc::new(
-        ScheduleService::new(ServiceConfig {
-            solver_threads: 1,
-            ..ServiceConfig::default()
-        })
-        .unwrap(),
-    );
+    let service = Arc::new(ScheduleService::new(ServiceConfig::default()).unwrap());
     let server = HttpServer::serve_listener(
         service,
         listener,

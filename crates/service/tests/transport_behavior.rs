@@ -547,14 +547,13 @@ fn wait_until_rejected(server: &HttpServer, at_least: u64) -> bool {
     false
 }
 
-/// An admission-test daemon: one worker, a small queue, and a
-/// single-threaded solver so one hard request occupies the worker for a
-/// predictable window while followers pile up in the admission queue.
+/// An admission-test daemon: one worker and a small queue, so one hard
+/// request occupies the worker for a predictable window while followers
+/// pile up in the admission queue.
 fn start_admission_server(queue_depth: usize) -> (HttpServer, String) {
     let service = ScheduleService::new(ServiceConfig {
         default_micro_batches: 4,
         default_max_repetend: 3,
-        solver_threads: 1,
         ..ServiceConfig::default()
     })
     .unwrap();
@@ -582,7 +581,6 @@ fn occupier_body() -> String {
     let mut request = SearchRequest::for_placement(placement);
     request.num_micro_batches = Some(8);
     request.max_repetend_micro_batches = Some(6);
-    request.solver_threads = Some(1);
     request.deadline_ms = Some(2500);
     serde_json::to_string(&request).unwrap()
 }

@@ -257,7 +257,6 @@ fn every_wire_type_round_trips(mutants: usize) {
     let refused = SearchRequest {
         max_repetend_micro_batches: Some(99),
         deadline_ms: Some(250),
-        solver_threads: Some(2),
         priority: Some(-3),
         ..request(ShapeKind::M, 4)
     };
@@ -380,7 +379,6 @@ fn every_wire_type_round_trips(mutants: usize) {
         nodes: 1 << 40,
         incumbent: Some(9),
         incumbents: 2,
-        steals: 0,
         memo_drops: 5,
         worker_depths: vec![3, 0, 17],
     };
@@ -809,6 +807,8 @@ fn random_entry(rng: &mut Rng, placement: &PlacementSpec) -> CachedSearch {
 /// and topological block order) of one of sixteen random placements whose
 /// random entries a daemon restored from its journal. For every request:
 ///
+/// * the request's canonical placement is the entry's — the comparison a
+///   cache hit trusts the fingerprint for;
 /// * the answer written straight from the entry is byte for byte
 ///   `serde_json::to_string` of the response the replaced translation built,
 ///   and `Answer::to_response` is that response — as a miss, a hit and a
@@ -877,6 +877,7 @@ fn answers_match_the_replaced_translation(cases: usize) {
             serde_json::to_string(&request).unwrap()
         );
         let canon = request.placement.canonicalize();
+        assert_eq!(canon.placement, entry.canonical_placement, "{context}");
         let expected = |cached, coalesced| {
             replaced_translation(&entry, &canon, &request.placement, cached, coalesced)
         };
@@ -932,6 +933,7 @@ fn answers_match_the_replaced_translation(cases: usize) {
             ..miss
         };
         let canon = relabeled.placement.canonicalize();
+        assert_eq!(canon.placement, entry.canonical_placement, "{kind:?}");
         let hit = replaced_translation(&entry, &canon, &relabeled.placement, true, false);
         let (status, body) = post(&relabeled);
         assert_eq!(status, 200, "{kind:?}: {body}");

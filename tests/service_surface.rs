@@ -174,12 +174,7 @@ fn service_and_transport_snapshot_json_are_pinned() {
         &service.solver_nodes,
         &service.solver_pruned_bound,
         &service.solver_pruned_dominance,
-        &service.solver_steals,
-        &service.solver_shared_memo_hits,
-        &service.solver_cas_retries,
-        &service.solver_steal_failures,
         &service.solver_memo_drops,
-        &service.fingerprint_paranoia_mismatches,
         &service.fingerprint_wire_mismatches,
         &service.canon_budget_exhausted,
         &service.journal_stale_dropped,
@@ -194,11 +189,9 @@ fn service_and_transport_snapshot_json_are_pinned() {
         json,
         "{\"requests\":1,\"cache_hits\":2,\"cache_misses\":3,\"coalesced\":4,\"timeouts\":5,\
          \"errors\":6,\"in_flight\":7,\"solver_solves\":8,\"solver_nodes\":9,\
-         \"solver_pruned_bound\":10,\"solver_pruned_dominance\":11,\"solver_steals\":12,\
-         \"solver_shared_memo_hits\":13,\"solver_cas_retries\":14,\"solver_steal_failures\":15,\
-         \"solver_memo_drops\":16,\"fingerprint_paranoia_mismatches\":17,\
-         \"fingerprint_wire_mismatches\":18,\"canon_budget_exhausted\":19,\
-         \"journal_stale_dropped\":20,\"hit_rate\":0.4,\"cache_entries\":30,\
+         \"solver_pruned_bound\":10,\"solver_pruned_dominance\":11,\"solver_memo_drops\":12,\
+         \"fingerprint_wire_mismatches\":13,\"canon_budget_exhausted\":14,\
+         \"journal_stale_dropped\":15,\"hit_rate\":0.4,\"cache_entries\":30,\
          \"cache_evictions\":31,\"latency_p50_ms\":0.128,\"latency_p99_ms\":0.128}"
     );
     assert_eq!(
@@ -210,14 +203,14 @@ fn service_and_transport_snapshot_json_are_pinned() {
     let old: MetricsSnapshot = serde_json::from_str(
         "{\"requests\":1,\"cache_hits\":2,\"cache_misses\":3,\"coalesced\":4,\"timeouts\":5,\
          \"errors\":6,\"in_flight\":7,\"solver_solves\":8,\"solver_nodes\":9,\
-         \"solver_pruned_bound\":10,\"solver_pruned_dominance\":11,\"solver_steals\":12,\
-         \"solver_shared_memo_hits\":13,\"hit_rate\":0.4,\"cache_entries\":30,\
-         \"cache_evictions\":31,\"latency_p50_ms\":0.128,\"latency_p99_ms\":0.128}",
+         \"solver_pruned_bound\":10,\"solver_pruned_dominance\":11,\"hit_rate\":0.4,\
+         \"cache_entries\":30,\"cache_evictions\":31,\"latency_p50_ms\":0.128,\
+         \"latency_p99_ms\":0.128}",
     )
     .unwrap();
-    assert_eq!(old.solver_cas_retries, 0);
+    assert_eq!(old.solver_memo_drops, 0);
     assert_eq!(old.journal_stale_dropped, 0);
-    assert_eq!(old.solver_shared_memo_hits, 13);
+    assert_eq!(old.solver_pruned_dominance, 11);
 
     let transport = TransportMetrics::new();
     let counters = [
@@ -319,8 +312,7 @@ fn search_requests_serialize_every_field_and_decode_leniently() {
         bare,
         format!(
             "{{\"placement\":{PLACEMENT},\"num_micro_batches\":null,\
-             \"max_repetend_micro_batches\":null,\"deadline_ms\":null,\"solver_threads\":null,\
-             \"priority\":null}}"
+             \"max_repetend_micro_batches\":null,\"deadline_ms\":null,\"priority\":null}}"
         )
     );
     let tuned = SearchRequest {
@@ -328,12 +320,11 @@ fn search_requests_serialize_every_field_and_decode_leniently() {
         num_micro_batches: Some(6),
         max_repetend_micro_batches: Some(3),
         deadline_ms: Some(250),
-        solver_threads: Some(4),
         priority: Some(-2),
     };
     let tuned_json = format!(
         "{{\"placement\":{PLACEMENT},\"num_micro_batches\":6,\"max_repetend_micro_batches\":3,\
-         \"deadline_ms\":250,\"solver_threads\":4,\"priority\":-2}}"
+         \"deadline_ms\":250,\"priority\":-2}}"
     );
     assert_pinned!(SearchRequest, tuned, tuned_json);
 
@@ -379,7 +370,6 @@ fn inflight_rows_serialize_absent_options_as_null() {
         nodes: 0,
         incumbent: None,
         incumbents: 0,
-        steals: 0,
         memo_drops: 0,
         worker_depths: vec![],
     };
@@ -389,7 +379,7 @@ fn inflight_rows_serialize_absent_options_as_null() {
         "{\"trace_id\":\"00000000000000000000000000000000\",\"method\":\"CALL\",\
          \"path\":\"/v1/search\",\"peer\":null,\"stage\":\"queued\",\"elapsed_ms\":1,\
          \"deadline_remaining_ms\":null,\"nodes\":0,\"incumbent\":null,\"incumbents\":0,\
-         \"steals\":0,\"memo_drops\":0,\"worker_depths\":[]}"
+         \"memo_drops\":0,\"worker_depths\":[]}"
     );
     let solving = InflightInfo {
         peer: Some("127.0.0.1:50000".into()),
@@ -398,7 +388,6 @@ fn inflight_rows_serialize_absent_options_as_null() {
         nodes: 12_345,
         incumbent: Some(17),
         incumbents: 3,
-        steals: 2,
         memo_drops: 7,
         worker_depths: vec![4, 9],
         ..queued.clone()
@@ -409,13 +398,13 @@ fn inflight_rows_serialize_absent_options_as_null() {
         "{\"trace_id\":\"00000000000000000000000000000000\",\"method\":\"CALL\",\
          \"path\":\"/v1/search\",\"peer\":\"127.0.0.1:50000\",\"stage\":\"solve\",\
          \"elapsed_ms\":1,\"deadline_remaining_ms\":958,\"nodes\":12345,\"incumbent\":17,\
-         \"incumbents\":3,\"steals\":2,\"memo_drops\":7,\"worker_depths\":[4,9]}"
+         \"incumbents\":3,\"memo_drops\":7,\"worker_depths\":[4,9]}"
     );
     // The three options may be left out entirely.
     let sparse: InflightInfo = serde_json::from_str(
         "{\"trace_id\":\"00000000000000000000000000000000\",\"method\":\"CALL\",\
          \"path\":\"/v1/search\",\"stage\":\"queued\",\"elapsed_ms\":1,\"nodes\":0,\
-         \"incumbents\":0,\"steals\":0,\"worker_depths\":[]}",
+         \"incumbents\":0,\"worker_depths\":[]}",
     )
     .unwrap();
     assert_eq!(sparse, queued);
@@ -465,15 +454,24 @@ fn client_entry_points_return_what_they_always_did() {
     assert_eq!(after_one_shots.connections_accepted, 3);
     assert_eq!(after_one_shots.keepalive_reuses, 0);
 
-    // Keep-alive client: two calls, one connection, headers returned.
+    // Keep-alive client: two calls, one connection, headers returned. The
+    // second is an old client's body, still carrying the removed
+    // `solver_threads` key: the decoder skips it and the answer is the
+    // first call's, byte for byte.
+    let old_client_body = body.replace(
+        "\"priority\":null",
+        "\"solver_threads\":4,\"priority\":null",
+    );
+    assert_ne!(old_client_body, body);
     let mut client = HttpClient::new(&addr).unwrap();
     let trace = "00112233445566778899aabbccddeeff";
-    for call in 0..2 {
+    let mut payloads = Vec::new();
+    for (call, body) in [&body, &old_client_body].into_iter().enumerate() {
         let (status, headers, payload) = client
             .call_with_headers(
                 "POST",
                 "/v1/search",
-                Some(&body),
+                Some(body),
                 &[("X-Tessel-Trace-Id", trace)],
             )
             .unwrap();
@@ -501,7 +499,9 @@ fn client_entry_points_return_what_they_always_did() {
         assert!(hit.cached, "call {call}");
         assert_eq!(normalized(hit), expected);
         assert!(client.is_connected());
+        payloads.push(payload);
     }
+    assert_eq!(payloads[0], payloads[1]);
     let after_keep_alive = server.transport_snapshot();
     assert_eq!(after_keep_alive.connections_accepted, 4);
     assert_eq!(after_keep_alive.keepalive_reuses, 1);
