@@ -1,7 +1,7 @@
-//! Records the `admission_overload`, `anytime_streaming` and
-//! `observability_overhead` sections of `BENCH_search.json`: goodput of the
-//! daemon under sustained overload, the time to the first streamed incumbent
-//! and the cost of the live-plane sampler (see
+//! Writes `BENCH_search.json`: goodput of the daemon under sustained
+//! overload (`admission_overload`), the time to the first streamed incumbent
+//! (`anytime_streaming`) and the cost of the live-plane sampler
+//! (`observability_overhead`), next to the `host` they ran on (see
 //! [`tessel_bench::report::emit_service`]). Request throughput and per-stage
 //! latency belong to the benchmark package (`serve_hit`, `serve_miss`).
 //!

@@ -1,13 +1,13 @@
 //! The seed implementation of the branch-and-bound search, kept verbatim as
-//! a benchmarking baseline.
+//! a differential oracle.
 //!
 //! `tessel-solver`'s hot loop was rewritten to be allocation-free (undo-stack
 //! state restoration, arena-backed dominance table, pooled candidate
 //! buffers). This module preserves the original allocation-heavy algorithm —
 //! per-node `HashMap<u128, Vec<Vec<u64>>>` memo entries, cloned finish
-//! vectors and per-child undo snapshots — so `bench_search` can report the
-//! before/after nodes-per-second ratio from a single binary. It is *not*
-//! part of the production search path.
+//! vectors and per-child undo snapshots — which shares none of the current
+//! engine's search code, so `tests/solver_oracle.rs` holds the engine's
+//! proved optima to it. It is *not* part of the production search path.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};

@@ -1,309 +1,30 @@
 //! Machine-readable performance tracking: `BENCH_search.json`.
 //!
-//! The schedule-search pipeline is the hot path of the whole system, so its
-//! perf trajectory is tracked in a single JSON file at the repository root
-//! (override the location with the `TESSEL_BENCH_JSON` environment
-//! variable). Two emitters update it section-by-section — the
-//! `bench_search` and `bench_service` binaries — each replacing only its own
-//! keys, so the file accumulates a consistent snapshot no matter which
-//! entry point ran last.
+//! The daemon's behaviour under load is tracked in a single JSON file at the
+//! repository root, written in one piece by the `bench_service` binary
+//! ([`emit_service`]). Its keys:
 //!
-//! Sections:
-//!
-//! * `solver_scaling` — branch-and-bound nodes per second: the seed
-//!   (allocation-heavy) solver vs the current allocation-free one, single-
-//!   and multi-threaded.
-//! * `solver_thread_scaling` — the 1→N curve of the work-stealing solver:
-//!   explored-node count and its ratio vs serial, shared-memo hits,
-//!   wall-clock and the contention counters (steals, failed steals, memo
-//!   stripe waits, memo drops). Node counts are meaningful on any host; the
-//!   wall-clock columns need a multi-core box (interpret against `host.cpus`).
+//! * `host` — the host's parallelism and the commit the run measured;
 //! * `admission_overload`, `anytime_streaming`, `observability_overhead` —
 //!   the daemon under sustained overload, the time to the first streamed
-//!   incumbent and the cost of the live-plane sampler (written by the
-//!   `bench_service` binary). Request throughput and per-stage latency are
-//!   not recorded here: the benchmark package's `serve_hit` / `serve_miss`
-//!   workloads measure them with segments, medians and spread.
+//!   incumbent and the cost of the live-plane sampler.
+//!
+//! Request throughput, per-stage latency and the solver's node counts are
+//! not recorded here: the benchmark package's workloads (`serve_hit`,
+//! `serve_miss`, `solve_exact`, `solve_parallel`, …) measure them with
+//! segments, medians and spread.
 
-use crate::legacy_solver::legacy_minimize;
-use crate::time_optimal_instance;
 use serde::Serialize;
 use std::time::Instant;
 use tessel_placement::shapes::{synthetic_placement, ShapeKind};
-use tessel_solver::{Solver, SolverConfig};
-
-/// One row of the `solver_scaling` section.
-#[derive(Debug, Clone, Serialize)]
-pub struct SolverScalingRow {
-    /// Instance description.
-    pub instance: String,
-    /// `"seed"` (allocation-heavy baseline), or `"current"`.
-    pub engine: String,
-    /// Solver threads (1 for the seed engine).
-    pub threads: usize,
-    /// Branch nodes expanded.
-    pub nodes: u64,
-    /// Wall-clock seconds of the solve.
-    pub seconds: f64,
-    /// Nodes per second.
-    pub nodes_per_sec: f64,
-    /// Proved optimal makespan.
-    pub makespan: Option<u64>,
-}
 
 /// Path of the tracked JSON file.
 ///
-/// Anchored to the workspace root at compile time: the emitters (and the
-/// unit tests, which cargo runs from the *package* directory) start in
-/// arbitrary working directories, so a bare relative path would scatter
+/// Anchored to the workspace root at compile time: the emitter may start in
+/// an arbitrary working directory, so a bare relative path would scatter
 /// copies of the file.
-#[must_use]
-pub fn bench_json_path() -> std::path::PathBuf {
-    std::env::var_os("TESSEL_BENCH_JSON")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_search.json")
-        })
-}
-
-/// Replaces one top-level section of `BENCH_search.json`, keeping the others.
-pub fn write_section<T: Serialize>(section: &str, payload: &T) {
-    write_section_to(&bench_json_path(), section, payload);
-}
-
-/// [`write_section`] against an explicit file, for callers (and tests) that
-/// should not touch the tracked snapshot.
-pub fn write_section_to<T: Serialize>(path: &std::path::Path, section: &str, payload: &T) {
-    let mut entries: Vec<(String, serde::Value)> = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| serde_json::from_str::<serde::Value>(&text).ok())
-        .and_then(|value| value.as_map().map(<[(String, serde::Value)]>::to_vec))
-        .unwrap_or_default();
-    let rendered = match serde_json::to_string(payload) {
-        Ok(json) => json,
-        Err(e) => {
-            eprintln!("warning: cannot serialise section {section}: {e}");
-            return;
-        }
-    };
-    let Ok(value) = serde_json::from_str::<serde::Value>(&rendered) else {
-        eprintln!("warning: cannot re-parse section {section}");
-        return;
-    };
-    match entries.iter_mut().find(|(k, _)| k == section) {
-        Some((_, slot)) => *slot = value,
-        None => entries.push((section.to_string(), value)),
-    }
-    match serde_json::to_string_pretty(&serde::Value::Map(entries)) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(path, json + "\n") {
-                eprintln!("warning: cannot write {}: {e}", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: cannot serialise {}: {e}", path.display()),
-    }
-}
-
-/// Measures branch-and-bound node throughput: the seed algorithm vs the
-/// current solver, single-threaded and with 4 root-split workers, on
-/// whole-schedule (time-optimal) V-shape instances.
-#[must_use]
-pub fn solver_scaling_rows() -> Vec<SolverScalingRow> {
-    let placement = synthetic_placement(ShapeKind::V, 4).expect("placement");
-    let mut rows = Vec::new();
-    // Best-of-N to dampen scheduler noise (the CI host may be a single
-    // shared core).
-    const REPS: usize = 2;
-    for micro_batches in [5usize, 6] {
-        let instance = time_optimal_instance(&placement, micro_batches).expect("instance");
-        let label = format!("time_optimal/v4/mb{micro_batches}");
-
-        let mut best: Option<SolverScalingRow> = None;
-        for _ in 0..REPS {
-            let exhaustive = SolverConfig::exhaustive();
-            let legacy =
-                legacy_minimize(&instance, u64::MAX, None, exhaustive.dominance_memo_limit);
-            let row = SolverScalingRow {
-                instance: label.clone(),
-                engine: "seed".into(),
-                threads: 1,
-                nodes: legacy.nodes,
-                seconds: legacy.elapsed.as_secs_f64(),
-                nodes_per_sec: legacy.nodes as f64 / legacy.elapsed.as_secs_f64().max(1e-9),
-                makespan: legacy.makespan,
-            };
-            if best
-                .as_ref()
-                .is_none_or(|b| row.nodes_per_sec > b.nodes_per_sec)
-            {
-                best = Some(row);
-            }
-        }
-        rows.extend(best);
-
-        for threads in [1usize, 4] {
-            let mut best: Option<SolverScalingRow> = None;
-            for _ in 0..REPS {
-                let solver = Solver::new(SolverConfig::exhaustive().with_threads(threads));
-                let started = Instant::now();
-                let outcome = solver.minimize(&instance).expect("solve");
-                let elapsed = started.elapsed();
-                let stats = outcome.stats();
-                let row = SolverScalingRow {
-                    instance: label.clone(),
-                    engine: "current".into(),
-                    threads,
-                    nodes: stats.nodes,
-                    seconds: elapsed.as_secs_f64(),
-                    nodes_per_sec: stats.nodes as f64 / elapsed.as_secs_f64().max(1e-9),
-                    makespan: outcome.solution().map(tessel_solver::Solution::makespan),
-                };
-                if best
-                    .as_ref()
-                    .is_none_or(|b| row.nodes_per_sec > b.nodes_per_sec)
-                {
-                    best = Some(row);
-                }
-            }
-            rows.extend(best);
-        }
-    }
-    rows
-}
-
-/// One row of the `solver_thread_scaling` section.
-///
-/// The 1→N curve of the work-stealing solver. `nodes_vs_serial` is
-/// the search-quality column: with per-worker *private* dominance memos the
-/// 4-thread search re-explored ~2.7× the serial node count on the mb6
-/// instance; the shared table must keep the ratio near 1, and
-/// `shared_memo_hits` of `pruned_dominance` shows the sharing paying off. The
-/// wall-clock columns come with the contention counters that explain them:
-/// `steals` (successful load balancing), `steal_failures` (steals that met a
-/// held deque lock), `cas_retries` (probes that waited for a held stripe of
-/// the shared dominance table) and `memo_drops` (memo-limit drops).
-/// Wall-clock speedups need a multi-core host — interpret `seconds` against
-/// the recorded `host.cpus`; on a single core the curve only shows the
-/// synchronisation overhead floor. The serial
-/// warmstart probe is disabled for these rows so every thread count exercises
-/// the real worker pool.
-#[derive(Debug, Clone, Serialize)]
-pub struct ThreadScalingRow {
-    /// Instance description.
-    pub instance: String,
-    /// Solver worker threads.
-    pub threads: usize,
-    /// Branch nodes expanded (all workers combined).
-    pub nodes: u64,
-    /// `nodes` of this row divided by the single-threaded row's.
-    pub nodes_vs_serial: f64,
-    /// Nodes pruned by dominance.
-    pub pruned_dominance: u64,
-    /// Dominance prunes served by another worker's record.
-    pub shared_memo_hits: u64,
-    /// Wall-clock seconds of the solve (best of 2 runs).
-    pub seconds: f64,
-    /// Nodes per second.
-    pub nodes_per_sec: f64,
-    /// Serial wall-clock divided by this row's (>1 means faster than 1t).
-    pub speedup_vs_serial: f64,
-    /// Subtree tasks stolen between workers.
-    pub steals: u64,
-    /// Steal attempts that found the victim's deque held.
-    pub steal_failures: u64,
-    /// Probes that waited for a held stripe of the shared dominance table.
-    pub cas_retries: u64,
-    /// Finish vectors the table declined to memoise, memo limit reached.
-    pub memo_drops: u64,
-    /// Proved optimal makespan — must be identical across thread counts.
-    pub makespan: Option<u64>,
-}
-
-/// Measures the 1→N thread-scaling curve of the work-stealing solver on the
-/// whole-schedule (time-optimal) V-shape instances.
-#[must_use]
-pub fn solver_thread_scaling_rows() -> Vec<ThreadScalingRow> {
-    let placement = synthetic_placement(ShapeKind::V, 4).expect("placement");
-    let mut rows = Vec::new();
-    const REPS: usize = 2;
-    for micro_batches in [5usize, 6] {
-        let instance = time_optimal_instance(&placement, micro_batches).expect("instance");
-        let label = format!("time_optimal/v4/mb{micro_batches}");
-        let mut serial = None;
-        for threads in [1usize, 2, 4, 8] {
-            let config = SolverConfig::exhaustive()
-                .with_threads(threads)
-                .with_serial_warmstart(0);
-            let mut best: Option<ThreadScalingRow> = None;
-            for _ in 0..REPS {
-                let started = Instant::now();
-                let outcome = Solver::new(config.clone())
-                    .minimize(&instance)
-                    .expect("solve");
-                let seconds = started.elapsed().as_secs_f64();
-                let stats = outcome.stats();
-                assert!(stats.complete, "thread scaling rows must prove optimality");
-                let row = ThreadScalingRow {
-                    instance: label.clone(),
-                    threads,
-                    nodes: stats.nodes,
-                    nodes_vs_serial: 0.0,
-                    pruned_dominance: stats.pruned_dominance,
-                    shared_memo_hits: stats.shared_memo_hits,
-                    seconds,
-                    nodes_per_sec: stats.nodes as f64 / seconds.max(1e-9),
-                    speedup_vs_serial: 0.0,
-                    steals: stats.steals,
-                    steal_failures: stats.steal_failures,
-                    cas_retries: stats.cas_retries,
-                    memo_drops: stats.memo_drops,
-                    makespan: outcome.solution().map(tessel_solver::Solution::makespan),
-                };
-                if best.as_ref().is_none_or(|b| row.seconds < b.seconds) {
-                    best = Some(row);
-                }
-            }
-            let mut row = best.expect("at least one run");
-            let (serial_seconds, serial_nodes, serial_makespan) =
-                *serial.get_or_insert((row.seconds, row.nodes, row.makespan));
-            assert_eq!(
-                row.makespan, serial_makespan,
-                "thread count changed the proved makespan on {label}"
-            );
-            row.speedup_vs_serial = serial_seconds / row.seconds.max(1e-9);
-            row.nodes_vs_serial = row.nodes as f64 / serial_nodes.max(1) as f64;
-            rows.push(row);
-        }
-    }
-    rows
-}
-
-/// Runs the 1→N thread-scaling measurement and updates its section.
-pub fn emit_thread_scaling() {
-    write_section("host", &HostInfo::capture());
-    let rows = solver_thread_scaling_rows();
-    write_section("solver_thread_scaling", &rows);
-    for row in &rows {
-        println!(
-            "solver_thread_scaling {:<22} threads={} {:>10} nodes ({:.2}x serial, \
-             {} of {} dominance prunes shared) {:>7.3}s \
-             ({:.2}x serial) steals={:>5} steal_fail={:>4} cas_retries={:>4} \
-             memo_drops={:>4} makespan={:?}",
-            row.instance,
-            row.threads,
-            row.nodes,
-            row.nodes_vs_serial,
-            row.shared_memo_hits,
-            row.pruned_dominance,
-            row.seconds,
-            row.speedup_vs_serial,
-            row.steals,
-            row.steal_failures,
-            row.cas_retries,
-            row.memo_drops,
-            row.makespan
-        );
-    }
+fn bench_json_path() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_search.json")
 }
 
 /// One row of the `admission_overload` section: the daemon under sustained
@@ -758,12 +479,28 @@ pub fn observability_overhead_rows(requests: usize, passes: usize) -> Observabil
     }
 }
 
+/// The whole of `BENCH_search.json`: one key per measurement, in the order
+/// [`emit_service`] takes them.
+#[derive(Debug, Clone, Serialize)]
+pub struct BenchSnapshot {
+    /// The host and commit the measurements were taken on.
+    pub host: HostInfo,
+    /// See [`admission_overload_rows`].
+    pub admission_overload: Vec<AdmissionOverloadRow>,
+    /// See [`anytime_streaming_row`].
+    pub anytime_streaming: AnytimeStreamingRow,
+    /// See [`observability_overhead_rows`].
+    pub observability_overhead: ObservabilityOverheadSection,
+}
+
 /// Runs the daemon workloads (overload, streaming, sampler overhead) and
-/// updates their `BENCH_search.json` sections.
+/// rewrites `BENCH_search.json` with their results.
+///
+/// # Panics
+///
+/// If the file cannot be written.
 pub fn emit_service() {
-    write_section("host", &HostInfo::capture());
     let overload = admission_overload_rows(std::time::Duration::from_secs(4));
-    write_section("admission_overload", &overload);
     for row in &overload {
         println!(
             "admission_overload {:<16} {:>5} reqs goodput={:>6.1}/s valuable={:>5.1}/s \
@@ -778,7 +515,6 @@ pub fn emit_service() {
         );
     }
     let streaming = anytime_streaming_row();
-    write_section("anytime_streaming", &streaming);
     println!(
         "anytime_streaming {:<20} first_incumbent={:.1}ms of {:.1}ms total ({:.1}% in, {} incumbents)",
         streaming.workload,
@@ -788,7 +524,6 @@ pub fn emit_service() {
         streaming.incumbents
     );
     let overhead = observability_overhead_rows(2000, 5);
-    write_section("observability_overhead", &overhead);
     for row in &overhead.rows {
         println!(
             "observability_overhead {:<14} {:>4} reqs {:>8.1} req/s",
@@ -800,11 +535,21 @@ pub fn emit_service() {
         overhead.delta_fraction * 100.0,
         overhead.target_max_fraction * 100.0
     );
+    let snapshot = BenchSnapshot {
+        host: HostInfo::capture(),
+        admission_overload: overload,
+        anytime_streaming: streaming,
+        observability_overhead: overhead,
+    };
+    let path = bench_json_path();
+    let json = serde_json::to_string_pretty(&snapshot).expect("the snapshot serialises");
+    std::fs::write(&path, json + "\n")
+        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+    println!("\nwrote {}", path.display());
 }
 
-/// Host metadata stored alongside the measurements so thread-scaling rows
-/// can be interpreted (a single-core host cannot show wall-clock speedups
-/// from hardware parallelism, only node-count changes).
+/// Host metadata stored alongside the measurements, so a snapshot can be
+/// read against the parallelism it ran with and the code it measured.
 #[derive(Debug, Clone, Serialize)]
 pub struct HostInfo {
     /// Available hardware parallelism.
@@ -824,13 +569,13 @@ impl HostInfo {
         HostInfo {
             cpus: std::thread::available_parallelism().map_or(1, usize::from),
             git_commit: git_commit_hash(),
-            generated_by: "cargo run --release -p tessel-bench --bin bench_search".into(),
+            generated_by: "cargo run --release -p tessel-bench --bin bench_service".into(),
         }
     }
 }
 
 /// The workspace's current commit hash, or `"unknown"`. Anchored to the
-/// manifest directory: the emitters may run with an arbitrary working
+/// manifest directory: the emitter may run with an arbitrary working
 /// directory.
 fn git_commit_hash() -> String {
     std::process::Command::new("git")
@@ -845,20 +590,6 @@ fn git_commit_hash() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Runs all solver measurement suites and updates their sections. The
-/// `host` section is written by the trailing [`emit_thread_scaling`] call.
-pub fn emit_all() {
-    let scaling = solver_scaling_rows();
-    write_section("solver_scaling", &scaling);
-    for row in &scaling {
-        println!(
-            "solver_scaling {:<28} {:>8} threads={} {:>12.0} nodes/s",
-            row.instance, row.engine, row.threads, row.nodes_per_sec
-        );
-    }
-    emit_thread_scaling();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -870,22 +601,5 @@ mod tests {
         // 40-hex commit hash, not the fallback.
         assert_eq!(host.git_commit.len(), 40, "{}", host.git_commit);
         assert!(host.git_commit.chars().all(|c| c.is_ascii_hexdigit()));
-    }
-
-    #[test]
-    fn sections_merge_instead_of_clobbering() {
-        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/bench-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("BENCH_test-{}.json", std::process::id()));
-        write_section_to(&path, "alpha", &vec![1u64, 2]);
-        write_section_to(&path, "beta", &"hello".to_string());
-        write_section_to(&path, "alpha", &vec![3u64]);
-        let text = std::fs::read_to_string(&path).unwrap();
-        let value: serde::Value = serde_json::from_str(&text).unwrap();
-        let entries = value.as_map().unwrap();
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].0, "alpha");
-        assert_eq!(entries[1].0, "beta");
-        let _ = std::fs::remove_file(&path);
     }
 }

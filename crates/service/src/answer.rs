@@ -11,7 +11,7 @@
 //! straight into an HTTP body ([`Answer::write_json`], the `serialize`
 //! stage) — the entry's blocks copied by reference, each one a few integers
 //! plus its stage's ready-made tail — or becomes an owned [`SearchResponse`]
-//! for in-process, batch and streaming callers ([`Answer::to_response`]).
+//! for in-process and streaming callers ([`Answer::to_response`]).
 //! Both print the same bytes: `tests/json_codec.rs` holds the body to
 //! `serde_json::to_string` of the owned response, and both to the
 //! translation this module replaced.

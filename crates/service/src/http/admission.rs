@@ -65,11 +65,24 @@ impl Waiting {
 /// State behind the [`AdmissionQueue`] lock.
 struct AdmissionState {
     waiting: Vec<Waiting>,
-    /// Requests handed to workers so far, per client — the fairness
-    /// account: the client with the fewest served requests pops first.
+    /// Requests handed to workers per client, counted only while that
+    /// client still has a request waiting — the fairness account: the
+    /// client with the fewest served requests pops first. A client whose
+    /// last waiting request leaves the queue drops out, so a newcomer and a
+    /// returning client start level and the map holds at most one entry per
+    /// waiting request.
     served: HashMap<Option<IpAddr>, u64>,
     arrivals: u64,
     closed: bool,
+}
+
+impl AdmissionState {
+    /// Drops `client`'s fairness count once it has no request waiting.
+    fn forget_if_idle(&mut self, client: Option<IpAddr>) {
+        if !self.waiting.iter().any(|w| w.job.client == client) {
+            self.served.remove(&client);
+        }
+    }
 }
 
 /// What [`AdmissionQueue::offer`] did with a parsed request.
@@ -138,7 +151,9 @@ impl AdmissionQueue {
             let victim = (0..state.waiting.len())
                 .max_by_key(|&index| least_valuable(&state.waiting[index]))
                 .expect("non-empty waiting list");
-            Some(state.waiting.swap_remove(victim).job)
+            let victim = state.waiting.swap_remove(victim).job;
+            state.forget_if_idle(victim.client);
+            Some(victim)
         } else {
             None
         };
@@ -158,6 +173,7 @@ impl AdmissionQueue {
             if let Some(index) = Self::select(&state) {
                 let picked = state.waiting.swap_remove(index);
                 *state.served.entry(picked.job.client).or_insert(0) += 1;
+                state.forget_if_idle(picked.job.client);
                 self.transport
                     .admission_queue_depth
                     .store(state.waiting.len() as u64, Relaxed);
@@ -181,6 +197,12 @@ impl AdmissionQueue {
             (served, Reverse(w.job.priority), w.deadline_key(), w.arrival)
         };
         (0..state.waiting.len()).min_by_key(|&index| most_urgent(&state.waiting[index]))
+    }
+
+    /// Clients with a fairness count (at most one per waiting request).
+    #[cfg(test)]
+    pub(super) fn counted_clients(&self) -> usize {
+        self.state.lock().expect("admission lock").served.len()
     }
 
     /// Marks the queue closed and wakes every worker; waiting requests

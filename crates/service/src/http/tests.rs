@@ -381,6 +381,28 @@ fn admission_pops_by_fairness_priority_then_deadline() {
 }
 
 #[test]
+fn fairness_counts_only_clients_that_are_waiting() {
+    let queue = AdmissionQueue::new(8, Arc::new(TransportMetrics::new()));
+    let a: IpAddr = "10.0.0.1".parse().unwrap();
+    let b: IpAddr = "10.0.0.2".parse().unwrap();
+    // `a` is served five times while nobody else is waiting...
+    for _ in 0..5 {
+        queue.offer(admission_job(Some(a), 0, None));
+        assert_eq!(queue.pop().unwrap().client, Some(a));
+    }
+    assert_eq!(queue.counted_clients(), 0);
+    // ...so when `b` turns up with three requests, `a`'s next one waits
+    // behind one of them, not all three.
+    for _ in 0..3 {
+        queue.offer(admission_job(Some(b), 0, None));
+    }
+    queue.offer(admission_job(Some(a), 0, None));
+    let order: Vec<_> = (0..4).map(|_| queue.pop().unwrap().client).collect();
+    assert_eq!(order, [Some(b), Some(a), Some(b), Some(b)]);
+    assert_eq!(queue.counted_clients(), 0);
+}
+
+#[test]
 fn overload_sheds_the_least_valuable_waiting_request() {
     let queue = AdmissionQueue::new(2, Arc::new(TransportMetrics::new()));
     let now = Instant::now();

@@ -21,13 +21,13 @@
 //!
 //! Each entry carries a [`ProgressBoard`] handle. When the request leads a
 //! solve, the service clones that handle into the solver configuration, so
-//! the entry's `nodes` / `incumbent` / `memo_drops` fields tick live while
-//! the search runs — all relaxed-atomic reads, no locks shared with the
-//! solver hot path. Requests that never solve (cache hits, coalesced
-//! followers) simply read zero.
+//! the entry's `nodes` / `incumbent` / `memo_drops` / `depth` fields tick
+//! live while the search runs — all relaxed-atomic reads, no locks shared
+//! with the solver hot path. Requests that never solve (cache hits,
+//! coalesced followers) simply read zero.
 //!
 //! Memory is strictly bounded by concurrency: one entry per open request,
-//! each a couple hundred bytes plus one 64-slot progress board, and the
+//! each a couple hundred bytes plus one five-counter progress board, and the
 //! worker-pool size caps how many are live at once.
 
 use crate::flight::now_unix_ms;
@@ -171,11 +171,7 @@ impl InflightEntry {
             incumbent: progress.incumbent,
             incumbents: progress.incumbents,
             memo_drops: progress.memo_drops,
-            worker_depths: progress
-                .worker_depths
-                .iter()
-                .map(|&(_, depth)| depth)
-                .collect(),
+            depth: progress.depth,
         }
     }
 }
@@ -405,7 +401,7 @@ mod tests {
                 entry.board().add_nodes(17);
                 entry.board().record_incumbent(9);
                 entry.board().add_memo_drops(3);
-                entry.board().set_worker_depth(0, 4);
+                entry.board().set_depth(4);
             })
             .expect("a current entry exists");
         });
@@ -418,7 +414,7 @@ mod tests {
         assert_eq!(entry.incumbent, Some(9));
         assert_eq!(entry.incumbents, 1);
         assert_eq!(entry.memo_drops, 3);
-        assert_eq!(entry.worker_depths, vec![4]);
+        assert_eq!(entry.depth, Some(4));
         let remaining = entry.deadline_remaining_ms.expect("deadline is set");
         assert!(
             remaining > 3_500_000 && remaining <= 3_600_000,

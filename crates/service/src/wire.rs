@@ -449,8 +449,10 @@ pub struct InflightInfo {
     /// states it can no longer remember).
     #[serde(default)]
     pub memo_drops: u64,
-    /// Current DFS depth of each active solver worker.
-    pub worker_depths: Vec<u64>,
+    /// Search depth of the running solve at its most recent node-count
+    /// flush, once any of this request's solves has flushed.
+    #[serde(default)]
+    pub depth: Option<u64>,
 }
 
 /// The `GET /v1/debug/inflight` response body.
@@ -633,7 +635,7 @@ mod tests {
                     incumbent: Some(17),
                     incumbents: 3,
                     memo_drops: 7,
-                    worker_depths: vec![4, 9],
+                    depth: Some(9),
                 },
                 InflightInfo {
                     trace_id: "0".repeat(32),
@@ -647,7 +649,7 @@ mod tests {
                     incumbent: None,
                     incumbents: 0,
                     memo_drops: 0,
-                    worker_depths: vec![],
+                    depth: None,
                 },
             ],
         };

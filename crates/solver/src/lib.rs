@@ -70,7 +70,7 @@ pub use lower_bound::{
     critical_path_lower_bound, device_load_lower_bound, jackson_preemptive_bound,
     makespan_lower_bound, one_machine_lower_bound,
 };
-pub use progress::{ProgressBoard, ProgressSnapshot, MAX_PROGRESS_WORKERS};
+pub use progress::{ProgressBoard, ProgressSnapshot};
 pub use propagate::TimeWindows;
 pub use search::{resolve_threads, SolveOutcome, Solver, SolverConfig};
 pub use solution::{Solution, SolutionViolation};

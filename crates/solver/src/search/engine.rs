@@ -376,7 +376,7 @@ impl<'a> SearchContext<'a> {
             if self.nodes_since_flush >= shared.flush_interval {
                 self.flush();
                 if let Some(board) = &self.config.progress {
-                    board.set_worker_depth(self.worker, depth as u64);
+                    board.set_depth(depth as u64);
                 }
                 if let Some(limit) = self.config.time_limit {
                     if self.started.elapsed() > limit {
@@ -409,7 +409,7 @@ impl<'a> SearchContext<'a> {
                 // sub-batch is flushed when the solve returns).
                 self.flush();
                 if let Some(board) = &self.config.progress {
-                    board.set_worker_depth(self.worker, depth as u64);
+                    board.set_depth(depth as u64);
                 }
                 if let Some(limit) = self.config.time_limit {
                     if self.started.elapsed() > limit {

@@ -143,8 +143,8 @@ pub struct SolverConfig {
     /// default reports nothing.
     pub incumbent_sink: Option<IncumbentSink>,
     /// Optional live-progress board the solve publishes into at its existing
-    /// node-batch boundaries — nodes explored, current incumbent, steals,
-    /// per-worker depth — with relaxed atomic stores only; the hook behind
+    /// node-batch boundaries — nodes explored, current incumbent, search
+    /// depth — with relaxed atomic stores only; the hook behind
     /// the service's `/v1/debug/inflight` view of running solves. The
     /// default publishes nothing.
     pub progress: Option<ProgressBoard>,
@@ -1085,7 +1085,6 @@ mod tests {
         assert_eq!(snap.nodes, outcome.stats().nodes);
         assert_eq!(snap.incumbent, Some(outcome.solution().unwrap().makespan()));
         assert!(snap.incumbents >= 1);
-        assert_eq!(snap.steals, 0);
     }
 
     #[test]
@@ -1109,9 +1108,6 @@ mod tests {
             stats.nodes
         );
         assert_eq!(snap.incumbent, Some(outcome.solution().unwrap().makespan()));
-        assert_eq!(snap.steals, stats.steals);
-        // Workers retire their depth slots when the pool winds down.
-        assert!(snap.worker_depths.is_empty());
     }
 
     /// Deterministic splitmix64 (no external RNG in the solver crate).

@@ -175,9 +175,6 @@ pub(super) fn run_parallel(ctx: &mut SearchContext<'_>, threads: usize) -> bool 
                             let stolen = shared.queues.steal(w, &mut worker.stats.steal_failures);
                             if stolen.is_some() {
                                 worker.stats.steals += 1;
-                                if let Some(board) = &worker.config.progress {
-                                    board.add_steal();
-                                }
                             }
                             stolen
                         });
@@ -211,9 +208,6 @@ pub(super) fn run_parallel(ctx: &mut SearchContext<'_>, threads: usize) -> bool 
                         shared.outstanding.0.fetch_sub(1, Ordering::Release);
                     }
                     worker.flush();
-                    if let Some(board) = &worker.config.progress {
-                        board.clear_worker(w as u32);
-                    }
                     WorkerResult {
                         stats: worker.stats,
                         best_makespan: worker.best_makespan,

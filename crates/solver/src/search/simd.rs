@@ -8,43 +8,17 @@
 //! auto-vectorizer handles well — *if* the loop is written over fixed-width
 //! chunks so the trip count of the inner loop is a compile-time constant.
 //!
-//! [`all_le`] and [`compare_le`] therefore process `LANES`-wide `u64` chunks
-//! with branch-free `&=` accumulation (compiled to vector compares + a
-//! movemask-style reduction where the target supports it) and fall back to a
-//! plain scalar loop for the remainder lanes, so oddball device counts (1, 3,
-//! 17, …) stay correct. The scalar reference implementations are exported for
-//! the equivalence tests.
+//! [`compare_le`] therefore processes `LANES`-wide `u64` chunks with
+//! branch-free `&=` accumulation (compiled to vector compares + a
+//! movemask-style reduction where the target supports it) and falls back to
+//! a plain scalar loop for the remainder lanes, so oddball device counts (1,
+//! 3, 17, …) stay correct. The equivalence tests hold it to scalar
+//! references.
 
 /// Chunk width of the vectorized loop. Four `u64`s = one 256-bit vector
 /// register on AVX2-class hardware, two 128-bit ops elsewhere; remainders run
 /// scalar.
 pub(super) const LANES: usize = 4;
-
-/// `true` iff `a[i] <= b[i]` for every lane (slices must have equal length).
-///
-/// The solver's hot paths all need both dominance directions and use
-/// [`compare_le`]; the single-direction variant is kept as the simplest
-/// statement of the chunking scheme and is equivalence-tested against it.
-#[cfg_attr(not(test), expect(dead_code))]
-#[inline]
-pub(super) fn all_le(a: &[u64], b: &[u64]) -> bool {
-    debug_assert_eq!(a.len(), b.len());
-    let split = a.len() - a.len() % LANES;
-    let mut ok = true;
-    for (ca, cb) in a[..split]
-        .chunks_exact(LANES)
-        .zip(b[..split].chunks_exact(LANES))
-    {
-        // Branch-free accumulation over a constant-width chunk: the whole
-        // chunk compiles to one vector compare + mask reduction.
-        let mut chunk_ok = true;
-        for l in 0..LANES {
-            chunk_ok &= ca[l] <= cb[l];
-        }
-        ok &= chunk_ok;
-    }
-    ok && all_le_scalar(&a[split..], &b[split..])
-}
 
 /// Both dominance directions in one pass: `(a <= b, b <= a)` componentwise.
 ///
@@ -61,6 +35,9 @@ pub(super) fn compare_le(a: &[u64], b: &[u64]) -> (bool, bool) {
         .chunks_exact(LANES)
         .zip(b[..split].chunks_exact(LANES))
     {
+        // Branch-free accumulation over a constant-width chunk: the whole
+        // chunk compiles to one vector compare + mask reduction per
+        // direction.
         let mut chunk_a = true;
         let mut chunk_b = true;
         for l in 0..LANES {
@@ -72,12 +49,6 @@ pub(super) fn compare_le(a: &[u64], b: &[u64]) -> (bool, bool) {
     }
     let (tail_a, tail_b) = compare_le_scalar(&a[split..], &b[split..]);
     (a_le && tail_a, b_le && tail_b)
-}
-
-/// Scalar reference for [`all_le`]; also handles remainder lanes.
-#[inline]
-pub(super) fn all_le_scalar(a: &[u64], b: &[u64]) -> bool {
-    a.iter().zip(b).all(|(x, y)| x <= y)
 }
 
 /// Scalar reference for [`compare_le`]; also handles remainder lanes.
@@ -95,6 +66,11 @@ pub(super) fn compare_le_scalar(a: &[u64], b: &[u64]) -> (bool, bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Scalar reference for the first direction of [`compare_le`].
+    fn all_le_scalar(a: &[u64], b: &[u64]) -> bool {
+        a.iter().zip(b).all(|(x, y)| x <= y)
+    }
 
     /// Deterministic splitmix64 (no external RNG in the solver crate).
     fn next(state: &mut u64) -> u64 {
@@ -117,9 +93,9 @@ mod tests {
                 let a: Vec<u64> = (0..devices).map(|_| next(&mut state) % 5).collect();
                 let b: Vec<u64> = (0..devices).map(|_| next(&mut state) % 5).collect();
                 assert_eq!(
-                    all_le(&a, &b),
+                    compare_le(&a, &b).0,
                     all_le_scalar(&a, &b),
-                    "all_le diverged for devices={devices} a={a:?} b={b:?}"
+                    "compare_le(..).0 diverged for devices={devices} a={a:?} b={b:?}"
                 );
                 assert_eq!(
                     compare_le(&a, &b),
@@ -132,21 +108,21 @@ mod tests {
 
     #[test]
     fn exact_boundaries() {
-        assert!(all_le(&[], &[]));
+        assert!(compare_le(&[], &[]).0);
         assert_eq!(compare_le(&[], &[]), (true, true));
         let v = [1u64, 2, 3, 4, 5, 6, 7, 8];
-        assert!(all_le(&v, &v));
+        assert!(compare_le(&v, &v).0);
         assert_eq!(compare_le(&v, &v), (true, true));
         // Divergence in the vectorized chunk only.
         let mut w = v;
         w[2] += 1;
-        assert!(all_le(&v, &w));
-        assert!(!all_le(&w, &v));
+        assert!(compare_le(&v, &w).0);
+        assert!(!compare_le(&w, &v).0);
         assert_eq!(compare_le(&v, &w), (true, false));
         // Divergence in the scalar tail only (len 9, tail lane 8).
         let a = [0u64, 0, 0, 0, 0, 0, 0, 0, 2];
         let b = [0u64, 0, 0, 0, 0, 0, 0, 0, 1];
-        assert!(!all_le(&a, &b));
+        assert!(!compare_le(&a, &b).0);
         assert_eq!(compare_le(&a, &b), (false, true));
     }
 
@@ -155,7 +131,7 @@ mod tests {
         let a = [1u64, 9, 1, 9, 1];
         let b = [9u64, 1, 9, 1, 9];
         assert_eq!(compare_le(&a, &b), (false, false));
-        assert!(!all_le(&a, &b));
-        assert!(!all_le(&b, &a));
+        assert!(!compare_le(&a, &b).0);
+        assert!(!compare_le(&b, &a).0);
     }
 }

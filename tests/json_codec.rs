@@ -380,7 +380,7 @@ fn every_wire_type_round_trips(mutants: usize) {
         incumbent: Some(9),
         incumbents: 2,
         memo_drops: 5,
-        worker_depths: vec![3, 0, 17],
+        depth: Some(17),
     };
     assert_codec!(InflightInfo, waiting, mutants);
     assert_codec!(

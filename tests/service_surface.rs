@@ -371,7 +371,7 @@ fn inflight_rows_serialize_absent_options_as_null() {
         incumbent: None,
         incumbents: 0,
         memo_drops: 0,
-        worker_depths: vec![],
+        depth: None,
     };
     assert_pinned!(
         InflightInfo,
@@ -379,7 +379,7 @@ fn inflight_rows_serialize_absent_options_as_null() {
         "{\"trace_id\":\"00000000000000000000000000000000\",\"method\":\"CALL\",\
          \"path\":\"/v1/search\",\"peer\":null,\"stage\":\"queued\",\"elapsed_ms\":1,\
          \"deadline_remaining_ms\":null,\"nodes\":0,\"incumbent\":null,\"incumbents\":0,\
-         \"memo_drops\":0,\"worker_depths\":[]}"
+         \"memo_drops\":0,\"depth\":null}"
     );
     let solving = InflightInfo {
         peer: Some("127.0.0.1:50000".into()),
@@ -389,7 +389,7 @@ fn inflight_rows_serialize_absent_options_as_null() {
         incumbent: Some(17),
         incumbents: 3,
         memo_drops: 7,
-        worker_depths: vec![4, 9],
+        depth: Some(9),
         ..queued.clone()
     };
     assert_pinned!(
@@ -398,13 +398,13 @@ fn inflight_rows_serialize_absent_options_as_null() {
         "{\"trace_id\":\"00000000000000000000000000000000\",\"method\":\"CALL\",\
          \"path\":\"/v1/search\",\"peer\":\"127.0.0.1:50000\",\"stage\":\"solve\",\
          \"elapsed_ms\":1,\"deadline_remaining_ms\":958,\"nodes\":12345,\"incumbent\":17,\
-         \"incumbents\":3,\"memo_drops\":7,\"worker_depths\":[4,9]}"
+         \"incumbents\":3,\"memo_drops\":7,\"depth\":9}"
     );
-    // The three options may be left out entirely.
+    // The four options and `memo_drops` may be left out entirely.
     let sparse: InflightInfo = serde_json::from_str(
         "{\"trace_id\":\"00000000000000000000000000000000\",\"method\":\"CALL\",\
          \"path\":\"/v1/search\",\"stage\":\"queued\",\"elapsed_ms\":1,\"nodes\":0,\
-         \"incumbents\":0,\"worker_depths\":[]}",
+         \"incumbents\":0}",
     )
     .unwrap();
     assert_eq!(sparse, queued);

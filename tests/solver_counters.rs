@@ -104,7 +104,7 @@ fn render() -> String {
         rows.push(row(&format!("{shape}/nr{nr}/candidate{index}"), &outcome));
     }
     // The one solve here that takes a debug build a second or two: 765,716
-    // nodes, the count `BENCH_search.json` carries for it as well.
+    // nodes.
     let placement = synthetic_placement(ShapeKind::V, 4).expect("placement");
     let instance = time_optimal_instance(&placement, 5).expect("instance");
     rows.push(row("V4/mb5", &solver().minimize(&instance).expect("solve")));

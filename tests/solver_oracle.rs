@@ -10,7 +10,7 @@
 //!   of `tessel_solver`, enumerated rather than searched);
 //! * the **seed engine** (`tessel_bench::legacy_solver`): the original
 //!   allocation-heavy branch-and-bound with its own bound pass and a
-//!   `HashMap` memo, otherwise used only as a timing baseline.
+//!   `HashMap` memo, kept for this oracle only.
 //!
 //! Every instance is solved by `Solver::minimize` at 1, 2, 4 and 8 threads
 //! (half of the battery with the serial warm-start probe off, so the tiny
