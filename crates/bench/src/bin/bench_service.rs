@@ -1,6 +1,7 @@
 //! Writes `BENCH_search.json`: goodput of the daemon under sustained
-//! overload (`admission_overload`), the time to the first streamed incumbent
-//! (`anytime_streaming`) and the cost of the live-plane sampler
+//! overload (`admission_overload`), how far into its solve a streamed
+//! search's first incumbent arrives (`anytime_streaming`) and the cost of
+//! the live-plane sampler
 //! (`observability_overhead`), next to the `host` they ran on (see
 //! [`tessel_bench::report::emit_service`]). Request throughput and per-stage
 //! latency belong to the benchmark package (`serve_hit`, `serve_miss`).

@@ -6,8 +6,9 @@
 //!
 //! * `host` — the host's parallelism and the commit the run measured;
 //! * `admission_overload`, `anytime_streaming`, `observability_overhead` —
-//!   the daemon under sustained overload, the time to the first streamed
-//!   incumbent and the cost of the live-plane sampler.
+//!   the daemon under sustained overload, how far into its solve a streamed
+//!   search's first incumbent arrives, and the cost of the live-plane
+//!   sampler.
 //!
 //! Request throughput, per-stage latency and the solver's node counts are
 //! not recorded here: the benchmark package's workloads (`serve_hit`,
@@ -296,39 +297,52 @@ pub fn admission_overload_rows(window: std::time::Duration) -> Vec<AdmissionOver
     vec![row]
 }
 
-/// The `anytime_streaming` section: client-observed latency to the first
-/// incumbent event of a streamed search vs the total search wall-clock.
+/// The `anytime_streaming` section: how soon a streamed search's first
+/// incumbent arrives, measured from the start of its `solve` stage, beside
+/// the time that stage takes and the client's wall clock.
 #[derive(Debug, Clone, Serialize)]
 pub struct AnytimeStreamingRow {
     /// Workload description.
     pub workload: String,
-    /// Milliseconds until the first incumbent event arrived.
-    pub first_incumbent_ms: f64,
-    /// Incumbent events before the terminal event.
+    /// Incumbent events before the terminal event: one per improving
+    /// repetend.
     pub incumbents: u64,
-    /// Milliseconds until the terminal result event arrived.
-    pub total_ms: f64,
-    /// `first_incumbent_ms / total_ms`.
+    /// The `solve` stage of the request's flight record, ms.
+    pub solve_ms: f64,
+    /// The first incumbent event's server-side `elapsed_ms` less the stages
+    /// the flight record puts before `solve` (after the worker took the
+    /// request on): the first incumbent's offset into the solve, ms, at the
+    /// event's 1 ms resolution.
+    pub first_incumbent_solve_ms: f64,
+    /// `first_incumbent_solve_ms / solve_ms`.
     pub first_incumbent_fraction: f64,
+    /// Client-observed ms until the first incumbent event arrived.
+    pub first_incumbent_ms: f64,
+    /// Client-observed ms until the terminal result event arrived.
+    pub total_ms: f64,
 }
 
-/// Measures anytime streaming on a search slow enough to be worth watching:
-/// the 8-device X-shape (bounded by a candidate limit), streamed
-/// over `POST /v1/search?stream=1`.
+/// Streams one uncached search of the synthetic `shape` over `devices`
+/// (`POST /v1/search?stream=1` against a fresh one-worker daemon) and reads
+/// its flight record back from `GET /v1/debug/requests?trace=`, which
+/// tells how the request's time splits into stages.
+///
+/// # Panics
+///
+/// If the daemon cannot be started or the search fails.
 #[must_use]
-pub fn anytime_streaming_row() -> AnytimeStreamingRow {
+pub fn anytime_streaming_row(
+    shape: ShapeKind,
+    devices: usize,
+    micro_batches: usize,
+    max_repetend: usize,
+) -> AnytimeStreamingRow {
     use std::sync::Arc;
-    use tessel_service::http::http_call_streaming;
-    use tessel_service::wire::SearchRequest;
+    use tessel_service::http::{http_call, http_call_streaming};
+    use tessel_service::wire::{DebugRequestsResponse, SearchRequest, StreamEvent};
     use tessel_service::{HttpServer, ScheduleService, ServerConfig, ServiceConfig};
 
-    let service = ScheduleService::new(ServiceConfig {
-        default_micro_batches: 8,
-        default_max_repetend: 4,
-        candidate_limit: Some(600),
-        ..ServiceConfig::default()
-    })
-    .expect("service");
+    let service = ScheduleService::new(ServiceConfig::default()).expect("service");
     let server = HttpServer::serve(
         Arc::new(service),
         &ServerConfig {
@@ -339,31 +353,70 @@ pub fn anytime_streaming_row() -> AnytimeStreamingRow {
     )
     .expect("server");
     let addr = server.local_addr().to_string();
-    let placement = synthetic_placement(ShapeKind::X, 8).expect("placement");
-    let body = serde_json::to_string(&SearchRequest::for_placement(placement)).expect("request");
+    let placement = synthetic_placement(shape, devices).expect("placement");
+    let mut request = SearchRequest::for_placement(placement);
+    request.num_micro_batches = Some(micro_batches);
+    request.max_repetend_micro_batches = Some(max_repetend);
+    let body = serde_json::to_string(&request).expect("request");
 
     let started = Instant::now();
-    let mut first_incumbent = None;
+    let mut first = None;
     let mut incumbents = 0u64;
-    let (status, _last) = http_call_streaming(&addr, "/v1/search?stream=1", &body, |event| {
-        if event.contains("\"incumbent\"") {
+    let (status, last) = http_call_streaming(&addr, "/v1/search?stream=1", &body, |event| {
+        if let Ok(StreamEvent::Incumbent { elapsed_ms, .. }) = serde_json::from_str(event) {
             incumbents += 1;
-            first_incumbent.get_or_insert(started.elapsed());
+            first.get_or_insert((started.elapsed(), elapsed_ms));
         }
     })
     .expect("streamed search");
     let total = started.elapsed();
-    assert_eq!(status, 200);
+    assert_eq!(status, 200, "{last}");
+
+    // The daemon has served this one search: its record names the trace to
+    // ask for. A record lands just after its response is written.
+    let flight = (0..100)
+        .find_map(|_| {
+            let query = "/v1/debug/requests?endpoint=/v1/search";
+            let (_, listed) = http_call(&addr, "GET", query, None).expect("flight records");
+            let listed: DebugRequestsResponse = serde_json::from_str(&listed).expect("records");
+            let Some(record) = listed.recent.first() else {
+                std::thread::sleep(std::time::Duration::from_millis(10));
+                return None;
+            };
+            let query = format!("/v1/debug/requests?trace={}", record.trace_id);
+            let (_, traced) = http_call(&addr, "GET", &query, None).expect("flight record");
+            let traced: DebugRequestsResponse = serde_json::from_str(&traced).expect("record");
+            traced.recent.into_iter().next()
+        })
+        .expect("the streamed request's flight record");
     server.shutdown();
 
-    let first_ms = first_incumbent.map_or(0.0, |d| d.as_secs_f64() * 1e3);
-    let total_ms = total.as_secs_f64() * 1e3;
+    // Stage rows are in first-recorded order; `parse` and `queue_wait`
+    // happen before the worker's clock (the events' `elapsed_ms`) starts.
+    let ms = |micros: u64| micros as f64 / 1e3;
+    let mut before_solve = 0;
+    let mut solve = 0;
+    for stage in &flight.stages {
+        match stage.name.as_str() {
+            "solve" => {
+                solve = stage.micros;
+                break;
+            }
+            "parse" | "queue_wait" => {}
+            _ => before_solve += stage.micros,
+        }
+    }
+    let (first_client, first_elapsed_ms) = first.expect("at least one incumbent event");
+    let first_in_solve = (first_elapsed_ms as f64 - ms(before_solve)).max(0.0);
     AnytimeStreamingRow {
-        workload: "stream/x8-mb8-nr4".into(),
-        first_incumbent_ms: first_ms,
+        workload: format!("stream/{shape:?}{devices}-mb{micro_batches}-nr{max_repetend}")
+            .to_lowercase(),
         incumbents,
-        total_ms,
-        first_incumbent_fraction: first_ms / total_ms.max(1e-9),
+        solve_ms: ms(solve),
+        first_incumbent_solve_ms: first_in_solve,
+        first_incumbent_fraction: first_in_solve / ms(solve).max(1e-9),
+        first_incumbent_ms: first_client.as_secs_f64() * 1e3,
+        total_ms: total.as_secs_f64() * 1e3,
     }
 }
 
@@ -373,41 +426,59 @@ pub fn anytime_streaming_row() -> AnytimeStreamingRow {
 pub struct ObservabilityOverheadRow {
     /// `sampler-off` or `sampler-<interval>ms`.
     pub mode: String,
-    /// Keep-alive requests measured (cache hits, transport-bound).
+    /// Keep-alive requests per pass (cache hits, transport-bound).
     pub requests: u64,
-    /// Wall-clock seconds of the best pass.
+    /// Median wall-clock seconds of a pass.
     pub seconds: f64,
-    /// Requests per second of the best pass.
+    /// Requests per second of the median pass.
     pub requests_per_sec: f64,
 }
 
 /// The `observability_overhead` section: sampler-on vs sampler-off
-/// throughput on the same workload, with the relative delta the live plane
-/// costs.
+/// throughput on the same workload, over pairs of passes.
 #[derive(Debug, Clone, Serialize)]
 pub struct ObservabilityOverheadSection {
-    /// Both modes' best-of-`passes` measurements.
+    /// Both modes' median passes.
     pub rows: Vec<ObservabilityOverheadRow>,
-    /// `(off - on) / off`: the throughput fraction the sampler costs
-    /// (negative means the difference sank below run-to-run noise).
+    /// Pairs of passes measured; which mode runs first alternates.
+    pub pairs: u64,
+    /// Median over the pairs of `(off - on) / off` throughput: the fraction
+    /// the sampler costs (negative: below run-to-run noise).
     pub delta_fraction: f64,
+    /// First quartile of the paired deltas.
+    pub delta_q1: f64,
+    /// Third quartile of the paired deltas.
+    pub delta_q3: f64,
     /// The budget this section is tracked against.
     pub target_max_fraction: f64,
+    /// `within` or `over` the budget, or `unresolved` when the quartile
+    /// spread of the paired deltas exceeds the budget itself.
+    pub verdict: String,
+}
+
+/// The `q`-quantile of `sorted`, interpolating between neighbours.
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    let rank = q * (sorted.len() - 1) as f64;
+    let (low, high) = (rank.floor() as usize, rank.ceil() as usize);
+    sorted[low] + (sorted[high] - sorted[low]) * (rank - low as f64)
 }
 
 /// Measures the live-plane sampler's overhead: the same keep-alive
 /// cache-hit repeat workload against one daemon with the sampler off and
-/// one sampling aggressively (10 ms — 100× the default cadence), best of
-/// `passes` passes each, interleaved so drift hits both modes equally.
+/// one sampling aggressively (10 ms — 100× the default cadence), `pairs`
+/// pairs of passes. The mode that runs first alternates from pair to pair,
+/// so neither mode always takes the warm (or the cold) slot, and each pair's
+/// two passes run back to back, so a drift in host speed hits both alike.
 #[must_use]
-pub fn observability_overhead_rows(requests: usize, passes: usize) -> ObservabilityOverheadSection {
+pub fn observability_overhead_rows(requests: usize, pairs: usize) -> ObservabilityOverheadSection {
     use std::sync::Arc;
     use tessel_service::http::http_call;
     use tessel_service::wire::SearchRequest;
     use tessel_service::{HttpClient, HttpServer, ScheduleService, ServerConfig, ServiceConfig};
 
     const SAMPLE_INTERVAL_MS: u64 = 10;
-    let requests = requests.max(1);
+    const TARGET: f64 = 0.02;
+    let (requests, pairs) = (requests.max(1), pairs.max(1));
     let placement = synthetic_placement(ShapeKind::V, 4).expect("placement");
     let body = serde_json::to_string(&SearchRequest::for_placement(placement)).expect("request");
 
@@ -434,48 +505,72 @@ pub fn observability_overhead_rows(requests: usize, passes: usize) -> Observabil
         assert_eq!(status, 200, "warmup failed: {warm}");
         (server, addr)
     };
+    let pass = |addr: &str| {
+        let mut client = HttpClient::new(addr).expect("client");
+        let started = Instant::now();
+        for _ in 0..requests {
+            let (status, _) = client
+                .call("POST", "/v1/search", Some(&body))
+                .expect("repeat call");
+            assert_eq!(status, 200);
+        }
+        started.elapsed().as_secs_f64()
+    };
 
     let (server_off, addr_off) = start_daemon(0);
     let (server_on, addr_on) = start_daemon(SAMPLE_INTERVAL_MS);
-    let mut best_off = f64::INFINITY;
-    let mut best_on = f64::INFINITY;
-    for _ in 0..passes.max(1) {
-        for (addr, best) in [(&addr_off, &mut best_off), (&addr_on, &mut best_on)] {
-            let mut client = HttpClient::new(addr).expect("client");
-            let started = Instant::now();
-            for _ in 0..requests {
-                let (status, _) = client
-                    .call("POST", "/v1/search", Some(&body))
-                    .expect("repeat call");
-                assert_eq!(status, 200);
-            }
-            let seconds = started.elapsed().as_secs_f64();
-            if seconds < *best {
-                *best = seconds;
-            }
-        }
+    let (mut off, mut on, mut deltas) = (Vec::new(), Vec::new(), Vec::new());
+    for pair in 0..pairs {
+        let (off_seconds, on_seconds) = if pair % 2 == 0 {
+            let off_seconds = pass(&addr_off);
+            (off_seconds, pass(&addr_on))
+        } else {
+            let on_seconds = pass(&addr_on);
+            (pass(&addr_off), on_seconds)
+        };
+        // (off - on) / off in throughput is 1 - off_seconds / on_seconds.
+        deltas.push(1.0 - off_seconds / on_seconds);
+        off.push(off_seconds);
+        on.push(on_seconds);
     }
     server_off.shutdown();
     server_on.shutdown();
 
-    let rate = |seconds: f64| requests as f64 / seconds.max(1e-9);
+    for samples in [&mut off, &mut on, &mut deltas] {
+        samples.sort_by(f64::total_cmp);
+    }
+    let row = |mode: String, seconds: &[f64]| {
+        let median = quantile(seconds, 0.5);
+        ObservabilityOverheadRow {
+            mode,
+            requests: requests as u64,
+            seconds: median,
+            requests_per_sec: requests as f64 / median.max(1e-9),
+        }
+    };
+    let (q1, median, q3) = (
+        quantile(&deltas, 0.25),
+        quantile(&deltas, 0.5),
+        quantile(&deltas, 0.75),
+    );
+    let verdict = if q3 - q1 > TARGET {
+        "unresolved"
+    } else if median <= TARGET {
+        "within"
+    } else {
+        "over"
+    };
     ObservabilityOverheadSection {
         rows: vec![
-            ObservabilityOverheadRow {
-                mode: "sampler-off".into(),
-                requests: requests as u64,
-                seconds: best_off,
-                requests_per_sec: rate(best_off),
-            },
-            ObservabilityOverheadRow {
-                mode: format!("sampler-{SAMPLE_INTERVAL_MS}ms"),
-                requests: requests as u64,
-                seconds: best_on,
-                requests_per_sec: rate(best_on),
-            },
+            row("sampler-off".into(), &off),
+            row(format!("sampler-{SAMPLE_INTERVAL_MS}ms"), &on),
         ],
-        delta_fraction: (rate(best_off) - rate(best_on)) / rate(best_off).max(1e-9),
-        target_max_fraction: 0.02,
+        pairs: pairs as u64,
+        delta_fraction: median,
+        delta_q1: q1,
+        delta_q3: q3,
+        target_max_fraction: TARGET,
+        verdict: verdict.into(),
     }
 }
 
@@ -492,6 +587,14 @@ pub struct BenchSnapshot {
     /// See [`observability_overhead_rows`].
     pub observability_overhead: ObservabilityOverheadSection,
 }
+
+/// The streamed search of the `anytime_streaming` row: the 10-device
+/// X-shape, 8 micro-batches, `NR` up to 4 — 100–135 ms in `solve` on a
+/// 2-vCPU host. A search of a few milliseconds would time the incumbent
+/// frame's delivery, not the search's anytime behaviour.
+const STREAM_SHAPE: ShapeKind = ShapeKind::X;
+const STREAM_DEVICES: usize = 10;
+const STREAM_NR: usize = 4;
 
 /// Runs the daemon workloads (overload, streaming, sampler overhead) and
 /// rewrites `BENCH_search.json` with their results.
@@ -514,26 +617,33 @@ pub fn emit_service() {
             row.queue_wait_p99_ms
         );
     }
-    let streaming = anytime_streaming_row();
+    let streaming = anytime_streaming_row(STREAM_SHAPE, STREAM_DEVICES, 8, STREAM_NR);
     println!(
-        "anytime_streaming {:<20} first_incumbent={:.1}ms of {:.1}ms total ({:.1}% in, {} incumbents)",
+        "anytime_streaming {:<20} first_incumbent={:.1}ms into a {:.1}ms solve ({:.1}%, {} incumbents; \
+         client {:.1}ms of {:.1}ms)",
         streaming.workload,
-        streaming.first_incumbent_ms,
-        streaming.total_ms,
+        streaming.first_incumbent_solve_ms,
+        streaming.solve_ms,
         streaming.first_incumbent_fraction * 100.0,
-        streaming.incumbents
+        streaming.incumbents,
+        streaming.first_incumbent_ms,
+        streaming.total_ms
     );
-    let overhead = observability_overhead_rows(2000, 5);
+    let overhead = observability_overhead_rows(4000, 10);
     for row in &overhead.rows {
         println!(
-            "observability_overhead {:<14} {:>4} reqs {:>8.1} req/s",
+            "observability_overhead {:<14} {:>4} reqs {:>8.1} req/s (median pass)",
             row.mode, row.requests, row.requests_per_sec
         );
     }
     println!(
-        "observability_overhead delta={:.2}% (target <{:.0}%)",
+        "observability_overhead delta={:.2}% [q1 {:.2}%, q3 {:.2}%] over {} pairs (target <{:.0}%): {}",
         overhead.delta_fraction * 100.0,
-        overhead.target_max_fraction * 100.0
+        overhead.delta_q1 * 100.0,
+        overhead.delta_q3 * 100.0,
+        overhead.pairs,
+        overhead.target_max_fraction * 100.0,
+        overhead.verdict
     );
     let snapshot = BenchSnapshot {
         host: HostInfo::capture(),

@@ -34,9 +34,7 @@ use crate::schedule::Schedule;
 use crate::screen::{CandidateScreen, ScreenStage};
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
-use tessel_solver::{
-    Abort, CancelToken, IncumbentSink, Solver, SolverConfig, SolverTotals, StatsSink,
-};
+use tessel_solver::{Abort, CancelToken, ProgressBoard, Solver, SolverConfig, SolverTotals};
 
 /// Configuration of the Tessel search.
 #[derive(Debug, Clone)]
@@ -70,19 +68,17 @@ pub struct SearchConfig {
     /// solver's branch loop. Cancelling it aborts the run with
     /// [`CoreError::DeadlineExceeded`].
     pub cancel: CancelToken,
-    /// Optional callback receiving anytime progress: every improving
-    /// incumbent makespan found while solving repetend candidates. Each
-    /// reported value upper-bounds the period of a repetend the search has
-    /// already found feasible work towards, so a caller can act on a good
-    /// schedule bound long before the proof completes. Values are *not*
-    /// monotone across candidates: a candidate's incumbents are reported
-    /// before its completion phases are probed, and one whose phases fail
-    /// leaves the bound where it was, so a later candidate can report a
-    /// higher value. Callers wanting a strictly decreasing stream should
-    /// filter (the daemon does). Attached only to
-    /// repetend solves — warmup/cooldown phase solves optimise a different
-    /// objective and stay silent. The default reports nothing.
-    pub incumbent_sink: Option<IncumbentSink>,
+    /// Optional observer of the run (see [`ProgressBoard`]). The run
+    /// attaches it — or a fresh board when this is `None` — to every solver
+    /// it creates, so the board's live nodes and totals cover repetend
+    /// solves, phase probes and phase optimisations alike, and
+    /// [`SearchStats::solver`] is read from its totals. Its incumbent is
+    /// Algorithm 1's anytime answer: the run records the period of every
+    /// candidate that improves on the best so far and passes its phase
+    /// check, so the recorded values strictly decrease and the last one is
+    /// the returned repetend's period; the board's listener hears each as it
+    /// happens. A board watches one run.
+    pub progress: Option<ProgressBoard>,
 }
 
 impl Default for SearchConfig {
@@ -96,13 +92,13 @@ impl Default for SearchConfig {
             candidate_limit: None,
             time_budget: None,
             cancel: CancelToken::new(),
-            incumbent_sink: None,
+            progress: None,
         }
     }
 }
 
 /// Equality ignores the [`SearchConfig::cancel`] and
-/// [`SearchConfig::incumbent_sink`] handles (they have identity, not value,
+/// [`SearchConfig::progress`] handles (they have identity, not value,
 /// semantics); every other field participates.
 impl PartialEq for SearchConfig {
     fn eq(&self, other: &Self) -> bool {
@@ -177,14 +173,6 @@ impl SearchConfig {
     #[must_use]
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
-        self
-    }
-
-    /// Returns a copy reporting anytime incumbent progress into `sink` (see
-    /// [`SearchConfig::incumbent_sink`]).
-    #[must_use]
-    pub fn with_incumbent_sink(mut self, sink: IncumbentSink) -> Self {
-        self.incumbent_sink = Some(sink);
         self
     }
 
@@ -409,7 +397,7 @@ impl TesselSearch {
                 .num_micro_batches
                 .max(repetend.num_micro_batches()),
         )?;
-        stats.solver = search.sink.totals();
+        stats.solver = search.board.totals();
         stats.total_time = started.elapsed();
         Ok(SearchOutcome {
             schedule,
@@ -429,7 +417,8 @@ struct SearchRun<'a> {
     placement: &'a PlacementSpec,
     config: &'a SearchConfig,
     abort: Abort,
-    sink: StatsSink,
+    /// [`SearchConfig::progress`], or the run's own board.
+    board: ProgressBoard,
     /// All repetend candidates (every `NR` level, in enumeration order),
     /// produced **lazily** — nothing is materialized up front, so very large
     /// `NR` levels cost `O(K)` memory no matter how many candidates they
@@ -466,24 +455,23 @@ impl<'a> SearchRun<'a> {
             cancel: config.cancel.clone(),
             deadline: config.time_budget.map(|budget| started + budget),
         };
-        // Every solver this run creates reports its effort into one sink,
-        // aggregated into `SearchStats::solver` at the end.
-        let sink = StatsSink::new();
-        let solver = |solver: &SolverConfig, incumbent: Option<&IncumbentSink>| {
+        // Every solver this run creates reports its effort to one board,
+        // whose totals become `SearchStats::solver` at the end.
+        let board = config.progress.clone().unwrap_or_default();
+        let solver = |solver: &SolverConfig| {
             let mut solver = solver.clone();
             solver.abort = abort.clone();
-            solver.stats_sink = Some(sink.clone());
-            solver.incumbent_sink = incumbent.cloned();
+            solver.progress = Some(board.clone());
             Solver::new(solver)
         };
         SearchRun {
             placement,
             config,
-            repetend_solver: solver(&config.repetend_solver, config.incumbent_sink.as_ref()),
-            phase_solver: solver(&config.phase_solver, None),
-            probe_solver: solver(&SolverConfig::probe(), None),
+            repetend_solver: solver(&config.repetend_solver),
+            phase_solver: solver(&config.phase_solver),
+            probe_solver: solver(&SolverConfig::probe()),
             abort,
-            sink,
+            board,
             stream: CandidateStream::new(placement, inflights, config.candidate_limit),
             optimal: placement.total_block_time() + 1,
             lower_bound: placement.repetend_lower_bound(),
@@ -511,6 +499,7 @@ impl<'a> SearchRun<'a> {
             };
             self.optimal = repetend.period;
             self.stats.improving_repetends += 1;
+            self.board.record_incumbent(self.optimal);
             self.best = Some(Win {
                 nr: leaf.nr,
                 repetend,
@@ -803,22 +792,29 @@ mod tests {
     }
 
     #[test]
-    fn incumbent_sink_observes_improving_makespans() {
+    fn the_board_hears_every_improving_period() {
         let p = v_shape(3, 1, 2, Some(4));
-        let seen: Arc<std::sync::Mutex<Vec<u64>>> = Arc::default();
-        let sink = {
-            let seen = seen.clone();
-            IncumbentSink::new(move |value| seen.lock().unwrap().push(value))
+        let heard: Arc<std::sync::Mutex<Vec<u64>>> = Arc::default();
+        let board = ProgressBoard::new();
+        {
+            let heard = heard.clone();
+            board.listen(move |period| heard.lock().unwrap().push(period));
+        }
+        let config = SearchConfig {
+            progress: Some(board.clone()),
+            ..SearchConfig::default().with_micro_batches(8)
         };
-        let config = SearchConfig::default()
-            .with_micro_batches(8)
-            .with_incumbent_sink(sink);
         let outcome = TesselSearch::new(config).run(&p).unwrap();
-        let seen = seen.lock().unwrap();
-        // At least the greedy seed (the first incumbent) must be reported,
-        // and every reported makespan upper-bounds the final period.
-        assert!(!seen.is_empty(), "no incumbents reported");
-        assert!(seen.iter().all(|&v| v >= outcome.repetend.period));
+        let heard = heard.lock().unwrap();
+        // One strictly smaller period per improving repetend, ending at the
+        // one returned; the board's nodes are the run's solver totals.
+        assert_eq!(heard.len(), outcome.stats.improving_repetends);
+        assert!(heard.windows(2).all(|pair| pair[0] > pair[1]), "{heard:?}");
+        assert_eq!(heard.last(), Some(&outcome.repetend.period));
+        let snap = board.snapshot();
+        assert_eq!(snap.incumbent, Some(outcome.repetend.period));
+        assert_eq!(snap.nodes, outcome.stats.solver.nodes);
+        assert_eq!(board.totals(), outcome.stats.solver);
     }
 
     #[test]

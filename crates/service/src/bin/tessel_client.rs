@@ -21,9 +21,9 @@
 //! printed on its own line; any non-2xx status exits non-zero.
 //!
 //! `search --stream` asks the daemon for anytime incumbent streaming
-//! (`POST /v1/search?stream=1`): each improving incumbent prints to stderr
-//! with its elapsed time the moment the daemon proves it, and the final
-//! (proved or deadline-best) response JSON prints to stdout.
+//! (`POST /v1/search?stream=1`): the period of each repetend that improves
+//! the search's answer prints to stderr with its elapsed time the moment the
+//! daemon finds it, and the final response JSON prints to stdout.
 //!
 //! Many searches of one placement cost one solve without a batch call: the
 //! daemon's canonical-fingerprint cache answers relabeled repeats, and
@@ -70,8 +70,8 @@ stays pure response JSON.
 search --rotate-devices N relabels the placement's devices by a
 rotation of N before sending — the daemon still answers from the
 canonical-fingerprint cache and translates the schedule back.
-search --stream streams improving incumbents to stderr as the
-daemon proves them (value + elapsed ms); the final response JSON
+search --stream streams each improving period to stderr as the
+daemon finds it (period + elapsed ms); the final response JSON
 prints to stdout when the search completes.
 search --priority N raises (or, negative, lowers) the request's
 admission priority under daemon overload.
@@ -503,15 +503,15 @@ fn main() {
                 exit(0)
             }
             if stream {
-                // Anytime mode: incumbents narrate on stderr as the daemon
-                // proves them; stdout stays pure final-response JSON.
+                // Anytime mode: improving periods narrate on stderr as the
+                // daemon finds them; stdout stays pure final-response JSON.
                 let begun = std::time::Instant::now();
                 let outcome = http_call_streaming(&addr, "/v1/search?stream=1", &body, |event| {
                     if let Ok(StreamEvent::Incumbent { value, elapsed_ms }) =
                         serde_json::from_str::<StreamEvent>(event)
                     {
                         eprintln!(
-                            "incumbent: period<={value} server={elapsed_ms}ms client={}ms",
+                            "incumbent: period={value} server={elapsed_ms}ms client={}ms",
                             begun.elapsed().as_millis()
                         );
                     }

@@ -20,7 +20,6 @@ use crate::metrics::TransportMetrics;
 use crate::service::ScheduleService;
 use crate::wire::{ErrorBody, SearchRequest, StageTimingInfo, StreamEvent};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use tessel_obs::{TimeSeries, TraceId};
@@ -119,10 +118,13 @@ impl<'w> Reply<'w> {
     }
 
     /// Answers `POST /v1/search?stream=1`: sends a chunked SSE head
-    /// immediately, pushes a (droppable) `incumbent` event for every
-    /// improving makespan the solver reports, and terminates the stream with
-    /// a `result` (or `error`) event followed by the last-chunk. Streaming
-    /// responses always close the connection (`job.close` is set for them).
+    /// immediately, answers the request as usual while the books' progress
+    /// board pushes a (droppable) `incumbent` event for every period that
+    /// improves the search's answer, and terminates the stream with a
+    /// `result` (or `error`) event followed by the last-chunk. The periods
+    /// strictly decrease and the last is the result's; a cache hit or a
+    /// coalesced follower runs no search and sends none. Streaming responses
+    /// always close the connection (`job.close` is set for them).
     fn streamed(self, search_request: &SearchRequest) {
         let (token, seq, started) = (self.job.token, self.job.seq, self.started);
         let completions = &self.worker.completions;
@@ -131,25 +133,18 @@ impl<'w> Reply<'w> {
             self.books.trace_id().as_str()
         );
         completions.push(Completion::fragment(token, seq, head.into_bytes(), false));
-        // Incumbents fall within one candidate's solve, not across
-        // candidates (a later one can report a higher value); an atomic-min
-        // filter keeps the stream strictly improving.
-        let best = AtomicU64::new(u64::MAX);
-        let sink = {
+        if let Some(board) = inflight::with_current(|entry| entry.board().clone()) {
             let completions = completions.clone();
-            tessel_solver::IncumbentSink::new(move |value| {
-                if value >= best.fetch_min(value, Ordering::Relaxed) {
-                    return;
-                }
+            board.listen(move |value| {
                 let event = StreamEvent::Incumbent {
                     value,
                     elapsed_ms: started.elapsed().as_millis() as u64,
                 };
                 let frame = encode_stream_chunk(&event);
                 completions.push(Completion::fragment(token, seq, frame, true));
-            })
-        };
-        let result = self.worker.service.search_streamed(search_request, &sink);
+            });
+        }
+        let result = self.worker.service.search(search_request);
         let status = match &result {
             Ok(_) => 200,
             Err(e) => e.http_status(),

@@ -20,11 +20,12 @@
 //! [`RequestBooks`] dropped without a close deregisters just the same.
 //!
 //! Each entry carries a [`ProgressBoard`] handle. When the request leads a
-//! solve, the service clones that handle into the solver configuration, so
-//! the entry's `nodes` / `incumbent` / `memo_drops` / `depth` fields tick
-//! live while the search runs — all relaxed-atomic reads, no locks shared
-//! with the solver hot path. Requests that never solve (cache hits,
-//! coalesced followers) simply read zero.
+//! solve, the service hands that board to the search, so the entry's
+//! `nodes` / `memo_drops` / `depth` fields tick live while the solver runs
+//! and `incumbent` / `incumbents` follow each improving period — all
+//! relaxed-atomic reads, no locks shared with the solver hot path. An SSE
+//! reply hangs its frame writer on the same board as its listener. Requests
+//! that never solve (cache hits, coalesced followers) simply read zero.
 //!
 //! Memory is strictly bounded by concurrency: one entry per open request,
 //! each a couple hundred bytes plus one five-counter progress board, and the

@@ -44,7 +44,6 @@ use tessel_core::ir::PlacementSpec;
 use tessel_core::search::{SearchConfig, TesselSearch};
 use tessel_core::CoreError;
 use tessel_runtime::{instantiate, simulate, ClusterSpec, CommMode};
-use tessel_solver::IncumbentSink;
 
 /// Errors surfaced to clients of the service.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -413,35 +412,6 @@ impl ScheduleService {
     ///
     /// As [`ScheduleService::search`].
     pub fn answer<'r>(&self, request: &'r SearchRequest) -> Result<Answer<'r>, ServiceError> {
-        self.search_with_sink(request, None)
-    }
-
-    /// As [`ScheduleService::search`], but streams improving incumbents: when
-    /// this request leads a solve, every strictly improving repetend makespan
-    /// the solver proves is reported through `sink` while the search runs.
-    /// Coalesced followers and cache hits report nothing (the transport still
-    /// gets the terminal result). Values are monotone within one candidate's
-    /// solve but not across candidates (see
-    /// [`SearchConfig::incumbent_sink`]) — a consumer wanting a strictly
-    /// decreasing stream must filter (the HTTP transport does).
-    ///
-    /// # Errors
-    ///
-    /// As [`ScheduleService::search`].
-    pub fn search_streamed(
-        &self,
-        request: &SearchRequest,
-        sink: &IncumbentSink,
-    ) -> Result<SearchResponse, ServiceError> {
-        self.search_with_sink(request, Some(sink))
-            .map(|answer| answer.to_response())
-    }
-
-    fn search_with_sink<'r>(
-        &self,
-        request: &'r SearchRequest,
-        sink: Option<&IncumbentSink>,
-    ) -> Result<Answer<'r>, ServiceError> {
         let arrived = Instant::now();
         // The HTTP worker opens the request's books (with the client's or a
         // freshly minted trace ID, the peer and the queue wait) before
@@ -450,7 +420,7 @@ impl ScheduleService {
         // flight record.
         let books = self.open_request(None, "CALL", "/v1/search", None);
         self.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        let result = self.search_inner(request, arrived, sink);
+        let result = self.search_inner(request, arrived);
         if let Err(e) = &result {
             self.count_failure(e);
         }
@@ -478,7 +448,6 @@ impl ScheduleService {
         &self,
         request: &'r SearchRequest,
         arrived: Instant,
-        sink: Option<&IncumbentSink>,
     ) -> Result<Answer<'r>, ServiceError> {
         let prepared = self.prepare(request, arrived)?;
         inflight::with_current(|entry| entry.set_deadline(prepared.deadline));
@@ -486,7 +455,7 @@ impl ScheduleService {
             entry,
             cached,
             coalesced,
-        } = self.obtain_entry(&prepared, sink)?;
+        } = self.obtain_entry(&prepared)?;
         // The entry seen through the request's own labeling.
         Ok(inflight::stage(Stage::Translate, || {
             Answer::new(
@@ -530,11 +499,7 @@ impl ScheduleService {
     /// single-flight election and — for the leader — the remote fetch and
     /// solve. Counts the request as exactly one of a hit, a miss or a
     /// coalesce (a remote hit counts in the cluster's own counters).
-    fn obtain_entry(
-        &self,
-        prepared: &Prepared<'_>,
-        sink: Option<&IncumbentSink>,
-    ) -> Result<Obtained, ServiceError> {
+    fn obtain_entry(&self, prepared: &Prepared<'_>) -> Result<Obtained, ServiceError> {
         let Prepared { key, deadline, .. } = *prepared;
         if let Some(entry) = inflight::stage(Stage::CacheLookup, || self.cache_lookup(prepared)) {
             self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -563,28 +528,27 @@ impl ScheduleService {
                 // may already hold this schedule.
                 let mut remote_hit = false;
                 let mut inserted = false;
-                let result = match inflight::stage(Stage::CacheLookup, || {
-                    self.cache_lookup(prepared)
-                }) {
-                    Some(entry) => Ok(entry),
-                    // The stage only exists in cluster mode: standalone
-                    // flight records carry no zero-length `remote_fetch` row.
-                    None => match self.cluster.as_ref().and_then(|_| {
-                        inflight::stage(Stage::RemoteFetch, || self.cluster_fetch(prepared))
-                    }) {
-                        Some(entry) => {
-                            remote_hit = true;
-                            inserted = true;
-                            Ok(entry)
-                        }
-                        None => {
-                            let solved =
-                                inflight::stage(Stage::Solve, || self.run_search(prepared, sink));
-                            inserted = solved.is_ok();
-                            solved
-                        }
-                    },
-                };
+                let result =
+                    match inflight::stage(Stage::CacheLookup, || self.cache_lookup(prepared)) {
+                        Some(entry) => Ok(entry),
+                        // The stage only exists in cluster mode: standalone
+                        // flight records carry no zero-length `remote_fetch` row.
+                        None => match self.cluster.as_ref().and_then(|_| {
+                            inflight::stage(Stage::RemoteFetch, || self.cluster_fetch(prepared))
+                        }) {
+                            Some(entry) => {
+                                remote_hit = true;
+                                inserted = true;
+                                Ok(entry)
+                            }
+                            None => {
+                                let solved =
+                                    inflight::stage(Stage::Solve, || self.run_search(prepared));
+                                inserted = solved.is_ok();
+                                solved
+                            }
+                        },
+                    };
                 guard.disarm_and_complete(result.clone());
                 // Journal outside the flight: followers are already awake,
                 // so they never wait on the append (or on the occasional
@@ -700,11 +664,7 @@ impl ScheduleService {
 
     /// Runs the actual search (leader path) and populates the cache on
     /// success.
-    fn run_search(
-        &self,
-        prepared: &Prepared<'_>,
-        sink: Option<&IncumbentSink>,
-    ) -> Result<Arc<CachedSearch>, ServiceError> {
+    fn run_search(&self, prepared: &Prepared<'_>) -> Result<Arc<CachedSearch>, ServiceError> {
         let Prepared {
             ref params,
             key,
@@ -732,18 +692,11 @@ impl ScheduleService {
             .with_solver_threads(1)
             .with_time_budget(budget);
         config.candidate_limit = self.config.candidate_limit;
-        if let Some(sink) = sink {
-            config = config.with_incumbent_sink(sink.clone());
-        }
-        // The live progress board of the leading request, when one is
-        // registered, applies to both solver roles — core's per-run config
-        // cloning preserves the handle, so every solve of this search
-        // publishes into it at its existing node-batch flush boundaries
-        // (relaxed atomics, no added locks).
-        let board = inflight::with_current(|entry| entry.board().clone());
-        for solver in [&mut config.repetend_solver, &mut config.phase_solver] {
-            solver.progress = board.clone();
-        }
+        // The leading request's board, when one is registered, watches the
+        // whole search: every solve's nodes and totals, and each improving
+        // period (the anytime answer `/v1/debug/inflight` shows and an SSE
+        // reply streams).
+        config.progress = inflight::with_current(|entry| entry.board().clone());
 
         let outcome = TesselSearch::new(config)
             .run(canonical)

@@ -262,6 +262,55 @@ mod tests {
         assert!(events.is_empty());
     }
 
+    /// Linux errno values the kernel answers `epoll_ctl` misuse with.
+    const ENOENT: i32 = 2;
+    const EBADF: i32 = 9;
+    const EEXIST: i32 = 17;
+
+    #[test]
+    fn registration_errors_carry_the_kernels_errno() {
+        let (reader, _writer) = std::io::pipe().unwrap();
+        let poller = Poller::new().unwrap();
+        let fd = reader.as_raw_fd();
+        let errno = |result: io::Result<()>| result.unwrap_err().raw_os_error();
+
+        assert_eq!(
+            errno(poller.modify(fd, 1, Interest::READABLE)),
+            Some(ENOENT)
+        );
+        poller.add(fd, 1, Interest::READABLE).unwrap();
+        assert_eq!(errno(poller.add(fd, 2, Interest::READABLE)), Some(EEXIST));
+        assert_eq!(errno(poller.add(-1, 3, Interest::READABLE)), Some(EBADF));
+        // Removing an fd that was never registered (or was already dropped)
+        // is silent, and leaves the poller working.
+        poller.remove(-1);
+        poller.remove(fd);
+        poller.remove(fd);
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .unwrap();
+        assert!(events.is_empty());
+    }
+
+    #[test]
+    fn a_closed_writer_reports_hangup() {
+        let (reader, writer) = std::io::pipe().unwrap();
+        let poller = Poller::new().unwrap();
+        poller
+            .add(reader.as_raw_fd(), 5, Interest::READABLE)
+            .unwrap();
+        drop(writer);
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].token, 5);
+        assert!(events[0].hangup, "{:?}", events[0]);
+        assert!(!events[0].writable);
+    }
+
     #[test]
     fn interest_masks_cover_the_classes() {
         // Exactly EPOLLIN: registering EPOLLRDHUP would busy-spin the wait

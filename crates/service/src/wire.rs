@@ -92,13 +92,14 @@ pub struct SearchResponse {
 /// ([`StreamEvent::Result`] or [`StreamEvent::Error`]) ends the stream.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StreamEvent {
-    /// The search found an improving schedule: `value` upper-bounds the
-    /// period of the best repetend found so far.
+    /// The search found a repetend that improves its answer and passed its
+    /// phase check: one event per improving repetend, values strictly
+    /// decreasing, the last equal to the result's `period`.
     Incumbent {
-        /// Makespan of the improving repetend solve (an upper bound on the
-        /// final period).
+        /// The improving repetend's period: what the search would return if
+        /// it stopped now.
         value: u64,
-        /// Milliseconds since the search started.
+        /// Milliseconds since a worker took the request on.
         elapsed_ms: u64,
     },
     /// Terminal: the completed search response.
@@ -437,12 +438,15 @@ pub struct InflightInfo {
     /// the deadline has already passed.
     #[serde(default)]
     pub deadline_remaining_ms: Option<u64>,
-    /// Search nodes explored so far by this request's solves.
+    /// Search nodes explored so far by this request's solves: repetend
+    /// solves, phase probes and phase optimisations alike.
     pub nodes: u64,
-    /// Best makespan proved so far, when any incumbent exists.
+    /// Best period so far: that of the last repetend that improved the
+    /// search's answer and passed its phase check — the period the search
+    /// would return if it stopped now.
     #[serde(default)]
     pub incumbent: Option<u64>,
-    /// Incumbent improvements so far.
+    /// Improving repetends so far: how often `incumbent` has moved.
     pub incumbents: u64,
     /// Finish vectors a full dominance memo declined to record so far (a
     /// rising count explains an exploding node count: the solve re-explores

@@ -815,7 +815,8 @@ fn greedy_client_is_shed_before_a_polite_one() {
 }
 
 /// `POST /v1/search?stream=1` delivers at least one incumbent event before
-/// the terminal result event, over chunked SSE framing.
+/// the terminal result event, over chunked SSE framing: one per improving
+/// repetend, strictly decreasing, the last one the result's period.
 #[test]
 fn streamed_search_delivers_incumbents_then_the_result() {
     let (server, addr) = start_server(ephemeral_config());
@@ -827,26 +828,29 @@ fn streamed_search_delivers_incumbents_then_the_result() {
         })
         .unwrap();
     assert_eq!(status, 200);
-    assert!(
-        events.len() >= 2,
-        "expected at least one incumbent before the terminal event: {events:?}"
-    );
     assert_eq!(events.last().unwrap(), &last);
 
-    let terminal: StreamEvent = serde_json::from_str(&last).unwrap();
-    match terminal {
+    let values: Vec<u64> = events[..events.len() - 1]
+        .iter()
+        .map(|event| match serde_json::from_str(event).unwrap() {
+            StreamEvent::Incumbent { value, .. } => value,
+            other => panic!("non-terminal events must be incumbents: {other:?}"),
+        })
+        .collect();
+    assert!(
+        !values.is_empty(),
+        "expected at least one incumbent before the terminal event: {events:?}"
+    );
+    assert!(
+        values.windows(2).all(|pair| pair[0] > pair[1]),
+        "incumbents must strictly decrease: {values:?}"
+    );
+    match serde_json::from_str(&last).unwrap() {
         StreamEvent::Result(response) => {
-            assert!(response.period > 0);
             assert!(!response.cached);
+            assert_eq!(values.last(), Some(&response.period), "{values:?}");
         }
         other => panic!("expected a terminal result event, got {other:?}"),
-    }
-    for event in &events[..events.len() - 1] {
-        let parsed: StreamEvent = serde_json::from_str(event).unwrap();
-        assert!(
-            matches!(parsed, StreamEvent::Incumbent { .. }),
-            "non-terminal events must be incumbents: {event}"
-        );
     }
 
     server.shutdown();

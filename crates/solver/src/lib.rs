@@ -74,7 +74,7 @@ pub use progress::{ProgressBoard, ProgressSnapshot};
 pub use propagate::TimeWindows;
 pub use search::{resolve_threads, SolveOutcome, Solver, SolverConfig};
 pub use solution::{Solution, SolutionViolation};
-pub use stats::{IncumbentSink, SolveStats, SolverTotals, StatsSink};
+pub use stats::{SolveStats, SolverTotals};
 pub use task::{Task, TaskId};
 
 /// Result alias used throughout the solver crate.

@@ -125,9 +125,9 @@ pub fn one_machine_lower_bound(instance: &Instance) -> u64 {
 mod tests {
     use super::*;
     use crate::instance::InstanceBuilder;
+    use crate::progress::ProgressBoard;
     use crate::search::{Solver, SolverConfig};
     use crate::solution::Solution;
-    use crate::stats::StatsSink;
 
     #[test]
     fn device_load_bound_takes_busiest_device() {
@@ -241,8 +241,8 @@ mod tests {
         // the cut at 11 is the one-machine bound's alone.
         let inst = tensor_parallel_instance();
         assert_eq!(makespan_lower_bound(&inst), 10);
-        let sink = StatsSink::new();
-        let solver = Solver::new(SolverConfig::exhaustive().with_stats_sink(sink.clone()));
+        let board = ProgressBoard::new();
+        let solver = Solver::new(SolverConfig::exhaustive().with_progress(board.clone()));
         for upper in [1, 10, 11] {
             let outcome = solver.minimize_below(&inst, upper).unwrap();
             assert!(outcome.is_infeasible(), "upper {upper}");
@@ -252,7 +252,7 @@ mod tests {
         let outcome = solver.satisfy(&inst, 10).unwrap();
         assert!(outcome.is_infeasible() && outcome.stats().nodes == 0 && outcome.stats().complete);
         // Cut solves still report in.
-        assert_eq!(sink.totals().solves, 4);
+        assert_eq!(board.totals().solves, 4);
         // One above the bound the search runs and finds the optimum.
         let outcome = solver.minimize_below(&inst, 12).unwrap();
         assert!(outcome.is_optimal());

@@ -1,23 +1,29 @@
-//! Live solve-progress publication.
+//! One search's observer.
 //!
-//! A [`ProgressBoard`] is a shared bundle of relaxed atomics a running solve
-//! writes into at its existing node-batch boundaries, so an observer (the
-//! daemon's `/v1/debug/inflight` endpoint) can watch a long solve *while it
-//! runs* — nodes explored, the current incumbent, the search depth — without
-//! adding any lock or fence to the search hot path. Publication piggybacks
-//! on the flush points the engine already has:
+//! A [`ProgressBoard`] is the one handle a [`SolverConfig`] carries for
+//! watching its solves, and a schedule search hands the same board to every
+//! solver it runs. It holds three kinds of books:
 //!
-//! * the node-count flush (every `FLUSH_INTERVAL` nodes) also adds the batch
-//!   to the board and stamps the depth of the node being entered;
-//! * an incumbent that wins the shared-bound CAS is stored on the board in
-//!   the same breath it is reported to the incumbent sink.
+//! * live counters the solver writes at the node-batch boundaries it already
+//!   has — nodes expanded, dominance-memo drops, the depth of the node being
+//!   entered — with relaxed atomics only, so an observer (the daemon's
+//!   `/v1/debug/inflight`) can watch a long solve while it runs without any
+//!   lock or fence on the search's hot path;
+//! * the [`SolverTotals`] of every solve that has finished, absorbed once per
+//!   solve under a mutex far off the hot path;
+//! * the incumbent: the best value the board's *owner* has recorded. The
+//!   solver never records one — a schedule search records the period of each
+//!   repetend that improves its answer — and one listener may be told of
+//!   every strict improvement as it happens.
 //!
-//! Everything is `Ordering::Relaxed`: the board is a monotone progress
-//! indicator, not a synchronization point, and torn cross-field reads (nodes
-//! from one batch, incumbent from the next) are harmless in a live view.
+//! Torn cross-field reads (nodes from one batch, incumbent from the next)
+//! are harmless in a live view: each counter is monotone on its own.
+//!
+//! [`SolverConfig`]: crate::SolverConfig
 
+use crate::stats::{SolveStats, SolverTotals};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Sentinel for "no incumbent yet" in the atomic incumbent slot.
 const NO_INCUMBENT: u64 = u64::MAX;
@@ -25,24 +31,29 @@ const NO_INCUMBENT: u64 = u64::MAX;
 /// Sentinel for "no depth published yet" in the atomic depth slot.
 const NO_DEPTH: u64 = u64::MAX;
 
-#[derive(Debug)]
+/// Called with each strictly improving incumbent.
+type Listener = Box<dyn Fn(u64) + Send + Sync>;
+
 struct BoardState {
     nodes: AtomicU64,
     incumbent: AtomicU64,
     incumbents: AtomicU64,
     memo_drops: AtomicU64,
     depth: AtomicU64,
+    totals: Mutex<SolverTotals>,
+    listener: OnceLock<Listener>,
 }
 
-/// Shared live-progress counters for one (or several sequential) solves.
+/// The shared books of one search: live progress, finished solves'
+/// totals and the incumbent (see the module docs).
 ///
-/// Cloning shares the underlying board, like [`StatsSink`]; attach a clone
-/// via [`SolverConfig::progress`] and poll [`ProgressBoard::snapshot`] from
-/// any thread while the solve runs.
+/// Cloning shares the underlying board; attach a clone via
+/// [`SolverConfig::progress`] and poll [`ProgressBoard::snapshot`] from any
+/// thread while the solves run. A board watches one search: its totals and
+/// incumbent run over every solve it was attached to.
 ///
-/// [`StatsSink`]: crate::StatsSink
 /// [`SolverConfig::progress`]: crate::SolverConfig::progress
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct ProgressBoard {
     state: Arc<BoardState>,
 }
@@ -56,12 +67,22 @@ impl Default for ProgressBoard {
                 incumbents: AtomicU64::new(0),
                 memo_drops: AtomicU64::new(0),
                 depth: AtomicU64::new(NO_DEPTH),
+                totals: Mutex::new(SolverTotals::default()),
+                listener: OnceLock::new(),
             }),
         }
     }
 }
 
-/// A point-in-time copy of a [`ProgressBoard`].
+impl std::fmt::Debug for ProgressBoard {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("ProgressBoard")
+            .field(&self.snapshot())
+            .finish()
+    }
+}
+
+/// A point-in-time copy of a [`ProgressBoard`]'s live counters.
 ///
 /// Fields are read independently with relaxed loads, so a snapshot taken
 /// mid-flush can mix batches — each individual counter is still monotone
@@ -69,11 +90,12 @@ impl Default for ProgressBoard {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProgressSnapshot {
     /// Nodes expanded and published so far (trails the true count by at most
-    /// one unflushed batch per worker).
+    /// one unflushed batch per worker; equals the finished solves' node
+    /// total once none is running).
     pub nodes: u64,
-    /// Best makespan found so far, if any.
+    /// Best incumbent recorded so far, if any.
     pub incumbent: Option<u64>,
-    /// Improving incumbents recorded so far.
+    /// Strict improvements of the incumbent recorded so far.
     pub incumbents: u64,
     /// Finish vectors a full dominance memo declined to record so far; a
     /// count that keeps rising means the solve is re-exploring states it
@@ -99,14 +121,30 @@ impl ProgressBoard {
         }
     }
 
-    /// Publishes an improving incumbent makespan. Only improvements are
-    /// stored, so concurrent stale reports cannot move the value backwards.
-    #[inline]
-    pub fn record_incumbent(&self, makespan: u64) {
-        let previous = self.state.incumbent.fetch_min(makespan, Ordering::Relaxed);
-        if makespan < previous {
+    /// Records an incumbent. Only strict improvements move the value (so a
+    /// stale report cannot move it backwards), count, and reach the
+    /// listener.
+    pub fn record_incumbent(&self, value: u64) {
+        let previous = self.state.incumbent.fetch_min(value, Ordering::Relaxed);
+        if value < previous {
             self.state.incumbents.fetch_add(1, Ordering::Relaxed);
+            if let Some(listener) = self.state.listener.get() {
+                listener(value);
+            }
         }
+    }
+
+    /// Calls `listener` with every strictly improving incumbent recorded
+    /// from now on, on the recording thread: keep it non-blocking.
+    ///
+    /// # Panics
+    ///
+    /// If the board already has a listener.
+    pub fn listen(&self, listener: impl Fn(u64) + Send + Sync + 'static) {
+        assert!(
+            self.state.listener.set(Box::new(listener)).is_ok(),
+            "a progress board has one listener"
+        );
     }
 
     /// Adds a flushed batch of dropped memo inserts to the published total.
@@ -123,7 +161,23 @@ impl ProgressBoard {
         self.state.depth.store(depth, Ordering::Relaxed);
     }
 
-    /// A point-in-time copy of every published counter.
+    /// Folds one finished solve's statistics into the board's totals (the
+    /// solver calls it once per solve).
+    pub fn absorb(&self, stats: &SolveStats) {
+        self.state
+            .totals
+            .lock()
+            .expect("board totals lock")
+            .absorb(stats);
+    }
+
+    /// The totals of every solve finished on this board so far.
+    #[must_use]
+    pub fn totals(&self) -> SolverTotals {
+        *self.state.totals.lock().expect("board totals lock")
+    }
+
+    /// A point-in-time copy of every live counter.
     #[must_use]
     pub fn snapshot(&self) -> ProgressSnapshot {
         let incumbent = self.state.incumbent.load(Ordering::Relaxed);
@@ -169,13 +223,51 @@ mod tests {
     #[test]
     fn incumbent_only_moves_down() {
         let board = ProgressBoard::new();
+        let heard = Arc::new(Mutex::new(Vec::new()));
+        {
+            let heard = Arc::clone(&heard);
+            board.listen(move |value| heard.lock().unwrap().push(value));
+        }
         board.record_incumbent(50);
         board.record_incumbent(70); // stale report: ignored
-        board.record_incumbent(40);
+        board.clone().record_incumbent(40);
         board.record_incumbent(40); // tie: not an improvement
         let snap = board.snapshot();
         assert_eq!(snap.incumbent, Some(40));
         assert_eq!(snap.incumbents, 2);
+        assert_eq!(*heard.lock().unwrap(), vec![50, 40]);
+        // Debug prints the counters, not the closure.
+        assert!(format!("{board:?}").contains("incumbent: Some(40)"));
+    }
+
+    #[test]
+    #[should_panic(expected = "one listener")]
+    fn a_second_listener_is_refused() {
+        let board = ProgressBoard::new();
+        board.listen(|_| {});
+        board.clone().listen(|_| {});
+    }
+
+    #[test]
+    fn totals_absorb_every_finished_solve_across_clones() {
+        let board = ProgressBoard::new();
+        board.clone().absorb(&SolveStats {
+            nodes: 10,
+            pruned_bound: 2,
+            memo_drops: 8,
+            ..SolveStats::default()
+        });
+        board.absorb(&SolveStats {
+            nodes: 5,
+            ..SolveStats::default()
+        });
+        let totals = board.totals();
+        assert_eq!(totals.solves, 2);
+        assert_eq!(totals.nodes, 15);
+        assert_eq!(totals.pruned_bound, 2);
+        assert_eq!(totals.memo_drops, 8);
+        // The live counters are the solver's to publish, not the totals'.
+        assert_eq!(board.snapshot().nodes, 0);
     }
 
     #[test]

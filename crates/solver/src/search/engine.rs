@@ -238,9 +238,9 @@ pub(super) struct SearchContext<'a> {
     /// This worker's id within the parallel pool (0 for the serial search);
     /// stamped on shared-dominance records to attribute cross-worker hits.
     worker: u32,
-    nodes_since_flush: u64,
+    pub(super) nodes_since_flush: u64,
     /// `stats.memo_drops` as of the last flush to the progress board.
-    drops_flushed: u64,
+    pub(super) drops_flushed: u64,
     /// The device finish vector of the node under test — the current one
     /// with the tested child's finish written over its devices — built here
     /// so the memo is probed without applying the child.
@@ -496,13 +496,9 @@ impl<'a> SearchContext<'a> {
         self.best_makespan = Some(makespan);
         self.best_starts.copy_from_slice(&self.starts);
         self.stats.incumbents += 1;
-        // Serial improvements are globally best by definition; a parallel
-        // worker's improvement only counts if it wins the shared-bound CAS,
-        // so the incumbent sink observes a strictly decreasing sequence
-        // rather than per-worker noise.
-        let mut globally_best = true;
+        // A parallel worker's improvement tightens the shared bound every
+        // worker prunes against.
         if let Some(shared) = self.shared {
-            globally_best = false;
             let mut current = shared.upper.0.load(Ordering::Relaxed);
             while makespan < current {
                 match shared.upper.0.compare_exchange_weak(
@@ -511,20 +507,9 @@ impl<'a> SearchContext<'a> {
                     Ordering::Relaxed,
                     Ordering::Relaxed,
                 ) {
-                    Ok(_) => {
-                        globally_best = true;
-                        break;
-                    }
+                    Ok(_) => break,
                     Err(observed) => current = observed,
                 }
-            }
-        }
-        if globally_best {
-            if let Some(board) = &self.config.progress {
-                board.record_incumbent(makespan);
-            }
-            if let Some(sink) = &self.config.incumbent_sink {
-                sink.report(makespan);
             }
         }
         if self.deadline.is_some() {

@@ -57,7 +57,7 @@ use crate::lower_bound::{device_load_lower_bound, one_machine_bound};
 use crate::progress::ProgressBoard;
 use crate::propagate::TimeWindows;
 use crate::solution::Solution;
-use crate::stats::{IncumbentSink, SolveStats, StatsSink};
+use crate::stats::SolveStats;
 use crate::Result;
 use engine::{FlatInstance, SearchContext};
 use std::time::{Duration, Instant};
@@ -131,22 +131,13 @@ pub struct SolverConfig {
     /// aborted solve returns its best incumbent (or `Unknown`) with
     /// `stats.complete == false`. The default never aborts.
     pub abort: Abort,
-    /// Optional shared accumulator receiving every solve's final
-    /// [`SolveStats`]; higher-level searches attach one to aggregate solver
-    /// effort across many invocations. The default records nothing.
-    pub stats_sink: Option<StatsSink>,
-    /// Optional callback receiving every strictly improving incumbent
-    /// makespan this solve finds (greedy seeds included); the hook behind
-    /// the service's anytime result streaming. In parallel mode only
-    /// improvements that win the shared-bound compare-and-swap are
-    /// reported, so the observed sequence is strictly decreasing. The
-    /// default reports nothing.
-    pub incumbent_sink: Option<IncumbentSink>,
-    /// Optional live-progress board the solve publishes into at its existing
-    /// node-batch boundaries — nodes explored, current incumbent, search
-    /// depth — with relaxed atomic stores only; the hook behind
-    /// the service's `/v1/debug/inflight` view of running solves. The
-    /// default publishes nothing.
+    /// Optional observer of the solve (see [`ProgressBoard`]): live nodes,
+    /// memo drops and search depth, published with relaxed atomic stores at
+    /// the existing node-batch boundaries, and the finished solve's
+    /// [`SolveStats`], absorbed into the board's totals. A schedule search
+    /// attaches one board to all its solvers; the daemon's
+    /// `/v1/debug/inflight` reads it. The solver never records an incumbent
+    /// there. The default observes nothing.
     pub progress: Option<ProgressBoard>,
 }
 
@@ -159,18 +150,15 @@ impl Default for SolverConfig {
             threads: default_threads(),
             serial_warmstart_nodes: default_serial_warmstart(),
             abort: Abort::none(),
-            stats_sink: None,
-            incumbent_sink: None,
             progress: None,
         }
     }
 }
 
-/// Equality ignores the [`SolverConfig::abort`], [`SolverConfig::stats_sink`],
-/// [`SolverConfig::incumbent_sink`] and [`SolverConfig::progress`] handles:
-/// two configurations that explore the search space identically compare equal
-/// even if they are attached to different cancellation tokens, statistics
-/// accumulators, incumbent observers or progress boards.
+/// Equality ignores the [`SolverConfig::abort`] and [`SolverConfig::progress`]
+/// handles: two configurations that explore the search space identically
+/// compare equal even if they are attached to different cancellation tokens
+/// or progress boards.
 impl PartialEq for SolverConfig {
     fn eq(&self, other: &Self) -> bool {
         self.max_nodes == other.max_nodes
@@ -221,22 +209,6 @@ impl SolverConfig {
     #[must_use]
     pub fn with_serial_warmstart(mut self, nodes: u64) -> Self {
         self.serial_warmstart_nodes = nodes;
-        self
-    }
-
-    /// Returns a copy recording every solve into `sink` (see
-    /// [`SolverConfig::stats_sink`]).
-    #[must_use]
-    pub fn with_stats_sink(mut self, sink: StatsSink) -> Self {
-        self.stats_sink = Some(sink);
-        self
-    }
-
-    /// Returns a copy reporting every improving incumbent into `sink` (see
-    /// [`SolverConfig::incumbent_sink`]).
-    #[must_use]
-    pub fn with_incumbent_sink(mut self, sink: IncumbentSink) -> Self {
-        self.incumbent_sink = Some(sink);
         self
     }
 
@@ -385,8 +357,8 @@ impl Solver {
         deadline: Option<u64>,
     ) -> Result<SolveOutcome> {
         let outcome = self.run_inner(instance, upper_bound, deadline)?;
-        if let Some(sink) = &self.config.stats_sink {
-            sink.record(outcome.stats());
+        if let Some(board) = &self.config.progress {
+            board.absorb(outcome.stats());
         }
         Ok(outcome)
     }
@@ -478,12 +450,6 @@ impl Solver {
                     if sol.makespan() < upper {
                         upper = sol.makespan();
                         stats.incumbents += 1;
-                        if let Some(board) = &self.config.progress {
-                            board.record_incumbent(sol.makespan());
-                        }
-                        if let Some(sink) = &self.config.incumbent_sink {
-                            sink.report(sol.makespan());
-                        }
                         seed = Some(sol);
                     }
                 }
@@ -781,15 +747,16 @@ mod tests {
     }
 
     #[test]
-    fn stats_sink_aggregates_across_solves() {
-        let sink = StatsSink::new();
-        let solver = Solver::new(SolverConfig::default().with_stats_sink(sink.clone()));
+    fn the_board_totals_every_solve() {
+        let board = ProgressBoard::new();
+        let solver = Solver::new(SolverConfig::default().with_progress(board.clone()));
         let inst = v_shape(2, 2, 2, None);
         let first = solver.minimize(&inst).unwrap();
         let second = solver.minimize(&inst).unwrap();
-        let totals = sink.totals();
+        let totals = board.totals();
         assert_eq!(totals.solves, 2);
         assert_eq!(totals.nodes, first.stats().nodes + second.stats().nodes);
+        assert_eq!(board.snapshot().nodes, totals.nodes);
     }
 
     #[test]
@@ -993,12 +960,8 @@ mod tests {
         assert_eq!(a, b);
         b.abort.cancel.cancel();
         assert_eq!(a, b);
-        let c = SolverConfig::default().with_stats_sink(StatsSink::new());
+        let c = SolverConfig::default().with_progress(ProgressBoard::new());
         assert_eq!(a, c);
-        let d = SolverConfig::default().with_incumbent_sink(IncumbentSink::new(|_| {}));
-        assert_eq!(a, d);
-        let e = SolverConfig::default().with_progress(ProgressBoard::new());
-        assert_eq!(a, e);
         assert_ne!(
             a,
             SolverConfig::default().with_serial_warmstart(a.serial_warmstart_nodes + 1)
@@ -1083,8 +1046,10 @@ mod tests {
         // Serial: every node passes the batch counter, and the final
         // sub-batch is flushed on return, so the board matches the stats.
         assert_eq!(snap.nodes, outcome.stats().nodes);
-        assert_eq!(snap.incumbent, Some(outcome.solution().unwrap().makespan()));
-        assert!(snap.incumbents >= 1);
+        assert_eq!(board.totals().nodes, outcome.stats().nodes);
+        // Incumbents are the board owner's to record, not the solver's.
+        assert_eq!(snap.incumbent, None);
+        assert_eq!(snap.incumbents, 0);
     }
 
     #[test]
@@ -1099,15 +1064,12 @@ mod tests {
         assert!(outcome.is_optimal());
         let stats = outcome.stats();
         let snap = board.snapshot();
-        // Every flushed worker batch lands on the board; only the root
-        // bookkeeping node in `run_parallel` bypasses the flush path.
-        assert!(
-            snap.nodes >= stats.nodes.saturating_sub(1) && snap.nodes <= stats.nodes,
-            "board shows {} nodes, stats {}",
-            snap.nodes,
-            stats.nodes
-        );
-        assert_eq!(snap.incumbent, Some(outcome.solution().unwrap().makespan()));
+        // Every worker flushes its batches on the way out, and the solve's
+        // last flush publishes the root node `run_parallel` expands.
+        assert_eq!(snap.nodes, stats.nodes);
+        assert_eq!(snap.memo_drops, stats.memo_drops);
+        assert_eq!(board.totals().nodes, stats.nodes);
+        assert_eq!(snap.incumbent, None);
     }
 
     /// Deterministic splitmix64 (no external RNG in the solver crate).

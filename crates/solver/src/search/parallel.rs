@@ -108,8 +108,10 @@ struct WorkerResult {
 /// optimal/infeasible or satisfied its deadline), `false` if a limit or an
 /// abort stopped it first.
 pub(super) fn run_parallel(ctx: &mut SearchContext<'_>, threads: usize) -> bool {
-    // The root node mirrors the first iteration of `dfs`.
+    // The root node mirrors the first iteration of `dfs`; the solve's last
+    // flush publishes it.
     ctx.stats.nodes += 1;
+    ctx.nodes_since_flush += 1;
     if ctx.unscheduled == 0 {
         ctx.record_incumbent();
         return true;
@@ -235,6 +237,8 @@ pub(super) fn run_parallel(ctx: &mut SearchContext<'_>, threads: usize) -> bool 
         ctx.stats.cas_retries += result.stats.cas_retries;
         ctx.stats.steal_failures += result.stats.steal_failures;
         ctx.stats.memo_drops += result.stats.memo_drops;
+        // Each worker published its own drops on its way out.
+        ctx.drops_flushed += result.stats.memo_drops;
         deadline_found |= result.best_makespan.is_some() && ctx.deadline.is_some();
     }
     // Deterministic winner: the smallest makespan, first worker on ties.

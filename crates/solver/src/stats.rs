@@ -1,7 +1,6 @@
 //! Search statistics reported by the solver.
 
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Statistics describing one solver invocation.
@@ -146,80 +145,6 @@ impl SolverTotals {
     }
 }
 
-/// Shareable accumulator of [`SolverTotals`] across solver invocations.
-///
-/// Attach a clone via [`SolverConfig::stats_sink`] and every solve records its
-/// final [`SolveStats`] into the shared totals on completion, whichever
-/// thread it ran on (a schedule search gives one sink to all its solvers).
-/// Cloning shares the underlying accumulator, like [`CancelToken`].
-///
-/// [`SolverConfig::stats_sink`]: crate::SolverConfig::stats_sink
-/// [`CancelToken`]: crate::CancelToken
-#[derive(Debug, Clone, Default)]
-pub struct StatsSink {
-    totals: Arc<Mutex<SolverTotals>>,
-}
-
-impl StatsSink {
-    /// Creates an empty sink.
-    #[must_use]
-    pub fn new() -> Self {
-        StatsSink::default()
-    }
-
-    /// Records one completed solve (called by the solver; once per solve, so
-    /// the mutex is far off the hot path).
-    pub fn record(&self, stats: &SolveStats) {
-        self.totals.lock().expect("stats sink lock").absorb(stats);
-    }
-
-    /// A copy of the totals accumulated so far.
-    #[must_use]
-    pub fn totals(&self) -> SolverTotals {
-        *self.totals.lock().expect("stats sink lock")
-    }
-}
-
-/// Callback invoked whenever a solve records a strictly improving incumbent.
-///
-/// Attach a clone via [`SolverConfig::incumbent_sink`] and the solver reports
-/// every genuine improvement of its best-known makespan — the greedy seeds at
-/// the root and each incumbent the branch loop records. In the work-stealing
-/// parallel search only improvements that win the shared atomic-bound
-/// compare-and-swap are reported, so callbacks observe a strictly decreasing
-/// makespan sequence per solve rather than per-worker noise. The callback runs
-/// on the solver thread that found the incumbent: keep it non-blocking (push
-/// into a bounded channel, update an atomic) — incumbents are rare relative
-/// to node expansions, but a slow callback still stalls that worker.
-///
-/// Like [`StatsSink`], cloning shares the underlying callback.
-///
-/// [`SolverConfig::incumbent_sink`]: crate::SolverConfig::incumbent_sink
-#[derive(Clone)]
-pub struct IncumbentSink {
-    callback: Arc<dyn Fn(u64) + Send + Sync>,
-}
-
-impl IncumbentSink {
-    /// Wraps a callback receiving each improving makespan.
-    pub fn new(callback: impl Fn(u64) + Send + Sync + 'static) -> Self {
-        IncumbentSink {
-            callback: Arc::new(callback),
-        }
-    }
-
-    /// Reports one improving incumbent makespan.
-    pub fn report(&self, makespan: u64) {
-        (self.callback)(makespan);
-    }
-}
-
-impl std::fmt::Debug for IncumbentSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("IncumbentSink").finish_non_exhaustive()
-    }
-}
-
 mod duration_serde {
     use serde::{Deserialize, Error, Reader, Writer};
     use std::time::Duration;
@@ -306,10 +231,9 @@ mod tests {
     }
 
     #[test]
-    fn sink_accumulates_across_clones() {
-        let sink = StatsSink::new();
-        let clone = sink.clone();
-        clone.record(&SolveStats {
+    fn totals_absorb_and_merge() {
+        let mut totals = SolverTotals::default();
+        totals.absorb(&SolveStats {
             nodes: 10,
             pruned_bound: 2,
             pruned_dominance: 3,
@@ -320,11 +244,10 @@ mod tests {
             memo_drops: 8,
             ..SolveStats::default()
         });
-        sink.record(&SolveStats {
+        totals.absorb(&SolveStats {
             nodes: 5,
             ..SolveStats::default()
         });
-        let totals = sink.totals();
         assert_eq!(totals.solves, 2);
         assert_eq!(totals.nodes, 15);
         assert_eq!(totals.pruned_bound, 2);
@@ -343,21 +266,6 @@ mod tests {
         assert_eq!(merged.cas_retries, 12);
         assert_eq!(merged.steal_failures, 14);
         assert_eq!(merged.memo_drops, 16);
-    }
-
-    #[test]
-    fn incumbent_sink_shares_the_callback_across_clones() {
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let sink = {
-            let seen = Arc::clone(&seen);
-            IncumbentSink::new(move |m| seen.lock().unwrap().push(m))
-        };
-        let clone = sink.clone();
-        sink.report(10);
-        clone.report(7);
-        assert_eq!(*seen.lock().unwrap(), vec![10, 7]);
-        // Debug must not try to print the closure.
-        assert!(format!("{sink:?}").contains("IncumbentSink"));
     }
 
     #[test]

@@ -533,13 +533,24 @@ fn client_entry_points_return_what_they_always_did() {
         .map(|event| serde_json::from_str(event).unwrap())
         .collect();
     let (terminal, incumbents) = decoded.split_last().unwrap();
-    assert!(incumbents
+    let values: Vec<u64> = incumbents
         .iter()
-        .all(|event| matches!(event, StreamEvent::Incumbent { .. })));
+        .map(|event| match event {
+            StreamEvent::Incumbent { value, .. } => *value,
+            other => panic!("non-terminal event {other:?}"),
+        })
+        .collect();
+    // One frame per improving repetend: strictly decreasing, at least one,
+    // the last the result's period.
+    assert!(
+        values.windows(2).all(|pair| pair[0] > pair[1]),
+        "{values:?}"
+    );
     match terminal {
         StreamEvent::Result(response) => {
             assert!(!response.cached);
             assert_eq!(response.schedule.num_devices(), 3);
+            assert_eq!(values.last(), Some(&response.period), "{values:?}");
         }
         other => panic!("stream ended with {other:?}"),
     }
