@@ -28,8 +28,10 @@
 //! that never solve (cache hits, coalesced followers) simply read zero.
 //!
 //! Memory is strictly bounded by concurrency: one entry per open request,
-//! each a couple hundred bytes plus one five-counter progress board, and the
-//! worker-pool size caps how many are live at once.
+//! cache hits included, and the worker-pool size caps how many are live at
+//! once. An entry is a couple hundred bytes plus one progress board: its
+//! five live counters, the finished solves' totals (an eleven-counter
+//! `SolverTotals` behind a mutex) and one listener slot.
 
 use crate::flight::now_unix_ms;
 use crate::metrics::ServiceMetrics;
