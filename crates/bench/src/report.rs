@@ -8,12 +8,15 @@
 //! * `admission_overload`, `anytime_streaming`, `observability_overhead` —
 //!   the daemon under sustained overload, how far into its solve a streamed
 //!   search's first incumbent arrives, and the cost of the live-plane
-//!   sampler.
+//!   sampler;
+//! * `hit_fanout` — cache hits under 1, 4 and 8 concurrent unpinned
+//!   clients, the multi-client load the benchmark package has no workload
+//!   for.
 //!
-//! Request throughput, per-stage latency and the solver's node counts are
-//! not recorded here: the benchmark package's workloads (`serve_hit`,
-//! `serve_miss`, `solve_exact`, `solve_parallel`, …) measure them with
-//! segments, medians and spread.
+//! Single-client request throughput, per-stage latency and the solver's
+//! node counts are not recorded here: the benchmark package's workloads
+//! (`serve_hit`, `serve_miss`, `solve_exact`, `solve_parallel`, …) measure
+//! them with segments, medians and spread.
 
 use serde::Serialize;
 use std::time::Instant;
@@ -437,21 +440,26 @@ pub struct ObservabilityOverheadRow {
     pub mode: String,
     /// Keep-alive requests per pass (cache hits, transport-bound).
     pub requests: u64,
+    /// Median process CPU seconds (client and daemon, every thread) of a
+    /// pass.
+    pub cpu_seconds: f64,
     /// Median wall-clock seconds of a pass.
     pub seconds: f64,
     /// Requests per second of the median pass.
     pub requests_per_sec: f64,
 }
 
-/// The `observability_overhead` section: sampler-on vs sampler-off
-/// throughput on the same workload, over pairs of passes.
+/// The `observability_overhead` section: the process CPU a pass of the same
+/// workload costs with the sampler on and off, over pairs of passes.
 #[derive(Debug, Clone, Serialize)]
 pub struct ObservabilityOverheadSection {
     /// Both modes' median passes.
     pub rows: Vec<ObservabilityOverheadRow>,
     /// Pairs of passes measured; which mode runs first alternates.
     pub pairs: u64,
-    /// Median over the pairs of `(off - on) / off` throughput: the fraction
+    /// The resolution of a pass's CPU time (the kernel's clock tick), s.
+    pub cpu_resolution_s: f64,
+    /// Median over the pairs of `(on - off) / off` process CPU: the fraction
     /// the sampler costs (negative: below run-to-run noise).
     pub delta_fraction: f64,
     /// First quartile of the paired deltas.
@@ -472,12 +480,61 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
     sorted[low] + (sorted[high] - sorted[low]) * (rank - low as f64)
 }
 
-/// Measures the live-plane sampler's overhead: the same keep-alive
-/// cache-hit repeat workload against one daemon with the sampler off and
-/// one sampling aggressively (10 ms — 100× the default cadence), `pairs`
-/// pairs of passes. The mode that runs first alternates from pair to pair,
-/// so neither mode always takes the warm (or the cold) slot, and each pair's
-/// two passes run back to back, so a drift in host speed hits both alike.
+/// Kernel clock ticks per second: `/proc/self/stat` counts CPU time in
+/// `sysconf(_SC_CLK_TCK)` ticks, which is 100 on every Linux this runs on.
+const CLK_TCK: f64 = 100.0;
+
+/// User + system CPU seconds this process (every thread, exited ones
+/// included) has used so far: fields 14 and 15 of `/proc/self/stat`.
+fn process_cpu_seconds() -> f64 {
+    let stat = std::fs::read_to_string("/proc/self/stat").unwrap_or_default();
+    // The command name (field 2) may hold spaces; the numeric fields follow
+    // its closing parenthesis, starting with field 3.
+    let fields: Vec<&str> = stat
+        .rsplit_once(')')
+        .map_or("", |(_, rest)| rest)
+        .split_whitespace()
+        .collect();
+    let ticks = |field: usize| -> f64 {
+        fields
+            .get(field - 3)
+            .and_then(|v| v.parse::<f64>().ok())
+            .unwrap_or(0.0)
+    };
+    (ticks(14) + ticks(15)) / CLK_TCK
+}
+
+/// Voluntary and involuntary context switches, summed over every live
+/// thread of this process (`/proc/self/task/*/status`).
+fn context_switches() -> (u64, u64) {
+    let mut total = (0, 0);
+    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+        return total;
+    };
+    for task in tasks.flatten() {
+        let status = std::fs::read_to_string(task.path().join("status")).unwrap_or_default();
+        for line in status.lines() {
+            let count = |prefix: &str| line.strip_prefix(prefix)?.trim().parse::<u64>().ok();
+            if let Some(n) = count("voluntary_ctxt_switches:") {
+                total.0 += n;
+            } else if let Some(n) = count("nonvoluntary_ctxt_switches:") {
+                total.1 += n;
+            }
+        }
+    }
+    total
+}
+
+/// Measures the live-plane sampler's overhead in process CPU: the same
+/// keep-alive cache-hit repeat workload against a daemon with the sampler
+/// off and one sampling aggressively (10 ms — 100× the default cadence),
+/// `pairs` pairs of passes of `requests` requests. Each pass starts its own
+/// daemon, so the sampler runs only in the passes it is charged to. The
+/// mode that runs first alternates from pair to pair, so neither mode
+/// always takes the warm (or the cold) slot, and each pair's two passes run
+/// back to back, so a drift in host speed hits both alike. A pass must cost
+/// well over 50 clock ticks of CPU for the 10 ms tick to resolve the 2 %
+/// budget.
 #[must_use]
 pub fn observability_overhead_rows(requests: usize, pairs: usize) -> ObservabilityOverheadSection {
     use std::sync::Arc;
@@ -491,7 +548,9 @@ pub fn observability_overhead_rows(requests: usize, pairs: usize) -> Observabili
     let placement = synthetic_placement(ShapeKind::V, 4).expect("placement");
     let body = serde_json::to_string(&SearchRequest::for_placement(placement)).expect("request");
 
-    let start_daemon = |sample_interval_ms: u64| {
+    // One pass: a fresh daemon, warmed so that every measured request is a
+    // transport-bound hit; returns (CPU seconds, wall seconds).
+    let pass = |sample_interval_ms: u64| {
         let service = ScheduleService::new(ServiceConfig {
             default_micro_batches: 8,
             default_max_repetend: 3,
@@ -509,52 +568,49 @@ pub fn observability_overhead_rows(requests: usize, pairs: usize) -> Observabili
         )
         .expect("server");
         let addr = server.local_addr().to_string();
-        // Warm the cache so every measured request is a transport-bound hit.
         let (status, warm) = http_call(&addr, "POST", "/v1/search", Some(&body)).expect("warmup");
         assert_eq!(status, 200, "warmup failed: {warm}");
-        (server, addr)
-    };
-    let pass = |addr: &str| {
-        let mut client = HttpClient::new(addr).expect("client");
-        let started = Instant::now();
+        let mut client = HttpClient::new(&addr).expect("client");
+        let (cpu, started) = (process_cpu_seconds(), Instant::now());
         for _ in 0..requests {
             let (status, _) = client
                 .call("POST", "/v1/search", Some(&body))
                 .expect("repeat call");
             assert_eq!(status, 200);
         }
-        started.elapsed().as_secs_f64()
+        let measured = (process_cpu_seconds() - cpu, started.elapsed().as_secs_f64());
+        server.shutdown();
+        measured
     };
 
-    let (server_off, addr_off) = start_daemon(0);
-    let (server_on, addr_on) = start_daemon(SAMPLE_INTERVAL_MS);
     let (mut off, mut on, mut deltas) = (Vec::new(), Vec::new(), Vec::new());
     for pair in 0..pairs {
-        let (off_seconds, on_seconds) = if pair % 2 == 0 {
-            let off_seconds = pass(&addr_off);
-            (off_seconds, pass(&addr_on))
+        let (off_pass, on_pass) = if pair % 2 == 0 {
+            let off_pass = pass(0);
+            (off_pass, pass(SAMPLE_INTERVAL_MS))
         } else {
-            let on_seconds = pass(&addr_on);
-            (pass(&addr_off), on_seconds)
+            let on_pass = pass(SAMPLE_INTERVAL_MS);
+            (pass(0), on_pass)
         };
-        // (off - on) / off in throughput is 1 - off_seconds / on_seconds.
-        deltas.push(1.0 - off_seconds / on_seconds);
-        off.push(off_seconds);
-        on.push(on_seconds);
+        deltas.push(on_pass.0 / off_pass.0.max(1.0 / CLK_TCK) - 1.0);
+        off.push(off_pass);
+        on.push(on_pass);
     }
-    server_off.shutdown();
-    server_on.shutdown();
 
-    for samples in [&mut off, &mut on, &mut deltas] {
-        samples.sort_by(f64::total_cmp);
-    }
-    let row = |mode: String, seconds: &[f64]| {
-        let median = quantile(seconds, 0.5);
+    deltas.sort_by(f64::total_cmp);
+    let row = |mode: String, passes: &[(f64, f64)]| {
+        let median = |pick: fn(&(f64, f64)) -> f64| {
+            let mut values: Vec<f64> = passes.iter().map(pick).collect();
+            values.sort_by(f64::total_cmp);
+            quantile(&values, 0.5)
+        };
+        let seconds = median(|pass| pass.1);
         ObservabilityOverheadRow {
             mode,
             requests: requests as u64,
-            seconds: median,
-            requests_per_sec: requests as f64 / median.max(1e-9),
+            cpu_seconds: median(|pass| pass.0),
+            seconds,
+            requests_per_sec: requests as f64 / seconds.max(1e-9),
         }
     };
     let (q1, median, q3) = (
@@ -575,12 +631,145 @@ pub fn observability_overhead_rows(requests: usize, pairs: usize) -> Observabili
             row(format!("sampler-{SAMPLE_INTERVAL_MS}ms"), &on),
         ],
         pairs: pairs as u64,
+        cpu_resolution_s: 1.0 / CLK_TCK,
         delta_fraction: median,
         delta_q1: q1,
         delta_q3: q3,
         target_max_fraction: TARGET,
         verdict: verdict.into(),
     }
+}
+
+/// One row of the `hit_fanout` section: `clients` keep-alive clients,
+/// unpinned, each posting cache hits back to back for a fixed window.
+#[derive(Debug, Clone, Serialize)]
+pub struct HitFanoutRow {
+    /// Concurrent keep-alive clients.
+    pub clients: u64,
+    /// Hits answered in the window.
+    pub hits: u64,
+    /// Wall-clock seconds of the window.
+    pub seconds: f64,
+    /// `hits / seconds`.
+    pub hits_per_sec: f64,
+    /// Median client-observed round trip, ms.
+    pub latency_ms_p50: f64,
+    /// 99th-percentile client-observed round trip, ms.
+    pub latency_ms_p99: f64,
+    /// Context switches of every thread of the process (clients, event
+    /// loop, workers) per hit, voluntary and involuntary together.
+    pub switches_per_hit: f64,
+    /// The voluntary share of `switches_per_hit`: a thread that blocked.
+    pub voluntary_switches_per_hit: f64,
+}
+
+/// Measures cache hits under fan-out: a daemon with the default four
+/// workers and its sampler off, warmed with the 4-device V, M, K and X
+/// shapes, answers 1, 4 and 8 concurrent keep-alive clients for `window`
+/// each. Each client cycles through the four placements from its own
+/// offset. With one client the event loop answers every hit itself; with
+/// more, a readiness batch of several connections hands them to the pool.
+///
+/// # Panics
+///
+/// If the daemon cannot be started or a request fails.
+#[must_use]
+pub fn hit_fanout_rows(window: std::time::Duration) -> Vec<HitFanoutRow> {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Arc, Barrier};
+    use tessel_service::http::http_call;
+    use tessel_service::wire::SearchRequest;
+    use tessel_service::{HttpClient, HttpServer, ScheduleService, ServerConfig, ServiceConfig};
+
+    let bodies: Vec<String> = [ShapeKind::V, ShapeKind::M, ShapeKind::K, ShapeKind::X]
+        .into_iter()
+        .map(|shape| {
+            let placement = synthetic_placement(shape, 4).expect("placement");
+            serde_json::to_string(&SearchRequest::for_placement(placement)).expect("request")
+        })
+        .collect();
+    let service = ScheduleService::new(ServiceConfig {
+        default_micro_batches: 8,
+        default_max_repetend: 3,
+        candidate_limit: Some(600),
+        ..ServiceConfig::default()
+    })
+    .expect("service");
+    let server = HttpServer::serve(
+        Arc::new(service),
+        &ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            sample_interval_ms: 0,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server");
+    let addr = server.local_addr().to_string();
+    for body in &bodies {
+        let (status, warm) = http_call(&addr, "POST", "/v1/search", Some(body)).expect("warmup");
+        assert_eq!(status, 200, "warmup failed: {warm}");
+    }
+
+    let rows = [1usize, 4, 8].map(|clients| {
+        let stop = Arc::new(AtomicBool::new(false));
+        // Every client thread is alive at both readings of the switch
+        // counters: the threads connect, then wait for the start; they stop,
+        // then wait while the counters are read again.
+        let [start, stopped, read] = [(); 3].map(|()| Arc::new(Barrier::new(clients + 1)));
+        let handles: Vec<_> = (0..clients)
+            .map(|client_index| {
+                let (addr, bodies, stop) = (addr.clone(), bodies.clone(), stop.clone());
+                let (start, stopped, read) = (start.clone(), stopped.clone(), read.clone());
+                std::thread::spawn(move || {
+                    let mut client = HttpClient::new(&addr).expect("client");
+                    let mut latencies_ms = Vec::new();
+                    start.wait();
+                    for body in bodies.iter().cycle().skip(client_index) {
+                        if stop.load(Ordering::Relaxed) {
+                            break;
+                        }
+                        let sent = Instant::now();
+                        let (status, answer) =
+                            client.call("POST", "/v1/search", Some(body)).expect("hit");
+                        assert_eq!(status, 200, "{answer}");
+                        latencies_ms.push(sent.elapsed().as_secs_f64() * 1e3);
+                    }
+                    stopped.wait();
+                    read.wait();
+                    latencies_ms
+                })
+            })
+            .collect();
+        let before = context_switches();
+        start.wait();
+        let started = Instant::now();
+        std::thread::sleep(window);
+        stop.store(true, Ordering::Relaxed);
+        stopped.wait();
+        let seconds = started.elapsed().as_secs_f64();
+        let after = context_switches();
+        read.wait();
+        let mut latencies: Vec<f64> = handles
+            .into_iter()
+            .flat_map(|handle| handle.join().expect("client thread"))
+            .collect();
+        latencies.sort_by(f64::total_cmp);
+        let hits = latencies.len() as u64;
+        let per_hit = |count: u64| count as f64 / hits.max(1) as f64;
+        let (voluntary, involuntary) = (after.0 - before.0, after.1 - before.1);
+        HitFanoutRow {
+            clients: clients as u64,
+            hits,
+            seconds,
+            hits_per_sec: hits as f64 / seconds.max(1e-9),
+            latency_ms_p50: quantile(&latencies, 0.5),
+            latency_ms_p99: quantile(&latencies, 0.99),
+            switches_per_hit: per_hit(voluntary + involuntary),
+            voluntary_switches_per_hit: per_hit(voluntary),
+        }
+    });
+    server.shutdown();
+    rows.into()
 }
 
 /// The whole of `BENCH_search.json`: one key per measurement, in the order
@@ -595,10 +784,16 @@ pub struct BenchSnapshot {
     pub anytime_streaming: AnytimeStreamingRow,
     /// See [`observability_overhead_rows`].
     pub observability_overhead: ObservabilityOverheadSection,
+    /// See [`hit_fanout_rows`].
+    pub hit_fanout: Vec<HitFanoutRow>,
 }
 
-/// Runs the daemon workloads (overload, streaming, sampler overhead) and
-/// rewrites `BENCH_search.json` with their results.
+/// Requests per `observability_overhead` pass: about a CPU-second of
+/// keep-alive hits on a 2-vCPU host, 100 clock ticks.
+const OVERHEAD_PASS_REQUESTS: usize = 20_000;
+
+/// Runs the daemon workloads (overload, streaming, sampler overhead, hit
+/// fan-out) and rewrites `BENCH_search.json` with their results.
 ///
 /// # Panics
 ///
@@ -630,15 +825,15 @@ pub fn emit_service() {
         streaming.first_incumbent_ms,
         streaming.total_ms
     );
-    let overhead = observability_overhead_rows(4000, 10);
+    let overhead = observability_overhead_rows(OVERHEAD_PASS_REQUESTS, 10);
     for row in &overhead.rows {
         println!(
-            "observability_overhead {:<14} {:>4} reqs {:>8.1} req/s (median pass)",
-            row.mode, row.requests, row.requests_per_sec
+            "observability_overhead {:<14} {:>5} reqs {:>6.2} cpu-s {:>8.1} req/s (median pass)",
+            row.mode, row.requests, row.cpu_seconds, row.requests_per_sec
         );
     }
     println!(
-        "observability_overhead delta={:.2}% [q1 {:.2}%, q3 {:.2}%] over {} pairs (target <{:.0}%): {}",
+        "observability_overhead delta={:.2}% [q1 {:.2}%, q3 {:.2}%] of process CPU over {} pairs (target <{:.0}%): {}",
         overhead.delta_fraction * 100.0,
         overhead.delta_q1 * 100.0,
         overhead.delta_q3 * 100.0,
@@ -646,11 +841,24 @@ pub fn emit_service() {
         overhead.target_max_fraction * 100.0,
         overhead.verdict
     );
+    let fanout = hit_fanout_rows(std::time::Duration::from_secs(3));
+    for row in &fanout {
+        println!(
+            "hit_fanout {} clients {:>8.1} hits/s p50={:.3}ms p99={:.3}ms switches/hit={:.2} ({:.2} voluntary)",
+            row.clients,
+            row.hits_per_sec,
+            row.latency_ms_p50,
+            row.latency_ms_p99,
+            row.switches_per_hit,
+            row.voluntary_switches_per_hit
+        );
+    }
     let snapshot = BenchSnapshot {
         host: HostInfo::capture(),
         admission_overload: overload,
         anytime_streaming: streaming,
         observability_overhead: overhead,
+        hit_fanout: fanout,
     };
     let path = bench_json_path();
     let json = serde_json::to_string_pretty(&snapshot).expect("the snapshot serialises");

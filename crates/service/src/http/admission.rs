@@ -9,7 +9,10 @@
 //! arrival. The event loop answers the victim with `429` + `Retry-After`.
 
 use super::parse::ParsedRequest;
+use crate::inflight::HandedBooks;
 use crate::metrics::TransportMetrics;
+use crate::service::Probe;
+use crate::wire::SearchRequest;
 use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::net::IpAddr;
@@ -32,6 +35,10 @@ pub(super) struct Job {
     /// Microseconds the final (completing) parse pass took; the `parse`
     /// stage of the request's trace.
     pub(super) parse_micros: u64,
+    /// What the event loop's probe of a search found, when the loop probed
+    /// it and the cache lookup missed: the worker finishes the search from
+    /// there.
+    pub(super) probed: Option<Box<Probed>>,
     /// When the job entered the worker queue; the gap to worker pickup is
     /// the `queue_wait` stage.
     pub(super) enqueued: Instant,
@@ -44,6 +51,16 @@ pub(super) struct Job {
     /// earlier pops first among equal priorities, and a later deadline is
     /// shed first under overload.
     pub(super) deadline: Option<Instant>,
+}
+
+/// A search the event loop took as far as its cache lookup, which missed:
+/// the request's books (the `parse`, `decode`, `validate`, `canonicalize`
+/// and `cache_lookup` stages, the trace ID and the clock), the decoded
+/// request and its probe (the canonical labeling and the cache key).
+pub(super) struct Probed {
+    pub(super) books: HandedBooks,
+    pub(super) request: SearchRequest,
+    pub(super) probe: Probe,
 }
 
 /// One request waiting for a worker, with its admission bookkeeping.

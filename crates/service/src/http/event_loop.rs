@@ -1,18 +1,23 @@
 //! The single-threaded readiness loop that owns every socket.
 //!
 //! This module owns one decision: *when bytes move* — which connections are
-//! read, when a buffered request is parsed and offered to admission, in what
+//! read, when a buffered request is parsed and where it is answered, in what
 //! order finished responses reach the wire, and when a connection is closed.
 //! The listener, a wakeup pipe and every connection sit in one
 //! level-triggered `Poller`, so thousands of idle keep-alive clients cost one
 //! sleeping thread. Each [`Conn`] reads and writes incrementally — a slow or
 //! malicious peer can never stall the loop — and pipelined responses are
-//! reordered to request order. Workers answer through [`Completions`]; idle
-//! connections (slow-loris peers included) are swept after the idle timeout.
+//! reordered to request order. [`EventLoop::answers_itself`] decides where a
+//! request is answered: a plain search on an otherwise idle daemon is probed
+//! on the loop and, on a cache hit, answered there, its bytes going straight
+//! into the connection's write path; everything else, a probed miss
+//! included, goes through the admission queue to a worker, and workers
+//! answer through [`Completions`]. Idle connections (slow-loris peers
+//! included) are swept after the idle timeout.
 
 use super::admission::{AdmissionQueue, Job, OfferOutcome};
-use super::parse::{parse_request, scan_json_integer, ParseCursor};
-use super::reply::encode_response;
+use super::parse::{parse_request, scan_json_integer, ParseCursor, ParsedRequest};
+use super::reply::{answer_on_loop, encode_response};
 use super::route::{error_response, split_target, stream_requested};
 use super::ServerConfig;
 use crate::inflight::Stage;
@@ -222,8 +227,13 @@ pub(super) struct EventLoop {
     next_token: u64,
     admission: Arc<AdmissionQueue>,
     completions: Arc<Completions>,
+    /// What the loop answers plain searches with when it takes them itself
+    /// (see [`EventLoop::answers_itself`]).
+    service: Arc<ScheduleService>,
     transport: Arc<TransportMetrics>,
     stop: Arc<AtomicBool>,
+    /// Events in the readiness batch being handled.
+    batch_events: usize,
     idle_timeout: Duration,
     max_pipelined: usize,
     /// Open connections allowed per source IP (`0` = unlimited).
@@ -245,6 +255,7 @@ impl EventLoop {
         listener: TcpListener,
         config: &ServerConfig,
         admission: Arc<AdmissionQueue>,
+        service: Arc<ScheduleService>,
         transport: Arc<TransportMetrics>,
         stop: Arc<AtomicBool>,
     ) -> std::io::Result<(Self, Arc<Completions>)> {
@@ -266,8 +277,10 @@ impl EventLoop {
             next_token: TOKEN_FIRST_CONN,
             admission,
             completions: completions.clone(),
+            service,
             transport,
             stop,
+            batch_events: 0,
             idle_timeout: config.idle_timeout,
             max_pipelined: config.max_pipelined.max(1),
             max_conns_per_ip: config.max_conns_per_ip,
@@ -288,6 +301,7 @@ impl EventLoop {
             if self.poller.wait(&mut events, timeout).is_err() {
                 break;
             }
+            self.batch_events = events.len();
             for event in &events {
                 match event.token {
                     TOKEN_LISTENER => self.accept_ready(),
@@ -531,7 +545,15 @@ impl EventLoop {
                 // response write counts as activity, so a slow-loris peer
                 // trickling an incomplete head forever is still reaped by
                 // the idle sweep.
-                Ok(n) => conn.read_buf.extend_from_slice(&chunk[..n]),
+                Ok(n) => {
+                    conn.read_buf.extend_from_slice(&chunk[..n]);
+                    // A short read drained the socket: asking again would
+                    // only answer `WouldBlock`, and the level-triggered
+                    // poller reports any bytes that arrive later.
+                    if n < chunk.len() {
+                        break;
+                    }
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => return self.close_conn(token),
@@ -543,8 +565,24 @@ impl EventLoop {
         self.flush(token);
     }
 
+    /// Whether the loop answers `request` itself rather than handing it to
+    /// the worker pool: the one place that decides where a request is
+    /// answered. The loop takes a plain (non-streaming) `POST /v1/search`
+    /// when nobody is waiting for a worker and nothing else is ready in this
+    /// readiness batch; it then probes the search and answers a cache hit on
+    /// the spot (a miss still goes to the pool). Under concurrency the pool
+    /// answers, so the loop never becomes the bottleneck.
+    fn answers_itself(&self, request: &ParsedRequest) -> bool {
+        self.batch_events == 1
+            && self.transport.admission_queue_depth.load(Relaxed) == 0
+            && request.method == "POST"
+            && split_target(&request.path).0 == "/v1/search"
+            && !stream_requested(request)
+    }
+
     /// Parses every complete request sitting in the read buffer (up to the
-    /// pipelining cap) and dispatches each to the worker pool.
+    /// pipelining cap) and answers each — on the loop (see
+    /// [`EventLoop::answers_itself`]) or through the worker pool.
     fn parse_ready(&mut self, token: u64) {
         loop {
             let Some(conn) = self.conns.get_mut(&token) else {
@@ -582,27 +620,46 @@ impl EventLoop {
             // A streaming response owns the connection until its terminal
             // frame; stop parsing further pipelined requests behind it. This
             // is the one place a request's `close` is decided — whatever
-            // answers the job (worker, shed, a 400 for an undecodable body)
-            // says `Connection: close` exactly when the loop will close.
+            // answers the job (the loop, a worker, shed, a 400 for an
+            // undecodable body) says `Connection: close` exactly when the
+            // loop will close.
             let close = request.close || stream_requested(&request);
             conn.draining |= close;
             let parse_micros = parse_started.elapsed().as_micros() as u64;
             let client = Some(conn.peer_ip);
-            let priority = scan_json_integer(&request.body, "priority").unwrap_or(0);
-            let deadline = scan_json_integer(&request.body, "deadline_ms")
-                .filter(|&ms| ms >= 0)
-                .map(|ms| Instant::now() + Duration::from_millis(ms as u64));
-            let job = Job {
+            let answer_here = self.answers_itself(&request);
+            let mut job = Job {
                 token,
                 seq,
                 request,
                 close,
                 parse_micros,
+                probed: None,
                 enqueued: Instant::now(),
                 client,
-                priority,
-                deadline,
+                priority: 0,
+                deadline: None,
             };
+            if answer_here {
+                match answer_on_loop(&self.service, job) {
+                    Ok(done) => {
+                        // Straight into the connection's in-order write
+                        // path: no completion queue, no wakeup byte.
+                        self.transport.answered_on_loop.fetch_add(1, Relaxed);
+                        self.deliver(done);
+                        continue;
+                    }
+                    // A miss: a worker finishes it from the probe.
+                    Err(missed) => job = *missed,
+                }
+            }
+            // Only a queued job needs admission hints, and its queue wait
+            // starts here, after any probe (whose stages are on its books).
+            job.priority = scan_json_integer(&job.request.body, "priority").unwrap_or(0);
+            job.deadline = scan_json_integer(&job.request.body, "deadline_ms")
+                .filter(|&ms| ms >= 0)
+                .map(|ms| Instant::now() + Duration::from_millis(ms as u64));
+            job.enqueued = Instant::now();
             match self.admission.offer(job) {
                 OfferOutcome::Admitted { shed: None } => {}
                 OfferOutcome::Admitted { shed: Some(victim) } => {

@@ -5,19 +5,23 @@
 //! the crate-private `sys` module. Each submodule owns one decision, stated
 //! in its header; in the order a request meets them:
 //!
-//! * `event_loop` — when bytes move: one thread owns every socket.
+//! * `event_loop` — when bytes move and where a request is answered: one
+//!   thread owns every socket, and answers a cache hit itself when nobody
+//!   is waiting for a worker.
 //! * `parse` — which bytes are an HTTP/1.1 message and where it ends, for
 //!   requests *and* responses.
 //! * `admission` — which waiting request runs next, which is shed with `429`.
-//! * `reply` — what a worker does with one job: open the trace, answer
+//! * `reply` — how a request's books are opened and closed around its
+//!   answer, on the loop or a worker: open (or take over) the trace, answer
 //!   single-shot or streamed (SSE), close the books, encode.
 //! * `route` — what a method, path and query string mean.
 //! * `client` — how a caller talks to a daemon: [`HttpClient`], [`http_call`],
 //!   [`http_call_streaming`].
 //!
 //! This module wires them together ([`HttpServer`], [`ServerConfig`]), runs
-//! the live-plane sampler and holds the route table. The searches run on a
-//! bounded worker pool, so a slow solve never blocks connection handling.
+//! the live-plane sampler and holds the route table. Anything that can wait
+//! — a solve, a single-flight wait, a cluster fetch — runs on a bounded
+//! worker pool, so a slow solve never blocks connection handling.
 //!
 //! Routes:
 //!
@@ -174,6 +178,7 @@ impl HttpServer {
             listener,
             config,
             admission.clone(),
+            service.clone(),
             transport.clone(),
             stop.clone(),
         )?;

@@ -1,28 +1,64 @@
-//! What a worker does with one job.
+//! How a request's books are opened and closed around its answer, on
+//! either thread that answers.
 //!
 //! This module owns one decision: *how a request's books are opened and
-//! closed around its answer*. Every job gets the same prologue (the books
-//! opened with the trace ID, request line and peer; the `parse` /
-//! `queue_wait` stages) and the same epilogue (the books closed to a flight
-//! record, completion logged, terminal [`Completion`] queued) from one
-//! [`Reply`] value, through the same open and close the in-process
-//! [`ScheduleService`] calls use; only the middle differs —
-//! one [`route`]d [`Response`], or the chunked `text/event-stream` of
-//! `POST /v1/search?stream=1`, whose incumbent frames are *droppable* under
-//! backpressure while the terminal frame never is. Encoding lives here too,
-//! for the event loop's own `400` / `429` answers.
+//! closed around its answer*. Every answer gets the same prologue (the books
+//! opened with the trace ID, request line and peer, and the `parse` stage;
+//! on a worker, also the `queue_wait` stage) and the same epilogue (the
+//! books closed to a flight record, completion logged, the terminal
+//! [`Completion`] built with the record) from one [`Reply`] value, through
+//! the same open and close the in-process [`ScheduleService`] calls use.
+//! Two threads answer:
+//!
+//! * the event loop, through [`answer_on_loop`]: a plain `POST /v1/search`
+//!   the loop decided to take itself is probed (decode, validate,
+//!   canonicalize, cache lookup); a hit is translated and serialized on the
+//!   spot, its completion going straight into the connection's write path,
+//!   and a miss is handed to the pool with its books and probe in the
+//!   [`Job`];
+//! * a [`Worker`], for everything else: it takes over a handed-over miss's
+//!   books and finishes the search, or answers one [`route`]d
+//!   [`Response`], or the chunked `text/event-stream` of
+//!   `POST /v1/search?stream=1`, whose incumbent frames are *droppable*
+//!   under backpressure while the terminal frame never is; its completions
+//!   reach the loop through [`Completions`].
+//!
+//! Encoding lives here too, for the event loop's own `400` / `429` answers.
 
-use super::admission::{AdmissionQueue, Job};
+use super::admission::{AdmissionQueue, Job, Probed};
 use super::event_loop::{Completion, Completions, PendingFlight};
-use super::route::{decode_json, render_json, route, stream_requested, Response};
+use super::route::{
+    decode_json, decode_search, render_json, route, search_response, stream_requested, Response,
+};
 use crate::inflight::{self, RequestBooks, Stage};
 use crate::metrics::TransportMetrics;
-use crate::service::ScheduleService;
+use crate::service::{Probe, ScheduleService};
 use crate::wire::{ErrorBody, SearchRequest, StageTimingInfo, StreamEvent};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 use tessel_obs::{TimeSeries, TraceId};
+
+/// Answers `job`, a plain `POST /v1/search`, on the event loop when its
+/// probe leaves nothing that could block: a cache hit, or a request the
+/// probe refuses (a body that does not decode, an invalid placement). Hands
+/// the job back, carrying its books and probe, when the lookup missed.
+pub(super) fn answer_on_loop(
+    service: &Arc<ScheduleService>,
+    job: Job,
+) -> Result<Completion, Box<Job>> {
+    let reply = Reply::open(service, job);
+    let request = match decode_search(&reply.job.request.body) {
+        Ok(request) => request,
+        Err(refusal) => return Ok(reply.single_shot(&refusal)),
+    };
+    let probe = service.probe(&request);
+    if probe.is_miss() {
+        return Err(Box::new(reply.hand_over(request, probe)));
+    }
+    let response = search_response(service, &request, probe);
+    Ok(reply.single_shot(&response))
+}
 
 /// Everything a worker thread needs to answer jobs.
 pub(super) struct Worker {
@@ -37,67 +73,118 @@ impl Worker {
     /// i.e. shutdown.
     pub(super) fn run(&self, admission: &AdmissionQueue) {
         while let Some(job) = admission.pop() {
-            let reply = Reply::open(self, job);
-            if stream_requested(&reply.job.request) {
-                // A body that does not even parse degrades to the ordinary
-                // (non-streamed) 400 below via `route`.
-                if let Ok(search_request) = decode_json(&reply.job.request.body) {
-                    reply.streamed(&search_request);
-                    continue;
-                }
-            }
-            let timeseries = self.timeseries.as_deref();
-            let response = route(
-                &self.service,
-                &self.transport,
-                timeseries,
-                &reply.job.request,
-            );
-            reply.single_shot(&response);
+            let done = self.answer(job);
+            self.completions.push(done);
         }
+    }
+
+    /// Answers one job; returns its terminal completion.
+    fn answer(&self, job: Job) -> Completion {
+        let (reply, probed) = Reply::popped(&self.service, job);
+        if let Some((search_request, probe)) = probed {
+            let response = search_response(&self.service, &search_request, probe);
+            return reply.single_shot(&response);
+        }
+        if stream_requested(&reply.job.request) {
+            // A body that does not even parse degrades to the ordinary
+            // (non-streamed) 400 below via `route`.
+            if let Ok(search_request) = decode_json(&reply.job.request.body) {
+                return reply.streamed(&search_request, &self.completions);
+            }
+        }
+        let timeseries = self.timeseries.as_deref();
+        let response = route(
+            &self.service,
+            &self.transport,
+            timeseries,
+            &reply.job.request,
+        );
+        reply.single_shot(&response)
     }
 }
 
-/// One job, from worker pickup to its terminal completion.
-struct Reply<'w> {
-    worker: &'w Worker,
+/// One request, from the thread that takes it on to its terminal
+/// completion.
+struct Reply<'s> {
+    service: &'s Arc<ScheduleService>,
     job: Job,
     started: Instant,
     /// The request's books: it shows up on `GET /v1/debug/inflight` (with
     /// its solver progress board) until they close.
-    books: RequestBooks<'w>,
+    books: RequestBooks<'s>,
 }
 
-impl<'w> Reply<'w> {
-    /// The prologue: opens the request's books and records what happened
-    /// before a worker saw it.
-    fn open(worker: &'w Worker, job: Job) -> Self {
+impl<'s> Reply<'s> {
+    /// The prologue: opens the request's books on this thread and records
+    /// the `parse` stage.
+    fn open(service: &'s Arc<ScheduleService>, job: Job) -> Self {
         // A valid inbound trace ID joins the request to the originating
         // trace (cluster-internal calls); anything else — absent, malformed,
         // oversized — mints a fresh ID and the raw header value is never
         // reflected back.
         let inbound = job.request.trace_header.as_deref();
-        let started = Instant::now();
-        let queue_wait = job.enqueued.elapsed().as_micros() as u64;
-        let books = worker.service.open_request(
+        let books = service.open_request(
             inbound.and_then(TraceId::parse),
             &job.request.method,
             &job.request.path,
             job.client.map(|ip| ip.to_string()),
         );
         inflight::record_stage(Stage::Parse, job.parse_micros);
-        inflight::record_stage(Stage::QueueWait, queue_wait);
         Reply {
-            worker,
+            service,
             job,
-            started,
+            started: Instant::now(),
             books,
         }
     }
 
+    /// The prologue on a worker: takes over the books of a search the event
+    /// loop probed — returning the decoded request and its probe — or opens
+    /// fresh ones, then records the `queue_wait` stage.
+    fn popped(
+        service: &'s Arc<ScheduleService>,
+        mut job: Job,
+    ) -> (Self, Option<(SearchRequest, Probe)>) {
+        let queue_wait = job.enqueued.elapsed().as_micros() as u64;
+        let (reply, probed) = match job.probed.take() {
+            Some(probed) => {
+                let Probed {
+                    books,
+                    request,
+                    probe,
+                } = *probed;
+                let reply = Reply {
+                    service,
+                    job,
+                    started: Instant::now(),
+                    books: service.take_over_request(books),
+                };
+                (reply, Some((request, probe)))
+            }
+            None => (Reply::open(service, job), None),
+        };
+        inflight::record_stage(Stage::QueueWait, queue_wait);
+        (reply, probed)
+    }
+
+    /// Gives up a probed search that missed: the books leave this thread,
+    /// and the job carries them, the request and the probe to a worker.
+    fn hand_over(self, request: SearchRequest, probe: Probe) -> Job {
+        let Reply { mut job, books, .. } = self;
+        let books = books
+            .hand_over()
+            .expect("the event loop's books are never joined");
+        job.probed = Some(Box::new(Probed {
+            books,
+            request,
+            probe,
+        }));
+        job
+    }
+
     /// Answers with one encoded response carrying the trace ID and the
     /// `Server-Timing` stage breakdown.
-    fn single_shot(self, response: &Response) {
+    fn single_shot(self, response: &Response) -> Completion {
         let trace_id = self.books.trace_id();
         let keep_alive = !self.job.close;
         self.finish(response.status, "request completed", |stages| {
@@ -114,7 +201,7 @@ impl<'w> Reply<'w> {
                     head.push_str("\r\n");
                 }
             })
-        });
+        })
     }
 
     /// Answers `POST /v1/search?stream=1`: sends a chunked SSE head
@@ -125,9 +212,12 @@ impl<'w> Reply<'w> {
     /// strictly decrease and the last is the result's; a cache hit or a
     /// coalesced follower runs no search and sends none. Streaming responses
     /// always close the connection (`job.close` is set for them).
-    fn streamed(self, search_request: &SearchRequest) {
+    fn streamed(
+        self,
+        search_request: &SearchRequest,
+        completions: &Arc<Completions>,
+    ) -> Completion {
         let (token, seq, started) = (self.job.token, self.job.seq, self.started);
-        let completions = &self.worker.completions;
         let head = format!(
             "HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\nTransfer-Encoding: chunked\r\nConnection: close\r\nX-Tessel-Trace-Id: {}\r\n\r\n",
             self.books.trace_id().as_str()
@@ -144,7 +234,7 @@ impl<'w> Reply<'w> {
                 completions.push(Completion::fragment(token, seq, frame, true));
             });
         }
-        let result = self.worker.service.search(search_request);
+        let result = self.service.search(search_request);
         let status = match &result {
             Ok(_) => 200,
             Err(e) => e.http_status(),
@@ -161,20 +251,21 @@ impl<'w> Reply<'w> {
         };
         let mut bytes = encode_stream_chunk(&terminal);
         bytes.extend_from_slice(b"0\r\n\r\n");
-        self.finish(status, "streamed request completed", |_stages| bytes);
+        self.finish(status, "streamed request completed", |_stages| bytes)
     }
 
     /// The epilogue: closes the books — so the request has left
-    /// `GET /v1/debug/inflight` before its completion is queued — logs the
-    /// completion line, and queues the terminal completion with the flight
-    /// record, which the event loop finalizes once the response's write pass
-    /// has run. `encode` renders the terminal bytes from the closed stages.
+    /// `GET /v1/debug/inflight` before its completion is delivered — logs
+    /// the completion line, and returns the terminal completion with the
+    /// flight record, which the event loop finalizes once the response's
+    /// write pass has run. `encode` renders the terminal bytes from the
+    /// closed stages.
     fn finish(
         self,
         status: u16,
         message: &str,
         encode: impl FnOnce(&[StageTimingInfo]) -> Vec<u8>,
-    ) {
+    ) -> Completion {
         let trace_id = self.books.trace_id();
         let record = self.books.close(status);
         let request = &self.job.request;
@@ -196,7 +287,7 @@ impl<'w> Reply<'w> {
         }
         let flight = record.map(|record| {
             Box::new(PendingFlight {
-                service: self.worker.service.clone(),
+                service: self.service.clone(),
                 record,
                 created: Instant::now(),
             })
@@ -205,7 +296,7 @@ impl<'w> Reply<'w> {
         let bytes = encode(stages);
         let mut done = Completion::full(self.job.token, self.job.seq, bytes, self.job.close);
         done.flight = flight;
-        self.worker.completions.push(done);
+        done
     }
 }
 

@@ -13,8 +13,8 @@ use super::TIMESERIES_CAPACITY;
 use crate::flight::now_unix_ms;
 use crate::inflight::{self, Stage};
 use crate::metrics::TransportMetrics;
-use crate::service::ScheduleService;
-use crate::wire::ErrorBody;
+use crate::service::{Probe, ScheduleService};
+use crate::wire::{ErrorBody, SearchRequest};
 use serde::Serialize;
 use tessel_core::fingerprint::Fingerprint;
 
@@ -82,21 +82,9 @@ fn handle(
     let cluster_only = || not_found("cluster mode is not enabled");
     Ok(match (request.method.as_str(), path) {
         ("POST", "/v1/search") => {
-            let search_request: crate::wire::SearchRequest = decode(body, "invalid request body")?;
-            match service.answer(&search_request) {
-                // Written from the cache entry itself: no `SearchResponse`
-                // is built on the way to the body.
-                Ok(answer) => inflight::stage(Stage::Serialize, || {
-                    let mut body = String::with_capacity(ANSWER_CAPACITY);
-                    answer.write_json(&mut body);
-                    Response {
-                        status: 200,
-                        content_type: "application/json",
-                        body,
-                    }
-                }),
-                Err(e) => error_response(e.http_status(), e.kind(), &e.to_string()),
-            }
+            let search_request = decode_search(body)?;
+            let probe = service.probe(&search_request);
+            search_response(service, &search_request, probe)
         }
         ("GET", "/v1/cache") => json_response(200, &service.cache_entries()),
         ("GET", path) if path.starts_with("/v1/cache/") => {
@@ -238,6 +226,33 @@ fn handle(
         },
         (_, path) => not_found(&format!("no route for {path}")),
     })
+}
+
+/// Decodes a `POST /v1/search` body, or answers `400`.
+pub(super) fn decode_search(body: &str) -> Result<SearchRequest, Response> {
+    decode(body, "invalid request body")
+}
+
+/// Finishes the search `probe` began for `request` and renders its
+/// response: the answer written straight from the cache entry into the body
+/// (no `SearchResponse` is built on the way), or the error.
+pub(super) fn search_response(
+    service: &ScheduleService,
+    request: &SearchRequest,
+    probe: Probe,
+) -> Response {
+    match service.resume(request, probe) {
+        Ok(answer) => inflight::stage(Stage::Serialize, || {
+            let mut body = String::with_capacity(ANSWER_CAPACITY);
+            answer.write_json(&mut body);
+            Response {
+                status: 200,
+                content_type: "application/json",
+                body,
+            }
+        }),
+        Err(e) => error_response(e.http_status(), e.kind(), &e.to_string()),
+    }
 }
 
 /// Parses the `GET /v1/debug/requests` filter query

@@ -321,6 +321,7 @@ fn admission_job(client: Option<IpAddr>, priority: i64, deadline: Option<Instant
         },
         close: false,
         parse_micros: 0,
+        probed: None,
         enqueued: Instant::now(),
         client,
         priority,

@@ -16,6 +16,11 @@
 //!   its books into the [`FlightRecordInfo`] that the flight recorder keeps,
 //!   the `Server-Timing` header renders and the stage histograms count.
 //!
+//! Books can change threads: [`RequestBooks::hand_over`] takes them off the
+//! thread that opened them — the HTTP event loop, when a search it probed
+//! missed the cache — and [`InflightRegistry::take_over`] puts them on the
+//! worker that finishes the request, clock, trace ID and stage rows intact.
+//!
 //! The books drop off the registry on any path, panics included: a
 //! [`RequestBooks`] dropped without a close deregisters just the same.
 //!
@@ -28,8 +33,8 @@
 //! that never solve (cache hits, coalesced followers) simply read zero.
 //!
 //! Memory is strictly bounded by concurrency: one entry per open request,
-//! cache hits included, and the worker-pool size caps how many are live at
-//! once. An entry is a couple hundred bytes plus one progress board: its
+//! cache hits included, and the worker-pool size (plus one, the event loop)
+//! caps how many are live at once. An entry is a couple hundred bytes plus one progress board: its
 //! five live counters, the finished solves' totals (an eleven-counter
 //! `SolverTotals` behind a mutex) and one listener slot.
 
@@ -115,6 +120,7 @@ impl Stage {
 
 /// The request open on this thread: its registry entry plus its stage rows,
 /// in first-recorded order (a repeated stage sums into its first row).
+#[derive(Debug)]
 struct OpenRequest {
     entry: Arc<InflightEntry>,
     stages: Vec<(Stage, u64)>,
@@ -241,6 +247,31 @@ impl InflightRegistry {
         }
     }
 
+    /// Puts books another thread handed over ([`RequestBooks::hand_over`])
+    /// on the calling thread: the request is registered again under its
+    /// old key, and its clock, trace ID and stage rows carry on where the
+    /// other thread left them.
+    pub fn take_over<'a>(
+        &'a self,
+        metrics: &'a ServiceMetrics,
+        handed: HandedBooks,
+    ) -> RequestBooks<'a> {
+        let HandedBooks { id, open } = handed;
+        let trace_id = open.entry.trace_id;
+        self.entries
+            .lock()
+            .expect("inflight registry lock")
+            .insert(id, Arc::clone(&open.entry));
+        CURRENT.with(|current| *current.borrow_mut() = Some(open));
+        tessel_obs::begin_request(trace_id);
+        RequestBooks {
+            registry: self,
+            metrics,
+            trace_id,
+            id: Some(id),
+        }
+    }
+
     /// The `GET /v1/debug/inflight` response body, oldest request first.
     #[must_use]
     pub fn snapshot(&self) -> InflightResponse {
@@ -304,6 +335,17 @@ impl RequestBooks<'_> {
         })
     }
 
+    /// Takes the open books off this thread, counting and recording
+    /// nothing, so that another thread can [`InflightRegistry::take_over`]
+    /// them. The request is off the registry in between, as a request
+    /// waiting for a worker always is. `None` for a joined open.
+    #[must_use]
+    pub fn hand_over(mut self) -> Option<HandedBooks> {
+        let id = self.id?;
+        let open = self.release()?;
+        Some(HandedBooks { id, open })
+    }
+
     /// Takes the request off the registry, the thread and the trace
     /// context; returns its books. A no-op for a joined (or closed) open.
     fn release(&mut self) -> Option<OpenRequest> {
@@ -316,6 +358,14 @@ impl RequestBooks<'_> {
         tessel_obs::end_request();
         CURRENT.with(|current| current.borrow_mut().take())
     }
+}
+
+/// A request's books on their way from one thread to another: see
+/// [`RequestBooks::hand_over`] and [`InflightRegistry::take_over`].
+#[derive(Debug)]
+pub struct HandedBooks {
+    id: u64,
+    open: OpenRequest,
 }
 
 impl Drop for RequestBooks<'_> {
@@ -449,6 +499,37 @@ mod tests {
         assert_eq!(record.trace_id, "c".repeat(32));
         assert_eq!(record.stages.len(), 1);
         assert_eq!(record.stages[0].name, "decode");
+        assert!(registry.snapshot().inflight.is_empty());
+    }
+
+    #[test]
+    fn handed_over_books_keep_their_stages_and_key_on_another_thread() {
+        let registry = InflightRegistry::default();
+        let metrics = ServiceMetrics::new();
+        let books = registry.open(&metrics, trace('e'), "POST", "/handed", None);
+        record_stage(Stage::CacheLookup, 7);
+        let handed = books.hand_over().expect("an open that registered");
+        // Off this thread and off the registry until a thread takes them.
+        assert!(with_current(|_| ()).is_none());
+        assert_eq!(tessel_obs::current_trace_id(), None);
+        assert!(registry.snapshot().inflight.is_empty());
+        let record = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let books = registry.take_over(&metrics, handed);
+                    assert_eq!(tessel_obs::current_trace_id(), trace('e'));
+                    assert_eq!(registry.snapshot().inflight[0].path, "/handed");
+                    record_stage(Stage::QueueWait, 3);
+                    books.close(200).expect("the taken-over books close")
+                })
+                .join()
+                .unwrap()
+        });
+        let rows: Vec<(&str, u64)> = (record.stages.iter())
+            .map(|s| (s.name.as_str(), s.micros))
+            .collect();
+        assert_eq!(rows, [("cache_lookup", 7), ("queue_wait", 3)]);
+        assert_eq!(record.trace_id, "e".repeat(32));
         assert!(registry.snapshot().inflight.is_empty());
     }
 

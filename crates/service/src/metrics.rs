@@ -346,6 +346,10 @@ metric_group! {
         idle_closed, "tessel_http_idle_closed_total", "Connections closed by the idle-timeout sweep.";
         /// Rejected at accept, before any parsing.
         rejected_per_ip, "tessel_http_rejected_per_ip_total", "Connections rejected by the per-IP accept cap.";
+        /// A cache hit, or a search its probe refused, answered where it was
+        /// read: no worker hand-off.
+        #[serde(default)]
+        answered_on_loop, "tessel_http_answered_on_loop_total", "Searches answered on the event loop without a worker hand-off.";
         // Admission-control series live under `tessel_admission_` (not
         // `tessel_http_`): they describe queueing policy, not the socket
         // layer, and the bench tooling greps for them by that prefix.

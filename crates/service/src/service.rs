@@ -24,7 +24,7 @@ use crate::answer::Answer;
 use crate::cache::{CacheConfig, CacheJournal, CacheKey, CacheParams, CachedSearch, ShardedCache};
 use crate::cluster::{Cluster, ClusterConfig, ClusterSnapshot, RemoteFetch};
 use crate::flight::{FlightQuery, FlightRecorder};
-use crate::inflight::{self, InflightRegistry, RequestBooks, Stage};
+use crate::inflight::{self, HandedBooks, InflightRegistry, RequestBooks, Stage};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::singleflight::{Joined, SingleFlight};
 use crate::wire::{
@@ -155,11 +155,12 @@ impl Default for ServiceConfig {
 /// take `&self` and are thread-safe.
 ///
 /// [`ScheduleService::search`] is a blocking call: the HTTP transport's
-/// event loop never invokes it directly but hands parsed requests to the
-/// bounded worker pool, whose threads call it and push the finished response
-/// back to the loop (see [`crate::http`]). In-process callers (benches,
-/// tests, `examples/service_quickstart.rs`) simply call it from their own
-/// threads.
+/// event loop never invokes it. The loop runs only the probe of a search
+/// (up to the cache lookup) and its translation on a hit; everything that
+/// can wait — a single-flight follower, a cluster fetch, a solve — runs on
+/// the bounded worker pool, whose threads push the finished response back to
+/// the loop (see [`crate::http`]). In-process callers (benches, tests,
+/// `examples/service_quickstart.rs`) simply call it from their own threads.
 #[derive(Debug)]
 pub struct ScheduleService {
     config: ServiceConfig,
@@ -173,9 +174,9 @@ pub struct ScheduleService {
 }
 
 /// A validated request, resolved to what the cache / single-flight / solve
-/// pipeline keys on.
-struct Prepared<'r> {
-    placement: &'r PlacementSpec,
+/// pipeline keys on. It borrows nothing, so a probed miss can travel to a
+/// worker beside the request it was made from.
+struct Prepared {
     labeling: CanonicalLabeling,
     /// The canonical placement, built from the labeling the first time a
     /// miss or a cluster fetch reads it — never on a hit.
@@ -185,10 +186,32 @@ struct Prepared<'r> {
     deadline: Option<Instant>,
 }
 
-impl Prepared<'_> {
-    fn canonical(&self) -> &PlacementSpec {
+impl Prepared {
+    /// The canonical form of `placement`, the placement this was prepared
+    /// from.
+    fn canonical(&self, placement: &PlacementSpec) -> &PlacementSpec {
         self.canonical
-            .get_or_init(|| self.labeling.canonical_placement(self.placement))
+            .get_or_init(|| self.labeling.canonical_placement(placement))
+    }
+}
+
+/// A search request taken as far as its cache lookup: the first half of
+/// [`ScheduleService::answer`], made by [`ScheduleService::probe`] and
+/// finished by [`ScheduleService::resume`]. The HTTP event loop probes a
+/// search itself and resumes it on the spot when nothing that could block
+/// is left — a hit, or a request the probe refused; a miss travels to a
+/// worker with its probe, so no stage runs twice.
+pub(crate) struct Probe {
+    arrived: Instant,
+    /// The prepared request and, on a hit, its cache entry.
+    found: Result<(Prepared, Option<Arc<CachedSearch>>), ServiceError>,
+}
+
+impl Probe {
+    /// The lookup missed: the rest of the answer may wait on a single-flight
+    /// leader, a peer or a solve.
+    pub(crate) fn is_miss(&self) -> bool {
+        matches!(self.found, Ok((_, None)))
     }
 }
 
@@ -412,19 +435,13 @@ impl ScheduleService {
     ///
     /// As [`ScheduleService::search`].
     pub fn answer<'r>(&self, request: &'r SearchRequest) -> Result<Answer<'r>, ServiceError> {
-        let arrived = Instant::now();
-        // The HTTP worker opens the request's books (with the client's or a
-        // freshly minted trace ID, the peer and the queue wait) before
-        // calling in, and this open joins them; an in-process caller has no
-        // transport, so this open keeps the books and its close yields the
-        // flight record.
+        // An in-process caller has no transport, so this open keeps the
+        // books and its close yields the flight record. (The HTTP transport
+        // opens the books itself, with the client's or a freshly minted
+        // trace ID and the peer, and calls `probe` and `resume` directly.)
         let books = self.open_request(None, "CALL", "/v1/search", None);
-        self.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        let result = self.search_inner(request, arrived);
-        if let Err(e) = &result {
-            self.count_failure(e);
-        }
-        self.metrics.record_latency(arrived.elapsed());
+        let probe = self.probe(request);
+        let result = self.resume(request, probe);
         let status = result
             .as_ref()
             .map_or_else(ServiceError::http_status, |_| 200);
@@ -444,38 +461,66 @@ impl ScheduleService {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn search_inner<'r>(
+    /// Validates and canonicalizes `request` and looks it up in the cache,
+    /// counting it as a request (and, when found, as a hit).
+    pub(crate) fn probe(&self, request: &SearchRequest) -> Probe {
+        let arrived = Instant::now();
+        self.metrics.requests.fetch_add(1, Ordering::Relaxed);
+        let found = self.prepare(request, arrived).map(|prepared| {
+            inflight::with_current(|entry| entry.set_deadline(prepared.deadline));
+            let hit = inflight::stage(Stage::CacheLookup, || self.cache_lookup(&prepared));
+            if hit.is_some() {
+                self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
+            }
+            (prepared, hit)
+        });
+        Probe { arrived, found }
+    }
+
+    /// Finishes the answer `probe` began for `request`: on a miss the
+    /// single-flight election and, for the leader, the remote fetch and
+    /// solve; then the translation into the request's labeling. Counts a
+    /// failure and the request's latency.
+    pub(crate) fn resume<'r>(
         &self,
         request: &'r SearchRequest,
-        arrived: Instant,
+        probe: Probe,
     ) -> Result<Answer<'r>, ServiceError> {
-        let prepared = self.prepare(request, arrived)?;
-        inflight::with_current(|entry| entry.set_deadline(prepared.deadline));
-        let Obtained {
-            entry,
-            cached,
-            coalesced,
-        } = self.obtain_entry(&prepared)?;
-        // The entry seen through the request's own labeling.
-        Ok(inflight::stage(Stage::Translate, || {
-            Answer::new(
+        let result = probe.found.and_then(|(prepared, hit)| {
+            let Obtained {
                 entry,
-                prepared.labeling,
-                &request.placement,
                 cached,
                 coalesced,
-            )
-        }))
+            } = match hit {
+                Some(entry) => Obtained {
+                    entry,
+                    cached: true,
+                    coalesced: false,
+                },
+                None => self.obtain_missed(&prepared, &request.placement)?,
+            };
+            // The entry seen through the request's own labeling.
+            Ok(inflight::stage(Stage::Translate, || {
+                Answer::new(
+                    entry,
+                    prepared.labeling,
+                    &request.placement,
+                    cached,
+                    coalesced,
+                )
+            }))
+        });
+        if let Err(e) = &result {
+            self.count_failure(e);
+        }
+        self.metrics.record_latency(probe.arrived.elapsed());
+        result
     }
 
     /// Validates a request and resolves everything the pipeline needs to
     /// know about it: parameters, canonical labeling, cache key and absolute
     /// deadline.
-    fn prepare<'r>(
-        &self,
-        request: &'r SearchRequest,
-        arrived: Instant,
-    ) -> Result<Prepared<'r>, ServiceError> {
+    fn prepare(&self, request: &SearchRequest, arrived: Instant) -> Result<Prepared, ServiceError> {
         inflight::stage(Stage::Validate, || request.placement.validate())
             .map_err(|e| ServiceError::BadRequest(format!("invalid placement: {e}")))?;
         let params = self.resolve_params(request)?;
@@ -483,7 +528,6 @@ impl ScheduleService {
             self.canonical_labeling(&request.placement)
         });
         Ok(Prepared {
-            placement: &request.placement,
             key: CacheKey::new(labeling.fingerprint, &params),
             labeling,
             canonical: OnceCell::new(),
@@ -495,21 +539,16 @@ impl ScheduleService {
         })
     }
 
-    /// Resolves a canonicalized request to its cached entry: cache lookup,
+    /// Resolves a request whose cache lookup missed to its entry: the
     /// single-flight election and — for the leader — the remote fetch and
-    /// solve. Counts the request as exactly one of a hit, a miss or a
-    /// coalesce (a remote hit counts in the cluster's own counters).
-    fn obtain_entry(&self, prepared: &Prepared<'_>) -> Result<Obtained, ServiceError> {
+    /// solve. Counts the request as exactly one of a miss or a coalesce (a
+    /// remote hit counts in the cluster's own counters).
+    fn obtain_missed(
+        &self,
+        prepared: &Prepared,
+        placement: &PlacementSpec,
+    ) -> Result<Obtained, ServiceError> {
         let Prepared { key, deadline, .. } = *prepared;
-        if let Some(entry) = inflight::stage(Stage::CacheLookup, || self.cache_lookup(prepared)) {
-            self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Obtained {
-                entry,
-                cached: true,
-                coalesced: false,
-            });
-        }
-
         match inflight::stage(Stage::SingleflightWait, || {
             self.flights.join(key.raw(), deadline)
         }) {
@@ -534,7 +573,9 @@ impl ScheduleService {
                         // The stage only exists in cluster mode: standalone
                         // flight records carry no zero-length `remote_fetch` row.
                         None => match self.cluster.as_ref().and_then(|_| {
-                            inflight::stage(Stage::RemoteFetch, || self.cluster_fetch(prepared))
+                            inflight::stage(Stage::RemoteFetch, || {
+                                self.cluster_fetch(prepared, placement)
+                            })
                         }) {
                             Some(entry) => {
                                 remote_hit = true;
@@ -542,8 +583,9 @@ impl ScheduleService {
                                 Ok(entry)
                             }
                             None => {
-                                let solved =
-                                    inflight::stage(Stage::Solve, || self.run_search(prepared));
+                                let solved = inflight::stage(Stage::Solve, || {
+                                    self.run_search(prepared, placement)
+                                });
                                 inserted = solved.is_ok();
                                 solved
                             }
@@ -614,7 +656,7 @@ impl ScheduleService {
     /// labeling guarantees equal fingerprints mean equal canonical forms, so
     /// only the stored parameters are re-checked (the answer oracle in
     /// `tests/json_codec.rs` holds the labeling to that guarantee).
-    fn cache_lookup(&self, prepared: &Prepared<'_>) -> Option<Arc<CachedSearch>> {
+    fn cache_lookup(&self, prepared: &Prepared) -> Option<Arc<CachedSearch>> {
         let entry = self.cache.get(prepared.key)?;
         (entry.params == prepared.params && entry.fingerprint == prepared.labeling.fingerprint)
             .then_some(entry)
@@ -625,10 +667,15 @@ impl ScheduleService {
     /// request is a local hit); every other outcome — this node is the
     /// owner, the owner also missed, the owner is unreachable — returns
     /// `None` and the caller solves locally.
-    fn cluster_fetch(&self, prepared: &Prepared<'_>) -> Option<Arc<CachedSearch>> {
+    fn cluster_fetch(
+        &self,
+        prepared: &Prepared,
+        placement: &PlacementSpec,
+    ) -> Option<Arc<CachedSearch>> {
         let cluster = self.cluster.as_ref()?;
         let fingerprint = prepared.labeling.fingerprint;
-        match cluster.fetch_from_owner(fingerprint, prepared.canonical(), &prepared.params) {
+        let canonical = prepared.canonical(placement);
+        match cluster.fetch_from_owner(fingerprint, canonical, &prepared.params) {
             RemoteFetch::Hit(entry) => {
                 // The caller journals the insert after completing the flight.
                 self.cache.insert(prepared.key, entry.clone());
@@ -664,14 +711,18 @@ impl ScheduleService {
 
     /// Runs the actual search (leader path) and populates the cache on
     /// success.
-    fn run_search(&self, prepared: &Prepared<'_>) -> Result<Arc<CachedSearch>, ServiceError> {
+    fn run_search(
+        &self,
+        prepared: &Prepared,
+        placement: &PlacementSpec,
+    ) -> Result<Arc<CachedSearch>, ServiceError> {
         let Prepared {
             ref params,
             key,
             deadline,
             ..
         } = *prepared;
-        let canonical = prepared.canonical();
+        let canonical = prepared.canonical(placement);
         self.metrics.in_flight.fetch_add(1, Ordering::Relaxed);
         let _guard = InFlightGuard(&self.metrics);
 
@@ -811,9 +862,11 @@ impl ScheduleService {
     /// Opens one request's books on the calling thread (see
     /// [`crate::inflight`]): registers it on the live in-flight registry
     /// under `trace_id` (a fresh ID when `None`) and opens its trace
-    /// context. The HTTP worker opens every job right after popping it off
-    /// the admission queue; [`ScheduleService::search`] and its siblings open
-    /// in-process calls, and join the worker's books when called from one.
+    /// context. The HTTP transport opens every request on the thread that
+    /// takes it on — the event loop for a search it probes, a worker right
+    /// after popping any other job off the admission queue;
+    /// [`ScheduleService::search`] and its siblings open in-process calls,
+    /// and join the worker's books when called from one.
     pub fn open_request(
         &self,
         trace_id: Option<tessel_obs::TraceId>,
@@ -823,6 +876,13 @@ impl ScheduleService {
     ) -> RequestBooks<'_> {
         self.inflight
             .open(&self.metrics, trace_id, method, path, peer)
+    }
+
+    /// Puts a request's books, handed over by the thread that opened them,
+    /// on the calling thread (see [`crate::inflight::HandedBooks`]): the
+    /// HTTP worker that finishes a search the event loop probed.
+    pub(crate) fn take_over_request(&self, handed: HandedBooks) -> RequestBooks<'_> {
+        self.inflight.take_over(&self.metrics, handed)
     }
 
     /// The `GET /v1/debug/inflight` response body: every admitted request

@@ -1,8 +1,9 @@
 //! Socket-level tests of the readiness-based transport: keep-alive reuse
 //! (two sequential search requests over one persisted TCP connection),
 //! pipelined requests, idle-timeout closes, slow-loris isolation,
-//! deadline-aware admission control (shedding, per-client fairness) and
-//! anytime incumbent streaming.
+//! deadline-aware admission control (shedding, per-client fairness),
+//! anytime incumbent streaming, and cache hits answered by the event loop
+//! itself while the worker pool is busy.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -36,15 +37,24 @@ fn v_shape(devices: usize) -> PlacementSpec {
 }
 
 fn start_server(server_config: ServerConfig) -> (HttpServer, String) {
-    let service = ScheduleService::new(ServiceConfig {
-        default_micro_batches: 4,
-        default_max_repetend: 3,
-        ..ServiceConfig::default()
-    })
-    .unwrap();
-    let server = HttpServer::serve(Arc::new(service), &server_config).unwrap();
-    let addr = server.local_addr().to_string();
+    let (server, _, addr) = start_with_service(server_config);
     (server, addr)
+}
+
+/// [`start_server`], also returning the service behind the daemon, whose
+/// in-flight view and flight records a test can read in process.
+fn start_with_service(server_config: ServerConfig) -> (HttpServer, Arc<ScheduleService>, String) {
+    let service = Arc::new(
+        ScheduleService::new(ServiceConfig {
+            default_micro_batches: 4,
+            default_max_repetend: 3,
+            ..ServiceConfig::default()
+        })
+        .unwrap(),
+    );
+    let server = HttpServer::serve(service.clone(), &server_config).unwrap();
+    let addr = server.local_addr().to_string();
+    (server, service, addr)
 }
 
 fn ephemeral_config() -> ServerConfig {
@@ -577,11 +587,16 @@ fn start_admission_server(queue_depth: usize) -> (HttpServer, String) {
 /// 38 s became 46 ms), so the request deadline is what ends it — a worker
 /// that is busy for a predictable window, then frees up.
 fn occupier_body() -> String {
+    occupier_body_for(2500)
+}
+
+/// The occupier, ended by its deadline after `deadline_ms`.
+fn occupier_body_for(deadline_ms: u64) -> String {
     let placement = synthetic_placement(ShapeKind::X, 16).expect("placement");
     let mut request = SearchRequest::for_placement(placement);
     request.num_micro_batches = Some(8);
     request.max_repetend_micro_batches = Some(6);
-    request.deadline_ms = Some(2500);
+    request.deadline_ms = Some(deadline_ms);
     serde_json::to_string(&request).unwrap()
 }
 
@@ -1009,5 +1024,174 @@ fn signed_and_conflicting_lengths_are_refused() {
         assert_eq!((status, closes), (200, false), "{framing:?}: {body}");
     }
 
+    server.shutdown();
+}
+
+/// A daemon with `workers` workers, the service behind it and its address.
+fn with_workers(workers: usize) -> (HttpServer, Arc<ScheduleService>, String) {
+    start_with_service(ServerConfig {
+        workers,
+        ..ephemeral_config()
+    })
+}
+
+/// Blocks until some request of `service` is in its `solve` stage: a worker
+/// holds it.
+fn wait_until_solving(service: &ScheduleService) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !(service.debug_inflight().inflight.iter()).any(|entry| entry.stage == "solve") {
+        assert!(Instant::now() < deadline, "no request reached `solve`");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// Posts `search_body()` once over `addr`, so later posts of it are hits.
+fn warm(addr: &str) {
+    let (status, body) = http_call(addr, "POST", "/v1/search", Some(&search_body())).unwrap();
+    assert_eq!(status, 200, "{body}");
+}
+
+fn connect(addr: &str) -> TcpStream {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    stream
+}
+
+/// With the only worker solving a slow search, a warm hit on another
+/// connection is answered before that search's reply: the event loop
+/// answers it without waiting for a worker.
+#[test]
+fn a_warm_hit_is_answered_while_the_only_worker_solves() {
+    let (server, service, addr) = with_workers(1);
+    warm(&addr);
+    let mut slow = connect(&addr);
+    slow.write_all(&post_search_bytes(&occupier_body_for(1500)))
+        .unwrap();
+    wait_until_solving(&service);
+
+    let mut quick = connect(&addr);
+    quick.write_all(&post_search_bytes(&search_body())).unwrap();
+    let (status, body) = read_one_response(&mut quick);
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"cached\":true"), "{body}");
+    // The slow search is still running: nothing has reached its socket.
+    slow.set_nonblocking(true).unwrap();
+    let pending = slow.read(&mut [0u8; 1]);
+    assert!(
+        matches!(&pending, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+        "the slow search answered before the hit: {pending:?}"
+    );
+    slow.set_nonblocking(false).unwrap();
+    let (status, body) = read_one_response(&mut slow);
+    assert_eq!(status, 408, "{body}");
+    assert_eq!(server.transport_snapshot().answered_on_loop, 1);
+    server.shutdown();
+}
+
+/// A hit pipelined behind a miss on one connection is answered on the
+/// event loop at once, and still reaches the wire after the miss's reply.
+#[test]
+fn a_hit_pipelined_behind_a_miss_is_answered_in_request_order() {
+    let (server, service, addr) = with_workers(1);
+    warm(&addr);
+    let mut stream = connect(&addr);
+    stream
+        .write_all(&post_search_bytes(&occupier_body_for(800)))
+        .unwrap();
+    wait_until_solving(&service);
+    stream
+        .write_all(&post_search_bytes(&search_body()))
+        .unwrap();
+
+    let (status, first) = read_one_response(&mut stream);
+    assert_eq!(status, 408, "the miss answers first: {first}");
+    let (status, second) = read_one_response(&mut stream);
+    assert_eq!(status, 200, "{second}");
+    assert!(second.contains("\"cached\":true"), "{second}");
+    assert_eq!(server.transport_snapshot().answered_on_loop, 1);
+    server.shutdown();
+}
+
+/// The stage names of the flight record of the request traced `trace`,
+/// once the event loop has deposited it.
+fn recorded_stages(service: &ScheduleService, trace: &str) -> Vec<String> {
+    for _ in 0..500 {
+        let recent = service.debug_requests().recent;
+        if let Some(record) = recent.into_iter().find(|r| r.trace_id == trace) {
+            return record.stages.into_iter().map(|s| s.name).collect();
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    panic!("no flight record for {trace}");
+}
+
+/// Posts `search_body()` over `client`; returns the reply's trace ID.
+fn traced_search(client: &mut HttpClient, cached: bool) -> String {
+    let (status, headers, body) = client
+        .call_with_headers("POST", "/v1/search", Some(&search_body()), &[])
+        .unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains(&format!("\"cached\":{cached}")), "{body}");
+    let trace = headers
+        .iter()
+        .find(|(name, _)| name.eq_ignore_ascii_case("x-tessel-trace-id"));
+    trace.expect("a trace ID").1.clone()
+}
+
+/// A hit the event loop answers never waits in the admission queue: its
+/// record holds no `queue_wait`, and every other stage it ran once.
+#[test]
+fn a_loop_answered_hit_records_no_queue_wait() {
+    let (server, service, addr) = with_workers(2);
+    let mut client = HttpClient::new(&addr).unwrap();
+    traced_search(&mut client, false);
+    let hit = traced_search(&mut client, true);
+    assert_eq!(
+        recorded_stages(&service, &hit),
+        [
+            "parse",
+            "decode",
+            "validate",
+            "canonicalize",
+            "cache_lookup",
+            "translate",
+            "serialize",
+            "write"
+        ]
+    );
+    assert_eq!(server.transport_snapshot().answered_on_loop, 1);
+    server.shutdown();
+}
+
+/// A miss the event loop probed reaches a worker with its probe: the
+/// record lists the probe's stages once, before the queue wait, and the
+/// worker does not probe again (one request counted, one lookup missed).
+#[test]
+fn a_handed_over_miss_records_its_probe_stages_once() {
+    let (server, service, addr) = with_workers(2);
+    let mut client = HttpClient::new(&addr).unwrap();
+    let miss = traced_search(&mut client, false);
+    assert_eq!(
+        recorded_stages(&service, &miss),
+        [
+            "parse",
+            "decode",
+            "validate",
+            "canonicalize",
+            "cache_lookup",
+            "queue_wait",
+            "singleflight_wait",
+            "solve",
+            "translate",
+            "serialize",
+            "write"
+        ]
+    );
+    let metrics = service.metrics_snapshot();
+    assert_eq!((metrics.requests, metrics.cache_misses), (1, 1));
+    assert_eq!(metrics.cache_hits, 0);
+    assert_eq!(server.transport_snapshot().answered_on_loop, 0);
     server.shutdown();
 }

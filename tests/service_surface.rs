@@ -221,6 +221,7 @@ fn service_and_transport_snapshot_json_are_pinned() {
         &transport.pipelined_requests,
         &transport.idle_closed,
         &transport.rejected_per_ip,
+        &transport.answered_on_loop,
         &transport.admission_queue_depth,
         &transport.admission_shed,
     ];
@@ -233,7 +234,8 @@ fn service_and_transport_snapshot_json_are_pinned() {
         json,
         "{\"connections_open\":1,\"connections_idle\":2,\"connections_accepted\":3,\
          \"keepalive_reuses\":4,\"pipelined_requests\":5,\"idle_closed\":6,\
-         \"rejected_per_ip\":7,\"admission_queue_depth\":8,\"admission_shed\":9}"
+         \"rejected_per_ip\":7,\"answered_on_loop\":8,\"admission_queue_depth\":9,\
+         \"admission_shed\":10}"
     );
     assert_eq!(
         serde_json::from_str::<TransportSnapshot>(&json).unwrap(),
@@ -246,6 +248,7 @@ fn service_and_transport_snapshot_json_are_pinned() {
     )
     .unwrap();
     assert_eq!(old.admission_shed, 0);
+    assert_eq!(old.answered_on_loop, 0);
 }
 
 // ---------------------------------------------------------------------------
