@@ -663,18 +663,23 @@ pub struct HitFanoutRow {
     pub voluntary_switches_per_hit: f64,
 }
 
+/// How long each `hit_fanout` client count is measured.
+const HIT_FANOUT_WINDOW: std::time::Duration = std::time::Duration::from_secs(3);
+
 /// Measures cache hits under fan-out: a daemon with the default four
 /// workers and its sampler off, warmed with the 4-device V, M, K and X
-/// shapes, answers 1, 4 and 8 concurrent keep-alive clients for `window`
-/// each. Each client cycles through the four placements from its own
-/// offset. With one client the event loop answers every hit itself; with
-/// more, a readiness batch of several connections hands them to the pool.
+/// shapes, answers 1, 4 and 8 concurrent keep-alive clients for 3 s
+/// (`HIT_FANOUT_WINDOW`) each. Each client cycles through the four
+/// placements from its own offset. With one client the event loop answers
+/// every hit itself, the pool being idle; with more, the loop answers only
+/// while the pool is idle or saturated, and a readiness batch of several
+/// connections goes to the pool.
 ///
 /// # Panics
 ///
 /// If the daemon cannot be started or a request fails.
 #[must_use]
-pub fn hit_fanout_rows(window: std::time::Duration) -> Vec<HitFanoutRow> {
+pub fn hit_fanout_rows() -> Vec<HitFanoutRow> {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Arc, Barrier};
     use tessel_service::http::http_call;
@@ -743,7 +748,7 @@ pub fn hit_fanout_rows(window: std::time::Duration) -> Vec<HitFanoutRow> {
         let before = context_switches();
         start.wait();
         let started = Instant::now();
-        std::thread::sleep(window);
+        std::thread::sleep(HIT_FANOUT_WINDOW);
         stop.store(true, Ordering::Relaxed);
         stopped.wait();
         let seconds = started.elapsed().as_secs_f64();
@@ -841,7 +846,7 @@ pub fn emit_service() {
         overhead.target_max_fraction * 100.0,
         overhead.verdict
     );
-    let fanout = hit_fanout_rows(std::time::Duration::from_secs(3));
+    let fanout = hit_fanout_rows();
     for row in &fanout {
         println!(
             "hit_fanout {} clients {:>8.1} hits/s p50={:.3}ms p99={:.3}ms switches/hit={:.2} ({:.2} voluntary)",

@@ -8,16 +8,16 @@
 //! sleeping thread. Each [`Conn`] reads and writes incrementally — a slow or
 //! malicious peer can never stall the loop — and pipelined responses are
 //! reordered to request order. [`EventLoop::answers_itself`] decides where a
-//! request is answered: a plain search on an otherwise idle daemon is probed
-//! on the loop and, on a cache hit, answered there, its bytes going straight
-//! into the connection's write path; everything else, a probed miss
-//! included, goes through the admission queue to a worker, and workers
-//! answer through [`Completions`]. Idle connections (slow-loris peers
-//! included) are swept after the idle timeout.
+//! request is answered: a small plain search, read while the pool is idle
+//! or saturated, is probed on the loop and, on a cache hit, answered there,
+//! its bytes going straight into the connection's write path; everything
+//! else, a probed miss included, goes through the admission queue to a
+//! worker, and workers answer through [`Completions`]. Idle connections
+//! (slow-loris peers included) are swept after the idle timeout.
 
 use super::admission::{AdmissionQueue, Job, OfferOutcome};
 use super::parse::{parse_request, scan_json_integer, ParseCursor, ParsedRequest};
-use super::reply::{answer_on_loop, encode_response};
+use super::reply::{answer_on_loop, encode_response, shed};
 use super::route::{error_response, split_target, stream_requested};
 use super::ServerConfig;
 use crate::inflight::Stage;
@@ -39,6 +39,13 @@ const WRITE_BACKPRESSURE_BYTES: usize = 256 * 1024;
 /// Reads drained from one connection per readiness event before yielding to
 /// the other connections (level-triggered epoll re-arms automatically).
 const READS_PER_EVENT: usize = 16;
+/// Largest request body the event loop probes itself; larger searches go to
+/// the pool. Four times the largest body the benchmark's hits send (the
+/// 4-device X shape, 1.9 KB). The largest synthetic placement under it, X
+/// over 16 devices (7.2 KB), decodes, validates and canonicalizes in about
+/// 0.4 ms on a 2-vCPU host; canonicalization grows much faster than the
+/// body (16 ms for X over 64 devices, 29 KB; 0.42 s over 256, 116 KB).
+const LOOP_PROBE_MAX_BODY_BYTES: usize = 8 * 1024;
 
 /// Event-loop registration token of the listener socket.
 const TOKEN_LISTENER: u64 = 0;
@@ -234,6 +241,11 @@ pub(super) struct EventLoop {
     stop: Arc<AtomicBool>,
     /// Events in the readiness batch being handled.
     batch_events: usize,
+    /// Worker threads in the pool.
+    workers: usize,
+    /// Jobs handed to the pool whose terminal completion has not come back:
+    /// waiting in the admission queue or held by a worker.
+    at_pool: usize,
     idle_timeout: Duration,
     max_pipelined: usize,
     /// Open connections allowed per source IP (`0` = unlimited).
@@ -281,6 +293,8 @@ impl EventLoop {
             transport,
             stop,
             batch_events: 0,
+            workers: config.workers.max(1),
+            at_pool: 0,
             idle_timeout: config.idle_timeout,
             max_pipelined: config.max_pipelined.max(1),
             max_conns_per_ip: config.max_conns_per_ip,
@@ -414,6 +428,8 @@ impl EventLoop {
             if !tokens.contains(&completion.token) {
                 tokens.push(completion.token);
             }
+            // Every job a worker takes ends in exactly one `fin` completion.
+            self.at_pool -= usize::from(completion.fin);
             self.deliver(completion);
         }
         // Completions freed pipelining capacity: parse any requests already
@@ -568,13 +584,21 @@ impl EventLoop {
     /// Whether the loop answers `request` itself rather than handing it to
     /// the worker pool: the one place that decides where a request is
     /// answered. The loop takes a plain (non-streaming) `POST /v1/search`
-    /// when nobody is waiting for a worker and nothing else is ready in this
-    /// readiness batch; it then probes the search and answers a cache hit on
-    /// the spot (a miss still goes to the pool). Under concurrency the pool
-    /// answers, so the loop never becomes the bottleneck.
+    /// whose body is at most [`LOOP_PROBE_MAX_BODY_BYTES`] when nothing else
+    /// is ready in this readiness batch and the pool is idle (no job out at
+    /// a worker) or saturated (every worker holds one, nobody queues); it
+    /// then probes the search and answers a cache hit on the spot (a miss
+    /// still goes to the pool). On an idle pool the hand-off is pure cost;
+    /// on a saturated one a hit would wait behind the solves. In between,
+    /// an idle worker answers and the loop stays free to read the other
+    /// connections.
     fn answers_itself(&self, request: &ParsedRequest) -> bool {
+        let pool_idle = self.at_pool == 0;
+        let pool_saturated =
+            self.at_pool >= self.workers && self.transport.admission_queue_depth.load(Relaxed) == 0;
         self.batch_events == 1
-            && self.transport.admission_queue_depth.load(Relaxed) == 0
+            && (pool_idle || pool_saturated)
+            && request.body.len() <= LOOP_PROBE_MAX_BODY_BYTES
             && request.method == "POST"
             && split_target(&request.path).0 == "/v1/search"
             && !stream_requested(request)
@@ -661,26 +685,15 @@ impl EventLoop {
                 .map(|ms| Instant::now() + Duration::from_millis(ms as u64));
             job.enqueued = Instant::now();
             match self.admission.offer(job) {
-                OfferOutcome::Admitted { shed: None } => {}
+                OfferOutcome::Admitted { shed: None } => self.at_pool += 1,
                 OfferOutcome::Admitted { shed: Some(victim) } => {
                     // Overload: the least valuable *waiting* request is
                     // answered with 429 + Retry-After so the newcomer (or a
-                    // more urgent waiter) keeps its slot.
+                    // more urgent waiter) keeps its slot. One job came in
+                    // and one left: `at_pool` stands.
                     self.transport.admission_shed.fetch_add(1, Relaxed);
-                    let response = error_response(
-                        429,
-                        "overloaded",
-                        "shed by admission control: retry shortly",
-                    );
-                    let bytes = encode_response(&response, !victim.close, |head| {
-                        head.push_str("Retry-After: 1\r\n")
-                    });
-                    self.deliver(Completion::full(
-                        victim.token,
-                        victim.seq,
-                        bytes,
-                        victim.close,
-                    ));
+                    let answered = shed(&self.service, victim);
+                    self.deliver(answered);
                 }
                 OfferOutcome::Closed => {
                     self.close_conn(token);

@@ -6,8 +6,8 @@
 //! in its header; in the order a request meets them:
 //!
 //! * `event_loop` — when bytes move and where a request is answered: one
-//!   thread owns every socket, and answers a cache hit itself when nobody
-//!   is waiting for a worker.
+//!   thread owns every socket, and answers a small cache hit itself while
+//!   the pool is idle or saturated.
 //! * `parse` — which bytes are an HTTP/1.1 message and where it ends, for
 //!   requests *and* responses.
 //! * `admission` — which waiting request runs next, which is shed with `429`.

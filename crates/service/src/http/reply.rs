@@ -23,14 +23,16 @@
 //!   under backpressure while the terminal frame never is; its completions
 //!   reach the loop through [`Completions`].
 //!
-//! Encoding lives here too, for the event loop's own `400` / `429` answers.
+//! Encoding lives here too, for the event loop's own `400` answers and the
+//! `429` of a shed job ([`shed`]), which closes a probed search's books.
 
 use super::admission::{AdmissionQueue, Job, Probed};
 use super::event_loop::{Completion, Completions, PendingFlight};
 use super::route::{
-    decode_json, decode_search, render_json, route, search_response, stream_requested, Response,
+    decode_json, decode_search, error_response, render_json, route, search_response,
+    stream_requested, Response,
 };
-use crate::inflight::{self, RequestBooks, Stage};
+use crate::inflight::{self, HandedBooks, RequestBooks, Stage};
 use crate::metrics::TransportMetrics;
 use crate::service::{Probe, ScheduleService};
 use crate::wire::{ErrorBody, SearchRequest, StageTimingInfo, StreamEvent};
@@ -58,6 +60,25 @@ pub(super) fn answer_on_loop(
     }
     let response = search_response(service, &request, probe);
     Ok(reply.single_shot(&response))
+}
+
+/// Answers `victim`, a waiting job the admission queue shed, with `429` on
+/// the event loop. A search the loop probed still has its books open: they
+/// close here with the `429`, so the request keeps its flight record and,
+/// counted as a request at its probe, ends counted as a failure.
+pub(super) fn shed(service: &Arc<ScheduleService>, mut victim: Job) -> Completion {
+    let response = error_response(
+        429,
+        "overloaded",
+        "shed by admission control: retry shortly",
+    );
+    let Some(probed) = victim.probed.take() else {
+        let bytes = encode_response(&response, !victim.close, |_| {});
+        return Completion::full(victim.token, victim.seq, bytes, victim.close);
+    };
+    let Probed { books, probe, .. } = *probed;
+    service.abandon(probe);
+    Reply::take_over(service, victim, books).single_shot(&response)
 }
 
 /// Everything a worker thread needs to answer jobs.
@@ -153,18 +174,25 @@ impl<'s> Reply<'s> {
                     request,
                     probe,
                 } = *probed;
-                let reply = Reply {
-                    service,
-                    job,
-                    started: Instant::now(),
-                    books: service.take_over_request(books),
-                };
-                (reply, Some((request, probe)))
+                (
+                    Reply::take_over(service, job, books),
+                    Some((request, probe)),
+                )
             }
             None => (Reply::open(service, job), None),
         };
         inflight::record_stage(Stage::QueueWait, queue_wait);
         (reply, probed)
+    }
+
+    /// Puts the books the event loop handed over with `job` on this thread.
+    fn take_over(service: &'s Arc<ScheduleService>, job: Job, books: HandedBooks) -> Self {
+        Reply {
+            service,
+            job,
+            started: Instant::now(),
+            books: service.take_over_request(books),
+        }
     }
 
     /// Gives up a probed search that missed: the books leave this thread,
@@ -315,7 +343,8 @@ pub(super) fn status_text(status: u16) -> &'static str {
 
 /// Renders the whole response — head, then `extra_headers`' complete
 /// `Name: value\r\n` lines, then the body — into the one buffer the
-/// completion carries, sized up front.
+/// completion carries, sized up front. A `429` (a shed request, the only
+/// one the daemon sends) also says when to retry.
 pub(super) fn encode_response(
     response: &Response,
     keep_alive: bool,
@@ -333,6 +362,9 @@ pub(super) fn encode_response(
         length = response.body.len(),
         connection = if keep_alive { "keep-alive" } else { "close" },
     );
+    if response.status == 429 {
+        encoded.push_str("Retry-After: 1\r\n");
+    }
     extra_headers(&mut encoded);
     encoded.push_str("\r\n");
     encoded.push_str(&response.body);

@@ -4,10 +4,11 @@
 
 use super::admission::{AdmissionQueue, Job, OfferOutcome};
 use super::parse::*;
-use super::reply::{encode_response, encode_stream_chunk, status_text};
-use super::route::{stream_requested, Response};
+use super::reply::{answer_on_loop, encode_response, encode_stream_chunk, shed, status_text};
+use super::route::{error_response, stream_requested, Response};
 use crate::metrics::TransportMetrics;
-use crate::wire::StreamEvent;
+use crate::service::{ScheduleService, ServiceConfig};
+use crate::wire::{SearchRequest, StreamEvent};
 use std::fmt::Write as _;
 use std::net::IpAddr;
 use std::sync::Arc;
@@ -57,6 +58,11 @@ fn response_encoding_is_well_formed() {
     assert!(traced.contains(&format!("X-Tessel-Trace-Id: {}\r\n", "a".repeat(32))));
     assert!(traced.contains("Server-Timing: solve;dur=1.500\r\n"));
     assert!(traced.ends_with("\r\n\r\n{}"));
+    // A shed request is told when to retry.
+    let shed = error_response(429, "overloaded", "retry shortly");
+    let shed = String::from_utf8(encode_response(&shed, true, |_| {})).unwrap();
+    assert!(shed.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
+    assert!(shed.contains("Retry-After: 1\r\n"));
 }
 
 #[test]
@@ -327,6 +333,47 @@ fn admission_job(client: Option<IpAddr>, priority: i64, deadline: Option<Instant
         priority,
         deadline,
     }
+}
+
+/// A miss the event loop probed and the admission queue then shed closes
+/// its books with the `429`: its flight record holds the probe's stages,
+/// and the request its probe counted ends counted as a failure.
+#[test]
+fn a_shed_probed_miss_closes_its_books_with_429() {
+    let service = Arc::new(ScheduleService::new(ServiceConfig::default()).unwrap());
+    let placement = tessel_placement::synthetic_placement(tessel_placement::ShapeKind::V, 2);
+    let mut job = admission_job(None, 0, None);
+    job.request.body = serde_json::to_string(&SearchRequest::for_placement(placement.unwrap()))
+        .expect("the request serialises");
+    let Err(missed) = answer_on_loop(&service, job) else {
+        panic!("an empty cache answered the search");
+    };
+    assert!(missed.probed.is_some(), "the miss carries its probe");
+
+    let done = shed(&service, *missed);
+    let record = done.flight.expect("a flight record").record;
+    assert_eq!(record.status, 429);
+    let stages: Vec<&str> = record.stages.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(
+        stages,
+        [
+            "parse",
+            "decode",
+            "validate",
+            "canonicalize",
+            "cache_lookup"
+        ]
+    );
+    let metrics = service.metrics_snapshot();
+    assert_eq!((metrics.requests, metrics.errors), (1, 1));
+    assert_eq!(
+        metrics.cache_hits + metrics.cache_misses + metrics.coalesced,
+        0
+    );
+    assert!(
+        service.debug_inflight().inflight.is_empty(),
+        "the books closed"
+    );
 }
 
 #[test]

@@ -517,6 +517,15 @@ impl ScheduleService {
         result
     }
 
+    /// Closes the account `probe` opened for a request the transport shed
+    /// before it could resume: counts it as a failure and records its
+    /// latency, so every counted request still ends as exactly one of a
+    /// hit, a miss, a coalesce or a failure.
+    pub(crate) fn abandon(&self, probe: Probe) {
+        self.metrics.errors.fetch_add(1, Ordering::Relaxed);
+        self.metrics.record_latency(probe.arrived.elapsed());
+    }
+
     /// Validates a request and resolves everything the pipeline needs to
     /// know about it: parameters, canonical labeling, cache key and absolute
     /// deadline.

@@ -1035,14 +1035,24 @@ fn with_workers(workers: usize) -> (HttpServer, Arc<ScheduleService>, String) {
     })
 }
 
+/// Whether some request of `service` is in stage `stage` right now.
+fn in_stage(service: &ScheduleService, stage: &str) -> bool {
+    (service.debug_inflight().inflight.iter()).any(|entry| entry.stage == stage)
+}
+
+/// Blocks until some request of `service` is in stage `stage`.
+fn wait_until_stage(service: &ScheduleService, stage: &str) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !in_stage(service, stage) {
+        assert!(Instant::now() < deadline, "no request reached `{stage}`");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
 /// Blocks until some request of `service` is in its `solve` stage: a worker
 /// holds it.
 fn wait_until_solving(service: &ScheduleService) {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while !(service.debug_inflight().inflight.iter()).any(|entry| entry.stage == "solve") {
-        assert!(Instant::now() < deadline, "no request reached `solve`");
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    wait_until_stage(service, "solve");
 }
 
 /// Posts `search_body()` once over `addr`, so later posts of it are hits.
@@ -1087,6 +1097,55 @@ fn a_warm_hit_is_answered_while_the_only_worker_solves() {
     let (status, body) = read_one_response(&mut slow);
     assert_eq!(status, 408, "{body}");
     assert_eq!(server.transport_snapshot().answered_on_loop, 1);
+    server.shutdown();
+}
+
+/// With one of two workers solving and the other idle, a warm hit goes to
+/// the idle worker: the event loop stays free to read other connections.
+#[test]
+fn a_hit_goes_to_an_idle_worker_while_another_solves() {
+    let (server, service, addr) = with_workers(2);
+    warm(&addr);
+    assert_eq!(server.transport_snapshot().answered_on_loop, 0);
+    let mut slow = connect(&addr);
+    slow.write_all(&post_search_bytes(&occupier_body_for(800)))
+        .unwrap();
+    wait_until_solving(&service);
+
+    let mut quick = connect(&addr);
+    quick.write_all(&post_search_bytes(&search_body())).unwrap();
+    let (status, body) = read_one_response(&mut quick);
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"cached\":true"), "{body}");
+    assert_eq!(server.transport_snapshot().answered_on_loop, 0);
+    let (status, body) = read_one_response(&mut slow);
+    assert_eq!(status, 408, "{body}");
+    server.shutdown();
+}
+
+/// A search too large for the event loop to probe goes to a worker: while
+/// that worker canonicalizes it, a health check on another connection is
+/// answered at once, though the pool was idle when the search came in.
+#[test]
+fn a_large_search_is_probed_off_the_event_loop() {
+    let (server, service, addr) = with_workers(2);
+    let placement = synthetic_placement(ShapeKind::X, 192).expect("placement");
+    let mut request = SearchRequest::for_placement(placement);
+    request.deadline_ms = Some(1);
+    let body = serde_json::to_string(&request).unwrap();
+    let mut large = connect(&addr);
+    large.write_all(&post_search_bytes(&body)).unwrap();
+    wait_until_stage(&service, "canonicalize");
+
+    let (status, health) = http_call(&addr, "GET", "/healthz", None).unwrap();
+    assert_eq!(status, 200, "{health}");
+    assert!(
+        in_stage(&service, "canonicalize"),
+        "the health check waited for the large search's canonicalization"
+    );
+    let (status, body) = read_one_response(&mut large);
+    assert_eq!(status, 408, "{body}");
+    assert_eq!(server.transport_snapshot().answered_on_loop, 0);
     server.shutdown();
 }
 
