@@ -62,10 +62,10 @@ pub enum CoreError {
         /// Memory units available on the device.
         capacity: i64,
     },
-    /// The search was cancelled or ran past its wall-clock budget
-    /// ([`SearchConfig::time_budget`](crate::search::SearchConfig)) before a
-    /// result could be proved. Long-running callers (the schedule-search
-    /// daemon) surface this as a per-request timeout.
+    /// The search ran past its wall-clock deadline
+    /// ([`SearchConfig::deadline`](crate::search::SearchConfig::deadline))
+    /// before a result could be proved. Long-running callers (the
+    /// schedule-search daemon) surface this as a per-request timeout.
     DeadlineExceeded,
     /// An error bubbled up from the underlying scheduling solver.
     Solver(SolverError),

@@ -60,7 +60,6 @@ pub use fingerprint::{CanonicalLabeling, CanonicalPlacement, Fingerprint};
 pub use ir::{BlockKind, BlockSpec, PlacementSpec};
 pub use schedule::{Schedule, ScheduledBlock};
 pub use search::{SearchConfig, SearchOutcome, TesselSearch};
-pub use tessel_solver::CancelToken;
 
 /// Result alias used throughout the core crate.
 pub type Result<T> = std::result::Result<T, CoreError>;

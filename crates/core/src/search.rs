@@ -21,9 +21,9 @@
 //! stream, pruned against the best period found so far — which is also the
 //! bound every screen and solve runs below, re-read at every pull — and the
 //! last candidate that improves on it wins. A pull hands control back after a
-//! fixed number of steps whether or not it reached a candidate, so a
-//! cancellation and the time budget are seen promptly however many refuted
-//! prefixes lie between two candidates.
+//! fixed number of steps whether or not it reached a candidate, so a passed
+//! deadline is seen promptly however many refuted prefixes lie between two
+//! candidates.
 
 use crate::completion::{phase_inputs, probe_phase, solve_phase, Phase, PhasePlan};
 use crate::compose::compose_schedule;
@@ -34,7 +34,7 @@ use crate::schedule::Schedule;
 use crate::screen::{CandidateScreen, ScreenStage};
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
-use tessel_solver::{Abort, CancelToken, ProgressBoard, Solver, SolverConfig, SolverTotals};
+use tessel_solver::{ProgressBoard, Solver, SolverConfig, SolverTotals};
 
 /// Configuration of the Tessel search.
 #[derive(Debug, Clone)]
@@ -58,16 +58,14 @@ pub struct SearchConfig {
     /// level a limited search reaches depends on how early its bound
     /// tightens.
     pub candidate_limit: Option<usize>,
-    /// Optional wall-clock budget for one [`TesselSearch::run`] call. When it
-    /// elapses, in-flight solver work is aborted cooperatively and the run
-    /// returns [`CoreError::DeadlineExceeded`]. `None` (the default) never
-    /// times out. The schedule-search daemon maps per-request deadlines onto
-    /// this field.
-    pub time_budget: Option<Duration>,
-    /// External cancellation token, checked between candidates and inside the
-    /// solver's branch loop. Cancelling it aborts the run with
-    /// [`CoreError::DeadlineExceeded`].
-    pub cancel: CancelToken,
+    /// Optional absolute wall-clock deadline of every [`TesselSearch::run`]
+    /// call made with this configuration. The run checks it before every
+    /// candidate pull and hands it to every solver it makes
+    /// ([`SolverConfig::deadline`]), which checks it at node-batch
+    /// boundaries; once it passes, the run returns
+    /// [`CoreError::DeadlineExceeded`]. `None` (the default) never times
+    /// out. The schedule-search daemon passes each request's deadline here.
+    pub deadline: Option<Instant>,
     /// Optional observer of the run (see [`ProgressBoard`]). The run
     /// attaches it — or a fresh board when this is `None` — to every solver
     /// it creates, so the board's live nodes and totals cover repetend
@@ -90,25 +88,9 @@ impl Default for SearchConfig {
             phase_solver: SolverConfig::default(),
             lazy: true,
             candidate_limit: None,
-            time_budget: None,
-            cancel: CancelToken::new(),
+            deadline: None,
             progress: None,
         }
-    }
-}
-
-/// Equality ignores the [`SearchConfig::cancel`] and
-/// [`SearchConfig::progress`] handles (they have identity, not value,
-/// semantics); every other field participates.
-impl PartialEq for SearchConfig {
-    fn eq(&self, other: &Self) -> bool {
-        self.num_micro_batches == other.num_micro_batches
-            && self.max_repetend_micro_batches == other.max_repetend_micro_batches
-            && self.repetend_solver == other.repetend_solver
-            && self.phase_solver == other.phase_solver
-            && self.lazy == other.lazy
-            && self.candidate_limit == other.candidate_limit
-            && self.time_budget == other.time_budget
     }
 }
 
@@ -161,18 +143,11 @@ impl SearchConfig {
         self
     }
 
-    /// Returns a copy with a wall-clock budget for the whole run (see
-    /// [`SearchConfig::time_budget`]).
+    /// Returns a copy whose runs stop at `deadline` (see
+    /// [`SearchConfig::deadline`]).
     #[must_use]
-    pub fn with_time_budget(mut self, budget: Option<Duration>) -> Self {
-        self.time_budget = budget;
-        self
-    }
-
-    /// Returns a copy observing `cancel` (see [`SearchConfig::cancel`]).
-    #[must_use]
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = cancel;
+    pub fn with_deadline(mut self, deadline: Option<Instant>) -> Self {
+        self.deadline = deadline;
         self
     }
 
@@ -350,27 +325,28 @@ impl TesselSearch {
     /// # Errors
     ///
     /// Returns [`CoreError::NoFeasibleRepetend`] if no repetend fits within
-    /// the memory budget, or a phase/composition error if completion fails.
+    /// the memory budget, [`CoreError::DeadlineExceeded`] once
+    /// [`SearchConfig::deadline`] has passed, or a phase/composition error
+    /// if completion fails.
     pub fn run(&self, placement: &PlacementSpec) -> Result<SearchOutcome, CoreError> {
         placement.validate()?;
         let started = Instant::now();
-        let mut search = SearchRun::new(placement, &self.config, started);
+        let mut search = SearchRun::new(placement, &self.config);
         search.candidates()?;
+        // The deadline passing anywhere inside the candidate loop —
+        // including mid-solve on the last candidate of an eager-mode run,
+        // which the loop itself cannot distinguish from an infeasible
+        // candidate — uniformly surfaces as a deadline error rather than a
+        // silently weaker result.
+        if search.past_deadline() {
+            return Err(CoreError::DeadlineExceeded);
+        }
         let mut stats = search.stats;
         // What the enumeration actually did: it stops once the early exit
         // fires.
         stats.candidates_considered = search.stream.pulled;
         stats.subtrees_pruned = search.stream.iter.subtrees_pruned();
         stats.candidates_screened = stats.screened_by.total();
-
-        // The budget expiring anywhere inside the candidate loop — including
-        // mid-solve on the last candidate of an eager-mode run, which the
-        // loop itself cannot distinguish from an infeasible candidate —
-        // uniformly surfaces as a deadline error rather than a silently
-        // weaker result.
-        if search.abort.should_stop() {
-            return Err(CoreError::DeadlineExceeded);
-        }
 
         let winner = search.best.ok_or(CoreError::NoFeasibleRepetend)?;
         let repetend = winner.repetend;
@@ -416,7 +392,6 @@ impl TesselSearch {
 struct SearchRun<'a> {
     placement: &'a PlacementSpec,
     config: &'a SearchConfig,
-    abort: Abort,
     /// [`SearchConfig::progress`], or the run's own board.
     board: ProgressBoard,
     /// All repetend candidates (every `NR` level, in enumeration order),
@@ -442,25 +417,19 @@ struct SearchRun<'a> {
 
 impl<'a> SearchRun<'a> {
     /// Lines 1-6 of Algorithm 1: bounds and the in-flight micro-batch cap.
-    fn new(placement: &'a PlacementSpec, config: &'a SearchConfig, started: Instant) -> Self {
+    fn new(placement: &'a PlacementSpec, config: &'a SearchConfig) -> Self {
         let inflights = placement
             .max_inflight_micro_batches(config.max_repetend_micro_batches)
             .min(config.max_repetend_micro_batches)
             .min(config.num_micro_batches)
             .max(1);
-        // Per-run abort conditions: the caller's cancellation token plus the
-        // wall-clock budget, given to every solver this run creates so
-        // in-flight branch loops stop cooperatively.
-        let abort = Abort {
-            cancel: config.cancel.clone(),
-            deadline: config.time_budget.map(|budget| started + budget),
-        };
-        // Every solver this run creates reports its effort to one board,
-        // whose totals become `SearchStats::solver` at the end.
+        // Every solver this run creates stops at the run's deadline and
+        // reports its effort to one board, whose totals become
+        // `SearchStats::solver` at the end.
         let board = config.progress.clone().unwrap_or_default();
         let solver = |solver: &SolverConfig| {
             let mut solver = solver.clone();
-            solver.abort = abort.clone();
+            solver.deadline = config.deadline;
             solver.progress = Some(board.clone());
             Solver::new(solver)
         };
@@ -470,7 +439,6 @@ impl<'a> SearchRun<'a> {
             repetend_solver: solver(&config.repetend_solver),
             phase_solver: solver(&config.phase_solver),
             probe_solver: solver(&SolverConfig::probe()),
-            abort,
             board,
             stream: CandidateStream::new(placement, inflights, config.candidate_limit),
             optimal: placement.total_block_time() + 1,
@@ -481,14 +449,22 @@ impl<'a> SearchRun<'a> {
         }
     }
 
+    /// `true` once the run's deadline ([`SearchConfig::deadline`]) has
+    /// passed.
+    fn past_deadline(&self) -> bool {
+        self.config
+            .deadline
+            .is_some_and(|deadline| Instant::now() >= deadline)
+    }
+
     /// Lines 7-19 of Algorithm 1: pull candidates until the stream runs dry,
-    /// the lower bound is reached or the run is aborted. Every candidate
+    /// the lower bound is reached or the deadline passes. Every candidate
     /// [`SearchRun::evaluate`] accepts is strictly below the one before it,
     /// so the last one wins.
     fn candidates(&mut self) -> Result<(), CoreError> {
         let clock = Instant::now();
         let mut leaf = Leaf::new(self.placement.num_blocks());
-        while !self.abort.should_stop() {
+        while !self.past_deadline() {
             match self.stream.next_below(self.optimal, &mut leaf) {
                 Pull::Leaf => {}
                 Pull::Paused => continue,
@@ -971,9 +947,11 @@ mod tests {
     }
 
     #[test]
-    fn zero_time_budget_times_out_cleanly() {
+    fn a_passed_deadline_times_out_cleanly() {
+        // The deadline is an instant, not a budget: one that passed before
+        // the configuration reached the run stops it all the same.
         let p = v_shape(2, 1, 2, Some(3));
-        let config = SearchConfig::default().with_time_budget(Some(Duration::ZERO));
+        let config = SearchConfig::default().with_deadline(Some(Instant::now()));
         let err = TesselSearch::new(config).run(&p).unwrap_err();
         assert!(matches!(err, CoreError::DeadlineExceeded), "{err:?}");
     }
@@ -983,17 +961,7 @@ mod tests {
         let p = v_shape(2, 1, 2, Some(3));
         let config = SearchConfig::default()
             .with_lazy(false)
-            .with_time_budget(Some(Duration::ZERO));
-        let err = TesselSearch::new(config).run(&p).unwrap_err();
-        assert!(matches!(err, CoreError::DeadlineExceeded));
-    }
-
-    #[test]
-    fn cancelled_token_aborts_the_search() {
-        let p = v_shape(2, 1, 2, Some(3));
-        let token = tessel_solver::CancelToken::new();
-        token.cancel();
-        let config = SearchConfig::default().with_cancel(token);
+            .with_deadline(Some(Instant::now()));
         let err = TesselSearch::new(config).run(&p).unwrap_err();
         assert!(matches!(err, CoreError::DeadlineExceeded));
     }
@@ -1040,14 +1008,14 @@ mod tests {
         let (prefixes, steps) = (stream.iter.subtrees_pruned(), stream.iter.steps());
         assert!(prefixes >= 100_000 && steps >= 100 * PULL_STEPS);
 
-        // The loop checks the token before every pull, so a search
-        // cancelled before it starts enters none of that stretch.
-        config.cancel.cancel();
-        let mut search = SearchRun::new(&p, &config, Instant::now());
+        // The loop checks the deadline before every pull, so a search whose
+        // deadline passed before it starts enters none of that stretch.
+        let config = config.with_deadline(Some(Instant::now()));
+        let mut search = SearchRun::new(&p, &config);
         search.optimal = 6;
         search.candidates().unwrap();
         assert_eq!(search.stream.iter.steps(), 0);
-        assert!(search.abort.should_stop());
+        assert!(search.past_deadline());
     }
 
     #[test]
@@ -1058,7 +1026,7 @@ mod tests {
         let p = x_shape(16, None);
         let config = SearchConfig::default()
             .with_max_repetend_micro_batches(6)
-            .with_time_budget(Some(Duration::from_millis(30)));
+            .with_deadline(Some(Instant::now() + Duration::from_millis(30)));
         let err = TesselSearch::new(config).run(&p).unwrap_err();
         assert!(matches!(err, CoreError::DeadlineExceeded), "{err:?}");
     }
@@ -1068,7 +1036,7 @@ mod tests {
         let p = v_shape(2, 1, 2, Some(3));
         let plain = TesselSearch::new(SearchConfig::default()).run(&p).unwrap();
         let budgeted = TesselSearch::new(
-            SearchConfig::default().with_time_budget(Some(Duration::from_secs(120))),
+            SearchConfig::default().with_deadline(Some(Instant::now() + Duration::from_secs(120))),
         )
         .run(&p)
         .unwrap();

@@ -2,7 +2,8 @@
 //!
 //! The build environment has no registry access, so — like the
 //! `crates/compat/*` substitutes — this crate hand-rolls the narrow slice of
-//! observability the daemon needs, with zero dependencies:
+//! observability the daemon needs, depending only on the vendored `serde`
+//! (its time-series windows are the daemon's wire documents):
 //!
 //! * **Structured, leveled logging** ([`log`], [`error`]/[`warn`]/[`info`]/
 //!   [`debug`]): one line per event on stderr, in logfmt-style text or JSON
@@ -24,6 +25,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::collections::hash_map::RandomState;
 use std::fmt;
@@ -528,8 +530,9 @@ struct TimeSeriesInner {
 }
 
 /// One series' slice of a [`TimeSeries::window`] read: the retained samples
-/// (oldest first) plus summary statistics over them.
-#[derive(Debug, Clone, PartialEq)]
+/// (oldest first) plus summary statistics over them. One series of the
+/// daemon's `GET /v1/debug/timeseries` response body.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SeriesWindow {
     /// Series name as declared at construction.
     pub name: String,
@@ -549,8 +552,9 @@ pub struct SeriesWindow {
     pub p95: f64,
 }
 
-/// A consistent multi-series read of the ring (see [`TimeSeries::window`]).
-#[derive(Debug, Clone, PartialEq)]
+/// A consistent multi-series read of the ring (see [`TimeSeries::window`]);
+/// the daemon's `GET /v1/debug/timeseries` response body.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TimeSeriesWindow {
     /// Sampling cadence the ring was constructed with.
     pub interval_ms: u64,

@@ -190,7 +190,7 @@ fn render_top_frame(addr: &str, window: usize, out: &mut String) {
         None,
     ) {
         Ok((200, body)) => {
-            match serde_json::from_str::<tessel_service::wire::TimeseriesResponse>(&body) {
+            match serde_json::from_str::<tessel_service::wire::TimeSeriesWindow>(&body) {
                 Ok(series) => {
                     let _ = writeln!(
                         out,

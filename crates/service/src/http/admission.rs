@@ -35,6 +35,10 @@ pub(super) struct Job {
     /// Microseconds the final (completing) parse pass took; the `parse`
     /// stage of the request's trace.
     pub(super) parse_micros: u64,
+    /// When the event loop finished parsing the request: its arrival, from
+    /// which its `deadline_ms` counts, in the admission queue and in the
+    /// search alike.
+    pub(super) received: Instant,
     /// What the event loop's probe of a search found, when the loop probed
     /// it and the cache lookup missed: the worker finishes the search from
     /// there.
@@ -47,9 +51,9 @@ pub(super) struct Job {
     /// Admission priority scanned from the request body (`"priority"`);
     /// higher pops first. Defaults to 0.
     pub(super) priority: i64,
-    /// Absolute admission deadline derived from the body's `"deadline_ms"`;
-    /// earlier pops first among equal priorities, and a later deadline is
-    /// shed first under overload.
+    /// Absolute admission deadline: `received` plus the body's
+    /// `"deadline_ms"`; earlier pops first among equal priorities, and a
+    /// later deadline is shed first under overload.
     pub(super) deadline: Option<Instant>,
 }
 
@@ -109,7 +113,7 @@ pub(super) enum OfferOutcome {
     /// then the client holding the most queue slots, then the latest
     /// deadline (no deadline sorts latest), then the newest arrival —
     /// returned here so the event loop can answer it with `429`.
-    Admitted { shed: Option<Job> },
+    Admitted { shed: Option<Box<Job>> },
     /// The server is shutting down; the job was dropped unserved.
     Closed,
 }
@@ -170,7 +174,7 @@ impl AdmissionQueue {
                 .expect("non-empty waiting list");
             let victim = state.waiting.swap_remove(victim).job;
             state.forget_if_idle(victim.client);
-            Some(victim)
+            Some(Box::new(victim))
         } else {
             None
         };

@@ -18,7 +18,7 @@
 use super::admission::{AdmissionQueue, Job, OfferOutcome};
 use super::parse::{parse_request, scan_json_integer, ParseCursor, ParsedRequest};
 use super::reply::{answer_on_loop, encode_response, shed};
-use super::route::{error_response, split_target, stream_requested};
+use super::route::{error_response, is_search, split_target, stream_requested};
 use super::ServerConfig;
 use crate::inflight::Stage;
 use crate::metrics::{ServiceMetrics, TransportMetrics};
@@ -101,10 +101,11 @@ impl Completion {
     }
 }
 
-/// A worker-built flight record waiting for its `write` stage: the event
-/// loop stamps `created.elapsed()` after flushing the response and deposits
-/// the record. This measures completion-to-write-pass, an approximation of
-/// time-to-wire that never blocks on a slow peer draining the socket.
+/// A flight record waiting for its `write` stage: `created` is stamped once
+/// the response's bytes are encoded, and the event loop adds
+/// `created.elapsed()` after flushing the response and deposits the record.
+/// This measures completion-to-write-pass, an approximation of time-to-wire
+/// that never blocks on a slow peer draining the socket.
 #[derive(Debug)]
 pub(super) struct PendingFlight {
     pub(super) service: Arc<ScheduleService>,
@@ -599,8 +600,7 @@ impl EventLoop {
         self.batch_events == 1
             && (pool_idle || pool_saturated)
             && request.body.len() <= LOOP_PROBE_MAX_BODY_BYTES
-            && request.method == "POST"
-            && split_target(&request.path).0 == "/v1/search"
+            && is_search(request)
             && !stream_requested(request)
     }
 
@@ -649,7 +649,8 @@ impl EventLoop {
             // loop will close.
             let close = request.close || stream_requested(&request);
             conn.draining |= close;
-            let parse_micros = parse_started.elapsed().as_micros() as u64;
+            let received = Instant::now();
+            let parse_micros = received.duration_since(parse_started).as_micros() as u64;
             let client = Some(conn.peer_ip);
             let answer_here = self.answers_itself(&request);
             let mut job = Job {
@@ -658,8 +659,9 @@ impl EventLoop {
                 request,
                 close,
                 parse_micros,
+                received,
                 probed: None,
-                enqueued: Instant::now(),
+                enqueued: received,
                 client,
                 priority: 0,
                 deadline: None,
@@ -679,10 +681,11 @@ impl EventLoop {
             }
             // Only a queued job needs admission hints, and its queue wait
             // starts here, after any probe (whose stages are on its books).
+            // Its deadline counts from its arrival, as the search's does.
             job.priority = scan_json_integer(&job.request.body, "priority").unwrap_or(0);
             job.deadline = scan_json_integer(&job.request.body, "deadline_ms")
                 .filter(|&ms| ms >= 0)
-                .map(|ms| Instant::now() + Duration::from_millis(ms as u64));
+                .map(|ms| received + Duration::from_millis(ms as u64));
             job.enqueued = Instant::now();
             match self.admission.offer(job) {
                 OfferOutcome::Admitted { shed: None } => self.at_pool += 1,
@@ -692,7 +695,7 @@ impl EventLoop {
                     // more urgent waiter) keeps its slot. One job came in
                     // and one left: `at_pool` stands.
                     self.transport.admission_shed.fetch_add(1, Relaxed);
-                    let answered = shed(&self.service, victim);
+                    let answered = shed(&self.service, *victim);
                     self.deliver(answered);
                 }
                 OfferOutcome::Closed => {

@@ -17,11 +17,15 @@
 //!   and a miss is handed to the pool with its books and probe in the
 //!   [`Job`];
 //! * a [`Worker`], for everything else: it takes over a handed-over miss's
-//!   books and finishes the search, or answers one [`route`]d
-//!   [`Response`], or the chunked `text/event-stream` of
-//!   `POST /v1/search?stream=1`, whose incumbent frames are *droppable*
-//!   under backpressure while the terminal frame never is; its completions
-//!   reach the loop through [`Completions`].
+//!   books and finishes the search, or probes and answers a search itself,
+//!   or answers one [`route`]d [`Response`]. A search with `?stream=1` is
+//!   answered as the chunked `text/event-stream`, whose incumbent frames
+//!   are *droppable* under backpressure while the terminal frame never is;
+//!   a worker's completions reach the loop through [`Completions`].
+//!
+//! Every search, on either thread, is probed the same way
+//! ([`probe_search`]): its deadline and latency count from the instant the
+//! event loop received it.
 //!
 //! Encoding lives here too, for the event loop's own `400` answers and the
 //! `429` of a shed job ([`shed`]), which closes a probed search's books.
@@ -29,7 +33,7 @@
 use super::admission::{AdmissionQueue, Job, Probed};
 use super::event_loop::{Completion, Completions, PendingFlight};
 use super::route::{
-    decode_json, decode_search, error_response, render_json, route, search_response,
+    decode_search, error_response, is_search, render_json, route, search_response,
     stream_requested, Response,
 };
 use crate::inflight::{self, HandedBooks, RequestBooks, Stage};
@@ -50,16 +54,24 @@ pub(super) fn answer_on_loop(
     job: Job,
 ) -> Result<Completion, Box<Job>> {
     let reply = Reply::open(service, job);
-    let request = match decode_search(&reply.job.request.body) {
-        Ok(request) => request,
+    let (request, probe) = match probe_search(service, &reply.job) {
+        Ok(probed) => probed,
         Err(refusal) => return Ok(reply.single_shot(&refusal)),
     };
-    let probe = service.probe(&request);
     if probe.is_miss() {
         return Err(Box::new(reply.hand_over(request, probe)));
     }
     let response = search_response(service, &request, probe);
     Ok(reply.single_shot(&response))
+}
+
+/// The first half of every search, on the loop or a worker: decodes the
+/// body and probes the request from the instant the loop received it.
+/// `Err` is the `400` of a body that does not decode.
+fn probe_search(service: &ScheduleService, job: &Job) -> Result<(SearchRequest, Probe), Response> {
+    let request = decode_search(&job.request.body)?;
+    let probe = service.probe(&request, job.received);
+    Ok((request, probe))
 }
 
 /// Answers `victim`, a waiting job the admission queue shed, with `429` on
@@ -102,24 +114,31 @@ impl Worker {
     /// Answers one job; returns its terminal completion.
     fn answer(&self, job: Job) -> Completion {
         let (reply, probed) = Reply::popped(&self.service, job);
-        if let Some((search_request, probe)) = probed {
-            let response = search_response(&self.service, &search_request, probe);
-            return reply.single_shot(&response);
-        }
-        if stream_requested(&reply.job.request) {
-            // A body that does not even parse degrades to the ordinary
-            // (non-streamed) 400 below via `route`.
-            if let Ok(search_request) = decode_json(&reply.job.request.body) {
-                return reply.streamed(&search_request, &self.completions);
+        let (request, probe) = match probed {
+            Some(probed) => probed,
+            None if is_search(&reply.job.request) => {
+                // A body that does not decode is answered with the ordinary
+                // (non-streamed) 400, `?stream=1` or not.
+                match probe_search(&self.service, &reply.job) {
+                    Ok(probed) => probed,
+                    Err(refusal) => return reply.single_shot(&refusal),
+                }
             }
+            None => {
+                let timeseries = self.timeseries.as_deref();
+                let response = route(
+                    &self.service,
+                    &self.transport,
+                    timeseries,
+                    &reply.job.request,
+                );
+                return reply.single_shot(&response);
+            }
+        };
+        if stream_requested(&reply.job.request) {
+            return reply.streamed(&request, probe, &self.completions);
         }
-        let timeseries = self.timeseries.as_deref();
-        let response = route(
-            &self.service,
-            &self.transport,
-            timeseries,
-            &reply.job.request,
-        );
+        let response = search_response(&self.service, &request, probe);
         reply.single_shot(&response)
     }
 }
@@ -199,9 +218,7 @@ impl<'s> Reply<'s> {
     /// and the job carries them, the request and the probe to a worker.
     fn hand_over(self, request: SearchRequest, probe: Probe) -> Job {
         let Reply { mut job, books, .. } = self;
-        let books = books
-            .hand_over()
-            .expect("the event loop's books are never joined");
+        let books = books.hand_over();
         job.probed = Some(Box::new(Probed {
             books,
             request,
@@ -232,17 +249,18 @@ impl<'s> Reply<'s> {
         })
     }
 
-    /// Answers `POST /v1/search?stream=1`: sends a chunked SSE head
-    /// immediately, answers the request as usual while the books' progress
-    /// board pushes a (droppable) `incumbent` event for every period that
-    /// improves the search's answer, and terminates the stream with a
-    /// `result` (or `error`) event followed by the last-chunk. The periods
-    /// strictly decrease and the last is the result's; a cache hit or a
-    /// coalesced follower runs no search and sends none. Streaming responses
-    /// always close the connection (`job.close` is set for them).
+    /// Answers `POST /v1/search?stream=1`, probed as `probe`: sends a
+    /// chunked SSE head immediately, resumes the search on these books while
+    /// their progress board pushes a (droppable) `incumbent` event for every
+    /// period that improves the search's answer, and terminates the stream
+    /// with a `result` (or `error`) event followed by the last-chunk. The
+    /// periods strictly decrease and the last is the result's; a cache hit
+    /// or a coalesced follower runs no search and sends none. Streaming
+    /// responses always close the connection (`job.close` is set for them).
     fn streamed(
         self,
         search_request: &SearchRequest,
+        probe: Probe,
         completions: &Arc<Completions>,
     ) -> Completion {
         let (token, seq, started) = (self.job.token, self.job.seq, self.started);
@@ -262,13 +280,13 @@ impl<'s> Reply<'s> {
                 completions.push(Completion::fragment(token, seq, frame, true));
             });
         }
-        let result = self.service.search(search_request);
+        let result = self.service.resume(search_request, probe);
         let status = match &result {
             Ok(_) => 200,
             Err(e) => e.http_status(),
         };
         let terminal = match result {
-            Ok(response) => StreamEvent::Result(response),
+            Ok(answer) => StreamEvent::Result(answer.to_response()),
             Err(e) => StreamEvent::Error {
                 status,
                 body: ErrorBody {
@@ -287,7 +305,7 @@ impl<'s> Reply<'s> {
     /// the completion line, and returns the terminal completion with the
     /// flight record, which the event loop finalizes once the response's
     /// write pass has run. `encode` renders the terminal bytes from the
-    /// closed stages.
+    /// closed stages; the `write` stage starts once it has.
     fn finish(
         self,
         status: u16,
@@ -300,7 +318,6 @@ impl<'s> Reply<'s> {
         // Checked first: the fields are formatted for the line alone, and the
         // daemon usually runs at a level that drops it.
         if tessel_obs::enabled(tessel_obs::Level::Info) {
-            let total_micros = record.as_ref().map_or(0, |r| r.total_micros);
             tessel_obs::info(
                 "http",
                 message,
@@ -308,22 +325,18 @@ impl<'s> Reply<'s> {
                     ("method", request.method.as_str()),
                     ("path", request.path.as_str()),
                     ("status", &status.to_string()),
-                    ("micros", &total_micros.to_string()),
+                    ("micros", &record.total_micros.to_string()),
                     ("trace_id", trace_id.as_str()),
                 ],
             );
         }
-        let flight = record.map(|record| {
-            Box::new(PendingFlight {
-                service: self.service.clone(),
-                record,
-                created: Instant::now(),
-            })
-        });
-        let stages = flight.as_ref().map_or(&[][..], |f| &f.record.stages[..]);
-        let bytes = encode(stages);
+        let bytes = encode(&record.stages);
         let mut done = Completion::full(self.job.token, self.job.seq, bytes, self.job.close);
-        done.flight = flight;
+        done.flight = Some(Box::new(PendingFlight {
+            service: self.service.clone(),
+            record,
+            created: Instant::now(),
+        }));
         done
     }
 }

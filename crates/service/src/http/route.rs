@@ -51,13 +51,19 @@ fn query_value<'a>(query: &'a str, key: &str) -> Option<&'a str> {
     query_pairs(query).find_map(|(k, value)| value.filter(|_| k == key))
 }
 
+/// `true` for a search, `POST /v1/search` with any query. The route table
+/// holds every other route; a search is answered by the event loop or a
+/// worker from [`decode_search`], [`ScheduleService::probe`] and
+/// [`search_response`].
+pub(super) fn is_search(request: &ParsedRequest) -> bool {
+    request.method == "POST" && split_target(&request.path).0 == "/v1/search"
+}
+
 /// `true` when the request asks for anytime incumbent streaming:
 /// `POST /v1/search?stream=1`.
 pub(super) fn stream_requested(request: &ParsedRequest) -> bool {
-    let (path, query) = split_target(&request.path);
-    request.method == "POST"
-        && path == "/v1/search"
-        && query_pairs(query).any(|pair| pair == ("stream", Some("1")))
+    let (_, query) = split_target(&request.path);
+    is_search(request) && query_pairs(query).any(|pair| pair == ("stream", Some("1")))
 }
 
 pub(super) fn route(
@@ -69,8 +75,9 @@ pub(super) fn route(
     handle(service, transport, timeseries, request).unwrap_or_else(|refusal| refusal)
 }
 
-/// The route table. `Err` is a response too — the early exit of a handler
-/// whose input does not hold up.
+/// The route table of everything but a search (see [`is_search`]). `Err` is
+/// a response too — the early exit of a handler whose input does not hold
+/// up.
 fn handle(
     service: &ScheduleService,
     transport: &TransportMetrics,
@@ -81,11 +88,6 @@ fn handle(
     let body = request.body.as_str();
     let cluster_only = || not_found("cluster mode is not enabled");
     Ok(match (request.method.as_str(), path) {
-        ("POST", "/v1/search") => {
-            let search_request = decode_search(body)?;
-            let probe = service.probe(&search_request);
-            search_response(service, &search_request, probe)
-        }
         ("GET", "/v1/cache") => json_response(200, &service.cache_entries()),
         ("GET", path) if path.starts_with("/v1/cache/") => {
             let fingerprint = fingerprint_after(path, "/v1/cache/")?;
@@ -144,27 +146,7 @@ fn handle(
                 },
                 None => TIMESERIES_CAPACITY,
             };
-            let window = timeseries.window(ticks);
-            let response = crate::wire::TimeseriesResponse {
-                interval_ms: window.interval_ms,
-                ticks: window.ticks as u64,
-                latest_unix_ms: window.latest_unix_ms,
-                series: window
-                    .series
-                    .into_iter()
-                    .map(|series| crate::wire::SeriesWindowInfo {
-                        name: series.name,
-                        samples: series.samples,
-                        last: series.last,
-                        min: series.min,
-                        max: series.max,
-                        avg: series.avg,
-                        p50: series.p50,
-                        p95: series.p95,
-                    })
-                    .collect(),
-            };
-            json_response(200, &response)
+            json_response(200, &timeseries.window(ticks))
         }
         // Fleet-wide trace assembly: local flight records plus every healthy
         // peer's, merged into one clock-adjusted span timeline.

@@ -327,6 +327,7 @@ fn admission_job(client: Option<IpAddr>, priority: i64, deadline: Option<Instant
         },
         close: false,
         parse_micros: 0,
+        received: Instant::now(),
         probed: None,
         enqueued: Instant::now(),
         client,

@@ -7,8 +7,7 @@
 //!
 //! * [`InflightRegistry::open`] registers the request — trace ID, method,
 //!   path, peer and start — and makes it the calling thread's open request.
-//!   An open on a thread that already has one *joins* it: the outer request
-//!   keeps the books, and the inner [`RequestBooks`] closes to nothing.
+//!   A thread keeps one request's books at a time.
 //! * [`stage`] times one [`Stage`] of the open request and makes it the
 //!   request's live stage ([`record_stage`] adds a duration measured
 //!   elsewhere without touching the live stage).
@@ -76,7 +75,7 @@ pub enum Stage {
     Translate,
     /// Response JSON rendering.
     Serialize,
-    /// Worker completion → event-loop response write.
+    /// Response encoded → event-loop write pass.
     Write,
 }
 
@@ -195,8 +194,7 @@ pub struct InflightRegistry {
 impl InflightRegistry {
     /// Opens one request's books on the calling thread: registers it under
     /// `trace_id` (a fresh ID when `None`), starts its clock and opens its
-    /// trace context. When the thread already has a request open, the call
-    /// joins that request instead and registers nothing.
+    /// trace context. The thread must have no other request open.
     pub fn open<'a>(
         &'a self,
         metrics: &'a ServiceMetrics,
@@ -205,16 +203,6 @@ impl InflightRegistry {
         path: &str,
         peer: Option<String>,
     ) -> RequestBooks<'a> {
-        let joined =
-            CURRENT.with(|current| (current.borrow().as_ref()).map(|open| open.entry.trace_id));
-        if let Some(trace_id) = joined {
-            return RequestBooks {
-                registry: self,
-                metrics,
-                trace_id,
-                id: None,
-            };
-        }
         let trace_id = trace_id.unwrap_or_else(TraceId::generate);
         let entry = Arc::new(InflightEntry {
             trace_id,
@@ -233,10 +221,11 @@ impl InflightRegistry {
             .expect("inflight registry lock")
             .insert(id, Arc::clone(&entry));
         CURRENT.with(|current| {
-            *current.borrow_mut() = Some(OpenRequest {
+            let previous = current.borrow_mut().replace(OpenRequest {
                 entry,
                 stages: Vec::with_capacity(8),
             });
+            debug_assert!(previous.is_none(), "one request's books per thread");
         });
         tessel_obs::begin_request(trace_id);
         RequestBooks {
@@ -287,22 +276,20 @@ impl InflightRegistry {
     }
 }
 
-/// The handle of one [`InflightRegistry::open`]. Only the open that
-/// registered the request closes it to a record; a joined one closes to
-/// `None`.
+/// The handle of one [`InflightRegistry::open`] (or
+/// [`InflightRegistry::take_over`]).
 #[derive(Debug)]
 #[must_use = "close the books to get the request's flight record"]
 pub struct RequestBooks<'a> {
     registry: &'a InflightRegistry,
     metrics: &'a ServiceMetrics,
     trace_id: TraceId,
-    /// The registry key; `None` when this open joined an outer request.
+    /// The registry key; `None` once the books closed or left the thread.
     id: Option<u64>,
 }
 
 impl RequestBooks<'_> {
-    /// The trace ID of the request these books belong to (the outer
-    /// request's, for a joined open).
+    /// The trace ID of the request these books belong to.
     #[must_use]
     pub fn trace_id(&self) -> TraceId {
         self.trace_id
@@ -311,12 +298,12 @@ impl RequestBooks<'_> {
     /// Closes the books: the request leaves the registry and the thread's
     /// context, every stage but `write` (which the event loop adds once the
     /// response is written) is counted in its histogram, and the request's
-    /// flight record comes back. `None` for a joined open.
+    /// flight record comes back.
     ///
     /// The request leaves `GET /v1/debug/inflight` here, so a transport that
     /// closes before queueing the response never lists an answered request.
-    pub fn close(mut self, status: u16) -> Option<FlightRecordInfo> {
-        let open = self.release()?;
+    pub fn close(mut self, status: u16) -> FlightRecordInfo {
+        let HandedBooks { open, .. } = self.release().expect("open books");
         let mut stages = Vec::with_capacity(open.stages.len());
         for &(stage, micros) in &open.stages {
             self.metrics.observe_stage(stage, micros);
@@ -324,7 +311,7 @@ impl RequestBooks<'_> {
             stages.push(StageTimingInfo { name, micros });
         }
         let entry = &open.entry;
-        Some(FlightRecordInfo {
+        FlightRecordInfo {
             trace_id: self.trace_id.as_str().to_string(),
             method: entry.method.clone(),
             path: entry.path.clone(),
@@ -332,23 +319,21 @@ impl RequestBooks<'_> {
             start_unix_ms: entry.start_unix_ms,
             total_micros: entry.started.elapsed().as_micros() as u64,
             stages,
-        })
+        }
     }
 
     /// Takes the open books off this thread, counting and recording
     /// nothing, so that another thread can [`InflightRegistry::take_over`]
     /// them. The request is off the registry in between, as a request
-    /// waiting for a worker always is. `None` for a joined open.
+    /// waiting for a worker always is.
     #[must_use]
-    pub fn hand_over(mut self) -> Option<HandedBooks> {
-        let id = self.id?;
-        let open = self.release()?;
-        Some(HandedBooks { id, open })
+    pub fn hand_over(mut self) -> HandedBooks {
+        self.release().expect("open books")
     }
 
     /// Takes the request off the registry, the thread and the trace
-    /// context; returns its books. A no-op for a joined (or closed) open.
-    fn release(&mut self) -> Option<OpenRequest> {
+    /// context; returns its books. A no-op once they closed or left.
+    fn release(&mut self) -> Option<HandedBooks> {
         let id = self.id.take()?;
         self.registry
             .entries
@@ -356,7 +341,8 @@ impl RequestBooks<'_> {
             .expect("inflight registry lock")
             .remove(&id);
         tessel_obs::end_request();
-        CURRENT.with(|current| current.borrow_mut().take())
+        let open = CURRENT.with(|current| current.borrow_mut().take())?;
+        Some(HandedBooks { id, open })
     }
 }
 
@@ -476,39 +462,12 @@ mod tests {
     }
 
     #[test]
-    fn nested_registrations_restore_the_outer_entry() {
-        // An open on a thread with a request already open joins it: nothing
-        // more is registered, the stages land in the outer books, and the
-        // inner close yields no record and leaves the outer request open.
-        let registry = InflightRegistry::default();
-        let metrics = ServiceMetrics::new();
-        let outer = registry.open(&metrics, trace('c'), "POST", "/outer", None);
-        {
-            let inner = registry.open(&metrics, trace('d'), "CALL", "/inner", None);
-            assert_eq!(registry.snapshot().inflight.len(), 1);
-            assert_eq!(inner.trace_id(), outer.trace_id());
-            with_current(|entry| assert_eq!(entry.path, "/outer")).unwrap();
-            record_stage(Stage::Decode, 3);
-            assert!(inner.close(200).is_none());
-        }
-        assert_eq!(registry.snapshot().inflight.len(), 1);
-        with_current(|entry| assert_eq!(entry.path, "/outer")).unwrap();
-        assert_eq!(tessel_obs::current_trace_id(), trace('c'));
-        let record = outer.close(200).expect("the outer open keeps the books");
-        assert_eq!(record.path, "/outer");
-        assert_eq!(record.trace_id, "c".repeat(32));
-        assert_eq!(record.stages.len(), 1);
-        assert_eq!(record.stages[0].name, "decode");
-        assert!(registry.snapshot().inflight.is_empty());
-    }
-
-    #[test]
     fn handed_over_books_keep_their_stages_and_key_on_another_thread() {
         let registry = InflightRegistry::default();
         let metrics = ServiceMetrics::new();
         let books = registry.open(&metrics, trace('e'), "POST", "/handed", None);
         record_stage(Stage::CacheLookup, 7);
-        let handed = books.hand_over().expect("an open that registered");
+        let handed = books.hand_over();
         // Off this thread and off the registry until a thread takes them.
         assert!(with_current(|_| ()).is_none());
         assert_eq!(tessel_obs::current_trace_id(), None);
@@ -520,7 +479,7 @@ mod tests {
                     assert_eq!(tessel_obs::current_trace_id(), trace('e'));
                     assert_eq!(registry.snapshot().inflight[0].path, "/handed");
                     record_stage(Stage::QueueWait, 3);
-                    books.close(200).expect("the taken-over books close")
+                    books.close(200)
                 })
                 .join()
                 .unwrap()
@@ -537,7 +496,7 @@ mod tests {
     fn registry_is_ordered_oldest_first() {
         let registry = InflightRegistry::default();
         let metrics = ServiceMetrics::new();
-        // Two threads, so neither open joins the other.
+        // Two threads: a thread keeps one request's books at a time.
         let _a = registry.open(&metrics, trace('1'), "POST", "/a", None);
         std::thread::scope(|scope| {
             scope.spawn(|| {
@@ -559,7 +518,7 @@ mod tests {
         record_stage(Stage::CacheLookup, 10);
         assert_eq!(stage(Stage::Solve, || 42), 42);
         record_stage(Stage::CacheLookup, 5);
-        let record = books.close(200).unwrap();
+        let record = books.close(200);
         assert_eq!(record.trace_id, trace_id.as_str());
         let rows: Vec<&str> = record.stages.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(rows, ["cache_lookup", "solve"], "first-recorded order");

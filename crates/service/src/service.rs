@@ -14,11 +14,13 @@
 //!    cached canonical schedule seen through the request's own labeling.
 //! 3. **Single-flight** — concurrent identical misses elect one leader; the
 //!    rest block (bounded by their own deadlines) and share the result.
-//! 4. **Search** — the leader runs [`TesselSearch`] with the request deadline
-//!    plumbed through [`SearchConfig::time_budget`] into the solver's
-//!    cooperative cancellation, simulates the winning schedule for the
-//!    utilization summary, and populates the cache. Timeouts and failures
-//!    are **not** cached.
+//! 4. **Search** — the leader runs [`TesselSearch`] with the request's
+//!    deadline as [`SearchConfig::deadline`], the one instant every solver
+//!    of the search stops at, simulates the winning schedule for the
+//!    utilization summary, and populates the cache. A request's deadline is
+//!    `deadline_ms` (or the configured default) counted from its arrival:
+//!    the instant the HTTP event loop finished parsing it, or the call, in
+//!    process. Timeouts and failures are **not** cached.
 
 use crate::answer::Answer;
 use crate::cache::{CacheConfig, CacheJournal, CacheKey, CacheParams, CachedSearch, ShardedCache};
@@ -417,7 +419,8 @@ impl ScheduleService {
     }
 
     /// Handles one search request end to end (see the module docs for the
-    /// pipeline).
+    /// pipeline) under books of its own, which close to a flight record: its
+    /// deadline counts from this call.
     ///
     /// # Errors
     ///
@@ -440,14 +443,12 @@ impl ScheduleService {
         // opens the books itself, with the client's or a freshly minted
         // trace ID and the peer, and calls `probe` and `resume` directly.)
         let books = self.open_request(None, "CALL", "/v1/search", None);
-        let probe = self.probe(request);
+        let probe = self.probe(request, Instant::now());
         let result = self.resume(request, probe);
         let status = result
             .as_ref()
             .map_or_else(ServiceError::http_status, |_| 200);
-        if let Some(record) = books.close(status) {
-            self.record_flight(record);
-        }
+        self.record_flight(books.close(status));
         result
     }
 
@@ -461,10 +462,11 @@ impl ScheduleService {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Validates and canonicalizes `request` and looks it up in the cache,
-    /// counting it as a request (and, when found, as a hit).
-    pub(crate) fn probe(&self, request: &SearchRequest) -> Probe {
-        let arrived = Instant::now();
+    /// Validates and canonicalizes `request`, which arrived at `arrived`,
+    /// and looks it up in the cache, counting it as a request (and, when
+    /// found, as a hit). The request's deadline and latency count from
+    /// `arrived`.
+    pub(crate) fn probe(&self, request: &SearchRequest, arrived: Instant) -> Probe {
         self.metrics.requests.fetch_add(1, Ordering::Relaxed);
         let found = self.prepare(request, arrived).map(|prepared| {
             inflight::with_current(|entry| entry.set_deadline(prepared.deadline));
@@ -736,21 +738,13 @@ impl ScheduleService {
         let _guard = InFlightGuard(&self.metrics);
 
         let started = Instant::now();
-        let budget = match deadline {
-            Some(deadline) => Some(
-                deadline
-                    .checked_duration_since(started)
-                    .ok_or_else(|| ServiceError::Timeout("deadline already passed".into()))?,
-            ),
-            None => None,
-        };
         let mut config = SearchConfig::default()
             .with_micro_batches(params.num_micro_batches)
             .with_max_repetend_micro_batches(params.max_repetend_micro_batches)
             // Pinned, not left to the default: `SolverConfig::default()`
             // reads `TESSEL_TEST_THREADS`.
             .with_solver_threads(1)
-            .with_time_budget(budget);
+            .with_deadline(deadline);
         config.candidate_limit = self.config.candidate_limit;
         // The leading request's board, when one is registered, watches the
         // whole search: every solve's nodes and totals, and each improving
@@ -873,9 +867,9 @@ impl ScheduleService {
     /// under `trace_id` (a fresh ID when `None`) and opens its trace
     /// context. The HTTP transport opens every request on the thread that
     /// takes it on — the event loop for a search it probes, a worker right
-    /// after popping any other job off the admission queue;
-    /// [`ScheduleService::search`] and its siblings open in-process calls,
-    /// and join the worker's books when called from one.
+    /// after popping any other job off the admission queue — and
+    /// [`ScheduleService::answer`] opens each in-process call. A thread
+    /// keeps one request's books at a time.
     pub fn open_request(
         &self,
         trace_id: Option<tessel_obs::TraceId>,

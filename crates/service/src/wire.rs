@@ -466,40 +466,10 @@ pub struct InflightResponse {
     pub inflight: Vec<InflightInfo>,
 }
 
-/// One sampled series of the `GET /v1/debug/timeseries` response.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SeriesWindowInfo {
-    /// Series name (`requests_per_s`, `solver_nodes_per_s`, …).
-    pub name: String,
-    /// The raw samples of the window, oldest first.
-    pub samples: Vec<f64>,
-    /// Most recent sample.
-    pub last: f64,
-    /// Window minimum.
-    pub min: f64,
-    /// Window maximum.
-    pub max: f64,
-    /// Window mean.
-    pub avg: f64,
-    /// Window median (nearest-rank).
-    pub p50: f64,
-    /// Window 95th percentile (nearest-rank).
-    pub p95: f64,
-}
-
-/// The `GET /v1/debug/timeseries` response body: a window over the daemon's
-/// sampled counters and gauges.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TimeseriesResponse {
-    /// Milliseconds between samples.
-    pub interval_ms: u64,
-    /// Samples actually returned per series (the window may exceed history).
-    pub ticks: u64,
-    /// Unix milliseconds of the newest sample (0 before the first tick).
-    pub latest_unix_ms: u64,
-    /// The sampled series.
-    pub series: Vec<SeriesWindowInfo>,
-}
+/// The `GET /v1/debug/timeseries` response body is the sampler ring's own
+/// window over the daemon's sampled counters and gauges, one
+/// [`SeriesWindow`] per series.
+pub use tessel_obs::{SeriesWindow, TimeSeriesWindow};
 
 /// One span of an assembled trace timeline.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -661,11 +631,11 @@ mod tests {
         let back: InflightResponse = serde_json::from_str(&json).unwrap();
         assert_eq!(back, inflight);
 
-        let timeseries = TimeseriesResponse {
+        let timeseries = TimeSeriesWindow {
             interval_ms: 1000,
             ticks: 2,
             latest_unix_ms: 1_700_000_002_000,
-            series: vec![SeriesWindowInfo {
+            series: vec![SeriesWindow {
                 name: "requests_per_s".into(),
                 samples: vec![1.0, 3.0],
                 last: 3.0,
@@ -676,7 +646,7 @@ mod tests {
                 p95: 3.0,
             }],
         };
-        let back: TimeseriesResponse =
+        let back: TimeSeriesWindow =
             serde_json::from_str(&serde_json::to_string(&timeseries).unwrap()).unwrap();
         assert_eq!(back, timeseries);
 

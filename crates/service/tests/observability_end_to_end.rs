@@ -26,7 +26,7 @@ use std::sync::Arc;
 use tessel_core::ir::{BlockKind, PlacementSpec};
 use tessel_placement::shapes::{synthetic_placement, ShapeKind};
 use tessel_service::wire::{
-    DebugRequestsResponse, FlightRecordInfo, InflightResponse, SearchRequest, TimeseriesResponse,
+    DebugRequestsResponse, FlightRecordInfo, InflightResponse, SearchRequest, TimeSeriesWindow,
     TraceAssemblyResponse,
 };
 use tessel_service::{
@@ -421,7 +421,7 @@ fn timeseries_loglevel_and_healthz_serve_the_live_plane() {
         .call("GET", "/v1/debug/timeseries?window=60", None)
         .unwrap();
     assert_eq!(status, 200, "{body}");
-    let series: TimeseriesResponse = serde_json::from_str(&body).unwrap();
+    let series: TimeSeriesWindow = serde_json::from_str(&body).unwrap();
     assert_eq!(series.interval_ms, 25);
     assert!(series.ticks >= 1, "sampler never ticked");
     assert!(series.latest_unix_ms > 0);

@@ -1254,3 +1254,85 @@ fn a_handed_over_miss_records_its_probe_stages_once() {
     assert_eq!(server.transport_snapshot().answered_on_loop, 0);
     server.shutdown();
 }
+
+/// Connects to `server` and waits until it has accepted the connection, so
+/// a request written next reaches the event loop in a readiness batch of
+/// its own.
+fn connect_accepted(server: &HttpServer, addr: &str) -> TcpStream {
+    let accepted = server.transport_snapshot().connections_accepted;
+    let stream = connect(addr);
+    while server.transport_snapshot().connections_accepted == accepted {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    stream
+}
+
+/// Whether `head`'s `Server-Timing` names stage `first` before `then`.
+fn timed_before(head: &str, first: &str, then: &str) -> bool {
+    let at = |stage: &str| head.find(&format!("{stage};dur=")).expect(stage);
+    at(first) < at(then)
+}
+
+/// Two fresh searches queue behind a solve that holds the only worker for
+/// 1.5 s, each with a 300 ms deadline: one the event loop probes, and one
+/// padded with JSON whitespace past the loop's body limit, which the worker
+/// probes when it pops it. Both deadlines count from arrival, so both pass
+/// in the queue and both searches answer 408.
+#[test]
+fn a_queued_search_counts_its_deadline_from_arrival() {
+    let (server, service, addr) = with_workers(1);
+    let mut slow = connect(&addr);
+    slow.write_all(&post_search_bytes(&occupier_body_for(1500)))
+        .unwrap();
+    wait_until_solving(&service);
+
+    let fresh = |devices: usize| {
+        let mut request = SearchRequest::for_placement(v_shape(devices));
+        request.deadline_ms = Some(300);
+        serde_json::to_string(&request).unwrap()
+    };
+    let mut probed = connect_accepted(&server, &addr);
+    probed.write_all(&post_search_bytes(&fresh(3))).unwrap();
+    while server.transport_snapshot().admission_queue_depth == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let mut padded = connect_accepted(&server, &addr);
+    let padded_body = fresh(4) + &" ".repeat(9 * 1024);
+    padded.write_all(&post_search_bytes(&padded_body)).unwrap();
+
+    let (status, body) = read_one_response(&mut slow);
+    assert_eq!(status, 408, "{body}");
+    let (status, head, body) = read_one_response_with_head(&mut probed);
+    assert_eq!(status, 408, "the loop-probed search: {body}");
+    assert!(timed_before(&head, "cache_lookup", "queue_wait"), "{head}");
+    let (status, head, body) = read_one_response_with_head(&mut padded);
+    assert_eq!(status, 408, "the worker-probed search: {body}");
+    assert!(timed_before(&head, "queue_wait", "decode"), "{head}");
+    server.shutdown();
+}
+
+/// A streamed search keeps one set of books: it leaves exactly one flight
+/// record, whose probe stages appear once each.
+#[test]
+fn a_streamed_search_leaves_one_flight_record() {
+    let (server, service, addr) = with_workers(2);
+    let (status, _) = http_call_streaming(&addr, "/v1/search?stream=1", &search_body(), |_| {})
+        .expect("the stream completes");
+    assert_eq!(status, 200);
+    let mut recent = Vec::new();
+    for _ in 0..500 {
+        recent = service.debug_requests().recent;
+        if !recent.is_empty() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(recent.len(), 1, "{recent:?}");
+    assert_eq!(recent[0].path, "/v1/search?stream=1");
+    let stages: Vec<&str> = recent[0].stages.iter().map(|s| s.name.as_str()).collect();
+    for stage in ["decode", "validate", "canonicalize", "cache_lookup"] {
+        let count = stages.iter().filter(|&&name| name == stage).count();
+        assert_eq!(count, 1, "`{stage}` in {stages:?}");
+    }
+    server.shutdown();
+}

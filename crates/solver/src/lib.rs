@@ -50,7 +50,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cancel;
 mod error;
 mod greedy;
 mod instance;
@@ -62,7 +61,6 @@ mod solution;
 mod stats;
 mod task;
 
-pub use cancel::{Abort, CancelToken};
 pub use error::SolverError;
 pub use greedy::{greedy_schedule, GreedyPriority};
 pub use instance::{Instance, InstanceBuilder};
@@ -72,7 +70,7 @@ pub use lower_bound::{
 };
 pub use progress::{ProgressBoard, ProgressSnapshot};
 pub use propagate::TimeWindows;
-pub use search::{resolve_threads, SolveOutcome, Solver, SolverConfig};
+pub use search::{SolveOutcome, Solver, SolverConfig};
 pub use solution::{Solution, SolutionViolation};
 pub use stats::{SolveStats, SolverTotals};
 pub use task::{Task, TaskId};

@@ -199,7 +199,9 @@ pub(super) struct SearchContext<'a> {
     pub(super) best_starts: Vec<u64>,
     pub(super) upper: u64,
     pub(super) stats: SolveStats,
-    pub(super) started: Instant,
+    /// When the solve stops: the earlier of its time limit and its deadline
+    /// (see [`SolverConfig::deadline`]).
+    pub(super) stop_at: Option<Instant>,
     dominance: Option<DominanceTable>,
     pub(super) stop: bool,
     scheduled: Vec<bool>,
@@ -258,7 +260,7 @@ impl<'a> SearchContext<'a> {
         deadline: Option<u64>,
         upper: u64,
         lower: u64,
-        started: Instant,
+        stop_at: Option<Instant>,
     ) -> Self {
         let n = flat.num_tasks;
         let remaining_preds: Vec<u32> = (0..n).map(|i| flat.preds(i).len() as u32).collect();
@@ -277,7 +279,7 @@ impl<'a> SearchContext<'a> {
             best_starts: vec![0; n],
             upper,
             stats: SolveStats::default(),
-            started,
+            stop_at,
             dominance: flat
                 .memo_limit(config)
                 .map(|limit| DominanceTable::new(flat.num_devices, limit)),
@@ -327,7 +329,7 @@ impl<'a> SearchContext<'a> {
                 self.deadline,
                 self.upper,
                 self.lower,
-                self.started,
+                self.stop_at,
             )
         }
     }
@@ -355,7 +357,7 @@ impl<'a> SearchContext<'a> {
     }
 
     /// `true` when this worker must stop: shared node budget exhausted,
-    /// wall-clock/abort limits fired (recorded in the shared `limit_stop`
+    /// the stop instant passed (recorded in the shared `limit_stop`
     /// flag so idle peers stop too), or another worker raised a stop flag.
     /// `depth` is the depth of the node being entered, for the progress
     /// board.
@@ -378,17 +380,10 @@ impl<'a> SearchContext<'a> {
                 if let Some(board) = &self.config.progress {
                     board.set_depth(depth as u64);
                 }
-                if let Some(limit) = self.config.time_limit {
-                    if self.started.elapsed() > limit {
-                        shared.limit_stop.store(true, Ordering::Relaxed);
-                        return true;
-                    }
-                }
-                // Cooperative cancellation: an external abort (token or
-                // deadline) stops every worker at its next flush boundary —
-                // including workers deep inside stolen subtrees, which run
-                // this same check.
-                if self.config.abort.should_stop() {
+                // The stop instant stops every worker at its next flush
+                // boundary — including workers deep inside stolen subtrees,
+                // which run this same check.
+                if super::expired(self.stop_at) {
                     shared.limit_stop.store(true, Ordering::Relaxed);
                     return true;
                 }
@@ -402,8 +397,8 @@ impl<'a> SearchContext<'a> {
             if self.stats.nodes >= self.config.max_nodes.min(self.node_cap) {
                 return true;
             }
-            // Clock reads and abort checks are sampled at batch boundaries;
-            // checking them on every node would be wasteful.
+            // The clock is read at batch boundaries only; reading it on
+            // every node would be wasteful.
             if self.stats.nodes.is_multiple_of(FLUSH_INTERVAL) {
                 // Live progress publishes at the same cadence (the leftover
                 // sub-batch is flushed when the solve returns).
@@ -411,12 +406,7 @@ impl<'a> SearchContext<'a> {
                 if let Some(board) = &self.config.progress {
                     board.set_depth(depth as u64);
                 }
-                if let Some(limit) = self.config.time_limit {
-                    if self.started.elapsed() > limit {
-                        return true;
-                    }
-                }
-                if self.config.abort.should_stop() {
+                if super::expired(self.stop_at) {
                     return true;
                 }
             }
@@ -867,7 +857,7 @@ impl SearchContext<'_> {
     /// A search that has returned left the state exactly as a fresh context
     /// has it, the order of the ready list included.
     fn assert_root_state(&self) {
-        let fresh = SearchContext::new(self.flat, self.config, None, 0, self.lower, self.started);
+        let fresh = SearchContext::new(self.flat, self.config, None, 0, self.lower, self.stop_at);
         assert!(self.path.is_empty() && self.undo.is_empty() && self.undo_est.is_empty());
         assert_eq!(self.unscheduled, fresh.unscheduled);
         assert_eq!(self.cur_mask, 0);

@@ -50,7 +50,6 @@ mod frontier;
 mod parallel;
 mod simd;
 
-use crate::cancel::Abort;
 use crate::greedy::{greedy_with_windows, GreedyPriority};
 use crate::instance::Instance;
 use crate::lower_bound::{device_load_lower_bound, one_machine_bound};
@@ -97,7 +96,9 @@ pub struct SolverConfig {
     /// incumbent found so far. With multiple threads the budget is shared
     /// across all workers.
     pub max_nodes: u64,
-    /// Optional wall-clock limit for a single solve call.
+    /// Optional wall-clock limit for a single solve call, counted from its
+    /// start. A solve stops at the earlier of this limit and
+    /// [`SolverConfig::deadline`].
     pub time_limit: Option<Duration>,
     /// Maximum number of finish-time vectors kept in the dominance memo (`0`
     /// disables dominance pruning). In parallel mode the limit sizes the
@@ -107,10 +108,10 @@ pub struct SolverConfig {
     pub dominance_memo_limit: usize,
     /// Number of worker threads running the work-stealing parallel search.
     ///
-    /// `1` (the default) runs the classic single-threaded search; `0` uses
-    /// [`std::thread::available_parallelism`]. All thread counts prove the
-    /// same optimal makespan; only the tie-breaking among equally good
-    /// schedules may differ. The default can be overridden with the
+    /// `1` (the default) runs the classic single-threaded search, and so
+    /// does `0`. All thread counts prove the same optimal makespan; only
+    /// the tie-breaking among equally good schedules may differ. The
+    /// default can be overridden with the
     /// `TESSEL_TEST_THREADS` environment variable (read at each
     /// `SolverConfig::default()` call), which the CI matrix uses to exercise
     /// the parallel paths in every default-configured test.
@@ -125,12 +126,16 @@ pub struct SolverConfig {
     /// The default (4096) can be suppressed by setting `TESSEL_TEST_THREADS`,
     /// which CI uses to force the parallel paths. Ignored when `threads <= 1`.
     pub serial_warmstart_nodes: u64,
-    /// External abort conditions (cancellation token and/or wall-clock
-    /// deadline), checked cooperatively at node-batch boundaries — by every
-    /// parallel worker, inside stolen subtrees and while idling for work. An
-    /// aborted solve returns its best incumbent (or `Unknown`) with
-    /// `stats.complete == false`. The default never aborts.
-    pub abort: Abort,
+    /// Optional absolute wall-clock deadline: the caller's, shared by every
+    /// solve of one schedule search. Each solve folds it with
+    /// [`SolverConfig::time_limit`] into one stop instant: one that had
+    /// passed when the solve started stops it before it branches, and one
+    /// that passes later is seen at the next node-batch boundary — of the
+    /// serial search, the warmstart probe or any parallel worker, inside
+    /// stolen subtrees and while idling for work. A stopped solve returns
+    /// its best incumbent (or `Unknown`) with `stats.complete == false`. The
+    /// default is none.
+    pub deadline: Option<Instant>,
     /// Optional observer of the solve (see [`ProgressBoard`]): live nodes,
     /// memo drops and search depth, published with relaxed atomic stores at
     /// the existing node-batch boundaries, and the finished solve's
@@ -149,27 +154,11 @@ impl Default for SolverConfig {
             dominance_memo_limit: 1 << 20,
             threads: default_threads(),
             serial_warmstart_nodes: default_serial_warmstart(),
-            abort: Abort::none(),
+            deadline: None,
             progress: None,
         }
     }
 }
-
-/// Equality ignores the [`SolverConfig::abort`] and [`SolverConfig::progress`]
-/// handles: two configurations that explore the search space identically
-/// compare equal even if they are attached to different cancellation tokens
-/// or progress boards.
-impl PartialEq for SolverConfig {
-    fn eq(&self, other: &Self) -> bool {
-        self.max_nodes == other.max_nodes
-            && self.time_limit == other.time_limit
-            && self.dominance_memo_limit == other.dominance_memo_limit
-            && self.threads == other.threads
-            && self.serial_warmstart_nodes == other.serial_warmstart_nodes
-    }
-}
-
-impl Eq for SolverConfig {}
 
 impl SolverConfig {
     /// A configuration without node or time limits; the search always proves
@@ -219,18 +208,20 @@ impl SolverConfig {
         self.progress = Some(board);
         self
     }
+
+    /// The one instant a solve that started at `started` stops at: the
+    /// earlier of its [`time_limit`](SolverConfig::time_limit) and the
+    /// [`deadline`](SolverConfig::deadline).
+    fn stop_at(&self, started: Instant) -> Option<Instant> {
+        let limit = self.time_limit.and_then(|limit| started.checked_add(limit));
+        limit.into_iter().chain(self.deadline).min()
+    }
 }
 
-/// The worker count a thread setting stands for: `0` means the machine's
-/// available parallelism, anything else is taken literally. The one place
-/// the workspace spells that rule — [`SolverConfig::threads`] and the
-/// daemon's per-request thread ask both resolve through it.
-#[must_use]
-pub fn resolve_threads(requested: usize) -> usize {
-    match requested {
-        0 => std::thread::available_parallelism().map_or(1, usize::from),
-        n => n,
-    }
+/// `true` once `stop_at` has passed. Reads the clock, so the search asks it
+/// at node-batch boundaries only.
+fn expired(stop_at: Option<Instant>) -> bool {
+    stop_at.is_some_and(|at| Instant::now() >= at)
 }
 
 /// Result of a solve call.
@@ -368,11 +359,11 @@ impl Solver {
     ///
     /// Returns `Some(complete)` if the probe settled the solve — exhausted
     /// the search space, satisfied the deadline, or hit a *real* limit
-    /// (node/time budget, external abort) — and `None` if only the probe
+    /// (the node budget or the stop instant) — and `None` if only the probe
     /// budget ran out, in which case the context is reset to the root state
     /// (the DFS unwinds its undo stack on return) with any incumbent the
     /// probe found kept as a pruning bound for the parallel search.
-    fn warmstart_probe(&self, ctx: &mut SearchContext<'_>, started: Instant) -> Option<bool> {
+    fn warmstart_probe(&self, ctx: &mut SearchContext<'_>) -> Option<bool> {
         let probe = self.config.serial_warmstart_nodes;
         if probe == 0 {
             return None;
@@ -386,13 +377,7 @@ impl Solver {
         if ctx.deadline_satisfied() {
             return Some(true);
         }
-        let real_limit = ctx.stats.nodes >= self.config.max_nodes
-            || self.config.abort.should_stop()
-            || self
-                .config
-                .time_limit
-                .is_some_and(|limit| started.elapsed() > limit);
-        if real_limit {
+        if ctx.stats.nodes >= self.config.max_nodes || expired(ctx.stop_at) {
             return Some(false);
         }
         ctx.stop = false;
@@ -406,6 +391,7 @@ impl Solver {
         deadline: Option<u64>,
     ) -> Result<SolveOutcome> {
         let started = Instant::now();
+        let stop_at = self.config.stop_at(started);
         let windows = TimeWindows::compute(instance, instance.total_work());
         let mut lower = device_load_lower_bound(instance).max(windows.critical_path(instance));
         // `upper` is exclusive: only schedules strictly below it are kept.
@@ -456,12 +442,16 @@ impl Solver {
             }
         }
 
-        // Greedy already optimal (no need to branch at all), or an abort
-        // that fired before branching (e.g. an already-expired per-request
-        // deadline, which returns promptly: the greedy incumbent, if any, is
-        // reported as an unproven feasible solution).
+        // Greedy already optimal (no need to branch at all), or a stop
+        // instant that had passed when the solve started (e.g. an
+        // already-expired request deadline, which returns promptly: the
+        // greedy incumbent, if any, is reported as an unproven feasible
+        // solution). Compared with the start rather than a fresh clock read,
+        // so a tiny solve that never reaches a batch boundary reads the
+        // clock only for its start and its elapsed time; a stop instant
+        // passing since is seen at the first batch boundary.
         let settled = seed.is_some() && upper <= lower;
-        if settled || self.config.abort.should_stop() {
+        if settled || stop_at.is_some_and(|at| at <= started) {
             stats.elapsed = started.elapsed();
             stats.complete = settled;
             return Ok(match seed {
@@ -472,17 +462,17 @@ impl Solver {
         }
 
         let flat = FlatInstance::build(instance, &windows);
-        let mut ctx = SearchContext::new(&flat, &self.config, deadline, upper, lower, started);
+        let mut ctx = SearchContext::new(&flat, &self.config, deadline, upper, lower, stop_at);
         ctx.stats = stats;
         if let Some(solution) = &seed {
             ctx.best_makespan = Some(solution.makespan());
             ctx.best_starts.copy_from_slice(solution.starts());
         }
 
-        let threads = resolve_threads(self.config.threads);
+        let threads = self.config.threads;
         let complete = if threads > 1 {
             let probe_started = Instant::now();
-            let probed = self.warmstart_probe(&mut ctx, started);
+            let probed = self.warmstart_probe(&mut ctx);
             ctx.stats.warmstart_micros += probe_started.elapsed().as_micros() as u64;
             match probed {
                 // Small instance: the bounded serial probe settled it without
@@ -877,8 +867,10 @@ mod tests {
     #[test]
     fn pre_cancelled_solve_returns_without_branching() {
         let inst = v_shape(3, 4, 2, None);
-        let config = SolverConfig::default();
-        config.abort.cancel.cancel();
+        let config = SolverConfig {
+            deadline: Some(Instant::now()),
+            ..SolverConfig::default()
+        };
         let outcome = Solver::new(config).minimize(&inst).unwrap();
         // The greedy seed still yields a feasible schedule, but nothing is
         // proved and (almost) no nodes are expanded.
@@ -890,15 +882,45 @@ mod tests {
     }
 
     #[test]
+    fn the_stop_instant_is_the_earlier_of_time_limit_and_deadline() {
+        let started = Instant::now();
+        let (soon, late) = (Duration::from_secs(1), Duration::from_secs(3600));
+        let limited = |time_limit, deadline| SolverConfig {
+            time_limit,
+            deadline,
+            ..SolverConfig::default()
+        };
+        assert_eq!(limited(None, None).stop_at(started), None);
+        assert_eq!(
+            limited(Some(soon), None).stop_at(started),
+            Some(started + soon)
+        );
+        assert_eq!(
+            limited(None, Some(started + late)).stop_at(started),
+            Some(started + late)
+        );
+        assert_eq!(
+            limited(Some(late), Some(started + soon)).stop_at(started),
+            Some(started + soon)
+        );
+        assert_eq!(
+            limited(Some(soon), Some(started + late)).stop_at(started),
+            Some(started + soon)
+        );
+        assert!(expired(Some(started)));
+        assert!(!expired(Some(started + late)));
+        assert!(!expired(None));
+    }
+
+    #[test]
     fn expired_deadline_stops_the_search_cooperatively() {
-        use crate::cancel::Abort;
-        // A large instance with an immediately-expired deadline: the abort is
+        // A large instance with an immediately-expired deadline: the stop is
         // observed at the first batch boundary, long before exhaustion.
         let inst = v_shape(4, 6, 2, None);
         let config = SolverConfig {
             max_nodes: u64::MAX,
             time_limit: None,
-            abort: Abort::at(Instant::now()),
+            deadline: Some(Instant::now()),
             ..SolverConfig::default()
         };
         let outcome = Solver::new(config).minimize(&inst).unwrap();
@@ -907,14 +929,13 @@ mod tests {
 
     #[test]
     fn parallel_workers_observe_cancellation() {
-        use crate::cancel::Abort;
         let inst = v_shape(4, 6, 2, None);
         let config = SolverConfig {
             max_nodes: u64::MAX,
             time_limit: None,
             threads: 3,
             serial_warmstart_nodes: 0,
-            abort: Abort::at(Instant::now()),
+            deadline: Some(Instant::now()),
             ..SolverConfig::default()
         };
         let outcome = Solver::new(config).minimize(&inst).unwrap();
@@ -923,7 +944,6 @@ mod tests {
 
     #[test]
     fn deadline_interrupts_stolen_subtrees_promptly() {
-        use crate::cancel::Abort;
         // A 4-thread search on an instance whose full exploration takes far
         // longer than the deadline: work has been stolen and spread across
         // workers by the time the deadline fires, and every worker — busy in
@@ -936,7 +956,7 @@ mod tests {
             time_limit: None,
             threads: 4,
             serial_warmstart_nodes: 0,
-            abort: Abort::at(Instant::now() + Duration::from_millis(50)),
+            deadline: Some(Instant::now() + Duration::from_millis(50)),
             ..SolverConfig::default()
         };
         let started = Instant::now();
@@ -951,21 +971,6 @@ mod tests {
         if let Some(sol) = outcome.solution() {
             sol.validate(&inst).unwrap();
         }
-    }
-
-    #[test]
-    fn config_equality_ignores_abort_handles() {
-        let a = SolverConfig::default();
-        let b = SolverConfig::default();
-        assert_eq!(a, b);
-        b.abort.cancel.cancel();
-        assert_eq!(a, b);
-        let c = SolverConfig::default().with_progress(ProgressBoard::new());
-        assert_eq!(a, c);
-        assert_ne!(
-            a,
-            SolverConfig::default().with_serial_warmstart(a.serial_warmstart_nodes + 1)
-        );
     }
 
     #[test]
@@ -1193,12 +1198,12 @@ mod tests {
     }
 
     #[test]
-    fn zero_threads_resolves_to_available_parallelism() {
+    fn zero_threads_solve_serially() {
         let config = SolverConfig::default().with_threads(0);
-        assert!(resolve_threads(config.threads) >= 1);
-        assert_eq!(resolve_threads(3), 3);
         let inst = v_shape(2, 2, 2, None);
         let outcome = Solver::new(config).minimize(&inst).unwrap();
         assert!(outcome.is_optimal());
+        assert_eq!(outcome.stats().warmstart_micros, 0);
+        assert_eq!(outcome.stats().steals, 0);
     }
 }

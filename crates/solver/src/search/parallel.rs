@@ -22,10 +22,11 @@
 //!   lock is free, so load balances far below the root even when the root
 //!   frontier is narrow or lopsided.
 //!
-//! Cooperative cancellation and deadlines are preserved in stolen subtrees —
-//! the DFS checks them at its usual node-batch boundaries regardless of how
-//! the subtree reached the worker — and *idle* workers waiting for stealable
-//! work check them too, so an abort never waits on a straggler.
+//! The solve's stop instant (its time limit or deadline) holds in stolen
+//! subtrees — the DFS checks it at its usual node-batch boundaries
+//! regardless of how the subtree reached the worker — and *idle* workers
+//! waiting for stealable work check it too, so a stop never waits on a
+//! straggler.
 //!
 //! Every thread count proves the same optimal makespan: the search is exact
 //! (each subtree is explored once, by whichever worker dequeues it, against
@@ -79,7 +80,7 @@ pub(super) struct SharedSearch {
     /// Set when the whole search should stop successfully (satisfiability
     /// deadline met).
     pub(super) stop: AtomicBool,
-    /// Set when a node/time budget or an external abort fired; stops busy
+    /// Set when the node budget ran out or the stop instant passed; stops busy
     /// and idle workers alike and marks the solve incomplete.
     pub(super) limit_stop: AtomicBool,
     /// Subtree tasks created but not yet fully processed. Zero means no work
@@ -105,8 +106,8 @@ struct WorkerResult {
 
 /// Runs the work-stealing search over the root frontier of `ctx` with
 /// `threads` workers. Returns `true` if the search completed (proved
-/// optimal/infeasible or satisfied its deadline), `false` if a limit or an
-/// abort stopped it first.
+/// optimal/infeasible or satisfied its deadline), `false` if a limit stopped
+/// it first.
 pub(super) fn run_parallel(ctx: &mut SearchContext<'_>, threads: usize) -> bool {
     // The root node mirrors the first iteration of `dfs`; the solve's last
     // flush publishes it.
@@ -184,18 +185,12 @@ pub(super) fn run_parallel(ctx: &mut SearchContext<'_>, threads: usize) -> bool 
                             if shared.outstanding.0.load(Ordering::Acquire) == 0 {
                                 break;
                             }
-                            // Cooperative cancellation reaches idle workers
-                            // too: an expired deadline must not wait for the
-                            // last busy worker to notice it first.
-                            if worker.config.abort.should_stop() {
+                            // The stop instant reaches idle workers too: an
+                            // expired deadline must not wait for the last
+                            // busy worker to notice it first.
+                            if super::expired(worker.stop_at) {
                                 shared.limit_stop.store(true, Ordering::Relaxed);
                                 break;
-                            }
-                            if let Some(limit) = worker.config.time_limit {
-                                if worker.started.elapsed() > limit {
-                                    shared.limit_stop.store(true, Ordering::Relaxed);
-                                    break;
-                                }
                             }
                             idle_spins += 1;
                             if idle_spins > 64 {

@@ -38,9 +38,8 @@ use tessel::service::answer::Answer;
 use tessel::service::wire::{
     CacheEntryInfo, CacheExchange, ClusterStatusResponse, DebugRequestsResponse, ErrorBody,
     FlightRecordInfo, InflightInfo, InflightResponse, InspectResponse, LogLevelBody, OwnerInfo,
-    PeerStatusInfo, ReplicationAck, SearchRequest, SearchResponse, SeriesWindowInfo,
-    StageTimingInfo, StreamEvent, TimeseriesResponse, TraceAssemblyResponse, TraceSpanInfo,
-    WireSearchEntry,
+    PeerStatusInfo, ReplicationAck, SearchRequest, SearchResponse, SeriesWindow, StageTimingInfo,
+    StreamEvent, TimeSeriesWindow, TraceAssemblyResponse, TraceSpanInfo, WireSearchEntry,
 };
 use tessel::service::{
     http_call_streaming, CacheConfig, CacheJournal, CachedSearch, HttpClient, HttpServer,
@@ -390,7 +389,7 @@ fn every_wire_type_round_trips(mutants: usize) {
         },
         mutants
     );
-    let series = SeriesWindowInfo {
+    let series = SeriesWindow {
         name: "requests_per_s".into(),
         samples: vec![0.0, 6976.25, 1e15, 1.5e-7],
         last: 1.5e-7,
@@ -400,10 +399,10 @@ fn every_wire_type_round_trips(mutants: usize) {
         p50: 6976.25,
         p95: 1e15,
     };
-    assert_codec!(SeriesWindowInfo, series, mutants);
+    assert_codec!(SeriesWindow, series, mutants);
     assert_codec!(
-        TimeseriesResponse,
-        TimeseriesResponse {
+        TimeSeriesWindow,
+        TimeSeriesWindow {
             interval_ms: 1000,
             ticks: 4,
             latest_unix_ms: 1_790_000_000_000,
