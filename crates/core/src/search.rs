@@ -947,13 +947,33 @@ mod tests {
     }
 
     #[test]
-    fn a_passed_deadline_times_out_cleanly() {
-        // The deadline is an instant, not a budget: one that passed before
-        // the configuration reached the run stops it all the same.
+    fn zero_time_budget_times_out_cleanly() {
+        // A zero budget is a deadline of the instant the configuration is
+        // made; it has passed by the time the run starts.
         let p = v_shape(2, 1, 2, Some(3));
-        let config = SearchConfig::default().with_deadline(Some(Instant::now()));
+        let config = SearchConfig::default().with_deadline(Some(Instant::now() + Duration::ZERO));
         let err = TesselSearch::new(config).run(&p).unwrap_err();
         assert!(matches!(err, CoreError::DeadlineExceeded), "{err:?}");
+    }
+
+    #[test]
+    fn cancelled_token_aborts_the_search() {
+        // A request given up on before its run starts reaches the search as
+        // a deadline that passed some time ago. The run answers a deadline
+        // error, and no solver it makes expands a node.
+        let p = v_shape(2, 1, 2, Some(3));
+        let board = ProgressBoard::new();
+        let given_up = Instant::now()
+            .checked_sub(Duration::from_secs(1))
+            .unwrap_or_else(Instant::now);
+        let config = SearchConfig {
+            progress: Some(board.clone()),
+            ..SearchConfig::default().with_deadline(Some(given_up))
+        };
+        let err = TesselSearch::new(config).run(&p).unwrap_err();
+        assert!(matches!(err, CoreError::DeadlineExceeded), "{err:?}");
+        assert_eq!(board.snapshot().nodes, 0);
+        assert_eq!(board.totals(), SolverTotals::default());
     }
 
     #[test]
