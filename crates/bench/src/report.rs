@@ -312,16 +312,14 @@ pub struct AnytimeStreamingRow {
     pub incumbents: u64,
     /// The `solve` stage of the request's flight record, ms.
     pub solve_ms: f64,
-    /// An upper bound on the first incumbent's offset into the solve, ms:
-    /// the first incumbent event's server-side `elapsed_ms`, plus the
-    /// `resolution_ms` it was truncated by, less the stages the flight
-    /// record puts before `solve` (after the worker took the request on).
-    /// The true offset lies within `resolution_ms` below it.
-    pub first_incumbent_solve_ms_max: f64,
-    /// `first_incumbent_solve_ms_max / solve_ms`: an upper bound too.
-    pub first_incumbent_fraction_max: f64,
-    /// The resolution of an incumbent event's `elapsed_ms`, ms.
-    pub resolution_ms: f64,
+    /// The first incumbent's offset into the solve, ms: the first incumbent
+    /// event's `elapsed_us` (from the request's arrival, as the flight
+    /// record's clock) less the stages the flight record puts before
+    /// `solve`. The microseconds between those stages that no stage claims
+    /// count into it.
+    pub first_incumbent_solve_ms: f64,
+    /// `first_incumbent_solve_ms / solve_ms`.
+    pub first_incumbent_fraction: f64,
     /// Client-observed ms until the first incumbent event arrived.
     pub first_incumbent_ms: f64,
     /// Client-observed ms until the terminal result event arrived.
@@ -350,8 +348,6 @@ pub fn anytime_streaming_row() -> AnytimeStreamingRow {
     const DEVICES: usize = 10;
     const MICRO_BATCHES: usize = 8;
     const MAX_REPETEND: usize = 4;
-    // An incumbent event's `elapsed_ms` is truncated to whole milliseconds.
-    const RESOLUTION_MS: f64 = 1.0;
 
     let service = ScheduleService::new(ServiceConfig::default()).expect("service");
     let server = HttpServer::serve(
@@ -374,9 +370,9 @@ pub fn anytime_streaming_row() -> AnytimeStreamingRow {
     let mut first = None;
     let mut incumbents = 0u64;
     let (status, last) = http_call_streaming(&addr, "/v1/search?stream=1", &body, |event| {
-        if let Ok(StreamEvent::Incumbent { elapsed_ms, .. }) = serde_json::from_str(event) {
+        if let Ok(StreamEvent::Incumbent { elapsed_us, .. }) = serde_json::from_str(event) {
             incumbents += 1;
-            first.get_or_insert((started.elapsed(), elapsed_ms));
+            first.get_or_insert((started.elapsed(), elapsed_us));
         }
     })
     .expect("streamed search");
@@ -402,31 +398,27 @@ pub fn anytime_streaming_row() -> AnytimeStreamingRow {
         .expect("the streamed request's flight record");
     server.shutdown();
 
-    // Stage rows are in first-recorded order; `parse` and `queue_wait`
-    // happen before the worker's clock (the events' `elapsed_ms`) starts.
+    // Stage rows are in first-recorded order, and the events' clock starts
+    // where the record's does.
     let ms = |micros: u64| micros as f64 / 1e3;
     let mut before_solve = 0;
     let mut solve = 0;
     for stage in &flight.stages {
-        match stage.name.as_str() {
-            "solve" => {
-                solve = stage.micros;
-                break;
-            }
-            "parse" | "queue_wait" => {}
-            _ => before_solve += stage.micros,
+        if stage.name == "solve" {
+            solve = stage.micros;
+            break;
         }
+        before_solve += stage.micros;
     }
-    let (first_client, first_elapsed_ms) = first.expect("at least one incumbent event");
-    let first_in_solve_max = first_elapsed_ms as f64 + RESOLUTION_MS - ms(before_solve);
+    let (first_client, first_elapsed_us) = first.expect("at least one incumbent event");
+    let first_in_solve = ms(first_elapsed_us.saturating_sub(before_solve));
     AnytimeStreamingRow {
         workload: format!("stream/{SHAPE:?}{DEVICES}-mb{MICRO_BATCHES}-nr{MAX_REPETEND}")
             .to_lowercase(),
         incumbents,
         solve_ms: ms(solve),
-        first_incumbent_solve_ms_max: first_in_solve_max,
-        first_incumbent_fraction_max: first_in_solve_max / ms(solve).max(1e-9),
-        resolution_ms: RESOLUTION_MS,
+        first_incumbent_solve_ms: first_in_solve,
+        first_incumbent_fraction: first_in_solve / ms(solve).max(1e-9),
         first_incumbent_ms: first_client.as_secs_f64() * 1e3,
         total_ms: total.as_secs_f64() * 1e3,
     }
@@ -820,12 +812,12 @@ pub fn emit_service() {
     }
     let streaming = anytime_streaming_row();
     println!(
-        "anytime_streaming {:<20} first_incumbent<{:.1}ms into a {:.1}ms solve (<{:.1}%, {} incumbents; \
+        "anytime_streaming {:<20} first_incumbent {:.3}ms into a {:.1}ms solve ({:.2}%, {} incumbents; \
          client {:.1}ms of {:.1}ms)",
         streaming.workload,
-        streaming.first_incumbent_solve_ms_max,
+        streaming.first_incumbent_solve_ms,
         streaming.solve_ms,
-        streaming.first_incumbent_fraction_max * 100.0,
+        streaming.first_incumbent_fraction * 100.0,
         streaming.incumbents,
         streaming.first_incumbent_ms,
         streaming.total_ms

@@ -118,7 +118,7 @@ impl fmt::Display for CoreError {
                 "device {device} needs {required} memory units of static state but only has {capacity}"
             ),
             CoreError::DeadlineExceeded => {
-                write!(f, "the search was cancelled or exceeded its deadline")
+                write!(f, "the search exceeded its deadline")
             }
             CoreError::Solver(e) => write!(f, "solver error: {e}"),
             CoreError::InvalidSchedule(msg) => write!(f, "composed schedule is invalid: {msg}"),

@@ -507,12 +507,13 @@ fn main() {
                 // daemon finds them; stdout stays pure final-response JSON.
                 let begun = std::time::Instant::now();
                 let outcome = http_call_streaming(&addr, "/v1/search?stream=1", &body, |event| {
-                    if let Ok(StreamEvent::Incumbent { value, elapsed_ms }) =
+                    if let Ok(StreamEvent::Incumbent { value, elapsed_us }) =
                         serde_json::from_str::<StreamEvent>(event)
                     {
                         eprintln!(
-                            "incumbent: period={value} server={elapsed_ms}ms client={}ms",
-                            begun.elapsed().as_millis()
+                            "incumbent: period={value} server={:.3}ms client={:.3}ms",
+                            elapsed_us as f64 / 1e3,
+                            begun.elapsed().as_secs_f64() * 1e3
                         );
                     }
                 });

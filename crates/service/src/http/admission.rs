@@ -26,34 +26,28 @@ pub(super) struct Job {
     pub(super) token: u64,
     pub(super) seq: u64,
     pub(super) request: ParsedRequest,
-    /// The connection closes after this job's response: the sender asked
-    /// for it, or the request streams and so owns the connection to its
-    /// end. Decided once, where the event loop stops reading the
-    /// connection, and the only `close` anything downstream consults — the
-    /// response's `Connection` header and the socket can never disagree.
+    /// The connection closes after this job's response (the sender asked,
+    /// or the request streams): decided once, by the event loop, and the
+    /// only `close` the response's `Connection` header consults.
     pub(super) close: bool,
     /// Microseconds the final (completing) parse pass took; the `parse`
     /// stage of the request's trace.
     pub(super) parse_micros: u64,
-    /// When the event loop finished parsing the request: its arrival, from
-    /// which its `deadline_ms` counts, in the admission queue and in the
-    /// search alike.
+    /// When the event loop read the bytes that completed the request: its
+    /// arrival, from which its books' clock and its `deadline_ms` count, in
+    /// the admission queue and in the search alike.
     pub(super) received: Instant,
-    /// What the event loop's probe of a search found, when the loop probed
-    /// it and the cache lookup missed: the worker finishes the search from
-    /// there.
+    /// The event loop's probe of a search that missed: the worker finishes
+    /// the search from there.
     pub(super) probed: Option<Box<Probed>>,
-    /// When the job entered the worker queue; the gap to worker pickup is
-    /// the `queue_wait` stage.
+    /// When [`AdmissionQueue::offer`] took the job (after any probe); the
+    /// gap to worker pickup is the `queue_wait` stage.
     pub(super) enqueued: Instant,
     /// Source IP, the admission queue's fairness unit.
     pub(super) client: Option<IpAddr>,
-    /// Admission priority scanned from the request body (`"priority"`);
-    /// higher pops first. Defaults to 0.
+    /// The body's `"priority"` (default 0) and `received` plus its
+    /// `"deadline_ms"`: the admission hints.
     pub(super) priority: i64,
-    /// Absolute admission deadline: `received` plus the body's
-    /// `"deadline_ms"`; earlier pops first among equal priorities, and a
-    /// later deadline is shed first under overload.
     pub(super) deadline: Option<Instant>,
 }
 
@@ -108,23 +102,16 @@ impl AdmissionState {
 
 /// What [`AdmissionQueue::offer`] did with a parsed request.
 pub(super) enum OfferOutcome {
-    /// The request is waiting for a worker. Admitting into a full queue
-    /// evicts the least valuable waiting request — lowest priority first,
-    /// then the client holding the most queue slots, then the latest
-    /// deadline (no deadline sorts latest), then the newest arrival —
-    /// returned here so the event loop can answer it with `429`.
+    /// The request is waiting for a worker; admitting into a full queue
+    /// evicts the least valuable waiting request, returned here so the
+    /// event loop can answer it with `429`.
     Admitted { shed: Option<Box<Job>> },
     /// The server is shutting down; the job was dropped unserved.
     Closed,
 }
 
 /// Deadline/priority-aware bounded admission queue between the event loop
-/// and the worker pool.
-///
-/// Pop order: fewest-served client first (round-robin fairness across
-/// source IPs), then highest priority, then earliest deadline (none sorts
-/// last), then oldest arrival. Overload sheds the least valuable waiting
-/// request (see [`OfferOutcome::Admitted`]).
+/// and the worker pool, ordered as the module header says.
 pub(super) struct AdmissionQueue {
     state: Mutex<AdmissionState>,
     available: Condvar,
@@ -147,7 +134,8 @@ impl AdmissionQueue {
         }
     }
 
-    pub(super) fn offer(&self, job: Job) -> OfferOutcome {
+    pub(super) fn offer(&self, mut job: Job) -> OfferOutcome {
+        job.enqueued = Instant::now();
         let mut state = self.state.lock().expect("admission lock");
         if state.closed {
             return OfferOutcome::Closed;

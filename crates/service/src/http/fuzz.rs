@@ -16,17 +16,17 @@
 
 use super::parse::*;
 
-struct Rng(u64);
+pub(super) struct Rng(pub(super) u64);
 
 impl Rng {
-    fn next(&mut self) -> u64 {
+    pub(super) fn next(&mut self) -> u64 {
         self.0 ^= self.0 >> 12;
         self.0 ^= self.0 << 25;
         self.0 ^= self.0 >> 27;
         self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
     }
 
-    fn below(&mut self, bound: usize) -> usize {
+    pub(super) fn below(&mut self, bound: usize) -> usize {
         (self.next() % bound as u64) as usize
     }
 
@@ -35,7 +35,7 @@ impl Rng {
     }
 }
 
-fn fuzz_seed() -> u64 {
+pub(super) fn fuzz_seed() -> u64 {
     let raw = std::env::var("TESSEL_FUZZ_SEED").ok();
     let parsed = raw
         .as_deref()

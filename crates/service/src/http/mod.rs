@@ -5,15 +5,15 @@
 //! the crate-private `sys` module. Each submodule owns one decision, stated
 //! in its header; in the order a request meets them:
 //!
-//! * `event_loop` — when bytes move and where a request is answered: one
-//!   thread owns every socket, and answers a small cache hit itself while
-//!   the pool is idle or saturated.
+//! * `loop_core` — when bytes move and where a request is answered, as
+//!   events in and actions out, with no socket or clock of its own.
+//! * `event_loop` — the syscalls around that core, on the one thread that
+//!   owns every socket.
 //! * `parse` — which bytes are an HTTP/1.1 message and where it ends, for
 //!   requests *and* responses.
 //! * `admission` — which waiting request runs next, which is shed with `429`.
 //! * `reply` — how a request's books are opened and closed around its
-//!   answer, on the loop or a worker: open (or take over) the trace, answer
-//!   single-shot or streamed (SSE), close the books, encode.
+//!   answer, on the loop or a worker, single-shot or streamed (SSE).
 //! * `route` — what a method, path and query string mean.
 //! * `client` — how a caller talks to a daemon: [`HttpClient`], [`http_call`],
 //!   [`http_call_streaming`].
@@ -57,6 +57,7 @@ mod client;
 mod event_loop;
 #[cfg(test)]
 mod fuzz;
+mod loop_core;
 pub(crate) mod parse;
 mod reply;
 pub(crate) mod route;
@@ -71,6 +72,7 @@ use crate::metrics::TransportMetrics;
 use crate::service::ScheduleService;
 use admission::AdmissionQueue;
 use event_loop::{Completions, EventLoop};
+use loop_core::LoopCore;
 use reply::Worker;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -174,14 +176,8 @@ impl HttpServer {
         let stop = Arc::new(AtomicBool::new(false));
         let transport = Arc::new(TransportMetrics::new());
         let admission = Arc::new(AdmissionQueue::new(config.queue_depth, transport.clone()));
-        let (mut event_loop, completions) = EventLoop::new(
-            listener,
-            config,
-            admission.clone(),
-            service.clone(),
-            transport.clone(),
-            stop.clone(),
-        )?;
+        let core = LoopCore::new(config, &admission, &service, &transport);
+        let (mut event_loop, completions) = EventLoop::new(listener, core, stop.clone())?;
 
         let timeseries = (config.sample_interval_ms > 0).then(|| {
             Arc::new(tessel_obs::TimeSeries::new(

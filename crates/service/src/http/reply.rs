@@ -2,36 +2,23 @@
 //! either thread that answers.
 //!
 //! This module owns one decision: *how a request's books are opened and
-//! closed around its answer*. Every answer gets the same prologue (the books
-//! opened with the trace ID, request line and peer, and the `parse` stage;
-//! on a worker, also the `queue_wait` stage) and the same epilogue (the
-//! books closed to a flight record, completion logged, the terminal
-//! [`Completion`] built with the record) from one [`Reply`] value, through
-//! the same open and close the in-process [`ScheduleService`] calls use.
-//! Two threads answer:
-//!
-//! * the event loop, through [`answer_on_loop`]: a plain `POST /v1/search`
-//!   the loop decided to take itself is probed (decode, validate,
-//!   canonicalize, cache lookup); a hit is translated and serialized on the
-//!   spot, its completion going straight into the connection's write path,
-//!   and a miss is handed to the pool with its books and probe in the
-//!   [`Job`];
-//! * a [`Worker`], for everything else: it takes over a handed-over miss's
-//!   books and finishes the search, or probes and answers a search itself,
-//!   or answers one [`route`]d [`Response`]. A search with `?stream=1` is
-//!   answered as the chunked `text/event-stream`, whose incumbent frames
-//!   are *droppable* under backpressure while the terminal frame never is;
-//!   a worker's completions reach the loop through [`Completions`].
-//!
-//! Every search, on either thread, is probed the same way
-//! ([`probe_search`]): its deadline and latency count from the instant the
-//! event loop received it.
-//!
-//! Encoding lives here too, for the event loop's own `400` answers and the
-//! `429` of a shed job ([`shed`]), which closes a probed search's books.
+//! closed around its answer*. One [`Reply`] value gives every answer the
+//! same prologue (books opened at the instant the event loop received the
+//! request, with its trace ID, request line, peer and `parse` stage; on a
+//! worker, also `queue_wait`) and epilogue (books closed to a flight record,
+//! completion logged, the terminal [`Completion`] built with the record).
+//! The event loop answers through [`answer_on_loop`], which probes a search
+//! and answers a hit or hands a miss on with its books and probe in the
+//! [`Job`], and through [`shed`]'s `429`; a [`Worker`] answers everything
+//! else — a handed-over miss, any other search, streamed or not (incumbent
+//! frames are *droppable* under backpressure, the terminal frame never is),
+//! or one [`route`]d [`Response`] — and reaches the loop through
+//! [`Completions`]. Every search is probed the same way ([`probe_search`]),
+//! so its deadline counts from its arrival on either thread.
 
 use super::admission::{AdmissionQueue, Job, Probed};
-use super::event_loop::{Completion, Completions, PendingFlight};
+use super::event_loop::Completions;
+use super::loop_core::{Completion, PendingFlight};
 use super::route::{
     decode_search, error_response, is_search, render_json, route, search_response,
     stream_requested, Response,
@@ -46,9 +33,8 @@ use std::time::Instant;
 use tessel_obs::{TimeSeries, TraceId};
 
 /// Answers `job`, a plain `POST /v1/search`, on the event loop when its
-/// probe leaves nothing that could block: a cache hit, or a request the
-/// probe refuses (a body that does not decode, an invalid placement). Hands
-/// the job back, carrying its books and probe, when the lookup missed.
+/// probe leaves nothing that could block (a hit, or a refusal); hands a miss
+/// back carrying its books and probe.
 pub(super) fn answer_on_loop(
     service: &Arc<ScheduleService>,
     job: Job,
@@ -65,19 +51,17 @@ pub(super) fn answer_on_loop(
     Ok(reply.single_shot(&response))
 }
 
-/// The first half of every search, on the loop or a worker: decodes the
-/// body and probes the request from the instant the loop received it.
-/// `Err` is the `400` of a body that does not decode.
+/// The first half of every search, on either thread: decode, then probe
+/// from the request's arrival. `Err` is the `400` of an undecodable body.
 fn probe_search(service: &ScheduleService, job: &Job) -> Result<(SearchRequest, Probe), Response> {
     let request = decode_search(&job.request.body)?;
     let probe = service.probe(&request, job.received);
     Ok((request, probe))
 }
 
-/// Answers `victim`, a waiting job the admission queue shed, with `429` on
-/// the event loop. A search the loop probed still has its books open: they
-/// close here with the `429`, so the request keeps its flight record and,
-/// counted as a request at its probe, ends counted as a failure.
+/// Answers `victim`, a job the admission queue shed, with `429`. A probed
+/// search's books close with it, so the request keeps its flight record and
+/// ends counted as a failure.
 pub(super) fn shed(service: &Arc<ScheduleService>, mut victim: Job) -> Completion {
     let response = error_response(
         429,
@@ -102,8 +86,7 @@ pub(super) struct Worker {
 }
 
 impl Worker {
-    /// Answers jobs until `pop` returns `None`: queue closed and drained,
-    /// i.e. shutdown.
+    /// Answers jobs until the admission queue closes and drains (shutdown).
     pub(super) fn run(&self, admission: &AdmissionQueue) {
         while let Some(job) = admission.pop() {
             let done = self.answer(job);
@@ -112,7 +95,7 @@ impl Worker {
     }
 
     /// Answers one job; returns its terminal completion.
-    fn answer(&self, job: Job) -> Completion {
+    pub(super) fn answer(&self, job: Job) -> Completion {
         let (reply, probed) = Reply::popped(&self.service, job);
         let (request, probe) = match probed {
             Some(probed) => probed,
@@ -148,15 +131,14 @@ impl Worker {
 struct Reply<'s> {
     service: &'s Arc<ScheduleService>,
     job: Job,
-    started: Instant,
     /// The request's books: it shows up on `GET /v1/debug/inflight` (with
     /// its solver progress board) until they close.
     books: RequestBooks<'s>,
 }
 
 impl<'s> Reply<'s> {
-    /// The prologue: opens the request's books on this thread and records
-    /// the `parse` stage.
+    /// The prologue: opens the request's books on this thread, from the
+    /// instant the event loop received it, and records the `parse` stage.
     fn open(service: &'s Arc<ScheduleService>, job: Job) -> Self {
         // A valid inbound trace ID joins the request to the originating
         // trace (cluster-internal calls); anything else — absent, malformed,
@@ -168,12 +150,12 @@ impl<'s> Reply<'s> {
             &job.request.method,
             &job.request.path,
             job.client.map(|ip| ip.to_string()),
+            job.received,
         );
         inflight::record_stage(Stage::Parse, job.parse_micros);
         Reply {
             service,
             job,
-            started: Instant::now(),
             books,
         }
     }
@@ -188,15 +170,9 @@ impl<'s> Reply<'s> {
         let queue_wait = job.enqueued.elapsed().as_micros() as u64;
         let (reply, probed) = match job.probed.take() {
             Some(probed) => {
-                let Probed {
-                    books,
-                    request,
-                    probe,
-                } = *probed;
-                (
-                    Reply::take_over(service, job, books),
-                    Some((request, probe)),
-                )
+                let probed = *probed;
+                let reply = Reply::take_over(service, job, probed.books);
+                (reply, Some((probed.request, probed.probe)))
             }
             None => (Reply::open(service, job), None),
         };
@@ -206,11 +182,11 @@ impl<'s> Reply<'s> {
 
     /// Puts the books the event loop handed over with `job` on this thread.
     fn take_over(service: &'s Arc<ScheduleService>, job: Job, books: HandedBooks) -> Self {
+        let books = service.take_over_request(books);
         Reply {
             service,
             job,
-            started: Instant::now(),
-            books: service.take_over_request(books),
+            books,
         }
     }
 
@@ -249,21 +225,18 @@ impl<'s> Reply<'s> {
         })
     }
 
-    /// Answers `POST /v1/search?stream=1`, probed as `probe`: sends a
-    /// chunked SSE head immediately, resumes the search on these books while
-    /// their progress board pushes a (droppable) `incumbent` event for every
-    /// period that improves the search's answer, and terminates the stream
-    /// with a `result` (or `error`) event followed by the last-chunk. The
-    /// periods strictly decrease and the last is the result's; a cache hit
-    /// or a coalesced follower runs no search and sends none. Streaming
-    /// responses always close the connection (`job.close` is set for them).
+    /// Answers `POST /v1/search?stream=1`, probed as `probe`: a chunked SSE
+    /// head at once, a droppable `incumbent` event for every period that
+    /// improves the resumed search's answer (its progress board's listener),
+    /// then a `result` (or `error`) event and the last-chunk. A hit or a
+    /// coalesced follower sends no incumbent. The connection then closes.
     fn streamed(
         self,
         search_request: &SearchRequest,
         probe: Probe,
         completions: &Arc<Completions>,
     ) -> Completion {
-        let (token, seq, started) = (self.job.token, self.job.seq, self.started);
+        let (token, seq, received) = (self.job.token, self.job.seq, self.job.received);
         let head = format!(
             "HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\nTransfer-Encoding: chunked\r\nConnection: close\r\nX-Tessel-Trace-Id: {}\r\n\r\n",
             self.books.trace_id().as_str()
@@ -274,7 +247,7 @@ impl<'s> Reply<'s> {
             board.listen(move |value| {
                 let event = StreamEvent::Incumbent {
                     value,
-                    elapsed_ms: started.elapsed().as_millis() as u64,
+                    elapsed_us: received.elapsed().as_micros() as u64,
                 };
                 let frame = encode_stream_chunk(&event);
                 completions.push(Completion::fragment(token, seq, frame, true));
@@ -300,12 +273,11 @@ impl<'s> Reply<'s> {
         self.finish(status, "streamed request completed", |_stages| bytes)
     }
 
-    /// The epilogue: closes the books — so the request has left
-    /// `GET /v1/debug/inflight` before its completion is delivered — logs
-    /// the completion line, and returns the terminal completion with the
-    /// flight record, which the event loop finalizes once the response's
-    /// write pass has run. `encode` renders the terminal bytes from the
-    /// closed stages; the `write` stage starts once it has.
+    /// The epilogue: closes the books (the request leaves
+    /// `GET /v1/debug/inflight` before its completion is delivered), logs
+    /// the completion line and returns the terminal completion carrying the
+    /// flight record. `encode` renders the bytes from the closed stages; the
+    /// `write` stage starts once it has.
     fn finish(
         self,
         status: u16,
@@ -332,11 +304,8 @@ impl<'s> Reply<'s> {
         }
         let bytes = encode(&record.stages);
         let mut done = Completion::full(self.job.token, self.job.seq, bytes, self.job.close);
-        done.flight = Some(Box::new(PendingFlight {
-            service: self.service.clone(),
-            record,
-            created: Instant::now(),
-        }));
+        let created = Instant::now();
+        done.flight = Some(Box::new(PendingFlight { record, created }));
         done
     }
 }

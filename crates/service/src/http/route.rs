@@ -270,7 +270,8 @@ fn fingerprint_after(path: &str, prefix: &str) -> Result<Fingerprint, Response> 
 /// Decodes a JSON request body as the `decode` stage of the request's trace,
 /// or answers `400` "`what`: the decoder's complaint".
 fn decode<T: serde::Deserialize>(body: &str, what: &str) -> Result<T, Response> {
-    decode_json(body).map_err(|e| bad_request(&format!("{what}: {e}")))
+    inflight::stage(Stage::Decode, || serde_json::from_str(body))
+        .map_err(|e| bad_request(&format!("{what}: {e}")))
 }
 
 fn bad_request(message: &str) -> Response {
@@ -296,11 +297,6 @@ fn json_response<T: Serialize>(status: u16, value: &T) -> Response {
         content_type: "application/json",
         body: render_json(value),
     }
-}
-
-/// Decodes a JSON request body as the `decode` stage of the request's trace.
-pub(super) fn decode_json<T: serde::Deserialize>(body: &str) -> serde_json::Result<T> {
-    inflight::stage(Stage::Decode, || serde_json::from_str(body))
 }
 
 pub(super) fn render_json<T: Serialize>(value: &T) -> String {

@@ -299,7 +299,7 @@ fn json_integer_scan_finds_admission_hints() {
 fn stream_chunks_are_well_formed_sse_frames() {
     let event = StreamEvent::Incumbent {
         value: 42,
-        elapsed_ms: 7,
+        elapsed_us: 7_250,
     };
     let chunk = encode_stream_chunk(&event);
     let text = String::from_utf8(chunk).unwrap();
@@ -312,6 +312,7 @@ fn stream_chunks_are_well_formed_sse_frames() {
     assert!(payload.ends_with("\n\n"));
     assert!(payload.contains("\"event\":\"incumbent\""));
     assert!(payload.contains("\"value\":42"));
+    assert!(payload.contains("\"elapsed_us\":7250"));
 }
 
 fn admission_job(client: Option<IpAddr>, priority: i64, deadline: Option<Instant>) -> Job {

@@ -6,8 +6,11 @@
 //! in-process [`crate::service::ScheduleService`] calls share them:
 //!
 //! * [`InflightRegistry::open`] registers the request — trace ID, method,
-//!   path, peer and start — and makes it the calling thread's open request.
-//!   A thread keeps one request's books at a time.
+//!   path, peer and arrival — and makes it the calling thread's open
+//!   request. A thread keeps one request's books at a time. The books' clock
+//!   starts at the arrival the caller passes in, not at the open, so stages
+//!   timed before the open (the transport's `parse` and `queue_wait`) fall
+//!   inside the request's total.
 //! * [`stage`] times one [`Stage`] of the open request and makes it the
 //!   request's live stage ([`record_stage`] adds a duration measured
 //!   elsewhere without touching the live stage).
@@ -193,8 +196,9 @@ pub struct InflightRegistry {
 
 impl InflightRegistry {
     /// Opens one request's books on the calling thread: registers it under
-    /// `trace_id` (a fresh ID when `None`), starts its clock and opens its
-    /// trace context. The thread must have no other request open.
+    /// `trace_id` (a fresh ID when `None`), starts its clock at `arrived`
+    /// and opens its trace context. The thread must have no other request
+    /// open.
     pub fn open<'a>(
         &'a self,
         metrics: &'a ServiceMetrics,
@@ -202,15 +206,17 @@ impl InflightRegistry {
         method: &str,
         path: &str,
         peer: Option<String>,
+        arrived: Instant,
     ) -> RequestBooks<'a> {
         let trace_id = trace_id.unwrap_or_else(TraceId::generate);
+        let since_arrival = arrived.elapsed().as_millis() as u64;
         let entry = Arc::new(InflightEntry {
             trace_id,
             method: method.to_string(),
             path: path.to_string(),
             peer,
-            started: Instant::now(),
-            start_unix_ms: now_unix_ms(),
+            started: arrived,
+            start_unix_ms: now_unix_ms().saturating_sub(since_arrival),
             deadline: Mutex::new(None),
             stage: AtomicU8::new(0),
             board: ProgressBoard::new(),
@@ -365,10 +371,17 @@ impl Drop for RequestBooks<'_> {
 /// Still runs `f`, untimed in effect, when no request is open.
 pub fn stage<R>(stage: Stage, f: impl FnOnce() -> R) -> R {
     with_current(|entry| entry.stage.store(stage as u8 + 1, Ordering::Relaxed));
+    let (result, micros) = timed(f);
+    record_stage(stage, micros);
+    result
+}
+
+/// Runs `f` and returns its result with the microseconds it took: how a
+/// stage is timed before any books are open (the transport's `parse`).
+pub fn timed<R>(f: impl FnOnce() -> R) -> (R, u64) {
     let started = Instant::now();
     let result = f();
-    record_stage(stage, started.elapsed().as_micros() as u64);
-    result
+    (result, started.elapsed().as_micros() as u64)
 }
 
 /// Adds `micros` to stage `stage` of the calling thread's open request,
@@ -409,6 +422,7 @@ mod tests {
                 "POST",
                 "/v1/search",
                 Some("127.0.0.1:5000".into()),
+                Instant::now(),
             );
             assert_eq!(registry.snapshot().inflight.len(), 1);
             let snap = registry.snapshot();
@@ -433,7 +447,14 @@ mod tests {
     fn stage_deadline_and_progress_flow_into_the_snapshot() {
         let registry = InflightRegistry::default();
         let metrics = ServiceMetrics::new();
-        let _books = registry.open(&metrics, trace('b'), "CALL", "/v1/search", None);
+        let _books = registry.open(
+            &metrics,
+            trace('b'),
+            "CALL",
+            "/v1/search",
+            None,
+            Instant::now(),
+        );
         stage(Stage::Solve, || {
             with_current(|entry| {
                 entry.set_deadline(Some(Instant::now() + std::time::Duration::from_secs(3600)));
@@ -465,7 +486,14 @@ mod tests {
     fn handed_over_books_keep_their_stages_and_key_on_another_thread() {
         let registry = InflightRegistry::default();
         let metrics = ServiceMetrics::new();
-        let books = registry.open(&metrics, trace('e'), "POST", "/handed", None);
+        let books = registry.open(
+            &metrics,
+            trace('e'),
+            "POST",
+            "/handed",
+            None,
+            Instant::now(),
+        );
         record_stage(Stage::CacheLookup, 7);
         let handed = books.hand_over();
         // Off this thread and off the registry until a thread takes them.
@@ -497,10 +525,10 @@ mod tests {
         let registry = InflightRegistry::default();
         let metrics = ServiceMetrics::new();
         // Two threads: a thread keeps one request's books at a time.
-        let _a = registry.open(&metrics, trace('1'), "POST", "/a", None);
+        let _a = registry.open(&metrics, trace('1'), "POST", "/a", None, Instant::now());
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                let _b = registry.open(&metrics, trace('2'), "POST", "/b", None);
+                let _b = registry.open(&metrics, trace('2'), "POST", "/b", None, Instant::now());
                 let snap = registry.snapshot();
                 assert_eq!(snap.inflight[0].path, "/a");
                 assert_eq!(snap.inflight[1].path, "/b");
@@ -512,7 +540,7 @@ mod tests {
     fn stages_accumulate_and_merge_per_request() {
         let registry = InflightRegistry::default();
         let metrics = ServiceMetrics::new();
-        let books = registry.open(&metrics, None, "CALL", "/v1/search", None);
+        let books = registry.open(&metrics, None, "CALL", "/v1/search", None, Instant::now());
         let trace_id = books.trace_id();
         assert_eq!(tessel_obs::current_trace_id(), Some(trace_id));
         record_stage(Stage::CacheLookup, 10);

@@ -9,8 +9,8 @@
 //!   requested placement (via [`tessel_core::fingerprint`]), consults a
 //!   sharded LRU result cache keyed by the canonical fingerprint, coalesces
 //!   identical concurrent requests onto one in-flight search
-//!   (*single-flight*), and enforces per-request deadlines through the
-//!   solver's cooperative cancellation.
+//!   (*single-flight*), and enforces per-request deadlines: one `Instant`,
+//!   counted from the request's arrival, that every solve stops at.
 //! * [`answer`] — the one translation of a cached (canonical-labeled) entry
 //!   into a request's labeling, written straight into an HTTP body or
 //!   materialised as a [`wire::SearchResponse`].
@@ -21,11 +21,13 @@
 //!   rendered in Prometheus text format for `/metrics`.
 //! * [`http`] — a readiness-based HTTP/1.1 transport over nonblocking
 //!   `std::net` sockets, one submodule per decision: `parse` (the message
-//!   grammar and its size limits, shared by server and client), `event_loop`
-//!   (one epoll-driven thread multiplexing every connection), `admission`
-//!   (the pop/shed policy in front of the bounded worker pool), `reply` (what
-//!   a worker does with one job), `route` (URL → handler → response) and
-//!   `client` (the keep-alive [`HttpClient`] behind `tessel-client`, the
+//!   grammar and its size limits, shared by server and client), `loop_core`
+//!   (the event loop's decisions as events in, actions out, with no socket
+//!   or clock), `event_loop` (the one epoll-driven thread that does its
+//!   syscalls), `admission` (the pop/shed policy in front of the bounded
+//!   worker pool), `reply` (how a request's books open and close around its
+//!   answer, on the loop or a worker), `route` (URL → handler → response)
+//!   and `client` (the keep-alive [`HttpClient`] behind `tessel-client`, the
 //!   cluster tier and the end-to-end tests).
 //! * [`cluster`] — the consistent-hash cache sharding tier: a fleet of
 //!   daemons (static `--node-id`/`--peer` membership) shares one logical

@@ -442,8 +442,9 @@ impl ScheduleService {
         // books and its close yields the flight record. (The HTTP transport
         // opens the books itself, with the client's or a freshly minted
         // trace ID and the peer, and calls `probe` and `resume` directly.)
-        let books = self.open_request(None, "CALL", "/v1/search", None);
-        let probe = self.probe(request, Instant::now());
+        let arrived = Instant::now();
+        let books = self.open_request(None, "CALL", "/v1/search", None, arrived);
+        let probe = self.probe(request, arrived);
         let result = self.resume(request, probe);
         let status = result
             .as_ref()
@@ -864,21 +865,23 @@ impl ScheduleService {
 
     /// Opens one request's books on the calling thread (see
     /// [`crate::inflight`]): registers it on the live in-flight registry
-    /// under `trace_id` (a fresh ID when `None`) and opens its trace
-    /// context. The HTTP transport opens every request on the thread that
-    /// takes it on — the event loop for a search it probes, a worker right
-    /// after popping any other job off the admission queue — and
-    /// [`ScheduleService::answer`] opens each in-process call. A thread
-    /// keeps one request's books at a time.
+    /// under `trace_id` (a fresh ID when `None`), its clock counting from
+    /// `arrived`, and opens its trace context. The HTTP transport opens
+    /// every request on the thread that takes it on — the event loop for a
+    /// search it probes, a worker right after popping any other job off the
+    /// admission queue — from the instant the loop received it, and
+    /// [`ScheduleService::answer`] opens each in-process call from the
+    /// instant of the call. A thread keeps one request's books at a time.
     pub fn open_request(
         &self,
         trace_id: Option<tessel_obs::TraceId>,
         method: &str,
         path: &str,
         peer: Option<String>,
+        arrived: Instant,
     ) -> RequestBooks<'_> {
         self.inflight
-            .open(&self.metrics, trace_id, method, path, peer)
+            .open(&self.metrics, trace_id, method, path, peer, arrived)
     }
 
     /// Puts a request's books, handed over by the thread that opened them,

@@ -99,8 +99,9 @@ pub enum StreamEvent {
         /// The improving repetend's period: what the search would return if
         /// it stopped now.
         value: u64,
-        /// Milliseconds since a worker took the request on.
-        elapsed_ms: u64,
+        /// Microseconds since the request arrived: since the daemon's event
+        /// loop read the bytes that completed it.
+        elapsed_us: u64,
     },
     /// Terminal: the completed search response.
     Result(SearchResponse),
@@ -120,10 +121,10 @@ impl Serialize for StreamEvent {
     fn write_json(&self, writer: &mut Writer<'_>) {
         let mut map = writer.map();
         match self {
-            StreamEvent::Incumbent { value, elapsed_ms } => {
+            StreamEvent::Incumbent { value, elapsed_us } => {
                 map.key("\"event\":").str("incumbent");
                 map.key("\"value\":").u64(*value);
-                map.key("\"elapsed_ms\":").u64(*elapsed_ms);
+                map.key("\"elapsed_us\":").u64(*elapsed_us);
             }
             StreamEvent::Result(response) => {
                 map.key("\"event\":").str("result");
@@ -146,7 +147,7 @@ impl Deserialize for StreamEvent {
         // as text) now, and read as its type once the tag is known. Keys the
         // tag does not ask for are never read as anything.
         let mut raw: [Option<&str>; 6] = [None; 6];
-        const KEYS: [&str; 6] = ["event", "value", "elapsed_ms", "response", "status", "body"];
+        const KEYS: [&str; 6] = ["event", "value", "elapsed_us", "response", "status", "body"];
         let mut entries = reader.map()?;
         while let Some(key) = entries.key()? {
             let text = entries.value().skip()?;
@@ -158,11 +159,11 @@ impl Deserialize for StreamEvent {
             let text = raw.ok_or_else(|| SerdeError::custom(format!("missing field `{name}`")))?;
             T::deserialize(&mut Reader::new(text))
         }
-        let [event, value, elapsed_ms, response, status, body] = raw;
+        let [event, value, elapsed_us, response, status, body] = raw;
         match read::<String>(event, "event")?.as_str() {
             "incumbent" => Ok(StreamEvent::Incumbent {
                 value: read(value, "value")?,
-                elapsed_ms: read(elapsed_ms, "elapsed_ms")?,
+                elapsed_us: read(elapsed_us, "elapsed_us")?,
             }),
             "result" => Ok(StreamEvent::Result(read(response, "response")?)),
             "error" => Ok(StreamEvent::Error {
@@ -569,7 +570,7 @@ mod tests {
     fn stream_events_round_trip() {
         let incumbent = StreamEvent::Incumbent {
             value: 17,
-            elapsed_ms: 4,
+            elapsed_us: 4_321,
         };
         let json = serde_json::to_string(&incumbent).unwrap();
         assert!(

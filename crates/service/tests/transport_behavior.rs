@@ -1336,3 +1336,48 @@ fn a_streamed_search_leaves_one_flight_record() {
     }
     server.shutdown();
 }
+
+/// A request a worker opens counts its books from its arrival: a
+/// `GET /v1/cache` that queues behind a solve holding the only worker ends
+/// with a flight record whose total covers every stage, its `queue_wait`
+/// included.
+#[test]
+fn a_queued_request_records_a_total_that_covers_its_stages() {
+    let (server, service, addr) = with_workers(1);
+    let mut slow = connect(&addr);
+    slow.write_all(&post_search_bytes(&occupier_body_for(800)))
+        .unwrap();
+    wait_until_solving(&service);
+
+    let mut listing = connect(&addr);
+    listing
+        .write_all(b"GET /v1/cache HTTP/1.1\r\nHost: test\r\n\r\n")
+        .unwrap();
+    let (status, head, body) = read_one_response_with_head(&mut listing);
+    assert_eq!(status, 200, "{body}");
+    let trace = head
+        .lines()
+        .find_map(|line| line.strip_prefix("X-Tessel-Trace-Id: "))
+        .expect("a trace ID")
+        .to_string();
+    let record = (0..500)
+        .find_map(|_| {
+            let recent = service.debug_requests().recent;
+            let found = recent.into_iter().find(|r| r.trace_id == trace);
+            if found.is_none() {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            found
+        })
+        .expect("the listing's flight record");
+    let stages: u64 = record.stages.iter().map(|s| s.micros).sum();
+    let queue_wait = record.stages.iter().find(|s| s.name == "queue_wait");
+    assert!(
+        queue_wait.is_some_and(|s| s.micros >= 100_000),
+        "the listing waited behind the solve: {record:?}"
+    );
+    assert!(record.total_micros >= stages, "{record:?}");
+    let (status, body) = read_one_response(&mut slow);
+    assert_eq!(status, 408, "{body}");
+    server.shutdown();
+}

@@ -277,7 +277,7 @@ fn every_wire_type_round_trips(mutants: usize) {
         StreamEvent,
         StreamEvent::Incumbent {
             value: 7,
-            elapsed_ms: u64::MAX
+            elapsed_us: u64::MAX
         },
         mutants
     );
