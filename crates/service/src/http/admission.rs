@@ -6,9 +6,10 @@
 //! highest priority, then earliest deadline, then oldest arrival; a full
 //! queue sheds the *least valuable* waiting request — lowest priority,
 //! largest queue share, latest deadline — instead of refusing the newest
-//! arrival. The event loop answers the victim with `429` + `Retry-After`.
+//! arrival. The event loop answers the victim with `429` + `Retry-After`,
+//! through the same books as any other answer.
 
-use super::parse::ParsedRequest;
+use super::parse::{scan_json_integer, ParsedRequest};
 use crate::inflight::HandedBooks;
 use crate::metrics::TransportMetrics;
 use crate::service::Probe;
@@ -18,45 +19,69 @@ use std::collections::HashMap;
 use std::net::IpAddr;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// A unit of work for the pool: which connection, which slot in its response
-/// order, and the request itself.
-pub(super) struct Job {
+/// One request the event loop read: which connection, which slot in its
+/// response order, and the request itself.
+pub(super) struct Ticket {
     pub(super) token: u64,
     pub(super) seq: u64,
     pub(super) request: ParsedRequest,
-    /// The connection closes after this job's response (the sender asked,
-    /// or the request streams): decided once, by the event loop, and the
-    /// only `close` the response's `Connection` header consults.
+    /// The connection closes after this request's response (the sender
+    /// asked, the request streams, or its bytes were refused): decided once,
+    /// by the event loop, and the only `close` the response's `Connection`
+    /// header consults.
     pub(super) close: bool,
-    /// Microseconds the final (completing) parse pass took; the `parse`
-    /// stage of the request's trace.
-    pub(super) parse_micros: u64,
     /// When the event loop read the bytes that completed the request: its
     /// arrival, from which its books' clock and its `deadline_ms` count, in
     /// the admission queue and in the search alike.
     pub(super) received: Instant,
+    /// Source IP, the admission queue's fairness unit.
+    pub(super) client: Option<IpAddr>,
+}
+
+/// A unit of work for the pool: a request, the books the event loop opened
+/// for it, and what the loop already learnt about it.
+pub(super) struct Job {
+    pub(super) ticket: Ticket,
+    /// The request's books (the `parse` stage and any the loop's probe
+    /// timed, the trace ID and the clock), off every thread until a worker
+    /// takes them over.
+    pub(super) books: HandedBooks,
     /// The event loop's probe of a search that missed: the worker finishes
     /// the search from there.
     pub(super) probed: Option<Box<Probed>>,
     /// When [`AdmissionQueue::offer`] took the job (after any probe); the
-    /// gap to worker pickup is the `queue_wait` stage.
+    /// gap to worker pickup, or to a shed, is the `queue_wait` stage.
     pub(super) enqueued: Instant,
-    /// Source IP, the admission queue's fairness unit.
-    pub(super) client: Option<IpAddr>,
     /// The body's `"priority"` (default 0) and `received` plus its
     /// `"deadline_ms"`: the admission hints.
     pub(super) priority: i64,
     pub(super) deadline: Option<Instant>,
 }
 
+impl Job {
+    /// The job for `ticket`, its books and probe, with the admission hints
+    /// read from its body. Its deadline counts from its arrival, as the
+    /// search's does.
+    pub(super) fn new(ticket: Ticket, books: HandedBooks, probed: Option<Probed>) -> Self {
+        let hint = |name| scan_json_integer(&ticket.request.body, name);
+        Job {
+            priority: hint("priority").unwrap_or(0),
+            deadline: (hint("deadline_ms").filter(|&ms| ms >= 0))
+                .map(|ms| ticket.received + Duration::from_millis(ms as u64)),
+            enqueued: ticket.received,
+            books,
+            probed: probed.map(Box::new),
+            ticket,
+        }
+    }
+}
+
 /// A search the event loop took as far as its cache lookup, which missed:
-/// the request's books (the `parse`, `decode`, `validate`, `canonicalize`
-/// and `cache_lookup` stages, the trace ID and the clock), the decoded
-/// request and its probe (the canonical labeling and the cache key).
+/// the decoded request and its probe (the canonical labeling and the cache
+/// key).
 pub(super) struct Probed {
-    pub(super) books: HandedBooks,
     pub(super) request: SearchRequest,
     pub(super) probe: Probe,
 }
@@ -94,7 +119,7 @@ struct AdmissionState {
 impl AdmissionState {
     /// Drops `client`'s fairness count once it has no request waiting.
     fn forget_if_idle(&mut self, client: Option<IpAddr>) {
-        if !self.waiting.iter().any(|w| w.job.client == client) {
+        if !self.waiting.iter().any(|w| w.job.ticket.client == client) {
             self.served.remove(&client);
         }
     }
@@ -151,17 +176,17 @@ impl AdmissionQueue {
             // work sheds itself.)
             let mut share: HashMap<Option<IpAddr>, usize> = HashMap::new();
             for w in &state.waiting {
-                *share.entry(w.job.client).or_insert(0) += 1;
+                *share.entry(w.job.ticket.client).or_insert(0) += 1;
             }
             let least_valuable = |w: &Waiting| {
-                let share = share[&w.job.client];
+                let share = share[&w.job.ticket.client];
                 (Reverse(w.job.priority), share, w.deadline_key(), w.arrival)
             };
             let victim = (0..state.waiting.len())
                 .max_by_key(|&index| least_valuable(&state.waiting[index]))
                 .expect("non-empty waiting list");
             let victim = state.waiting.swap_remove(victim).job;
-            state.forget_if_idle(victim.client);
+            state.forget_if_idle(victim.ticket.client);
             Some(Box::new(victim))
         } else {
             None
@@ -181,8 +206,8 @@ impl AdmissionQueue {
         loop {
             if let Some(index) = Self::select(&state) {
                 let picked = state.waiting.swap_remove(index);
-                *state.served.entry(picked.job.client).or_insert(0) += 1;
-                state.forget_if_idle(picked.job.client);
+                *state.served.entry(picked.job.ticket.client).or_insert(0) += 1;
+                state.forget_if_idle(picked.job.ticket.client);
                 self.transport
                     .admission_queue_depth
                     .store(state.waiting.len() as u64, Relaxed);
@@ -202,7 +227,7 @@ impl AdmissionQueue {
     /// then highest priority, then earliest deadline, then oldest arrival.
     fn select(state: &AdmissionState) -> Option<usize> {
         let most_urgent = |w: &Waiting| {
-            let served = state.served.get(&w.job.client).copied().unwrap_or(0);
+            let served = state.served.get(&w.job.ticket.client).copied().unwrap_or(0);
             (served, Reverse(w.job.priority), w.deadline_key(), w.arrival)
         };
         (0..state.waiting.len()).min_by_key(|&index| most_urgent(&state.waiting[index]))

@@ -10,9 +10,9 @@
 //! `write` stage count. The `checker` test module plays it against the real
 //! service over every interleaving of a small script.
 
-use super::admission::{AdmissionQueue, Job, OfferOutcome};
-use super::parse::{parse_request, scan_json_integer, ParseCursor, ParsedRequest};
-use super::reply::{answer_on_loop, encode_response, shed};
+use super::admission::{AdmissionQueue, OfferOutcome, Ticket};
+use super::parse::{parse_request, ParseCursor, ParsedRequest};
+use super::reply::{shed, Reply};
 use super::route::{error_response, is_search, split_target, stream_requested};
 use super::ServerConfig;
 use crate::inflight::{self, Stage};
@@ -23,7 +23,7 @@ use core::net::IpAddr;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 #[cfg(test)]
 mod checker;
@@ -44,37 +44,38 @@ pub(super) struct Completion {
     seq: u64,
     bytes: Vec<u8>,
     close: bool,
-    /// This completion finishes its request slot: a stream sends its head
-    /// and incumbent events as `fin: false` fragments first.
-    fin: bool,
     /// A lossy incumbent event, dropped past [`WRITE_BACKPRESSURE_BYTES`] of
-    /// unflushed backlog; never `fin`.
+    /// unflushed backlog.
     droppable: bool,
-    /// The response's flight record (`None` for the transport's own `400`s
-    /// and an unprobed shed's `429`).
+    /// The response's flight record, on the completion that finishes its
+    /// request slot: a stream sends its head and incumbent events as
+    /// fragments without one first.
     pub(super) flight: Option<Box<PendingFlight>>,
 }
 
 impl Completion {
-    /// An ordinary single-shot response: finishes the slot, never dropped.
-    pub(super) fn full(token: u64, seq: u64, bytes: Vec<u8>, close: bool) -> Self {
+    /// The terminal completion of `ticket`'s response, carrying its flight
+    /// record: built only by `Reply::finish`, so every response has one.
+    pub(super) fn terminal(ticket: &Ticket, bytes: Vec<u8>, flight: PendingFlight) -> Self {
         Completion {
-            token,
-            seq,
+            token: ticket.token,
+            seq: ticket.seq,
             bytes,
-            close,
-            fin: true,
+            close: ticket.close,
             droppable: false,
-            flight: None,
+            flight: Some(Box::new(flight)),
         }
     }
 
     /// One fragment of a streaming response; `droppable` marks an incumbent.
     pub(super) fn fragment(token: u64, seq: u64, bytes: Vec<u8>, droppable: bool) -> Self {
         Completion {
-            fin: false,
+            token,
+            seq,
+            bytes,
+            close: false,
             droppable,
-            ..Completion::full(token, seq, bytes, false)
+            flight: None,
         }
     }
 }
@@ -132,9 +133,8 @@ pub(super) enum Action {
 #[derive(Default)]
 struct Slot {
     bytes: Vec<u8>,
-    /// The response is complete; an unfinished slot (a stream) forwards its
-    /// bytes but holds its place in the order.
-    fin: bool,
+    /// The response's record, once it is complete; an unfinished slot (a
+    /// stream) forwards its bytes but holds its place in the order.
     flight: Option<PendingFlight>,
 }
 
@@ -336,8 +336,9 @@ impl LoopCore {
             if !tokens.contains(&completion.token) {
                 tokens.push(completion.token);
             }
-            // Every job a worker takes ends in exactly one `fin` completion.
-            self.at_pool -= usize::from(completion.fin);
+            // Every job a worker takes ends in exactly one completion with
+            // a flight record.
+            self.at_pool -= usize::from(completion.flight.is_some());
             self.deliver(completion, now);
         }
         for token in tokens {
@@ -443,14 +444,14 @@ impl LoopCore {
         };
         // A stalled stream consumer costs bounded memory: lossy fragments
         // (incumbent events) are dropped past the backlog cap.
+        let fin = completion.flight.is_some();
         if !(completion.droppable && conn.backlogged()) {
             let slot = conn.pending.entry(completion.seq).or_default();
             slot.bytes.extend_from_slice(&completion.bytes);
-            slot.fin |= completion.fin;
             slot.flight = slot.flight.take().or(completion.flight.map(|f| *f));
         }
         let mut became_idle = false;
-        if completion.fin {
+        if fin {
             conn.in_flight -= 1;
             became_idle = conn.idle();
             if became_idle {
@@ -465,7 +466,7 @@ impl LoopCore {
                 break;
             }
             conn.write_buf.append(&mut slot.get_mut().bytes);
-            if !slot.get().fin {
+            if slot.get().flight.is_none() {
                 break;
             }
             conn.flights.extend(slot.remove().flight);
@@ -494,8 +495,9 @@ impl LoopCore {
             && !stream_requested(request)
     }
 
-    /// Parses and answers every complete request buffered, up to the
-    /// pipelining cap; each arrives at `now`, its books' and deadline's zero.
+    /// Parses every complete request buffered, up to the pipelining cap,
+    /// and opens its books; each arrives at `now`, its books' and
+    /// deadline's zero. Then it is answered here or handed to the pool.
     fn parse_ready(&mut self, token: u64, now: Instant) {
         loop {
             let Some(conn) = self.conns.get_mut(&token) else {
@@ -508,48 +510,47 @@ impl LoopCore {
             // produced the request, not the wait for its last bytes.
             let (parsed, parse_micros) =
                 inflight::timed(|| parse_request(&conn.read_buf, &mut conn.cursor));
-            let (request, consumed) = match parsed {
+            let (request, refusal) = match parsed {
                 Ok(None) => return,
-                Ok(Some(parsed)) => parsed,
-                Err(message) => {
-                    let seq = conn.open_slot(&self.transport);
-                    let response = error_response(400, "bad_request", &message);
-                    let bytes = encode_response(&response, false, |_| {});
-                    return self.deliver(Completion::full(token, seq, bytes, true), now);
+                Ok(Some((request, consumed))) => {
+                    conn.read_buf.drain(..consumed);
+                    conn.cursor = ParseCursor::default();
+                    conn.last_activity = now;
+                    if conn.next_seq > 0 {
+                        self.transport.keepalive_reuses.fetch_add(1, Relaxed);
+                    }
+                    if conn.in_flight > 0 {
+                        self.transport.pipelined_requests.fetch_add(1, Relaxed);
+                    }
+                    (request, None)
                 }
+                // Refused bytes are answered with books of an empty request
+                // line, and the connection closes.
+                Err(message) => (ParsedRequest::default(), Some(message)),
             };
-            conn.read_buf.drain(..consumed);
-            conn.cursor = ParseCursor::default();
-            conn.last_activity = now;
-            if conn.next_seq > 0 {
-                self.transport.keepalive_reuses.fetch_add(1, Relaxed);
-            }
-            if conn.in_flight > 0 {
-                self.transport.pipelined_requests.fetch_add(1, Relaxed);
-            }
             let seq = conn.open_slot(&self.transport);
             // The one place a request's `close` is decided, so whatever
             // answers it says `Connection: close` exactly when the loop will
             // close. A stream owns the connection to its terminal frame.
-            let close = request.close || stream_requested(&request);
+            let close = refusal.is_some() || request.close || stream_requested(&request);
             conn.draining |= close;
             let client = Some(conn.peer_ip);
             let answer_here = self.answers_itself(&request);
-            let mut job = Job {
+            let ticket = Ticket {
                 token,
                 seq,
                 request,
                 close,
-                parse_micros,
                 received: now,
-                probed: None,
-                enqueued: now,
                 client,
-                priority: 0,
-                deadline: None,
             };
-            if answer_here {
-                match answer_on_loop(&self.service, job) {
+            let reply = Reply::open(&self.service, ticket, parse_micros);
+            if let Some(message) = refusal {
+                let response = error_response(400, "bad_request", &message);
+                return self.deliver(reply.single_shot(&response), now);
+            }
+            let job = if answer_here {
+                match reply.on_loop() {
                     Ok(done) => {
                         // Straight into the connection's in-order write
                         // path: no completion queue, no wakeup byte.
@@ -558,15 +559,11 @@ impl LoopCore {
                         continue;
                     }
                     // A miss: a worker finishes it from the probe.
-                    Err(missed) => job = *missed,
+                    Err(missed) => *missed,
                 }
-            }
-            // Only a queued job needs admission hints. Its deadline counts
-            // from its arrival, as the search's does.
-            job.priority = scan_json_integer(&job.request.body, "priority").unwrap_or(0);
-            job.deadline = scan_json_integer(&job.request.body, "deadline_ms")
-                .filter(|&ms| ms >= 0)
-                .map(|ms| now + Duration::from_millis(ms as u64));
+            } else {
+                reply.hand_over(None)
+            };
             match self.admission.offer(job) {
                 OfferOutcome::Admitted { shed: None } => self.at_pool += 1,
                 // Overload: the least valuable waiting request is answered

@@ -3,7 +3,8 @@
 //! It drives a [`LoopCore`] with the real [`ScheduleService`], a real
 //! [`AdmissionQueue`] and workers it steps itself ([`Worker::answer`], one
 //! job at a time, on this thread), and plays every interleaving of a small
-//! script: a few connections, each sending a few pipelined searches. A step
+//! script: a few connections, each sending a few pipelined searches (or
+//! bytes the parser refuses, last). A step
 //! is one of: connection c's next request arrives; c's peer half-closes;
 //! an idle worker pops a job; a busy worker finishes its job; the loop
 //! applies the completions workers have queued. Each step is one readiness
@@ -17,8 +18,9 @@
 //! * the core's `at_pool` equals the jobs out at the pool: waiting in the
 //!   admission queue, held by a worker, or finished but not yet applied;
 //! * books close once: no request is left on the in-flight registry or on
-//!   the thread between steps, and every response carrying a trace ID has
-//!   exactly one flight record, whose total covers the sum of its stages;
+//!   the thread between steps, and every response, `429`s included,
+//!   carries a trace ID with exactly one flight record, whose status is the
+//!   response's and whose total covers the sum of its stages;
 //! * `requests = hits + misses + coalesced + failures` once everything is
 //!   answered (`≥` before);
 //! * every `429` carries `Retry-After`, and there is one per shed;
@@ -44,6 +46,7 @@ use super::super::reply::Worker;
 use super::*;
 use crate::service::ServiceConfig;
 use crate::wire::SearchRequest;
+use std::time::Duration;
 use tessel_placement::{synthetic_placement, ShapeKind};
 
 /// What a scripted request is.
@@ -60,14 +63,18 @@ enum Kind {
     Expired,
     /// `Miss`'s placement at priority -1: the first to be shed.
     Cheap,
+    /// Bytes the parser refuses (a signed `Content-Length`): a `400`, and
+    /// the connection closes, so it ends its script.
+    Refused,
 }
 
-const KINDS: [Kind; 5] = [
+const KINDS: [Kind; 6] = [
     Kind::Hit,
     Kind::Miss,
     Kind::Large,
     Kind::Expired,
     Kind::Cheap,
+    Kind::Refused,
 ];
 
 impl Kind {
@@ -76,6 +83,7 @@ impl Kind {
         match self {
             Kind::Hit | Kind::Miss | Kind::Cheap => 200,
             Kind::Large | Kind::Expired => 408,
+            Kind::Refused => 400,
         }
     }
 
@@ -86,6 +94,9 @@ impl Kind {
             Kind::Miss | Kind::Cheap => (ShapeKind::V, 3),
             Kind::Large => (ShapeKind::X, 2),
             Kind::Expired => (ShapeKind::M, 2),
+            Kind::Refused => {
+                return b"POST /v1/search HTTP/1.1\r\nContent-Length: +5\r\n\r\n".to_vec()
+            }
         };
         let mut request = small_search(shape, devices);
         request.deadline_ms = match self {
@@ -370,7 +381,7 @@ impl Run {
 
     /// The invariants that hold after every step; returns the 429s read.
     fn check(&self) -> u64 {
-        let mut with_trace = 0;
+        let mut answers = 0;
         let mut shed = 0;
         let records = self.service.debug_requests().recent;
         for client in &self.clients {
@@ -393,10 +404,11 @@ impl Run {
                         "a 429 without Retry-After",
                     );
                 }
+                answers += 1;
                 let Some(trace) = &answer.trace else {
+                    self.assert(false, &format!("no trace ID on {}", answer.head));
                     continue;
                 };
-                with_trace += 1;
                 let mut mine = records.iter().filter(|r| &r.trace_id == trace);
                 let record = mine.next();
                 self.assert(mine.next().is_none(), "two flight records for one response");
@@ -418,7 +430,7 @@ impl Run {
             );
         }
         self.assert(
-            records.len() == self.warm_records + with_trace,
+            records.len() == self.warm_records + answers,
             "flight records without a response",
         );
         // A 429 waits behind the responses its connection owes first.
@@ -566,9 +578,12 @@ fn walk(seed: u64, walks: usize, connections: usize, requests: usize) -> usize {
     for _ in 0..walks {
         let scripts = (0..1 + rng.below(connections))
             .map(|_| {
-                (0..1 + rng.below(requests))
+                let mut script: Vec<Kind> = (0..1 + rng.below(requests))
                     .map(|_| KINDS[rng.below(KINDS.len())])
-                    .collect()
+                    .collect();
+                let refused = script.iter().position(|&kind| kind == Kind::Refused);
+                script.truncate(refused.map_or(script.len(), |at| at + 1));
+                script
             })
             .collect();
         let bound = Bound {
@@ -611,6 +626,8 @@ fn small_bound_is_exhaustive() {
         // Three connections, one request each.
         (vec![vec![Hit], vec![Miss], vec![Large]], 2, 1, false),
         (vec![vec![Expired], vec![Hit], vec![Cheap]], 1, 1, false),
+        // Refused bytes pipelined behind a miss: the `400` waits its turn.
+        (vec![vec![Miss, Refused], vec![Cheap]], 1, 1, false),
     ];
     let (mut schedules, mut steps) = (0, 0);
     for (scripts, workers, capacity, half_close) in bounds {

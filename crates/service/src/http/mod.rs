@@ -12,8 +12,9 @@
 //! * `parse` — which bytes are an HTTP/1.1 message and where it ends, for
 //!   requests *and* responses.
 //! * `admission` — which waiting request runs next, which is shed with `429`.
-//! * `reply` — how a request's books are opened and closed around its
-//!   answer, on the loop or a worker, single-shot or streamed (SSE).
+//! * `reply` — how a request's books are opened (on the loop, for every
+//!   request it reads) and closed around its answer, on the loop or a
+//!   worker, single-shot or streamed (SSE).
 //! * `route` — what a method, path and query string mean.
 //! * `client` — how a caller talks to a daemon: [`HttpClient`], [`http_call`],
 //!   [`http_call_streaming`].
@@ -47,10 +48,12 @@
 //! and `?trace=` filters (conjunctive); `GET /v1/debug/timeseries` accepts
 //! `?window=N` to bound the returned tick count.
 //!
-//! Every response carries an `X-Tessel-Trace-Id` header (the request-scoped
+//! Every response, a `400` for bytes the parser refuses and a shed `429`
+//! included, carries an `X-Tessel-Trace-Id` header (the request-scoped
 //! trace ID, joined from a valid inbound `X-Tessel-Trace-Id` or freshly
-//! minted) and a `Server-Timing` header with the per-stage breakdown; the
-//! same stages land in the flight recorder behind `/v1/debug/requests`.
+//! minted) and, unless it streams, a `Server-Timing` header with the
+//! per-stage breakdown; each leaves one flight record with the same stages
+//! behind `/v1/debug/requests`.
 
 mod admission;
 mod client;

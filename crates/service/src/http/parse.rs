@@ -35,8 +35,9 @@ pub type ResponseHeaders = Vec<(String, String)>;
 /// bytes yet, `Err` that it can never become valid.
 pub(crate) type Step<T> = Result<Option<T>, String>;
 
-/// One parsed request, handed from the event loop to the worker pool.
-#[derive(Debug, PartialEq, Eq)]
+/// One parsed request, handed from the event loop to the worker pool. The
+/// default, an empty request line, is what refused bytes are answered as.
+#[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct ParsedRequest {
     pub(crate) method: String,
     pub(crate) path: String,

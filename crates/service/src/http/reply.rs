@@ -1,29 +1,32 @@
-//! How a request's books are opened and closed around its answer, on
-//! either thread that answers.
+//! How a request's books are opened and closed around its answer.
 //!
 //! This module owns one decision: *how a request's books are opened and
-//! closed around its answer*. One [`Reply`] value gives every answer the
-//! same prologue (books opened at the instant the event loop received the
-//! request, with its trace ID, request line, peer and `parse` stage; on a
-//! worker, also `queue_wait`) and epilogue (books closed to a flight record,
-//! completion logged, the terminal [`Completion`] built with the record).
-//! The event loop answers through [`answer_on_loop`], which probes a search
-//! and answers a hit or hands a miss on with its books and probe in the
-//! [`Job`], and through [`shed`]'s `429`; a [`Worker`] answers everything
-//! else — a handed-over miss, any other search, streamed or not (incumbent
-//! frames are *droppable* under backpressure, the terminal frame never is),
-//! or one [`route`]d [`Response`] — and reaches the loop through
-//! [`Completions`]. Every search is probed the same way ([`probe_search`]),
-//! so its deadline counts from its arrival on either thread.
+//! closed around its answer*. Every response the daemon writes goes through
+//! one [`Reply`]. The event loop opens it ([`Reply::open`]) for every
+//! request it reads, and for bytes its parser refuses, with the trace ID,
+//! request line, peer and `parse` stage, from the instant it read them. The
+//! loop then answers on the spot ([`Reply::single_shot`], or
+//! [`Reply::on_loop`], which probes a search and answers a hit) or hands the
+//! books to the pool inside a [`Job`] ([`Reply::hand_over`]). Whoever takes
+//! a job off the admission queue takes its books over and adds `queue_wait`
+//! ([`Reply::popped`]): a [`Worker`], which answers a handed-over miss, any
+//! other search, streamed or not (incumbent frames are *droppable* under
+//! backpressure, the terminal frame never is), or one [`route`]d
+//! [`Response`], and reaches the loop through [`Completions`]; or [`shed`],
+//! which answers a job the queue turned away with `429`. The epilogue is
+//! always [`Reply::finish`]: books closed to a flight record, completion
+//! logged, the terminal [`Completion`] built with the record. Every search
+//! is probed the same way ([`Reply::probe`]), so its deadline counts from
+//! its arrival on either thread.
 
-use super::admission::{AdmissionQueue, Job, Probed};
+use super::admission::{AdmissionQueue, Job, Probed, Ticket};
 use super::event_loop::Completions;
 use super::loop_core::{Completion, PendingFlight};
 use super::route::{
     decode_search, error_response, is_search, render_json, route, search_response,
     stream_requested, Response,
 };
-use crate::inflight::{self, HandedBooks, RequestBooks, Stage};
+use crate::inflight::{self, RequestBooks, Stage};
 use crate::metrics::TransportMetrics;
 use crate::service::{Probe, ScheduleService};
 use crate::wire::{ErrorBody, SearchRequest, StageTimingInfo, StreamEvent};
@@ -32,49 +35,20 @@ use std::sync::Arc;
 use std::time::Instant;
 use tessel_obs::{TimeSeries, TraceId};
 
-/// Answers `job`, a plain `POST /v1/search`, on the event loop when its
-/// probe leaves nothing that could block (a hit, or a refusal); hands a miss
-/// back carrying its books and probe.
-pub(super) fn answer_on_loop(
-    service: &Arc<ScheduleService>,
-    job: Job,
-) -> Result<Completion, Box<Job>> {
-    let reply = Reply::open(service, job);
-    let (request, probe) = match probe_search(service, &reply.job) {
-        Ok(probed) => probed,
-        Err(refusal) => return Ok(reply.single_shot(&refusal)),
-    };
-    if probe.is_miss() {
-        return Err(Box::new(reply.hand_over(request, probe)));
+/// Answers `victim`, a job the admission queue shed, with `429`. Its books
+/// close with the time it waited, and a search the event loop probed ends
+/// counted as a failure.
+pub(super) fn shed(service: &Arc<ScheduleService>, victim: Job) -> Completion {
+    let (reply, probed) = Reply::popped(service, victim);
+    if let Some(probed) = probed {
+        service.abandon(probed.probe);
     }
-    let response = search_response(service, &request, probe);
-    Ok(reply.single_shot(&response))
-}
-
-/// The first half of every search, on either thread: decode, then probe
-/// from the request's arrival. `Err` is the `400` of an undecodable body.
-fn probe_search(service: &ScheduleService, job: &Job) -> Result<(SearchRequest, Probe), Response> {
-    let request = decode_search(&job.request.body)?;
-    let probe = service.probe(&request, job.received);
-    Ok((request, probe))
-}
-
-/// Answers `victim`, a job the admission queue shed, with `429`. A probed
-/// search's books close with it, so the request keeps its flight record and
-/// ends counted as a failure.
-pub(super) fn shed(service: &Arc<ScheduleService>, mut victim: Job) -> Completion {
     let response = error_response(
         429,
         "overloaded",
         "shed by admission control: retry shortly",
     );
-    let Some(probed) = victim.probed.take() else {
-        let bytes = encode_response(&response, !victim.close, |_| {});
-        return Completion::full(victim.token, victim.seq, bytes, victim.close);
-    };
-    let Probed { books, probe, .. } = *probed;
-    service.abandon(probe);
-    Reply::take_over(service, victim, books).single_shot(&response)
+    reply.single_shot(&response)
 }
 
 /// Everything a worker thread needs to answer jobs.
@@ -97,12 +71,12 @@ impl Worker {
     /// Answers one job; returns its terminal completion.
     pub(super) fn answer(&self, job: Job) -> Completion {
         let (reply, probed) = Reply::popped(&self.service, job);
-        let (request, probe) = match probed {
+        let Probed { request, probe } = match probed {
             Some(probed) => probed,
-            None if is_search(&reply.job.request) => {
+            None if is_search(&reply.ticket.request) => {
                 // A body that does not decode is answered with the ordinary
                 // (non-streamed) 400, `?stream=1` or not.
-                match probe_search(&self.service, &reply.job) {
+                match reply.probe() {
                     Ok(probed) => probed,
                     Err(refusal) => return reply.single_shot(&refusal),
                 }
@@ -113,12 +87,12 @@ impl Worker {
                     &self.service,
                     &self.transport,
                     timeseries,
-                    &reply.job.request,
+                    &reply.ticket.request,
                 );
                 return reply.single_shot(&response);
             }
         };
-        if stream_requested(&reply.job.request) {
+        if stream_requested(&reply.ticket.request) {
             return reply.streamed(&request, probe, &self.completions);
         }
         let response = search_response(&self.service, &request, probe);
@@ -126,102 +100,102 @@ impl Worker {
     }
 }
 
-/// One request, from the thread that takes it on to its terminal
-/// completion.
-struct Reply<'s> {
+/// One request, from the event loop's read to its terminal completion.
+pub(super) struct Reply<'s> {
     service: &'s Arc<ScheduleService>,
-    job: Job,
+    ticket: Ticket,
     /// The request's books: it shows up on `GET /v1/debug/inflight` (with
-    /// its solver progress board) until they close.
+    /// its solver progress board) while a thread works on it, until they
+    /// close.
     books: RequestBooks<'s>,
 }
 
 impl<'s> Reply<'s> {
-    /// The prologue: opens the request's books on this thread, from the
-    /// instant the event loop received it, and records the `parse` stage.
-    fn open(service: &'s Arc<ScheduleService>, job: Job) -> Self {
+    /// The prologue, on the event loop: opens the books of the request in
+    /// `ticket` from the instant the loop read it, and records its `parse`
+    /// stage, `parse_micros`.
+    pub(super) fn open(
+        service: &'s Arc<ScheduleService>,
+        ticket: Ticket,
+        parse_micros: u64,
+    ) -> Self {
         // A valid inbound trace ID joins the request to the originating
         // trace (cluster-internal calls); anything else — absent, malformed,
         // oversized — mints a fresh ID and the raw header value is never
         // reflected back.
-        let inbound = job.request.trace_header.as_deref();
+        let inbound = ticket.request.trace_header.as_deref();
         let books = service.open_request(
             inbound.and_then(TraceId::parse),
-            &job.request.method,
-            &job.request.path,
-            job.client.map(|ip| ip.to_string()),
-            job.received,
+            &ticket.request.method,
+            &ticket.request.path,
+            ticket.client.map(|ip| ip.to_string()),
+            ticket.received,
         );
-        inflight::record_stage(Stage::Parse, job.parse_micros);
+        inflight::record_stage(Stage::Parse, parse_micros);
         Reply {
             service,
-            job,
+            ticket,
             books,
         }
     }
 
-    /// The prologue on a worker: takes over the books of a search the event
-    /// loop probed — returning the decoded request and its probe — or opens
-    /// fresh ones, then records the `queue_wait` stage.
-    fn popped(
-        service: &'s Arc<ScheduleService>,
-        mut job: Job,
-    ) -> (Self, Option<(SearchRequest, Probe)>) {
-        let queue_wait = job.enqueued.elapsed().as_micros() as u64;
-        let (reply, probed) = match job.probed.take() {
-            Some(probed) => {
-                let probed = *probed;
-                let reply = Reply::take_over(service, job, probed.books);
-                (reply, Some((probed.request, probed.probe)))
-            }
-            None => (Reply::open(service, job), None),
+    /// Answers a plain `POST /v1/search` on the event loop when its probe
+    /// leaves nothing that could block (a hit, or a refusal); hands a miss
+    /// on with its probe.
+    pub(super) fn on_loop(self) -> Result<Completion, Box<Job>> {
+        let probed = match self.probe() {
+            Ok(probed) => probed,
+            Err(refusal) => return Ok(self.single_shot(&refusal)),
         };
-        inflight::record_stage(Stage::QueueWait, queue_wait);
-        (reply, probed)
-    }
-
-    /// Puts the books the event loop handed over with `job` on this thread.
-    fn take_over(service: &'s Arc<ScheduleService>, job: Job, books: HandedBooks) -> Self {
-        let books = service.take_over_request(books);
-        Reply {
-            service,
-            job,
-            books,
+        if probed.probe.is_miss() {
+            return Err(Box::new(self.hand_over(Some(probed))));
         }
+        let response = search_response(self.service, &probed.request, probed.probe);
+        Ok(self.single_shot(&response))
     }
 
-    /// Gives up a probed search that missed: the books leave this thread,
-    /// and the job carries them, the request and the probe to a worker.
-    fn hand_over(self, request: SearchRequest, probe: Probe) -> Job {
-        let Reply { mut job, books, .. } = self;
-        let books = books.hand_over();
-        job.probed = Some(Box::new(Probed {
+    /// The first half of every search, on either thread: decode, then probe
+    /// from the request's arrival. `Err` is the `400` of an undecodable body.
+    fn probe(&self) -> Result<Probed, Response> {
+        let request = decode_search(&self.ticket.request.body)?;
+        let probe = self.service.probe(&request, self.ticket.received);
+        Ok(Probed { request, probe })
+    }
+
+    /// Gives the request up to the pool: the books leave this thread, and
+    /// the job carries them, with the loop's probe if it made one.
+    pub(super) fn hand_over(self, probed: Option<Probed>) -> Job {
+        Job::new(self.ticket, self.books.hand_over(), probed)
+    }
+
+    /// The prologue of a job off the admission queue: takes over the books
+    /// the event loop handed over with it and records the `queue_wait`
+    /// stage; returns the loop's probe, if it made one.
+    fn popped(service: &'s Arc<ScheduleService>, job: Job) -> (Self, Option<Probed>) {
+        let queue_wait = job.enqueued.elapsed().as_micros() as u64;
+        let Job {
+            ticket,
             books,
-            request,
-            probe,
-        }));
-        job
+            probed,
+            ..
+        } = job;
+        let books = service.take_over_request(books);
+        inflight::record_stage(Stage::QueueWait, queue_wait);
+        let reply = Reply {
+            service,
+            ticket,
+            books,
+        };
+        (reply, probed.map(|probed| *probed))
     }
 
     /// Answers with one encoded response carrying the trace ID and the
     /// `Server-Timing` stage breakdown.
-    fn single_shot(self, response: &Response) -> Completion {
+    pub(super) fn single_shot(self, response: &Response) -> Completion {
         let trace_id = self.books.trace_id();
-        let keep_alive = !self.job.close;
+        let keep_alive = !self.ticket.close;
         self.finish(response.status, "request completed", |stages| {
-            encode_response(response, keep_alive, |head| {
-                let _ = write!(head, "X-Tessel-Trace-Id: {}\r\n", trace_id.as_str());
-                let mut separator = "Server-Timing: ";
-                for stage in stages {
-                    let millis = stage.micros as f64 / 1000.0;
-                    let _ = write!(head, "{separator}{};dur={millis:.3}", stage.name);
-                    separator = ", ";
-                }
-                if separator == ", " {
-                    // At least one stage was written: end the line.
-                    head.push_str("\r\n");
-                }
-            })
+            encode_response(response, keep_alive, trace_id, stages)
         })
     }
 
@@ -236,7 +210,7 @@ impl<'s> Reply<'s> {
         probe: Probe,
         completions: &Arc<Completions>,
     ) -> Completion {
-        let (token, seq, received) = (self.job.token, self.job.seq, self.job.received);
+        let (token, seq, received) = (self.ticket.token, self.ticket.seq, self.ticket.received);
         let head = format!(
             "HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\nTransfer-Encoding: chunked\r\nConnection: close\r\nX-Tessel-Trace-Id: {}\r\n\r\n",
             self.books.trace_id().as_str()
@@ -286,7 +260,7 @@ impl<'s> Reply<'s> {
     ) -> Completion {
         let trace_id = self.books.trace_id();
         let record = self.books.close(status);
-        let request = &self.job.request;
+        let request = &self.ticket.request;
         // Checked first: the fields are formatted for the line alone, and the
         // daemon usually runs at a level that drops it.
         if tessel_obs::enabled(tessel_obs::Level::Info) {
@@ -303,10 +277,11 @@ impl<'s> Reply<'s> {
             );
         }
         let bytes = encode(&record.stages);
-        let mut done = Completion::full(self.job.token, self.job.seq, bytes, self.job.close);
-        let created = Instant::now();
-        done.flight = Some(Box::new(PendingFlight { record, created }));
-        done
+        let flight = PendingFlight {
+            record,
+            created: Instant::now(),
+        };
+        Completion::terminal(&self.ticket, bytes, flight)
     }
 }
 
@@ -323,14 +298,15 @@ pub(super) fn status_text(status: u16) -> &'static str {
     }
 }
 
-/// Renders the whole response — head, then `extra_headers`' complete
-/// `Name: value\r\n` lines, then the body — into the one buffer the
-/// completion carries, sized up front. A `429` (a shed request, the only
-/// one the daemon sends) also says when to retry.
+/// Renders the whole response — head, the trace ID, the `Server-Timing`
+/// line of `stages` (none without a stage), then the body — into the one
+/// buffer the completion carries, sized up front. A `429` (a shed request,
+/// the only one the daemon sends) also says when to retry.
 pub(super) fn encode_response(
     response: &Response,
     keep_alive: bool,
-    extra_headers: impl FnOnce(&mut String),
+    trace_id: TraceId,
+    stages: &[StageTimingInfo],
 ) -> Vec<u8> {
     // The fixed head is ~110 bytes; a trace ID and a full `Server-Timing`
     // line add ~300.
@@ -347,7 +323,16 @@ pub(super) fn encode_response(
     if response.status == 429 {
         encoded.push_str("Retry-After: 1\r\n");
     }
-    extra_headers(&mut encoded);
+    let _ = write!(encoded, "X-Tessel-Trace-Id: {}\r\n", trace_id.as_str());
+    let mut separator = "Server-Timing: ";
+    for stage in stages {
+        let millis = stage.micros as f64 / 1000.0;
+        let _ = write!(encoded, "{separator}{};dur={millis:.3}", stage.name);
+        separator = ", ";
+    }
+    if !stages.is_empty() {
+        encoded.push_str("\r\n");
+    }
     encoded.push_str("\r\n");
     encoded.push_str(&response.body);
     encoded.into_bytes()

@@ -2,17 +2,18 @@
 //! code they cover moved into `parse`, `admission`, `route` and `reply`.
 //! (Cases added with the split live beside their subject.)
 
-use super::admission::{AdmissionQueue, Job, OfferOutcome};
+use super::admission::{AdmissionQueue, Job, OfferOutcome, Ticket};
 use super::parse::*;
-use super::reply::{answer_on_loop, encode_response, encode_stream_chunk, shed, status_text};
+use super::reply::{encode_response, encode_stream_chunk, shed, status_text, Reply};
 use super::route::{error_response, stream_requested, Response};
-use crate::metrics::TransportMetrics;
+use crate::inflight::InflightRegistry;
+use crate::metrics::{ServiceMetrics, TransportMetrics};
 use crate::service::{ScheduleService, ServiceConfig};
-use crate::wire::{SearchRequest, StreamEvent};
-use std::fmt::Write as _;
+use crate::wire::{SearchRequest, StageTimingInfo, StreamEvent};
 use std::net::IpAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use tessel_obs::TraceId;
 
 fn parse_all(input: &[u8]) -> (Vec<ParsedRequest>, usize) {
     let mut buf = input.to_vec();
@@ -40,29 +41,33 @@ fn response_encoding_is_well_formed() {
         content_type: "application/json",
         body: "{}".into(),
     };
-    let keep = String::from_utf8(encode_response(&response, true, |_| {})).unwrap();
+    let trace = TraceId::parse(&"a".repeat(32)).unwrap();
+    let encode = |response: &Response, keep_alive: bool, stages: &[StageTimingInfo]| {
+        String::from_utf8(encode_response(response, keep_alive, trace, stages)).unwrap()
+    };
+    let keep = encode(&response, true, &[]);
     assert!(keep.starts_with("HTTP/1.1 200 OK\r\n"));
     assert!(keep.contains("Content-Length: 2\r\n"));
     assert!(keep.contains("Connection: keep-alive\r\n"));
+    assert!(keep.contains(&format!("X-Tessel-Trace-Id: {}\r\n", "a".repeat(32))));
+    assert!(!keep.contains("Server-Timing"), "no stage, no line");
     assert!(keep.ends_with("\r\n\r\n{}"));
-    let close = String::from_utf8(encode_response(&response, false, |_| {})).unwrap();
+    let close = encode(&response, false, &[]);
     assert!(close.contains("Connection: close\r\n"));
     assert_eq!(status_text(408), "Request Timeout");
     assert_eq!(status_text(599), "Internal Server Error");
-    // Extra headers land between the fixed head and the blank line.
-    let traced = encode_response(&response, true, |head| {
-        let _ = write!(head, "X-Tessel-Trace-Id: {}\r\n", "a".repeat(32));
-        head.push_str("Server-Timing: solve;dur=1.500\r\n");
-    });
-    let traced = String::from_utf8(traced).unwrap();
-    assert!(traced.contains(&format!("X-Tessel-Trace-Id: {}\r\n", "a".repeat(32))));
-    assert!(traced.contains("Server-Timing: solve;dur=1.500\r\n"));
-    assert!(traced.ends_with("\r\n\r\n{}"));
-    // A shed request is told when to retry.
+    // The stages land on one `Server-Timing` line before the blank line.
+    let stage = |name: &str, micros| StageTimingInfo {
+        name: name.into(),
+        micros,
+    };
+    let timed = encode(&response, true, &[stage("parse", 7), stage("solve", 1500)]);
+    assert!(timed.contains("Server-Timing: parse;dur=0.007, solve;dur=1.500\r\n\r\n{}"));
+    // A shed request is told when to retry, before its trace ID.
     let shed = error_response(429, "overloaded", "retry shortly");
-    let shed = String::from_utf8(encode_response(&shed, true, |_| {})).unwrap();
+    let shed = encode(&shed, true, &[]);
     assert!(shed.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
-    assert!(shed.contains("Retry-After: 1\r\n"));
+    assert!(shed.contains("Retry-After: 1\r\nX-Tessel-Trace-Id: "));
 }
 
 #[test]
@@ -316,38 +321,50 @@ fn stream_chunks_are_well_formed_sse_frames() {
 }
 
 fn admission_job(client: Option<IpAddr>, priority: i64, deadline: Option<Instant>) -> Job {
+    let registry = InflightRegistry::default();
+    let metrics = ServiceMetrics::new();
+    let received = Instant::now();
+    let books = registry.open(&metrics, None, "POST", "/v1/search", None, received);
     Job {
-        token: 0,
-        seq: 0,
-        request: ParsedRequest {
-            method: "POST".into(),
-            path: "/v1/search".into(),
-            body: String::new(),
-            close: false,
-            trace_header: None,
-        },
-        close: false,
-        parse_micros: 0,
-        received: Instant::now(),
+        ticket: search_ticket(client, String::new()),
+        books: books.hand_over(),
         probed: None,
-        enqueued: Instant::now(),
-        client,
+        enqueued: received,
         priority,
         deadline,
     }
 }
 
+/// A `POST /v1/search` of `body` from `client`, read just now.
+fn search_ticket(client: Option<IpAddr>, body: String) -> Ticket {
+    Ticket {
+        token: 0,
+        seq: 0,
+        request: ParsedRequest {
+            method: "POST".into(),
+            path: "/v1/search".into(),
+            body,
+            close: false,
+            trace_header: None,
+        },
+        close: false,
+        received: Instant::now(),
+        client,
+    }
+}
+
 /// A miss the event loop probed and the admission queue then shed closes
-/// its books with the `429`: its flight record holds the probe's stages,
-/// and the request its probe counted ends counted as a failure.
+/// its books with the `429`: its flight record holds the probe's stages and
+/// the wait in the queue, and the request its probe counted ends counted as
+/// a failure.
 #[test]
 fn a_shed_probed_miss_closes_its_books_with_429() {
     let service = Arc::new(ScheduleService::new(ServiceConfig::default()).unwrap());
     let placement = tessel_placement::synthetic_placement(tessel_placement::ShapeKind::V, 2);
-    let mut job = admission_job(None, 0, None);
-    job.request.body = serde_json::to_string(&SearchRequest::for_placement(placement.unwrap()))
+    let body = serde_json::to_string(&SearchRequest::for_placement(placement.unwrap()))
         .expect("the request serialises");
-    let Err(missed) = answer_on_loop(&service, job) else {
+    let reply = Reply::open(&service, search_ticket(None, body), 0);
+    let Err(missed) = reply.on_loop() else {
         panic!("an empty cache answered the search");
     };
     assert!(missed.probed.is_some(), "the miss carries its probe");
@@ -363,7 +380,8 @@ fn a_shed_probed_miss_closes_its_books_with_429() {
             "decode",
             "validate",
             "canonicalize",
-            "cache_lookup"
+            "cache_lookup",
+            "queue_wait"
         ]
     );
     let metrics = service.metrics_snapshot();
@@ -412,9 +430,9 @@ fn admission_pops_by_fairness_priority_then_deadline() {
     // Highest priority first (within client `a`), but after the first
     // pop client `a` has been served once, so client `b` goes next.
     let first = queue.pop().unwrap();
-    assert_eq!((first.client, first.priority), (Some(a), 5));
+    assert_eq!((first.ticket.client, first.priority), (Some(a), 5));
     let second = queue.pop().unwrap();
-    assert_eq!(second.client, Some(b));
+    assert_eq!(second.ticket.client, Some(b));
     // Back to `a`: earliest deadline among its equal-priority waiters.
     let third = queue.pop().unwrap();
     assert_eq!(third.deadline, Some(now + Duration::from_secs(1)));
@@ -438,7 +456,7 @@ fn fairness_counts_only_clients_that_are_waiting() {
     // `a` is served five times while nobody else is waiting...
     for _ in 0..5 {
         queue.offer(admission_job(Some(a), 0, None));
-        assert_eq!(queue.pop().unwrap().client, Some(a));
+        assert_eq!(queue.pop().unwrap().ticket.client, Some(a));
     }
     assert_eq!(queue.counted_clients(), 0);
     // ...so when `b` turns up with three requests, `a`'s next one waits
@@ -447,7 +465,7 @@ fn fairness_counts_only_clients_that_are_waiting() {
         queue.offer(admission_job(Some(b), 0, None));
     }
     queue.offer(admission_job(Some(a), 0, None));
-    let order: Vec<_> = (0..4).map(|_| queue.pop().unwrap().client).collect();
+    let order: Vec<_> = (0..4).map(|_| queue.pop().unwrap().ticket.client).collect();
     assert_eq!(order, [Some(b), Some(a), Some(b), Some(b)]);
     assert_eq!(queue.counted_clients(), 0);
 }
@@ -472,7 +490,7 @@ fn overload_sheds_the_least_valuable_waiting_request() {
         Some(now + Duration::from_secs(2)),
     )) {
         OfferOutcome::Admitted { shed: Some(victim) } => {
-            assert_eq!(victim.client, Some(a));
+            assert_eq!(victim.ticket.client, Some(a));
             assert!(victim.deadline.is_none());
         }
         _ => panic!("expected a shed victim"),

@@ -1,16 +1,16 @@
-//! One request's books, from the moment a thread takes it on to its flight
-//! record, and the live registry of every request whose books are open
+//! One request's books, from its arrival to its flight record, and the live
+//! registry of every request a thread is working on
 //! (`GET /v1/debug/inflight`).
 //!
-//! Three functions do all the bookkeeping, and the HTTP worker and the
+//! Three functions do all the bookkeeping, and the HTTP transport and the
 //! in-process [`crate::service::ScheduleService`] calls share them:
 //!
 //! * [`InflightRegistry::open`] registers the request — trace ID, method,
 //!   path, peer and arrival — and makes it the calling thread's open
 //!   request. A thread keeps one request's books at a time. The books' clock
-//!   starts at the arrival the caller passes in, not at the open, so stages
-//!   timed before the open (the transport's `parse` and `queue_wait`) fall
-//!   inside the request's total.
+//!   starts at the arrival the caller passes in, not at the open, so a stage
+//!   timed before the open (the transport's `parse`) falls inside the
+//!   request's total.
 //! * [`stage`] times one [`Stage`] of the open request and makes it the
 //!   request's live stage ([`record_stage`] adds a duration measured
 //!   elsewhere without touching the live stage).
@@ -19,9 +19,12 @@
 //!   the `Server-Timing` header renders and the stage histograms count.
 //!
 //! Books can change threads: [`RequestBooks::hand_over`] takes them off the
-//! thread that opened them — the HTTP event loop, when a search it probed
-//! missed the cache — and [`InflightRegistry::take_over`] puts them on the
-//! worker that finishes the request, clock, trace ID and stage rows intact.
+//! thread that opened them — the HTTP event loop, for every request it
+//! queues for the worker pool — and [`InflightRegistry::take_over`] puts
+//! them on the thread that takes the request off the queue (a worker, or
+//! the loop shedding it), clock, trace ID and stage rows intact. A queued
+//! request is on no thread and off the registry; the admission queue's
+//! depth counts it.
 //!
 //! The books drop off the registry on any path, panics included: a
 //! [`RequestBooks`] dropped without a close deregisters just the same.
@@ -34,11 +37,12 @@
 //! reply hangs its frame writer on the same board as its listener. Requests
 //! that never solve (cache hits, coalesced followers) simply read zero.
 //!
-//! Memory is strictly bounded by concurrency: one entry per open request,
-//! cache hits included, and the worker-pool size (plus one, the event loop)
-//! caps how many are live at once. An entry is a couple hundred bytes plus one progress board: its
-//! five live counters, the finished solves' totals (an eleven-counter
-//! `SolverTotals` behind a mutex) and one listener slot.
+//! Memory is strictly bounded by concurrency: one entry per request a
+//! thread works on, cache hits included, which the worker-pool size (plus
+//! one, the event loop) caps, and one per queued request, which the
+//! admission queue's capacity caps. An entry is a couple hundred bytes plus
+//! one progress board: its five live counters, the finished solves' totals
+//! (an eleven-counter `SolverTotals` behind a mutex) and one listener slot.
 
 use crate::flight::now_unix_ms;
 use crate::metrics::ServiceMetrics;
@@ -58,7 +62,7 @@ use tessel_solver::ProgressBoard;
 pub enum Stage {
     /// HTTP head + body parsing on the event loop.
     Parse,
-    /// Queued for a free worker.
+    /// Queued for a free worker, or until the admission queue shed it.
     QueueWait,
     /// Request body JSON → typed request.
     Decode,
@@ -134,7 +138,8 @@ thread_local! {
     static CURRENT: RefCell<Option<OpenRequest>> = const { RefCell::new(None) };
 }
 
-/// One admitted-but-unanswered request.
+/// One request a thread is working on; queued requests show in
+/// `tessel_admission_queue_depth`.
 #[derive(Debug)]
 pub struct InflightEntry {
     trace_id: TraceId,
@@ -187,7 +192,8 @@ impl InflightEntry {
     }
 }
 
-/// Registry of every request whose books are open, ordered oldest first.
+/// Registry of every request whose books are open on a thread, ordered
+/// oldest first.
 #[derive(Debug, Default)]
 pub struct InflightRegistry {
     next_id: AtomicU64,

@@ -40,9 +40,10 @@
 //!   duration / endpoint / trace.
 //! * [`inflight`] — one request's books: the open, the timed
 //!   [`inflight::Stage`]s and the close to its flight record, shared by the
-//!   HTTP worker and the in-process calls; and the live registry behind
-//!   `GET /v1/debug/inflight`: every admitted-but-unanswered request with
-//!   its live stage, deadline remaining and relaxed-atomic solver progress.
+//!   HTTP transport and the in-process calls; and the live registry behind
+//!   `GET /v1/debug/inflight`: every request a thread is working on (queued
+//!   requests show in `tessel_admission_queue_depth`) with its live stage,
+//!   deadline remaining and relaxed-atomic solver progress.
 //! * [`wire`] — the JSON request/response types.
 //!
 //! Two binaries ship with the crate: `tessel-server` (the daemon) and

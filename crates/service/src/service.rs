@@ -867,10 +867,9 @@ impl ScheduleService {
     /// [`crate::inflight`]): registers it on the live in-flight registry
     /// under `trace_id` (a fresh ID when `None`), its clock counting from
     /// `arrived`, and opens its trace context. The HTTP transport opens
-    /// every request on the thread that takes it on — the event loop for a
-    /// search it probes, a worker right after popping any other job off the
-    /// admission queue — from the instant the loop received it, and
-    /// [`ScheduleService::answer`] opens each in-process call from the
+    /// every request on the event loop, from the instant the loop read it
+    /// (a worker takes the books over when the loop hands the request on),
+    /// and [`ScheduleService::answer`] opens each in-process call from the
     /// instant of the call. A thread keeps one request's books at a time.
     pub fn open_request(
         &self,
@@ -886,13 +885,15 @@ impl ScheduleService {
 
     /// Puts a request's books, handed over by the thread that opened them,
     /// on the calling thread (see [`crate::inflight::HandedBooks`]): the
-    /// HTTP worker that finishes a search the event loop probed.
+    /// HTTP worker that answers a request the event loop handed on, or the
+    /// loop itself when it sheds one.
     pub(crate) fn take_over_request(&self, handed: HandedBooks) -> RequestBooks<'_> {
         self.inflight.take_over(&self.metrics, handed)
     }
 
-    /// The `GET /v1/debug/inflight` response body: every admitted request
-    /// not yet answered, oldest first, with live solver progress.
+    /// The `GET /v1/debug/inflight` response body: every request a thread is
+    /// working on, oldest first, with live solver progress; queued requests
+    /// show in `tessel_admission_queue_depth`.
     #[must_use]
     pub fn debug_inflight(&self) -> InflightResponse {
         self.inflight.snapshot()

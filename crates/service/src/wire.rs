@@ -433,7 +433,7 @@ pub struct InflightInfo {
     /// `canonicalize`, `cache_lookup`, `singleflight_wait`, `remote_fetch`,
     /// `solve`, `translate`, `serialize`).
     pub stage: String,
-    /// Milliseconds since the request was admitted.
+    /// Milliseconds since the request arrived (the read that completed it).
     pub elapsed_ms: u64,
     /// Milliseconds until the request's deadline, when it has one. Zero when
     /// the deadline has already passed.
@@ -463,7 +463,8 @@ pub struct InflightInfo {
 /// The `GET /v1/debug/inflight` response body.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct InflightResponse {
-    /// Every admitted-but-unanswered request, oldest first.
+    /// Every request a thread is working on, oldest first; queued requests
+    /// show in `tessel_admission_queue_depth`.
     pub inflight: Vec<InflightInfo>,
 }
 

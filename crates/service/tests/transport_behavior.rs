@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use tessel_core::ir::{BlockKind, PlacementSpec};
 use tessel_placement::shapes::{synthetic_placement, ShapeKind};
 use tessel_service::http::{http_call, http_call_streaming};
-use tessel_service::wire::{SearchRequest, StreamEvent};
+use tessel_service::wire::{DebugRequestsResponse, FlightRecordInfo, SearchRequest, StreamEvent};
 use tessel_service::{HttpClient, HttpServer, ScheduleService, ServerConfig, ServiceConfig};
 
 fn v_shape(devices: usize) -> PlacementSpec {
@@ -676,6 +676,8 @@ mod src_bind {
 /// Under overload the admission queue sheds the least valuable *waiting*
 /// request — here the latest-deadline one — with `429` + `Retry-After`,
 /// while the earlier-deadline requests already queued complete normally.
+/// The `429` carries a trace ID and `Server-Timing`, and leaves a flight
+/// record.
 #[test]
 fn saturated_queue_sheds_the_latest_deadline_request() {
     let (server, addr) = start_admission_server(2);
@@ -719,6 +721,11 @@ fn saturated_queue_sheds_the_latest_deadline_request() {
     assert_eq!(status, 429, "{body}");
     assert!(head.to_ascii_lowercase().contains("retry-after"), "{head}");
     assert!(body.contains("shed"), "{body}");
+    // The victim, queued behind a search the loop probed, was shed before
+    // anything probed it; still its books were opened when it was read,
+    // and they close with the time it waited.
+    let trace = trace_of(&head);
+    assert!(timed_before(&head, "parse", "queue_wait"), "{head}");
 
     // The earlier-deadline requests were untouched and complete.
     for stream in &mut earlier {
@@ -740,8 +747,35 @@ fn saturated_queue_sheds_the_latest_deadline_request() {
         metrics.contains("tessel_admission_wait_seconds"),
         "{metrics}"
     );
+    let shed: Vec<String> = (recent_records(&addr, 429).into_iter())
+        .map(|record| record.trace_id)
+        .collect();
+    assert_eq!(shed, [trace]);
 
     server.shutdown();
+}
+
+/// The trace ID a response head carries.
+fn trace_of(head: &str) -> String {
+    let trace = head
+        .lines()
+        .find_map(|line| line.strip_prefix("X-Tessel-Trace-Id: "));
+    let trace = trace.unwrap_or_else(|| panic!("no trace ID: {head}"));
+    assert!(
+        trace.len() == 32 && trace.bytes().all(|b| b.is_ascii_hexdigit()),
+        "{head}"
+    );
+    trace.to_string()
+}
+
+/// The recent flight records `GET /v1/debug/requests?status={status}` lists.
+fn recent_records(addr: &str, status: u16) -> Vec<FlightRecordInfo> {
+    let path = format!("/v1/debug/requests?status={status}");
+    let (code, body) = http_call(addr, "GET", &path, None).unwrap();
+    assert_eq!(code, 200, "{body}");
+    serde_json::from_str::<DebugRequestsResponse>(&body)
+        .unwrap()
+        .recent
 }
 
 /// A greedy client cannot squeeze a polite one out of a saturated queue: the
@@ -984,11 +1018,13 @@ fn unstreamed_stream_request_announces_the_close() {
 
 /// Lengths are digits only and duplicates must agree: a signed
 /// `Content-Length`, a signed chunk size and two `Content-Length`s that
-/// differ are each a `400` + close; a repeated identical one is served.
+/// differ are each a `400` + close, traced and recorded like any answer; a
+/// repeated identical one is served.
 #[test]
 fn signed_and_conflicting_lengths_are_refused() {
     let (server, addr) = start_server(ephemeral_config());
-    let answer = |framing: &str, body: &str| {
+    let mut traces = Vec::new();
+    let mut answer = |framing: &str, body: &str| {
         let mut stream = TcpStream::connect(&addr).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(30)))
@@ -997,6 +1033,7 @@ fn signed_and_conflicting_lengths_are_refused() {
             format!("PUT /v1/debug/loglevel HTTP/1.1\r\nHost: test\r\n{framing}\r\n{body}");
         stream.write_all(request.as_bytes()).unwrap();
         let (status, head, body) = read_one_response_with_head(&mut stream);
+        traces.push(trace_of(&head));
         (status, head.contains("Connection: close\r\n"), body)
     };
     let level = r#"{"level":"info"}"#;
@@ -1023,6 +1060,15 @@ fn signed_and_conflicting_lengths_are_refused() {
         let (status, closes, body) = answer(framing, &body);
         assert_eq!((status, closes), (200, false), "{framing:?}: {body}");
     }
+    // Every answer was traced, and each refusal left one flight record,
+    // of an empty request line.
+    let mut refused = recent_records(&addr, 400);
+    refused.reverse();
+    let refused_traces: Vec<&str> = refused.iter().map(|r| r.trace_id.as_str()).collect();
+    assert_eq!(refused_traces, traces[..3]);
+    assert!(refused
+        .iter()
+        .all(|r| r.method.is_empty() && r.path.is_empty()));
 
     server.shutdown();
 }
