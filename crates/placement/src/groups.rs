@@ -4,36 +4,36 @@
 //! pipeline stages) and absorbs additional GPUs with tensor/data parallelism
 //! *inside* each execution block, following Piper. A [`DeviceGroups`] value
 //! records that mapping: `stages` schedule devices, each backed by
-//! `gpus_per_group` physical GPUs. Block times shrink with the group size
-//! (with an efficiency discount) and per-GPU parameter memory shrinks
-//! linearly.
+//! `gpus_per_group` physical GPUs. A block split across a group runs faster
+//! by the group size, discounted by a fixed parallel efficiency.
 
-use serde::{Deserialize, Serialize};
+/// Deepest pipeline the model-driven placements build: the Fig. 8 schedules
+/// use four stages.
+const MAX_STAGES: usize = 4;
+
+/// Parallel efficiency of splitting one block across GPUs; tensor
+/// parallelism is never perfectly linear.
+const EFFICIENCY: f64 = 0.9;
 
 /// Mapping of schedule devices to physical GPU groups.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceGroups {
     /// Number of schedule-level devices (pipeline stages).
     pub stages: usize,
     /// Physical GPUs backing each schedule device.
     pub gpus_per_group: usize,
-    /// Parallel efficiency of splitting one block across the group
-    /// (`0 < efficiency <= 1`); tensor parallelism is never perfectly linear.
-    pub efficiency: f64,
 }
 
 impl DeviceGroups {
-    /// Groups `total_gpus` GPUs into at most `max_stages` pipeline stages.
+    /// Groups `total_gpus` GPUs into at most four pipeline stages.
     ///
-    /// With fewer GPUs than `max_stages`, every GPU becomes its own stage.
+    /// With fewer GPUs than that, every GPU becomes its own stage.
     #[must_use]
-    pub fn for_gpus(total_gpus: usize, max_stages: usize) -> Self {
-        let stages = total_gpus.min(max_stages).max(1);
-        let gpus_per_group = (total_gpus / stages).max(1);
+    pub fn for_gpus(total_gpus: usize) -> Self {
+        let stages = total_gpus.clamp(1, MAX_STAGES);
         DeviceGroups {
             stages,
-            gpus_per_group,
-            efficiency: 0.9,
+            gpus_per_group: (total_gpus / stages).max(1),
         }
     }
 
@@ -42,32 +42,16 @@ impl DeviceGroups {
     pub fn total_gpus(&self) -> usize {
         self.stages * self.gpus_per_group
     }
+}
 
-    /// Scales a single-GPU block time to the group: dividing by the group
-    /// size, discounted by the parallel efficiency, and never below 1.
-    #[must_use]
-    pub fn scale_time(&self, single_gpu_time: u64) -> u64 {
-        if single_gpu_time == 0 {
-            return 0;
-        }
-        let scaled = (single_gpu_time as f64 / (self.gpus_per_group as f64 * self.efficiency))
-            .round() as u64;
-        scaled.max(1)
+/// Scales a single-GPU block time to a block split across `width` GPUs:
+/// divided by the width, discounted by the parallel efficiency, and never
+/// below 1 unless it was 0.
+pub(crate) fn scale_over(time: u64, width: usize) -> u64 {
+    if time == 0 {
+        return 0;
     }
-
-    /// Scales a per-model memory amount to a per-GPU share of the group.
-    #[must_use]
-    pub fn scale_memory(&self, memory_units: i64) -> i64 {
-        if memory_units == 0 {
-            return 0;
-        }
-        let share = (memory_units as f64 / self.gpus_per_group as f64).ceil() as i64;
-        if memory_units > 0 {
-            share.max(1)
-        } else {
-            share.min(-1)
-        }
-    }
+    ((time as f64 / (width as f64 * EFFICIENCY)).round() as u64).max(1)
 }
 
 #[cfg(test)]
@@ -76,43 +60,23 @@ mod tests {
 
     #[test]
     fn groups_keep_pipeline_depth_bounded() {
-        let g = DeviceGroups::for_gpus(32, 4);
+        let g = DeviceGroups::for_gpus(32);
         assert_eq!(g.stages, 4);
         assert_eq!(g.gpus_per_group, 8);
         assert_eq!(g.total_gpus(), 32);
-        let small = DeviceGroups::for_gpus(2, 4);
+        let small = DeviceGroups::for_gpus(2);
         assert_eq!(small.stages, 2);
         assert_eq!(small.gpus_per_group, 1);
     }
 
     #[test]
     fn time_scaling_accounts_for_efficiency() {
-        let g = DeviceGroups {
-            stages: 4,
-            gpus_per_group: 4,
-            efficiency: 1.0,
-        };
-        assert_eq!(g.scale_time(40), 10);
-        assert_eq!(g.scale_time(0), 0);
-        assert_eq!(g.scale_time(1), 1, "times never round to zero");
-        let lossy = DeviceGroups {
-            efficiency: 0.5,
-            ..g
-        };
-        assert_eq!(lossy.scale_time(40), 20);
-    }
-
-    #[test]
-    fn memory_scaling_preserves_sign() {
-        let g = DeviceGroups {
-            stages: 4,
-            gpus_per_group: 8,
-            efficiency: 0.9,
-        };
-        assert_eq!(g.scale_memory(16), 2);
-        assert_eq!(g.scale_memory(-16), -2);
-        assert_eq!(g.scale_memory(1), 1);
-        assert_eq!(g.scale_memory(-1), -1);
-        assert_eq!(g.scale_memory(0), 0);
+        assert_eq!(scale_over(36, 4), 10, "36 / (4 x 0.9)");
+        assert_eq!(scale_over(0, 4), 0);
+        assert_eq!(scale_over(1, 4), 1, "times never round to zero");
+        assert_eq!(scale_over(1, 32), 1, "times never round to zero");
+        // Without the discount 40 / 4 would be 10.
+        assert_eq!(scale_over(40, 4), 11, "the efficiency discount applies");
+        assert_eq!(scale_over(40, 1), 44, "the discount applies to one GPU too");
     }
 }

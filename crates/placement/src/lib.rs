@@ -7,12 +7,13 @@
 //!   model-driven placements of Fig. 8 built from the analytical cost models
 //!   of `tessel-models` (M-shape GPT, NN-shape mT5, K-shape Flava, plus the
 //!   V-shape baseline placement used by 1F1B).
-//! * [`piper`] — a Piper-style dynamic-programming partitioner that groups a
-//!   linear layer sequence into pipeline stages under a memory budget,
-//!   balancing per-stage compute time.
-//! * [`groups`] — device-group helpers: the paper scales to 8/16/32 GPUs by
+//! * [`piper`] — a Piper-style dynamic-programming partitioner that splits a
+//!   linear layer sequence into pipeline stages, balancing per-stage compute
+//!   time.
+//! * [`groups`] — device groups: the paper scales to 8/16/32 GPUs by
 //!   combining pipeline stages with tensor/data parallelism inside each
-//!   block, so a "device" of the schedule search becomes a group of GPUs.
+//!   block, so a "device" of the schedule search becomes a group of GPUs
+//!   whose blocks run faster by the group size.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,7 +23,7 @@ pub mod piper;
 pub mod shapes;
 
 pub use groups::DeviceGroups;
-pub use piper::{partition_layers, PiperPartition};
+pub use piper::partition_layers;
 pub use shapes::{
     flava_k_shape, gpt_m_shape, gpt_v_shape_baseline, mt5_nn_shape, mt5_v_shape_baseline,
     synthetic_placement, ShapeKind,

@@ -5,82 +5,20 @@
 //! per-block device assignment underlying both the baselines and Tessel's
 //! advanced placements. This module implements the part Tessel needs: split a
 //! *linear* sequence of layers into `stages` contiguous groups minimising the
-//! maximum per-stage time, subject to a per-stage memory budget.
+//! maximum per-stage time.
 
-use serde::{Deserialize, Serialize};
-
-/// A layer as seen by the partitioner: its compute time and resident memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PartitionItem {
-    /// Compute time of the layer (forward + backward), in time units.
-    pub time: u64,
-    /// Resident memory of the layer (parameters and state), in memory units.
-    pub memory: i64,
-}
-
-/// The result of partitioning: stage boundaries and the bottleneck time.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PiperPartition {
-    /// Half-open layer ranges, one per stage, covering the sequence in order.
-    pub stages: Vec<(usize, usize)>,
-    /// The maximum per-stage time — the pipeline bottleneck.
-    pub bottleneck_time: u64,
-}
-
-impl PiperPartition {
-    /// Per-stage total times.
-    #[must_use]
-    pub fn stage_times(&self, items: &[PartitionItem]) -> Vec<u64> {
-        self.stages
-            .iter()
-            .map(|&(lo, hi)| items[lo..hi].iter().map(|i| i.time).sum())
-            .collect()
-    }
-
-    /// Per-stage total memory.
-    #[must_use]
-    pub fn stage_memory(&self, items: &[PartitionItem]) -> Vec<i64> {
-        self.stages
-            .iter()
-            .map(|&(lo, hi)| items[lo..hi].iter().map(|i| i.memory).sum())
-            .collect()
-    }
-
-    /// Ratio between the slowest and the fastest stage — the imbalance metric
-    /// behind Fig. 2 of the paper.
-    #[must_use]
-    pub fn imbalance(&self, items: &[PartitionItem]) -> f64 {
-        let times = self.stage_times(items);
-        let max = times.iter().copied().max().unwrap_or(0) as f64;
-        let min = times.iter().copied().min().unwrap_or(0).max(1) as f64;
-        max / min
-    }
-}
-
-/// Splits `items` into `stages` contiguous groups minimising the maximum
-/// per-stage time, subject to every stage's memory fitting in
-/// `memory_budget` (when given).
+/// Splits a layer sequence, given by each layer's compute time, into `stages`
+/// contiguous groups minimising the maximum per-stage time.
 ///
-/// Returns `None` when no partition satisfies the memory budget (e.g. a
-/// single layer that does not fit anywhere) or when there are fewer layers
-/// than stages.
+/// Returns the half-open layer ranges, one per stage, covering the sequence
+/// in order; `None` when there are no stages or fewer layers than stages.
 #[must_use]
-pub fn partition_layers(
-    items: &[PartitionItem],
-    stages: usize,
-    memory_budget: Option<i64>,
-) -> Option<PiperPartition> {
-    let n = items.len();
+pub fn partition_layers(times: &[u64], stages: usize) -> Option<Vec<(usize, usize)>> {
+    let n = times.len();
     if stages == 0 || n < stages {
         return None;
     }
-    let fits = |lo: usize, hi: usize| -> bool {
-        match memory_budget {
-            None => true,
-            Some(budget) => items[lo..hi].iter().map(|i| i.memory).sum::<i64>() <= budget,
-        }
-    };
-    let time = |lo: usize, hi: usize| -> u64 { items[lo..hi].iter().map(|i| i.time).sum() };
+    let time = |lo: usize, hi: usize| -> u64 { times[lo..hi].iter().sum() };
 
     // dp[s][i]: minimal bottleneck using s stages to cover the first i layers.
     const INF: u64 = u64::MAX;
@@ -90,7 +28,7 @@ pub fn partition_layers(
     for s in 1..=stages {
         for i in 1..=n {
             for j in (s - 1)..i {
-                if dp[s - 1][j] == INF || !fits(j, i) {
+                if dp[s - 1][j] == INF {
                     continue;
                 }
                 let candidate = dp[s - 1][j].max(time(j, i));
@@ -101,9 +39,6 @@ pub fn partition_layers(
             }
         }
     }
-    if dp[stages][n] == INF {
-        return None;
-    }
     let mut bounds = Vec::with_capacity(stages);
     let mut end = n;
     for s in (1..=stages).rev() {
@@ -112,75 +47,44 @@ pub fn partition_layers(
         end = start;
     }
     bounds.reverse();
-    Some(PiperPartition {
-        stages: bounds,
-        bottleneck_time: dp[stages][n],
-    })
+    Some(bounds)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn items(times: &[u64]) -> Vec<PartitionItem> {
-        times
-            .iter()
-            .map(|&t| PartitionItem { time: t, memory: 1 })
-            .collect()
-    }
-
     #[test]
     fn balanced_partition_of_uniform_layers() {
-        let layers = items(&[1; 8]);
-        let partition = partition_layers(&layers, 4, None).unwrap();
-        assert_eq!(partition.stages.len(), 4);
-        assert_eq!(partition.bottleneck_time, 2);
-        assert_eq!(partition.stage_times(&layers), vec![2, 2, 2, 2]);
-        assert!((partition.imbalance(&layers) - 1.0).abs() < 1e-9);
+        let partition = partition_layers(&[1; 8], 4).unwrap();
+        assert_eq!(partition, vec![(0, 2), (2, 4), (4, 6), (6, 8)]);
     }
 
     #[test]
     fn heavy_layer_forces_imbalance() {
-        let layers = items(&[10, 1, 1, 1]);
-        let partition = partition_layers(&layers, 2, None).unwrap();
-        assert_eq!(partition.bottleneck_time, 10);
-        assert!(partition.imbalance(&layers) > 3.0);
-    }
-
-    #[test]
-    fn memory_budget_shifts_the_cut() {
-        // Unconstrained, the best split keeps the two light layers together;
-        // the memory budget forces the heavier cut instead.
-        let layers = vec![
-            PartitionItem { time: 1, memory: 2 },
-            PartitionItem { time: 1, memory: 2 },
-            PartitionItem { time: 5, memory: 1 },
-        ];
-        let unconstrained = partition_layers(&layers, 2, None).unwrap();
-        assert_eq!(unconstrained.bottleneck_time, 5);
-        let constrained = partition_layers(&layers, 2, Some(3)).unwrap();
-        assert!(constrained.stage_memory(&layers).iter().all(|&m| m <= 3));
-        assert_eq!(constrained.bottleneck_time, 6);
+        // The heavy layer gets a stage of its own; the light ones share the
+        // other.
+        let partition = partition_layers(&[10, 1, 1, 1], 2).unwrap();
+        assert_eq!(partition, vec![(0, 1), (1, 4)]);
     }
 
     #[test]
     fn infeasible_budgets_return_none() {
-        let layers = vec![PartitionItem { time: 1, memory: 5 }];
-        assert!(partition_layers(&layers, 1, Some(4)).is_none());
-        assert!(partition_layers(&layers, 2, None).is_none());
-        assert!(partition_layers(&layers, 0, None).is_none());
+        // A stage needs at least one layer.
+        assert!(partition_layers(&[1], 2).is_none());
+        assert!(partition_layers(&[1], 0).is_none());
     }
 
     #[test]
     fn stage_ranges_cover_the_sequence_exactly() {
-        let layers = items(&[3, 1, 4, 1, 5, 9, 2, 6]);
-        let partition = partition_layers(&layers, 3, None).unwrap();
+        let times = [3, 1, 4, 1, 5, 9, 2, 6];
+        let partition = partition_layers(&times, 3).unwrap();
         let mut covered = 0;
-        for &(lo, hi) in &partition.stages {
+        for &(lo, hi) in &partition {
             assert_eq!(lo, covered);
             assert!(hi > lo);
             covered = hi;
         }
-        assert_eq!(covered, layers.len());
+        assert_eq!(covered, times.len());
     }
 }

@@ -1,15 +1,16 @@
 //! Placement shapes: the synthetic unit-cost shapes of Fig. 1 and the
 //! model-driven placements of Fig. 8.
 
-use crate::groups::DeviceGroups;
-use crate::piper::{partition_layers, PartitionItem};
+use crate::groups::{scale_over, DeviceGroups};
+use crate::piper::partition_layers;
 use crate::Result;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use tessel_core::ir::{BlockKind, BlockSpec, PlacementSpec};
+use std::ops::Range;
+use tessel_core::ir::{BlockKind, BlockSpec, PlacementBuilder, PlacementSpec};
 use tessel_core::CoreError;
 use tessel_models::config::{FlavaConfig, ModelConfig};
-use tessel_models::cost::CostModel;
+use tessel_models::cost::{CostModel, LayerCost};
 
 /// The placement shapes studied in the paper (Fig. 1 and Fig. 8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -62,199 +63,113 @@ impl fmt::Display for ShapeKind {
 /// the Fig. 11/12 ablations). Memory is left unconstrained; use
 /// [`PlacementSpec::with_memory_capacity`] for the Fig. 12 study.
 ///
+/// Dependency rule: the backward blocks mirror the forward chain. Each
+/// backward depends only on the block before it in that mirror, so only the
+/// terminal forward feeds its own backward; every other forward reaches its
+/// backward through the chain. The model-driven placements (see
+/// [`gpt_m_shape`]) follow another rule.
+///
 /// # Errors
 ///
 /// Returns an error for fewer than two devices (the K/X/NN shapes need at
 /// least two).
 pub fn synthetic_placement(kind: ShapeKind, devices: usize) -> Result<PlacementSpec> {
+    use BlockKind::{Backward, Forward};
     if devices < 2 {
         return Err(CoreError::EmptyPlacement);
     }
-    let mut b = PlacementSpec::builder(format!("{kind}-{devices}dev"), devices);
+    let half = devices / 2;
+    let mut builder = PlacementSpec::builder(format!("{kind}-{devices}dev"), devices);
+    let b = &mut builder;
     match kind {
         ShapeKind::V => {
-            let mut prev: Option<usize> = None;
-            let forwards: Vec<usize> = (0..devices)
-                .map(|d| {
-                    let deps: Vec<usize> = prev.into_iter().collect();
-                    let id = b
-                        .add_block(format!("f{d}"), BlockKind::Forward, [d], 1, 1, deps)
-                        .expect("valid block");
-                    prev = Some(id);
-                    id
-                })
-                .collect();
-            let _ = forwards;
-            for d in (0..devices).rev() {
-                let deps: Vec<usize> = prev.into_iter().collect();
-                prev = Some(
-                    b.add_block(format!("b{d}"), BlockKind::Backward, [d], 2, -1, deps)
-                        .expect("valid block"),
-                );
-            }
+            let last = chain(b, "", Forward, 0..devices, None);
+            chain(b, "", Backward, (0..devices).rev(), Some(last));
         }
         ShapeKind::X => {
             // Two pipelines in opposite directions, as in Chimera.
-            for (branch, down) in [("d", true), ("u", false)] {
-                let mut prev: Option<usize> = None;
-                let order: Vec<usize> = if down {
-                    (0..devices).collect()
-                } else {
-                    (0..devices).rev().collect()
-                };
-                for &d in &order {
-                    let deps: Vec<usize> = prev.into_iter().collect();
-                    prev = Some(
-                        b.add_block(
-                            format!("{branch}-f{d}"),
-                            BlockKind::Forward,
-                            [d],
-                            1,
-                            1,
-                            deps,
-                        )
-                        .expect("valid block"),
-                    );
-                }
-                for &d in order.iter().rev() {
-                    let deps: Vec<usize> = prev.into_iter().collect();
-                    prev = Some(
-                        b.add_block(
-                            format!("{branch}-b{d}"),
-                            BlockKind::Backward,
-                            [d],
-                            2,
-                            -1,
-                            deps,
-                        )
-                        .expect("valid block"),
-                    );
-                }
-            }
+            let last = chain(b, "d-", Forward, 0..devices, None);
+            chain(b, "d-", Backward, (0..devices).rev(), Some(last));
+            let last = chain(b, "u-", Forward, (0..devices).rev(), None);
+            chain(b, "u-", Backward, 0..devices, Some(last));
         }
         ShapeKind::M => {
-            let all: Vec<usize> = (0..devices).collect();
-            let embed_f = b
-                .add_block("embed-f", BlockKind::Forward, all.clone(), 1, 1, [])
-                .expect("valid block");
-            let mut prev = embed_f;
-            for d in 0..devices {
-                prev = b
-                    .add_block(format!("f{d}"), BlockKind::Forward, [d], 1, 1, [prev])
-                    .expect("valid block");
-            }
-            for d in (0..devices).rev() {
-                prev = b
-                    .add_block(format!("b{d}"), BlockKind::Backward, [d], 2, -1, [prev])
-                    .expect("valid block");
-            }
-            b.add_block("embed-b", BlockKind::Backward, all, 2, -1, [prev])
-                .expect("valid block");
+            let embed = unit_block(b, "embed-f", Forward, 0..devices, []);
+            let last = chain(b, "", Forward, 0..devices, Some(embed));
+            let last = chain(b, "", Backward, (0..devices).rev(), Some(last));
+            unit_block(b, "embed-b", Backward, 0..devices, [last]);
         }
         ShapeKind::K => {
-            let half = devices / 2;
-            let mut branch_ends = Vec::new();
-            for (branch, range) in [("text", 0..half), ("vision", half..devices)] {
-                let mut prev: Option<usize> = None;
-                for d in range {
-                    let deps: Vec<usize> = prev.into_iter().collect();
-                    prev = Some(
-                        b.add_block(
-                            format!("{branch}-f{d}"),
-                            BlockKind::Forward,
-                            [d],
-                            1,
-                            1,
-                            deps,
-                        )
-                        .expect("valid block"),
-                    );
-                }
-                branch_ends.push(prev.expect("branch has at least one stage"));
-            }
-            let all: Vec<usize> = (0..devices).collect();
-            let cross_f = b
-                .add_block(
-                    "cross-f",
-                    BlockKind::Forward,
-                    all.clone(),
-                    1,
-                    1,
-                    branch_ends.clone(),
-                )
-                .expect("valid block");
-            let cross_b = b
-                .add_block("cross-b", BlockKind::Backward, all, 2, -1, [cross_f])
-                .expect("valid block");
-            for (branch, range) in [("text", 0..half), ("vision", half..devices)] {
-                let mut prev = cross_b;
-                for d in range.rev() {
-                    prev = b
-                        .add_block(
-                            format!("{branch}-b{d}"),
-                            BlockKind::Backward,
-                            [d],
-                            2,
-                            -1,
-                            [prev],
-                        )
-                        .expect("valid block");
-                }
-            }
+            let text = chain(b, "text-", Forward, 0..half, None);
+            let vision = chain(b, "vision-", Forward, half..devices, None);
+            let cross = unit_block(b, "cross-f", Forward, 0..devices, [text, vision]);
+            let cross = unit_block(b, "cross-b", Backward, 0..devices, [cross]);
+            chain(b, "text-", Backward, (0..half).rev(), Some(cross));
+            chain(b, "vision-", Backward, (half..devices).rev(), Some(cross));
         }
         ShapeKind::NN => {
-            let half = devices / 2;
-            let all: Vec<usize> = (0..devices).collect();
-            let embed_f = b
-                .add_block("embed-f", BlockKind::Forward, all.clone(), 1, 1, [])
-                .expect("valid block");
-            let mut enc_prev = embed_f;
-            for d in 0..half {
-                enc_prev = b
-                    .add_block(
-                        format!("enc-f{d}"),
-                        BlockKind::Forward,
-                        [d],
-                        1,
-                        1,
-                        [enc_prev],
-                    )
-                    .expect("valid block");
-            }
-            let mut dec_prev = enc_prev;
-            let mut first_dec = None;
-            for d in half..devices {
-                let deps = if first_dec.is_none() {
-                    vec![embed_f, enc_prev]
-                } else {
-                    vec![dec_prev]
-                };
-                dec_prev = b
-                    .add_block(format!("dec-f{d}"), BlockKind::Forward, [d], 1, 1, deps)
-                    .expect("valid block");
-                first_dec.get_or_insert(dec_prev);
-            }
-            let mut prev = dec_prev;
-            for d in (half..devices).rev() {
-                prev = b
-                    .add_block(format!("dec-b{d}"), BlockKind::Backward, [d], 2, -1, [prev])
-                    .expect("valid block");
-            }
-            for d in (0..half).rev() {
-                prev = b
-                    .add_block(format!("enc-b{d}"), BlockKind::Backward, [d], 2, -1, [prev])
-                    .expect("valid block");
-            }
-            b.add_block("embed-b", BlockKind::Backward, all, 2, -1, [prev])
-                .expect("valid block");
+            let embed = unit_block(b, "embed-f", Forward, 0..devices, []);
+            let enc = chain(b, "enc-", Forward, 0..half, Some(embed));
+            let dec = chain(b, "dec-", Forward, half..devices, [embed, enc]);
+            let last = chain(b, "dec-", Backward, (half..devices).rev(), Some(dec));
+            let last = chain(b, "enc-", Backward, (0..half).rev(), Some(last));
+            unit_block(b, "embed-b", Backward, 0..devices, [last]);
         }
     }
-    b.build()
+    builder.build()
+}
+
+/// Adds one unit-cost block of `kind` per device of `devices`, in order,
+/// named `{prefix}f{device}` or `{prefix}b{device}`. Each block depends on the
+/// one before it, the first on `first_deps`. Returns the last block's id.
+fn chain(
+    b: &mut PlacementBuilder,
+    prefix: &str,
+    kind: BlockKind,
+    devices: impl IntoIterator<Item = usize>,
+    first_deps: impl IntoIterator<Item = usize>,
+) -> usize {
+    let letter = if kind == BlockKind::Forward { 'f' } else { 'b' };
+    let mut devices = devices.into_iter();
+    let first = devices.next().expect("a chain spans at least one device");
+    let mut prev = unit_block(
+        b,
+        format!("{prefix}{letter}{first}"),
+        kind,
+        [first],
+        first_deps,
+    );
+    for d in devices {
+        prev = unit_block(b, format!("{prefix}{letter}{d}"), kind, [d], [prev]);
+    }
+    prev
+}
+
+/// Adds one unit-cost block: a forward costs 1 time unit and holds 1 memory
+/// unit, a backward costs 2 and releases it.
+fn unit_block(
+    b: &mut PlacementBuilder,
+    name: impl Into<String>,
+    kind: BlockKind,
+    devices: impl IntoIterator<Item = usize>,
+    deps: impl IntoIterator<Item = usize>,
+) -> usize {
+    let (time, memory) = if kind == BlockKind::Forward {
+        (1, 1)
+    } else {
+        (2, -1)
+    };
+    b.add_block(name, kind, devices, time, memory, deps)
+        .expect("valid block")
 }
 
 /// Memory multiplier covering parameters, gradients and (distributed)
 /// optimizer state relative to half-precision parameter bytes.
 const STATE_FACTOR: u64 = 4;
+
+/// Memory units per GPU the V-shape baselines keep free of embedding state
+/// when they size the embedding's groups: headroom for activations.
+const BASELINE_ACTIVATION_MARGIN: i64 = 4;
 
 /// Internal description of one pipeline stage of a model-driven placement.
 struct StagePlan {
@@ -270,97 +185,263 @@ struct StagePlan {
     deps: Vec<usize>,
 }
 
-/// Assembles a training (or inference) placement out of stage plans.
-fn assemble(
-    name: String,
-    num_devices: usize,
-    capacity_units: i64,
-    stages: Vec<StagePlan>,
-    inference: bool,
-) -> Result<PlacementSpec> {
-    // Static memory check: every schedule device must hold the parameter and
-    // optimizer state of the stages mapped onto it.
-    let mut static_per_device = vec![0i64; num_devices];
-    for stage in &stages {
-        for &d in &stage.devices {
-            static_per_device[d] += stage.static_mem;
-        }
-    }
-    let mut available = capacity_units;
-    for (device, &static_mem) in static_per_device.iter().enumerate() {
-        if static_mem >= capacity_units {
-            return Err(CoreError::PlacementOutOfMemory {
-                device,
-                required: static_mem,
-                capacity: capacity_units,
-            });
-        }
-        available = available.min(capacity_units - static_mem);
-    }
-
-    let mut builder = PlacementSpec::builder(name, num_devices);
-    builder.set_memory_capacity(Some(available));
-    // Forward blocks in stage order. Training forwards keep their activations
-    // alive until the matching backward releases them; inference activations
-    // are transient (consumed by the next stage), so they do not accumulate
-    // against the budget.
-    let mut forward_ids = Vec::with_capacity(stages.len());
-    for stage in &stages {
-        let deps: Vec<usize> = stage.deps.iter().map(|&s| forward_ids[s]).collect();
-        let forward_memory = if inference { 0 } else { stage.activation_mem };
-        let block = BlockSpec::new(
-            format!("{}-f", stage.name),
-            BlockKind::Forward,
-            stage.devices.iter().copied(),
-            stage.forward_time,
-            forward_memory,
-        )
-        .with_deps(deps)
-        .with_flops(stage.forward_flops)
-        .with_output_bytes(stage.output_bytes);
-        forward_ids.push(builder.push_block(block)?);
-    }
-    if !inference {
-        // Backward blocks in reverse stage order; the backward of a stage
-        // depends on its forward and on the backward of every stage that
-        // consumed its output.
-        let mut backward_ids: Vec<Option<usize>> = vec![None; stages.len()];
-        for (idx, stage) in stages.iter().enumerate().rev() {
-            let mut deps = vec![forward_ids[idx]];
-            for (succ_idx, succ) in stages.iter().enumerate() {
-                if succ.deps.contains(&idx) {
-                    if let Some(bid) = backward_ids[succ_idx] {
-                        deps.push(bid);
-                    }
-                }
-            }
-            let block = BlockSpec::new(
-                format!("{}-b", stage.name),
-                BlockKind::Backward,
-                stage.devices.iter().copied(),
-                stage.backward_time,
-                -stage.activation_mem,
-            )
-            .with_deps(deps)
-            .with_flops(stage.backward_flops)
-            .with_output_bytes(stage.output_bytes);
-            backward_ids[idx] = Some(builder.push_block(block)?);
-        }
-    }
-    builder.build()
+/// The stage plans of one model-driven placement and what costs them: the
+/// cost model and the GPU groups behind each schedule device.
+struct Stages<'a> {
+    cost: &'a CostModel,
+    groups: DeviceGroups,
+    plans: Vec<StagePlan>,
 }
 
-/// Scales a block running across `width` GPUs.
-fn scale_over(time: u64, width: usize, efficiency: f64) -> u64 {
-    if time == 0 {
-        return 0;
+impl<'a> Stages<'a> {
+    fn new(cost: &'a CostModel, total_gpus: usize) -> Self {
+        Stages {
+            cost,
+            groups: DeviceGroups::for_gpus(total_gpus),
+            plans: Vec::new(),
+        }
     }
-    ((time as f64 / (width as f64 * efficiency)).round() as u64).max(1)
+
+    /// The embedding as the first stage, tensor-parallel across every GPU of
+    /// the first `groups` schedule devices. Its activation memory is not
+    /// sharded: every device of the stage holds the whole output.
+    fn embed_stage(&mut self, embed: &LayerCost, groups: usize) {
+        let cost = self.cost;
+        let width = groups * self.groups.gpus_per_group;
+        self.plans.push(StagePlan {
+            name: "embed".into(),
+            devices: (0..groups).collect(),
+            forward_time: scale_over(cost.forward_time(embed), width),
+            backward_time: scale_over(cost.backward_time(embed), width),
+            forward_flops: embed.forward_flops,
+            backward_flops: embed.backward_flops * cost.recompute_factor,
+            activation_mem: cost.memory_units(embed.activation_bytes),
+            static_mem: cost.memory_units(embed.param_bytes * STATE_FACTOR / width as u64),
+            output_bytes: embed.output_bytes,
+            deps: vec![],
+        });
+    }
+
+    /// Appends a stage of `count` identical layers on `devices`, each layer
+    /// split across `width` GPUs, and returns its index.
+    fn layer_stage(
+        &mut self,
+        name: String,
+        devices: Range<usize>,
+        layer: &LayerCost,
+        count: usize,
+        width: usize,
+        deps: Vec<usize>,
+    ) -> usize {
+        let cost = self.cost;
+        let count = count as u64;
+        self.plans.push(StagePlan {
+            name,
+            devices: devices.collect(),
+            forward_time: (scale_over(cost.forward_time(layer), width) * count).max(1),
+            backward_time: (scale_over(cost.backward_time(layer), width) * count).max(1),
+            forward_flops: layer.forward_flops * count as f64,
+            backward_flops: layer.backward_flops * cost.recompute_factor * count as f64,
+            activation_mem: cost
+                .memory_units(layer.activation_bytes * count / width as u64)
+                .max(1),
+            static_mem: cost.memory_units(layer.param_bytes * STATE_FACTOR * count / width as u64),
+            output_bytes: layer.output_bytes,
+            deps,
+        });
+        self.plans.len() - 1
+    }
+
+    /// Appends a pipeline of layer stages named `{name}0`, `{name}1`, …, one
+    /// per schedule device of `devices`, holding `counts` layers in turn.
+    /// Each stage depends on `shared` (when given) and on the stage before
+    /// it; the first on `first` instead. Returns the last stage's index.
+    fn pipeline(
+        &mut self,
+        name: &str,
+        layer: &LayerCost,
+        devices: Range<usize>,
+        counts: impl IntoIterator<Item = usize>,
+        shared: Option<usize>,
+        first: Option<usize>,
+    ) -> usize {
+        let width = self.groups.gpus_per_group;
+        let mut prev = first;
+        for (i, (device, count)) in devices.zip(counts).enumerate() {
+            let deps = shared.into_iter().chain(prev).collect();
+            let stage = format!("{name}{i}");
+            prev = Some(self.layer_stage(stage, device..device + 1, layer, count, width, deps));
+        }
+        prev.expect("a pipeline spans at least one device")
+    }
+
+    /// How many leading schedule devices the V-shape baselines give the
+    /// embedding: enough that its state fits beside
+    /// [`BASELINE_ACTIVATION_MARGIN`], and fewer than all of them.
+    fn baseline_embed_groups(&self, embed: &LayerCost) -> Result<usize> {
+        let embed_state = self.cost.memory_units(embed.param_bytes * STATE_FACTOR);
+        let capacity = self.cost.device.memory_capacity_units();
+        let usable_per_group =
+            (capacity - BASELINE_ACTIVATION_MARGIN).max(1) * self.groups.gpus_per_group as i64;
+        let embed_groups =
+            ((embed_state + usable_per_group - 1) / usable_per_group).max(1) as usize;
+        if embed_groups >= self.groups.stages {
+            return Err(CoreError::PlacementOutOfMemory {
+                device: 0,
+                required: embed_state,
+                capacity: usable_per_group * (self.groups.stages as i64 - 1),
+            });
+        }
+        Ok(embed_groups)
+    }
+
+    /// Assembles a training (or inference) placement over `num_devices`
+    /// schedule devices out of the stage plans.
+    ///
+    /// Dependency rule: a backward block depends on its own forward and on
+    /// the backwards of the stages that consumed its output. The synthetic
+    /// shapes ([`synthetic_placement`]) mirror their forward chain instead;
+    /// the two rules stay apart because either one applied to the other
+    /// family changes its edges, and with them its fingerprints, repetend
+    /// candidates and pinned searches.
+    fn assemble(self, name: String, num_devices: usize, inference: bool) -> Result<PlacementSpec> {
+        let stages = self.plans;
+        let capacity_units = self.cost.device.memory_capacity_units();
+        // Static memory check: every schedule device must hold the parameter and
+        // optimizer state of the stages mapped onto it.
+        let mut static_per_device = vec![0i64; num_devices];
+        for stage in &stages {
+            for &d in &stage.devices {
+                static_per_device[d] += stage.static_mem;
+            }
+        }
+        let mut available = capacity_units;
+        for (device, &static_mem) in static_per_device.iter().enumerate() {
+            if static_mem >= capacity_units {
+                return Err(CoreError::PlacementOutOfMemory {
+                    device,
+                    required: static_mem,
+                    capacity: capacity_units,
+                });
+            }
+            available = available.min(capacity_units - static_mem);
+        }
+
+        let mut builder = PlacementSpec::builder(name, num_devices);
+        builder.set_memory_capacity(Some(available));
+        // Forward blocks in stage order. Training forwards keep their activations
+        // alive until the matching backward releases them; inference activations
+        // are transient (consumed by the next stage), so they do not accumulate
+        // against the budget.
+        let mut forward_ids = Vec::with_capacity(stages.len());
+        for stage in &stages {
+            let deps: Vec<usize> = stage.deps.iter().map(|&s| forward_ids[s]).collect();
+            let forward_memory = if inference { 0 } else { stage.activation_mem };
+            let block = BlockSpec::new(
+                format!("{}-f", stage.name),
+                BlockKind::Forward,
+                stage.devices.iter().copied(),
+                stage.forward_time,
+                forward_memory,
+            )
+            .with_deps(deps)
+            .with_flops(stage.forward_flops)
+            .with_output_bytes(stage.output_bytes);
+            forward_ids.push(builder.push_block(block)?);
+        }
+        if !inference {
+            // Backward blocks in reverse stage order.
+            let mut backward_ids: Vec<Option<usize>> = vec![None; stages.len()];
+            for (idx, stage) in stages.iter().enumerate().rev() {
+                let mut deps = vec![forward_ids[idx]];
+                for (succ_idx, succ) in stages.iter().enumerate() {
+                    if succ.deps.contains(&idx) {
+                        if let Some(bid) = backward_ids[succ_idx] {
+                            deps.push(bid);
+                        }
+                    }
+                }
+                let block = BlockSpec::new(
+                    format!("{}-b", stage.name),
+                    BlockKind::Backward,
+                    stage.devices.iter().copied(),
+                    stage.backward_time,
+                    -stage.activation_mem,
+                )
+                .with_deps(deps)
+                .with_flops(stage.backward_flops)
+                .with_output_bytes(stage.output_bytes);
+                backward_ids[idx] = Some(builder.push_block(block)?);
+            }
+        }
+        builder.build()
+    }
+}
+
+/// The embedding, the transformer (encoder) layer and the mT5 decoder layer
+/// of `config`.
+fn model_layers(cost: &CostModel, config: &ModelConfig) -> (LayerCost, LayerCost, LayerCost) {
+    let (hidden, seq, batch) = (config.hidden_size, config.seq_len, config.micro_batch_size);
+    (
+        cost.embedding_layer(hidden, config.vocab_size, seq, batch),
+        cost.transformer_layer(hidden, seq, batch),
+        cost.decoder_layer(hidden, seq, batch),
+    )
+}
+
+/// `layers` layers split evenly over `stages` stages, at least one each.
+fn even(layers: usize, stages: usize) -> std::iter::Repeat<usize> {
+    std::iter::repeat((layers / stages).max(1))
+}
+
+/// The GPT placements: the embedding, then the transformer layers balanced
+/// by [`partition_layers`] over one pipeline. `baseline` picks the V-shape
+/// of [`gpt_v_shape_baseline`] over the M-shape of [`gpt_m_shape`].
+fn gpt(
+    config: &ModelConfig,
+    cost: &CostModel,
+    total_gpus: usize,
+    baseline: bool,
+) -> Result<PlacementSpec> {
+    let mut stages = Stages::new(cost, total_gpus);
+    let s = stages.groups.stages;
+    let (embed, layer, _) = model_layers(cost, config);
+    // The M-shape spreads the embedding over every device and starts the
+    // layers on device 0; the baseline gives the embedding leading devices of
+    // its own and the layers whatever is left.
+    let (embed_groups, first_layer_device) = if baseline {
+        let groups = stages.baseline_embed_groups(&embed)?;
+        (groups, groups)
+    } else {
+        (s, 0)
+    };
+    stages.embed_stage(&embed, embed_groups);
+    let width = stages.groups.gpus_per_group;
+    let layer_time = scale_over(cost.forward_time(&layer), width)
+        + scale_over(cost.backward_time(&layer), width);
+    let times = vec![layer_time; config.num_layers];
+    let partition =
+        partition_layers(&times, s - first_layer_device).ok_or(CoreError::EmptyPlacement)?;
+    let counts = partition.iter().map(|&(lo, hi)| hi - lo);
+    stages.pipeline(
+        "layers",
+        &layer,
+        first_layer_device..s,
+        counts,
+        None,
+        Some(0),
+    );
+    let shape = if baseline { 'v' } else { 'm' };
+    stages.assemble(format!("gpt-{shape}-shape-{total_gpus}gpu"), s, false)
 }
 
 /// The M-shape GPT placement of Fig. 8(a): the large embedding is
 /// tensor-parallel across every GPU while the transformer layers form a
 /// pipeline over the schedule devices (GPU groups).
+///
+/// Model-driven placements follow one dependency rule: a backward block
+/// depends on its own forward and on the backwards of the stages that
+/// consumed that forward's output.
 ///
 /// # Errors
 ///
@@ -371,77 +452,7 @@ pub fn gpt_m_shape(
     cost: &CostModel,
     total_gpus: usize,
 ) -> Result<PlacementSpec> {
-    let groups = DeviceGroups::for_gpus(total_gpus, 4);
-    let s = groups.stages;
-    let capacity = cost.device.memory_capacity_units();
-    let layer = cost.transformer_layer(config.hidden_size, config.seq_len, config.micro_batch_size);
-    let embed = cost.embedding_layer(
-        config.hidden_size,
-        config.vocab_size,
-        config.seq_len,
-        config.micro_batch_size,
-    );
-
-    let total = groups.total_gpus();
-    let mut stages = Vec::new();
-    // Stage 0: the embedding, spread across every GPU.
-    stages.push(StagePlan {
-        name: "embed".into(),
-        devices: (0..s).collect(),
-        forward_time: scale_over(cost.forward_time(&embed), total, groups.efficiency),
-        backward_time: scale_over(cost.backward_time(&embed), total, groups.efficiency),
-        forward_flops: embed.forward_flops,
-        backward_flops: embed.backward_flops * cost.recompute_factor,
-        activation_mem: cost.memory_units(embed.activation_bytes),
-        static_mem: cost.memory_units(embed.param_bytes * STATE_FACTOR / total as u64),
-        output_bytes: embed.output_bytes,
-        deps: vec![],
-    });
-    // Transformer layers balanced across the schedule devices.
-    let per_layer_fwd = scale_over(
-        cost.forward_time(&layer),
-        groups.gpus_per_group,
-        groups.efficiency,
-    );
-    let per_layer_bwd = scale_over(
-        cost.backward_time(&layer),
-        groups.gpus_per_group,
-        groups.efficiency,
-    );
-    let items: Vec<PartitionItem> = (0..config.num_layers)
-        .map(|_| PartitionItem {
-            time: per_layer_fwd + per_layer_bwd,
-            memory: cost
-                .memory_units(layer.param_bytes * STATE_FACTOR / groups.gpus_per_group as u64),
-        })
-        .collect();
-    let partition = partition_layers(&items, s, None).ok_or(CoreError::EmptyPlacement)?;
-    for (stage_idx, &(lo, hi)) in partition.stages.iter().enumerate() {
-        let layers = (hi - lo) as u64;
-        stages.push(StagePlan {
-            name: format!("layers{stage_idx}"),
-            devices: vec![stage_idx],
-            forward_time: (per_layer_fwd * layers).max(1),
-            backward_time: (per_layer_bwd * layers).max(1),
-            forward_flops: layer.forward_flops * layers as f64,
-            backward_flops: layer.backward_flops * cost.recompute_factor * layers as f64,
-            activation_mem: cost
-                .memory_units(layer.activation_bytes * layers / groups.gpus_per_group as u64)
-                .max(1),
-            static_mem: cost.memory_units(
-                layer.param_bytes * STATE_FACTOR * layers / groups.gpus_per_group as u64,
-            ),
-            output_bytes: layer.output_bytes,
-            deps: vec![stage_idx], // previous stage (embed is 0, layers start at 1)
-        });
-    }
-    assemble(
-        format!("gpt-m-shape-{total_gpus}gpu"),
-        s,
-        capacity,
-        stages,
-        false,
-    )
+    gpt(config, cost, total_gpus, false)
 }
 
 /// The baseline V-shape GPT placement used by 1F1B (Piper policy): the
@@ -458,91 +469,7 @@ pub fn gpt_v_shape_baseline(
     cost: &CostModel,
     total_gpus: usize,
 ) -> Result<PlacementSpec> {
-    let groups = DeviceGroups::for_gpus(total_gpus, 4);
-    let s = groups.stages;
-    let capacity = cost.device.memory_capacity_units();
-    let layer = cost.transformer_layer(config.hidden_size, config.seq_len, config.micro_batch_size);
-    let embed = cost.embedding_layer(
-        config.hidden_size,
-        config.vocab_size,
-        config.seq_len,
-        config.micro_batch_size,
-    );
-
-    // How many schedule devices must the embedding span so its static state
-    // fits, leaving a small activation margin?
-    let embed_state = cost.memory_units(embed.param_bytes * STATE_FACTOR);
-    let usable_per_group = ((capacity - 4).max(1)) * groups.gpus_per_group as i64;
-    let embed_groups = ((embed_state + usable_per_group - 1) / usable_per_group).max(1) as usize;
-    if embed_groups >= s {
-        return Err(CoreError::PlacementOutOfMemory {
-            device: 0,
-            required: embed_state,
-            capacity: usable_per_group * (s as i64 - 1),
-        });
-    }
-    let layer_groups = s - embed_groups;
-
-    let embed_width = embed_groups * groups.gpus_per_group;
-    let mut stages = Vec::new();
-    stages.push(StagePlan {
-        name: "embed".into(),
-        devices: (0..embed_groups).collect(),
-        forward_time: scale_over(cost.forward_time(&embed), embed_width, groups.efficiency),
-        backward_time: scale_over(cost.backward_time(&embed), embed_width, groups.efficiency),
-        forward_flops: embed.forward_flops,
-        backward_flops: embed.backward_flops * cost.recompute_factor,
-        activation_mem: cost.memory_units(embed.activation_bytes),
-        static_mem: cost.memory_units(embed.param_bytes * STATE_FACTOR / embed_width as u64),
-        output_bytes: embed.output_bytes,
-        deps: vec![],
-    });
-    let per_layer_fwd = scale_over(
-        cost.forward_time(&layer),
-        groups.gpus_per_group,
-        groups.efficiency,
-    );
-    let per_layer_bwd = scale_over(
-        cost.backward_time(&layer),
-        groups.gpus_per_group,
-        groups.efficiency,
-    );
-    let items: Vec<PartitionItem> = (0..config.num_layers)
-        .map(|_| PartitionItem {
-            time: per_layer_fwd + per_layer_bwd,
-            memory: cost
-                .memory_units(layer.param_bytes * STATE_FACTOR / groups.gpus_per_group as u64),
-        })
-        .collect();
-    let partition =
-        partition_layers(&items, layer_groups, None).ok_or(CoreError::EmptyPlacement)?;
-    for (stage_idx, &(lo, hi)) in partition.stages.iter().enumerate() {
-        let layers = (hi - lo) as u64;
-        let device = embed_groups + stage_idx;
-        stages.push(StagePlan {
-            name: format!("layers{stage_idx}"),
-            devices: vec![device],
-            forward_time: (per_layer_fwd * layers).max(1),
-            backward_time: (per_layer_bwd * layers).max(1),
-            forward_flops: layer.forward_flops * layers as f64,
-            backward_flops: layer.backward_flops * cost.recompute_factor * layers as f64,
-            activation_mem: cost
-                .memory_units(layer.activation_bytes * layers / groups.gpus_per_group as u64)
-                .max(1),
-            static_mem: cost.memory_units(
-                layer.param_bytes * STATE_FACTOR * layers / groups.gpus_per_group as u64,
-            ),
-            output_bytes: layer.output_bytes,
-            deps: vec![stages.len() - 1],
-        });
-    }
-    assemble(
-        format!("gpt-v-shape-{total_gpus}gpu"),
-        s,
-        capacity,
-        stages,
-        false,
-    )
+    gpt(config, cost, total_gpus, true)
 }
 
 /// The NN-shape mT5 placement of Fig. 8(d): the shared embedding is spread
@@ -558,98 +485,18 @@ pub fn mt5_nn_shape(
     cost: &CostModel,
     total_gpus: usize,
 ) -> Result<PlacementSpec> {
-    let groups = DeviceGroups::for_gpus(total_gpus, 4);
-    let s = groups.stages;
+    let mut stages = Stages::new(cost, total_gpus);
+    let s = stages.groups.stages;
     let half = (s / 2).max(1);
-    let capacity = cost.device.memory_capacity_units();
-    let enc = cost.transformer_layer(config.hidden_size, config.seq_len, config.micro_batch_size);
-    let dec = cost.decoder_layer(config.hidden_size, config.seq_len, config.micro_batch_size);
-    let embed = cost.embedding_layer(
-        config.hidden_size,
-        config.vocab_size,
-        config.seq_len,
-        config.micro_batch_size,
-    );
-    let total = groups.total_gpus();
-
-    let mut stages = Vec::new();
-    stages.push(StagePlan {
-        name: "embed".into(),
-        devices: (0..s).collect(),
-        forward_time: scale_over(cost.forward_time(&embed), total, groups.efficiency),
-        backward_time: scale_over(cost.backward_time(&embed), total, groups.efficiency),
-        forward_flops: embed.forward_flops,
-        backward_flops: embed.backward_flops * cost.recompute_factor,
-        activation_mem: cost.memory_units(embed.activation_bytes),
-        static_mem: cost.memory_units(embed.param_bytes * STATE_FACTOR / total as u64),
-        output_bytes: embed.output_bytes,
-        deps: vec![],
-    });
-
+    let (embed, enc, dec) = model_layers(cost, config);
+    stages.embed_stage(&embed, s);
     let encoder_layers = config.num_layers / 2;
     let decoder_layers = config.num_layers - encoder_layers;
-    let add_stack = |stages: &mut Vec<StagePlan>,
-                     name: &str,
-                     layer_cost: &tessel_models::cost::LayerCost,
-                     num_layers: usize,
-                     device_range: std::ops::Range<usize>,
-                     extra_dep: Option<usize>| {
-        let num_stages = device_range.len();
-        let per_fwd = scale_over(
-            cost.forward_time(layer_cost),
-            groups.gpus_per_group,
-            groups.efficiency,
-        );
-        let per_bwd = scale_over(
-            cost.backward_time(layer_cost),
-            groups.gpus_per_group,
-            groups.efficiency,
-        );
-        let per_stage = (num_layers / num_stages).max(1) as u64;
-        let mut prev: Option<usize> = None;
-        for (i, device) in device_range.enumerate() {
-            let mut deps = vec![0usize]; // the shared embedding
-            if let Some(p) = prev {
-                deps.push(p);
-            } else if let Some(extra) = extra_dep {
-                deps.push(extra);
-            }
-            let idx = stages.len();
-            stages.push(StagePlan {
-                name: format!("{name}{i}"),
-                devices: vec![device],
-                forward_time: (per_fwd * per_stage).max(1),
-                backward_time: (per_bwd * per_stage).max(1),
-                forward_flops: layer_cost.forward_flops * per_stage as f64,
-                backward_flops: layer_cost.backward_flops
-                    * cost.recompute_factor
-                    * per_stage as f64,
-                activation_mem: cost
-                    .memory_units(
-                        layer_cost.activation_bytes * per_stage / groups.gpus_per_group as u64,
-                    )
-                    .max(1),
-                static_mem: cost.memory_units(
-                    layer_cost.param_bytes * STATE_FACTOR * per_stage
-                        / groups.gpus_per_group as u64,
-                ),
-                output_bytes: layer_cost.output_bytes,
-                deps,
-            });
-            prev = Some(idx);
-        }
-        prev
-    };
-    let last_enc = add_stack(&mut stages, "enc", &enc, encoder_layers, 0..half, None);
-    add_stack(&mut stages, "dec", &dec, decoder_layers, half..s, last_enc);
-
-    assemble(
-        format!("mt5-nn-shape-{total_gpus}gpu"),
-        s,
-        capacity,
-        stages,
-        false,
-    )
+    let enc_counts = even(encoder_layers, half);
+    let last_enc = stages.pipeline("enc", &enc, 0..half, enc_counts, Some(0), None);
+    let dec_counts = even(decoder_layers, s - half);
+    stages.pipeline("dec", &dec, half..s, dec_counts, Some(0), Some(last_enc));
+    stages.assemble(format!("mt5-nn-shape-{total_gpus}gpu"), s, false)
 }
 
 /// Baseline V-shape mT5 placement (Piper policy, for 1F1B): the shared
@@ -665,114 +512,43 @@ pub fn mt5_v_shape_baseline(
     cost: &CostModel,
     total_gpus: usize,
 ) -> Result<PlacementSpec> {
-    // Reuse the GPT baseline construction with a mixed layer cost: encoder
-    // layers followed by (heavier) decoder layers, laid out sequentially.
-    let groups = DeviceGroups::for_gpus(total_gpus, 4);
-    let s = groups.stages;
-    let capacity = cost.device.memory_capacity_units();
-    let enc = cost.transformer_layer(config.hidden_size, config.seq_len, config.micro_batch_size);
-    let dec = cost.decoder_layer(config.hidden_size, config.seq_len, config.micro_batch_size);
-    let embed = cost.embedding_layer(
-        config.hidden_size,
-        config.vocab_size,
-        config.seq_len,
-        config.micro_batch_size,
-    );
-
-    let embed_state = cost.memory_units(embed.param_bytes * STATE_FACTOR);
-    let usable_per_group = ((capacity - 4).max(1)) * groups.gpus_per_group as i64;
-    let embed_groups = ((embed_state + usable_per_group - 1) / usable_per_group).max(1) as usize;
-    if embed_groups >= s {
-        return Err(CoreError::PlacementOutOfMemory {
-            device: 0,
-            required: embed_state,
-            capacity: usable_per_group * (s as i64 - 1),
-        });
-    }
-    let layer_groups = s - embed_groups;
-    let embed_width = embed_groups * groups.gpus_per_group;
-
-    let mut stages = Vec::new();
-    stages.push(StagePlan {
-        name: "embed".into(),
-        devices: (0..embed_groups).collect(),
-        forward_time: scale_over(cost.forward_time(&embed), embed_width, groups.efficiency),
-        backward_time: scale_over(cost.backward_time(&embed), embed_width, groups.efficiency),
-        forward_flops: embed.forward_flops,
-        backward_flops: embed.backward_flops * cost.recompute_factor,
-        activation_mem: cost.memory_units(embed.activation_bytes),
-        static_mem: cost.memory_units(embed.param_bytes * STATE_FACTOR / embed_width as u64),
-        output_bytes: embed.output_bytes,
-        deps: vec![],
-    });
+    let mut stages = Stages::new(cost, total_gpus);
+    let s = stages.groups.stages;
+    let width = stages.groups.gpus_per_group;
+    let (embed, enc, dec) = model_layers(cost, config);
+    let embed_groups = stages.baseline_embed_groups(&embed)?;
+    stages.embed_stage(&embed, embed_groups);
+    // Encoder layers followed by the (heavier) decoder layers, in one line.
     let encoder_layers = config.num_layers / 2;
-    let decoder_layers = config.num_layers - encoder_layers;
-    let mut items: Vec<PartitionItem> = Vec::new();
-    for _ in 0..encoder_layers {
-        items.push(PartitionItem {
-            time: scale_over(
-                cost.forward_time(&enc),
-                groups.gpus_per_group,
-                groups.efficiency,
-            ) + scale_over(
-                cost.backward_time(&enc),
-                groups.gpus_per_group,
-                groups.efficiency,
-            ),
-            memory: cost
-                .memory_units(enc.param_bytes * STATE_FACTOR / groups.gpus_per_group as u64),
-        });
-    }
-    for _ in 0..decoder_layers {
-        items.push(PartitionItem {
-            time: scale_over(
-                cost.forward_time(&dec),
-                groups.gpus_per_group,
-                groups.efficiency,
-            ) + scale_over(
-                cost.backward_time(&dec),
-                groups.gpus_per_group,
-                groups.efficiency,
-            ),
-            memory: cost
-                .memory_units(dec.param_bytes * STATE_FACTOR / groups.gpus_per_group as u64),
-        });
-    }
-    let partition =
-        partition_layers(&items, layer_groups, None).ok_or(CoreError::EmptyPlacement)?;
-    for (stage_idx, &(lo, hi)) in partition.stages.iter().enumerate() {
-        let device = embed_groups + stage_idx;
-        let fwd: u64 = items[lo..hi].iter().map(|i| i.time / 4).sum::<u64>().max(1);
-        let bwd: u64 = items[lo..hi]
-            .iter()
-            .map(|i| i.time - i.time / 4)
-            .sum::<u64>()
-            .max(1);
-        let static_mem: i64 = items[lo..hi].iter().map(|i| i.memory).sum();
-        stages.push(StagePlan {
-            name: format!("stack{stage_idx}"),
-            devices: vec![device],
-            forward_time: fwd,
-            backward_time: bwd,
+    let layers: Vec<&LayerCost> = (0..config.num_layers)
+        .map(|i| if i < encoder_layers { &enc } else { &dec })
+        .collect();
+    let times: Vec<u64> = layers
+        .iter()
+        .map(|l| scale_over(cost.forward_time(l), width) + scale_over(cost.backward_time(l), width))
+        .collect();
+    let partition = partition_layers(&times, s - embed_groups).ok_or(CoreError::EmptyPlacement)?;
+    for (i, &(lo, hi)) in partition.iter().enumerate() {
+        let deps = vec![stages.plans.len() - 1];
+        stages.plans.push(StagePlan {
+            name: format!("stack{i}"),
+            devices: vec![embed_groups + i],
+            forward_time: times[lo..hi].iter().map(|t| t / 4).sum::<u64>().max(1),
+            backward_time: times[lo..hi].iter().map(|t| t - t / 4).sum::<u64>().max(1),
             forward_flops: enc.forward_flops * (hi - lo) as f64,
             backward_flops: enc.backward_flops * cost.recompute_factor * (hi - lo) as f64,
             activation_mem: cost
-                .memory_units(
-                    enc.activation_bytes * (hi - lo) as u64 / groups.gpus_per_group as u64,
-                )
+                .memory_units(enc.activation_bytes * (hi - lo) as u64 / width as u64)
                 .max(1),
-            static_mem,
+            static_mem: layers[lo..hi]
+                .iter()
+                .map(|l| cost.memory_units(l.param_bytes * STATE_FACTOR / width as u64))
+                .sum(),
             output_bytes: enc.output_bytes,
-            deps: vec![stages.len() - 1],
+            deps,
         });
     }
-    assemble(
-        format!("mt5-v-shape-{total_gpus}gpu"),
-        s,
-        capacity,
-        stages,
-        false,
-    )
+    stages.assemble(format!("mt5-v-shape-{total_gpus}gpu"), s, false)
 }
 
 /// The K-shape Flava placement of Fig. 8(g): the text branch runs on the
@@ -790,111 +566,31 @@ pub fn flava_k_shape(
     total_gpus: usize,
     inference: bool,
 ) -> Result<PlacementSpec> {
-    let groups = DeviceGroups::for_gpus(total_gpus, 4);
-    let s = groups.stages.max(2);
+    let mut stages = Stages::new(cost, total_gpus);
+    let s = stages.groups.stages.max(2);
     let half = (s / 2).max(1);
-    let capacity = cost.device.memory_capacity_units();
-    let text = cost.transformer_layer(
-        config.hidden_size,
-        config.text_seq_len,
-        config.micro_batch_size,
+    let layer = |seq| cost.transformer_layer(config.hidden_size, seq, config.micro_batch_size);
+    let text = layer(config.text_seq_len);
+    let vision = layer(config.vision_seq_len);
+    let cross = layer(config.text_seq_len + config.vision_seq_len);
+    let text_counts = even(config.text_layers, half);
+    let text_end = stages.pipeline("text", &text, 0..half, text_counts, None, None);
+    let vision_counts = even(config.vision_layers, s - half);
+    let vision_end = stages.pipeline("vision", &vision, half..s, vision_counts, None, None);
+    let total = stages.groups.total_gpus();
+    let deps = vec![text_end, vision_end];
+    stages.layer_stage(
+        "cross".into(),
+        0..s,
+        &cross,
+        config.cross_layers,
+        total,
+        deps,
     );
-    let vision = cost.transformer_layer(
-        config.hidden_size,
-        config.vision_seq_len,
-        config.micro_batch_size,
-    );
-    let cross = cost.transformer_layer(
-        config.hidden_size,
-        config.text_seq_len + config.vision_seq_len,
-        config.micro_batch_size,
-    );
-    let total = groups.total_gpus();
-
-    let mut stages = Vec::new();
-    let add_branch = |stages: &mut Vec<StagePlan>,
-                      name: &str,
-                      layer_cost: &tessel_models::cost::LayerCost,
-                      num_layers: usize,
-                      device_range: std::ops::Range<usize>| {
-        let num_stages = device_range.len();
-        let per_fwd = scale_over(
-            cost.forward_time(layer_cost),
-            groups.gpus_per_group,
-            groups.efficiency,
-        );
-        let per_bwd = scale_over(
-            cost.backward_time(layer_cost),
-            groups.gpus_per_group,
-            groups.efficiency,
-        );
-        let per_stage = (num_layers / num_stages).max(1) as u64;
-        let mut prev: Option<usize> = None;
-        for (i, device) in device_range.enumerate() {
-            let deps: Vec<usize> = prev.into_iter().collect();
-            let idx = stages.len();
-            stages.push(StagePlan {
-                name: format!("{name}{i}"),
-                devices: vec![device],
-                forward_time: (per_fwd * per_stage).max(1),
-                backward_time: (per_bwd * per_stage).max(1),
-                forward_flops: layer_cost.forward_flops * per_stage as f64,
-                backward_flops: layer_cost.backward_flops
-                    * cost.recompute_factor
-                    * per_stage as f64,
-                activation_mem: cost
-                    .memory_units(
-                        layer_cost.activation_bytes * per_stage / groups.gpus_per_group as u64,
-                    )
-                    .max(1),
-                static_mem: cost.memory_units(
-                    layer_cost.param_bytes * STATE_FACTOR * per_stage
-                        / groups.gpus_per_group as u64,
-                ),
-                output_bytes: layer_cost.output_bytes,
-                deps,
-            });
-            prev = Some(idx);
-        }
-        prev.expect("branch has at least one stage")
-    };
-    let text_end = add_branch(&mut stages, "text", &text, config.text_layers, 0..half);
-    let vision_end = add_branch(
-        &mut stages,
-        "vision",
-        &vision,
-        config.vision_layers,
-        half..s,
-    );
-    let cross_layers = config.cross_layers as u64;
-    stages.push(StagePlan {
-        name: "cross".into(),
-        devices: (0..s).collect(),
-        forward_time: (scale_over(cost.forward_time(&cross), total, groups.efficiency)
-            * cross_layers)
-            .max(1),
-        backward_time: (scale_over(cost.backward_time(&cross), total, groups.efficiency)
-            * cross_layers)
-            .max(1),
-        forward_flops: cross.forward_flops * cross_layers as f64,
-        backward_flops: cross.backward_flops * cost.recompute_factor * cross_layers as f64,
-        activation_mem: cost
-            .memory_units(cross.activation_bytes * cross_layers / total as u64)
-            .max(1),
-        static_mem: cost
-            .memory_units(cross.param_bytes * STATE_FACTOR * cross_layers / total as u64),
-        output_bytes: cross.output_bytes,
-        deps: vec![text_end, vision_end],
-    });
-
-    assemble(
-        format!(
-            "flava-k-shape-{total_gpus}gpu-{}",
-            if inference { "inference" } else { "training" }
-        ),
+    let mode = if inference { "inference" } else { "training" };
+    stages.assemble(
+        format!("flava-k-shape-{total_gpus}gpu-{mode}"),
         s,
-        capacity,
-        stages,
         inference,
     )
 }
