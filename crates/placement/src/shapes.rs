@@ -529,17 +529,25 @@ pub fn mt5_v_shape_baseline(
         .collect();
     let partition = partition_layers(&times, s - embed_groups).ok_or(CoreError::EmptyPlacement)?;
     for (i, &(lo, hi)) in partition.iter().enumerate() {
+        // Each layer of the stage at its own cost.
+        let decoders = hi.max(encoder_layers) - lo.max(encoder_layers);
+        let encoders = hi - lo - decoders;
+        let sum = |e: f64, d: f64| e * encoders as f64 + d * decoders as f64;
+        let recompute = cost.recompute_factor;
+        let activation_bytes =
+            enc.activation_bytes * encoders as u64 + dec.activation_bytes * decoders as u64;
         let deps = vec![stages.plans.len() - 1];
         stages.plans.push(StagePlan {
             name: format!("stack{i}"),
             devices: vec![embed_groups + i],
             forward_time: times[lo..hi].iter().map(|t| t / 4).sum::<u64>().max(1),
             backward_time: times[lo..hi].iter().map(|t| t - t / 4).sum::<u64>().max(1),
-            forward_flops: enc.forward_flops * (hi - lo) as f64,
-            backward_flops: enc.backward_flops * cost.recompute_factor * (hi - lo) as f64,
-            activation_mem: cost
-                .memory_units(enc.activation_bytes * (hi - lo) as u64 / width as u64)
-                .max(1),
+            forward_flops: sum(enc.forward_flops, dec.forward_flops),
+            backward_flops: sum(
+                enc.backward_flops * recompute,
+                dec.backward_flops * recompute,
+            ),
+            activation_mem: cost.memory_units(activation_bytes / width as u64).max(1),
             static_mem: layers[lo..hi]
                 .iter()
                 .map(|l| cost.memory_units(l.param_bytes * STATE_FACTOR / width as u64))
@@ -761,6 +769,41 @@ mod tests {
         config.vocab_size = 10_000_000;
         let err = gpt_v_shape_baseline(&config, &CostModel::paper_default(), 2).unwrap_err();
         assert!(matches!(err, CoreError::PlacementOutOfMemory { .. }));
+    }
+
+    #[test]
+    fn baselines_carry_the_flops_of_the_advanced_placements() {
+        // The same model in another placement does the same work.
+        let cm = CostModel::paper_default();
+        let mut compared = 0;
+        for gpus in [4usize, 8, 16, 32] {
+            let gpt = gpt_config_for_gpus(gpus).unwrap();
+            let mt5 = mt5_config_for_gpus(gpus).unwrap();
+            for (advanced, baseline) in [
+                (
+                    gpt_m_shape(&gpt, &cm, gpus),
+                    gpt_v_shape_baseline(&gpt, &cm, gpus),
+                ),
+                (
+                    mt5_nn_shape(&mt5, &cm, gpus),
+                    mt5_v_shape_baseline(&mt5, &cm, gpus),
+                ),
+            ] {
+                let (Ok(advanced), Ok(baseline)) = (advanced, baseline) else {
+                    continue;
+                };
+                let (a, b) = (advanced.total_flops(), baseline.total_flops());
+                assert!(
+                    (a - b).abs() <= 1e-9 * a,
+                    "{} does {b} FLOPs, {} does {a}",
+                    baseline.name(),
+                    advanced.name()
+                );
+                compared += 1;
+            }
+        }
+        // GPT at every count, mT5's baseline only where its embedding fits.
+        assert_eq!(compared, 6);
     }
 
     #[test]
