@@ -221,14 +221,21 @@ pub fn one_f_one_b(placement: &PlacementSpec, n: usize) -> Result<Schedule> {
 ///
 /// # Errors
 ///
-/// Returns an error if the fixed pattern admits no feasible schedule under
-/// the memory budget.
+/// Returns an error if `n` is zero or the fixed pattern admits no feasible
+/// schedule under the memory budget.
 pub fn one_f_one_b_plus(placement: &PlacementSpec, n: usize) -> Result<Schedule> {
     placement.validate()?;
     let k = placement.num_blocks();
+    if n == 0 {
+        return Err(CoreError::TooFewMicroBatches {
+            requested: 0,
+            required: 1,
+        });
+    }
     // Canonical 1F1B index assignment: along the topological order, forward
     // blocks count down the number of forward blocks that follow them;
-    // backward blocks stay at zero. Clamp by the memory-derived in-flight cap.
+    // backward blocks stay at zero. Clamp by the memory-derived in-flight cap
+    // and by `n`, so the repetend never needs more micro-batches than asked.
     let order = placement.topological_stages();
     let forwards: Vec<usize> = order
         .iter()
@@ -240,7 +247,7 @@ pub fn one_f_one_b_plus(placement: &PlacementSpec, n: usize) -> Result<Schedule>
         .max(1);
     let mut indices = vec![0usize; k];
     for (pos, &stage) in forwards.iter().enumerate() {
-        indices[stage] = (forwards.len() - 1 - pos).min(cap - 1);
+        indices[stage] = (forwards.len() - 1 - pos).min(cap - 1).min(n - 1);
     }
     // Property 4.2 requires indices to be non-increasing along dependencies;
     // enforce it explicitly in case the placement has parallel branches.
@@ -259,9 +266,7 @@ pub fn one_f_one_b_plus(placement: &PlacementSpec, n: usize) -> Result<Schedule>
     let solver = Solver::new(SolverConfig::default());
     let repetend = solve_repetend(placement, &candidate, &solver, u64::MAX)?
         .ok_or(CoreError::NoFeasibleRepetend)?;
-    let nr = repetend.num_micro_batches();
-    let n = n.max(nr);
-    let copies = n - nr + 1;
+    let copies = n - repetend.num_micro_batches() + 1;
     let (warmup, cooldown) = complete_schedule(placement, &repetend, copies, &solver)?;
     compose_schedule(placement, &repetend, &warmup, &cooldown, n)
 }

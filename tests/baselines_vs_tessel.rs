@@ -59,11 +59,29 @@ fn tessel_beats_fixed_schedules_on_advanced_placements() {
 
 #[test]
 fn baseline_schedules_validate_against_their_placements() {
-    for shape in ShapeKind::all() {
-        let placement = synthetic_placement(shape, 4).unwrap();
-        for n in [2usize, 6] {
+    let flava_inference = flava_k_shape(
+        &FlavaConfig::default(),
+        &CostModel::paper_default(),
+        4,
+        true,
+    )
+    .unwrap();
+    let placements = ShapeKind::all()
+        .into_iter()
+        .map(|shape| synthetic_placement(shape, 4).unwrap())
+        .chain([flava_inference]);
+    for placement in placements {
+        for n in 1usize..=8 {
             let plus = one_f_one_b_plus(&placement, n).unwrap();
             plus.validate(&placement).unwrap();
+            // 1F1B+ runs exactly the micro-batches asked for, never its
+            // repetend's NR in their place.
+            assert_eq!(
+                plus.num_micro_batches(),
+                n,
+                "{} at n = {n}",
+                placement.name()
+            );
             let gp = gpipe(&placement, n).unwrap();
             gp.validate(&placement).unwrap();
         }
