@@ -44,15 +44,12 @@ commands:
   metrics                             Prometheus metrics
   cache                               list cache entries
   inspect FINGERPRINT                 inspect one fingerprint
-  cluster [--fp FINGERPRINT]          ring membership and peer health
-                                      (--fp also reports the owner)
-  top [--interval-ms MS] [--window N] [--cluster] [--once]
+  top [--interval-ms MS] [--window N] [--once]
                                       live terminal dashboard of the
                                       daemon's sampled rates and
-                                      in-flight requests; --cluster
-                                      fans out to every ring member,
-                                      --once prints one frame and
-                                      exits (for scripts/CI)
+                                      in-flight requests; --once
+                                      prints one frame and exits
+                                      (for scripts/CI)
   fingerprint [--placement-file PATH | --shape KINDn]
                                       print the canonical fingerprint
                                       (computed locally, no daemon)
@@ -177,9 +174,9 @@ fn print_timing(headers: &[(String, String)]) {
     }
 }
 
-/// One dashboard frame for one daemon: its sampled rate/gauge window plus
-/// the live in-flight table. Unreachable daemons render as a one-line note
-/// so a dying fleet member never kills the dashboard.
+/// One dashboard frame: the daemon's sampled rate/gauge window plus the
+/// live in-flight table. An unreachable daemon renders as a one-line note
+/// instead of killing the dashboard.
 fn render_top_frame(addr: &str, window: usize, out: &mut String) {
     use std::fmt::Write as _;
     let _ = writeln!(out, "── {addr} ──");
@@ -273,33 +270,6 @@ fn render_top_frame(addr: &str, window: usize, out: &mut String) {
     }
 }
 
-/// The daemon addresses the `top` dashboard polls: just `addr`, or — with
-/// `--cluster` — `addr` plus every peer the daemon's `/v1/cluster` lists.
-fn top_targets(addr: &str, cluster: bool) -> Vec<String> {
-    let mut targets = vec![addr.to_string()];
-    if !cluster {
-        return targets;
-    }
-    match http_call(addr, "GET", "/v1/cluster", None) {
-        Ok((200, body)) => {
-            match serde_json::from_str::<tessel_service::wire::ClusterStatusResponse>(&body) {
-                Ok(status) => {
-                    for peer in status.peers {
-                        if !targets.contains(&peer.addr) {
-                            targets.push(peer.addr);
-                        }
-                    }
-                }
-                Err(e) => eprintln!("warning: unparseable /v1/cluster response: {e}"),
-            }
-        }
-        Ok((404, _)) => eprintln!("warning: {addr} is not in cluster mode; watching it alone"),
-        Ok((status, _)) => eprintln!("warning: /v1/cluster returned status {status}"),
-        Err(e) => eprintln!("warning: cannot reach {addr} for membership: {e}"),
-    }
-    targets
-}
-
 fn call(addr: &str, method: &str, path: &str, body: Option<&str>) -> ! {
     match http_call(addr, method, path, body) {
         Ok((status, body)) => {
@@ -338,21 +308,9 @@ fn main() {
             };
             call(&addr, "GET", &format!("/v1/cache/{fingerprint}"), None)
         }
-        "cluster" => {
-            let path = match rest {
-                [] => "/v1/cluster".to_string(),
-                [flag, fingerprint] if flag == "--fp" => format!("/v1/cluster?fp={fingerprint}"),
-                _ => {
-                    eprintln!("error: cluster takes an optional --fp FINGERPRINT");
-                    usage()
-                }
-            };
-            call(&addr, "GET", &path, None)
-        }
         "top" => {
             let mut interval_ms = 1000u64;
             let mut window = 60usize;
-            let mut cluster = false;
             let mut once = false;
             let mut it = rest.iter();
             while let Some(flag) = it.next() {
@@ -367,7 +325,6 @@ fn main() {
                             }
                         };
                     }
-                    "--cluster" => cluster = true,
                     "--once" => once = true,
                     other => {
                         eprintln!("error: unknown top flag `{other}`");
@@ -375,12 +332,9 @@ fn main() {
                     }
                 }
             }
-            let targets = top_targets(&addr, cluster);
             loop {
                 let mut frame = String::new();
-                for target in &targets {
-                    render_top_frame(target, window, &mut frame);
-                }
+                render_top_frame(&addr, window, &mut frame);
                 if once {
                     print!("{frame}");
                     exit(0)
@@ -470,9 +424,8 @@ fn main() {
             };
             if rotate_devices > 0 {
                 // Relabel device d as (d + N) mod D, keeping block order.
-                // The canonical fingerprint is invariant under this, so a
-                // clustered daemon still serves the rotated request from the
-                // shared logical cache.
+                // The canonical fingerprint is invariant under this, so the
+                // daemon still serves the rotated request from its cache.
                 let d = placement.num_devices();
                 let perm: Vec<usize> = (0..d).map(|dev| (dev + rotate_devices) % d).collect();
                 let order: Vec<usize> = (0..placement.num_blocks()).collect();

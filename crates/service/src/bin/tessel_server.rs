@@ -6,21 +6,11 @@
 //!
 //! Prints the bound address on startup (useful with `--addr 127.0.0.1:0`)
 //! and serves until killed. See the crate docs for the HTTP routes.
-//!
-//! A fleet of daemons shares one logical cache when each member is started
-//! with its own `--node-id` and a `--peer ID=HOST:PORT` flag per sibling:
-//!
-//! ```bash
-//! tessel-server --addr 127.0.0.1:7700 --node-id a --peer b=127.0.0.1:7701
-//! tessel-server --addr 127.0.0.1:7701 --node-id b --peer a=127.0.0.1:7700
-//! ```
 
 use std::process::exit;
 use std::sync::Arc;
 use std::time::Duration;
-use tessel_service::{
-    ClusterConfig, HttpServer, PeerConfig, ScheduleService, ServerConfig, ServiceConfig,
-};
+use tessel_service::{HttpServer, ScheduleService, ServerConfig, ServiceConfig};
 
 /// The `--help` text; every flag the parser matches is named here, and
 /// nothing else (a unit test holds the two to each other).
@@ -32,19 +22,12 @@ usage: tessel-server [--addr HOST:PORT] [--workers N] [--queue-depth N]
                    [--journal-compact-every N]
                    [--micro-batches N] [--max-repetend N]
                    [--default-deadline-ms MS]
-                   [--node-id ID] [--peer ID=HOST:PORT]...
-                   [--cluster-vnodes N] [--probe-interval-ms MS]
-                   [--peer-timeout-ms MS] [--circuit-cooldown-ms MS]
                    [--canon-node-budget N]
                    [--log-level error|warn|info|debug|trace]
                    [--log-format text|json] [--help]
 
 logging goes to stderr; --log-format json emits one JSON object
 per line (each served request logs one line carrying its trace ID).
-
-cluster mode: give this daemon a --node-id and one --peer flag per
-sibling; the fleet then shares one logical cache sharded by a
-consistent-hash ring over the canonical placement fingerprint.
 
 a full request queue (--queue-depth) admits the newcomer and sheds
 the waiting request with the lowest priority / largest queue share /
@@ -74,12 +57,6 @@ fn main() {
     let mut service_config = ServiceConfig::default();
     let mut log_level = tessel_obs::Level::Info;
     let mut log_format = tessel_obs::LogFormat::Text;
-    let mut node_id: Option<String> = None;
-    let mut peers: Vec<PeerConfig> = Vec::new();
-    let mut cluster_vnodes: Option<usize> = None;
-    let mut probe_interval: Option<Duration> = None;
-    let mut peer_timeout: Option<Duration> = None;
-    let mut circuit_cooldown: Option<Duration> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -122,28 +99,6 @@ fn main() {
             }
             "--log-level" => log_level = parse_value(&flag, args.next()),
             "--log-format" => log_format = parse_value(&flag, args.next()),
-            "--node-id" => node_id = Some(parse_value(&flag, args.next())),
-            "--peer" => {
-                let spec: String = parse_value(&flag, args.next());
-                let Some((id, addr)) = spec.split_once('=') else {
-                    eprintln!("error: --peer needs ID=HOST:PORT, got `{spec}`");
-                    usage()
-                };
-                peers.push(PeerConfig {
-                    node_id: id.to_string(),
-                    addr: addr.to_string(),
-                });
-            }
-            "--cluster-vnodes" => cluster_vnodes = Some(parse_value(&flag, args.next())),
-            "--probe-interval-ms" => {
-                probe_interval = Some(Duration::from_millis(parse_value(&flag, args.next())));
-            }
-            "--peer-timeout-ms" => {
-                peer_timeout = Some(Duration::from_millis(parse_value(&flag, args.next())));
-            }
-            "--circuit-cooldown-ms" => {
-                circuit_cooldown = Some(Duration::from_millis(parse_value(&flag, args.next())));
-            }
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("error: unknown flag `{other}`");
@@ -153,38 +108,6 @@ fn main() {
     }
 
     tessel_obs::init(log_level, log_format);
-
-    match &node_id {
-        Some(node_id) => {
-            let mut cluster = ClusterConfig::new(node_id.clone(), peers);
-            if let Some(vnodes) = cluster_vnodes {
-                cluster.vnodes = vnodes;
-            }
-            if let Some(interval) = probe_interval {
-                cluster.probe_interval = interval;
-            }
-            if let Some(timeout) = peer_timeout {
-                cluster.peer_timeout = timeout;
-            }
-            if let Some(cooldown) = circuit_cooldown {
-                cluster.circuit_cooldown = cooldown;
-            }
-            service_config.cluster = Some(cluster);
-        }
-        None => {
-            // Cluster flags without an identity would be silently dead
-            // configuration; refuse instead.
-            let stray_cluster_flag = !peers.is_empty()
-                || cluster_vnodes.is_some()
-                || probe_interval.is_some()
-                || peer_timeout.is_some()
-                || circuit_cooldown.is_some();
-            if stray_cluster_flag {
-                eprintln!("error: cluster flags (--peer, --cluster-vnodes, --probe-interval-ms, --peer-timeout-ms, --circuit-cooldown-ms) require --node-id");
-                usage()
-            }
-        }
-    }
 
     let service = match ScheduleService::new(service_config) {
         Ok(service) => Arc::new(service),
@@ -198,7 +121,7 @@ fn main() {
         }
     };
     let warm = service.cache_entries().len();
-    let server = match HttpServer::serve(service.clone(), &server_config) {
+    let server = match HttpServer::serve(service, &server_config) {
         Ok(server) => server,
         Err(e) => {
             tessel_obs::error(
@@ -223,24 +146,6 @@ fn main() {
             "cache warm-started from journal",
             &[("entries", &warm.to_string())],
         );
-    }
-    if let Some(cluster) = service.cluster() {
-        tessel_obs::info(
-            "server",
-            "cluster member starting",
-            &[
-                ("node", cluster.node_id()),
-                ("ring", &format!("{:?}", cluster.ring().nodes())),
-            ],
-        );
-        // Warm this node's shard of the logical cache from its peers without
-        // delaying readiness: the daemon serves (solving if needed) while
-        // the stream runs. (`warm_from_peers` logs the summary, with the
-        // warm-up trace ID.)
-        let warmer = service.clone();
-        std::thread::spawn(move || {
-            warmer.warm_cache_from_peers();
-        });
     }
     // Serve until the process is killed.
     loop {

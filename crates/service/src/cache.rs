@@ -22,7 +22,7 @@
 //! *body*); compaction then writes each live entry as its key, its hit count
 //! and the body it already holds, so rewriting the journal copies bytes
 //! instead of cloning and re-encoding every entry. Entries that arrive
-//! without an append (replay, cluster adoption) are encoded by the first
+//! without an append (replay) are encoded by the first
 //! compaction that meets them and keep the result. The bodies cost memory
 //! the size of the journal's live records (about 12 KB per entry for a
 //! 4-device placement at 8 micro-batches).
@@ -84,13 +84,11 @@ pub struct CachedSearch {
     pub fingerprint: Fingerprint,
     /// Parameters the search ran with.
     pub params: CacheParams,
-    /// The canonical placement. Kept *locally* to re-check a journaled
-    /// entry's fingerprint on replay, to size the entry in cache listings,
-    /// and to ship with replication/warm-up (whose receiver always
-    /// re-canonicalizes it); the exact canonical labeling makes fingerprint
-    /// equality trustworthy between fingerprints a node computed itself, so
-    /// lookups never compare it and remote cache hits do not ship it (see
-    /// [`crate::wire::WireSearchEntry`]).
+    /// The canonical placement. Kept to re-check a journaled entry's
+    /// fingerprint on replay and to size the entry in cache listings; the
+    /// exact canonical labeling makes fingerprint equality trustworthy, so
+    /// lookups never compare it and the inspect endpoint does not serve it
+    /// (see [`crate::wire::WireSearchEntry`]).
     pub canonical_placement: PlacementSpec,
     /// The composed schedule, in canonical labeling.
     pub schedule: Schedule,
@@ -302,21 +300,6 @@ impl ShardedCache {
         }
         rows.sort_by_key(|(t, _)| std::cmp::Reverse(*t));
         rows.into_iter().map(|(_, v)| v).collect()
-    }
-
-    /// Every cached entry with its raw key, in no particular order. Feeds
-    /// journal compaction and the cluster warm-up export; does not bump LRU
-    /// positions or hit counts.
-    #[must_use]
-    pub fn export(&self) -> Vec<(u64, Arc<CachedSearch>)> {
-        let mut rows: Vec<(u64, Arc<CachedSearch>)> = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock().expect("cache shard lock");
-            for (&key, entry) in &shard.entries {
-                rows.push((key, entry.value.clone()));
-            }
-        }
-        rows
     }
 
     /// Keeps `body`, the JSON of `value`, with the entry under `key` — if
@@ -864,7 +847,7 @@ mod tests {
                         assert_eq!(after, format!("{before}{line}\n"));
                     }
                 }
-                // An insert no append follows (replay, cluster adoption).
+                // An insert no append follows (replay).
                 4 => cache.insert(k, sample(fp, n)),
                 // An append of a value that is not the live one under `k`:
                 // its body must not stand in for the live entry's.

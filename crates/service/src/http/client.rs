@@ -12,6 +12,9 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+/// Client-side TCP connect timeout.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Client-side socket read/write timeout.
 const IO_TIMEOUT: Duration = Duration::from_secs(120);
 
@@ -26,8 +29,6 @@ pub struct HttpClient {
     addr: SocketAddr,
     host: String,
     stream: Option<TcpStream>,
-    connect_timeout: Duration,
-    io_timeout: Duration,
 }
 
 impl HttpClient {
@@ -38,31 +39,13 @@ impl HttpClient {
     ///
     /// Fails if `addr` does not resolve or the connection is refused.
     pub fn new(addr: &str) -> std::io::Result<Self> {
-        let mut client = Self::interactive(addr)?;
+        let mut client = Self::unconnected(addr)?;
         client.stream = Some(client.open()?);
         Ok(client)
     }
 
-    /// An unconnected client with the interactive timeouts every CLI-facing
-    /// entry point uses (10 s to connect, [`IO_TIMEOUT`] per read or write).
-    fn interactive(addr: &str) -> std::io::Result<Self> {
-        Self::with_timeouts(addr, Duration::from_secs(10), IO_TIMEOUT)
-    }
-
-    /// Creates a client with explicit connect and read/write timeouts,
-    /// **without** connecting — the connection opens lazily on the first
-    /// call. The cluster tier uses this: a peer that is down at daemon
-    /// startup must not fail construction, and peer calls must give up in
-    /// fractions of the interactive timeouts.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `addr` does not resolve.
-    pub fn with_timeouts(
-        addr: &str,
-        connect_timeout: Duration,
-        io_timeout: Duration,
-    ) -> std::io::Result<Self> {
+    /// A client for `addr` whose connection opens on the first call.
+    fn unconnected(addr: &str) -> std::io::Result<Self> {
         let socket_addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
             std::io::Error::new(std::io::ErrorKind::InvalidInput, "unresolvable addr")
         })?;
@@ -70,15 +53,13 @@ impl HttpClient {
             addr: socket_addr,
             host: addr.to_string(),
             stream: None,
-            connect_timeout,
-            io_timeout,
         })
     }
 
     fn open(&self) -> std::io::Result<TcpStream> {
-        let stream = TcpStream::connect_timeout(&self.addr, self.connect_timeout)?;
-        stream.set_read_timeout(Some(self.io_timeout))?;
-        stream.set_write_timeout(Some(self.io_timeout))?;
+        let stream = TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT)?;
+        stream.set_read_timeout(Some(IO_TIMEOUT))?;
+        stream.set_write_timeout(Some(IO_TIMEOUT))?;
         stream.set_nodelay(true)?;
         Ok(stream)
     }
@@ -109,9 +90,8 @@ impl HttpClient {
 
     /// Like [`HttpClient::call`], but sends `extra_headers` with the request
     /// (e.g. `X-Tessel-Trace-Id` to join the originating trace) and returns
-    /// the response headers alongside status and body. Used by the cluster
-    /// tier for trace propagation and by `tessel-client --timing` to read
-    /// the `Server-Timing` breakdown.
+    /// the response headers alongside status and body. Used by
+    /// `tessel-client --timing` to read the `Server-Timing` breakdown.
     ///
     /// # Errors
     ///
@@ -303,7 +283,7 @@ pub fn http_call(
     path: &str,
     body: Option<&str>,
 ) -> std::io::Result<(u16, String)> {
-    HttpClient::interactive(addr)?
+    HttpClient::unconnected(addr)?
         .call_with_headers(method, path, body, &[("Connection", "close")])
         .map(|(status, _headers, payload)| (status, payload))
 }
@@ -327,7 +307,7 @@ pub fn http_call_streaming(
     body: &str,
     mut on_event: impl FnMut(&str),
 ) -> std::io::Result<(u16, String)> {
-    let mut client = HttpClient::interactive(addr)?;
+    let mut client = HttpClient::unconnected(addr)?;
     let stream = client.send("POST", path, body, &[("Connection", "close")])?;
     // Complete SSE frames (`data: ...\n\n`) are emitted as the chunked
     // decode uncovers them.

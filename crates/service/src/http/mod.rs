@@ -21,8 +21,8 @@
 //!
 //! This module wires them together ([`HttpServer`], [`ServerConfig`]), runs
 //! the live-plane sampler and holds the route table. Anything that can wait
-//! — a solve, a single-flight wait, a cluster fetch — runs on a bounded
-//! worker pool, so a slow solve never blocks connection handling.
+//! — a solve, a single-flight wait — runs on a bounded worker pool, so a
+//! slow solve never blocks connection handling.
 //!
 //! Routes:
 //!
@@ -32,13 +32,10 @@
 //! | POST   | `/v1/search?stream=1`       | same, streaming incumbents (SSE)   |
 //! | GET    | `/v1/cache`                 | list cache entries                 |
 //! | GET    | `/v1/cache/{fp}`            | inspect one fingerprint            |
-//! | PUT    | `/v1/cache/{fp}`            | accept a replicated entry (cluster)|
-//! | GET    | `/v1/cluster`               | ring membership and peer health    |
-//! | GET    | `/v1/cluster/export/{node}` | warm-up stream of `{node}`'s shard |
 //! | GET    | `/v1/debug/requests`        | flight recorder (recent + slowest) |
 //! | GET    | `/v1/debug/inflight`        | live in-flight requests + progress |
 //! | GET    | `/v1/debug/timeseries`      | sampled rate/gauge window (JSON)   |
-//! | GET    | `/v1/debug/trace/{id}`      | fleet-wide assembled span timeline |
+//! | GET    | `/v1/debug/trace/{id}`      | one trace's span timeline          |
 //! | GET    | `/v1/debug/loglevel`        | current log level                  |
 //! | PUT    | `/v1/debug/loglevel`        | change the log level at runtime    |
 //! | GET    | `/metrics`                  | Prometheus text metrics            |
@@ -61,7 +58,7 @@ mod event_loop;
 #[cfg(test)]
 mod fuzz;
 mod loop_core;
-pub(crate) mod parse;
+mod parse;
 mod reply;
 pub(crate) mod route;
 #[cfg(test)]
@@ -163,9 +160,8 @@ impl HttpServer {
     }
 
     /// Serves `service` on an already bound `listener` (`config.addr` is
-    /// ignored). The cluster tests bind both fleet members' listeners first
-    /// so each daemon can be configured with the other's real address before
-    /// either starts serving.
+    /// ignored): a caller that binds port 0 itself knows the address before
+    /// the daemon starts serving.
     ///
     /// # Errors
     ///

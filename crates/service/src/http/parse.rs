@@ -317,8 +317,7 @@ fn decode_chunked(buf: &[u8], cursor: &mut ParseCursor) -> Step<usize> {
 /// finds `"name"` followed by `:` and an optionally signed integer. Good
 /// enough for admission hints (`priority`, `deadline_ms`) — the worker
 /// re-parses the body properly, and a false positive from a pathological
-/// nested key only perturbs queue order, never correctness — and for the
-/// `unix_ms` stamp of a peer's `/healthz` body.
+/// nested key only perturbs queue order, never correctness.
 pub(crate) fn scan_json_integer(body: &str, name: &str) -> Option<i64> {
     let needle = format!("\"{name}\"");
     let mut from = 0;

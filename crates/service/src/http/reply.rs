@@ -119,10 +119,9 @@ impl<'s> Reply<'s> {
         ticket: Ticket,
         parse_micros: u64,
     ) -> Self {
-        // A valid inbound trace ID joins the request to the originating
-        // trace (cluster-internal calls); anything else — absent, malformed,
-        // oversized — mints a fresh ID and the raw header value is never
-        // reflected back.
+        // A valid inbound trace ID joins the request to the caller's trace;
+        // anything else — absent, malformed, oversized — mints a fresh ID
+        // and the raw header value is never reflected back.
         let inbound = ticket.request.trace_header.as_deref();
         let books = service.open_request(
             inbound.and_then(TraceId::parse),

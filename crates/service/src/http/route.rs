@@ -86,7 +86,6 @@ fn handle(
 ) -> Result<Response, Response> {
     let (path, query) = split_target(&request.path);
     let body = request.body.as_str();
-    let cluster_only = || not_found("cluster mode is not enabled");
     Ok(match (request.method.as_str(), path) {
         ("GET", "/v1/cache") => json_response(200, &service.cache_entries()),
         ("GET", path) if path.starts_with("/v1/cache/") => {
@@ -96,33 +95,6 @@ fn handle(
                 return Err(not_found(&format!("no entry for {fingerprint}")));
             }
             json_response(200, &inspect)
-        }
-        // Internal cluster entry exchange: a non-owner daemon replicates a
-        // locally solved entry to its ring owner. Every entry is re-validated
-        // before insertion (see `ScheduleService::accept_replication`).
-        ("PUT", path) if path.starts_with("/v1/cache/") => {
-            service.cluster().ok_or_else(cluster_only)?;
-            let fingerprint = fingerprint_after(path, "/v1/cache/")?;
-            let exchange: crate::wire::CacheExchange = decode(body, "invalid exchange body")?;
-            let ack = service.accept_replication(fingerprint, &exchange);
-            let ok = ack.accepted > 0 || ack.rejected == 0;
-            json_response(if ok { 200 } else { 400 }, &ack)
-        }
-        ("GET", "/v1/cluster") => {
-            let fingerprint = query_value(query, "fp").and_then(Fingerprint::parse);
-            let status = service
-                .cluster_status(fingerprint)
-                .ok_or_else(cluster_only)?;
-            json_response(200, &status)
-        }
-        // Internal warm-up stream: every cached entry owned (per this
-        // daemon's ring) by the requesting node, grouped by fingerprint.
-        ("GET", path) if path.starts_with("/v1/cluster/export/") => {
-            let node = &path["/v1/cluster/export/".len()..];
-            let exchanges = service
-                .export_owned(node)
-                .ok_or_else(|| not_found(&format!("`{node}` is not a member of this cluster")))?;
-            json_response(200, &exchanges)
         }
         // The flight recorder: the last N completed requests with per-stage
         // timing breakdowns, plus the slowest requests seen since startup.
@@ -148,8 +120,7 @@ fn handle(
             };
             json_response(200, &timeseries.window(ticks))
         }
-        // Fleet-wide trace assembly: local flight records plus every healthy
-        // peer's, merged into one clock-adjusted span timeline.
+        // One trace's span timeline, from the flight records it left.
         ("GET", path) if path.starts_with("/v1/debug/trace/") => {
             let raw = &path["/v1/debug/trace/".len()..];
             let trace_id = tessel_obs::TraceId::parse(raw)
@@ -187,9 +158,6 @@ fn handle(
                 + &service.metrics().render_histograms()
                 + &transport.snapshot().render_prometheus()
                 + &transport.render_admission_wait();
-            if let Some(cluster) = service.cluster_snapshot() {
-                body += &cluster.render_prometheus();
-            }
             if let Some(timeseries) = timeseries {
                 timeseries.render_prometheus(&mut body);
             }
@@ -199,8 +167,6 @@ fn handle(
                 body,
             }
         }
-        // The `unix_ms` clock stamp feeds peer clock-offset estimation: the
-        // health prober reads it against its own send time and probe RTT.
         ("GET", "/healthz") => Response {
             status: 200,
             content_type: "application/json",

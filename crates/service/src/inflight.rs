@@ -74,8 +74,6 @@ pub enum Stage {
     CacheLookup,
     /// A follower waiting on an identical in-flight search.
     SingleflightWait,
-    /// The owning peer's cache, in cluster mode.
-    RemoteFetch,
     /// The whole `TesselSearch::run`.
     Solve,
     /// The cached schedule seen through the request's labeling.
@@ -88,7 +86,7 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in declaration order (the stage histograms' order).
-    pub const ALL: [Stage; 12] = [
+    pub const ALL: [Stage; 11] = [
         Stage::Parse,
         Stage::QueueWait,
         Stage::Decode,
@@ -96,7 +94,6 @@ impl Stage {
         Stage::Canonicalize,
         Stage::CacheLookup,
         Stage::SingleflightWait,
-        Stage::RemoteFetch,
         Stage::Solve,
         Stage::Translate,
         Stage::Serialize,
@@ -115,7 +112,6 @@ impl Stage {
             Stage::Canonicalize => "canonicalize",
             Stage::CacheLookup => "cache_lookup",
             Stage::SingleflightWait => "singleflight_wait",
-            Stage::RemoteFetch => "remote_fetch",
             Stage::Solve => "solve",
             Stage::Translate => "translate",
             Stage::Serialize => "serialize",

@@ -27,12 +27,8 @@
 //!   syscalls), `admission` (the pop/shed policy in front of the bounded
 //!   worker pool), `reply` (how a request's books open and close around its
 //!   answer, on the loop or a worker), `route` (URL → handler → response)
-//!   and `client` (the keep-alive [`HttpClient`] behind `tessel-client`, the
-//!   cluster tier and the end-to-end tests).
-//! * [`cluster`] — the consistent-hash cache sharding tier: a fleet of
-//!   daemons (static `--node-id`/`--peer` membership) shares one logical
-//!   cache, fetching misses from the fingerprint's ring owner, replicating
-//!   local solves to it asynchronously and warming restarts from peers.
+//!   and `client` (the keep-alive [`HttpClient`] behind `tessel-client` and
+//!   the end-to-end tests).
 //! * [`flight`] — the in-memory flight recorder behind
 //!   `GET /v1/debug/requests`: the last N completed requests with per-stage
 //!   timing breakdowns plus a slowest-requests view, correlated by the
@@ -82,7 +78,6 @@
 
 pub mod answer;
 pub mod cache;
-pub mod cluster;
 pub mod flight;
 pub mod http;
 pub mod inflight;
@@ -94,12 +89,8 @@ mod sys;
 pub mod wire;
 
 pub use cache::{CacheConfig, CacheJournal, CachedSearch, ShardedCache};
-pub use cluster::{peers::PeerConfig, ring::HashRing, Cluster, ClusterConfig};
 pub use flight::{FlightQuery, FlightRecorder};
 pub use http::{http_call_streaming, HttpClient, HttpServer, ServerConfig};
 pub use inflight::{InflightRegistry, RequestBooks};
-pub use metrics::{
-    ClusterMetrics, ClusterSnapshot, MetricsSnapshot, ServiceMetrics, TransportMetrics,
-    TransportSnapshot,
-};
+pub use metrics::{MetricsSnapshot, ServiceMetrics, TransportMetrics, TransportSnapshot};
 pub use service::{ScheduleService, ServiceConfig, ServiceError};

@@ -145,10 +145,9 @@ const BUCKETS: usize = 40;
 ///
 /// Paths are coarsened to this set by [`ServiceMetrics::endpoint_label`] so an
 /// attacker probing random URLs cannot mint unbounded label values.
-pub const ENDPOINT_LABELS: [&str; 11] = [
+pub const ENDPOINT_LABELS: [&str; 10] = [
     "/v1/search",
     "/v1/cache",
-    "/v1/cluster",
     "/v1/debug/requests",
     "/v1/debug/inflight",
     "/v1/debug/timeseries",
@@ -187,10 +186,6 @@ metric_group! {
         solver_pruned_dominance, "tessel_solver_pruned_dominance_total", "Solver nodes pruned by state dominance.";
         #[serde(default)]
         solver_memo_drops, "tessel_solver_memo_drops_total", "Finish vectors a dominance memo declined to record (memo limit reached).";
-        /// The check is the only defence against a consistent but mislabeled
-        /// peer payload; nonzero means a peer is confused or hostile.
-        #[serde(default)]
-        fingerprint_wire_mismatches, "tessel_fingerprint_wire_mismatches_total", "Replication/warm-up entries rejected because the shipped placement did not re-canonicalize to its claimed fingerprint (always checked).";
         /// The budget is `tessel_core::fingerprint::DEFAULT_NODE_BUDGET`
         /// unless configured.
         #[serde(default)]
@@ -242,11 +237,11 @@ impl ServiceMetrics {
     }
 
     /// Coarsens a request path to its [`ENDPOINT_LABELS`] entry: an exact
-    /// match, or — for the three endpoints that take a path argument —
+    /// match, or — for the two endpoints that take a path argument —
     /// anything below the label.
     #[must_use]
     pub fn endpoint_label(path: &str) -> &'static str {
-        const WITH_SUBPATHS: [&str; 3] = ["/v1/cache", "/v1/cluster", "/v1/debug/trace"];
+        const WITH_SUBPATHS: [&str; 2] = ["/v1/cache", "/v1/debug/trace"];
         ENDPOINT_LABELS
             .into_iter()
             .find(|label| match path.strip_prefix(label) {
@@ -379,42 +374,6 @@ impl TransportMetrics {
     }
 }
 
-metric_group! {
-    /// Live counters of the cluster tier.
-    ///
-    /// Owned by [`crate::cluster::Cluster`]; the request path counts remote
-    /// hits/misses/errors, the replication worker counts deliveries, and the
-    /// peer gauges are sampled at snapshot time from the peer table.
-    live ClusterMetrics {}
-    /// Point-in-time snapshot of [`ClusterMetrics`] plus the peer gauges.
-    #[derive(Eq)]
-    snapshot ClusterSnapshot;
-    fn snapshot(this, peers_total: u64, peers_healthy: u64, circuits_open: u64);
-    counters {
-        remote_hits, "tessel_cluster_remote_hits_total", "Local misses served by the ring owner's cache.";
-        /// Solved locally, then replicated.
-        remote_misses, "tessel_cluster_remote_misses_total", "Local misses the ring owner also missed.";
-        /// Unreachable peer, open circuit or unusable payload.
-        remote_errors, "tessel_cluster_remote_errors_total", "Owner fetches that degraded to a local solve.";
-        replications_sent, "tessel_cluster_replications_sent_total", "Entries successfully replicated to their owner.";
-        /// Arrive via `PUT /v1/cache/{fp}`.
-        replications_received, "tessel_cluster_replications_received_total", "Entries accepted from a non-owner daemon.";
-        /// Fingerprint mismatch or invalid schedule.
-        replications_rejected, "tessel_cluster_replications_rejected_total", "Replication payloads rejected by validation.";
-        /// Owner unreachable or erroring.
-        replication_errors, "tessel_cluster_replication_errors_total", "Replication deliveries that failed.";
-        replication_dropped, "tessel_cluster_replication_dropped_total", "Replication jobs dropped by the bounded queue.";
-        warmup_entries, "tessel_cluster_warmup_entries_total", "Entries streamed from peers during startup warm-up.";
-    }
-    values {
-        // Named without the `_total` suffix: a configured-peer count is a
-        // gauge, and Prometheus reserves `_total` for counters.
-        peers_total: u64 = peers_total, "tessel_cluster_peers", "Configured peers.";
-        peers_healthy: u64 = peers_healthy, "tessel_cluster_peers_healthy", "Peers whose last contact succeeded.";
-        circuits_open: u64 = circuits_open, "tessel_cluster_circuits_open", "Peers with an open circuit right now.";
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -504,10 +463,6 @@ mod tests {
         assert_eq!(
             ServiceMetrics::endpoint_label("/v1/cache/deadbeef"),
             "/v1/cache"
-        );
-        assert_eq!(
-            ServiceMetrics::endpoint_label("/v1/cluster/export/a"),
-            "/v1/cluster"
         );
         assert_eq!(
             ServiceMetrics::endpoint_label("/v1/debug/requests"),
@@ -649,7 +604,7 @@ mod tests {
 
     #[test]
     fn metrics_page_is_valid_prometheus_exposition() {
-        // Exactly the concatenation `GET /metrics` serves, cluster mode on.
+        // Exactly the concatenation `GET /metrics` serves.
         let service = ServiceMetrics::new();
         service.requests.fetch_add(2, Ordering::Relaxed);
         service.record_latency(Duration::from_millis(3));
@@ -659,8 +614,6 @@ mod tests {
         transport.connections_open.fetch_add(1, Ordering::Relaxed);
         transport.admission_shed.fetch_add(2, Ordering::Relaxed);
         transport.admission_wait.observe_micros(1_500);
-        let cluster = ClusterMetrics::new();
-        cluster.remote_hits.fetch_add(4, Ordering::Relaxed);
         // The sampler's ring-derived gauges join the page too.
         let timeseries =
             tessel_obs::TimeSeries::new(&["requests_per_s", "cache_hit_ratio"], 8, 1000);
@@ -668,12 +621,11 @@ mod tests {
         let mut sampled = String::new();
         timeseries.render_prometheus(&mut sampled);
         let page = format!(
-            "{}{}{}{}{}{}",
+            "{}{}{}{}{}",
             service.snapshot(0, 0).render_prometheus(),
             service.render_histograms(),
             transport.snapshot().render_prometheus(),
             transport.render_admission_wait(),
-            cluster.snapshot(2, 2, 0).render_prometheus(),
             sampled
         );
         assert!(page.contains("tessel_admission_shed_total 2"));

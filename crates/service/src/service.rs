@@ -8,8 +8,7 @@
 //!    ([`PlacementSpec::canonical_labeling_budgeted`]); the fingerprint plus
 //!    the resolved search parameters form the cache key. Device relabelings
 //!    and block reorderings of a known placement therefore hit the cache. The
-//!    canonical placement itself is built only when something reads it: a
-//!    search or a cluster fetch.
+//!    canonical placement itself is built only for a search.
 //! 2. **Cache lookup** — a hit returns immediately, as an [`Answer`]: the
 //!    cached canonical schedule seen through the request's own labeling.
 //! 3. **Single-flight** — concurrent identical misses elect one leader; the
@@ -24,18 +23,15 @@
 
 use crate::answer::Answer;
 use crate::cache::{CacheConfig, CacheJournal, CacheKey, CacheParams, CachedSearch, ShardedCache};
-use crate::cluster::{Cluster, ClusterConfig, ClusterSnapshot, RemoteFetch};
 use crate::flight::{FlightQuery, FlightRecorder};
 use crate::inflight::{self, HandedBooks, InflightRegistry, RequestBooks, Stage};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::singleflight::{Joined, SingleFlight};
 use crate::wire::{
-    CacheEntryInfo, CacheExchange, ClusterStatusResponse, DebugRequestsResponse, FlightRecordInfo,
-    InflightResponse, InspectResponse, ReplicationAck, SearchRequest, SearchResponse,
-    TraceAssemblyResponse, TraceSpanInfo, WireSearchEntry,
+    CacheEntryInfo, DebugRequestsResponse, FlightRecordInfo, InflightResponse, InspectResponse,
+    SearchRequest, SearchResponse, TraceAssemblyResponse, TraceSpanInfo, WireSearchEntry,
 };
 use serde::{Deserialize, Serialize};
-use std::cell::OnceCell;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
@@ -125,8 +121,6 @@ pub struct ServiceConfig {
     pub default_deadline: Option<Duration>,
     /// Journal appends between compactions of the cache persistence file.
     pub journal_compact_every: usize,
-    /// Cluster membership; `None` runs the daemon standalone.
-    pub cluster: Option<ClusterConfig>,
     /// Node budget of the canonical-labeling search run per request. Past
     /// it the search completes greedily — bounded latency at the cost of
     /// possible cache splits between relabeled variants — and the event
@@ -147,7 +141,6 @@ impl Default for ServiceConfig {
             candidate_limit: None,
             default_deadline: Some(Duration::from_secs(60)),
             journal_compact_every: 64,
-            cluster: None,
             canon_node_budget: tessel_core::fingerprint::DEFAULT_NODE_BUDGET,
         }
     }
@@ -159,7 +152,7 @@ impl Default for ServiceConfig {
 /// [`ScheduleService::search`] is a blocking call: the HTTP transport's
 /// event loop never invokes it. The loop runs only the probe of a search
 /// (up to the cache lookup) and its translation on a hit; everything that
-/// can wait — a single-flight follower, a cluster fetch, a solve — runs on
+/// can wait — a single-flight follower, a solve — runs on
 /// the bounded worker pool, whose threads push the finished response back to
 /// the loop (see [`crate::http`]). In-process callers (benches, tests,
 /// `examples/service_quickstart.rs`) simply call it from their own threads.
@@ -168,7 +161,6 @@ pub struct ScheduleService {
     config: ServiceConfig,
     cache: ShardedCache,
     journal: Option<CacheJournal>,
-    cluster: Option<Cluster>,
     metrics: ServiceMetrics,
     flights: SingleFlight<Result<Arc<CachedSearch>, ServiceError>>,
     recorder: FlightRecorder,
@@ -180,21 +172,9 @@ pub struct ScheduleService {
 /// worker beside the request it was made from.
 struct Prepared {
     labeling: CanonicalLabeling,
-    /// The canonical placement, built from the labeling the first time a
-    /// miss or a cluster fetch reads it — never on a hit.
-    canonical: OnceCell<PlacementSpec>,
     params: CacheParams,
     key: CacheKey,
     deadline: Option<Instant>,
-}
-
-impl Prepared {
-    /// The canonical form of `placement`, the placement this was prepared
-    /// from.
-    fn canonical(&self, placement: &PlacementSpec) -> &PlacementSpec {
-        self.canonical
-            .get_or_init(|| self.labeling.canonical_placement(placement))
-    }
 }
 
 /// A search request taken as far as its cache lookup: the first half of
@@ -211,7 +191,7 @@ pub(crate) struct Probe {
 
 impl Probe {
     /// The lookup missed: the rest of the answer may wait on a single-flight
-    /// leader, a peer or a solve.
+    /// leader or a solve.
     pub(crate) fn is_miss(&self) -> bool {
         matches!(self.found, Ok((_, None)))
     }
@@ -263,18 +243,14 @@ impl Drop for FlightGuard<'_> {
     }
 }
 
+/// The `node` of every assembled-trace span: the daemon that answers.
+const LOCAL_NODE: &str = "local";
+
 /// Expands one flight record into assembled-trace spans: a whole-request
 /// envelope span named `request`, then one span per recorded stage laid out
-/// back-to-back from the request's start. `offset_ms` is the recording
-/// node's clock minus the assembling node's clock — remote starts are
-/// shifted by it so all spans share one timeline.
-fn push_record_spans(
-    spans: &mut Vec<TraceSpanInfo>,
-    node: &str,
-    record: &FlightRecordInfo,
-    offset_ms: i64,
-) {
-    let base = (record.start_unix_ms as i64 - offset_ms).max(0) as u64;
+/// back-to-back from the request's start.
+fn push_record_spans(spans: &mut Vec<TraceSpanInfo>, node: &str, record: &FlightRecordInfo) {
+    let base = record.start_unix_ms;
     spans.push(TraceSpanInfo {
         node: node.to_string(),
         name: "request".to_string(),
@@ -396,15 +372,10 @@ impl ScheduleService {
                 );
             }
         }
-        let cluster = match config.cluster.clone() {
-            Some(cluster_config) => Some(Cluster::new(cluster_config)?),
-            None => None,
-        };
         Ok(ScheduleService {
             config,
             cache,
             journal,
-            cluster,
             metrics,
             flights: SingleFlight::new(),
             recorder: FlightRecorder::default(),
@@ -481,8 +452,7 @@ impl ScheduleService {
     }
 
     /// Finishes the answer `probe` began for `request`: on a miss the
-    /// single-flight election and, for the leader, the remote fetch and
-    /// solve; then the translation into the request's labeling. Counts a
+    /// single-flight election and, for the leader, the solve; then the translation into the request's labeling. Counts a
     /// failure and the request's latency.
     pub(crate) fn resume<'r>(
         &self,
@@ -542,7 +512,6 @@ impl ScheduleService {
         Ok(Prepared {
             key: CacheKey::new(labeling.fingerprint, &params),
             labeling,
-            canonical: OnceCell::new(),
             params,
             deadline: request
                 .deadline_ms
@@ -552,9 +521,8 @@ impl ScheduleService {
     }
 
     /// Resolves a request whose cache lookup missed to its entry: the
-    /// single-flight election and — for the leader — the remote fetch and
-    /// solve. Counts the request as exactly one of a miss or a coalesce (a
-    /// remote hit counts in the cluster's own counters).
+    /// single-flight election and — for the leader — the solve. Counts the
+    /// request as exactly one of a miss or a coalesce.
     fn obtain_missed(
         &self,
         prepared: &Prepared,
@@ -574,55 +542,29 @@ impl ScheduleService {
                     armed: true,
                 };
                 // Double-check the cache: another leader may have finished
-                // between our lookup and the flight election. Then, before
-                // paying for a solve, ask the ring owner — a sibling daemon
-                // may already hold this schedule.
-                let mut remote_hit = false;
-                let mut inserted = false;
-                let result =
-                    match inflight::stage(Stage::CacheLookup, || self.cache_lookup(prepared)) {
-                        Some(entry) => Ok(entry),
-                        // The stage only exists in cluster mode: standalone
-                        // flight records carry no zero-length `remote_fetch` row.
-                        None => match self.cluster.as_ref().and_then(|_| {
-                            inflight::stage(Stage::RemoteFetch, || {
-                                self.cluster_fetch(prepared, placement)
-                            })
-                        }) {
-                            Some(entry) => {
-                                remote_hit = true;
-                                inserted = true;
-                                Ok(entry)
-                            }
-                            None => {
-                                let solved = inflight::stage(Stage::Solve, || {
-                                    self.run_search(prepared, placement)
-                                });
-                                inserted = solved.is_ok();
-                                solved
-                            }
-                        },
-                    };
+                // between our lookup and the flight election.
+                let (result, solved) = match inflight::stage(Stage::CacheLookup, || {
+                    self.cache_lookup(prepared)
+                }) {
+                    Some(entry) => (Ok(entry), false),
+                    None => {
+                        let result =
+                            inflight::stage(Stage::Solve, || self.run_search(prepared, placement));
+                        (result, true)
+                    }
+                };
                 guard.disarm_and_complete(result.clone());
                 // Journal outside the flight: followers are already awake,
                 // so they never wait on the append (or on the occasional
                 // whole-cache compaction it triggers).
-                if inserted {
-                    if let Ok(entry) = &result {
-                        self.persist_insert(key, entry);
-                    }
+                if let (true, Ok(entry)) = (solved, &result) {
+                    self.persist_insert(key, entry);
                 }
                 let entry = result?;
-                // A remote hit was served from the logical (cluster-wide)
-                // cache: a hit for the client, counted under
-                // `tessel_cluster_remote_hits_total` rather than the local
-                // hit/miss pair.
-                if !remote_hit {
-                    self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-                }
+                self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
                 Ok(Obtained {
                     entry,
-                    cached: remote_hit,
+                    cached: false,
                     coalesced: false,
                 })
             }
@@ -674,29 +616,6 @@ impl ScheduleService {
             .then_some(entry)
     }
 
-    /// Consults the ring owner for a locally missed request. A validated
-    /// remote hit is adopted into the local cache (so the next identical
-    /// request is a local hit); every other outcome — this node is the
-    /// owner, the owner also missed, the owner is unreachable — returns
-    /// `None` and the caller solves locally.
-    fn cluster_fetch(
-        &self,
-        prepared: &Prepared,
-        placement: &PlacementSpec,
-    ) -> Option<Arc<CachedSearch>> {
-        let cluster = self.cluster.as_ref()?;
-        let fingerprint = prepared.labeling.fingerprint;
-        let canonical = prepared.canonical(placement);
-        match cluster.fetch_from_owner(fingerprint, canonical, &prepared.params) {
-            RemoteFetch::Hit(entry) => {
-                // The caller journals the insert after completing the flight.
-                self.cache.insert(prepared.key, entry.clone());
-                Some(entry)
-            }
-            RemoteFetch::LocalOwner | RemoteFetch::Miss | RemoteFetch::Unavailable => None,
-        }
-    }
-
     fn resolve_params(&self, request: &SearchRequest) -> Result<CacheParams, ServiceError> {
         let num_micro_batches = request
             .num_micro_batches
@@ -734,7 +653,7 @@ impl ScheduleService {
             deadline,
             ..
         } = *prepared;
-        let canonical = prepared.canonical(placement);
+        let canonical = prepared.labeling.canonical_placement(placement);
         self.metrics.in_flight.fetch_add(1, Ordering::Relaxed);
         let _guard = InFlightGuard(&self.metrics);
 
@@ -754,7 +673,7 @@ impl ScheduleService {
         config.progress = inflight::with_current(|entry| entry.board().clone());
 
         let outcome = TesselSearch::new(config)
-            .run(canonical)
+            .run(&canonical)
             .map_err(|e| match e {
                 CoreError::DeadlineExceeded => {
                     ServiceError::Timeout("search exceeded the request deadline".into())
@@ -767,7 +686,7 @@ impl ScheduleService {
         // Simulate the schedule on the reference cluster for the
         // machine-readable utilization summary.
         let cluster = ClusterSpec::v100_cluster(canonical.num_devices());
-        let utilization = instantiate(canonical, &outcome.schedule, CommMode::NonBlocking)
+        let utilization = instantiate(&canonical, &outcome.schedule, CommMode::NonBlocking)
             .and_then(|program| simulate(&program, &cluster, CommMode::NonBlocking))
             .map(|report| report.utilization_summary())
             .map_err(|e| ServiceError::Search(format!("simulation failed: {e}")))?;
@@ -775,22 +694,17 @@ impl ScheduleService {
         let entry = Arc::new(CachedSearch {
             fingerprint: prepared.labeling.fingerprint,
             params: *params,
-            canonical_placement: canonical.clone(),
+            bubble_rate: outcome.repetend.bubble_rate(&canonical),
+            canonical_placement: canonical,
             schedule: outcome.schedule,
             period: outcome.repetend.period,
             repetend_micro_batches: outcome.repetend.num_micro_batches(),
-            bubble_rate: outcome.repetend.bubble_rate(canonical),
             utilization,
             solver: outcome.stats.solver,
             search_millis,
         });
+        // The caller journals the insert after completing the flight.
         self.cache.insert(key, entry.clone());
-        // The caller journals the insert after completing the flight. A
-        // solve for a fingerprint another daemon owns travels to the owner
-        // asynchronously; the client never waits on replication.
-        if let Some(cluster) = &self.cluster {
-            cluster.replicate_if_remote(&entry);
-        }
         Ok(entry)
     }
 
@@ -820,9 +734,7 @@ impl ScheduleService {
     }
 
     /// Every cached entry for `fingerprint`, in canonical labeling
-    /// (`GET /v1/cache/{fingerprint}`), in the slim wire form: the canonical
-    /// placement stays home — remote fetchers trust fingerprint equality and
-    /// already hold their own canonicalization.
+    /// (`GET /v1/cache/{fingerprint}`), without the canonical placement.
     #[must_use]
     pub fn inspect(&self, fingerprint: Fingerprint) -> InspectResponse {
         InspectResponse {
@@ -831,7 +743,7 @@ impl ScheduleService {
                 .cache
                 .entries_for(fingerprint)
                 .iter()
-                .map(|e| WireSearchEntry::slim(e))
+                .map(|e| WireSearchEntry::from(&**e))
                 .collect(),
         }
     }
@@ -899,76 +811,25 @@ impl ScheduleService {
         self.inflight.snapshot()
     }
 
-    /// Assembles the fleet-wide span timeline of one trace
-    /// (`GET /v1/debug/trace/{trace_id}`): every record the local flight
-    /// recorder retains for the trace, merged with the matching records of
-    /// every healthy peer's recorder, as one start-sorted span list. Remote
-    /// span starts are shifted into this daemon's clock by the peer clock
-    /// offset the health prober estimates from probe RTT midpoints; stage
-    /// spans are laid out back-to-back after their request's start, which
-    /// is exact for the sequential pipeline stages and approximate for
-    /// overlapping solver sub-phases.
+    /// Assembles the span timeline of one trace
+    /// (`GET /v1/debug/trace/{trace_id}`): every record the flight recorder
+    /// retains for the trace, as one start-sorted span list. Stage spans are
+    /// laid out back-to-back after their request's start, which is exact for
+    /// the sequential pipeline stages and approximate for overlapping solver
+    /// sub-phases.
     #[must_use]
     pub fn assemble_trace(&self, trace_id: &str) -> TraceAssemblyResponse {
-        let local_node = self
-            .cluster
-            .as_ref()
-            .map_or_else(|| "local".to_string(), |c| c.node_id().to_string());
-        let mut nodes: Vec<String> = Vec::new();
-        let mut unreachable: Vec<String> = Vec::new();
         let mut spans: Vec<TraceSpanInfo> = Vec::new();
-
         for record in self.recorder.find_by_trace(trace_id) {
-            push_record_spans(&mut spans, &local_node, &record, 0);
+            push_record_spans(&mut spans, LOCAL_NODE, &record);
         }
-        if !spans.is_empty() {
-            nodes.push(local_node);
-        }
-
-        if let Some(cluster) = &self.cluster {
-            let query = format!("/v1/debug/requests?trace={trace_id}");
-            for peer in cluster.peers() {
-                let status = peer.status();
-                if !status.healthy {
-                    unreachable.push(peer.node_id().to_string());
-                    continue;
-                }
-                match peer.call("GET", &query, None) {
-                    Ok((200, body)) => {
-                        let Ok(remote) = serde_json::from_str::<DebugRequestsResponse>(&body)
-                        else {
-                            unreachable.push(peer.node_id().to_string());
-                            continue;
-                        };
-                        let offset_ms = peer.clock_offset_ms().unwrap_or(0);
-                        let mut contributed = false;
-                        let mut seen: Vec<&FlightRecordInfo> = Vec::new();
-                        for record in remote.recent.iter().chain(remote.slowest.iter()) {
-                            if seen.contains(&record) {
-                                continue;
-                            }
-                            seen.push(record);
-                            push_record_spans(&mut spans, peer.node_id(), record, offset_ms);
-                            contributed = true;
-                        }
-                        if contributed {
-                            nodes.push(peer.node_id().to_string());
-                        }
-                    }
-                    _ => unreachable.push(peer.node_id().to_string()),
-                }
-            }
-        }
-
-        spans.sort_by(|a, b| {
-            a.start_unix_ms
-                .cmp(&b.start_unix_ms)
-                .then_with(|| a.node.cmp(&b.node))
-        });
+        spans.sort_by_key(|span| span.start_unix_ms);
         TraceAssemblyResponse {
             trace_id: trace_id.to_string(),
-            nodes,
-            unreachable,
+            nodes: (!spans.is_empty())
+                .then(|| LOCAL_NODE.to_string())
+                .into_iter()
+                .collect(),
             spans,
         }
     }
@@ -979,196 +840,6 @@ impl ScheduleService {
     /// [`ScheduleService::search`] for in-process callers.
     pub fn record_flight(&self, record: FlightRecordInfo) {
         self.recorder.record(record);
-    }
-
-    /// The cluster tier, when the daemon runs with `--node-id`/`--peer`.
-    #[must_use]
-    pub fn cluster(&self) -> Option<&Cluster> {
-        self.cluster.as_ref()
-    }
-
-    /// The `GET /v1/cluster` status document; `None` when the daemon runs
-    /// standalone.
-    #[must_use]
-    pub fn cluster_status(
-        &self,
-        fingerprint: Option<Fingerprint>,
-    ) -> Option<ClusterStatusResponse> {
-        self.cluster.as_ref().map(|c| c.status(fingerprint))
-    }
-
-    /// A point-in-time snapshot of the cluster counters; `None` when the
-    /// daemon runs standalone.
-    #[must_use]
-    pub fn cluster_snapshot(&self) -> Option<ClusterSnapshot> {
-        self.cluster.as_ref().map(Cluster::snapshot)
-    }
-
-    /// Validates one full wire entry claimed to belong to `fingerprint`
-    /// before adopting it into the local cache (replication and warm-up
-    /// share this bar): this node must own the fingerprint per its own ring,
-    /// the entry must carry a structurally valid canonical placement, the
-    /// schedule must validate against that placement, the parameters must be
-    /// sane, **and** the shipped placement must re-canonicalize to exactly
-    /// `fingerprint`. The last check runs unconditionally — exact labeling
-    /// only guarantees that correct nodes agree on a fingerprint they each
-    /// compute; it cannot vouch for a peer's *claim*, and a consistent but
-    /// mislabeled entry passes every structural check. Replication and
-    /// warm-up are off the request hot path, so the re-canonicalization is
-    /// cheap insurance; a mismatch is counted in
-    /// `tessel_fingerprint_wire_mismatches_total` and the entry is rejected,
-    /// as is an entry whose re-canonicalization blows the node budget (a
-    /// fingerprint this node cannot reproduce exactly is a fingerprint it
-    /// cannot trust).
-    fn validate_wire_entry(
-        &self,
-        fingerprint: Fingerprint,
-        entry: &WireSearchEntry,
-    ) -> Option<CachedSearch> {
-        let owns = self
-            .cluster
-            .as_ref()
-            .is_some_and(|cluster| cluster.owns(fingerprint));
-        let placement = entry.canonical_placement.as_ref()?;
-        let structurally_valid = owns
-            && entry.fingerprint == fingerprint
-            && placement.validate().is_ok()
-            && entry.schedule.validate(placement).is_ok()
-            && entry.params.num_micro_batches > 0
-            && entry.params.max_repetend_micro_batches > 0;
-        if !structurally_valid {
-            return None;
-        }
-        let (labeling, stats) =
-            placement.canonical_labeling_budgeted(self.config.canon_node_budget);
-        if stats.budget_exhausted {
-            self.metrics
-                .canon_budget_exhausted
-                .fetch_add(1, Ordering::Relaxed);
-            tessel_obs::warn(
-                "cluster",
-                "rejecting wire entry: canonical-labeling budget exhausted while re-verifying the claimed fingerprint",
-                &[("claimed", &fingerprint.to_string())],
-            );
-            return None;
-        }
-        if labeling.fingerprint != fingerprint {
-            self.metrics
-                .fingerprint_wire_mismatches
-                .fetch_add(1, Ordering::Relaxed);
-            tessel_obs::warn(
-                "cluster",
-                "rejecting wire entry: shipped placement does not re-canonicalize to its claimed fingerprint",
-                &[
-                    ("claimed", &fingerprint.to_string()),
-                    ("actual", &labeling.fingerprint.to_string()),
-                ],
-            );
-            return None;
-        }
-        Some(entry.clone().into_cached(placement.clone()))
-    }
-
-    /// Accepts entries replicated by a non-owner daemon
-    /// (`PUT /v1/cache/{fp}`). Each entry is validated — the fingerprint must
-    /// be one this node owns per its own ring, the shipped canonical
-    /// placement must be structurally valid, the schedule must validate
-    /// against it, and the placement must re-canonicalize to exactly the
-    /// claimed fingerprint (always; see
-    /// `ScheduleService::validate_wire_entry`) — so a confused peer (or a
-    /// fleet misconfigured with divergent `--peer` lists) can never poison
-    /// this cache or park entries where no warm-up will ever find them. Any
-    /// mislabeling caught counts in
-    /// `tessel_fingerprint_wire_mismatches_total`.
-    #[must_use]
-    pub fn accept_replication(
-        &self,
-        fingerprint: Fingerprint,
-        exchange: &CacheExchange,
-    ) -> ReplicationAck {
-        let mut ack = ReplicationAck {
-            accepted: 0,
-            rejected: 0,
-        };
-        for entry in &exchange.entries {
-            let cached = (exchange.fingerprint == fingerprint)
-                .then(|| self.validate_wire_entry(fingerprint, entry))
-                .flatten();
-            let Some(cached) = cached else {
-                ack.rejected += 1;
-                continue;
-            };
-            let key = CacheKey::new(fingerprint, &cached.params);
-            let cached = Arc::new(cached);
-            self.cache.insert(key, cached.clone());
-            self.persist_insert(key, &cached);
-            ack.accepted += 1;
-        }
-        if let Some(cluster) = &self.cluster {
-            use std::sync::atomic::Ordering as AtomicOrdering;
-            cluster
-                .metrics()
-                .replications_received
-                .fetch_add(ack.accepted as u64, AtomicOrdering::Relaxed);
-            cluster
-                .metrics()
-                .replications_rejected
-                .fetch_add(ack.rejected as u64, AtomicOrdering::Relaxed);
-        }
-        ack
-    }
-
-    /// This daemon's cache entries owned by ring member `node_id`, grouped by
-    /// fingerprint (`GET /v1/cluster/export/{node}` — the warm-up stream).
-    /// `None` when the daemon runs standalone or `node_id` is not a ring
-    /// member.
-    #[must_use]
-    pub fn export_owned(&self, node_id: &str) -> Option<Vec<CacheExchange>> {
-        let cluster = self.cluster.as_ref()?;
-        if !cluster.ring().nodes().iter().any(|n| n == node_id) {
-            return None;
-        }
-        let mut by_fingerprint: std::collections::BTreeMap<u64, Vec<WireSearchEntry>> =
-            std::collections::BTreeMap::new();
-        for (_key, entry) in self.cache.export() {
-            if cluster.ring().owner_of(entry.fingerprint) == node_id {
-                // Full form: the warm-up receiver re-canonicalizes the
-                // placement before adopting it.
-                by_fingerprint
-                    .entry(entry.fingerprint.0)
-                    .or_default()
-                    .push(WireSearchEntry::full(&entry));
-            }
-        }
-        Some(
-            by_fingerprint
-                .into_iter()
-                .map(|(fp, entries)| CacheExchange {
-                    fingerprint: Fingerprint(fp),
-                    entries,
-                })
-                .collect(),
-        )
-    }
-
-    /// Streams this node's ring-owned entries from every reachable peer into
-    /// the local cache (startup warm-up). Returns how many entries were
-    /// adopted; 0 standalone. `tessel-server` runs this in a background
-    /// thread right after binding.
-    pub fn warm_cache_from_peers(&self) -> usize {
-        let Some(cluster) = &self.cluster else {
-            return 0;
-        };
-        cluster.warm_from_peers(|fingerprint, entry| {
-            let Some(cached) = self.validate_wire_entry(fingerprint, &entry) else {
-                return false;
-            };
-            let key = CacheKey::new(cached.fingerprint, &cached.params);
-            let cached = Arc::new(cached);
-            self.cache.insert(key, cached.clone());
-            self.persist_insert(key, &cached);
-            true
-        })
     }
 }
 
@@ -1412,57 +1083,6 @@ mod tests {
         assert!(entry.utilization.makespan > 0);
         // Unknown fingerprints inspect to an empty list.
         assert!(service.inspect(Fingerprint(0)).entries.is_empty());
-    }
-
-    #[test]
-    fn replication_is_rejected_for_fingerprints_this_node_does_not_own() {
-        use crate::cluster::peers::PeerConfig;
-        use crate::cluster::ClusterConfig;
-        let mut cluster = ClusterConfig::new(
-            "a",
-            vec![PeerConfig {
-                node_id: "b".into(),
-                addr: "127.0.0.1:9".into(), // dead: every remote fetch degrades
-            }],
-        );
-        cluster.probe_interval = Duration::ZERO;
-        cluster.connect_timeout = Duration::from_millis(50);
-        cluster.peer_timeout = Duration::from_millis(50);
-        let service = ScheduleService::new(ServiceConfig {
-            default_micro_batches: 4,
-            default_max_repetend: 3,
-            cluster: Some(cluster),
-            ..ServiceConfig::default()
-        })
-        .unwrap();
-        // Solve two placements and split them by ring ownership.
-        for devices in [2usize, 3, 4, 5] {
-            service
-                .search(&SearchRequest::for_placement(v_shape(devices)))
-                .unwrap();
-        }
-        let cluster = service.cluster().unwrap();
-        let entries: Vec<_> = service
-            .cache_entries()
-            .iter()
-            .flat_map(|row| service.cache.entries_for(row.fingerprint))
-            .collect();
-        for entry in entries {
-            let fp = entry.fingerprint;
-            // Replication PUTs carry the full entry, placement included.
-            let exchange = CacheExchange {
-                fingerprint: fp,
-                entries: vec![WireSearchEntry::full(&entry)],
-            };
-            let ack = service.accept_replication(fp, &exchange);
-            if cluster.owns(fp) {
-                assert_eq!((ack.accepted, ack.rejected), (1, 0), "owned fp {fp}");
-            } else {
-                // A PUT for a fingerprint the ring assigns elsewhere would
-                // park the entry where no warm-up ever finds it: reject.
-                assert_eq!((ack.accepted, ack.rejected), (0, 1), "non-owned fp {fp}");
-            }
-        }
     }
 
     #[test]

@@ -200,27 +200,14 @@ pub struct CacheEntryInfo {
     pub search_millis: u64,
 }
 
-/// One cache entry as it crosses the wire between daemons (and as the
-/// inspect endpoint serves it): a [`CachedSearch`] whose canonical placement
-/// is **optional** and omitted from the JSON entirely when absent.
-///
-/// Since the exact canonical labeling landed, fingerprint equality is trusted
-/// across the cache tiers, so `GET /v1/cache/{fp}` responses (remote cache
-/// hits) no longer ship the canonical placement at all — the fetching daemon
-/// already holds its own canonicalization of the same fingerprint.
-/// Replication `PUT`s and warm-up exports still include the placement: the
-/// accepting daemon always re-canonicalizes it and rejects any entry whose
-/// placement does not hash back to the claimed fingerprint (the only defence
-/// against a consistent but mislabeled peer payload).
+/// One cache entry as the inspect endpoint serves it: a [`CachedSearch`]
+/// without its canonical placement, in canonical labeling.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WireSearchEntry {
     /// Canonical fingerprint of the placement.
     pub fingerprint: Fingerprint,
     /// Parameters the search ran with.
     pub params: CacheParams,
-    /// The canonical placement; `None` on the slim remote-hit path.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub canonical_placement: Option<PlacementSpec>,
     /// The composed schedule, in canonical labeling.
     pub schedule: Schedule,
     /// Winning repetend period `t_R`.
@@ -237,24 +224,11 @@ pub struct WireSearchEntry {
     pub search_millis: u64,
 }
 
-impl WireSearchEntry {
-    /// The slim form: everything but the canonical placement. What remote
-    /// cache hits ship.
-    #[must_use]
-    pub fn slim(entry: &CachedSearch) -> Self {
-        let mut wire = Self::full(entry);
-        wire.canonical_placement = None;
-        wire
-    }
-
-    /// The full form, placement included. What replication and warm-up
-    /// exports ship so the receiver can re-canonicalize before adopting.
-    #[must_use]
-    pub fn full(entry: &CachedSearch) -> Self {
+impl From<&CachedSearch> for WireSearchEntry {
+    fn from(entry: &CachedSearch) -> Self {
         WireSearchEntry {
             fingerprint: entry.fingerprint,
             params: entry.params,
-            canonical_placement: Some(entry.canonical_placement.clone()),
             schedule: entry.schedule.clone(),
             period: entry.period,
             repetend_micro_batches: entry.repetend_micro_batches,
@@ -264,112 +238,17 @@ impl WireSearchEntry {
             search_millis: entry.search_millis,
         }
     }
-
-    /// Rebuilds a local cache entry, supplying the canonical placement the
-    /// wire omitted (the receiver's own canonicalization on the trusted
-    /// remote-hit path, or the shipped one on the replication path).
-    #[must_use]
-    pub fn into_cached(self, canonical_placement: PlacementSpec) -> CachedSearch {
-        CachedSearch {
-            fingerprint: self.fingerprint,
-            params: self.params,
-            canonical_placement,
-            schedule: self.schedule,
-            period: self.period,
-            repetend_micro_batches: self.repetend_micro_batches,
-            bubble_rate: self.bubble_rate,
-            utilization: self.utilization,
-            solver: self.solver,
-            search_millis: self.search_millis,
-        }
-    }
 }
 
 /// A `GET /v1/cache/{fingerprint}` response body: every cached entry for the
-/// fingerprint (one per parameter combination), in canonical labeling —
-/// **without** the canonical placement (trusted-fingerprint slim form).
+/// fingerprint (one per parameter combination), in canonical labeling,
+/// without the canonical placement.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct InspectResponse {
     /// The fingerprint that was looked up.
     pub fingerprint: Fingerprint,
-    /// Cached entries, most recently used first, in slim wire form.
+    /// Cached entries, most recently used first.
     pub entries: Vec<WireSearchEntry>,
-}
-
-/// The cluster cache-exchange document: every cached entry of one canonical
-/// fingerprint, in canonical labeling, with the parameters that distinguish
-/// them.
-///
-/// This is the wire format of the **internal** cluster endpoints: the body a
-/// non-owner daemon `PUT`s to `/v1/cache/{fp}` when replicating a locally
-/// solved entry to its ring owner (full entries, placement included), the
-/// shape a remote-fetching daemon parses back from `GET /v1/cache/{fp}`
-/// (slim entries — the public inspect response serializes to exactly this
-/// layout), and the element type of the warm-up export
-/// (`GET /v1/cluster/export/{node}` returns a JSON array of these, one per
-/// fingerprint, full entries).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CacheExchange {
-    /// Canonical fingerprint every entry below belongs to.
-    pub fingerprint: Fingerprint,
-    /// The entries (one per parameter combination), in canonical labeling.
-    pub entries: Vec<WireSearchEntry>,
-}
-
-/// Acknowledgement body of `PUT /v1/cache/{fp}`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ReplicationAck {
-    /// Entries accepted into the local cache.
-    pub accepted: usize,
-    /// Entries rejected by validation.
-    pub rejected: usize,
-}
-
-/// One peer row of the `GET /v1/cluster` status document.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PeerStatusInfo {
-    /// The peer's ring identity.
-    pub node_id: String,
-    /// The peer's HTTP address.
-    pub addr: String,
-    /// `true` when the last contact (probe or cluster call) succeeded.
-    pub healthy: bool,
-    /// `true` while the peer's circuit breaker rejects calls.
-    pub circuit_open: bool,
-    /// Consecutive failed contacts.
-    pub consecutive_failures: u64,
-    /// The most recent failure, if the peer is unhealthy.
-    pub last_error: Option<String>,
-    /// Estimated peer clock minus local clock in milliseconds, from the
-    /// latest health probe's RTT midpoint; `None` before the first
-    /// successful probe. Trace assembly shifts remote spans by this.
-    pub clock_offset_ms: Option<i64>,
-}
-
-/// Ring-ownership lookup embedded in `GET /v1/cluster?fp=HEX`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OwnerInfo {
-    /// The fingerprint that was looked up.
-    pub fingerprint: Fingerprint,
-    /// `true` when the answering daemon is the owner.
-    pub is_local: bool,
-    /// The owning node's id.
-    pub node: String,
-}
-
-/// The `GET /v1/cluster` response body.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ClusterStatusResponse {
-    /// The answering daemon's ring identity.
-    pub node_id: String,
-    /// Virtual nodes per member on the consistent-hash ring.
-    pub vnodes: usize,
-    /// Ring membership (this node plus every peer), sorted.
-    pub nodes: Vec<String>,
-    /// Peer health, in `--peer` order.
-    pub peers: Vec<PeerStatusInfo>,
-    /// Ownership of the fingerprint passed as `?fp=HEX`, when present.
-    pub owner: Option<OwnerInfo>,
 }
 
 /// One per-stage timing row of a flight-recorder entry.
@@ -416,7 +295,7 @@ pub struct DebugRequestsResponse {
 ///
 /// Solver progress fields (`nodes`, `incumbent`, …) are relaxed-atomic
 /// snapshots of the request's live progress board; they read as zero while a
-/// request is still queued or waiting on the cache tiers.
+/// request is still queued or waiting on the cache.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct InflightInfo {
     /// The request's trace ID.
@@ -430,8 +309,8 @@ pub struct InflightInfo {
     pub peer: Option<String>,
     /// The stage the request is currently in: `queued` until its first
     /// timed stage, then the last one started (`decode`, `validate`,
-    /// `canonicalize`, `cache_lookup`, `singleflight_wait`, `remote_fetch`,
-    /// `solve`, `translate`, `serialize`).
+    /// `canonicalize`, `cache_lookup`, `singleflight_wait`, `solve`,
+    /// `translate`, `serialize`).
     pub stage: String,
     /// Milliseconds since the request arrived (the read that completed it).
     pub elapsed_ms: u64,
@@ -476,12 +355,11 @@ pub use tessel_obs::{SeriesWindow, TimeSeriesWindow};
 /// One span of an assembled trace timeline.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceSpanInfo {
-    /// Node ID of the daemon that recorded the span.
+    /// The daemon that recorded the span: always `"local"`.
     pub node: String,
     /// Stage name, or `"request"` for a whole-request envelope span.
     pub name: String,
-    /// Span start in the *requesting* daemon's clock, Unix milliseconds
-    /// (remote spans are shifted by the estimated peer clock offset).
+    /// Span start, Unix milliseconds.
     pub start_unix_ms: u64,
     /// Wall-clock microseconds the span lasted.
     pub micros: u64,
@@ -493,17 +371,16 @@ pub struct TraceSpanInfo {
     pub status: u16,
 }
 
-/// The `GET /v1/debug/trace/{trace_id}` response body: one merged multi-node
-/// span timeline.
+/// The `GET /v1/debug/trace/{trace_id}` response body: one trace's span
+/// timeline.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceAssemblyResponse {
     /// The trace that was assembled.
     pub trace_id: String,
-    /// Node IDs that contributed spans, requester first.
+    /// The daemons that contributed spans: `["local"]`, or empty when the
+    /// flight recorder holds no record of the trace.
     pub nodes: Vec<String>,
-    /// Peers that could not be queried (unhealthy or failed), if any.
-    pub unreachable: Vec<String>,
-    /// All spans, sorted by adjusted start time.
+    /// All spans, sorted by start time.
     pub spans: Vec<TraceSpanInfo>,
 }
 
@@ -654,10 +531,9 @@ mod tests {
 
         let trace = TraceAssemblyResponse {
             trace_id: "a".repeat(32),
-            nodes: vec!["alpha".into(), "beta".into()],
-            unreachable: vec!["gamma".into()],
+            nodes: vec!["local".into()],
             spans: vec![TraceSpanInfo {
-                node: "alpha".into(),
+                node: "local".into(),
                 name: "cache_lookup".into(),
                 start_unix_ms: 1_700_000_000_000,
                 micros: 55,

@@ -1,18 +1,14 @@
 //! End-to-end tests of the tracing tentpole, over real sockets:
 //!
-//! * a search POSTed to daemon B that remote-hits its owner A produces
-//!   flight-recorder entries on BOTH daemons sharing one trace ID, with B's
-//!   entry showing a non-zero `remote_fetch` stage and B's `/metrics`
-//!   exporting per-stage histogram buckets;
-//! * malformed or oversized inbound `X-Tessel-Trace-Id` headers are
-//!   rejected: a fresh ID is minted and the raw header value is never
-//!   reflected anywhere in the response;
+//! * a well-formed inbound `X-Tessel-Trace-Id` is adopted into the response
+//!   header, the flight record and the assembled trace, and the request's
+//!   stages reach `/metrics` as histogram buckets; malformed or oversized
+//!   ones are rejected: a fresh ID is minted and the raw header value is
+//!   never reflected anywhere in the response;
 //! * the live plane: `/v1/debug/inflight` shows a solving request's
 //!   monotonically increasing node count and live incumbent mid-flight,
-//!   `/v1/debug/timeseries` serves the sampler's windowed rates,
-//!   `/v1/debug/loglevel` changes the daemon's log level at runtime, and
-//!   `/v1/debug/trace/{id}` assembles one merged span timeline from both
-//!   members of a two-daemon fleet;
+//!   `/v1/debug/timeseries` serves the sampler's windowed rates, and
+//!   `/v1/debug/loglevel` changes the daemon's log level at runtime;
 //! * one request's books agree on every surface: `Server-Timing`, the
 //!   flight record, the stage histograms and the assembled trace, for an
 //!   HTTP miss, an HTTP hit, a streamed search and an in-process call; an
@@ -29,12 +25,7 @@ use tessel_service::wire::{
     DebugRequestsResponse, FlightRecordInfo, InflightResponse, SearchRequest, TimeSeriesWindow,
     TraceAssemblyResponse,
 };
-use tessel_service::{
-    ClusterConfig, HashRing, HttpClient, HttpServer, PeerConfig, ScheduleService, ServerConfig,
-    ServiceConfig,
-};
-
-const VNODES: usize = 32;
+use tessel_service::{HttpClient, HttpServer, ScheduleService, ServerConfig, ServiceConfig};
 
 fn v_shape(devices: usize) -> PlacementSpec {
     let mut b = PlacementSpec::builder(format!("v{devices}"), devices);
@@ -57,156 +48,11 @@ fn v_shape(devices: usize) -> PlacementSpec {
     b.build().unwrap()
 }
 
-fn start_node(
-    node_id: &str,
-    listener: TcpListener,
-    peers: Vec<PeerConfig>,
-) -> (HttpServer, Arc<ScheduleService>) {
-    let mut cluster = ClusterConfig::new(node_id, peers);
-    cluster.vnodes = VNODES;
-    cluster.probe_interval = std::time::Duration::from_millis(200);
-    let service = Arc::new(
-        ScheduleService::new(ServiceConfig {
-            default_micro_batches: 4,
-            default_max_repetend: 3,
-            cluster: Some(cluster),
-            ..ServiceConfig::default()
-        })
-        .unwrap(),
-    );
-    let server = HttpServer::serve_listener(
-        service.clone(),
-        listener,
-        &ServerConfig {
-            workers: 2,
-            queue_depth: 16,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-    (server, service)
-}
-
-fn debug_requests(client: &mut HttpClient) -> DebugRequestsResponse {
-    let (status, body) = client.call("GET", "/v1/debug/requests", None).unwrap();
-    assert_eq!(status, 200, "{body}");
-    serde_json::from_str(&body).unwrap()
-}
-
 fn header<'a>(headers: &'a [(String, String)], wanted: &str) -> Option<&'a str> {
     headers
         .iter()
         .find(|(name, _)| name.eq_ignore_ascii_case(wanted))
         .map(|(_, value)| value.as_str())
-}
-
-#[test]
-fn remote_fetch_joins_the_requesters_trace_across_daemons() {
-    // Bind both listeners first so each node can name the other's real
-    // address in its peer config, and pick ids so A owns the placement.
-    let listener_a = TcpListener::bind("127.0.0.1:0").unwrap();
-    let listener_b = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr_a = listener_a.local_addr().unwrap().to_string();
-    let addr_b = listener_b.local_addr().unwrap().to_string();
-    let placement = v_shape(3);
-    let fingerprint = placement.canonicalize().fingerprint;
-    let ring = HashRing::new(["alpha", "beta"], VNODES);
-    let (id_a, id_b) = if ring.owner_of(fingerprint) == "alpha" {
-        ("alpha", "beta")
-    } else {
-        ("beta", "alpha")
-    };
-    let (server_a, service_a) = start_node(
-        id_a,
-        listener_a,
-        vec![PeerConfig {
-            node_id: id_b.into(),
-            addr: addr_b.clone(),
-        }],
-    );
-    let (server_b, service_b) = start_node(
-        id_b,
-        listener_b,
-        vec![PeerConfig {
-            node_id: id_a.into(),
-            addr: addr_a.clone(),
-        }],
-    );
-    assert!(service_a.cluster().unwrap().owns(fingerprint));
-    assert!(!service_b.cluster().unwrap().owns(fingerprint));
-
-    // Seed the owner, then ask B with a caller-chosen trace ID. B misses
-    // locally and fetches from A; both daemons' records must join the trace.
-    let mut client_a = HttpClient::new(&addr_a).unwrap();
-    let mut client_b = HttpClient::new(&addr_b).unwrap();
-    let body = serde_json::to_string(&SearchRequest::for_placement(placement.clone())).unwrap();
-    let (status, _, _) = client_a
-        .call_with_headers("POST", "/v1/search", Some(&body), &[])
-        .unwrap();
-    assert_eq!(status, 200);
-
-    let trace = "0123456789abcdef0123456789abcdef";
-    let order: Vec<usize> = (0..placement.num_blocks()).collect();
-    let permuted = placement.permuted(&[2, 0, 1], &order).unwrap();
-    let permuted_body =
-        serde_json::to_string(&SearchRequest::for_placement(permuted.clone())).unwrap();
-    let (status, headers, response) = client_b
-        .call_with_headers(
-            "POST",
-            "/v1/search",
-            Some(&permuted_body),
-            &[("X-Tessel-Trace-Id", trace)],
-        )
-        .unwrap();
-    assert_eq!(status, 200, "{response}");
-    assert!(response.contains("\"cached\":true"), "{response}");
-
-    // The response carries the caller's trace ID and a Server-Timing
-    // breakdown that includes the remote_fetch stage.
-    assert_eq!(header(&headers, "x-tessel-trace-id"), Some(trace));
-    let timing = header(&headers, "server-timing").expect("Server-Timing header");
-    assert!(timing.contains("remote_fetch;dur="), "{timing}");
-
-    // B's flight recorder: the search entry, under the caller's trace ID,
-    // with a non-zero remote_fetch stage.
-    let debug_b = debug_requests(&mut client_b);
-    let entry_b = debug_b
-        .recent
-        .iter()
-        .find(|entry| entry.trace_id == trace && entry.path == "/v1/search")
-        .expect("B's flight recorder holds the traced search");
-    let remote_fetch = entry_b
-        .stages
-        .iter()
-        .find(|stage| stage.name == "remote_fetch")
-        .expect("the traced search crossed the cluster");
-    assert!(remote_fetch.micros > 0, "remote fetch took real time");
-    assert_eq!(entry_b.status, 200);
-
-    // A's flight recorder: the owner-side cache GET, SAME trace ID.
-    let debug_a = debug_requests(&mut client_a);
-    let entry_a = debug_a
-        .recent
-        .iter()
-        .find(|entry| entry.trace_id == trace)
-        .expect("A's flight recorder joined the requester's trace");
-    assert_eq!(entry_a.method, "GET");
-    assert!(entry_a.path.starts_with("/v1/cache/"), "{}", entry_a.path);
-
-    // B exports per-stage and per-endpoint histogram buckets.
-    let (status, metrics) = client_b.call("GET", "/metrics", None).unwrap();
-    assert_eq!(status, 200);
-    assert!(
-        metrics.contains("tessel_request_stage_duration_seconds_bucket{stage=\"remote_fetch\""),
-        "per-stage buckets missing"
-    );
-    assert!(
-        metrics.contains("tessel_http_request_duration_seconds_bucket{endpoint=\"/v1/search\""),
-        "per-endpoint buckets missing"
-    );
-
-    server_a.shutdown();
-    server_b.shutdown();
 }
 
 /// Reads everything the server sends on `stream` (the request asked for
@@ -236,7 +82,8 @@ fn bad_inbound_trace_headers_mint_fresh_ids_and_are_never_reflected() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let service = Arc::new(ScheduleService::new(ServiceConfig::default()).unwrap());
-    let server = HttpServer::serve_listener(service, listener, &ServerConfig::default()).unwrap();
+    let server =
+        HttpServer::serve_listener(service.clone(), listener, &ServerConfig::default()).unwrap();
 
     // A valid inbound ID is adopted verbatim.
     let valid = "deadbeefdeadbeefdeadbeefdeadbeef";
@@ -247,6 +94,67 @@ fn bad_inbound_trace_headers_mint_fresh_ids_and_are_never_reflected() {
         ),
     );
     assert_eq!(response_trace_id(&response), valid);
+
+    // On a search it is adopted into the response header and the flight
+    // record, and the search's stages reach `/metrics` as histograms.
+    let mut client = HttpClient::new(&addr).unwrap();
+    let body = serde_json::to_string(&SearchRequest::for_placement(v_shape(2))).unwrap();
+    let (status, headers, response) = client
+        .call_with_headers(
+            "POST",
+            "/v1/search",
+            Some(&body),
+            &[("X-Tessel-Trace-Id", valid)],
+        )
+        .unwrap();
+    assert_eq!(status, 200, "{response}");
+    assert_eq!(header(&headers, "x-tessel-trace-id"), Some(valid));
+    let record = wait_for_record(&service, |r| r.trace_id == valid && r.path == "/v1/search");
+    assert!(
+        record.stages.iter().any(|s| s.name == "solve"),
+        "{record:?}"
+    );
+    let (status, metrics) = client.call("GET", "/metrics", None).unwrap();
+    assert_eq!(status, 200);
+    for stage in ["cache_lookup", "solve"] {
+        let count = format!("tessel_request_stage_duration_seconds_count{{stage=\"{stage}\"}} 1\n");
+        assert!(metrics.contains(&count), "{stage}: no histogram count of 1");
+        let bucket = format!("tessel_request_stage_duration_seconds_bucket{{stage=\"{stage}\"");
+        assert!(metrics.contains(&bucket), "{stage}: no histogram buckets");
+    }
+    assert!(
+        metrics.contains("tessel_http_request_duration_seconds_bucket{endpoint=\"/v1/search\""),
+        "per-endpoint buckets missing"
+    );
+
+    // The trace assembles from its records as start-sorted spans; an
+    // invalid trace ID is a 400 and an unknown valid one an empty assembly.
+    let (status, body) = client
+        .call("GET", &format!("/v1/debug/trace/{valid}"), None)
+        .unwrap();
+    assert_eq!(status, 200, "{body}");
+    let assembly: TraceAssemblyResponse = serde_json::from_str(&body).unwrap();
+    let names: Vec<&str> = (assembly.spans.iter())
+        .map(|span| span.name.as_str())
+        .collect();
+    assert!(
+        names.contains(&"solve") && names.contains(&"cache_lookup"),
+        "{names:?}"
+    );
+    assert!(
+        (assembly.spans.windows(2)).all(|pair| pair[0].start_unix_ms <= pair[1].start_unix_ms),
+        "spans must be start-sorted"
+    );
+    let (status, _) = client
+        .call("GET", "/v1/debug/trace/not-a-trace", None)
+        .unwrap();
+    assert_eq!(status, 400);
+    let (status, body) = client
+        .call("GET", &format!("/v1/debug/trace/{}", "0".repeat(32)), None)
+        .unwrap();
+    assert_eq!(status, 200, "{body}");
+    let empty: TraceAssemblyResponse = serde_json::from_str(&body).unwrap();
+    assert!(empty.spans.is_empty() && empty.nodes.is_empty(), "{body}");
 
     // Malformed (wrong charset / length): fresh ID, no reflection.
     for bad in [
@@ -518,123 +426,6 @@ fn sampler_disabled_answers_404_without_a_sampler_thread() {
     assert_eq!(status, 200);
     assert!(!metrics.contains("tessel_timeseries_last"));
     server.shutdown();
-}
-
-#[test]
-fn assembled_trace_merges_spans_from_both_daemons() {
-    let listener_a = TcpListener::bind("127.0.0.1:0").unwrap();
-    let listener_b = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr_a = listener_a.local_addr().unwrap().to_string();
-    let addr_b = listener_b.local_addr().unwrap().to_string();
-    let placement = v_shape(3);
-    let fingerprint = placement.canonicalize().fingerprint;
-    let ring = HashRing::new(["alpha", "beta"], VNODES);
-    let (id_a, id_b) = if ring.owner_of(fingerprint) == "alpha" {
-        ("alpha", "beta")
-    } else {
-        ("beta", "alpha")
-    };
-    let (server_a, service_a) = start_node(
-        id_a,
-        listener_a,
-        vec![PeerConfig {
-            node_id: id_b.into(),
-            addr: addr_b.clone(),
-        }],
-    );
-    let (server_b, _service_b) = start_node(
-        id_b,
-        listener_b,
-        vec![PeerConfig {
-            node_id: id_a.into(),
-            addr: addr_a.clone(),
-        }],
-    );
-    assert!(service_a.cluster().unwrap().owns(fingerprint));
-
-    // Seed the owner under the SAME trace the requester will use, so the
-    // owner's solve span belongs to the assembled trace, then hit the
-    // non-owner: it cache-misses locally and remote-fetches from A.
-    let trace = "feedfacefeedfacefeedfacefeedface";
-    let mut client_a = HttpClient::new(&addr_a).unwrap();
-    let mut client_b = HttpClient::new(&addr_b).unwrap();
-    let body = serde_json::to_string(&SearchRequest::for_placement(placement.clone())).unwrap();
-    let (status, _, response) = client_a
-        .call_with_headers(
-            "POST",
-            "/v1/search",
-            Some(&body),
-            &[("X-Tessel-Trace-Id", trace)],
-        )
-        .unwrap();
-    assert_eq!(status, 200, "{response}");
-    let (status, _, response) = client_b
-        .call_with_headers(
-            "POST",
-            "/v1/search",
-            Some(&body),
-            &[("X-Tessel-Trace-Id", trace)],
-        )
-        .unwrap();
-    assert_eq!(status, 200, "{response}");
-    assert!(response.contains("\"cached\":true"), "{response}");
-
-    // Asking the requester assembles spans from BOTH daemons: B's own
-    // cache_lookup + remote_fetch, and A's solve (plus A's owner-side cache
-    // GET), all under one trace, sorted by adjusted start time.
-    let (status, body) = client_b
-        .call("GET", &format!("/v1/debug/trace/{trace}"), None)
-        .unwrap();
-    assert_eq!(status, 200, "{body}");
-    let assembly: TraceAssemblyResponse = serde_json::from_str(&body).unwrap();
-    assert_eq!(assembly.trace_id, trace);
-    assert!(
-        assembly.nodes.iter().any(|node| node == id_a)
-            && assembly.nodes.iter().any(|node| node == id_b),
-        "both daemons must contribute: {:?}",
-        assembly.nodes
-    );
-    assert!(
-        assembly.unreachable.is_empty(),
-        "healthy peers must all answer: {:?}",
-        assembly.unreachable
-    );
-    let has = |node: &str, name: &str| {
-        assembly
-            .spans
-            .iter()
-            .any(|span| span.node == node && span.name == name)
-    };
-    assert!(has(id_b, "cache_lookup"), "requester cache_lookup span");
-    assert!(has(id_b, "remote_fetch"), "requester remote_fetch span");
-    assert!(has(id_a, "solve"), "owner solve span");
-    assert!(
-        assembly
-            .spans
-            .windows(2)
-            .all(|pair| pair[0].start_unix_ms <= pair[1].start_unix_ms),
-        "spans must be start-sorted"
-    );
-
-    // An invalid trace id is a 400, and an unknown-but-valid one is an
-    // empty assembly, not an error.
-    let (status, _) = client_b
-        .call("GET", "/v1/debug/trace/not-a-trace", None)
-        .unwrap();
-    assert_eq!(status, 400);
-    let (status, body) = client_b
-        .call(
-            "GET",
-            "/v1/debug/trace/00000000000000000000000000000000",
-            None,
-        )
-        .unwrap();
-    assert_eq!(status, 200);
-    let empty: TraceAssemblyResponse = serde_json::from_str(&body).unwrap();
-    assert!(empty.spans.is_empty());
-
-    server_a.shutdown();
-    server_b.shutdown();
 }
 
 /// A standalone daemon with small search defaults, and its address.

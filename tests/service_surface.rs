@@ -14,8 +14,8 @@ use tessel::service::wire::{
     ErrorBody, InflightInfo, SearchRequest, SearchResponse, StreamEvent, WireSearchEntry,
 };
 use tessel::service::{
-    ClusterConfig, ClusterMetrics, HttpClient, HttpServer, MetricsSnapshot, ScheduleService,
-    ServerConfig, ServiceConfig, ServiceMetrics, TransportMetrics, TransportSnapshot,
+    HttpClient, HttpServer, MetricsSnapshot, ScheduleService, ServerConfig, ServiceConfig,
+    ServiceMetrics, TransportMetrics, TransportSnapshot,
 };
 
 fn v2() -> PlacementSpec {
@@ -29,14 +29,10 @@ fn v2() -> PlacementSpec {
 }
 
 fn start_server() -> (HttpServer, String) {
-    start_server_with(ServiceConfig::default())
-}
-
-fn start_server_with(config: ServiceConfig) -> (HttpServer, String) {
     let service = ScheduleService::new(ServiceConfig {
         default_micro_batches: 2,
         default_max_repetend: 2,
-        ..config
+        ..ServiceConfig::default()
     })
     .unwrap();
     let config = ServerConfig {
@@ -104,61 +100,6 @@ fn metrics_page_matches_the_golden_exposition() {
     }
 }
 
-const CLUSTER_EXPOSITION: &str = "\
-# HELP tessel_cluster_remote_hits_total Local misses served by the ring owner's cache.
-# TYPE tessel_cluster_remote_hits_total counter
-tessel_cluster_remote_hits_total 4
-# HELP tessel_cluster_remote_misses_total Local misses the ring owner also missed.
-# TYPE tessel_cluster_remote_misses_total counter
-tessel_cluster_remote_misses_total 0
-# HELP tessel_cluster_remote_errors_total Owner fetches that degraded to a local solve.
-# TYPE tessel_cluster_remote_errors_total counter
-tessel_cluster_remote_errors_total 0
-# HELP tessel_cluster_replications_sent_total Entries successfully replicated to their owner.
-# TYPE tessel_cluster_replications_sent_total counter
-tessel_cluster_replications_sent_total 0
-# HELP tessel_cluster_replications_received_total Entries accepted from a non-owner daemon.
-# TYPE tessel_cluster_replications_received_total counter
-tessel_cluster_replications_received_total 0
-# HELP tessel_cluster_replications_rejected_total Replication payloads rejected by validation.
-# TYPE tessel_cluster_replications_rejected_total counter
-tessel_cluster_replications_rejected_total 0
-# HELP tessel_cluster_replication_errors_total Replication deliveries that failed.
-# TYPE tessel_cluster_replication_errors_total counter
-tessel_cluster_replication_errors_total 0
-# HELP tessel_cluster_replication_dropped_total Replication jobs dropped by the bounded queue.
-# TYPE tessel_cluster_replication_dropped_total counter
-tessel_cluster_replication_dropped_total 0
-# HELP tessel_cluster_warmup_entries_total Entries streamed from peers during startup warm-up.
-# TYPE tessel_cluster_warmup_entries_total counter
-tessel_cluster_warmup_entries_total 7
-# HELP tessel_cluster_peers Configured peers.
-# TYPE tessel_cluster_peers gauge
-tessel_cluster_peers 2
-# HELP tessel_cluster_peers_healthy Peers whose last contact succeeded.
-# TYPE tessel_cluster_peers_healthy gauge
-tessel_cluster_peers_healthy 1
-# HELP tessel_cluster_circuits_open Peers with an open circuit right now.
-# TYPE tessel_cluster_circuits_open gauge
-tessel_cluster_circuits_open 1
-";
-
-#[test]
-fn cluster_exposition_and_snapshot_json_are_pinned() {
-    let cluster = ClusterMetrics::new();
-    cluster.remote_hits.fetch_add(4, Ordering::Relaxed);
-    cluster.warmup_entries.fetch_add(7, Ordering::Relaxed);
-    let snapshot = cluster.snapshot(2, 1, 1);
-    assert_eq!(snapshot.render_prometheus(), CLUSTER_EXPOSITION);
-    assert_eq!(
-        serde_json::to_string(&snapshot).unwrap(),
-        "{\"remote_hits\":4,\"remote_misses\":0,\"remote_errors\":0,\"replications_sent\":0,\
-         \"replications_received\":0,\"replications_rejected\":0,\"replication_errors\":0,\
-         \"replication_dropped\":0,\"warmup_entries\":7,\"peers_total\":2,\"peers_healthy\":1,\
-         \"circuits_open\":1}"
-    );
-}
-
 #[test]
 fn service_and_transport_snapshot_json_are_pinned() {
     let service = ServiceMetrics::new();
@@ -175,7 +116,6 @@ fn service_and_transport_snapshot_json_are_pinned() {
         &service.solver_pruned_bound,
         &service.solver_pruned_dominance,
         &service.solver_memo_drops,
-        &service.fingerprint_wire_mismatches,
         &service.canon_budget_exhausted,
         &service.journal_stale_dropped,
     ];
@@ -190,8 +130,8 @@ fn service_and_transport_snapshot_json_are_pinned() {
         "{\"requests\":1,\"cache_hits\":2,\"cache_misses\":3,\"coalesced\":4,\"timeouts\":5,\
          \"errors\":6,\"in_flight\":7,\"solver_solves\":8,\"solver_nodes\":9,\
          \"solver_pruned_bound\":10,\"solver_pruned_dominance\":11,\"solver_memo_drops\":12,\
-         \"fingerprint_wire_mismatches\":13,\"canon_budget_exhausted\":14,\
-         \"journal_stale_dropped\":15,\"hit_rate\":0.4,\"cache_entries\":30,\
+         \"canon_budget_exhausted\":13,\"journal_stale_dropped\":14,\"hit_rate\":0.4,\
+         \"cache_entries\":30,\
          \"cache_evictions\":31,\"latency_p50_ms\":0.128,\"latency_p99_ms\":0.128}"
     );
     assert_eq!(
@@ -292,16 +232,12 @@ fn response_json() -> String {
     )
 }
 
-/// A cache entry in wire form, with or without its canonical placement.
-fn entry_json(with_placement: bool) -> String {
-    let placement = if with_placement {
-        format!("\"canonical_placement\":{PLACEMENT},")
-    } else {
-        String::new()
-    };
+/// A cache entry in wire form, with `extra` (`""` or `"key":value,`) after
+/// its parameters.
+fn entry_json(extra: &str) -> String {
     format!(
         "{{\"fingerprint\":\"a848f80aa8627b05\",\
-         \"params\":{{\"num_micro_batches\":2,\"max_repetend_micro_batches\":2}},{placement}\
+         \"params\":{{\"num_micro_batches\":2,\"max_repetend_micro_batches\":2}},{extra}\
          \"schedule\":{SCHEDULE},\"period\":1,\"repetend_micro_batches\":1,\"bubble_rate\":0.0,\
          \"utilization\":{UTILIZATION},\"solver\":{SOLVER},\"search_millis\":0}}"
     )
@@ -343,21 +279,18 @@ fn search_requests_serialize_every_field_and_decode_leniently() {
 }
 
 #[test]
-fn wire_entries_ship_the_placement_only_when_present() {
-    let full: WireSearchEntry = serde_json::from_str(&entry_json(true)).unwrap();
-    assert_eq!(full.canonical_placement, Some(v2()));
-    assert_pinned!(WireSearchEntry, full, entry_json(true));
-
-    let mut slim = full;
-    slim.canonical_placement = None;
-    assert!(!entry_json(false).contains("canonical_placement"));
-    assert_pinned!(WireSearchEntry, slim, entry_json(false));
-    // An explicit null decodes like an absent key.
-    let nulled = entry_json(true).replace(PLACEMENT, "null");
-    assert_eq!(
-        serde_json::from_str::<WireSearchEntry>(&nulled).unwrap(),
-        slim
-    );
+fn wire_entries_never_ship_the_placement() {
+    let entry: WireSearchEntry = serde_json::from_str(&entry_json("")).unwrap();
+    assert_pinned!(WireSearchEntry, entry, entry_json(""));
+    // A body that still carries a canonical placement, or a null one,
+    // decodes to the same entry: the key is skipped.
+    for placement in [PLACEMENT, "null"] {
+        let carried = entry_json(&format!("\"canonical_placement\":{placement},"));
+        assert_eq!(
+            serde_json::from_str::<WireSearchEntry>(&carried).unwrap(),
+            entry
+        );
+    }
 }
 
 #[test]
@@ -576,17 +509,12 @@ fn client_entry_points_return_what_they_always_did() {
 /// decodes a body answers it with a plain 400, and the daemon keeps serving.
 #[test]
 fn deeply_nested_bodies_are_a_400_not_a_crash() {
-    // Cluster mode (a fleet of one) so that `PUT /v1/cache/{fp}` decodes its
-    // body instead of answering 404.
-    let (server, addr) = start_server_with(ServiceConfig {
-        cluster: Some(ClusterConfig::new("solo", vec![])),
-        ..ServiceConfig::default()
-    });
+    let (server, addr) = start_server();
     let bomb = "[".repeat(200_000);
     for (method, path) in [
         ("POST", "/v1/search"),
         ("POST", "/v1/search?stream=1"),
-        ("PUT", "/v1/cache/0123456789abcdef"),
+        ("PUT", "/v1/debug/loglevel"),
     ] {
         let (status, payload) = http_call(&addr, method, path, Some(&bomb)).unwrap();
         assert_eq!(status, 400, "{method} {path}: {payload}");
