@@ -6,9 +6,9 @@
 //! placement IR describes a single micro-batch program (and Chimera routes
 //! half the micro-batches through each replica), the baseline is modelled
 //! analytically: the published steady-state bubble rate (the 20% reported in
-//! Table II for the paper's settings) and the doubled static memory are
-//! enough to reproduce the evaluation's comparisons — Chimera out-of-memory
-//! failures on GPT and its slight edge over 1F1B+ for single-server mT5.
+//! Table II for the paper's settings) and the doubled static memory. With
+//! the doubled memory Chimera runs out of memory at every size of both
+//! training figures: GPT (Fig. 13) and mT5 (Fig. 14, 4–32 GPUs).
 
 use serde::{Deserialize, Serialize};
 

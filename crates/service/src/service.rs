@@ -152,9 +152,9 @@ impl Default for ServiceConfig {
 /// [`ScheduleService::search`] is a blocking call: the HTTP transport's
 /// event loop never invokes it. The loop runs only the probe of a search
 /// (up to the cache lookup) and its translation on a hit; everything that
-/// can wait — a single-flight follower, a solve — runs on
-/// the bounded worker pool, whose threads push the finished response back to
-/// the loop (see [`crate::http`]). In-process callers (benches, tests,
+/// can wait — a single-flight follower, a solve — runs on the bounded worker
+/// pool, whose threads push the finished response back to the loop (see
+/// [`crate::http`]). In-process callers (benches, tests,
 /// `examples/service_quickstart.rs`) simply call it from their own threads.
 #[derive(Debug)]
 pub struct ScheduleService {
@@ -249,10 +249,10 @@ const LOCAL_NODE: &str = "local";
 /// Expands one flight record into assembled-trace spans: a whole-request
 /// envelope span named `request`, then one span per recorded stage laid out
 /// back-to-back from the request's start.
-fn push_record_spans(spans: &mut Vec<TraceSpanInfo>, node: &str, record: &FlightRecordInfo) {
+fn push_record_spans(spans: &mut Vec<TraceSpanInfo>, record: &FlightRecordInfo) {
     let base = record.start_unix_ms;
     spans.push(TraceSpanInfo {
-        node: node.to_string(),
+        node: LOCAL_NODE.to_string(),
         name: "request".to_string(),
         start_unix_ms: base,
         micros: record.total_micros,
@@ -263,7 +263,7 @@ fn push_record_spans(spans: &mut Vec<TraceSpanInfo>, node: &str, record: &Flight
     let mut cursor_micros = 0u64;
     for stage in &record.stages {
         spans.push(TraceSpanInfo {
-            node: node.to_string(),
+            node: LOCAL_NODE.to_string(),
             name: stage.name.clone(),
             start_unix_ms: base + cursor_micros / 1000,
             micros: stage.micros,
@@ -452,8 +452,9 @@ impl ScheduleService {
     }
 
     /// Finishes the answer `probe` began for `request`: on a miss the
-    /// single-flight election and, for the leader, the solve; then the translation into the request's labeling. Counts a
-    /// failure and the request's latency.
+    /// single-flight election and, for the leader, the solve; then the
+    /// translation into the request's labeling. Counts a failure and the
+    /// request's latency.
     pub(crate) fn resume<'r>(
         &self,
         request: &'r SearchRequest,
@@ -821,7 +822,7 @@ impl ScheduleService {
     pub fn assemble_trace(&self, trace_id: &str) -> TraceAssemblyResponse {
         let mut spans: Vec<TraceSpanInfo> = Vec::new();
         for record in self.recorder.find_by_trace(trace_id) {
-            push_record_spans(&mut spans, LOCAL_NODE, &record);
+            push_record_spans(&mut spans, &record);
         }
         spans.sort_by_key(|span| span.start_unix_ms);
         TraceAssemblyResponse {
